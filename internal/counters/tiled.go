@@ -1,7 +1,7 @@
 package counters
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"skycube/internal/data"
@@ -57,17 +57,7 @@ func probedTiledFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict b
 		}
 		medM[k], quartM[k], sum[k] = m, qm, s
 	}
-	ord := make([]int32, n)
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		ia, ib := ord[a], ord[b]
-		if sum[ia] != sum[ib] {
-			return sum[ia] < sum[ib]
-		}
-		return rows[ia] < rows[ib]
-	})
+	ord := data.SumOrder(sum, rows)
 
 	type group struct {
 		med, quart mask.Mask
@@ -164,7 +154,7 @@ func probedTiledFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict b
 			survivors = append(survivors, r)
 		}
 	}
-	sort.Slice(survivors, func(a, b int) bool { return survivors[a] < survivors[b] })
+	slices.Sort(survivors)
 	return survivors
 }
 
@@ -195,7 +185,7 @@ func probedIntraTile(probes []*memsim.Thread, ds *data.Dataset, rows []int32, de
 		window = window[:w]
 		window = append(window, q)
 	}
-	sort.Slice(window, func(a, b int) bool { return window[a] < window[b] })
+	slices.Sort(window)
 	return window
 }
 
@@ -213,14 +203,11 @@ func tiledPivots(ds *data.Dataset, rows []int32, dims []int, probes []*memsim.Th
 			col[i] = ds.Value(int(q), j)
 		}
 		th.Load(dataBase+uint64(j)*uint64(len(rows))*4, len(rows)*4)
-		sort.Slice(col, func(a, b int) bool { return col[a] < col[b] })
 		n := len(col)
+		q3 := min(3*n/4, n-1)
+		data.SelectRanks(col, n/4, n/2, q3)
 		med[idx] = col[n/2]
 		quart[0][idx] = col[n/4]
-		q3 := 3 * n / 4
-		if q3 >= n {
-			q3 = n - 1
-		}
 		quart[1][idx] = col[q3]
 	}
 	return med, quart

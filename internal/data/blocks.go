@@ -1,9 +1,6 @@
 package data
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // DefaultBlockSize is the lane count of one SoA block. 256 lanes keep a
 // block's per-dimension column in four cache lines while amortising the
@@ -191,23 +188,13 @@ func SumOver(p []float32, dims []int) float32 {
 // precondition of stop-point filtering. The caller owns the result and must
 // return it with PutBlockSet.
 func SortedBlocksOf(ds *Dataset, rows []int32, dims []int, blockSize int) *BlockSet {
-	n := len(rows)
-	ord := make([]int32, n)
-	sums := make([]float32, n)
+	sums := make([]float32, len(rows))
 	for i, r := range rows {
-		ord[i] = int32(i)
 		sums[i] = SumOver(ds.Point(int(r)), dims)
 	}
-	sort.Slice(ord, func(a, b int) bool {
-		ia, ib := ord[a], ord[b]
-		if sums[ia] != sums[ib] {
-			return sums[ia] < sums[ib]
-		}
-		return rows[ia] < rows[ib]
-	})
 	s := GetBlockSet(len(dims), blockSize)
 	pq := make([]float32, len(dims))
-	for _, i := range ord {
+	for _, i := range SumOrder(sums, rows) {
 		r := rows[i]
 		ProjectInto(pq, ds.Point(int(r)), dims)
 		s.Append(pq, r, sums[i])

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"slices"
 	"sort"
 
 	"skycube/internal/bitset"
@@ -147,7 +148,7 @@ func (s *Snapshot) Skyline(delta mask.Mask) []int32 {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 

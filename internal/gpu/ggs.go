@@ -2,7 +2,7 @@ package gpu
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"skycube/internal/data"
 	"skycube/internal/dom"
@@ -63,7 +63,6 @@ func ggsFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.Ma
 	dims := mask.Dims(delta)
 
 	// Sort by L1 norm over δ: dominators always precede the dominated.
-	ord := make([]int32, n)
 	sums := make([]float32, n)
 	for k, p := range rows {
 		pt := ds.Point(int(p))
@@ -72,15 +71,8 @@ func ggsFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.Ma
 			s += pt[j]
 		}
 		sums[k] = s
-		ord[k] = int32(k)
 	}
-	sort.Slice(ord, func(a, b int) bool {
-		ia, ib := ord[a], ord[b]
-		if sums[ia] != sums[ib] {
-			return sums[ia] < sums[ib]
-		}
-		return rows[ia] < rows[ib]
-	})
+	ord := data.SumOrder(sums, rows)
 
 	stats.Add(gpusim.Transfer(n * len(dims) * 4)) // input upload
 
@@ -139,7 +131,7 @@ func ggsFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.Ma
 			survivors = append(survivors, r)
 		}
 	}
-	sort.Slice(survivors, func(a, b int) bool { return survivors[a] < survivors[b] })
+	slices.Sort(survivors)
 	return survivors
 }
 

@@ -14,7 +14,7 @@ package gpu
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"skycube/internal/data"
@@ -126,17 +126,7 @@ func deviceFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask
 		}
 		medM[k], quartM[k], sum[k] = m, q, s
 	}
-	ord := make([]int32, n)
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		ia, ib := ord[a], ord[b]
-		if sum[ia] != sum[ib] {
-			return sum[ia] < sum[ib]
-		}
-		return rows[ia] < rows[ib]
-	})
+	ord := data.SumOrder(sum, rows)
 
 	// Input upload: the cuboid's (reduced) rows and labels cross PCIe once.
 	stats.Add(gpusim.Transfer(n * (d*4 + 8)))
@@ -226,7 +216,7 @@ func deviceFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask
 			survivors = append(survivors, r)
 		}
 	}
-	sort.Slice(survivors, func(a, b int) bool { return survivors[a] < survivors[b] })
+	slices.Sort(survivors)
 	return survivors
 }
 
@@ -270,14 +260,11 @@ func subspacePivots(ds *data.Dataset, rows []int32, dims []int) (med []float32, 
 		for i, p := range rows {
 			col[i] = ds.Value(int(p), j)
 		}
-		sort.Slice(col, func(a, b int) bool { return col[a] < col[b] })
 		n := len(col)
+		q3 := min(3*n/4, n-1)
+		data.SelectRanks(col, n/4, n/2, q3)
 		med[idx] = col[n/2]
 		quart[0][idx] = col[n/4]
-		q3 := 3 * n / 4
-		if q3 >= n {
-			q3 = n - 1
-		}
 		quart[1][idx] = col[q3]
 	}
 	return med, quart

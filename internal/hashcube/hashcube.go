@@ -9,7 +9,7 @@
 package hashcube
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"skycube/internal/bitset"
@@ -87,7 +87,7 @@ func (h *HashCube) Skyline(delta mask.Mask) []int32 {
 		}
 	}
 	t.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 

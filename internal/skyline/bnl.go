@@ -1,7 +1,7 @@
 package skyline
 
 import (
-	"sort"
+	"slices"
 
 	"skycube/internal/data"
 	"skycube/internal/dom"
@@ -44,7 +44,7 @@ func bnlFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []i
 		window = window[:w]
 		window = append(window, p)
 	}
-	sort.Slice(window, func(a, b int) bool { return window[a] < window[b] })
+	slices.Sort(window)
 	return window
 }
 

@@ -1,7 +1,7 @@
 package skyline
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"skycube/internal/data"
@@ -29,14 +29,168 @@ func hybridFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 		return pivotFilter(ds, rows, delta, strict)
 	}
 	dims := mask.Dims(delta)
+	medM, quartM, sum, ord := hybridPrepare(ds, rows, dims)
+	n := len(rows)
 
-	// Global two-level labels over only the relevant dimensions (§5.1:
-	// partition on the subspace's dimensions when hooked into a cuboid).
+	type group struct {
+		med, quart mask.Mask
+		members    []int32        // indices into rows (scalar path)
+		bs         *data.BlockSet // sum-ordered SoA members (block path)
+	}
+	var groups []group
+	groupIdx := make(map[uint64]int)
+	survivors := make([]int32, 0, n/4)
+
+	// Block path: group members live in small SoA blocks appended in tile
+	// (= ascending δ-sum) order, so one kernel sweep replaces the scalar
+	// member loop of phase A. Both paths test the same membership, so the
+	// phase-A verdicts are identical.
+	useBlocks := dom.BlocksEnabled()
+	useStop := useBlocks && dom.StopPointsEnabled()
+
+	// Per-tile scratch, allocated once: alive flags by tile position, the
+	// BNL input, each kept row's tile position, and one projection buffer per
+	// phase-A worker plus one for phase B.
+	var tile []int32
+	alive := make([]bool, hybridTileSize)
+	tileRows := make([]int32, 0, hybridTileSize)
+	pos := make([]int32, hybridTileSize)
+	pqs := make([]float32, (threads+1)*len(dims))
+	var wg sync.WaitGroup
+
+	// Phase A (parallel): prune tile points against the global result,
+	// group by group, with label tests before any dominance test.
+	work := func(w, lo, hi int) {
+		defer wg.Done()
+		var tally dom.KernelTally
+		pq := pqs[w*len(dims):][:len(dims)]
+		for t := lo; t < hi; t++ {
+			k := tile[t]
+			pp := ds.Point(int(rows[k]))
+			if useBlocks {
+				data.ProjectInto(pq, pp, dims)
+			}
+			mp, qp := medM[k], quartM[k]
+			ok := true
+		groupLoop:
+			for gi := range groups {
+				g := &groups[gi]
+				// Group members are guaranteed strictly worse than the
+				// point on `worse`; if that intersects δ they cannot
+				// dominate it.
+				worse := CompositeStrict2(mp, qp, g.med, g.quart)
+				if worse&delta != 0 {
+					continue
+				}
+				// Conversely, if the group is guaranteed strictly
+				// better on all of δ, the point dies with no DT.
+				better := CompositeStrict2(g.med, g.quart, mp, qp)
+				if better&delta == delta {
+					ok = false
+					break
+				}
+				if useBlocks {
+					if dom.BlocksAnyDominator(g.bs, pq, sum[k], strict, useStop, &tally) {
+						ok = false
+						break
+					}
+					continue
+				}
+				for _, m := range g.members {
+					r := dom.Compare(ds.Point(int(rows[m])), pp)
+					if kills(r, delta, strict) {
+						ok = false
+						break groupLoop
+					}
+				}
+			}
+			alive[t] = ok
+		}
+		tally.Flush()
+	}
+
+	for tileStart := 0; tileStart < n; tileStart += hybridTileSize {
+		tile = ord[tileStart:min(tileStart+hybridTileSize, n)]
+		tlen := len(tile)
+		tn := min(threads, tlen)
+		wg.Add(tn)
+		for w := 0; w < tn; w++ {
+			go work(w, w*tlen/tn, (w+1)*tlen/tn)
+		}
+		wg.Wait()
+
+		// Phase B (sequential): intra-tile filtering among survivors. The
+		// L1 order makes earlier tile members the only possible intra-tile
+		// dominators, but BNL handles any order regardless.
+		tileRows = tileRows[:0]
+		for t, k := range tile {
+			if alive[t] {
+				tileRows = append(tileRows, rows[k])
+			}
+		}
+		kept := bnlFilter(ds, tileRows, delta, strict)
+
+		// kept is row-sorted, so a binary search gives each alive position
+		// its kept index; alive narrows to the kept positions. Survivors join
+		// their (med, quart) group in kept order.
+		for t, k := range tile {
+			if !alive[t] {
+				continue
+			}
+			ki, ok := slices.BinarySearch(kept, rows[k])
+			if alive[t] = ok; ok {
+				pos[ki] = int32(t)
+			}
+		}
+		for _, t := range pos[:len(kept)] {
+			k := tile[t]
+			key := uint64(medM[k])<<32 | uint64(quartM[k])
+			gi, exists := groupIdx[key]
+			if !exists {
+				gi = len(groups)
+				groups = append(groups, group{med: medM[k], quart: quartM[k]})
+				if useBlocks {
+					groups[gi].bs = data.NewBlockSet(len(dims), 64)
+				}
+				groupIdx[key] = gi
+			}
+			if !useBlocks {
+				groups[gi].members = append(groups[gi].members, k)
+			}
+			survivors = append(survivors, rows[k])
+		}
+		if useBlocks {
+			// Block members must be appended in tile order: kept is
+			// row-sorted, but the stop-point invariant needs each group's
+			// lanes in non-decreasing δ-sum order across all tiles.
+			pq := pqs[threads*len(dims):][:len(dims)]
+			for t, k := range tile {
+				if !alive[t] {
+					continue
+				}
+				r := rows[k]
+				g := &groups[groupIdx[uint64(medM[k])<<32|uint64(quartM[k])]]
+				data.ProjectInto(pq, ds.Point(int(r)), dims)
+				g.bs.Append(pq, r, sum[k])
+			}
+		}
+	}
+
+	slices.Sort(survivors)
+	return survivors
+}
+
+// hybridPrepare is everything hybridFilter does before its first dominance
+// test, all of it linear in len(rows): the global two-level labels over only
+// the relevant dimensions (§5.1: partition on the subspace's dimensions when
+// hooked into a cuboid), each row's δ-sum, and the tile order — L1 norm
+// ascending, ties by row for determinism. All four are indexed like rows.
+func hybridPrepare(ds *data.Dataset, rows []int32, dims []int) (medM, quartM []mask.Mask, sum []float32, ord []int32) {
 	med, quart := subspacePivots(ds, rows, dims)
 	n := len(rows)
-	medM := make([]mask.Mask, n)
-	quartM := make([]mask.Mask, n)
-	sum := make([]float32, n)
+	medM = make([]mask.Mask, n)
+	quartM = make([]mask.Mask, n)
+	sum = make([]float32, n)
 	for k, p := range rows {
 		pt := ds.Point(int(p))
 		var m, q mask.Mask
@@ -55,164 +209,7 @@ func hybridFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 		}
 		medM[k], quartM[k], sum[k] = m, q, s
 	}
-
-	// Sort by L1 norm ascending (ties by row for determinism).
-	ord := make([]int32, n)
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		ia, ib := ord[a], ord[b]
-		if sum[ia] != sum[ib] {
-			return sum[ia] < sum[ib]
-		}
-		return rows[ia] < rows[ib]
-	})
-
-	type group struct {
-		med, quart mask.Mask
-		members    []int32        // indices into rows (scalar path)
-		bs         *data.BlockSet // sum-ordered SoA members (block path)
-	}
-	var groups []group
-	groupIdx := make(map[uint64]int)
-	survivors := make([]int32, 0, n/4)
-
-	// Block path: group members live in small SoA blocks appended in tile
-	// (= ascending δ-sum) order, so one kernel sweep replaces the scalar
-	// member loop of phase A. Both paths test the same membership, so the
-	// phase-A verdicts are identical.
-	useBlocks := dom.BlocksEnabled()
-	useStop := useBlocks && dom.StopPointsEnabled()
-
-	alive := make([]bool, hybridTileSize)
-	var wg sync.WaitGroup
-	for tileStart := 0; tileStart < n; tileStart += hybridTileSize {
-		tileEnd := tileStart + hybridTileSize
-		if tileEnd > n {
-			tileEnd = n
-		}
-		tile := ord[tileStart:tileEnd]
-
-		// Phase A (parallel): prune tile points against the global result,
-		// group by group, with label tests before any dominance test.
-		work := func(lo, hi int) {
-			defer wg.Done()
-			var tally dom.KernelTally
-			pq := make([]float32, len(dims))
-			for t := lo; t < hi; t++ {
-				k := tile[t]
-				pp := ds.Point(int(rows[k]))
-				if useBlocks {
-					data.ProjectInto(pq, pp, dims)
-				}
-				mp, qp := medM[k], quartM[k]
-				ok := true
-			groupLoop:
-				for gi := range groups {
-					g := &groups[gi]
-					// Group members are guaranteed strictly worse than the
-					// point on `worse`; if that intersects δ they cannot
-					// dominate it.
-					worse := CompositeStrict2(mp, qp, g.med, g.quart)
-					if worse&delta != 0 {
-						continue
-					}
-					// Conversely, if the group is guaranteed strictly
-					// better on all of δ, the point dies with no DT.
-					better := CompositeStrict2(g.med, g.quart, mp, qp)
-					if better&delta == delta {
-						ok = false
-						break
-					}
-					if useBlocks {
-						if dom.BlocksAnyDominator(g.bs, pq, sum[k], strict, useStop, &tally) {
-							ok = false
-							break
-						}
-						continue
-					}
-					for _, m := range g.members {
-						r := dom.Compare(ds.Point(int(rows[m])), pp)
-						if kills(r, delta, strict) {
-							ok = false
-							break groupLoop
-						}
-					}
-				}
-				alive[t] = ok
-			}
-			tally.Flush()
-		}
-		tlen := len(tile)
-		tn := threads
-		if tn > tlen {
-			tn = tlen
-		}
-		wg.Add(tn)
-		for w := 0; w < tn; w++ {
-			lo := w * tlen / tn
-			hi := (w + 1) * tlen / tn
-			go work(lo, hi)
-		}
-		wg.Wait()
-
-		// Phase B (sequential): intra-tile filtering among survivors. The
-		// L1 order makes earlier tile members the only possible intra-tile
-		// dominators, but BNL handles any order regardless.
-		tileRows := make([]int32, 0, tlen)
-		backref := make(map[int32]int32, tlen)
-		for t := 0; t < tlen; t++ {
-			if alive[t] {
-				r := rows[tile[t]]
-				backref[r] = tile[t]
-				tileRows = append(tileRows, r)
-			}
-		}
-		kept := bnlFilter(ds, tileRows, delta, strict)
-
-		// Append survivors to their (med, quart) group.
-		for _, r := range kept {
-			k := backref[r]
-			key := uint64(medM[k])<<32 | uint64(quartM[k])
-			gi, exists := groupIdx[key]
-			if !exists {
-				gi = len(groups)
-				groups = append(groups, group{med: medM[k], quart: quartM[k]})
-				groupIdx[key] = gi
-			}
-			if !useBlocks {
-				groups[gi].members = append(groups[gi].members, k)
-			}
-			survivors = append(survivors, r)
-		}
-		if useBlocks && len(kept) > 0 {
-			// Block members must be appended in tile order: kept is
-			// row-sorted, but the stop-point invariant needs each group's
-			// lanes in non-decreasing δ-sum order across all tiles.
-			keptSet := make(map[int32]struct{}, len(kept))
-			for _, r := range kept {
-				keptSet[r] = struct{}{}
-			}
-			pq := make([]float32, len(dims))
-			for t := 0; t < tlen; t++ {
-				k := tile[t]
-				r := rows[k]
-				if _, ok := keptSet[r]; !ok {
-					continue
-				}
-				g := &groups[groupIdx[uint64(medM[k])<<32|uint64(quartM[k])]]
-				if g.bs == nil {
-					g.bs = data.NewBlockSet(len(dims), 64)
-				}
-				data.ProjectInto(pq, ds.Point(int(r)), dims)
-				g.bs.Append(pq, r, sum[k])
-			}
-		}
-	}
-
-	sort.Slice(survivors, func(a, b int) bool { return survivors[a] < survivors[b] })
-	return survivors
+	return medM, quartM, sum, data.SumOrder(sum, rows)
 }
 
 // CompositeStrict2 is the two-level label comparison: the subspace on which
@@ -236,14 +233,11 @@ func subspacePivots(ds *data.Dataset, rows []int32, dims []int) (med []float32, 
 		for i, p := range rows {
 			col[i] = ds.Value(int(p), j)
 		}
-		sort.Slice(col, func(a, b int) bool { return col[a] < col[b] })
 		n := len(col)
+		q3 := min(3*n/4, n-1)
+		data.SelectRanks(col, n/4, n/2, q3)
 		med[idx] = col[n/2]
 		quart[0][idx] = col[n/4]
-		q3 := 3 * n / 4
-		if q3 >= n {
-			q3 = n - 1
-		}
 		quart[1][idx] = col[q3]
 	}
 	return med, quart

@@ -6,6 +6,7 @@ import (
 
 	"skycube/internal/data"
 	"skycube/internal/dom"
+	"skycube/internal/gen"
 	"skycube/internal/mask"
 )
 
@@ -60,4 +61,52 @@ func BenchmarkBNLFilterBlocks(b *testing.B) {
 func BenchmarkBNLFilterScalar(b *testing.B) {
 	b.Run("d=6", func(b *testing.B) { benchBNL(b, 6, dom.KernelConfig{DisableBlocks: true}) })
 	b.Run("d=8", func(b *testing.B) { benchBNL(b, 8, dom.KernelConfig{DisableBlocks: true}) })
+}
+
+// hybridBenchInputs are the two cuboid shapes the repo's benchmark feeds
+// Hybrid: the `narrow` build input and the `wide` delete-flush input.
+var hybridBenchInputs = []struct {
+	name string
+	dist gen.Distribution
+	n, d int
+}{
+	{"A_d=4_n=200000", gen.Anticorrelated, 200_000, 4},
+	{"I_d=6_n=15000", gen.Independent, 15_000, 6},
+}
+
+// BenchmarkHybridPreprocess is hybridFilter before its first dominance test:
+// pivots, labels, δ-sums and the tile order. It is linear in n; a full sort
+// creeping back in shows here first.
+func BenchmarkHybridPreprocess(b *testing.B) {
+	for _, in := range hybridBenchInputs {
+		b.Run(in.name, func(b *testing.B) {
+			ds := gen.Synthetic(in.dist, in.n, in.d, 7)
+			rows, dims := allRows(ds.N), mask.Dims(mask.Full(in.d))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, ord := hybridPrepare(ds, rows, dims); len(ord) != in.n {
+					b.Fatal("short order")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExtendedSkylineHybrid is the whole cuboid hook on one thread:
+// preprocessing plus the tiled filter, the unit STSC, SDSC, PrepareMDMC and
+// a delete flush pay per cuboid.
+func BenchmarkExtendedSkylineHybrid(b *testing.B) {
+	for _, in := range hybridBenchInputs {
+		b.Run(in.name, func(b *testing.B) {
+			ds := gen.Synthetic(in.dist, in.n, in.d, 7)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(ExtendedSkyline(ds, nil, mask.Full(in.d), AlgoHybrid, 1)) == 0 {
+					b.Fatal("empty extended skyline")
+				}
+			}
+		})
+	}
 }

@@ -12,7 +12,7 @@
 package skyline
 
 import (
-	"sort"
+	"slices"
 
 	"skycube/internal/data"
 	"skycube/internal/dom"
@@ -48,27 +48,17 @@ func scalarFallback() {
 func bnlBlockFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
 	dims := mask.Dims(delta)
 	k := len(dims)
-	n := len(rows)
-	ord := make([]int32, n)
-	sums := make([]float32, n)
+	sums := make([]float32, len(rows))
 	for i, r := range rows {
-		ord[i] = int32(i)
 		sums[i] = data.SumOver(ds.Point(int(r)), dims)
 	}
-	sort.Slice(ord, func(a, b int) bool {
-		ia, ib := ord[a], ord[b]
-		if sums[ia] != sums[ib] {
-			return sums[ia] < sums[ib]
-		}
-		return rows[ia] < rows[ib]
-	})
 
 	useStop := dom.StopPointsEnabled()
 	var tally dom.KernelTally
 	win := data.GetBlockSet(k, data.DefaultBlockSize)
 	defer data.PutBlockSet(win)
 	pq := make([]float32, k)
-	for _, ii := range ord {
+	for _, ii := range data.SumOrder(sums, rows) {
 		r := rows[ii]
 		data.ProjectInto(pq, ds.Point(int(r)), dims)
 		s := sums[ii]
@@ -87,7 +77,7 @@ func bnlBlockFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	tally.Flush()
 	return out
 }

@@ -1,7 +1,8 @@
 package skyline
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"skycube/internal/data"
 	"skycube/internal/dom"
@@ -34,10 +35,8 @@ var defaultPivotStrategy = PivotMinL1
 // strategy, for ablation studies.
 func PivotFilterWith(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, strategy PivotStrategy) []int32 {
 	out := pivotRecWith(ds, rows, delta, strict, 0, strategy)
-	sorted := make([]int32, len(out))
-	copy(sorted, out)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	return sorted
+	slices.Sort(out)
+	return out
 }
 
 // pivotFilter is the sequential point-based partitioning algorithm in the
@@ -111,12 +110,8 @@ func pivotRecWith(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 
 	// Ascending popcount: a partition's dominators lie only in partitions
 	// whose mask is a submask of its own, which have strictly fewer bits.
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := mask.Count(order[a].m), mask.Count(order[b].m)
-		if ca != cb {
-			return ca < cb
-		}
-		return order[a].m < order[b].m
+	slices.SortFunc(order, func(a, b *bucket) int {
+		return cmp.Or(cmp.Compare(mask.Count(a.m), mask.Count(b.m)), cmp.Compare(a.m, b.m))
 	})
 
 	type resEntry struct {
@@ -163,7 +158,7 @@ func medianPivot(ds *data.Dataset, rows []int32, delta mask.Mask) []float32 {
 		for i, p := range rows {
 			col[i] = ds.Value(int(p), j)
 		}
-		sort.Slice(col, func(a, b int) bool { return col[a] < col[b] })
+		data.SelectRanks(col, len(col)/2)
 		piv[j] = col[len(col)/2]
 	}
 	return piv

@@ -1,7 +1,7 @@
 package skyline
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"skycube/internal/data"
@@ -56,7 +56,7 @@ func pskyFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, th
 		parts = next
 	}
 	out := parts[0]
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 

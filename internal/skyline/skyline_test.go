@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"skycube/internal/data"
+	"skycube/internal/dom"
 	"skycube/internal/gen"
 	"skycube/internal/mask"
 )
@@ -97,6 +98,41 @@ func TestHybridLargerInputAgrees(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.ExtOnly, ref.ExtOnly) {
 		t.Errorf("hybrid extOnly (%d) != bskytree (%d)", len(got.ExtOnly), len(ref.ExtOnly))
+	}
+}
+
+func TestHybridConstantColumnAndDuplicates(t *testing.T) {
+	// A five-value grid with one constant column: every pivot ties with
+	// most of its column, δ-sums repeat in long runs and most points have
+	// exact duplicates. Rows arrive unordered, so the tile order cannot
+	// lean on the input's.
+	const n, d = 4*hybridTileSize + 700, 5
+	rng := rand.New(rand.NewSource(5))
+	pts := make([][]float32, n)
+	for i := range pts {
+		pts[i] = make([]float32, d)
+		for j := range pts[i] {
+			pts[i][j] = float32(rng.Intn(5)) / 4
+		}
+		pts[i][2] = 0.5
+	}
+	ds := data.FromRows(pts)
+	rows := allRows(n)
+	rng.Shuffle(n, func(a, b int) { rows[a], rows[b] = rows[b], rows[a] })
+
+	for _, delta := range []mask.Mask{mask.Full(d), 0b01101, 0b00100} {
+		for _, strict := range []bool{true, false} {
+			prev := dom.Kernels()
+			dom.SetKernelConfig(dom.KernelConfig{DisableBlocks: true})
+			want := bnlFilter(ds, rows, delta, strict)
+			dom.SetKernelConfig(prev)
+			for _, threads := range []int{1, 2} {
+				if got := hybridFilter(ds, rows, delta, strict, threads); !reflect.DeepEqual(got, want) {
+					t.Errorf("δ=%05b strict=%v threads=%d: hybrid keeps %d rows, scalar BNL %d",
+						delta, strict, threads, len(got), len(want))
+				}
+			}
+		}
 	}
 }
 

@@ -77,7 +77,8 @@ func Build(ds *data.Dataset, depth int) *Tree {
 	d, n := ds.Dims, ds.N
 	t := &Tree{Depth: depth}
 
-	// Per-dimension order statistics via a single sort per dimension.
+	// Per-dimension order statistics: the seven octile ranks, selected
+	// without sorting the column.
 	t.MedPivot = make([]float32, d)
 	t.QuartPivot[0] = make([]float32, d)
 	t.QuartPivot[1] = make([]float32, d)
@@ -85,18 +86,19 @@ func Build(ds *data.Dataset, depth int) *Tree {
 		t.OctPivot[q] = make([]float32, d)
 	}
 	col := make([]float32, n)
+	octile := func(e int) int { return min(e*n/8, n-1) } // rank of the e-th octile
 	for j := 0; j < d; j++ {
 		for i := 0; i < n; i++ {
 			col[i] = ds.Value(i, j)
 		}
-		sort.Slice(col, func(a, b int) bool { return col[a] < col[b] })
-		t.MedPivot[j] = col[n/2]
-		t.QuartPivot[0][j] = col[n/4]
-		t.QuartPivot[1][j] = col[min(3*n/4, n-1)]
-		t.OctPivot[0][j] = col[n/8]
-		t.OctPivot[1][j] = col[min(3*n/8, n-1)]
-		t.OctPivot[2][j] = col[min(5*n/8, n-1)]
-		t.OctPivot[3][j] = col[min(7*n/8, n-1)]
+		data.SelectRanks(col, octile(1), octile(2), octile(3), octile(4), octile(5), octile(6), octile(7))
+		t.MedPivot[j] = col[octile(4)]
+		t.QuartPivot[0][j] = col[octile(2)]
+		t.QuartPivot[1][j] = col[octile(6)]
+		t.OctPivot[0][j] = col[octile(1)]
+		t.OctPivot[1][j] = col[octile(3)]
+		t.OctPivot[2][j] = col[octile(5)]
+		t.OctPivot[3][j] = col[octile(7)]
 	}
 
 	// Route every point: compute its three path labels.
