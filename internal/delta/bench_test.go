@@ -11,9 +11,14 @@ import (
 
 // BenchmarkFlushInserts measures update throughput (inserts/s) as a
 // function of batch size: each iteration buffers `batch` random points and
-// flushes once, so the per-batch fixed costs — snapshot publication, patch
-// merging, override maintenance — are amortised over more points as the
-// batch grows. The EXPERIMENTS.md update-throughput recipe plots this.
+// flushes once, so the per-batch fixed costs — snapshot publication,
+// override maintenance, the reverse pass's walk over the tree — are
+// amortised over more points as the batch grows. The overlay is compacted
+// at the default trigger, as in production, with the clock stopped: the
+// number is the flush's, and the overlay a flush meets stays bounded
+// whatever -benchtime is. cmp/insert is the hardware-independent twin: point
+// pairs compared by phase B and the reverse pass, per insert. The
+// EXPERIMENTS.md update-throughput recipe plots both.
 func BenchmarkFlushInserts(b *testing.B) {
 	const d = 5
 	for _, batch := range []int{1, 10, 100, 1000} {
@@ -22,6 +27,7 @@ func BenchmarkFlushInserts(b *testing.B) {
 			u := NewUpdater(ds, Options{Threads: runtime.NumCPU()})
 			defer u.Close()
 			rng := rand.New(rand.NewSource(2))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for k := 0; k < batch; k++ {
@@ -34,9 +40,16 @@ func BenchmarkFlushInserts(b *testing.B) {
 					}
 				}
 				u.Flush()
+				if st := u.Stats(); float64(st.Overlay) >= DefaultCompactFraction*float64(st.BasePoints) {
+					b.StopTimer()
+					u.Compact()
+					b.StartTimer()
+				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "inserts/s")
+			inserts := float64(b.N * batch)
+			b.ReportMetric(inserts/b.Elapsed().Seconds(), "inserts/s")
+			b.ReportMetric(float64(u.cmps)/inserts, "cmp/insert")
 		})
 	}
 }

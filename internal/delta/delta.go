@@ -13,8 +13,9 @@
 //     with exact dominance tests (RefineExternal), yielding its B_{p∉S}
 //     exactly as a build-time point task would — in O(filter + refine)
 //     instead of a full rebuild. The reverse direction (the insert
-//     dominating existing points) is a second leaf-order scan emitting
-//     mask patches.
+//     dominating existing points) reuses that mask: an insert patches only
+//     the subspaces it is itself a skyline member of (the lemma below), so
+//     the ≈ 90 % of inserts that enter no skyline cost nothing more.
 //   - A delete tombstones the victim and enqueues exactly the cuboids in
 //     which it was a skyline member for recompute on the device pool
 //     (hetero.ComputeCuboids): removing a non-member of S_δ can never
@@ -36,11 +37,26 @@
 // no longer vouches for them. Their own memberships need no tracking — a
 // non-member only joins S_δ when a member of S_δ dies, and that cuboid is
 // recomputed exactly.
+//
+// The lemma the insert path rests on is transitivity: if a live point r
+// dominates the insert p in δ and p dominates q in δ, then r dominates q in
+// δ. So wherever p's own mask has bit δ set, p can teach q nothing in δ: q's
+// bit δ is already set (δ not overridden — r, or the skyline member the
+// chain above r ends in, set it when it arrived, and bits only clear
+// through an override) or q is already absent from the exact list (δ
+// overridden). A batch therefore runs three steps: phase A solves every
+// insert forward against the pre-existing live points; phase B cross-tests
+// only the inserts phase A left open (a closed one can gain nothing, and
+// what it dominates a batch-mate in, its own dominator already does); and
+// one reverse pass, parallel over targets, lets the inserts still open —
+// the batch's skyline members — set bits in existing points' masks, each
+// only in the subspaces it is a member of.
 package delta
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -166,6 +182,10 @@ type Updater struct {
 	closeOnce   sync.Once
 	wg          sync.WaitGroup
 	compactions int64
+	// cmps counts the point-pair coordinate comparisons phase B and the
+	// reverse pass have made (guarded by mu) — what a flush costs beyond
+	// its forward solves; BenchmarkFlushInserts reports it per insert.
+	cmps int64
 
 	// journal, if non-nil, receives every accepted mutation and epoch
 	// advance (AttachJournal). Plain field: it is attached once, before the
@@ -700,7 +720,6 @@ func (u *Updater) applyLocked() *Snapshot {
 	u.pendDeleted = make(map[int32]struct{})
 	u.pendMu.Unlock()
 	start := time.Now()
-	total := mask.NumSubspaces(u.d)
 
 	victims := make([]int32, 0, len(deleted))
 	for id := range deleted {
@@ -754,7 +773,7 @@ func (u *Updater) applyLocked() *Snapshot {
 	}
 
 	// Copy-on-write overlay clones. Individual bitsets stay shared with
-	// prev until first written this batch (clonedA/clonedP track that).
+	// prev; the reverse pass replaces a point's set only when it grows.
 	tomb := make(map[int32]struct{}, len(prev.tomb)+len(victims))
 	for id := range prev.tomb {
 		tomb[id] = struct{}{}
@@ -776,146 +795,67 @@ func (u *Updater) applyLocked() *Snapshot {
 	}
 
 	// Dominance sources beyond the tree: earlier added points and loose
-	// outsiders, both restricted to live. Earlier added points are also
-	// patch targets (an insert can dominate them).
-	var prevAddedLive, extras []int32
-	for id := range prev.added {
-		if _, dead := u.dead[id]; !dead {
-			prevAddedLive = append(prevAddedLive, id)
+	// outsiders, both restricted to live. Earlier added points that are
+	// still members somewhere are also reverse-pass targets.
+	var extras, addedTargets []int32
+	for id, m := range prev.added {
+		if _, dead := u.dead[id]; dead {
+			continue
+		}
+		extras = append(extras, id)
+		if !m.All() {
+			addedTargets = append(addedTargets, id)
 		}
 	}
-	sort.Slice(prevAddedLive, func(a, b int) bool { return prevAddedLive[a] < prevAddedLive[b] })
-	extras = append(extras, prevAddedLive...)
 	for id := range u.loose {
 		if _, dead := u.dead[id]; !dead {
 			extras = append(extras, id)
 		}
 	}
-	sort.Slice(extras, func(a, b int) bool { return extras[a] < extras[b] })
+	slices.Sort(extras)
 
-	// Phase A: solve each live insert as a single-point MDMC task, in
-	// parallel. Workers only read writer state (frozen for the batch).
-	results := make([]*bitset.Set, len(lives))
-	patches := make([][]patchEntry, len(lives))
-	if len(lives) > 0 {
-		tree := u.mctx.Tree
-		var leafAlive func(li int) bool
-		var alive func(pos int) bool
-		if tree != nil && len(u.dead) > 0 {
-			leafAlive = func(li int) bool { return u.leafDead[li] < tree.Leaves[li].Len() }
-			alive = func(pos int) bool {
-				_, dead := u.dead[u.treeID[pos]]
-				return !dead
-			}
-		}
-		workers := u.threads
-		if workers > len(lives) {
-			workers = len(lives)
-		}
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sol := templates.NewSolution(u.mctx)
-				defer sol.FlushKernelTally()
-				exp := newExpander(total)
-				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= len(lives) {
-						return
-					}
-					results[i], patches[i] = u.solveInsert(sol, exp, lives[i].point,
-						extras, prevAddedLive, leafAlive, alive)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	// Phase B: cross-DTs among the batch's own inserts (sequential; each
-	// pair is two coordinate comparisons).
-	exp := newExpander(total)
-	for i := range lives {
-		for j := range lives {
-			if i == j {
-				continue
-			}
-			lt, eq := cmpMasks(lives[j].point, lives[i].point)
-			if lt != 0 {
-				results[i].Or(exp.dominated(lt, lt|eq))
-			}
-		}
-	}
+	// Phase A: each live insert's B_{p∉S} against the pre-existing live
+	// points. Phase B: the batch's own inserts against each other. What is
+	// left open is a skyline member somewhere, and only those — and only in
+	// those subspaces — can teach an existing point anything (the package
+	// comment's lemma).
+	results := u.solveInserts(lives, extras)
+	members := u.crossTest(lives, results)
 	for i, pi := range lives {
 		added[pi.id] = results[i]
 	}
+	u.reversePass(lives, results, members, addedTargets, added, patched)
 
-	// Merge the reverse-direction patches: existing points the inserts
-	// newly dominate get their masks grown (clone-on-first-write).
-	clonedA := make(map[int32]bool)
-	clonedP := make(map[int32]bool)
-	for i := range lives {
-		for _, pe := range patches[i] {
-			if m, ok := added[pe.id]; ok {
-				if !clonedA[pe.id] {
-					m = m.Clone()
-					added[pe.id] = m
-					clonedA[pe.id] = true
-				}
-				m.Or(pe.bits)
-				continue
-			}
-			m := patched[pe.id]
-			switch {
-			case m == nil:
-				m = bitset.New(total)
-				patched[pe.id] = m
-			case !clonedP[pe.id]:
-				m = m.Clone()
-				patched[pe.id] = m
-			}
-			clonedP[pe.id] = true
-			m.Or(pe.bits)
-		}
-	}
-
-	// Maintain override lists the recompute below won't touch: drop
-	// members an insert now dominates, add inserts that are members there.
+	// Maintain override lists the recompute below won't touch: drop members
+	// an insert now dominates, add inserts that are members there. By the
+	// lemma only an insert that is itself a member of δ can dominate a
+	// member of the exact list; a victim is never on such a list (it would
+	// have made δ affected).
+	var in []int
 	for delta, list := range cuboids {
 		if _, re := affected[delta]; re {
 			continue
 		}
-		changed := false
-		newList := make([]int32, 0, len(list)+len(lives))
-		for _, qid := range list {
-			if _, dead := u.dead[qid]; dead {
-				changed = true
-				continue
-			}
-			dominated := false
-			for i := range lives {
-				if dominatesIn(lives[i].point, u.point(qid), delta) {
-					dominated = true
-					break
-				}
-			}
-			if dominated {
-				changed = true
-				continue
-			}
-			newList = append(newList, qid)
-		}
-		for i, pi := range lives {
+		in = in[:0]
+		for _, i := range members {
 			if !results[i].Test(int(delta) - 1) {
-				newList = append(newList, pi.id)
-				changed = true
+				in = append(in, i)
 			}
 		}
-		if changed {
-			cuboids[delta] = newList
+		if len(in) == 0 {
+			continue
 		}
+		newList := make([]int32, 0, len(list)+len(in))
+		for _, qid := range list {
+			q := u.point(qid)
+			if !slices.ContainsFunc(in, func(i int) bool { return dominatesIn(lives[i].point, q, delta) }) {
+				newList = append(newList, qid)
+			}
+		}
+		for _, i := range in {
+			newList = append(newList, lives[i].id)
+		}
+		cuboids[delta] = newList
 	}
 
 	// Recompute the victims' cuboids exactly, over the final live set and
@@ -946,55 +886,166 @@ func (u *Updater) applyLocked() *Snapshot {
 		_ = u.journal.Commit()
 	}
 	u.publish(snap)
-	u.opt.Metrics.Batch(len(lives), len(victims), len(affected), time.Since(start))
+	u.opt.Metrics.Batch(len(lives), len(members), len(victims), len(affected), time.Since(start))
 	u.opt.Metrics.Epoch(snap.epoch, snap.live, snap.OverlaySize())
 	u.maybeCompact(snap)
 	return snap
 }
 
-// solveInsert computes one insert's B_{p∉S} (forward direction) and the
-// mask patches it inflicts on existing points (reverse direction).
-func (u *Updater) solveInsert(sol *templates.Solution, exp *expander, p []float32,
-	extras, prevAddedLive []int32, leafAlive func(int) bool, alive func(int) bool) (*bitset.Set, []patchEntry) {
-	sol.Reset()
+// solveInserts is phase A: each live insert solved as a single-point MDMC
+// task — filter + refine against the live tree points, then exact DTs
+// against extras — in parallel. Workers only read writer state (frozen for
+// the batch). The returned masks do not yet know about batch-mates.
+func (u *Updater) solveInserts(lives []pendingInsert, extras []int32) []*bitset.Set {
+	results := make([]*bitset.Set, len(lives))
+	if len(lives) == 0 {
+		return results
+	}
 	tree := u.mctx.Tree
+	var leafAlive func(li int) bool
+	var alive func(pos int) bool
+	if tree != nil && len(u.dead) > 0 {
+		leafAlive = func(li int) bool { return u.leafDead[li] < tree.Leaves[li].Len() }
+		alive = func(pos int) bool {
+			_, dead := u.dead[u.treeID[pos]]
+			return !dead
+		}
+	}
 	full := mask.Full(u.d)
-	if tree != nil {
-		medP, quartP, octP := tree.Route(p)
-		sol.FilterExternal(medP, quartP, octP, 2, leafAlive)
-		if sol.Remaining() > 0 {
-			sol.RefineExternal(p, medP, quartP, octP, true, alive)
-		}
+	var next int64
+	var wg sync.WaitGroup
+	for w := min(u.threads, len(lives)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sol := templates.NewSolution(u.mctx)
+			defer sol.FlushKernelTally()
+			for {
+				i := int(atomic.AddInt64(&next, 1)) - 1
+				if i >= len(lives) {
+					return
+				}
+				p := lives[i].point
+				sol.Reset()
+				if tree != nil {
+					medP, quartP, octP := tree.Route(p)
+					sol.FilterExternal(medP, quartP, octP, 2, leafAlive)
+					if sol.Remaining() > 0 {
+						sol.RefineExternal(p, medP, quartP, octP, true, alive)
+					}
+				}
+				for _, id := range extras {
+					if sol.Remaining() == 0 {
+						break
+					}
+					sol.ApplyDT(u.point(id), p, full, true)
+				}
+				results[i] = sol.NotInS().Clone()
+			}
+		}()
 	}
-	for _, id := range extras {
-		if sol.Remaining() == 0 {
-			break
-		}
-		sol.ApplyDT(u.point(id), p, full, true)
-	}
-	res := sol.NotInS().Clone()
+	wg.Wait()
+	return results
+}
 
-	// Reverse scan: which live points does p dominate, and in which
-	// subspaces? Tree points in leaf order, then earlier added points.
-	var plist []patchEntry
-	if tree != nil {
-		for pos := 0; pos < tree.Data.N; pos++ {
-			if alive != nil && !alive(pos) {
-				continue
-			}
-			lt, eq := cmpMasks(p, tree.Data.Point(pos))
-			if lt != 0 {
-				plist = append(plist, patchEntry{id: u.treeID[pos], bits: exp.dominated(lt, lt|eq)})
-			}
+// crossTest is phase B: one coordinate comparison per pair of inserts that
+// phase A left open, folded into both masks. An insert phase A closed can
+// gain no bit, and whatever it dominates a batch-mate in, its own dominator
+// — a pre-existing live point — already did in phase A. It returns the
+// indices still open afterwards: the batch's skyline members.
+func (u *Updater) crossTest(lives []pendingInsert, results []*bitset.Set) (members []int) {
+	var open []int
+	for i, m := range results {
+		if !m.All() {
+			open = append(open, i)
 		}
 	}
-	for _, id := range prevAddedLive {
-		lt, eq := cmpMasks(p, u.point(id))
-		if lt != 0 {
-			plist = append(plist, patchEntry{id: id, bits: exp.dominated(lt, lt|eq)})
+	full := mask.Full(u.d)
+	for x, i := range open {
+		for _, j := range open[x+1:] {
+			lt, eq := cmpMasks(lives[i].point, lives[j].point)
+			teach(results[j], results[i], lt, eq)
+			teach(results[i], results[j], full&^(lt|eq), eq)
 		}
 	}
-	return res, plist
+	u.cmps += int64(len(open)) * int64(len(open)-1) / 2
+	for _, i := range open {
+		if !results[i].All() {
+			members = append(members, i)
+		}
+	}
+	return members
+}
+
+// reverseChunk is how many targets a reverse-pass worker claims at a time.
+const reverseChunk = 256
+
+// reversePass grows the overlay masks of existing points the batch's member
+// inserts dominate: per target — live tree points, then addedTargets — it
+// collects what the members teach it into a per-worker scratch set and
+// replaces the target's overlay mask by a grown clone only when that adds a
+// bit. Workers only read the maps; the grown masks are stored afterwards.
+func (u *Updater) reversePass(lives []pendingInsert, results []*bitset.Set, members []int,
+	addedTargets []int32, added, patched map[int32]*bitset.Set) {
+	if len(members) == 0 {
+		return
+	}
+	targets := make([]int32, 0, len(u.treeID)+len(addedTargets))
+	for _, id := range u.treeID {
+		if _, dead := u.dead[id]; !dead {
+			targets = append(targets, id)
+		}
+	}
+	nTree := len(targets)
+	targets = append(targets, addedTargets...)
+	// overlay is where target t's mask lives: patched for a tree point.
+	overlay := func(t int) map[int32]*bitset.Set {
+		if t < nTree {
+			return patched
+		}
+		return added
+	}
+	grown := make([]*bitset.Set, len(targets))
+	var next int64
+	var wg sync.WaitGroup
+	for w := min(u.threads, (len(targets)+reverseChunk-1)/reverseChunk); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scratch := bitset.New(mask.NumSubspaces(u.d))
+			for {
+				hi := int(atomic.AddInt64(&next, reverseChunk))
+				for t := hi - reverseChunk; t < min(hi, len(targets)); t++ {
+					q, cur := u.point(targets[t]), overlay(t)[targets[t]]
+					scratch.Reset()
+					for _, i := range members {
+						lt, eq := cmpMasks(lives[i].point, q)
+						teach(scratch, results[i], lt, eq)
+					}
+					if cur != nil {
+						scratch.AndNot(cur)
+					}
+					if scratch.Count() == 0 {
+						continue
+					}
+					grown[t] = scratch.Clone()
+					if cur != nil {
+						grown[t].Or(cur)
+					}
+				}
+				if hi >= len(targets) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	u.cmps += int64(len(members)) * int64(len(targets))
+	for t, m := range grown {
+		if m != nil {
+			overlay(t)[targets[t]] = m
+		}
+	}
 }
 
 func (u *Updater) publish(snap *Snapshot) {
@@ -1066,37 +1117,21 @@ func (u *Updater) compactLoop() {
 
 // ---- dominance helpers ----
 
-type patchEntry struct {
-	id   int32
-	bits *bitset.Set
-}
-
-// expander memoises the expansion of a DT's (lt, lt|eq) mask pair into the
-// bitset of dominated subspaces — submasks of lt|eq intersecting lt. The
-// returned sets are shared and must never be mutated.
-type expander struct {
-	total int
-	memo  map[uint64]*bitset.Set
-}
-
-func newExpander(total int) *expander {
-	return &expander{total: total, memo: make(map[uint64]*bitset.Set)}
-}
-
-func (e *expander) dominated(lt, m mask.Mask) *bitset.Set {
-	key := uint64(lt)<<32 | uint64(m)
-	if b, ok := e.memo[key]; ok {
-		return b
+// teach sets in dst every subspace in which a point with mask src, related
+// to dst's point by (lt, eq), is a skyline member and dominates it: the δ
+// clear in src that lie inside lt|eq and touch lt. Subspaces where src's
+// point is itself dominated are skipped — its dominator dominates dst's
+// point there too (transitivity), so that bit is somebody else's to set.
+func teach(dst, src *bitset.Set, lt, eq mask.Mask) {
+	if lt == 0 {
+		return
 	}
-	b := bitset.New(e.total)
-	mask.SubmasksOf(m, func(sub mask.Mask) bool {
-		if sub&lt != 0 {
-			b.Set(int(sub) - 1)
+	le := lt | eq
+	for b := src.NextClear(0); b >= 0; b = src.NextClear(b + 1) {
+		if delta := mask.Mask(b + 1); delta&lt != 0 && delta&^le == 0 {
+			dst.Set(b)
 		}
-		return true
-	})
-	e.memo[key] = b
-	return b
+	}
 }
 
 // cmpMasks returns the dims where p is strictly below q and where they tie.

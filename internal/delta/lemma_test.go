@@ -1,0 +1,339 @@
+package delta
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"skycube/internal/bitset"
+	"skycube/internal/data"
+	"skycube/internal/gen"
+	"skycube/internal/mask"
+	"skycube/internal/obs"
+)
+
+// The tests in this file aim at the edges of the transitivity lemma the
+// insert path rests on (package comment): every flushed snapshot is held
+// against the naive oracle on every subspace and id, and the overlay masks
+// must only ever grow between two epochs over the same base.
+
+// lemmaRig is an updater plus the test's own record of the live ids.
+type lemmaRig struct {
+	t    *testing.T
+	u    *Updater
+	reg  *obs.Registry
+	live []int32
+}
+
+func newLemmaRig(t *testing.T, ds *data.Dataset) *lemmaRig {
+	reg := obs.NewRegistry()
+	u := NewUpdater(ds, Options{Threads: 3, Metrics: obs.NewDeltaMetrics(reg)})
+	t.Cleanup(u.Close)
+	r := &lemmaRig{t: t, u: u, reg: reg, live: make([]int32, ds.N)}
+	for i := range r.live {
+		r.live[i] = int32(i)
+	}
+	verifySnapshot(t, u.Current(), r.live)
+	return r
+}
+
+func (r *lemmaRig) insert(p ...float32) int32 {
+	r.t.Helper()
+	id, err := r.u.Insert(p)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.live = append(r.live, id)
+	return id
+}
+
+func (r *lemmaRig) delete(id int32) {
+	r.t.Helper()
+	if err := r.u.Delete(id); err != nil {
+		r.t.Fatal(err)
+	}
+	for i, v := range r.live {
+		if v == id {
+			r.live = append(r.live[:i], r.live[i+1:]...)
+			return
+		}
+	}
+	r.t.Fatalf("delete of %d: not in the test's live record", id)
+}
+
+// members reads skycube_delta_member_inserts_total.
+func (r *lemmaRig) members() int {
+	return int(r.reg.CounterM("skycube_delta_member_inserts_total", "").Value())
+}
+
+// flush applies the batch, checks the snapshot against the oracle and the
+// overlay masks against the previous epoch's.
+func (r *lemmaRig) flush() *Snapshot {
+	r.t.Helper()
+	prev := r.u.Current()
+	snap := r.u.Flush()
+	verifySnapshot(r.t, snap, sortedIDs(r.live))
+	assertMasksGrew(r.t, prev, snap)
+	return snap
+}
+
+// assertMasksGrew checks that every patched/added mask of prev is a subset
+// of the same id's mask in cur (same base: no compaction in between).
+func assertMasksGrew(t *testing.T, prev, cur *Snapshot) {
+	t.Helper()
+	if prev.base != cur.base {
+		t.Fatalf("epochs %d and %d are over different bases", prev.epoch, cur.epoch)
+	}
+	subset := func(kind string, was, now map[int32]*bitset.Set) {
+		for id, m := range was {
+			n, ok := now[id]
+			if !ok {
+				t.Fatalf("epoch %d: %s mask of %d vanished", cur.epoch, kind, id)
+			}
+			lost := m.Clone()
+			lost.AndNot(n)
+			if lost.Count() != 0 {
+				t.Fatalf("epoch %d: %s mask of %d lost %d bits", cur.epoch, kind, id, lost.Count())
+			}
+		}
+	}
+	subset("patched", prev.patched, cur.patched)
+	subset("added", prev.added, cur.added)
+}
+
+// gridDataset draws coordinates from {0..levels-1}: ties on every subspace
+// and exact duplicates are the rule, not the exception.
+func gridDataset(rng *rand.Rand, n, d, levels int) *data.Dataset {
+	vals := make([]float32, n*d)
+	for i := range vals {
+		vals[i] = float32(rng.Intn(levels))
+	}
+	return data.New(d, vals)
+}
+
+// (a) Ties: inserts equal to live members on some or all dimensions.
+func TestLemmaTiesAndDuplicates(t *testing.T) {
+	for _, d := range []int{3, 5} {
+		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(7 * d)))
+			ds := gridDataset(rng, 160, d, 4)
+			r := newLemmaRig(t, ds)
+			full := mask.Full(d)
+			for round := 0; round < 4; round++ {
+				// Exact duplicates of full-space skyline members (tree
+				// points): equal on every δ, so neither dominates.
+				sky := r.u.Current().Skyline(full)
+				for k := 0; k < 3; k++ {
+					src := r.u.Current().Point(sky[rng.Intn(len(sky))])
+					r.insert(append([]float32(nil), src...)...)
+				}
+				// A member lowered on one dimension: ties it everywhere else.
+				src := r.u.Current().Point(sky[rng.Intn(len(sky))])
+				p := append([]float32(nil), src...)
+				p[rng.Intn(d)]--
+				r.insert(p...)
+				// And fresh grid points, themselves full of ties.
+				extra := gridDataset(rng, 12, d, 4)
+				for i := 0; i < extra.N; i++ {
+					r.insert(extra.Point(i)...)
+				}
+				if round == 2 {
+					r.delete(sky[0])
+				}
+				r.flush()
+			}
+		})
+	}
+}
+
+// (b) A same-batch chain p₁ ≻ p₂ ≻ q: phase A leaves both inserts open,
+// phase B closes p₂ under p₁, and p₁ alone must patch q.
+func TestLemmaSameBatchChain(t *testing.T) {
+	ds := data.FromRows([][]float32{
+		{5, 5, 5}, // q: the only point the chain dominates
+		{0, 9, 9}, {9, 0, 9}, {9, 9, 0},
+		{1, 8, 9}, {8, 9, 1}, {9, 1, 8},
+	})
+	r := newLemmaRig(t, ds)
+	p2 := r.insert(4, 4, 4)
+	p1 := r.insert(3, 3, 3)
+	snap := r.flush()
+	if got := r.members(); got != 1 {
+		t.Fatalf("member inserts = %d, want 1 (p1 alone)", got)
+	}
+	if m := snap.Membership(p2); m != nil {
+		t.Fatalf("p2 is dominated by p1 everywhere, got membership %v", m)
+	}
+	if m := snap.Membership(0); m != nil {
+		t.Fatalf("q is dominated by p1 everywhere, got membership %v", m)
+	}
+	if got := snap.Skyline(mask.Full(3)); !reflect.DeepEqual(got, []int32{1, 2, 3, 4, 5, 6, p1}) {
+		t.Fatalf("full-space skyline %v", got)
+	}
+	// The chain's tail arrives a batch later: closed in phase A by p1, now
+	// an earlier-added point, and teaches nobody.
+	r.insert(4.5, 4.5, 4.5)
+	r.flush()
+	if got := r.members(); got != 1 {
+		t.Fatalf("member inserts = %d after a dominated insert, want 1", got)
+	}
+	// p1 deleted: p2 resurfaces through the recompute, and a new insert
+	// between them must dominate it again through the override lists.
+	r.delete(p1)
+	r.flush()
+	r.insert(3.5, 3.5, 3.5)
+	r.flush()
+}
+
+// (c) Delete and insert in one batch, where the victim was the insert's
+// only dominator in δ — and where it was an existing point's.
+func TestLemmaDeleteThenInsertOneBatch(t *testing.T) {
+	rows := [][]float32{
+		{1, 1}, // v: dominates q and, were it alive, the inserts below
+		{2, 2}, // q: v is its only dominator in the full space
+		{0, 10}, {10, 0}, {0.5, 6}, {6, 0.5},
+	}
+	t.Run("victim was the insert's dominator", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows(rows))
+		r.delete(0)
+		p := r.insert(1.5, 1.5) // free of v, it is a member and dominates q
+		snap := r.flush()
+		if got := snap.Skyline(mask.Full(2)); !reflect.DeepEqual(got, []int32{2, 3, 4, 5, p}) {
+			t.Fatalf("full-space skyline %v", got)
+		}
+		if got := r.members(); got != 1 {
+			t.Fatalf("member inserts = %d, want 1", got)
+		}
+	})
+	t.Run("victim was q's dominator", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows(rows))
+		r.delete(0)
+		r.insert(3, 3) // dominated by q, which the delete just freed
+		snap := r.flush()
+		if got := snap.Skyline(mask.Full(2)); !reflect.DeepEqual(got, []int32{1, 2, 3, 4, 5}) {
+			t.Fatalf("full-space skyline %v", got)
+		}
+		if got := r.members(); got != 0 {
+			t.Fatalf("member inserts = %d, want 0", got)
+		}
+		// Next batch, over the overridden cuboid: q falls to an insert.
+		r.insert(1.75, 1.75)
+		r.flush()
+	})
+	t.Run("both at once", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows(rows))
+		r.delete(0)
+		r.insert(1.5, 1.5)
+		r.insert(1.5, 3) // ties the first insert on x: it loses {y} and {x,y} to it, not {x}
+		r.insert(3, 3)
+		r.flush()
+	})
+}
+
+// (d) Random mixed batches at d = 8 (255 subspaces, four mask words) and
+// d = 4, with the mask-growth check TestRandomMixedBatchesMatchNaive lacks.
+func TestLemmaRandomBatchesWideAndNarrow(t *testing.T) {
+	for _, d := range []int{4, 8} {
+		for _, dist := range []gen.Distribution{gen.Independent, gen.Anticorrelated} {
+			t.Run(fmt.Sprintf("%v/d=%d", dist, d), func(t *testing.T) {
+				seed := int64(100*d) + int64(dist)
+				r := newLemmaRig(t, gen.Synthetic(dist, 140, d, seed))
+				rng := rand.New(rand.NewSource(seed))
+				for round := 0; round < 4; round++ {
+					extra := gen.Synthetic(dist, 30, d, seed+int64(round)+1)
+					for i := 0; i < extra.N; i++ {
+						r.insert(extra.Point(i)...)
+					}
+					if round > 0 {
+						for k := 0; k < 6; k++ {
+							r.delete(r.live[rng.Intn(len(r.live))])
+						}
+					}
+					r.flush()
+				}
+				if r.members() == 0 {
+					t.Fatal("no insert ever entered a skyline: the reverse pass was not exercised")
+				}
+			})
+		}
+	}
+}
+
+// (e) An outsider the tree never held is promoted to loose by the delete of
+// its vouching dominator, resurfaces through the recompute, and is then
+// dominated by an insert.
+func TestLemmaLooseOutsiderThenDominated(t *testing.T) {
+	ds := data.FromRows([][]float32{
+		{1, 1, 1}, // a: strictly dominates o in the full space
+		{2, 2, 2}, // o: outside S⁺, vouched for by a alone
+		{0, 9, 9}, {9, 0, 9}, {9, 9, 0},
+	})
+	r := newLemmaRig(t, ds)
+	if _, out := r.u.outsiders[1]; !out {
+		t.Fatal("o is not an outsider of the base")
+	}
+	r.delete(0)
+	snap := r.flush()
+	if _, loose := r.u.loose[1]; !loose {
+		t.Fatal("o was not promoted to loose")
+	}
+	if m := snap.Membership(1); len(m) == 0 {
+		t.Fatal("o did not resurface after its only dominator died")
+	}
+	// o is now a dominance source the tree does not vouch for.
+	r.insert(3, 3, 3)
+	r.flush()
+	if got := r.members(); got != 0 {
+		t.Fatalf("member inserts = %d, want 0 (o dominates the insert)", got)
+	}
+	// An insert dominates o in every subspace o had resurfaced in.
+	r.insert(1.5, 1.5, 1.5)
+	snap = r.flush()
+	if m := snap.Membership(1); m != nil {
+		t.Fatalf("o is dominated everywhere, got membership %v", m)
+	}
+}
+
+// TestFlushCostFollowsMembers pins what the lemma buys on the benchmark's
+// narrow shape: of 1 000 anticorrelated d = 4 inserts over 50 000 points
+// few enter any skyline, and the flush allocates for those, not for
+// 1 000 × |tree| patches (≈ 77–97 MB before).
+func TestFlushCostFollowsMembers(t *testing.T) {
+	const d, n, batch = 4, 50000, 1000
+	reg := obs.NewRegistry()
+	u := NewUpdater(gen.Synthetic(gen.Anticorrelated, n, d, 20170514),
+		Options{Threads: 2, Metrics: obs.NewDeltaMetrics(reg)})
+	defer u.Close()
+	extra := gen.Synthetic(gen.Anticorrelated, batch, d, 99991)
+	for i := 0; i < extra.N; i++ {
+		if _, err := u.Insert(extra.Point(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	snap := u.Flush()
+	runtime.ReadMemStats(&after)
+
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 8 {
+		t.Errorf("flush of %d inserts allocated %.1f MB, want < 8", batch, mb)
+	}
+	members := reg.CounterM("skycube_delta_member_inserts_total", "").Value()
+	t.Logf("flush of %d inserts: %v members, %.2f MB allocated",
+		batch, members, float64(after.TotalAlloc-before.TotalAlloc)/(1<<20))
+	if members < 1 || members >= 150 {
+		t.Errorf("skycube_delta_member_inserts_total = %v, want in [1, 150)", members)
+	}
+	if got := reg.CounterM("skycube_delta_inserts_total", "").Value(); got != batch {
+		t.Errorf("skycube_delta_inserts_total = %v, want %d", got, batch)
+	}
+	// The patched overlay against a fresh build over the same points.
+	fresh := u.Compact()
+	for delta := mask.Mask(1); int(delta) <= mask.NumSubspaces(d); delta++ {
+		if got, want := snap.Skyline(delta), fresh.Skyline(delta); !reflect.DeepEqual(got, want) {
+			t.Fatalf("δ=%b: patched overlay has %d members, fresh build %d", delta, len(got), len(want))
+		}
+	}
+}

@@ -55,6 +55,14 @@ func (b *baseCube) rowOf(id int32) (int32, bool) {
 // dominate existing points in more subspaces); bits can only clear through
 // a delete, and deletes always leave an exact override behind — which is
 // what keeps the two overlay layers consistent.
+//
+// An insert sets a bit δ of an existing point only where it is itself a
+// member of S_δ and the point's overlay mask did not have the bit: where
+// the insert is dominated, its dominator dominates that point too
+// (transitivity), so the bit is set already — in the base cube or the
+// overlay — or δ is overridden and the bit is never read. patched is
+// therefore not "everything some insert dominates the point in" but the
+// bits an insert newly set, which is all Skyline and Membership read.
 type Snapshot struct {
 	epoch uint64
 	d     int
@@ -66,7 +74,7 @@ type Snapshot struct {
 	tomb map[int32]struct{}
 	// added maps ids inserted since the base to their full B_{p∉S} masks.
 	added map[int32]*bitset.Set
-	// patched maps base ids to the extra dominated bits inserts gave them.
+	// patched maps base ids to the dominated bits member inserts newly set.
 	patched map[int32]*bitset.Set
 	// cuboids holds exact skyline overrides for recomputed subspaces.
 	cuboids map[mask.Mask][]int32

@@ -20,8 +20,10 @@ func NewDeltaMetrics(reg *Registry) *DeltaMetrics {
 }
 
 // Batch records one applied delta batch: its insert/delete counts, how many
-// cuboids the deletes forced to recompute, and the apply wall time.
-func (m *DeltaMetrics) Batch(inserts, deletes, recomputed int, dur time.Duration) {
+// of the inserts entered at least one skyline (members — the reverse pass
+// runs over these alone, so they, not the batch size, set a flush's cost),
+// how many cuboids the deletes forced to recompute, and the apply wall time.
+func (m *DeltaMetrics) Batch(inserts, members, deletes, recomputed int, dur time.Duration) {
 	if m == nil {
 		return
 	}
@@ -29,6 +31,8 @@ func (m *DeltaMetrics) Batch(inserts, deletes, recomputed int, dur time.Duration
 		"Delta batches applied by the updater.").Inc()
 	m.reg.CounterM("skycube_delta_inserts_total",
 		"Points inserted through delta batches.").Add(float64(inserts))
+	m.reg.CounterM("skycube_delta_member_inserts_total",
+		"Inserted points that entered at least one subspace skyline.").Add(float64(members))
 	m.reg.CounterM("skycube_delta_deletes_total",
 		"Points deleted through delta batches.").Add(float64(deletes))
 	m.reg.CounterM("skycube_delta_recomputed_cuboids_total",
