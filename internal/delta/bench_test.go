@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"skycube/internal/gen"
+	"skycube/internal/mask"
 )
 
 // BenchmarkFlushInserts measures update throughput (inserts/s) as a
@@ -99,6 +100,55 @@ func BenchmarkCompactionFraction(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(u.Stats().Compactions)/float64(b.N), "compactions/op")
+		})
+	}
+}
+
+// BenchmarkFlushDeletes measures one Flush of a batch of 25 deletes, 5 of
+// them members of the full-space skyline (a delete costs by the cuboids its
+// victim is a member of, so a batch drawn from all ids alone would cost by
+// how many members it happened to hit), on the benchmark's two update shapes.
+// Every iteration gets a fresh updater, built with the clock stopped, so the
+// flush meets the same base whatever -benchtime is. cmp/delete is the
+// hardware-independent twin: point pairs compared while resolving the
+// deletes, per victim. The sub-benchmark names carry no slash, which -bench
+// would split its pattern on.
+func BenchmarkFlushDeletes(b *testing.B) {
+	for _, c := range []struct {
+		dist gen.Distribution
+		d, n int
+	}{
+		{gen.Independent, 6, 15000},
+		{gen.Anticorrelated, 4, 50000},
+	} {
+		b.Run(fmt.Sprintf("%v_d%d_n%d", c.dist, c.d, c.n), func(b *testing.B) {
+			const batch, fromSkyline = 25, 5
+			ds := gen.Synthetic(c.dist, c.n, c.d, 20170514)
+			rng := rand.New(rand.NewSource(5))
+			var cmps int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				u := NewUpdater(ds, Options{Threads: runtime.NumCPU()})
+				sky := u.Current().Skyline(mask.Full(c.d))
+				rng.Shuffle(len(sky), func(i, j int) { sky[i], sky[j] = sky[j], sky[i] })
+				for k := 0; k < batch; k++ {
+					id := int32(rng.Intn(c.n))
+					if k < fromSkyline {
+						id = sky[k]
+					}
+					if err := u.Delete(id); err != nil {
+						k-- // already a victim: draw again
+					}
+				}
+				b.StartTimer()
+				u.Flush()
+				b.StopTimer()
+				cmps += u.cmps
+				u.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(cmps)/float64(b.N*batch), "cmp/delete")
 		})
 	}
 }

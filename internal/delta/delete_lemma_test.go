@@ -1,0 +1,388 @@
+package delta
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"skycube/internal/data"
+	"skycube/internal/gen"
+	"skycube/internal/mask"
+	"skycube/internal/qskycube"
+)
+
+// The tests in this file aim at the delete lemma (package comment): after a
+// batch, an affected S_δ holds only kept members, points a member victim
+// dominated in δ, and the batch's member inserts. Every flushed snapshot is
+// held against the naive oracle on every subspace and id.
+
+// recomputed reads skycube_delta_recomputed_cuboids_total.
+func (r *lemmaRig) recomputed() int {
+	return int(r.reg.CounterM("skycube_delta_recomputed_cuboids_total", "").Value())
+}
+
+// skewedGrid is gridDataset with a first column of two levels only: a
+// low-cardinality column beside the ties and duplicates.
+func skewedGrid(rng *rand.Rand, n, d, levels int) *data.Dataset {
+	ds := gridDataset(rng, n, d, levels)
+	for i := 0; i < n; i++ {
+		ds.Vals[i*d] = float32(rng.Intn(2))
+	}
+	return ds
+}
+
+// The lemma itself, against brute force and independent of the updater:
+// whatever is in S_δ after a batch was a member before, or was dominated in
+// δ by a victim that was a member, or is one of the batch's inserts.
+func TestDeleteLemmaContainment(t *testing.T) {
+	for _, d := range []int{2, 3, 5} {
+		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(31 * d)))
+			r := newLemmaRig(t, skewedGrid(rng, 150, d, 4))
+			for round := 0; round < 5; round++ {
+				before := r.u.Current()
+				var victims []int32
+				for k := 0; k < 12; k++ {
+					v := r.live[rng.Intn(len(r.live))]
+					victims = append(victims, v)
+					r.delete(v)
+				}
+				first := int32(before.Len())
+				if round%2 == 1 { // a mixed batch
+					extra := skewedGrid(rng, 8, d, 4)
+					for i := 0; i < extra.N; i++ {
+						r.insert(extra.Point(i)...)
+					}
+				}
+				after := r.flush()
+				for delta := mask.Mask(1); int(delta) <= mask.NumSubspaces(d); delta++ {
+					was := before.Skyline(delta)
+					for _, q := range after.Skyline(delta) {
+						if q >= first || slices.Contains(was, q) {
+							continue
+						}
+						shielded := slices.ContainsFunc(victims, func(v int32) bool {
+							return slices.Contains(was, v) && dominatesIn(before.Point(v), before.Point(q), delta)
+						})
+						if !shielded {
+							t.Fatalf("round %d δ=%b: %d entered S_δ though no member victim dominated it", round, delta, q)
+						}
+					}
+				}
+			}
+			if r.recomputed() == 0 {
+				t.Fatal("no victim was ever a member: the delete pass was not exercised")
+			}
+		})
+	}
+}
+
+// Mixed batches on a hand-made plane. The full-space skyline is a, v, k, b;
+// q1 and q2 hide behind v alone, q2 behind q1 as well.
+func TestDeleteMixedBatch(t *testing.T) {
+	rows := [][]float32{
+		{0, 10}, // 0 a
+		{2, 2},  // 1 v: the victim
+		{5, 1},  // 2 k: a kept member
+		{10, 0}, // 3 b
+		{3, 3},  // 4 q1: only v dominates it
+		{4, 4},  // 5 q2: only v and q1 dominate it
+	}
+	full := mask.Full(2)
+	check := func(t *testing.T, snap *Snapshot, want ...int32) {
+		t.Helper()
+		if got := snap.Skyline(full); !reflect.DeepEqual(got, want) {
+			t.Fatalf("full-space skyline %v, want %v", got, want)
+		}
+	}
+	t.Run("a candidate only another candidate dominates", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows(rows))
+		r.delete(1)
+		check(t, r.flush(), 0, 2, 3, 4)
+	})
+	t.Run("an insert member dominates a kept member", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows(rows))
+		r.delete(1)
+		p := r.insert(4.5, 0.5) // dominates k, leaves q1 alone
+		check(t, r.flush(), 0, 3, 4, p)
+	})
+	t.Run("an insert member dominates the candidates", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows(rows))
+		r.delete(1)
+		p := r.insert(2.5, 2.5)
+		check(t, r.flush(), 0, 2, 3, p)
+	})
+	t.Run("a cancelled insert dominates nothing", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows(rows))
+		r.delete(1)
+		r.delete(r.insert(2.5, 2.5))
+		p := r.insert(3, 3.5) // dominated by q1 once v is gone
+		snap := r.flush()
+		check(t, snap, 0, 2, 3, 4)
+		if m := snap.Membership(p); m != nil {
+			t.Fatalf("insert behind q1 has membership %v", m)
+		}
+	})
+	t.Run("a victim and the candidate it shielded", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows(rows))
+		r.delete(1)
+		r.delete(4)
+		check(t, r.flush(), 0, 2, 3, 5)
+	})
+}
+
+// Victims of every kind the writer tracks: a point added by an earlier
+// batch, a loose point, an outsider, and members of cuboids an earlier
+// delete already overrode.
+func TestDeleteVictimKinds(t *testing.T) {
+	ds := data.FromRows([][]float32{
+		{1, 1, 1}, // 0 a: strictly dominates m and o
+		{2, 2, 2}, // 1 m: outsider, strictly dominates o
+		{3, 3, 3}, // 2 o: outsider
+		{0, 9, 9}, {9, 0, 9}, {9, 9, 0},
+	})
+	t.Run("an added member", func(t *testing.T) {
+		r := newLemmaRig(t, ds)
+		p := r.insert(0.5, 0.5, 0.5) // dominates a, m, o
+		r.flush()
+		r.delete(p)
+		snap := r.flush()
+		if m := snap.Membership(0); len(m) == 0 {
+			t.Fatal("a did not resurface after the added point above it died")
+		}
+	})
+	t.Run("an outsider", func(t *testing.T) {
+		r := newLemmaRig(t, ds)
+		r.delete(1)
+		r.flush()
+		if got := r.recomputed(); got != 0 {
+			t.Fatalf("%d cuboids re-derived for a victim that was no member", got)
+		}
+		if _, out := r.u.outsiders[2]; !out || len(r.u.loose) != 0 {
+			t.Fatalf("o must stay an outsider while a lives: outsiders %v, loose %v", r.u.outsiders, r.u.loose)
+		}
+	})
+	t.Run("an outsider and its voucher at once", func(t *testing.T) {
+		r := newLemmaRig(t, ds)
+		r.delete(0)
+		r.delete(1)
+		snap := r.flush()
+		if _, loose := r.u.loose[2]; !loose {
+			t.Fatal("o was not promoted though every point above it died")
+		}
+		if m := snap.Membership(2); len(m) == 0 {
+			t.Fatal("o did not resurface")
+		}
+	})
+	t.Run("a loose point, in overridden cuboids", func(t *testing.T) {
+		r := newLemmaRig(t, ds)
+		r.delete(0) // m and o turn loose; m resurfaces in cuboids now overridden
+		snap := r.flush()
+		if m := snap.Membership(2); m != nil {
+			t.Fatalf("o is behind m, got membership %v", m)
+		}
+		r.delete(1) // a loose member of overridden cuboids
+		snap = r.flush()
+		if m := snap.Membership(2); len(m) == 0 {
+			t.Fatal("o did not resurface after m")
+		}
+		r.delete(2)
+		r.flush()
+	})
+	t.Run("no victims, no promotion walk", func(t *testing.T) {
+		r := newLemmaRig(t, ds)
+		r.insert(0.5, 0.5, 0.5)
+		r.flush()
+		if len(r.u.outsiders) != 2 || len(r.u.loose) != 0 {
+			t.Fatalf("an insert-only flush moved outsiders: %v, loose %v", r.u.outsiders, r.u.loose)
+		}
+	})
+}
+
+// Delete batches back to back over one base: every batch after the first
+// meets cuboids the ones before it overrode.
+func TestDeleteConsecutiveBatches(t *testing.T) {
+	for _, dist := range []gen.Distribution{gen.Independent, gen.Anticorrelated} {
+		t.Run(fmt.Sprint(dist), func(t *testing.T) {
+			const d = 4
+			r := newLemmaRig(t, gen.Synthetic(dist, 260, d, 77))
+			rng := rand.New(rand.NewSource(78))
+			for round := 0; round < 6; round++ {
+				sky := r.u.Current().Skyline(mask.Full(d))
+				for k := 0; k < 3 && k < len(sky); k++ {
+					r.delete(sky[k])
+				}
+				for k := 0; k < 10; k++ {
+					r.delete(r.live[rng.Intn(len(r.live))])
+				}
+				r.flush()
+			}
+			if len(r.u.Current().cuboids) == 0 {
+				t.Fatal("no cuboid was ever overridden")
+			}
+		})
+	}
+}
+
+// Emptied cuboids: every member of one δ at once while non-members live on,
+// every member of every cuboid at once, and a dataset of members only.
+func TestDeleteEveryMember(t *testing.T) {
+	const d = 3
+	t.Run("of one cuboid", func(t *testing.T) {
+		r := newLemmaRig(t, gen.Synthetic(gen.Independent, 200, d, 5))
+		for _, delta := range []mask.Mask{0b001, 0b110, 0b111} {
+			for _, id := range r.u.Current().Skyline(delta) {
+				r.delete(id)
+			}
+			if got := r.flush().Skyline(delta); len(got) == 0 {
+				t.Fatalf("δ=%b: nobody resurfaced among %d survivors", delta, len(r.live))
+			}
+		}
+	})
+	t.Run("of every cuboid", func(t *testing.T) {
+		r := newLemmaRig(t, gen.Synthetic(gen.Independent, 200, d, 6))
+		for round := 0; round < 3; round++ {
+			snap := r.u.Current()
+			for _, id := range slices.Clone(r.live) {
+				if snap.Membership(id) != nil {
+					r.delete(id)
+				}
+			}
+			if len(r.live) == 0 {
+				t.Fatalf("round %d: no non-member was left to resurface", round)
+			}
+			r.flush()
+		}
+	})
+	t.Run("of a dataset of members", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows([][]float32{{0, 1, 2}, {1, 2, 0}, {2, 0, 1}}))
+		for id := int32(0); id < 3; id++ {
+			r.delete(id)
+		}
+		snap := r.flush()
+		for delta := mask.Mask(1); int(delta) <= mask.NumSubspaces(d); delta++ {
+			if list, ok := snap.cuboids[delta]; !ok || list == nil || len(list) != 0 {
+				t.Fatalf("δ=%b: an emptied cuboid must publish []int32{}, got %v (present %v)", delta, list, ok)
+			}
+		}
+		r.insert(1, 1, 1)
+		r.flush()
+	})
+}
+
+// d = 2…6 × A/I/C: mixed batches, then every subspace against a one-shot
+// QSkycube build over the survivors.
+func TestDeleteAgainstQSkycube(t *testing.T) {
+	for _, dist := range []gen.Distribution{gen.Anticorrelated, gen.Independent, gen.Correlated} {
+		for d := 2; d <= 6; d++ {
+			t.Run(fmt.Sprintf("%v/d=%d", dist, d), func(t *testing.T) {
+				seed := int64(1000*d) + int64(dist)
+				u := NewUpdater(gen.Synthetic(dist, 600, d, seed), Options{Threads: 2})
+				defer u.Close()
+				rng := rand.New(rand.NewSource(seed))
+				live := make([]int32, 600)
+				for i := range live {
+					live[i] = int32(i)
+				}
+				for round := 0; round < 4; round++ {
+					if round%2 == 1 {
+						extra := gen.Synthetic(dist, 40, d, seed+int64(round))
+						for i := 0; i < extra.N; i++ {
+							id, err := u.Insert(extra.Point(i))
+							if err != nil {
+								t.Fatal(err)
+							}
+							live = append(live, id)
+						}
+					}
+					sky := u.Current().Skyline(mask.Full(d))
+					victims := sky[:min(5, len(sky))]
+					for len(victims) < 25 {
+						if id := live[rng.Intn(len(live))]; !slices.Contains(victims, id) {
+							victims = append(victims, id)
+						}
+					}
+					for _, id := range victims {
+						if err := u.Delete(id); err != nil {
+							t.Fatal(err)
+						}
+					}
+					live = slices.DeleteFunc(live, func(id int32) bool { return slices.Contains(victims, id) })
+					snap := u.Flush()
+
+					slices.Sort(live)
+					vals := make([]float32, 0, len(live)*d)
+					for _, id := range live {
+						vals = append(vals, snap.Point(id)...)
+					}
+					oracle := qskycube.Build(data.New(d, vals), qskycube.Options{Threads: 1})
+					for delta := mask.Mask(1); int(delta) <= mask.NumSubspaces(d); delta++ {
+						var want []int32
+						for _, row := range oracle.Skyline(delta) {
+							want = append(want, live[row])
+						}
+						slices.Sort(want)
+						if got := snap.Skyline(delta); !slices.Equal(got, want) {
+							t.Fatalf("round %d δ=%b: %d members, one-shot QSkycube has %d", round, delta, len(got), len(want))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// FuzzDeleteBatch replays a byte string as batches over a small grid (ties
+// and duplicates everywhere): byte 0 picks d, byte 1 the base size, and each
+// byte after it is an op — insert (the next d bytes are the point), delete a
+// live id (the next byte picks it) or flush. Every flush is held against the
+// naive oracle.
+func FuzzDeleteBatch(f *testing.F) {
+	f.Add([]byte{1, 12, 2, 0, 2, 1, 2, 2, 3, 2, 0, 3})                      // two delete batches
+	f.Add([]byte{0, 8, 0, 1, 1, 2, 7, 2, 0, 3, 2, 1, 0, 0, 0, 3})           // insert, cancel it, delete, flush
+	f.Add([]byte{2, 20, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 3, 2, 3}) // delete the low ids
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 2 || len(raw) > 96 {
+			return
+		}
+		d := 2 + int(raw[0])%3
+		rng := rand.New(rand.NewSource(int64(raw[1])))
+		ds := gridDataset(rng, int(raw[1])%24, d, 3)
+		u := NewUpdater(ds, Options{Threads: 2})
+		defer u.Close()
+		live := make([]int32, ds.N)
+		for i := range live {
+			live[i] = int32(i)
+		}
+		ops := raw[2:]
+		for len(ops) > 0 {
+			op := ops[0]
+			ops = ops[1:]
+			switch {
+			case op%4 < 2 && len(ops) >= d:
+				p := make([]float32, d)
+				for j := range p {
+					p[j] = float32(ops[j] % 3)
+				}
+				ops = ops[d:]
+				id, err := u.Insert(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, id)
+			case op%4 == 2 && len(ops) >= 1 && len(live) > 0:
+				i := int(ops[0]) % len(live)
+				ops = ops[1:]
+				if err := u.Delete(live[i]); err != nil {
+					t.Fatal(err)
+				}
+				live = slices.Delete(live, i, i+1)
+			case op%4 == 3:
+				verifySnapshot(t, u.Flush(), sortedIDs(live))
+			}
+		}
+		verifySnapshot(t, u.Flush(), sortedIDs(live))
+	})
+}

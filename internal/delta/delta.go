@@ -16,10 +16,17 @@
 //     dominating existing points) reuses that mask: an insert patches only
 //     the subspaces it is itself a skyline member of (the lemma below), so
 //     the ≈ 90 % of inserts that enter no skyline cost nothing more.
-//   - A delete tombstones the victim and enqueues exactly the cuboids in
-//     which it was a skyline member for recompute on the device pool
-//     (hetero.ComputeCuboids): removing a non-member of S_δ can never
-//     change S_δ, because dominance chains terminate at members.
+//   - A delete tombstones the victim and re-derives exactly the cuboids in
+//     which it was a skyline member: removing a non-member of S_δ can never
+//     change S_δ, because dominance chains terminate at members. For the
+//     same reason (the delete lemma) an affected S_δ can only gain points a
+//     member victim dominated in δ, so a batch re-tests those alone, in
+//     three steps: one comparison per (member victim, point) opens the
+//     subspaces in which the point just lost a dominator; the point then
+//     meets the surviving members, each comparison closing every open
+//     subspace it decides, as an MDMC point task does; and the few (point,
+//     δ) pairs still open are cross-tested per δ. No cuboid is computed from
+//     scratch.
 //   - Serving is MVCC: each applied batch publishes a new immutable
 //     Snapshot layering copy-on-write overlays (tombstones, mask patches,
 //     added-point masks, per-cuboid overrides) over a shared immutable
@@ -36,7 +43,8 @@
 // dominance sources: future inserts must test against them, since the tree
 // no longer vouches for them. Their own memberships need no tracking — a
 // non-member only joins S_δ when a member of S_δ dies, and that cuboid is
-// recomputed exactly.
+// re-derived exactly. An outsider that is not loose still has a live
+// full-space strict dominator, so it is in no skyline and no pass visits it.
 //
 // The lemma the insert path rests on is transitivity: if a live point r
 // dominates the insert p in δ and p dominates q in δ, then r dominates q in
@@ -51,6 +59,15 @@
 // one reverse pass, parallel over targets, lets the inserts still open —
 // the batch's skyline members — set bits in existing points' masks, each
 // only in the subspaces it is a member of.
+//
+// The delete lemma is the same chain argument read the other way. A live q
+// outside the old S_δ was dominated in δ by an old member; while one such
+// member survives, q stays out. So after a batch the new S_δ is contained
+// in (old S_δ minus the victims) ∪ {live q that a victim member of S_δ
+// dominated in δ} ∪ (the batch's inserts that are members of δ), and a q of
+// the middle set is in exactly when no surviving member, no member insert
+// and no other q of that set dominates it in δ — a q that one of the first
+// two dominates cannot be the only dominator of another.
 package delta
 
 import (
@@ -80,11 +97,11 @@ const (
 
 // Options configure an Updater.
 type Options struct {
-	// Threads is the CPU worker count for builds, recomputes and insert
-	// solves; 0 means all cores.
+	// Threads is the CPU worker count for builds and batch application; 0
+	// means all cores.
 	Threads int
-	// Devices is the pool cuboid recomputes and compactions are scheduled
-	// on; empty means one CPU device over Threads cores.
+	// Devices is the pool base builds and compactions are scheduled on;
+	// empty means one CPU device over Threads cores.
 	Devices []hetero.Device
 	// CompactFraction triggers auto-compaction when the overlay entry count
 	// exceeds this fraction of the base's point count. 0 means
@@ -182,9 +199,10 @@ type Updater struct {
 	closeOnce   sync.Once
 	wg          sync.WaitGroup
 	compactions int64
-	// cmps counts the point-pair coordinate comparisons phase B and the
-	// reverse pass have made (guarded by mu) — what a flush costs beyond
-	// its forward solves; BenchmarkFlushInserts reports it per insert.
+	// cmps counts the point-pair coordinate comparisons phase B, the
+	// reverse pass and the delete pass have made (guarded by mu) — what a
+	// flush costs beyond its forward solves; BenchmarkFlushInserts reports
+	// it per insert, BenchmarkFlushDeletes per delete.
 	cmps int64
 
 	// journal, if non-nil, receives every accepted mutation and epoch
@@ -686,9 +704,10 @@ func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 }
 
 // applyLocked applies the buffered batch: tombstone deletes first, then
-// solve inserts against the post-delete live set, then recompute exactly
-// the cuboids the victims were members of — over the final live set, so
-// the overrides are exact at the new epoch. Caller holds u.mu.
+// solve inserts against the post-delete live set, then re-derive exactly
+// the cuboids the victims were members of — kept members, the points the
+// victims shielded, the batch's member inserts — so the overrides are exact
+// at the new epoch. Caller holds u.mu.
 func (u *Updater) applyLocked() *Snapshot {
 	prev := u.cur.Load()
 	u.pendMu.Lock()
@@ -727,33 +746,47 @@ func (u *Updater) applyLocked() *Snapshot {
 	}
 	sort.Slice(victims, func(a, b int) bool { return victims[a] < victims[b] })
 
-	// Cuboids where a victim was a member must be recomputed; everywhere
+	// Cuboids where a victim was a member must be re-derived; everywhere
 	// else the delete is invisible (non-members never shield anything).
+	// shields are the victims that were members somewhere.
 	affected := make(map[mask.Mask]struct{})
+	var shields []shield
 	for _, v := range victims {
-		for _, delta := range prev.Membership(v) {
+		member := prev.Membership(v)
+		if len(member) == 0 {
+			continue
+		}
+		for _, delta := range member {
 			affected[delta] = struct{}{}
 		}
+		shields = append(shields, shield{point: u.point(v), member: member})
 	}
 
 	// Tombstone victims in writer state, and promote outsiders whose
-	// full-space vouching dominator might just have died.
+	// full-space vouching dominator might just have died: one walk over the
+	// outsiders per batch, the first voucher that strictly dominates one
+	// wins. A victim that was an outsider itself is no voucher — the chain of
+	// strict dominators above it ends in a point that is not one, alive or a
+	// voucher of this batch, and that point dominates whatever the victim did.
+	var vouchers [][]float32
 	for _, v := range victims {
 		u.dead[v] = struct{}{}
 		if pos, ok := u.treePos[v]; ok {
 			u.leafDead[u.posLeaf[pos]]++
 		}
 		delete(u.loose, v)
-		delete(u.outsiders, v)
+		if _, out := u.outsiders[v]; out {
+			delete(u.outsiders, v)
+			continue
+		}
+		vouchers = append(vouchers, u.point(v))
 	}
-	if len(u.outsiders) > 0 {
-		for _, v := range victims {
-			vp := u.point(v)
-			for q := range u.outsiders {
-				if strictlyDominatesFull(vp, u.point(q)) {
-					u.loose[q] = struct{}{}
-					delete(u.outsiders, q)
-				}
+	if len(vouchers) > 0 {
+		for q := range u.outsiders {
+			qp := u.point(q)
+			if slices.ContainsFunc(vouchers, func(vp []float32) bool { return strictlyDominatesFull(vp, qp) }) {
+				u.loose[q] = struct{}{}
+				delete(u.outsiders, q)
 			}
 		}
 	}
@@ -818,24 +851,45 @@ func (u *Updater) applyLocked() *Snapshot {
 	// points. Phase B: the batch's own inserts against each other. What is
 	// left open is a skyline member somewhere, and only those — and only in
 	// those subspaces — can teach an existing point anything (the package
-	// comment's lemma).
+	// comment's insert lemma).
 	results := u.solveInserts(lives, extras)
 	members := u.crossTest(lives, results)
 	for i, pi := range lives {
 		added[pi.id] = results[i]
 	}
-	u.reversePass(lives, results, members, addedTargets, added, patched)
+	// The live tree points are targets of both passes below; a batch with
+	// neither member inserts nor member victims runs neither.
+	var liveTree []int32
+	if len(members) > 0 || len(shields) > 0 {
+		liveTree = make([]int32, 0, len(u.treeID))
+		for _, id := range u.treeID {
+			if _, dead := u.dead[id]; !dead {
+				liveTree = append(liveTree, id)
+			}
+		}
+	}
+	u.reversePass(lives, results, members, liveTree, addedTargets, added, patched)
 
-	// Maintain override lists the recompute below won't touch: drop members
-	// an insert now dominates, add inserts that are members there. By the
-	// lemma only an insert that is itself a member of δ can dominate a
-	// member of the exact list; a victim is never on such a list (it would
-	// have made δ affected).
+	// An affected cuboid starts from its kept list — the old members minus
+	// the victims; a cuboid, or a whole dataset, the batch empties keeps an
+	// empty list, never a missing one.
+	for delta := range affected {
+		old := prev.Skyline(delta)
+		kept := make([]int32, 0, len(old))
+		for _, id := range old {
+			if _, dead := u.dead[id]; !dead {
+				kept = append(kept, id)
+			}
+		}
+		cuboids[delta] = kept
+	}
+
+	// Fold the inserts into every override list: drop members an insert now
+	// dominates, add inserts that are members there. By the insert lemma
+	// only an insert that is itself a member of δ can dominate a member of
+	// the exact list.
 	var in []int
 	for delta, list := range cuboids {
-		if _, re := affected[delta]; re {
-			continue
-		}
 		in = in[:0]
 		for _, i := range members {
 			if !results[i].Test(int(delta) - 1) {
@@ -858,18 +912,11 @@ func (u *Updater) applyLocked() *Snapshot {
 		cuboids[delta] = newList
 	}
 
-	// Recompute the victims' cuboids exactly, over the final live set and
-	// across the device pool. Row indices in the header are logical ids.
-	if len(affected) > 0 {
-		deltas := make([]mask.Mask, 0, len(affected))
-		for delta := range affected {
-			deltas = append(deltas, delta)
-		}
-		sort.Slice(deltas, func(a, b int) bool { return deltas[a] < deltas[b] })
-		res := hetero.ComputeCuboids(u.datasetHeader(), u.liveRows(), deltas, u.devices())
-		for delta, list := range res {
-			cuboids[delta] = list
-		}
+	// The affected lists now hold every surviving member; what is missing is
+	// the pre-existing points the victims shielded (the delete lemma).
+	for delta, ids := range u.resolveDeletes(shields, affected, cuboids, liveTree, extras) {
+		cuboids[delta] = append(cuboids[delta], ids...)
+		slices.Sort(cuboids[delta])
 	}
 
 	snap := &Snapshot{
@@ -977,8 +1024,28 @@ func (u *Updater) crossTest(lives []pendingInsert, results []*bitset.Set) (membe
 	return members
 }
 
-// reverseChunk is how many targets a reverse-pass worker claims at a time.
-const reverseChunk = 256
+// passChunk is how many targets a worker of the reverse pass or of the
+// delete pass claims at a time.
+const passChunk = 256
+
+// eachChunk runs work on up to u.threads goroutines and waits for them. A
+// worker draws ranges [lo, hi) of 0..n from claim until it gets an empty one.
+func (u *Updater) eachChunk(n int, work func(claim func() (lo, hi int))) {
+	var next atomic.Int64
+	claim := func() (int, int) {
+		hi := int(next.Add(passChunk))
+		return min(hi-passChunk, n), min(hi, n)
+	}
+	var wg sync.WaitGroup
+	for w := min(u.threads, (n+passChunk-1)/passChunk); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(claim)
+		}()
+	}
+	wg.Wait()
+}
 
 // reversePass grows the overlay masks of existing points the batch's member
 // inserts dominate: per target — live tree points, then addedTargets — it
@@ -986,18 +1053,12 @@ const reverseChunk = 256
 // replaces the target's overlay mask by a grown clone only when that adds a
 // bit. Workers only read the maps; the grown masks are stored afterwards.
 func (u *Updater) reversePass(lives []pendingInsert, results []*bitset.Set, members []int,
-	addedTargets []int32, added, patched map[int32]*bitset.Set) {
+	liveTree, addedTargets []int32, added, patched map[int32]*bitset.Set) {
 	if len(members) == 0 {
 		return
 	}
-	targets := make([]int32, 0, len(u.treeID)+len(addedTargets))
-	for _, id := range u.treeID {
-		if _, dead := u.dead[id]; !dead {
-			targets = append(targets, id)
-		}
-	}
-	nTree := len(targets)
-	targets = append(targets, addedTargets...)
+	nTree := len(liveTree)
+	targets := append(liveTree[:nTree:nTree], addedTargets...)
 	// overlay is where target t's mask lives: patched for a tree point.
 	overlay := func(t int) map[int32]*bitset.Set {
 		if t < nTree {
@@ -1006,46 +1067,157 @@ func (u *Updater) reversePass(lives []pendingInsert, results []*bitset.Set, memb
 		return added
 	}
 	grown := make([]*bitset.Set, len(targets))
-	var next int64
-	var wg sync.WaitGroup
-	for w := min(u.threads, (len(targets)+reverseChunk-1)/reverseChunk); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := bitset.New(mask.NumSubspaces(u.d))
-			for {
-				hi := int(atomic.AddInt64(&next, reverseChunk))
-				for t := hi - reverseChunk; t < min(hi, len(targets)); t++ {
-					q, cur := u.point(targets[t]), overlay(t)[targets[t]]
-					scratch.Reset()
-					for _, i := range members {
-						lt, eq := cmpMasks(lives[i].point, q)
-						teach(scratch, results[i], lt, eq)
-					}
-					if cur != nil {
-						scratch.AndNot(cur)
-					}
-					if scratch.Count() == 0 {
-						continue
-					}
-					grown[t] = scratch.Clone()
-					if cur != nil {
-						grown[t].Or(cur)
-					}
+	u.eachChunk(len(targets), func(claim func() (int, int)) {
+		scratch := bitset.New(mask.NumSubspaces(u.d))
+		for lo, hi := claim(); lo < hi; lo, hi = claim() {
+			for t := lo; t < hi; t++ {
+				q, cur := u.point(targets[t]), overlay(t)[targets[t]]
+				scratch.Reset()
+				for _, i := range members {
+					lt, eq := cmpMasks(lives[i].point, q)
+					teach(scratch, results[i], lt, eq)
 				}
-				if hi >= len(targets) {
-					return
+				if cur != nil {
+					scratch.AndNot(cur)
+				}
+				if scratch.Count() == 0 {
+					continue
+				}
+				grown[t] = scratch.Clone()
+				if cur != nil {
+					grown[t].Or(cur)
 				}
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	u.cmps += int64(len(members)) * int64(len(targets))
 	for t, m := range grown {
 		if m != nil {
 			overlay(t)[targets[t]] = m
 		}
 	}
+}
+
+// shield is a victim that was a skyline member somewhere: its point and the
+// subspaces it was a member of.
+type shield struct {
+	point  []float32
+	member []mask.Mask
+}
+
+// resolveDeletes finds the pre-existing points that enter an affected
+// cuboid because the batch deleted every member that dominated them there
+// (the package comment's delete lemma). lists holds, per affected δ, the
+// surviving members: kept old members and the batch's member inserts.
+//
+// One pass, parallel over the points that can be members at all — live tree
+// points and extras; an outsider still has a live full-space strict
+// dominator and is in no skyline. Per point q, one comparison per shield
+// yields q's open set: the affected δ in which a member victim dominated it.
+// q then meets the survivors — the union of the lists, strongest first —
+// and each comparison closes every open δ it decides, until none is left.
+// The (q, δ) still open were dominated in δ by victims alone among the old
+// members, so only each other can keep them out: they are cross-tested per
+// δ, and what remains is returned.
+func (u *Updater) resolveDeletes(shields []shield, affected map[mask.Mask]struct{},
+	lists map[mask.Mask][]int32, liveTree, extras []int32) map[mask.Mask][]int32 {
+	if len(shields) == 0 {
+		return nil
+	}
+	// Strongest is smallest coordinate sum: of two points the one with the
+	// smaller sum dominates the larger region, so an open set empties after
+	// the fewest comparisons.
+	seen := make([]bool, u.n)
+	var survivors []int32
+	var sums []float32
+	for delta := range affected {
+		for _, id := range lists[delta] {
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
+			var sum float32
+			for _, x := range u.point(id) {
+				sum += x
+			}
+			survivors = append(survivors, id)
+			sums = append(sums, sum)
+		}
+	}
+	order := data.SumOrder(sums, survivors)
+
+	nTree := len(liveTree)
+	targets := append(liveTree[:nTree:nTree], extras...)
+	var mu sync.Mutex
+	open := make(map[mask.Mask][]int32)
+	var cmps int64
+	u.eachChunk(len(targets), func(claim func() (int, int)) {
+		// closed has a clear bit per open subspace of the point at hand: the
+		// shields clear them, the survivors set them again.
+		closed := bitset.New(mask.NumSubspaces(u.d))
+		type pair struct {
+			id    int32
+			delta mask.Mask
+		}
+		var left []pair
+		var n int64
+		for lo, hi := claim(); lo < hi; lo, hi = claim() {
+			for _, id := range targets[lo:hi] {
+				q := u.point(id)
+				closed.Fill()
+				for _, v := range shields {
+					lt, eq := cmpMasks(v.point, q)
+					for _, delta := range v.member {
+						if delta&lt != 0 && delta&^(lt|eq) == 0 {
+							closed.Clear(int(delta) - 1)
+						}
+					}
+				}
+				n += int64(len(shields))
+				if closed.All() {
+					continue
+				}
+				for _, i := range order {
+					lt, eq := cmpMasks(u.point(survivors[i]), q)
+					n++
+					if teach(closed, closed, lt, eq); closed.All() {
+						break
+					}
+				}
+				for b := closed.NextClear(0); b >= 0; b = closed.NextClear(b + 1) {
+					left = append(left, pair{id, mask.Mask(b + 1)})
+				}
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		cmps += n
+		for _, p := range left {
+			open[p.delta] = append(open[p.delta], p.id)
+		}
+	})
+
+	// Cross-test what is still open, per δ and in id order: a window that
+	// admits a point no window point dominates and evicts the ones it
+	// dominates.
+	for delta, cand := range open {
+		dominates := func(a, b int32) bool {
+			cmps++
+			return dominatesIn(u.point(a), u.point(b), delta)
+		}
+		slices.Sort(cand)
+		var win []int32
+		for _, id := range cand {
+			if slices.ContainsFunc(win, func(w int32) bool { return dominates(w, id) }) {
+				continue
+			}
+			win = slices.DeleteFunc(win, func(w int32) bool { return dominates(id, w) })
+			win = append(win, id)
+		}
+		open[delta] = win
+	}
+	u.cmps += cmps
+	return open
 }
 
 func (u *Updater) publish(snap *Snapshot) {
@@ -1122,6 +1294,8 @@ func (u *Updater) compactLoop() {
 // clear in src that lie inside lt|eq and touch lt. Subspaces where src's
 // point is itself dominated are skipped — its dominator dominates dst's
 // point there too (transitivity), so that bit is somebody else's to set.
+// With src = dst it closes the subspaces still clear that the relation
+// decides (the delete pass).
 func teach(dst, src *bitset.Set, lt, eq mask.Mask) {
 	if lt == 0 {
 		return

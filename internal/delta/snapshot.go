@@ -49,8 +49,8 @@ func (b *baseCube) rowOf(id int32) (int32, bool) {
 // an epoch by holding the pointer; every query method is safe for
 // unlimited concurrent use and never blocks a writer.
 //
-// Query precedence, per subspace δ: a cuboid override (exact, recomputed
-// over the live dataset) wins outright; otherwise the overlay masks adjust
+// Query precedence, per subspace δ: a cuboid override (exact, re-derived
+// by the delete batch) wins outright; otherwise the overlay masks adjust
 // the base cube's answer. Overlay masks only ever grow (an insert can only
 // dominate existing points in more subspaces); bits can only clear through
 // a delete, and deletes always leave an exact override behind — which is

@@ -322,41 +322,6 @@ func MDMCRunPrepared(ctx *templates.MDMCContext, devices []Device, tun Tuning,
 	return shares, sched.Counters()
 }
 
-// ComputeCuboids computes S_δ for each requested subspace over the given
-// rows of ds, devices pulling cuboids from a shared queue exactly as SDSC
-// hands out lattice-level work. It is the targeted-recompute job of
-// incremental deletes (internal/delta): when a skyline member is removed,
-// only the cuboids it belonged to are recomputed, scheduled across
-// whatever devices the serving system has. Returned id lists are ascending
-// rows of ds.
-func ComputeCuboids(ds *data.Dataset, rows []int32, deltas []mask.Mask, devices []Device) map[mask.Mask][]int32 {
-	out := make(map[mask.Mask][]int32, len(deltas))
-	if len(deltas) == 0 || len(devices) == 0 {
-		return out
-	}
-	jobs := make(chan mask.Mask)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(len(devices))
-	for _, dev := range devices {
-		go func(dev Device) {
-			defer wg.Done()
-			for delta := range jobs {
-				sky, _ := dev.Cuboid(ds, rows, delta)
-				mu.Lock()
-				out[delta] = sky
-				mu.Unlock()
-			}
-		}(dev)
-	}
-	for _, delta := range deltas {
-		jobs <- delta
-	}
-	close(jobs)
-	wg.Wait()
-	return out
-}
-
 // ChunkTrack names the trace track for a device lane: the device name for
 // lane 0, "NAME#lane" for the extra CPU worker lanes. DeviceOfTrack is its
 // inverse.

@@ -210,36 +210,3 @@ func TestChunkTrackRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// ComputeCuboids must match direct per-cuboid computation — and restricting
-// the input rows must restrict the result, which is how incremental deletes
-// recompute only over live points.
-func TestComputeCuboids(t *testing.T) {
-	ds := gen.Synthetic(gen.Independent, 500, 4, 21)
-	devices := []Device{
-		&CPUDevice{Threads: 2, Label: "CPU0"},
-		&GPUDevice{Dev: gpusim.GTX980(), Label: "980-1"},
-	}
-	deltas := []mask.Mask{0b0001, 0b0110, 0b1011, 0b1111}
-
-	// Drop every third row to simulate tombstones.
-	var rows []int32
-	for r := int32(0); r < int32(ds.N); r++ {
-		if r%3 != 0 {
-			rows = append(rows, r)
-		}
-	}
-	got := ComputeCuboids(ds, rows, deltas, devices)
-	if len(got) != len(deltas) {
-		t.Fatalf("got %d cuboids, want %d", len(got), len(deltas))
-	}
-	for _, delta := range deltas {
-		want := skyline.Compute(ds, rows, delta, skyline.AlgoBNL, 1)
-		if !reflect.DeepEqual(got[delta], want.Skyline) {
-			t.Errorf("δ=%04b: got %v, want %v", delta, got[delta], want.Skyline)
-		}
-	}
-	if len(ComputeCuboids(ds, rows, nil, devices)) != 0 {
-		t.Error("no deltas must yield an empty map")
-	}
-}

@@ -22,7 +22,8 @@ func NewDeltaMetrics(reg *Registry) *DeltaMetrics {
 // Batch records one applied delta batch: its insert/delete counts, how many
 // of the inserts entered at least one skyline (members — the reverse pass
 // runs over these alone, so they, not the batch size, set a flush's cost),
-// how many cuboids the deletes forced to recompute, and the apply wall time.
+// how many cuboids the deletes forced the batch to re-derive, and the apply
+// wall time.
 func (m *DeltaMetrics) Batch(inserts, members, deletes, recomputed int, dur time.Duration) {
 	if m == nil {
 		return
@@ -36,7 +37,7 @@ func (m *DeltaMetrics) Batch(inserts, members, deletes, recomputed int, dur time
 	m.reg.CounterM("skycube_delta_deletes_total",
 		"Points deleted through delta batches.").Add(float64(deletes))
 	m.reg.CounterM("skycube_delta_recomputed_cuboids_total",
-		"Cuboids recomputed because a deleted point was a skyline member.").Add(float64(recomputed))
+		"Cuboids a delete batch re-derived because a deleted point was a skyline member there.").Add(float64(recomputed))
 	m.reg.HistogramM("skycube_delta_apply_seconds",
 		"Wall time to apply one delta batch.", nil).Observe(dur.Seconds())
 }

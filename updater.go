@@ -80,9 +80,9 @@ type UpdaterStats = delta.Stats
 // Updater maintains a skycube under batched point inserts and deletes,
 // publishing an immutable Snapshot per applied batch. Inserts are solved
 // as single-point MDMC tasks against the retained static tree; deletes
-// tombstone the victim and recompute exactly the cuboids it was a skyline
-// member of, scheduled across the configured devices. All methods are safe
-// for concurrent use.
+// tombstone the victim and re-derive exactly the cuboids it was a skyline
+// member of, re-testing only the points it dominated there. All methods are
+// safe for concurrent use.
 type Updater struct {
 	u *delta.Updater
 	// store is the durability subsystem; nil for in-memory updaters.
@@ -97,7 +97,7 @@ type Updater struct {
 // is id i — and inserted points continue the sequence. Maintenance uses
 // the MDMC template and the HashCube representation, so opt.Algorithm must
 // be MDMC (the default) and opt.MaxLevel must be 0 (full skycube).
-// opt.GPUs/CPUAlso select the device pool for cuboid recomputes and
+// opt.GPUs/CPUAlso select the device pool for the initial build and
 // compactions; opt.Delta tunes snapshots and compaction; opt.Metrics
 // receives skycube_delta_* series.
 func NewUpdater(ds *Dataset, opt Options) (*Updater, error) {

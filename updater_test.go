@@ -94,8 +94,8 @@ func TestUpdaterPublicFlow(t *testing.T) {
 }
 
 // TestUpdaterCrossDevice runs the maintenance path with modelled GPUs in
-// the device pool, so delete-triggered cuboid recomputes and compactions
-// are scheduled cross-device.
+// the device pool, so the initial build and compactions are scheduled
+// cross-device.
 func TestUpdaterCrossDevice(t *testing.T) {
 	const d = 3
 	ds := skycube.GenerateSynthetic(skycube.Correlated, 200, d, 5)
@@ -110,7 +110,7 @@ func TestUpdaterCrossDevice(t *testing.T) {
 	for i := range live {
 		live[i] = int32(i)
 	}
-	// Delete current full-space members to force recomputes, insert a few.
+	// Delete current full-space members to affect cuboids, insert a few.
 	sky := up.Current().Skyline(skycube.FullSpace(d))
 	for _, id := range sky[:min(5, len(sky))] {
 		if err := up.Delete(id); err != nil {
