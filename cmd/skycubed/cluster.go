@@ -110,7 +110,6 @@ func runShardMode(addr string, ds *skycube.Dataset, opt skycube.Options,
 func runRestartingShard(addr string, opt skycube.Options, sopt cluster.ShardOptions,
 	peerList string, withPprof bool, g *gatedServer) {
 	sopt.Metrics = opt.Metrics
-	sopt.Threads = opt.Threads
 	up, err := skycube.OpenUpdater(opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "skycubed:", err)
@@ -202,7 +201,6 @@ func antiEntropy(sh *cluster.Shard, peers []string, opt skycube.Options, sopt cl
 	node.Updater.StartAutoCompact()
 	up := skycube.AdoptUpdater(node.Updater, node.Store, node.Replayed)
 	sopt.Metrics = opt.Metrics
-	sopt.Threads = opt.Threads
 	sopt.Source = node
 	return cluster.NewShardFrom(up, sopt)
 }
@@ -246,7 +244,6 @@ func runJoiningShard(addr, peer string, dopt skycube.DurableOptions,
 	node.Updater.StartAutoCompact()
 	up := skycube.AdoptUpdater(node.Updater, node.Store, node.Replayed)
 	sopt.Metrics = skycube.NewMetrics()
-	sopt.Threads = threads
 	sopt.Source = node
 	sh, err := cluster.NewShardFrom(up, sopt)
 	if err != nil {
@@ -275,7 +272,7 @@ type pruneOptions struct {
 // runCoordinatorMode serves the cluster's public surface over a shard map
 // given as a flat URL list: with -replicas R, each consecutive run of R
 // URLs is one shard's replica set.
-func runCoordinatorMode(addr, shardList string, replicas int, extended bool,
+func runCoordinatorMode(addr, shardList string, replicas int,
 	timeout, hedgeDelay time.Duration, withPprof bool, cacheEntries int, noCache bool,
 	tracing traceOptions, prune pruneOptions) {
 	urls := splitNonEmpty(shardList)
@@ -299,7 +296,6 @@ func runCoordinatorMode(addr, shardList string, replicas int, extended bool,
 	coord, err := cluster.NewCoordinator(specs, cluster.CoordinatorOptions{
 		Timeout:            timeout,
 		HedgeDelay:         hedgeDelay,
-		Extended:           extended,
 		Prune:              prune.enabled,
 		PreFilterK:         prune.preFilterK,
 		PreFilterMinShards: prune.preFilterMinShards,

@@ -111,7 +111,6 @@ func main() {
 	coordinator := flag.Bool("coordinator", false, "with -serve: run as a cluster coordinator (no data file)")
 	shardURLs := flag.String("shards", "", "with -coordinator: comma-separated shard replica URLs")
 	replicas := flag.Int("replicas", 1, "with -coordinator: replicas per shard (consecutive -shards URLs are grouped)")
-	extended := flag.Bool("extended", false, "with -coordinator: fetch extended skylines S⁺ from shards instead of materialised cuboids")
 	clusterTimeout := flag.Duration("cluster-timeout", 0, "with -coordinator: per-attempt shard request timeout (0 = default 2s)")
 	prune := flag.Bool("prune", false, "with -coordinator: region-pruned gathers — fetch per-shard corners first, skip dominated shards, filter candidates source-side")
 	preFilterK := flag.Int("pre-filter-k", 0, "with -coordinator: representative points per shard in the pruning prelude (0 = corners only; >0 implies -prune)")
@@ -125,14 +124,7 @@ func main() {
 	traceSample := flag.Int("trace-sample", 0, "with -serve: trace one in N requests into /debug/requests (0 = only requests carrying a traceparent header)")
 	slowQuery := flag.Duration("slow-query", 0, "with -serve: log one structured line (with trace id) per request at least this slow (0 = off)")
 	debugRequests := flag.Int("debug-requests", 0, "with -serve: request-ring size behind GET /debug/requests (0 = off unless -trace-sample is set, then 256)")
-	noBlockKernel := flag.Bool("no-block-kernel", false, "use the scalar per-pair dominance kernels instead of the SoA block sweeps (ablation)")
-	noStopPoints := flag.Bool("no-stop-points", false, "keep block sweeps but disable sort-based stop-point termination (ablation)")
 	flag.Parse()
-
-	skycube.SetKernelOptions(skycube.KernelOptions{
-		DisableBlocks:     *noBlockKernel,
-		DisableStopPoints: *noStopPoints,
-	})
 
 	tracing := traceOptions{
 		ring:        requestRing(*traceSample, *debugRequests),
@@ -149,7 +141,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "skycubed: -coordinator takes no data file")
 			os.Exit(2)
 		}
-		runCoordinatorMode(*serve, *shardURLs, *replicas, *extended, *clusterTimeout, *hedgeDelay, *pprofFlag, *cacheEntries, *noCache, tracing,
+		runCoordinatorMode(*serve, *shardURLs, *replicas, *clusterTimeout, *hedgeDelay, *pprofFlag, *cacheEntries, *noCache, tracing,
 			pruneOptions{enabled: *prune, preFilterK: *preFilterK, preFilterMinShards: *preFilterMinShards})
 		return
 	}

@@ -103,23 +103,17 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestDifferentialKernelAblation re-runs the oracle matrix across the
-// dominance-kernel configurations: the oracle is built with the block
-// kernels fully disabled (pure scalar), and every algorithm path must
-// produce byte-identical cuboids with the default config (blocks + stop
-// points), with stop points ablated, and forced scalar. The kernel switches
-// are process globals, so the paths run sequentially under each setting and
-// the default is restored on exit.
+// TestDifferentialKernelAblation is the oracle matrix read as a kernel
+// ablation — block kernels against none — with nothing to switch, because
+// the two sides differ by construction. QSkycube (the oracle) and PQSkycube
+// never sweep a block: their BSkyTree recursion hands the window filter only
+// leaves smaller than the block/scalar gate admits, which is what keeps the
+// oracle independent of the kernels it judges; the test asserts it on
+// KernelStats. SDSC and MDMC do run the block kernels and must materialise
+// byte-identical cuboids. And no build's scan ends at a stop point: a window
+// filter probes only lanes appended before the probe (the cluster's merge
+// test asserts the opposite for the shape where stop points do fire).
 func TestDifferentialKernelAblation(t *testing.T) {
-	defer skycube.SetKernelOptions(skycube.KernelOptions{})
-	configs := []struct {
-		name string
-		opt  skycube.KernelOptions
-	}{
-		{"blocks", skycube.KernelOptions{}},
-		{"no-stop-points", skycube.KernelOptions{DisableStopPoints: true}},
-		{"scalar", skycube.KernelOptions{DisableBlocks: true}},
-	}
 	dists := []struct {
 		name string
 		dist skycube.Distribution
@@ -128,14 +122,16 @@ func TestDifferentialKernelAblation(t *testing.T) {
 		{"independent", skycube.Independent},
 		{"anticorrelated", skycube.Anticorrelated},
 	}
-	// A trimmed path set keeps the 3×3×5 grid affordable: SDSC covers the
-	// hybrid/BNL/merge filters, MDMC the tree refine, PQSkycube the
-	// BSkyTree recursion (whose leaves call the BNL window filter).
-	paths := []diffCase{
-		{"PQSkycube", skycube.Options{Algorithm: skycube.PQSkycube, Threads: 4}},
-		{"SDSC", skycube.Options{Algorithm: skycube.SDSC, Threads: 4}},
-		{"MDMC", skycube.Options{Algorithm: skycube.MDMC, Threads: 4}},
+	// SDSC covers the hybrid/BNL filters, MDMC the tree refine.
+	paths := []struct {
+		diffCase
+		blocks bool
+	}{
+		{diffCase{"PQSkycube", skycube.Options{Algorithm: skycube.PQSkycube, Threads: 4}}, false},
+		{diffCase{"SDSC", skycube.Options{Algorithm: skycube.SDSC, Threads: 4}}, true},
+		{diffCase{"MDMC", skycube.Options{Algorithm: skycube.MDMC, Threads: 4}}, true},
 	}
+	var blockSweeps uint64
 	for _, dc := range dists {
 		for d := 2; d <= 6; d++ {
 			n := 2000
@@ -144,97 +140,45 @@ func TestDifferentialKernelAblation(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/d=%d", dc.name, d), func(t *testing.T) {
 				ds := skycube.GenerateSynthetic(dc.dist, n, d, int64(53*d)+3)
-				skycube.SetKernelOptions(skycube.KernelOptions{DisableBlocks: true})
+				before := skycube.KernelStats()
 				oracle, _, err := skycube.Build(ds, skycube.Options{
 					Algorithm: skycube.QSkycube, Threads: 1,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, kc := range configs {
-					skycube.SetKernelOptions(kc.opt)
-					for _, c := range paths {
-						cube, _, err := skycube.Build(ds, c.opt)
-						if err != nil {
-							t.Fatalf("%s/%s: %v", kc.name, c.name, err)
-						}
-						for _, delta := range skycube.AllSubspaces(d) {
-							want := oracle.Skyline(delta)
-							got := cube.Skyline(delta)
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("%s/%s: cuboid δ=%0*b has %d skyline points, oracle has %d\n got %v\nwant %v",
-									kc.name, c.name, d, delta, len(got), len(want), got, want)
-							}
+				if after := skycube.KernelStats(); after.BlockSweeps != before.BlockSweeps {
+					t.Fatalf("the QSkycube oracle ran %d block sweeps", after.BlockSweeps-before.BlockSweeps)
+				}
+				for _, c := range paths {
+					before := skycube.KernelStats()
+					cube, _, err := skycube.Build(ds, c.opt)
+					if err != nil {
+						t.Fatalf("%s: %v", c.name, err)
+					}
+					after := skycube.KernelStats()
+					if !c.blocks && after.BlockSweeps != before.BlockSweeps {
+						t.Fatalf("%s ran %d block sweeps", c.name, after.BlockSweeps-before.BlockSweeps)
+					}
+					if after.StopPointExits != before.StopPointExits {
+						t.Fatalf("%s: %d scans of a build ended at a stop point", c.name, after.StopPointExits-before.StopPointExits)
+					}
+					blockSweeps += after.BlockSweeps - before.BlockSweeps
+					for _, delta := range skycube.AllSubspaces(d) {
+						want := oracle.Skyline(delta)
+						got := cube.Skyline(delta)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: cuboid δ=%0*b has %d skyline points, oracle has %d\n got %v\nwant %v",
+								c.name, d, delta, len(got), len(want), got, want)
 						}
 					}
 				}
 			})
 		}
 	}
-}
-
-// TestDifferentialIncrementalKernelAblation runs one maintenance scenario —
-// build over a prefix, insert a tail, delete a sample, flush — under blocks
-// on and blocks off, and requires both updaters' snapshots to agree with
-// each other and with a scalar from-scratch oracle on every cuboid. The
-// delta path's filter/refine goes through the same Solution kernels as the
-// one-shot build, so this pins the incremental tier to the ablation too.
-func TestDifferentialIncrementalKernelAblation(t *testing.T) {
-	defer skycube.SetKernelOptions(skycube.KernelOptions{})
-	const n, tail, deletes, d = 500, 120, 100, 5
-	full := skycube.GenerateSynthetic(skycube.Independent, n+tail, d, 431)
-	baseRows := make([][]float32, n)
-	for i := range baseRows {
-		baseRows[i] = full.Point(i)
+	if blockSweeps == 0 {
+		t.Fatal("no SDSC or MDMC build swept a block: the matrix compared scalar with scalar")
 	}
-	base, err := skycube.DatasetFromRows(baseRows)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(opt skycube.KernelOptions) (skycube.Snapshot, []int32) {
-		skycube.SetKernelOptions(opt)
-		up, err := skycube.NewUpdater(base, skycube.Options{Threads: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer up.Close()
-		live := make([]int32, n)
-		for i := range live {
-			live[i] = int32(i)
-		}
-		for i := 0; i < tail; i++ {
-			id, err := up.Insert(full.Point(n + i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, id)
-		}
-		rng := rand.New(rand.NewSource(17))
-		for k := 0; k < deletes && len(live) > 1; k++ {
-			idx := rng.Intn(len(live))
-			if err := up.Delete(live[idx]); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:idx], live[idx+1:]...)
-		}
-		return up.Flush(), live
-	}
-
-	blocksCube, liveA := run(skycube.KernelOptions{})
-	scalarCube, liveB := run(skycube.KernelOptions{DisableBlocks: true})
-	if !reflect.DeepEqual(liveA, liveB) {
-		t.Fatalf("live id sets diverge: %d vs %d ids", len(liveA), len(liveB))
-	}
-	for _, delta := range skycube.AllSubspaces(d) {
-		got := blocksCube.Skyline(delta)
-		want := scalarCube.Skyline(delta)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cuboid δ=%0*b: blocks-on flush has %d points, blocks-off has %d\n got %v\nwant %v",
-				d, delta, len(got), len(want), got, want)
-		}
-	}
-	checkAgainstFreshBuild(t, scalarCube, liveB)
 }
 
 // TestDifferentialIncremental checks the maintenance path against the

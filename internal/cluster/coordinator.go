@@ -55,11 +55,6 @@ type CoordinatorOptions struct {
 	// BreakerCooldown, during which the replica is skipped outright.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Extended asks shards for the extended skyline S⁺_δ instead of the
-	// materialised S_δ. Both merge to the identical global skyline; S_δ is
-	// an O(1) cube lookup per shard, S⁺_δ is the literal candidate set of
-	// the partition-and-merge theory (and an input scan per query).
-	Extended bool
 	// Prune enables the communication-efficient gather (see prune.go): a
 	// prelude round fetches per-shard region corners, whole shards whose
 	// region is dominated are skipped, and the remaining shards drop
@@ -223,9 +218,9 @@ type Coordinator struct {
 	rbm    *obs.RebalanceMetrics
 	// km folds the process-wide dominance-kernel counters (the merge filter
 	// runs in this process) into the registry at /metrics scrape time.
-	km *obs.KernelMetrics
-	opt    CoordinatorOptions
-	mux    *http.ServeMux
+	km  *obs.KernelMetrics
+	opt CoordinatorOptions
+	mux *http.ServeMux
 
 	// writeMu gates mutations against membership cutovers: insert, delete
 	// and flush hold it shared; a split cutover holds it exclusively while
@@ -526,9 +521,6 @@ func (s *mergeScratch) release() {
 // must retry the whole query on the current map rather than serve a mix.
 func (c *Coordinator) gather(ctx context.Context, m *shardMap, delta mask.Mask, scratch *mergeScratch) (_ []candidate, _ map[string]uint64, _ []string, stale bool) {
 	path := fmt.Sprintf("/shard/cuboid?subspace=%d", uint32(delta))
-	if c.opt.Extended {
-		path += "&extended=true"
-	}
 	rec := obs.RecordFrom(ctx)
 	ch := make(chan gatherResult, len(m.shards))
 	for _, g := range m.shards {
@@ -872,10 +864,9 @@ func (c *Coordinator) computeSkyline(ctx context.Context, m *shardMap, rawQuery 
 
 // infoResponse is the coordinator's /info payload.
 type infoResponse struct {
-	Shards   []shardStatus `json:"shards"`
-	Dims     int           `json:"dims"`
-	Extended bool          `json:"extended"`
-	MapGen   uint64        `json:"map_gen"`
+	Shards []shardStatus `json:"shards"`
+	Dims   int           `json:"dims"`
+	MapGen uint64        `json:"map_gen"`
 }
 
 type shardStatus struct {
@@ -913,7 +904,7 @@ func (c *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
 	d := c.dims
 	c.mu.Unlock()
 	m := c.curMap()
-	resp := infoResponse{Dims: d, Extended: c.opt.Extended, MapGen: m.gen}
+	resp := infoResponse{Dims: d, MapGen: m.gen}
 	for _, g := range m.shards {
 		base, stride := g.idMap()
 		st := shardStatus{Name: g.name, IDBase: base, IDStride: stride, WritesDiverged: g.diverged.Load()}

@@ -1,7 +1,7 @@
 // Cluster differential tests: a K-shard scatter-gather cluster must answer
 // every subspace query with exactly the ids the single-node Build
 // materialises — across distributions, dimensionalities, shard counts,
-// partition modes, and both the S_δ and S⁺_δ shard protocols.
+// and partition modes.
 package cluster
 
 import (
@@ -79,18 +79,6 @@ func TestDifferentialClusterRangePartition(t *testing.T) {
 				assertClusterMatchesSingleNode(t, tc, ds)
 			})
 		}
-	}
-}
-
-func TestDifferentialClusterExtendedMode(t *testing.T) {
-	// The S⁺_δ shard protocol must merge to the identical global skyline.
-	for _, dist := range []skycube.Distribution{skycube.Independent, skycube.Anticorrelated} {
-		d := 4
-		ds := skycube.GenerateSynthetic(dist, 300, d, 17)
-		t.Run(fmt.Sprint(dist), func(t *testing.T) {
-			tc := newTestCluster(t, ds, 2, 1, skycube.RoundRobinPartition, CoordinatorOptions{Extended: true})
-			assertClusterMatchesSingleNode(t, tc, ds)
-		})
 	}
 }
 
@@ -251,10 +239,9 @@ func metricTotal(t *testing.T, reg *obs.Registry, name string) float64 {
 }
 
 // TestDifferentialPrunedVsUnprunedMatrix is the merge path's acceptance
-// wall: across partition mode × shard count × protocol (S_δ/S⁺_δ) ×
-// pre-filter setting, the pruned coordinator's /skyline response must be
-// byte-identical to the unpruned coordinator's over the same shards, and
-// both must match a single-node build. The matrix runs on anticorrelated
+// wall: across partition mode × shard count × pre-filter setting, the pruned
+// coordinator's /skyline response must be byte-identical to the unpruned
+// coordinator's over the same shards, and both must match a single-node build. The matrix runs on anticorrelated
 // data — the distribution with the largest local skylines, i.e. pruning's
 // hardest case for staying exact.
 func TestDifferentialPrunedVsUnprunedMatrix(t *testing.T) {
@@ -268,7 +255,6 @@ func TestDifferentialPrunedVsUnprunedMatrix(t *testing.T) {
 		{"angular", skycube.AngularPartition},
 	}
 	shardCounts := []int{1, 2, 4}
-	extendeds := []bool{false, true}
 	preKs := []int{0, 8}
 	if testing.Short() {
 		modes = modes[:2:2]
@@ -277,44 +263,42 @@ func TestDifferentialPrunedVsUnprunedMatrix(t *testing.T) {
 			mode skycube.PartitionMode
 		}{"grid", skycube.GridPartition})
 		shardCounts = []int{2}
-		extendeds = []bool{false}
 	}
 	ds := skycube.GenerateSynthetic(skycube.Anticorrelated, 240, 4, 41)
 	reg := obs.NewRegistry()
 	for _, mc := range modes {
 		for _, k := range shardCounts {
-			for _, ext := range extendeds {
-				for _, preK := range preKs {
-					t.Run(fmt.Sprintf("%s/k%d/ext%v/pre%d", mc.name, k, ext, preK), func(t *testing.T) {
-						tc := newTestCluster(t, ds, k, 1, mc.mode, CoordinatorOptions{Extended: ext})
-						pruned := newSecondCoordinator(t, tc, CoordinatorOptions{
-							Extended:           ext,
-							Prune:              true,
-							PreFilterK:         preK,
-							PreFilterMinShards: 2,
-							Metrics:            reg,
-						})
-						oracle := oracleDataset(t, tc, mc.mode, ds)
-						cube, _, err := skycube.Build(oracle, skycube.Options{Threads: 2})
-						if err != nil {
-							t.Fatalf("single-node Build: %v", err)
-						}
-						for delta := mask.Mask(1); delta < 1<<4; delta++ {
-							plain := queryRawSkyline(t, tc.coord, delta, http.StatusOK)
-							fast := queryRawSkyline(t, pruned, delta, http.StatusOK)
-							if !bytes.Equal(plain, fast) {
-								t.Fatalf("subspace %b: pruned body differs from unpruned:\n  pruned:   %s\n  unpruned: %s",
-									delta, fast, plain)
-							}
-							var resp skylineResponse
-							mustUnmarshal(t, fast, &resp)
-							want := cube.Skyline(skycube.Subspace(delta))
-							if !equalIDs(resp.IDs, want) {
-								t.Fatalf("subspace %b: cluster ids %v != single-node %v", delta, resp.IDs, want)
-							}
-						}
+			for _, preK := range preKs {
+				// "extfalse" is a constant: the cells keep the ids they had next to
+				// the S⁺ protocol's, so results stay comparable across that removal.
+				t.Run(fmt.Sprintf("%s/k%d/extfalse/pre%d", mc.name, k, preK), func(t *testing.T) {
+					tc := newTestCluster(t, ds, k, 1, mc.mode, CoordinatorOptions{})
+					pruned := newSecondCoordinator(t, tc, CoordinatorOptions{
+						Prune:              true,
+						PreFilterK:         preK,
+						PreFilterMinShards: 2,
+						Metrics:            reg,
 					})
-				}
+					oracle := oracleDataset(t, tc, mc.mode, ds)
+					cube, _, err := skycube.Build(oracle, skycube.Options{Threads: 2})
+					if err != nil {
+						t.Fatalf("single-node Build: %v", err)
+					}
+					for delta := mask.Mask(1); delta < 1<<4; delta++ {
+						plain := queryRawSkyline(t, tc.coord, delta, http.StatusOK)
+						fast := queryRawSkyline(t, pruned, delta, http.StatusOK)
+						if !bytes.Equal(plain, fast) {
+							t.Fatalf("subspace %b: pruned body differs from unpruned:\n  pruned:   %s\n  unpruned: %s",
+								delta, fast, plain)
+						}
+						var resp skylineResponse
+						mustUnmarshal(t, fast, &resp)
+						want := cube.Skyline(skycube.Subspace(delta))
+						if !equalIDs(resp.IDs, want) {
+							t.Fatalf("subspace %b: cluster ids %v != single-node %v", delta, resp.IDs, want)
+						}
+					}
+				})
 			}
 		}
 	}

@@ -1,16 +1,13 @@
 package cluster
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"skycube/internal/data"
 	"skycube/internal/dom"
 	"skycube/internal/mask"
 )
-
-// mergeBlockMin is the candidate count below which the final merge filter
-// stays on the scalar O(n²) loop; tiny unions can't amortise block setup.
-const mergeBlockMin = 64
 
 // candidate is one shard-local skyline member: a global point id and its
 // coordinates, shipped together so the coordinator can run dominance tests
@@ -40,7 +37,7 @@ func mergeSkyline(cands []candidate, delta mask.Mask, scratch []int32) []int32 {
 	// Sort by id and drop duplicates up front (a retried sub-request can in
 	// principle deliver a shard's answer twice); dominance-by-duplicate
 	// would otherwise be ambiguous under Definition 1's tie handling.
-	sort.Slice(cands, func(a, b int) bool { return cands[a].id < cands[b].id })
+	slices.SortFunc(cands, func(a, b candidate) int { return cmp.Compare(a.id, b.id) })
 	uniq := cands[:0]
 	for i, c := range cands {
 		if i == 0 || c.id != cands[i-1].id {
@@ -51,13 +48,15 @@ func mergeSkyline(cands []candidate, delta mask.Mask, scratch []int32) []int32 {
 	if cap(out) < len(uniq) {
 		out = make([]int32, 0, len(uniq))
 	}
-	if dom.BlocksEnabled() && len(uniq) >= mergeBlockMin {
+	if dom.UseBlocks(len(uniq), mask.Count(delta), dom.Probe) {
 		return mergeSkylineBlocks(uniq, delta, out)
 	}
-	if dom.BlocksEnabled() {
-		t := dom.KernelTally{Fallbacks: 1}
-		t.Flush()
-	}
+	return mergeSkylineScalar(uniq, delta, out)
+}
+
+// mergeSkylineScalar is the O(n²) form of the final merge filter, for unions
+// too small to fill a block; appends the surviving ids to out in uniq order.
+func mergeSkylineScalar(uniq []candidate, delta mask.Mask, out []int32) []int32 {
 	for i, c := range uniq {
 		dominated := false
 		for j, q := range uniq {
@@ -84,34 +83,18 @@ func mergeSkyline(cands []candidate, delta mask.Mask, scratch []int32) []int32 {
 // because candidates are emitted in uniq order, not scan order.
 func mergeSkylineBlocks(uniq []candidate, delta mask.Mask, out []int32) []int32 {
 	dims := mask.Dims(delta)
-	k := len(dims)
-	bs := data.GetBlockSet(k, data.DefaultBlockSize)
+	ids := make([]int32, len(uniq))
+	for i, c := range uniq {
+		ids[i] = c.id
+	}
+	bs := data.SortedBlocks(ids, func(i int) []float32 { return uniq[i].point }, dims, data.DefaultBlockSize)
 	defer data.PutBlockSet(bs)
 
-	sums := make([]float32, len(uniq))
-	ord := make([]int32, len(uniq))
-	for i, c := range uniq {
-		sums[i] = data.SumOver(c.point, dims)
-		ord[i] = int32(i)
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		ia, ib := ord[a], ord[b]
-		if sums[ia] != sums[ib] {
-			return sums[ia] < sums[ib]
-		}
-		return ia < ib
-	})
-	pq := make([]float32, k)
-	for _, i := range ord {
-		data.ProjectInto(pq, uniq[i].point, dims)
-		bs.Append(pq, int32(i), sums[i])
-	}
-
-	useStop := dom.StopPointsEnabled()
 	var tally dom.KernelTally
-	for i, c := range uniq {
+	pq := make([]float32, len(dims))
+	for _, c := range uniq {
 		data.ProjectInto(pq, c.point, dims)
-		if !dom.BlocksAnyDominator(bs, pq, sums[i], false, useStop, &tally) {
+		if !dom.BlocksAnyDominator(bs, pq, data.SumOver(c.point, dims), false, true, &tally) {
 			out = append(out, c.id)
 		}
 	}

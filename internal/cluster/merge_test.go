@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"skycube/internal/dom"
@@ -80,5 +81,51 @@ func TestMergeSkylineMatchesBruteForce(t *testing.T) {
 					trial, c.id, dominated, inGot[c.id])
 			}
 		}
+	}
+}
+
+// gridPoint draws one point on a coarse grid, so ties and exact dominance are
+// common.
+func gridPoint(rng *rand.Rand, d int) []float32 {
+	p := make([]float32, d)
+	for j := range p {
+		p[j] = float32(rng.Intn(16)) / 8
+	}
+	return p
+}
+
+// TestMergeSkylineKernelAblation pins the coordinator's final merge filter:
+// its block and scalar forms, called directly past the gate on unions of
+// sizes and widths on both sides of the gate's thresholds, return identical
+// id slices — and so does the gated entry point on the same union shuffled
+// and with duplicate deliveries, as shard replies arrive. The merge probes a
+// complete sum-sorted set, so — unlike a build's window filters — its scans
+// do end at stop points.
+func TestMergeSkylineKernelAblation(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	stopsBefore := dom.KernelStats().StopPointExits
+	for trial := 0; trial < 60; trial++ {
+		n := []int{8, 63, 64, 65, 200, 300, 700}[trial%7]
+		d := 2 + rng.Intn(5)
+		uniq := make([]candidate, n)
+		for i := range uniq {
+			uniq[i] = candidate{id: int32(i), point: gridPoint(rng, d)}
+		}
+		delta := mask.Mask(1 + rng.Intn(1<<uint(d)-1))
+		want := mergeSkylineScalar(uniq, delta, nil)
+		if got := mergeSkylineBlocks(uniq, delta, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d d=%d δ=%b): blocks %v, scalar %v", trial, n, d, delta, got, want)
+		}
+		cands := append([]candidate(nil), uniq...)
+		for i := 0; i < n/8; i++ {
+			cands = append(cands, uniq[rng.Intn(n)])
+		}
+		rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+		if got := mergeSkyline(cands, delta, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d d=%d δ=%b): gated %v, scalar %v", trial, n, d, delta, got, want)
+		}
+	}
+	if dom.KernelStats().StopPointExits == stopsBefore {
+		t.Fatal("no merge scan ended at a stop point: useStop is dead where it is passed true")
 	}
 }

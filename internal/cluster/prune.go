@@ -136,23 +136,19 @@ func dominatedByAny(filter [][]float32, p []float32, delta mask.Mask) bool {
 	return false
 }
 
-// filterBlockMin is the member count below which the shard-side filter keeps
-// the scalar per-member loop.
-const filterBlockMin = 64
-
 // filterMembers drops the members of local that any filter point dominates
 // in δ, returning the survivors (in local's order) and the drop count. The
 // block path packs the members into SoA blocks and crosses off each filter
 // point's victims 64 lanes at a time with DominatedBitmap; both paths keep
 // exactly the same members in the same order.
 func filterMembers(local []int32, point func(int32) []float32, filter [][]float32, delta mask.Mask) ([]int32, int) {
-	if dom.BlocksEnabled() && len(local) >= filterBlockMin {
+	if dom.UseBlocks(len(local), mask.Count(delta), dom.Probe) {
 		return filterMembersBlocks(local, point, filter, delta)
 	}
-	if dom.BlocksEnabled() {
-		t := dom.KernelTally{Fallbacks: 1}
-		t.Flush()
-	}
+	return filterMembersScalar(local, point, filter, delta)
+}
+
+func filterMembersScalar(local []int32, point func(int32) []float32, filter [][]float32, delta mask.Mask) ([]int32, int) {
 	kept := make([]int32, 0, len(local))
 	filtered := 0
 	for _, row := range local {
@@ -325,9 +321,6 @@ func (c *Coordinator) gatherPruned(ctx context.Context, m *shardMap, delta mask.
 		preK = 0
 	}
 	metaPath := fmt.Sprintf("/shard/skymeta?subspace=%d", uint32(delta))
-	if c.opt.Extended {
-		metaPath += "&extended=true"
-	}
 	if preK > 0 {
 		metaPath += "&k=" + strconv.Itoa(preK)
 	}
@@ -382,9 +375,6 @@ func (c *Coordinator) gatherPruned(ctx context.Context, m *shardMap, delta mask.
 	// (the client releases breaker probes on cancellation, so our own
 	// cancels never look like replica failures).
 	basePath := fmt.Sprintf("/shard/cuboid?subspace=%d", uint32(delta))
-	if c.opt.Extended {
-		basePath += "&extended=true"
-	}
 	type prResult struct {
 		idx        int
 		resp       *cuboidResponse

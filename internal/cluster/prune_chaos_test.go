@@ -111,20 +111,14 @@ func TestShardSkymetaEndpoint(t *testing.T) {
 		}
 	}
 
-	// Extended mode is honored (S⁺ count ≥ S count) and echoed.
-	var plain, ext skymetaResponse
-	getJSON(t, sh, "/shard/skymeta?subspace=7", http.StatusOK, &plain)
-	getJSON(t, sh, "/shard/skymeta?subspace=7&extended=true", http.StatusOK, &ext)
-	if !ext.Extended || ext.Count < plain.Count {
-		t.Fatalf("extended skymeta = %+v, plain = %+v", ext, plain)
-	}
-
 	// Parameter validation.
 	for _, bad := range []string{
 		"/shard/skymeta?subspace=0",
 		"/shard/skymeta?subspace=8",
 		"/shard/skymeta?subspace=7&k=-1",
 		"/shard/skymeta?subspace=7&k=abc",
+		"/shard/skymeta?subspace=7&extended=true",
+		"/shard/skymeta?subspace=7&filter=0.5,0.5,0.5",
 		fmt.Sprintf("/shard/skymeta?subspace=7&k=%d", maxSkymetaReps+1),
 	} {
 		getJSON(t, sh, bad, http.StatusBadRequest, nil)

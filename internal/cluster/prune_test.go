@@ -3,7 +3,9 @@ package cluster
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"net/url"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -102,6 +104,40 @@ func TestDominatedByAny(t *testing.T) {
 	}
 	if dominatedByAny(nil, []float32{0, 0}, full) {
 		t.Fatal("an empty filter dominates nothing")
+	}
+}
+
+// TestFilterMembersKernelAblation pins the shard-side witness filter: the
+// DominatedBitmap form must keep exactly the members the scalar loop keeps,
+// in the same order, with the same filtered count — both called directly,
+// past the gate, on member counts on both sides of its threshold — and the
+// gated entry point must agree with them.
+func TestFilterMembersKernelAblation(t *testing.T) {
+	rng := rand.New(rand.NewSource(202))
+	for trial := 0; trial < 60; trial++ {
+		n := []int{8, 63, 64, 65, 200, 300}[trial%6]
+		d := 2 + rng.Intn(5)
+		pts := make([][]float32, n)
+		local := make([]int32, n)
+		for i := range pts {
+			pts[i] = gridPoint(rng, d)
+			local[i] = int32(i)
+		}
+		filter := make([][]float32, 1+rng.Intn(6))
+		for i := range filter {
+			filter[i] = gridPoint(rng, d)
+		}
+		delta := mask.Mask(1 + rng.Intn(1<<uint(d)-1))
+		point := func(r int32) []float32 { return pts[r] }
+		wantKept, wantN := filterMembersScalar(local, point, filter, delta)
+		for name, f := range map[string]func([]int32, func(int32) []float32, [][]float32, mask.Mask) ([]int32, int){
+			"blocks": filterMembersBlocks, "gated": filterMembers,
+		} {
+			if gotKept, gotN := f(local, point, filter, delta); gotN != wantN || !reflect.DeepEqual(gotKept, wantKept) {
+				t.Fatalf("trial %d (n=%d d=%d δ=%b): %s kept %d %v, scalar kept %d %v",
+					trial, n, d, delta, name, gotN, gotKept, wantN, wantKept)
+			}
+		}
 	}
 }
 

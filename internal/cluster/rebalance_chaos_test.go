@@ -57,7 +57,6 @@ func bootstrapChild(t *testing.T, peer, dir string, sopt ShardOptions) *Shard {
 		t.Fatalf("bootstrap from %s: %v", peer, err)
 	}
 	up := skycube.AdoptUpdater(node.Updater, node.Store, node.Replayed)
-	sopt.Threads = 2
 	sopt.Source = node
 	sh, err := NewShardFrom(up, sopt)
 	if err != nil {

@@ -26,22 +26,18 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"skycube"
-	"skycube/internal/data"
 	"skycube/internal/mask"
 	"skycube/internal/obs"
 	"skycube/internal/rcache"
 	"skycube/internal/rebalance"
 	"skycube/internal/server"
-	"skycube/internal/skyline"
 )
 
 // ShardOptions configure a shard node beyond the build options.
@@ -81,10 +77,6 @@ type ShardOptions struct {
 	// mapping with an explicit piecewise scheme — how a restarted split
 	// child reinstates its sealed insert block.
 	IDSegments []IDSegment
-	// Threads sizes the extended-skyline scan pool for shards built through
-	// NewShardFrom (NewShard derives it from the build options); 0 means
-	// NumCPU.
-	Threads int
 	// Source, when non-nil, is the rebalance node this shard was
 	// bootstrapped from; it enables POST /shard/sync (pull the source
 	// peer's remaining WAL tail — the split cutover's final catch-up).
@@ -95,16 +87,15 @@ type ShardOptions struct {
 // partition, serving the embedded server's full endpoint set (reads,
 // mutations, /healthz, /metrics) plus the cluster protocol:
 //
-//	GET /shard/cuboid?subspace=N[&extended=true][&filter=pts]   shard-local S_δ (or S⁺_δ) with global ids +
-//	                                                            coordinates, minus members dominated by a filter point
-//	GET /shard/skymeta?subspace=N[&extended=true][&k=K]         the cuboid's count, epoch, min/max corner and
-//	                                                            top-K representative points (the pruning prelude)
-//	GET /shard/info                                             id mapping, dims, live points, epoch
+//	GET /shard/cuboid?subspace=N[&filter=pts]   shard-local S_δ with global ids + coordinates,
+//	                                            minus members dominated by a filter point
+//	GET /shard/skymeta?subspace=N[&k=K]         the cuboid's count, epoch, min/max corner and
+//	                                            top-K representative points (the pruning prelude)
+//	GET /shard/info                             id mapping, dims, live points, epoch
 type Shard struct {
-	srv     *server.Server
-	up      *skycube.Updater
-	dims    int
-	threads int
+	srv  *server.Server
+	up   *skycube.Updater
+	dims int
 
 	// scheme is the shard's piecewise local→global id mapping, swapped
 	// atomically when a split cutover seals a fresh insert block.
@@ -160,37 +151,27 @@ func NewShard(ds *skycube.Dataset, opt skycube.Options, sopt ShardOptions) (*Sha
 	if err != nil {
 		return nil, err
 	}
-	threads := opt.Threads
-	if threads <= 0 {
-		threads = runtime.NumCPU()
-	}
-	return finishShard(up, ds.Dims(), threads, scheme, sopt), nil
+	return finishShard(up, ds.Dims(), scheme, sopt), nil
 }
 
 // NewShardFrom wraps an already-built updater — typically one adopted from a
 // rebalance bootstrap (skycube.AdoptUpdater) — as a serving shard node. The
-// dimensionality comes from the updater's current snapshot; sopt.Threads
-// sizes the extended-skyline pool.
+// dimensionality comes from the updater's current snapshot.
 func NewShardFrom(up *skycube.Updater, sopt ShardOptions) (*Shard, error) {
 	scheme, err := schemeFor(sopt)
 	if err != nil {
 		return nil, err
 	}
-	threads := sopt.Threads
-	if threads <= 0 {
-		threads = runtime.NumCPU()
-	}
-	return finishShard(up, up.Current().Dims(), threads, scheme, sopt), nil
+	return finishShard(up, up.Current().Dims(), scheme, sopt), nil
 }
 
 // finishShard wires the shard node around a ready updater: response cache,
 // embedded server, and the cluster + rebalance endpoint set.
-func finishShard(up *skycube.Updater, dims, threads int, scheme *idScheme, sopt ShardOptions) *Shard {
+func finishShard(up *skycube.Updater, dims int, scheme *idScheme, sopt ShardOptions) *Shard {
 	sh := &Shard{
-		up:      up,
-		dims:    dims,
-		threads: threads,
-		source:  sopt.Source,
+		up:     up,
+		dims:   dims,
+		source: sopt.Source,
 	}
 	sh.scheme.Store(scheme)
 	sh.rbm = obs.NewRebalanceMetrics(sopt.Metrics)
@@ -278,7 +259,6 @@ func (s *Shard) GlobalID(local int32) int32 {
 type cuboidResponse struct {
 	Subspace uint32      `json:"subspace"`
 	Epoch    uint64      `json:"epoch"`
-	Extended bool        `json:"extended"`
 	Count    int         `json:"count"`
 	Filtered int         `json:"filtered,omitempty"`
 	IDs      []int32     `json:"ids"`
@@ -300,15 +280,10 @@ func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rec.Event(obs.Event{Kind: obs.EvCache, Detail: "miss", Start: rec.Since()})
-	spec := r.URL.Query().Get("subspace")
-	v, err := strconv.ParseUint(spec, 10, 32)
-	if err != nil || v == 0 || v >= 1<<uint(s.dims) {
-		http.Error(w, fmt.Sprintf("bad subspace %q (need 1..%d)", spec, 1<<uint(s.dims)-1),
-			http.StatusBadRequest)
+	delta, ok := s.parseSubspace(w, r, "filter")
+	if !ok {
 		return
 	}
-	delta := mask.Mask(v)
-	extended := r.URL.Query().Get("extended") == "true"
 	filter, err := decodePointList(r.URL.Query().Get("filter"), s.dims)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -323,12 +298,7 @@ func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
 	e, err2 := s.cache.Fill(rcache.Key{Epoch: snap.Epoch(), Variant: r.URL.RawQuery},
 		func() (*rcache.Entry, error) {
 			extractStart := rec.Since()
-			var local []int32
-			if extended {
-				local = s.extendedSkyline(snap, delta)
-			} else {
-				local = snap.Skyline(delta)
-			}
+			local := snap.Skyline(delta)
 			rec.Event(obs.Event{Kind: obs.EvCuboid, Start: extractStart,
 				Dur: rec.Since() - extractStart, N: int64(len(local)), Epoch: snap.Epoch()})
 			// Source-side pruning: drop local members a filter point
@@ -346,7 +316,6 @@ func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
 			resp := cuboidResponse{
 				Subspace: uint32(delta),
 				Epoch:    snap.Epoch(),
-				Extended: extended,
 				Count:    len(local),
 				Filtered: filtered,
 				IDs:      make([]int32, len(local)),
@@ -361,9 +330,6 @@ func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
 				return nil, err
 			}
 			tag := fmt.Sprintf(`"e%d-s%d"`, snap.Epoch(), uint32(delta))
-			if extended {
-				tag = strings.TrimSuffix(tag, `"`) + `-x"`
-			}
 			return rcache.NewEntry(tag, buf.Bytes()), nil
 		})
 	if err2 != nil {
@@ -373,32 +339,27 @@ func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
 	rcache.Serve(w, r, e, s.cm)
 }
 
-// extendedSkyline computes the shard-local S⁺_δ over the snapshot's live
-// points — the exact candidate set the partition-and-merge theory calls
-// for. It is an O(n)-input scan rather than an O(1) cube lookup; the
-// coordinator only requests it in extended mode (the default ships the
-// materialised S_δ, a subset of S⁺_δ that merges identically).
-func (s *Shard) extendedSkyline(snap skycube.Snapshot, delta mask.Mask) []int32 {
-	n := snap.Len()
-	rows := make([]int32, 0, n)
-	vals := make([]float32, 0, n*s.dims)
-	for id := int32(0); int(id) < n; id++ {
-		if !snap.Alive(id) {
-			continue
+// parseSubspace reads the subspace parameter of /shard/cuboid and
+// /shard/skymeta, answering 400 itself when it is missing or out of range, or
+// when the query carries a parameter other than subspace and the endpoint's
+// own (also): a request for something the shard does not serve — S⁺_δ by
+// extended=true, say — must fail, not be answered with S_δ.
+func (s *Shard) parseSubspace(w http.ResponseWriter, r *http.Request, also string) (mask.Mask, bool) {
+	q := r.URL.Query()
+	for name := range q {
+		if name != "subspace" && name != also {
+			http.Error(w, fmt.Sprintf("unknown parameter %q", name), http.StatusBadRequest)
+			return 0, false
 		}
-		rows = append(rows, id)
-		vals = append(vals, snap.Point(id)...)
 	}
-	if len(rows) == 0 {
-		return nil
+	spec := q.Get("subspace")
+	v, err := strconv.ParseUint(spec, 10, 32)
+	if err != nil || v == 0 || v >= 1<<uint(s.dims) {
+		http.Error(w, fmt.Sprintf("bad subspace %q (need 1..%d)", spec, 1<<uint(s.dims)-1),
+			http.StatusBadRequest)
+		return 0, false
 	}
-	sub := &data.Dataset{Dims: s.dims, N: len(rows), Vals: vals, IDs: rows}
-	ext := skyline.ExtendedSkyline(sub, nil, delta, skyline.AlgoHybrid, s.threads)
-	out := make([]int32, len(ext))
-	for i, r := range ext {
-		out[i] = sub.IDs[r]
-	}
-	return out
+	return mask.Mask(v), true
 }
 
 // skymetaResponse is the /shard/skymeta payload — the pruning prelude's
@@ -409,7 +370,6 @@ func (s *Shard) extendedSkyline(snap skycube.Snapshot, delta mask.Mask) []int32 
 type skymetaResponse struct {
 	Subspace uint32      `json:"subspace"`
 	Epoch    uint64      `json:"epoch"`
-	Extended bool        `json:"extended"`
 	Count    int         `json:"count"`
 	Min      []float32   `json:"min,omitempty"`
 	Max      []float32   `json:"max,omitempty"`
@@ -438,15 +398,10 @@ func (s *Shard) handleSkymeta(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rec.Event(obs.Event{Kind: obs.EvCache, Detail: "miss", Start: rec.Since()})
-	spec := r.URL.Query().Get("subspace")
-	v, err := strconv.ParseUint(spec, 10, 32)
-	if err != nil || v == 0 || v >= 1<<uint(s.dims) {
-		http.Error(w, fmt.Sprintf("bad subspace %q (need 1..%d)", spec, 1<<uint(s.dims)-1),
-			http.StatusBadRequest)
+	delta, ok := s.parseSubspace(w, r, "k")
+	if !ok {
 		return
 	}
-	delta := mask.Mask(v)
-	extended := r.URL.Query().Get("extended") == "true"
 	k := 0
 	if ks := r.URL.Query().Get("k"); ks != "" {
 		kv, err := strconv.Atoi(ks)
@@ -461,18 +416,12 @@ func (s *Shard) handleSkymeta(w http.ResponseWriter, r *http.Request) {
 	e, err2 := s.cache.Fill(rcache.Key{Epoch: snap.Epoch(), Variant: variant},
 		func() (*rcache.Entry, error) {
 			extractStart := rec.Since()
-			var local []int32
-			if extended {
-				local = s.extendedSkyline(snap, delta)
-			} else {
-				local = snap.Skyline(delta)
-			}
+			local := snap.Skyline(delta)
 			rec.Event(obs.Event{Kind: obs.EvCuboid, Start: extractStart,
 				Dur: rec.Since() - extractStart, N: int64(len(local)), Epoch: snap.Epoch()})
 			resp := skymetaResponse{
 				Subspace: uint32(delta),
 				Epoch:    snap.Epoch(),
-				Extended: extended,
 				Count:    len(local),
 			}
 			if len(local) > 0 {
@@ -500,9 +449,6 @@ func (s *Shard) handleSkymeta(w http.ResponseWriter, r *http.Request) {
 				return nil, err
 			}
 			tag := fmt.Sprintf(`"m%d-s%d-k%d"`, snap.Epoch(), uint32(delta), k)
-			if extended {
-				tag = strings.TrimSuffix(tag, `"`) + `-x"`
-			}
 			return rcache.NewEntry(tag, buf.Bytes()), nil
 		})
 	if err2 != nil {

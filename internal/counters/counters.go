@@ -23,6 +23,7 @@ import (
 	"skycube/internal/lattice"
 	"skycube/internal/mask"
 	"skycube/internal/memsim"
+	"skycube/internal/skyline"
 	"skycube/internal/stree"
 	"skycube/internal/templates"
 )
@@ -214,7 +215,7 @@ func ProfilePQ(ds *data.Dataset, cfg Config) (Report, *lattice.Lattice) {
 	l := staticTopDown(ds, probes, func(th *memsim.Thread, rows []int32, delta mask.Mask) ([]int32, []int32) {
 		ext := p.probedPivotFilter(th, ds, rows, delta, true)
 		sky := p.probedPivotFilter(th, ds, ext, delta, false)
-		return sky, diffSorted(ext, sky)
+		return sky, skyline.DiffSorted(ext, sky)
 	})
 	return Report{Algo: "PQ", Counters: sys.Totals(), MachCfg: sys.Config(),
 		CriticalPathCycles: sys.MaxThreadCycles()}, l
@@ -231,7 +232,7 @@ func ProfileST(ds *data.Dataset, cfg Config) (Report, *lattice.Lattice) {
 	l := staticTopDown(ds, probes, func(th *memsim.Thread, rows []int32, delta mask.Mask) ([]int32, []int32) {
 		ext := probedTiledFilter(ds, rows, delta, true, []*memsim.Thread{th})
 		sky := probedTiledFilter(ds, ext, delta, false, []*memsim.Thread{th})
-		return sky, diffSorted(ext, sky)
+		return sky, skyline.DiffSorted(ext, sky)
 	})
 	return Report{Algo: "ST", Counters: sys.Totals(), MachCfg: sys.Config(),
 		CriticalPathCycles: sys.MaxThreadCycles()}, l
@@ -248,7 +249,7 @@ func ProfileSD(ds *data.Dataset, cfg Config) (Report, *lattice.Lattice) {
 	hook := func(ds *data.Dataset, rows []int32, delta mask.Mask) ([]int32, []int32) {
 		ext := probedTiledFilter(ds, rows, delta, true, probes)
 		sky := probedTiledFilter(ds, ext, delta, false, probes)
-		return sky, diffSorted(ext, sky)
+		return sky, skyline.DiffSorted(ext, sky)
 	}
 	l := lattice.TopDown(ds, hook, lattice.TopDownOptions{CuboidThreads: 1})
 	return Report{Algo: "SD", Counters: sys.Totals(), MachCfg: sys.Config(),
@@ -341,34 +342,12 @@ func profiledMDRefine(th *memsim.Thread, tree *stree.Tree, sol *templates.Soluti
 		})
 }
 
-func diffSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)-len(b))
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j < len(b) && b[j] == v {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
 // probedCompare is an exact DT with probes: loads both points' rows.
 func probedCompare(th *memsim.Thread, ds *data.Dataset, q, p int32) dom.Rel {
 	th.Load(pointAddr(ds, q), ds.Dims*4)
 	th.Load(pointAddr(ds, p), ds.Dims*4)
 	th.Instr(ds.Dims)
 	return dom.Compare(ds.Point(int(q)), ds.Point(int(p)))
-}
-
-func kills(r dom.Rel, delta mask.Mask, strict bool) bool {
-	if strict {
-		return dom.RelStrictlyDominates(r, delta)
-	}
-	return dom.RelDominates(r, delta)
 }
 
 // ---------------------------------------------------------------------------
@@ -405,7 +384,7 @@ func (p *profiler) probedPivotRec(th *memsim.Thread, ds *data.Dataset, rows []in
 		th.Load(pointAddr(ds, q), ds.Dims*4)
 		th.Instr(ds.Dims)
 		r := dom.Compare(pivPoint, ds.Point(int(q)))
-		if q != piv && kills(r, delta, strict) {
+		if q != piv && dom.Kills(r, delta, strict) {
 			progress = true
 			continue
 		}
@@ -448,7 +427,7 @@ func (p *profiler) probedPivotRec(th *memsim.Thread, ds *data.Dataset, rows []in
 				if e.m&^b.m&delta != 0 {
 					continue
 				}
-				if kills(probedCompare(th, ds, e.row, q), delta, strict) {
+				if dom.Kills(probedCompare(th, ds, e.row, q), delta, strict) {
 					dead = true
 					break
 				}
@@ -513,12 +492,12 @@ func (p *profiler) probedBNL(th *memsim.Thread, ds *data.Dataset, rows []int32, 
 		w := 0
 		for _, e := range window {
 			r := probedCompare(th, ds, e, q)
-			if kills(r, delta, strict) {
+			if dom.Kills(r, delta, strict) {
 				dead = true
 				break
 			}
 			rq := dom.Rel{Lt: delta &^ (r.Lt | r.Eq), Eq: r.Eq}
-			if !kills(rq, delta, strict) {
+			if !dom.Kills(rq, delta, strict) {
 				window[w] = e
 				w++
 			}

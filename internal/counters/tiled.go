@@ -33,31 +33,18 @@ func probedTiledFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict b
 		return nil
 	}
 	dims := mask.Dims(delta)
-	med, quart := tiledPivots(ds, rows, dims, probes)
-	medM := make([]mask.Mask, n)
-	quartM := make([]mask.Mask, n)
-	sum := make([]float32, n)
-	for k, q := range rows {
+	medM, quartM, _, ord := skyline.HybridPrepare(ds, rows, dims)
+	// What the prologue reads, charged in the order it reads it: one column
+	// scan per dimension for the pivots, round-robin over the probes (the
+	// production code computes the columns independently in parallel), then
+	// every point's row once for its labels and δ-sum.
+	for idx, j := range dims {
+		probes[idx%len(probes)].Load(dataBase+uint64(j)*uint64(n)*4, n*4)
+	}
+	for _, q := range rows {
 		probes[0].Load(pointAddr(ds, q), ds.Dims*4)
 		probes[0].Instr(len(dims))
-		pt := ds.Point(int(q))
-		var m, qm mask.Mask
-		var s float32
-		for idx, j := range dims {
-			v := pt[j]
-			s += v
-			half := 1
-			if v < med[idx] {
-				m |= 1 << uint(j)
-				half = 0
-			}
-			if v < quart[half][idx] {
-				qm |= 1 << uint(j)
-			}
-		}
-		medM[k], quartM[k], sum[k] = m, qm, s
 	}
-	ord := data.SumOrder(sum, rows)
 
 	type group struct {
 		med, quart mask.Mask
@@ -101,7 +88,7 @@ func probedTiledFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict b
 					}
 					for _, m := range g.members {
 						r := probedCompare(th, ds, rows[m], rows[k])
-						if kills(r, delta, strict) {
+						if dom.Kills(r, delta, strict) {
 							ok = false
 							break groupLoop
 						}
@@ -169,12 +156,12 @@ func probedIntraTile(probes []*memsim.Thread, ds *data.Dataset, rows []int32, de
 		w := 0
 		for _, e := range window {
 			r := probedCompare(th, ds, e, q)
-			if kills(r, delta, strict) {
+			if dom.Kills(r, delta, strict) {
 				dead = true
 				break
 			}
 			rq := dom.Rel{Lt: delta &^ (r.Lt | r.Eq), Eq: r.Eq}
-			if !kills(rq, delta, strict) {
+			if !dom.Kills(rq, delta, strict) {
 				window[w] = e
 				w++
 			}
@@ -187,28 +174,4 @@ func probedIntraTile(probes []*memsim.Thread, ds *data.Dataset, rows []int32, de
 	}
 	slices.Sort(window)
 	return window
-}
-
-// tiledPivots computes the per-dimension median and quartiles over rows,
-// charging each dimension's column scan to a probe round-robin (the
-// production code computes the columns independently in parallel).
-func tiledPivots(ds *data.Dataset, rows []int32, dims []int, probes []*memsim.Thread) (med []float32, quart [2][]float32) {
-	med = make([]float32, len(dims))
-	quart[0] = make([]float32, len(dims))
-	quart[1] = make([]float32, len(dims))
-	col := make([]float32, len(rows))
-	for idx, j := range dims {
-		th := probes[idx%len(probes)]
-		for i, q := range rows {
-			col[i] = ds.Value(int(q), j)
-		}
-		th.Load(dataBase+uint64(j)*uint64(len(rows))*4, len(rows)*4)
-		n := len(col)
-		q3 := min(3*n/4, n-1)
-		data.SelectRanks(col, n/4, n/2, q3)
-		med[idx] = col[n/2]
-		quart[0][idx] = col[n/4]
-		quart[1][idx] = col[q3]
-	}
-	return med, quart
 }

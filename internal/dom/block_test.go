@@ -191,33 +191,46 @@ func TestStopPointSound(t *testing.T) {
 	tally.Flush()
 }
 
-func TestKernelConfigRoundTrip(t *testing.T) {
-	defer SetKernelConfig(KernelConfig{})
-	SetKernelConfig(KernelConfig{DisableBlocks: true, DisableStopPoints: true})
-	if BlocksEnabled() || StopPointsEnabled() {
-		t.Fatal("disable flags not honoured")
-	}
-	got := Kernels()
-	if !got.DisableBlocks || !got.DisableStopPoints {
-		t.Fatalf("Kernels() = %+v", got)
-	}
-	SetKernelConfig(KernelConfig{})
-	if !BlocksEnabled() || !StopPointsEnabled() {
-		t.Fatal("zero config should enable everything")
+// TestUseBlocksGate pins the one block/scalar decision: both sides of each
+// threshold for each scan shape, and one counted fallback per scalar verdict.
+func TestUseBlocksGate(t *testing.T) {
+	for _, tc := range []struct {
+		lanes, width int
+		shape        Shape
+		want         bool
+	}{
+		{blockMinLanes, blockMinWidth, Window, true},
+		{blockMinLanes - 1, blockMinWidth, Window, false},
+		{blockMinLanes, blockMinWidth - 1, Window, false},
+		{1 << 20, 1, Window, false},
+		{blockMinLanes, 1, Probe, true},
+		{blockMinLanes - 1, 16, Probe, false},
+		{0, 0, Probe, false},
+	} {
+		before := KernelStats().ScalarFallbacks
+		got := UseBlocks(tc.lanes, tc.width, tc.shape)
+		fell := KernelStats().ScalarFallbacks - before
+		wantFell := uint64(1)
+		if tc.want {
+			wantFell = 0
+		}
+		if got != tc.want || fell != wantFell {
+			t.Errorf("UseBlocks(%d, %d, %v) = %v with %d fallbacks counted, want %v",
+				tc.lanes, tc.width, tc.shape, got, fell, tc.want)
+		}
 	}
 }
 
 func TestKernelTallyFlush(t *testing.T) {
 	before := KernelStats()
-	tally := KernelTally{Sweeps: 3, StopExits: 2, Fallbacks: 1}
+	tally := KernelTally{Sweeps: 3, StopExits: 2}
 	tally.Flush()
 	if tally != (KernelTally{}) {
 		t.Fatalf("tally not zeroed: %+v", tally)
 	}
 	after := KernelStats()
 	if after.BlockSweeps-before.BlockSweeps != 3 ||
-		after.StopPointExits-before.StopPointExits != 2 ||
-		after.ScalarFallbacks-before.ScalarFallbacks != 1 {
+		after.StopPointExits-before.StopPointExits != 2 {
 		t.Fatalf("counters did not advance: before %+v after %+v", before, after)
 	}
 }

@@ -110,6 +110,16 @@ func RelStrictlyDominates(r Rel, delta mask.Mask) bool {
 	return r.Lt&delta == delta
 }
 
+// Kills is the removal predicate of every skyline filter on r = Compare(q, p)
+// (or CompareIn over δ): building S⁺_δ (strict) removes p on q ≺≺_δ p,
+// building S_δ removes it on q ≺_δ p.
+func Kills(r Rel, delta mask.Mask, strict bool) bool {
+	if strict {
+		return RelStrictlyDominates(r, delta)
+	}
+	return RelDominates(r, delta)
+}
+
 // MaskTest evaluates Equation 1 of the paper (Appendix B.2): given the
 // relationships of p and q to a common pivot π — bPivP = B_{π≤p},
 // bPivQ = B_{π≤q} — it reports whether p *could* dominate q in δ. A false

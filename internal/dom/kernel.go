@@ -1,52 +1,52 @@
-// Kernel configuration and counters for the block dominance layer.
+// The block/scalar gate and the counters of the block dominance layer.
 //
-// The block kernels (block.go) are a pure performance layer: every caller
-// keeps a scalar path that is bit-for-bit equivalent, selected either by the
-// global configuration below (ablation) or by input size (sparse tails).
-// The configuration lives here, at the bottom of the import graph, so the
-// skyline algorithms, the MDMC template, the cluster merge and the serving
-// binaries can all consult one switch without new dependencies.
+// The block kernels (block.go) are a pure performance layer: every filter
+// that uses them keeps a scalar loop that is bit-for-bit equivalent, and
+// which of the two runs is decided here, once, from what the call can
+// observe about its input — never by a caller, a flag or a global. The gate
+// sits at the bottom of the import graph so the skyline algorithms and the
+// cluster merge ask the same function.
 package dom
 
 import "sync/atomic"
 
-// KernelConfig selects between the block dominance kernels and the scalar
-// reference path. The zero value enables everything.
-type KernelConfig struct {
-	// DisableBlocks forces every filter/refine loop onto the scalar
-	// dom.Compare path (the -no-block-kernel ablation).
-	DisableBlocks bool
-	// DisableStopPoints keeps the block kernels but scans every block,
-	// ignoring the sorted δ-sum stop point (the -no-stop-points ablation).
-	DisableStopPoints bool
-}
-
-var (
-	disableBlocks     atomic.Bool
-	disableStopPoints atomic.Bool
+// The two thresholds of the gate, as measured for BENCH_kernel.json (4 096
+// uniform points, amd64): below 64 lanes there is not one full verdict word
+// to sweep, so projecting into a block and setting it up is pure overhead;
+// and a BNL window in a subspace narrower than 5 dimensions is dense with
+// dominators, so the scalar loop exits on its first comparisons — blocks
+// lose 1.7× at d = 4 and win 2.9×/5.6× at d = 6/8. Making blocks win below
+// either line is ROADMAP item 3; this is the one gate that work then moves.
+const (
+	blockMinLanes = 64
+	blockMinWidth = 5
 )
 
-// SetKernelConfig installs the process-wide kernel configuration. Safe for
-// concurrent use; builds in flight may mix modes across points, which is
-// harmless because the modes are result-equivalent.
-func SetKernelConfig(c KernelConfig) {
-	disableBlocks.Store(c.DisableBlocks)
-	disableStopPoints.Store(c.DisableStopPoints)
-}
+// Shape is how a filter meets its candidates, the third input of UseBlocks.
+type Shape uint8
 
-// Kernels returns the current kernel configuration.
-func Kernels() KernelConfig {
-	return KernelConfig{
-		DisableBlocks:     disableBlocks.Load(),
-		DisableStopPoints: disableStopPoints.Load(),
+const (
+	// Probe tests each point against a complete candidate set (skyline
+	// merges, witness filters). Such scans rarely end early, so width does
+	// not matter; over a data.SortedBlocksOf-ordered set they pass
+	// useStop = true to BlocksAnyDominator.
+	Probe Shape = iota
+	// Window tests each point against the survivors so far, in ascending
+	// δ-sum order (BNL). A stop point cannot fire there — every lane was
+	// appended before the probe and sums to no more — so useStop is false.
+	Window
+)
+
+// UseBlocks reports whether a filter over `lanes` candidates in a subspace of
+// `width` dimensions runs the block kernels, and counts a scalar fallback
+// when it does not.
+func UseBlocks(lanes, width int, shape Shape) bool {
+	if lanes >= blockMinLanes && (shape == Probe || width >= blockMinWidth) {
+		return true
 	}
+	kcFallbacks.Add(1)
+	return false
 }
-
-// BlocksEnabled reports whether the block kernels are active.
-func BlocksEnabled() bool { return !disableBlocks.Load() }
-
-// StopPointsEnabled reports whether sorted stop-point termination is active.
-func StopPointsEnabled() bool { return !disableStopPoints.Load() }
 
 // KernelCounters is a snapshot of the process-wide kernel activity counters,
 // exported as the skycube_kernel_* metric family.
@@ -56,8 +56,7 @@ type KernelCounters struct {
 	// StopPointExits counts scans terminated early because the next block's
 	// minimum δ-sum proved no later candidate could dominate.
 	StopPointExits uint64
-	// ScalarFallbacks counts filter calls that ran the scalar path while
-	// blocks were enabled (inputs below the block threshold).
+	// ScalarFallbacks counts filter calls UseBlocks sent to the scalar path.
 	ScalarFallbacks uint64
 }
 
@@ -77,7 +76,6 @@ func KernelStats() KernelCounters {
 type KernelTally struct {
 	Sweeps    uint64
 	StopExits uint64
-	Fallbacks uint64
 }
 
 // Flush adds the tally into the global counters and zeroes it.
@@ -89,9 +87,5 @@ func (t *KernelTally) Flush() {
 	if t.StopExits != 0 {
 		kcStops.Add(t.StopExits)
 		t.StopExits = 0
-	}
-	if t.Fallbacks != 0 {
-		kcFallbacks.Add(t.Fallbacks)
-		t.Fallbacks = 0
 	}
 }

@@ -40,16 +40,7 @@ func ComputeGGS(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.M
 	}
 	ext := ggsFilter(dev, ds, rows, delta, true, stats)
 	sky := ggsFilter(dev, ds, ext, delta, false, stats)
-	extOnly := make([]int32, 0, len(ext)-len(sky))
-	j := 0
-	for _, v := range ext {
-		if j < len(sky) && sky[j] == v {
-			j++
-			continue
-		}
-		extOnly = append(extOnly, v)
-	}
-	return skyline.Result{Skyline: sky, ExtOnly: extOnly}
+	return skyline.Result{Skyline: sky, ExtOnly: skyline.DiffSorted(ext, sky)}
 }
 
 // ggsBlock is the number of candidate points confirmed per iteration.
@@ -103,7 +94,7 @@ func ggsFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.Ma
 					// work-inefficiency SkyAlign's mask tests avoid.
 					b.LoadScattered(1, 4*len(dims))
 					b.Instr(len(dims))
-					if killsRel(dom.CompareIn(ds.Point(int(rows[c])), pp, delta), delta, strict) {
+					if dom.Kills(dom.CompareIn(ds.Point(int(rows[c])), pp, delta), delta, strict) {
 						ok = false
 						break
 					}

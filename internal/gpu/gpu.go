@@ -75,16 +75,7 @@ func Compute(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.Mask
 	}
 	ext := deviceFilter(dev, ds, rows, delta, true, stats)
 	sky := deviceFilter(dev, ds, ext, delta, false, stats)
-	extOnly := make([]int32, 0, len(ext)-len(sky))
-	j := 0
-	for _, v := range ext {
-		if j < len(sky) && sky[j] == v {
-			j++
-			continue
-		}
-		extOnly = append(extOnly, v)
-	}
-	return skyline.Result{Skyline: sky, ExtOnly: extOnly}
+	return skyline.Result{Skyline: sky, ExtOnly: skyline.DiffSorted(ext, sky)}
 }
 
 // deviceTileSize is the number of points consumed per kernel launch.
@@ -104,29 +95,7 @@ func deviceFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask
 	}
 	d := ds.Dims
 	dims := mask.Dims(delta)
-	med, quart := subspacePivots(ds, rows, dims)
-	medM := make([]mask.Mask, n)
-	quartM := make([]mask.Mask, n)
-	sum := make([]float32, n)
-	for k, p := range rows {
-		pt := ds.Point(int(p))
-		var m, q mask.Mask
-		var s float32
-		for idx, j := range dims {
-			v := pt[j]
-			s += v
-			half := 1
-			if v < med[idx] {
-				m |= 1 << uint(j)
-				half = 0
-			}
-			if v < quart[half][idx] {
-				q |= 1 << uint(j)
-			}
-		}
-		medM[k], quartM[k], sum[k] = m, q, s
-	}
-	ord := data.SumOrder(sum, rows)
+	medM, quartM, _, ord := skyline.HybridPrepare(ds, rows, dims)
 
 	// Input upload: the cuboid's (reduced) rows and labels cross PCIe once.
 	stats.Add(gpusim.Transfer(n * (d*4 + 8)))
@@ -183,7 +152,7 @@ func deviceFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask
 					b.LoadScattered(1, 4*len(dims))
 					b.Instr(len(dims))
 					r := dom.CompareIn(ds.Point(int(rows[resIdx[e]])), pp, delta)
-					if killsRel(r, delta, strict) {
+					if dom.Kills(r, delta, strict) {
 						ok = false
 						break
 					}
@@ -220,14 +189,6 @@ func deviceFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask
 	return survivors
 }
 
-// killsRel evaluates the removal predicate on a δ-projected relationship.
-func killsRel(r dom.Rel, delta mask.Mask, strict bool) bool {
-	if strict {
-		return r.Lt&delta == delta
-	}
-	return r.Eq&delta != delta && (r.Lt|r.Eq)&delta == delta
-}
-
 // intraTile removes points dominated within their own tile.
 func intraTile(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
 	out := rows[:0]
@@ -238,7 +199,7 @@ func intraTile(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []i
 			if i == j {
 				continue
 			}
-			if killsRel(dom.CompareIn(ds.Point(int(q)), pp, delta), delta, strict) {
+			if dom.Kills(dom.CompareIn(ds.Point(int(q)), pp, delta), delta, strict) {
 				dead = true
 				break
 			}
@@ -248,26 +209,6 @@ func intraTile(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []i
 		}
 	}
 	return out
-}
-
-// subspacePivots mirrors the Hybrid pivot computation over only δ's dims.
-func subspacePivots(ds *data.Dataset, rows []int32, dims []int) (med []float32, quart [2][]float32) {
-	med = make([]float32, len(dims))
-	quart[0] = make([]float32, len(dims))
-	quart[1] = make([]float32, len(dims))
-	col := make([]float32, len(rows))
-	for idx, j := range dims {
-		for i, p := range rows {
-			col[i] = ds.Value(int(p), j)
-		}
-		n := len(col)
-		q3 := min(3*n/4, n-1)
-		data.SelectRanks(col, n/4, n/2, q3)
-		med[idx] = col[n/2]
-		quart[0][idx] = col[n/4]
-		quart[1][idx] = col[q3]
-	}
-	return med, quart
 }
 
 // BlockThreads returns the MDMC block size for dimensionality d: as the

@@ -51,7 +51,7 @@ func (m *KernelMetrics) Sync(sweeps, stops, scalarFB uint64) {
 	}
 	if dFB > 0 {
 		m.reg.CounterM("skycube_kernel_scalar_fallbacks_total",
-			"Dominance filters that ran the scalar path with block kernels enabled (input below the block threshold or instrumented caller).").
+			"Dominance filter calls the block/scalar gate sent to the scalar loop (input too small, or a BNL window too narrow, for blocks to win).").
 			Add(float64(dFB))
 	}
 }

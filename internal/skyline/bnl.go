@@ -9,17 +9,20 @@ import (
 )
 
 // bnlFilter is the window-based block-nested-loop skyline (Börzsönyi et
-// al.): each point is compared against the current window of undominated
-// candidates; dominated points are dropped, and points dominated by a new
-// arrival are evicted. It is the correctness reference and the recursion
-// leaf of the pivot algorithm.
+// al.), over a sum-sorted SoA window or the scalar window as dom.UseBlocks
+// decides; both return the same rows, sorted ascending.
 func bnlFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
-	if dom.BlocksEnabled() {
-		if len(rows) >= blockMinRows && len(mask.Dims(delta)) >= blockMinDims {
-			return bnlBlockFilter(ds, rows, delta, strict)
-		}
-		scalarFallback()
+	if dom.UseBlocks(len(rows), mask.Count(delta), dom.Window) {
+		return bnlBlockFilter(ds, rows, delta, strict)
 	}
+	return bnlScalarFilter(ds, rows, delta, strict)
+}
+
+// bnlScalarFilter compares each point against the current window of
+// undominated candidates; dominated points are dropped, and points dominated
+// by a new arrival are evicted. It is the correctness reference and the
+// recursion leaf of the pivot algorithm.
+func bnlScalarFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
 	window := make([]int32, 0, 16)
 	for _, p := range rows {
 		pp := ds.Point(int(p))
@@ -27,13 +30,13 @@ func bnlFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []i
 		w := 0
 		for _, q := range window {
 			r := dom.Compare(ds.Point(int(q)), pp)
-			if kills(r, delta, strict) {
+			if dom.Kills(r, delta, strict) {
 				dead = true
 				break
 			}
 			// Keep q unless p kills it.
 			rq := dom.Rel{Lt: invertLt(r, delta), Eq: r.Eq}
-			if !kills(rq, delta, strict) {
+			if !dom.Kills(rq, delta, strict) {
 				window[w] = q
 				w++
 			}
@@ -46,15 +49,6 @@ func bnlFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []i
 	}
 	slices.Sort(window)
 	return window
-}
-
-// kills reports whether the relationship r = Compare(q, p) removes p under
-// the mode: strict removes on q ≺≺_δ p, otherwise on q ≺_δ p.
-func kills(r dom.Rel, delta mask.Mask, strict bool) bool {
-	if strict {
-		return dom.RelStrictlyDominates(r, delta)
-	}
-	return dom.RelDominates(r, delta)
 }
 
 // invertLt derives B_{p<q} from Compare(q, p) restricted to δ: p < q

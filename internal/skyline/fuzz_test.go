@@ -43,7 +43,7 @@ func fuzzDataset(raw []byte) *data.Dataset {
 // reference, the pivot-partitioned BSkyTree, the tiled multicore Hybrid and
 // the divide-and-conquer PSkyline — agree on the skyline and the extended
 // skyline of arbitrary (tie-heavy) inputs, in the full space and in every
-// subspace.
+// subspace, and that the block and scalar window filters do.
 func FuzzSkylineEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 0})
 	f.Add([]byte{3, 0xff, 0x00, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80,
@@ -54,8 +54,17 @@ func FuzzSkylineEquivalence(f *testing.F) {
 			t.Skip("too few bytes for a dataset")
 		}
 		algos := []Algo{AlgoBSkyTree, AlgoHybrid, AlgoPSkyline}
+		rows := allRows(ds.N)
 		for _, delta := range mask.Subspaces(ds.Dims) {
 			ref := Compute(ds, nil, delta, AlgoBNL, 1)
+			// The window filter's two forms, past the gate: n ≤ 256 and
+			// d ≤ 5 put inputs on both sides of each threshold.
+			for _, strict := range []bool{true, false} {
+				blk, sc := bnlBlockFilter(ds, rows, delta, strict), bnlScalarFilter(ds, rows, delta, strict)
+				if !reflect.DeepEqual(blk, sc) {
+					t.Fatalf("BNL δ=%0*b strict=%v: block window keeps %v, scalar %v", ds.Dims, delta, strict, blk, sc)
+				}
+			}
 			for _, algo := range algos {
 				got := Compute(ds, nil, delta, algo, 2)
 				if !reflect.DeepEqual(got.Skyline, ref.Skyline) {

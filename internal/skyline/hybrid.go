@@ -29,24 +29,20 @@ func hybridFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 		return pivotFilter(ds, rows, delta, strict)
 	}
 	dims := mask.Dims(delta)
-	medM, quartM, sum, ord := hybridPrepare(ds, rows, dims)
+	medM, quartM, sum, ord := HybridPrepare(ds, rows, dims)
 	n := len(rows)
 
+	// Group members live in small SoA blocks appended in tile (= ascending
+	// δ-sum) order, so phase A is one kernel sweep per group and meets the
+	// likeliest dominators first. No stop point: a group holds only members
+	// of earlier tiles, which sum to no more than the probe.
 	type group struct {
 		med, quart mask.Mask
-		members    []int32        // indices into rows (scalar path)
-		bs         *data.BlockSet // sum-ordered SoA members (block path)
+		bs         *data.BlockSet
 	}
 	var groups []group
 	groupIdx := make(map[uint64]int)
 	survivors := make([]int32, 0, n/4)
-
-	// Block path: group members live in small SoA blocks appended in tile
-	// (= ascending δ-sum) order, so one kernel sweep replaces the scalar
-	// member loop of phase A. Both paths test the same membership, so the
-	// phase-A verdicts are identical.
-	useBlocks := dom.BlocksEnabled()
-	useStop := useBlocks && dom.StopPointsEnabled()
 
 	// Per-tile scratch, allocated once: alive flags by tile position, the
 	// BNL input, each kept row's tile position, and one projection buffer per
@@ -66,13 +62,9 @@ func hybridFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 		pq := pqs[w*len(dims):][:len(dims)]
 		for t := lo; t < hi; t++ {
 			k := tile[t]
-			pp := ds.Point(int(rows[k]))
-			if useBlocks {
-				data.ProjectInto(pq, pp, dims)
-			}
+			data.ProjectInto(pq, ds.Point(int(rows[k])), dims)
 			mp, qp := medM[k], quartM[k]
 			ok := true
-		groupLoop:
 			for gi := range groups {
 				g := &groups[gi]
 				// Group members are guaranteed strictly worse than the
@@ -89,19 +81,9 @@ func hybridFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 					ok = false
 					break
 				}
-				if useBlocks {
-					if dom.BlocksAnyDominator(g.bs, pq, sum[k], strict, useStop, &tally) {
-						ok = false
-						break
-					}
-					continue
-				}
-				for _, m := range g.members {
-					r := dom.Compare(ds.Point(int(rows[m])), pp)
-					if kills(r, delta, strict) {
-						ok = false
-						break groupLoop
-					}
+				if dom.BlocksAnyDominator(g.bs, pq, sum[k], strict, false, &tally) {
+					ok = false
+					break
 				}
 			}
 			alive[t] = ok
@@ -148,31 +130,22 @@ func hybridFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 			gi, exists := groupIdx[key]
 			if !exists {
 				gi = len(groups)
-				groups = append(groups, group{med: medM[k], quart: quartM[k]})
-				if useBlocks {
-					groups[gi].bs = data.NewBlockSet(len(dims), 64)
-				}
+				groups = append(groups, group{med: medM[k], quart: quartM[k], bs: data.NewBlockSet(len(dims), 64)})
 				groupIdx[key] = gi
-			}
-			if !useBlocks {
-				groups[gi].members = append(groups[gi].members, k)
 			}
 			survivors = append(survivors, rows[k])
 		}
-		if useBlocks {
-			// Block members must be appended in tile order: kept is
-			// row-sorted, but the stop-point invariant needs each group's
-			// lanes in non-decreasing δ-sum order across all tiles.
-			pq := pqs[threads*len(dims):][:len(dims)]
-			for t, k := range tile {
-				if !alive[t] {
-					continue
-				}
-				r := rows[k]
-				g := &groups[groupIdx[uint64(medM[k])<<32|uint64(quartM[k])]]
-				data.ProjectInto(pq, ds.Point(int(r)), dims)
-				g.bs.Append(pq, r, sum[k])
+		// Members are appended in tile order, not kept's row order: each
+		// group's lanes stay in non-decreasing δ-sum order across all tiles.
+		pq := pqs[threads*len(dims):][:len(dims)]
+		for t, k := range tile {
+			if !alive[t] {
+				continue
 			}
+			r := rows[k]
+			g := &groups[groupIdx[uint64(medM[k])<<32|uint64(quartM[k])]]
+			data.ProjectInto(pq, ds.Point(int(r)), dims)
+			g.bs.Append(pq, r, sum[k])
 		}
 	}
 
@@ -180,12 +153,14 @@ func hybridFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 	return survivors
 }
 
-// hybridPrepare is everything hybridFilter does before its first dominance
+// HybridPrepare is everything hybridFilter does before its first dominance
 // test, all of it linear in len(rows): the global two-level labels over only
 // the relevant dimensions (§5.1: partition on the subspace's dimensions when
 // hooked into a cuboid), each row's δ-sum, and the tile order — L1 norm
 // ascending, ties by row for determinism. All four are indexed like rows.
-func hybridPrepare(ds *data.Dataset, rows []int32, dims []int) (medM, quartM []mask.Mask, sum []float32, ord []int32) {
+// Exported because the simulated-device filter (internal/gpu) and the memsim
+// probes (internal/counters) run this prologue, not a copy of it.
+func HybridPrepare(ds *data.Dataset, rows []int32, dims []int) (medM, quartM []mask.Mask, sum []float32, ord []int32) {
 	med, quart := subspacePivots(ds, rows, dims)
 	n := len(rows)
 	medM = make([]mask.Mask, n)

@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"skycube/internal/data"
-	"skycube/internal/dom"
 	"skycube/internal/gen"
 	"skycube/internal/mask"
 )
 
 // benchFilterDataset builds a correlated-ish uniform dataset large enough
-// that bnlFilter takes the block path (n ≫ blockMinRows).
+// that bnlFilter takes the block path.
 func benchFilterDataset(n, d int) (*data.Dataset, []int32, mask.Mask) {
 	rng := rand.New(rand.NewSource(7))
 	rows := make([][]float32, n)
@@ -30,17 +29,13 @@ func benchFilterDataset(n, d int) (*data.Dataset, []int32, mask.Mask) {
 	return ds, idx, mask.Full(d)
 }
 
-// benchBNL runs the window filter end to end under the given kernel config,
-// restoring the default afterwards.
-func benchBNL(b *testing.B, d int, cfg dom.KernelConfig) {
-	prev := dom.Kernels()
-	dom.SetKernelConfig(cfg)
-	defer dom.SetKernelConfig(prev)
+// benchBNL runs one form of the window filter end to end.
+func benchBNL(b *testing.B, d int, filter func(*data.Dataset, []int32, mask.Mask, bool) []int32) {
 	ds, idx, delta := benchFilterDataset(4096, d)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := bnlFilter(ds, idx, delta, false)
+		out := filter(ds, idx, delta, false)
 		if len(out) == 0 {
 			b.Fatal("empty skyline")
 		}
@@ -48,19 +43,18 @@ func benchBNL(b *testing.B, d int, cfg dom.KernelConfig) {
 }
 
 // BenchmarkBNLFilterBlocks is the build-path counterpart of the dom
-// microbenchmarks: the whole BNL window filter with the block kernels (and
-// stop points) on. Widths start at blockMinDims — below it the filter is
-// structurally scalar.
+// microbenchmarks: the whole BNL window filter as production runs it at
+// these sizes — through the gate, which picks the block kernels here.
 func BenchmarkBNLFilterBlocks(b *testing.B) {
-	b.Run("d=6", func(b *testing.B) { benchBNL(b, 6, dom.KernelConfig{}) })
-	b.Run("d=8", func(b *testing.B) { benchBNL(b, 8, dom.KernelConfig{}) })
+	b.Run("d=6", func(b *testing.B) { benchBNL(b, 6, bnlFilter) })
+	b.Run("d=8", func(b *testing.B) { benchBNL(b, 8, bnlFilter) })
 }
 
-// BenchmarkBNLFilterScalar is the same filter forced onto the scalar
-// per-pair path — the ablation the block speedup is measured against.
+// BenchmarkBNLFilterScalar is the scalar window filter on the same input,
+// called directly — the other side of the measurement behind the gate.
 func BenchmarkBNLFilterScalar(b *testing.B) {
-	b.Run("d=6", func(b *testing.B) { benchBNL(b, 6, dom.KernelConfig{DisableBlocks: true}) })
-	b.Run("d=8", func(b *testing.B) { benchBNL(b, 8, dom.KernelConfig{DisableBlocks: true}) })
+	b.Run("d=6", func(b *testing.B) { benchBNL(b, 6, bnlScalarFilter) })
+	b.Run("d=8", func(b *testing.B) { benchBNL(b, 8, bnlScalarFilter) })
 }
 
 // hybridBenchInputs are the two cuboid shapes the repo's benchmark feeds
@@ -85,7 +79,7 @@ func BenchmarkHybridPreprocess(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, ord := hybridPrepare(ds, rows, dims); len(ord) != in.n {
+				if _, _, _, ord := HybridPrepare(ds, rows, dims); len(ord) != in.n {
 					b.Fatal("short order")
 				}
 			}

@@ -7,8 +7,8 @@
 // Every function here is result-identical to its scalar counterpart — the
 // skyline of a set does not depend on processing order, both paths return
 // rows sorted ascending, and the differential/fuzz harnesses compare them
-// bit for bit. The scalar paths remain both the sparse-input fast path and
-// the oracle.
+// bit for bit. dom.UseBlocks picks between them per call; the scalar paths
+// remain the small-and-narrow-input fast path and the oracle.
 package skyline
 
 import (
@@ -19,32 +19,13 @@ import (
 	"skycube/internal/mask"
 )
 
-// blockMinRows is the input size below which the window filters stay on the
-// scalar path: a sub-block window can't amortise projection and block setup.
-const blockMinRows = 64
-
-// blockMinDims is the subspace width below which the BNL window filter stays
-// scalar. In narrow subspaces dominators are dense, the scalar window loop
-// exits on its first comparisons, and a full 64-lane sweep costs more than
-// it saves (measured: blocks lose ~1.7× at d=4 but win 2–3× from d=6 up);
-// the merge/witness shapes keep the block path at any width because their
-// scans rarely terminate early.
-const blockMinDims = 5
-
-// scalarFallback records one scalar-path filter call taken while the block
-// kernels were enabled (input below blockMinRows) — the skycube_kernel_*
-// fallback counter.
-func scalarFallback() {
-	t := dom.KernelTally{Fallbacks: 1}
-	t.Flush()
-}
-
 // bnlBlockFilter is bnlFilter over a sum-sorted SoA window. Processing in
 // ascending (δ-sum, row) order guarantees a point's dominators — which
 // float32-sum to at most the point's own sum — are already in the window
 // when the point is tested, except for equal-sum dominators still to come;
 // those are handled by the equal-sum tail eviction at append time, mirroring
-// scalar BNL's window eviction.
+// scalar BNL's window eviction. For the same reason a stop point cannot fire:
+// no window block's MinSum exceeds the probe's sum.
 func bnlBlockFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
 	dims := mask.Dims(delta)
 	k := len(dims)
@@ -53,7 +34,6 @@ func bnlBlockFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool
 		sums[i] = data.SumOver(ds.Point(int(r)), dims)
 	}
 
-	useStop := dom.StopPointsEnabled()
 	var tally dom.KernelTally
 	win := data.GetBlockSet(k, data.DefaultBlockSize)
 	defer data.PutBlockSet(win)
@@ -62,7 +42,7 @@ func bnlBlockFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool
 		r := rows[ii]
 		data.ProjectInto(pq, ds.Point(int(r)), dims)
 		s := sums[ii]
-		if dom.BlocksAnyDominator(win, pq, s, strict, useStop, &tally) {
+		if dom.BlocksAnyDominator(win, pq, s, strict, false, &tally) {
 			continue
 		}
 		killEqualSumTail(win, pq, s, strict)
@@ -135,21 +115,20 @@ func skyMergeBlocks(ds *data.Dataset, a, b []int32, delta mask.Mask, strict bool
 	bsB := data.SortedBlocksOf(ds, b, dims, data.DefaultBlockSize)
 	defer data.PutBlockSet(bsB)
 
-	useStop := dom.StopPointsEnabled()
 	var tally dom.KernelTally
 	pq := make([]float32, k)
 	out := make([]int32, 0, len(a)+len(b))
 	for _, p := range a {
 		pp := ds.Point(int(p))
 		data.ProjectInto(pq, pp, dims)
-		if !dom.BlocksAnyDominator(bsB, pq, data.SumOver(pp, dims), strict, useStop, &tally) {
+		if !dom.BlocksAnyDominator(bsB, pq, data.SumOver(pp, dims), strict, true, &tally) {
 			out = append(out, p)
 		}
 	}
 	for _, p := range b {
 		pp := ds.Point(int(p))
 		data.ProjectInto(pq, pp, dims)
-		if !dom.BlocksAnyDominator(bsA, pq, data.SumOver(pp, dims), strict, useStop, &tally) {
+		if !dom.BlocksAnyDominator(bsA, pq, data.SumOver(pp, dims), strict, true, &tally) {
 			out = append(out, p)
 		}
 	}

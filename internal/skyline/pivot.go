@@ -89,7 +89,7 @@ func pivotRecWith(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 		r := dom.Compare(pivPoint, ds.Point(int(p)))
 		// A virtual pivot (piv < 0) is not a data point, so it must not
 		// remove anything: only a real pivot kills.
-		if piv >= 0 && p != piv && kills(r, delta, strict) {
+		if piv >= 0 && p != piv && dom.Kills(r, delta, strict) {
 			progress = true
 			continue
 		}
@@ -131,7 +131,7 @@ func pivotRecWith(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 					continue
 				}
 				r := dom.Compare(ds.Point(int(e.row)), pp)
-				if kills(r, delta, strict) {
+				if dom.Kills(r, delta, strict) {
 					dead = true
 					break
 				}

@@ -124,7 +124,7 @@ func TestQuickSkylineSoundComplete(t *testing.T) {
 					continue
 				}
 				r := dom.Compare(ds.Point(j), ds.Point(i))
-				if kills(r, delta, false) {
+				if dom.Kills(r, delta, false) {
 					dominated = true
 				}
 			}

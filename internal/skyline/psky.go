@@ -64,12 +64,13 @@ func pskyFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, th
 // internally undominated and dominance is transitive, the skyline of the
 // union is exactly the members of each side not dominated by the other.
 func skyMerge(ds *data.Dataset, a, b []int32, delta mask.Mask, strict bool) []int32 {
-	if dom.BlocksEnabled() {
-		if len(a)+len(b) >= blockMinRows {
-			return skyMergeBlocks(ds, a, b, delta, strict)
-		}
-		scalarFallback()
+	if dom.UseBlocks(len(a)+len(b), mask.Count(delta), dom.Probe) {
+		return skyMergeBlocks(ds, a, b, delta, strict)
 	}
+	return skyMergeScalar(ds, a, b, delta, strict)
+}
+
+func skyMergeScalar(ds *data.Dataset, a, b []int32, delta mask.Mask, strict bool) []int32 {
 	out := make([]int32, 0, len(a)+len(b))
 	for _, p := range a {
 		if !killedByAny(ds, b, p, delta, strict) {
@@ -87,7 +88,7 @@ func skyMerge(ds *data.Dataset, a, b []int32, delta mask.Mask, strict bool) []in
 func killedByAny(ds *data.Dataset, qs []int32, p int32, delta mask.Mask, strict bool) bool {
 	pp := ds.Point(int(p))
 	for _, q := range qs {
-		if kills(dom.Compare(ds.Point(int(q)), pp), delta, strict) {
+		if dom.Kills(dom.Compare(ds.Point(int(q)), pp), delta, strict) {
 			return true
 		}
 	}

@@ -105,7 +105,7 @@ func Compute(ds *data.Dataset, rows []int32, delta mask.Mask, algo Algo, threads
 	}
 	ext := filter(ds, rows, delta, true, algo, threads)
 	sky := filter(ds, ext, delta, false, algo, threads)
-	return Result{Skyline: sky, ExtOnly: diffSorted(ext, sky)}
+	return Result{Skyline: sky, ExtOnly: DiffSorted(ext, sky)}
 }
 
 // ExtendedSkyline returns the rows of S⁺_δ.
@@ -153,9 +153,9 @@ func allRows(n int) []int32 {
 	return rows
 }
 
-// diffSorted returns the elements of a (sorted ascending) not present in b
-// (sorted ascending).
-func diffSorted(a, b []int32) []int32 {
+// DiffSorted returns the elements of a (sorted ascending) not present in b
+// (sorted ascending): S⁺_δ \ S_δ from the two filter passes of a cuboid.
+func DiffSorted(a, b []int32) []int32 {
 	out := make([]int32, 0, len(a)-len(b))
 	j := 0
 	for _, v := range a {

@@ -420,10 +420,6 @@ func (k *Solution) RefineInstrumented(p int, memo bool, onLeaf func(skipped bool
 	ds := t.Data
 	pp := ds.Point(p)
 	full := mask.Full(k.ctx.D)
-	// The block path needs exact per-DT accounting off (onDT == nil): a
-	// sweep tests a whole chunk at once, so instrumented callers (the
-	// hardware-counter and GPU-model experiments) keep the scalar loop.
-	blocks := dom.BlocksEnabled() && t.Cols != nil
 	for _, lf := range t.Leaves {
 		if k.remaining == 0 {
 			return
@@ -439,7 +435,10 @@ func (k *Solution) RefineInstrumented(p int, memo bool, onLeaf func(skipped bool
 		if skip {
 			continue
 		}
-		if blocks && onDT == nil {
+		// A block sweep tests a whole chunk at once, so callers that count
+		// each DT (the hardware-counter and GPU-model experiments) keep the
+		// scalar loop.
+		if onDT == nil {
 			if k.refineLeafBlocks(t, int(lf.Start), int(lf.End), p, pp, full, memo) {
 				return
 			}
@@ -502,9 +501,6 @@ func (k *Solution) RefineExternal(pp []float32, medP, quartP, octP mask.Mask, me
 	t := k.ctx.Tree
 	ds := t.Data
 	full := mask.Full(k.ctx.D)
-	// The block sweep has no per-lane liveness hook; with deletions pending
-	// (alive != nil) the scalar loop runs instead.
-	blocks := dom.BlocksEnabled() && t.Cols != nil && alive == nil
 	for _, lf := range t.Leaves {
 		if k.remaining == 0 {
 			return
@@ -517,7 +513,9 @@ func (k *Solution) RefineExternal(pp []float32, medP, quartP, octP mask.Mask, me
 		if optimistic == 0 || (memo && k.notInSPlus.Test(int(optimistic)-1)) {
 			continue
 		}
-		if blocks {
+		// The block sweep has no per-lane liveness hook; with deletions
+		// pending (alive != nil) the scalar loop runs instead.
+		if alive == nil {
 			if k.refineLeafBlocks(t, s, int(lf.End), -1, pp, full, memo) {
 				return
 			}

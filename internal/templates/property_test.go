@@ -120,3 +120,49 @@ func TestQuickFilterIsSound(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The refine hook has a block loop (CompareBlock over leaf chunks) and a
+// scalar loop that callers needing per-DT accounting or a liveness hook get.
+// Called directly on the same task — ties and duplicates, leaves shorter and
+// longer than one 64-lane chunk, memo on and off — both must leave the two
+// solution bitsets bit for bit alike, for tree points and external ones.
+func TestRefineBlocksMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 12; trial++ {
+		d := 3 + trial%5
+		n := []int{40, 200, 900}[trial%3]
+		vals := make([]float32, n*d)
+		for i := range vals {
+			vals[i] = float32(rng.Intn(7))
+		}
+		ctx := PrepareMDMC(data.New(d, vals), 1, 3, 0)
+		blk, sc := NewSolution(ctx), NewSolution(ctx)
+		same := func(what string, p int) {
+			t.Helper()
+			if !reflect.DeepEqual(blk.notInS, sc.notInS) || !reflect.DeepEqual(blk.notInSPlus, sc.notInSPlus) || blk.remaining != sc.remaining {
+				t.Fatalf("trial %d (n=%d d=%d) %s %d: block and scalar refine disagree", trial, n, d, what, p)
+			}
+		}
+		for _, memo := range []bool{true, false} {
+			for p := 0; p < ctx.NumTasks(); p++ {
+				blk.Reset()
+				sc.Reset()
+				blk.Refine(p, memo)
+				sc.RefineInstrumented(p, memo, nil, func() {})
+				same("task", p)
+			}
+			for x := 0; x < 20; x++ {
+				pp := make([]float32, d)
+				for j := range pp {
+					pp[j] = float32(rng.Intn(7))
+				}
+				med, quart, oct := ctx.Tree.Route(pp)
+				blk.Reset()
+				sc.Reset()
+				blk.RefineExternal(pp, med, quart, oct, memo, nil)
+				sc.RefineExternal(pp, med, quart, oct, memo, func(int) bool { return true })
+				same("external point", x)
+			}
+		}
+	}
+}

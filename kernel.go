@@ -2,44 +2,10 @@ package skycube
 
 import "skycube/internal/dom"
 
-// KernelOptions controls the process-wide dominance kernel configuration.
-// The block kernels (SoA bitmask sweeps with sorted stop points, see
-// internal/dom/block.go) are on by default and bit-for-bit equivalent to the
-// scalar paths they replace; the switches exist for ablation studies and as
-// an operational escape hatch.
-type KernelOptions struct {
-	// DisableBlocks forces every dominance path back onto the scalar
-	// per-pair kernels.
-	DisableBlocks bool
-	// DisableStopPoints keeps the block sweeps but removes sort-based
-	// stop-point termination (every block is scanned).
-	DisableStopPoints bool
-}
-
-// SetKernelOptions installs the kernel configuration. It is safe to call
-// concurrently with running builds: in-flight filters read the switches once
-// per call, so every individual result is computed under one coherent
-// setting.
-func SetKernelOptions(o KernelOptions) {
-	dom.SetKernelConfig(dom.KernelConfig{
-		DisableBlocks:     o.DisableBlocks,
-		DisableStopPoints: o.DisableStopPoints,
-	})
-}
-
-// KernelOptionsInEffect returns the currently installed configuration.
-func KernelOptionsInEffect() KernelOptions {
-	c := dom.Kernels()
-	return KernelOptions{
-		DisableBlocks:     c.DisableBlocks,
-		DisableStopPoints: c.DisableStopPoints,
-	}
-}
-
 // KernelCounters is a snapshot of the process-wide kernel activity counters:
 // 64-lane block sweeps executed, scans terminated early by a stop point, and
-// filters that fell back to the scalar path (input below the block
-// threshold, or an instrumented caller that needs per-test accounting).
+// filter calls the block/scalar gate (internal/dom.UseBlocks) sent to the
+// scalar loop because the input was too small or the subspace too narrow.
 type KernelCounters struct {
 	BlockSweeps    uint64
 	StopPointExits uint64

@@ -51,7 +51,11 @@ func TestBuildTraceCoverage(t *testing.T) {
 
 // TestBuildTraceLattice smoke-tests span recording on the lattice paths.
 func TestBuildTraceLattice(t *testing.T) {
-	ds := GenerateSynthetic(Independent, 500, 5, 4)
+	// Coverage is measured from NewTrace, so whatever happens between it and
+	// the build span's start — a preemption, a GC assist — counts as
+	// uncovered. 5 000 × 8 makes every build last a quarter of a second or
+	// more: 1 % of it is longer than a scheduler timeslice.
+	ds := GenerateSynthetic(Independent, 5000, 8, 4)
 	for _, algo := range []Algorithm{STSC, SDSC, PQSkycube, QSkycube} {
 		tr := NewTrace()
 		_, stats, err := Build(ds, Options{Algorithm: algo, Threads: 2, Trace: tr})
@@ -65,8 +69,8 @@ func TestBuildTraceLattice(t *testing.T) {
 				cuboids++
 			}
 		}
-		// One span per non-empty subspace of a 5-d space.
-		if want := 31; cuboids != want {
+		// One span per non-empty subspace of an 8-d space.
+		if want := 255; cuboids != want {
 			t.Errorf("%v: %d cuboid spans, want %d", algo, cuboids, want)
 		}
 		if cov := tr.Coverage(obs.CatBuild, stats.Elapsed); cov < 0.99 {
