@@ -22,6 +22,10 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// View returns a Set of n bits over existing words (⌈n/64⌉ of them, bits
+// beyond n zero) without copying: writes through either are seen by both.
+func View(words []uint64, n int) *Set { return &Set{words: words, n: n} }
+
 // Len returns the number of addressable bits.
 func (s *Set) Len() int { return s.n }
 

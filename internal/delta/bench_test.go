@@ -12,14 +12,14 @@ import (
 
 // BenchmarkFlushInserts measures update throughput (inserts/s) as a
 // function of batch size: each iteration buffers `batch` random points and
-// flushes once, so the per-batch fixed costs — snapshot publication,
-// override maintenance, the reverse pass's walk over the tree — are
-// amortised over more points as the batch grows. The overlay is compacted
-// at the default trigger, as in production, with the clock stopped: the
-// number is the flush's, and the overlay a flush meets stays bounded
-// whatever -benchtime is. cmp/insert is the hardware-independent twin: point
-// pairs compared by phase B and the reverse pass, per insert. The
-// EXPERIMENTS.md update-throughput recipe plots both.
+// flushes once, so the per-batch fixed costs — snapshot publication, the
+// reverse pass's walk over the tree — are amortised over more points as the
+// batch grows. The overlay is compacted at the default trigger, as in
+// production, with the clock stopped: the number is the flush's, and the
+// overlay a flush meets stays bounded whatever -benchtime is. cmp/insert is
+// the hardware-independent twin: point pairs compared by phase B and the
+// reverse pass, per insert. The EXPERIMENTS.md update-throughput recipe plots
+// both.
 func BenchmarkFlushInserts(b *testing.B) {
 	const d = 5
 	for _, batch := range []int{1, 10, 100, 1000} {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"skycube/internal/data"
+	"skycube/internal/dom"
 	"skycube/internal/gen"
 	"skycube/internal/mask"
 	"skycube/internal/qskycube"
@@ -64,7 +65,7 @@ func TestDeleteLemmaContainment(t *testing.T) {
 							continue
 						}
 						shielded := slices.ContainsFunc(victims, func(v int32) bool {
-							return slices.Contains(was, v) && dominatesIn(before.Point(v), before.Point(q), delta)
+							return slices.Contains(was, v) && dom.DominatesIn(before.Point(v), before.Point(q), delta)
 						})
 						if !shielded {
 							t.Fatalf("round %d δ=%b: %d entered S_δ though no member victim dominated it", round, delta, q)
@@ -135,7 +136,7 @@ func TestDeleteMixedBatch(t *testing.T) {
 
 // Victims of every kind the writer tracks: a point added by an earlier
 // batch, a loose point, an outsider, and members of cuboids an earlier
-// delete already overrode.
+// delete already cleared bits in.
 func TestDeleteVictimKinds(t *testing.T) {
 	ds := data.FromRows([][]float32{
 		{1, 1, 1}, // 0 a: strictly dominates m and o
@@ -178,12 +179,12 @@ func TestDeleteVictimKinds(t *testing.T) {
 	})
 	t.Run("a loose point, in overridden cuboids", func(t *testing.T) {
 		r := newLemmaRig(t, ds)
-		r.delete(0) // m and o turn loose; m resurfaces in cuboids now overridden
+		r.delete(0) // m and o turn loose; m resurfaces: an overlay mask off the tree
 		snap := r.flush()
 		if m := snap.Membership(2); m != nil {
 			t.Fatalf("o is behind m, got membership %v", m)
 		}
-		r.delete(1) // a loose member of overridden cuboids
+		r.delete(1) // a loose member, known by its overlay mask alone
 		snap = r.flush()
 		if m := snap.Membership(2); len(m) == 0 {
 			t.Fatal("o did not resurface after m")
@@ -202,7 +203,7 @@ func TestDeleteVictimKinds(t *testing.T) {
 }
 
 // Delete batches back to back over one base: every batch after the first
-// meets cuboids the ones before it overrode.
+// meets masks the ones before it cleared bits in.
 func TestDeleteConsecutiveBatches(t *testing.T) {
 	for _, dist := range []gen.Distribution{gen.Independent, gen.Anticorrelated} {
 		t.Run(fmt.Sprint(dist), func(t *testing.T) {
@@ -219,8 +220,15 @@ func TestDeleteConsecutiveBatches(t *testing.T) {
 				}
 				r.flush()
 			}
-			if len(r.u.Current().cuboids) == 0 {
-				t.Fatal("no cuboid was ever overridden")
+			// A base point that is a member now of a cuboid the base had it
+			// dominated in: some batch cleared that bit.
+			snap := r.u.Current()
+			resurfaced := slices.ContainsFunc(r.live, func(id int32) bool {
+				row, inBase := snap.base.rowOf(id)
+				return inBase && !slices.Equal(snap.Membership(id), snap.base.h.Membership(row))
+			})
+			if !resurfaced {
+				t.Fatal("no point ever resurfaced")
 			}
 		})
 	}
@@ -262,9 +270,14 @@ func TestDeleteEveryMember(t *testing.T) {
 			r.delete(id)
 		}
 		snap := r.flush()
+		for id := int32(0); id < 3; id++ {
+			if m := snap.Membership(id); m != nil {
+				t.Fatalf("deleted %d has membership %v", id, m)
+			}
+		}
 		for delta := mask.Mask(1); int(delta) <= mask.NumSubspaces(d); delta++ {
-			if list, ok := snap.cuboids[delta]; !ok || list == nil || len(list) != 0 {
-				t.Fatalf("δ=%b: an emptied cuboid must publish []int32{}, got %v (present %v)", delta, list, ok)
+			if got := snap.Skyline(delta); got != nil {
+				t.Fatalf("δ=%b: an emptied cuboid must answer nil, got %v", delta, got)
 			}
 		}
 		r.insert(1, 1, 1)

@@ -13,7 +13,7 @@
 //     with exact dominance tests (RefineExternal), yielding its B_{p∉S}
 //     exactly as a build-time point task would — in O(filter + refine)
 //     instead of a full rebuild. The reverse direction (the insert
-//     dominating existing points) reuses that mask: an insert patches only
+//     dominating existing points) reuses that mask: an insert sets bits only in
 //     the subspaces it is itself a skyline member of (the lemma below), so
 //     the ≈ 90 % of inserts that enter no skyline cost nothing more.
 //   - A delete tombstones the victim and re-derives exactly the cuboids in
@@ -25,34 +25,38 @@
 //     subspaces in which the point just lost a dominator; the point then
 //     meets the surviving members, each comparison closing every open
 //     subspace it decides, as an MDMC point task does; and the few (point,
-//     δ) pairs still open are cross-tested per δ. No cuboid is computed from
-//     scratch.
+//     δ) pairs still open are cross-tested per δ. What is left clears its
+//     bit δ. No cuboid is computed from scratch.
 //   - Serving is MVCC: each applied batch publishes a new immutable
-//     Snapshot layering copy-on-write overlays (tombstones, mask patches,
-//     added-point masks, per-cuboid overrides) over a shared immutable
-//     base cube. Readers pin an epoch by loading a pointer and are never
+//     Snapshot layering a copy-on-write overlay over a shared immutable base
+//     cube — tombstones, and the exact current B_{p∉S} of every point whose
+//     mask is not the base's (the paper's HashCube shape, one mask per
+//     point). Readers pin an epoch by loading a pointer and are never
 //     blocked; a bounded history ring keeps recent epochs addressable.
 //   - When the overlay exceeds a configurable fraction of the base, a
 //     compaction rebuilds the base over the live points (scheduled across
 //     the configured devices) and resets the overlay.
+//
+// The one invariant every pass keeps and relies on: at a published epoch
+// every live point's mask — its overlay entry if it has one, the base's row
+// otherwise — is exact. An insert sets bits, a delete clears them, both on a
+// clone of the mask, and an entry appears only when a bit changes.
 //
 // One subtlety deserves a name: the loose set. Points outside the extended
 // skyline S⁺(P) are absent from the static tree, which is sound while
 // their full-space strict dominators live. When a delete kills such a
 // dominator, the outsiders it strictly dominated are promoted to "loose"
 // dominance sources: future inserts must test against them, since the tree
-// no longer vouches for them. Their own memberships need no tracking — a
-// non-member only joins S_δ when a member of S_δ dies, and that cuboid is
-// re-derived exactly. An outsider that is not loose still has a live
-// full-space strict dominator, so it is in no skyline and no pass visits it.
+// no longer vouches for them, and once the delete pass has cleared a bit of
+// one it is an overlay point like any other. An outsider that is not loose
+// still has a live full-space strict dominator, so it is in no skyline and no
+// pass visits it.
 //
 // The lemma the insert path rests on is transitivity: if a live point r
 // dominates the insert p in δ and p dominates q in δ, then r dominates q in
 // δ. So wherever p's own mask has bit δ set, p can teach q nothing in δ: q's
-// bit δ is already set (δ not overridden — r, or the skyline member the
-// chain above r ends in, set it when it arrived, and bits only clear
-// through an override) or q is already absent from the exact list (δ
-// overridden). A batch therefore runs three steps: phase A solves every
+// bit δ is already set — by r, or by the skyline member the chain above r
+// ends in. A batch therefore runs three steps: phase A solves every
 // insert forward against the pre-existing live points; phase B cross-tests
 // only the inserts phase A left open (a closed one can gain nothing, and
 // what it dominates a batch-mate in, its own dominator already does); and
@@ -81,6 +85,7 @@ import (
 
 	"skycube/internal/bitset"
 	"skycube/internal/data"
+	"skycube/internal/dom"
 	"skycube/internal/hashcube"
 	"skycube/internal/hetero"
 	"skycube/internal/mask"
@@ -88,11 +93,15 @@ import (
 	"skycube/internal/templates"
 )
 
-// Defaults for Options fields left zero.
+// DefaultCompactFraction is Options.CompactFraction left zero.
+const DefaultCompactFraction = 0.25
+
 const (
-	DefaultCompactFraction   = 0.25
-	DefaultHistory           = 8
-	DefaultMinCompactOverlay = 64
+	// history is how many recent snapshots stay addressable by epoch (At).
+	history = 8
+	// minCompactOverlay is the overlay size below which auto-compaction
+	// never fires: it avoids rebuild churn on tiny bases.
+	minCompactOverlay = 64
 )
 
 // Options configure an Updater.
@@ -104,19 +113,12 @@ type Options struct {
 	// empty means one CPU device over Threads cores.
 	Devices []hetero.Device
 	// CompactFraction triggers auto-compaction when the overlay entry count
-	// exceeds this fraction of the base's point count. 0 means
-	// DefaultCompactFraction; negative disables the trigger.
+	// (Snapshot.OverlaySize) reaches this fraction of the base's point count.
+	// 0 means DefaultCompactFraction; negative disables the trigger.
 	CompactFraction float64
 	// AutoCompact runs compactions in a background goroutine when the
 	// trigger fires. Without it, compaction only happens via Compact.
 	AutoCompact bool
-	// History is how many recent snapshots stay addressable by epoch for
-	// pinned reads; 0 means DefaultHistory.
-	History int
-	// MinCompactOverlay is the overlay floor below which auto-compaction
-	// never fires (avoids rebuild churn on tiny bases); 0 means
-	// DefaultMinCompactOverlay, negative means no floor.
-	MinCompactOverlay int
 	// Metrics, if non-nil, receives batch/epoch/compaction observations.
 	Metrics *obs.DeltaMetrics
 }
@@ -650,7 +652,7 @@ func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 		u.outsiders, u.loose = map[int32]struct{}{}, map[int32]struct{}{}
 		return &Snapshot{
 			epoch: epoch, d: u.d, ds: header,
-			base: &baseCube{h: u.mctx.Cube, ids: []int32{}, row: map[int32]int32{}},
+			base: &baseCube{h: u.mctx.Cube, ids: []int32{}},
 		}
 	}
 	sub := header
@@ -666,9 +668,13 @@ func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 	hetero.MDMCRunPrepared(ctx, u.devices(), hetero.Tuning{}, nil, nil)
 
 	base := &baseCube{h: ctx.Cube, points: sub.N}
+	base.masks, base.stride = ctx.Cube.RowMasks(sub.N)
 	if !identity {
 		base.ids = sub.IDs
-		base.row = make(map[int32]int32, sub.N)
+		base.row = make([]int32, u.n)
+		for id := range base.row {
+			base.row[id] = -1
+		}
 		for r, id := range sub.IDs {
 			base.row[id] = int32(r)
 		}
@@ -704,10 +710,10 @@ func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 }
 
 // applyLocked applies the buffered batch: tombstone deletes first, then
-// solve inserts against the post-delete live set, then re-derive exactly
-// the cuboids the victims were members of — kept members, the points the
-// victims shielded, the batch's member inserts — so the overrides are exact
-// at the new epoch. Caller holds u.mu.
+// solve inserts against the post-delete live set and let them set bits in
+// the points they dominate, then clear bits in the points the victims
+// shielded — so every live point's mask is exact at the new epoch. Caller
+// holds u.mu.
 func (u *Updater) applyLocked() *Snapshot {
 	prev := u.cur.Load()
 	u.pendMu.Lock()
@@ -806,7 +812,8 @@ func (u *Updater) applyLocked() *Snapshot {
 	}
 
 	// Copy-on-write overlay clones. Individual bitsets stay shared with
-	// prev; the reverse pass replaces a point's set only when it grows.
+	// prev; a pass replaces a point's set by a changed clone. Victims leave
+	// masks: a tombstone says all there is to say about one.
 	tomb := make(map[int32]struct{}, len(prev.tomb)+len(victims))
 	for id := range prev.tomb {
 		tomb[id] = struct{}{}
@@ -814,38 +821,35 @@ func (u *Updater) applyLocked() *Snapshot {
 	for _, v := range victims {
 		tomb[v] = struct{}{}
 	}
-	added := make(map[int32]*bitset.Set, len(prev.added)+len(lives))
-	for id, m := range prev.added {
-		added[id] = m
-	}
-	patched := make(map[int32]*bitset.Set, len(prev.patched))
-	for id, m := range prev.patched {
-		patched[id] = m
-	}
-	cuboids := make(map[mask.Mask][]int32, len(prev.cuboids)+len(affected))
-	for delta, list := range prev.cuboids {
-		cuboids[delta] = list
-	}
-
-	// Dominance sources beyond the tree: earlier added points and loose
-	// outsiders, both restricted to live. Earlier added points that are
-	// still members somewhere are also reverse-pass targets.
-	var extras, addedTargets []int32
-	for id, m := range prev.added {
-		if _, dead := u.dead[id]; dead {
+	// Dominance sources beyond the tree: earlier inserted points and loose
+	// outsiders, both restricted to live. The ones that are still members
+	// somewhere — an inserted point, or a loose one a delete resurfaced — are
+	// also reverse-pass targets, and all of those have an entry in masks.
+	masks := make(map[int32]*bitset.Set, len(prev.masks)+len(lives))
+	var extras, offTree []int32
+	for id, m := range prev.masks {
+		if _, victim := deleted[id]; victim {
 			continue
 		}
-		extras = append(extras, id)
-		if !m.All() {
-			addedTargets = append(addedTargets, id)
-		}
-	}
-	for id := range u.loose {
-		if _, dead := u.dead[id]; !dead {
+		masks[id] = m
+		if _, inBase := prev.base.rowOf(id); !inBase {
 			extras = append(extras, id)
 		}
 	}
+	for id := range u.loose {
+		extras = append(extras, id)
+	}
 	slices.Sort(extras)
+	for _, id := range extras {
+		if m := masks[id]; m != nil && !m.All() {
+			offTree = append(offTree, id)
+		}
+	}
+	snap := &Snapshot{
+		epoch: prev.epoch + 1, d: u.d, ds: u.datasetHeader(),
+		base: prev.base, tomb: tomb, masks: masks,
+		live: prev.live + len(lives) - len(victims),
+	}
 
 	// Phase A: each live insert's B_{p∉S} against the pre-existing live
 	// points. Phase B: the batch's own inserts against each other. What is
@@ -855,7 +859,7 @@ func (u *Updater) applyLocked() *Snapshot {
 	results := u.solveInserts(lives, extras)
 	members := u.crossTest(lives, results)
 	for i, pi := range lives {
-		added[pi.id] = results[i]
+		masks[pi.id] = results[i]
 	}
 	// The live tree points are targets of both passes below; a batch with
 	// neither member inserts nor member victims runs neither.
@@ -868,62 +872,24 @@ func (u *Updater) applyLocked() *Snapshot {
 			}
 		}
 	}
-	u.reversePass(lives, results, members, liveTree, addedTargets, added, patched)
+	u.reversePass(snap, lives, results, members, liveTree, offTree)
 
-	// An affected cuboid starts from its kept list — the old members minus
-	// the victims; a cuboid, or a whole dataset, the batch empties keeps an
-	// empty list, never a missing one.
-	for delta := range affected {
-		old := prev.Skyline(delta)
-		kept := make([]int32, 0, len(old))
-		for _, id := range old {
-			if _, dead := u.dead[id]; !dead {
-				kept = append(kept, id)
+	// With tombstones, insert masks and the reverse pass in it, snap answers
+	// Skyline(δ) with the surviving members of an affected cuboid. What is
+	// missing is the pre-existing points the victims shielded (the delete
+	// lemma): each clears its bit δ.
+	cleared := make(map[int32]*bitset.Set)
+	for delta, ids := range u.resolveDeletes(snap, shields, affected, liveTree, extras) {
+		for _, id := range ids {
+			m := cleared[id]
+			if m == nil {
+				m = snap.mask(id).Clone()
+				cleared[id], masks[id] = m, m
 			}
+			m.Clear(int(delta) - 1)
 		}
-		cuboids[delta] = kept
 	}
 
-	// Fold the inserts into every override list: drop members an insert now
-	// dominates, add inserts that are members there. By the insert lemma
-	// only an insert that is itself a member of δ can dominate a member of
-	// the exact list.
-	var in []int
-	for delta, list := range cuboids {
-		in = in[:0]
-		for _, i := range members {
-			if !results[i].Test(int(delta) - 1) {
-				in = append(in, i)
-			}
-		}
-		if len(in) == 0 {
-			continue
-		}
-		newList := make([]int32, 0, len(list)+len(in))
-		for _, qid := range list {
-			q := u.point(qid)
-			if !slices.ContainsFunc(in, func(i int) bool { return dominatesIn(lives[i].point, q, delta) }) {
-				newList = append(newList, qid)
-			}
-		}
-		for _, i := range in {
-			newList = append(newList, lives[i].id)
-		}
-		cuboids[delta] = newList
-	}
-
-	// The affected lists now hold every surviving member; what is missing is
-	// the pre-existing points the victims shielded (the delete lemma).
-	for delta, ids := range u.resolveDeletes(shields, affected, cuboids, liveTree, extras) {
-		cuboids[delta] = append(cuboids[delta], ids...)
-		slices.Sort(cuboids[delta])
-	}
-
-	snap := &Snapshot{
-		epoch: prev.epoch + 1, d: u.d, ds: u.datasetHeader(),
-		base: prev.base, tomb: tomb, added: added, patched: patched,
-		cuboids: cuboids, live: prev.live + len(lives) - len(victims),
-	}
 	// Commit the epoch marker before publishing: once an epoch is served it
 	// must survive a crash, or recovery could reuse the number for different
 	// content and poison epoch-keyed caches. A commit failure still
@@ -1010,9 +976,9 @@ func (u *Updater) crossTest(lives []pendingInsert, results []*bitset.Set) (membe
 	full := mask.Full(u.d)
 	for x, i := range open {
 		for _, j := range open[x+1:] {
-			lt, eq := cmpMasks(lives[i].point, lives[j].point)
-			teach(results[j], results[i], lt, eq)
-			teach(results[i], results[j], full&^(lt|eq), eq)
+			r := dom.Compare(lives[i].point, lives[j].point)
+			teach(results[j], results[i], r.Lt, r.Eq)
+			teach(results[i], results[j], full&^r.Leq(), r.Eq)
 		}
 	}
 	u.cmps += int64(len(open)) * int64(len(open)-1) / 2
@@ -1047,53 +1013,46 @@ func (u *Updater) eachChunk(n int, work func(claim func() (lo, hi int))) {
 	wg.Wait()
 }
 
-// reversePass grows the overlay masks of existing points the batch's member
-// inserts dominate: per target — live tree points, then addedTargets — it
-// collects what the members teach it into a per-worker scratch set and
-// replaces the target's overlay mask by a grown clone only when that adds a
-// bit. Workers only read the maps; the grown masks are stored afterwards.
-func (u *Updater) reversePass(lives []pendingInsert, results []*bitset.Set, members []int,
-	liveTree, addedTargets []int32, added, patched map[int32]*bitset.Set) {
+// reversePass sets, in the masks of existing points, the bits the batch's
+// member inserts dominate them in: per target — live tree points, then
+// offTree — it collects what the members teach it into a per-worker scratch
+// set and puts a grown clone of the target's mask into snap.masks only when
+// that adds a bit. Workers only read the map; the grown masks are stored
+// afterwards.
+func (u *Updater) reversePass(snap *Snapshot, lives []pendingInsert, results []*bitset.Set,
+	members []int, liveTree, offTree []int32) {
 	if len(members) == 0 {
 		return
 	}
 	nTree := len(liveTree)
-	targets := append(liveTree[:nTree:nTree], addedTargets...)
-	// overlay is where target t's mask lives: patched for a tree point.
-	overlay := func(t int) map[int32]*bitset.Set {
-		if t < nTree {
-			return patched
-		}
-		return added
-	}
+	targets := append(liveTree[:nTree:nTree], offTree...)
 	grown := make([]*bitset.Set, len(targets))
 	u.eachChunk(len(targets), func(claim func() (int, int)) {
 		scratch := bitset.New(mask.NumSubspaces(u.d))
 		for lo, hi := claim(); lo < hi; lo, hi = claim() {
 			for t := lo; t < hi; t++ {
-				q, cur := u.point(targets[t]), overlay(t)[targets[t]]
+				q := u.point(targets[t])
 				scratch.Reset()
 				for _, i := range members {
-					lt, eq := cmpMasks(lives[i].point, q)
-					teach(scratch, results[i], lt, eq)
-				}
-				if cur != nil {
-					scratch.AndNot(cur)
+					r := dom.Compare(lives[i].point, q)
+					teach(scratch, results[i], r.Lt, r.Eq)
 				}
 				if scratch.Count() == 0 {
 					continue
 				}
-				grown[t] = scratch.Clone()
-				if cur != nil {
-					grown[t].Or(cur)
+				cur := snap.mask(targets[t])
+				if scratch.AndNot(cur); scratch.Count() == 0 {
+					continue
 				}
+				grown[t] = scratch.Clone()
+				grown[t].Or(cur)
 			}
 		}
 	})
 	u.cmps += int64(len(members)) * int64(len(targets))
 	for t, m := range grown {
 		if m != nil {
-			overlay(t)[targets[t]] = m
+			snap.masks[targets[t]] = m
 		}
 	}
 }
@@ -1107,20 +1066,21 @@ type shield struct {
 
 // resolveDeletes finds the pre-existing points that enter an affected
 // cuboid because the batch deleted every member that dominated them there
-// (the package comment's delete lemma). lists holds, per affected δ, the
-// surviving members: kept old members and the batch's member inserts.
+// (the package comment's delete lemma). snap is the epoch in the making: its
+// Skyline(δ) holds, per affected δ, the surviving members — kept old members
+// and the batch's member inserts.
 //
 // One pass, parallel over the points that can be members at all — live tree
 // points and extras; an outsider still has a live full-space strict
 // dominator and is in no skyline. Per point q, one comparison per shield
 // yields q's open set: the affected δ in which a member victim dominated it.
-// q then meets the survivors — the union of the lists, strongest first —
+// q then meets the survivors — the union of those skylines, strongest first —
 // and each comparison closes every open δ it decides, until none is left.
 // The (q, δ) still open were dominated in δ by victims alone among the old
 // members, so only each other can keep them out: they are cross-tested per
 // δ, and what remains is returned.
-func (u *Updater) resolveDeletes(shields []shield, affected map[mask.Mask]struct{},
-	lists map[mask.Mask][]int32, liveTree, extras []int32) map[mask.Mask][]int32 {
+func (u *Updater) resolveDeletes(snap *Snapshot, shields []shield, affected map[mask.Mask]struct{},
+	liveTree, extras []int32) map[mask.Mask][]int32 {
 	if len(shields) == 0 {
 		return nil
 	}
@@ -1131,7 +1091,7 @@ func (u *Updater) resolveDeletes(shields []shield, affected map[mask.Mask]struct
 	var survivors []int32
 	var sums []float32
 	for delta := range affected {
-		for _, id := range lists[delta] {
+		for _, id := range snap.Skyline(delta) {
 			if seen[id] {
 				continue
 			}
@@ -1166,9 +1126,9 @@ func (u *Updater) resolveDeletes(shields []shield, affected map[mask.Mask]struct
 				q := u.point(id)
 				closed.Fill()
 				for _, v := range shields {
-					lt, eq := cmpMasks(v.point, q)
+					r := dom.Compare(v.point, q)
 					for _, delta := range v.member {
-						if delta&lt != 0 && delta&^(lt|eq) == 0 {
+						if dom.RelDominates(r, delta) {
 							closed.Clear(int(delta) - 1)
 						}
 					}
@@ -1178,9 +1138,9 @@ func (u *Updater) resolveDeletes(shields []shield, affected map[mask.Mask]struct
 					continue
 				}
 				for _, i := range order {
-					lt, eq := cmpMasks(u.point(survivors[i]), q)
+					r := dom.Compare(u.point(survivors[i]), q)
 					n++
-					if teach(closed, closed, lt, eq); closed.All() {
+					if teach(closed, closed, r.Lt, r.Eq); closed.All() {
 						break
 					}
 				}
@@ -1203,7 +1163,7 @@ func (u *Updater) resolveDeletes(shields []shield, affected map[mask.Mask]struct
 	for delta, cand := range open {
 		dominates := func(a, b int32) bool {
 			cmps++
-			return dominatesIn(u.point(a), u.point(b), delta)
+			return dom.DominatesIn(u.point(a), u.point(b), delta)
 		}
 		slices.Sort(cand)
 		var win []int32
@@ -1222,17 +1182,10 @@ func (u *Updater) resolveDeletes(shields []shield, affected map[mask.Mask]struct
 
 func (u *Updater) publish(snap *Snapshot) {
 	u.cur.Store(snap)
-	keep := u.opt.History
-	if keep == 0 {
-		keep = DefaultHistory
-	}
-	if keep < 1 {
-		keep = 1
-	}
 	u.histMu.Lock()
 	u.hist = append(u.hist, snap)
-	if len(u.hist) > keep {
-		u.hist = u.hist[len(u.hist)-keep:]
+	if len(u.hist) > history {
+		u.hist = u.hist[len(u.hist)-history:]
 	}
 	u.histMu.Unlock()
 }
@@ -1250,12 +1203,8 @@ func (u *Updater) needsCompact(snap *Snapshot) bool {
 	if frac < 0 {
 		return false
 	}
-	floor := u.opt.MinCompactOverlay
-	if floor == 0 {
-		floor = DefaultMinCompactOverlay
-	}
 	ov := snap.OverlaySize()
-	return ov >= floor && float64(ov) >= frac*float64(snap.base.points)
+	return ov >= minCompactOverlay && float64(ov) >= frac*float64(snap.base.points)
 }
 
 func (u *Updater) maybeCompact(snap *Snapshot) {
@@ -1308,18 +1257,6 @@ func teach(dst, src *bitset.Set, lt, eq mask.Mask) {
 	}
 }
 
-// cmpMasks returns the dims where p is strictly below q and where they tie.
-func cmpMasks(p, q []float32) (lt, eq mask.Mask) {
-	for j := range p {
-		if p[j] < q[j] {
-			lt |= 1 << uint(j)
-		} else if p[j] == q[j] {
-			eq |= 1 << uint(j)
-		}
-	}
-	return lt, eq
-}
-
 // strictlyDominatesFull reports a < b on every dimension.
 func strictlyDominatesFull(a, b []float32) bool {
 	for j := range a {
@@ -1328,22 +1265,4 @@ func strictlyDominatesFull(a, b []float32) bool {
 		}
 	}
 	return true
-}
-
-// dominatesIn reports whether a dominates b in subspace delta: a ≤ b on
-// every dim of delta, strictly on at least one.
-func dominatesIn(a, b []float32, delta mask.Mask) bool {
-	strict := false
-	for j := 0; delta != 0; j, delta = j+1, delta>>1 {
-		if delta&1 == 0 {
-			continue
-		}
-		if a[j] > b[j] {
-			return false
-		}
-		if a[j] < b[j] {
-			strict = true
-		}
-	}
-	return strict
 }

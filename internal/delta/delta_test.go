@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"skycube/internal/data"
+	"skycube/internal/dom"
 	"skycube/internal/gen"
 	"skycube/internal/mask"
 )
@@ -20,7 +21,7 @@ func naiveSkyline(pts [][]float32, ids []int32, delta mask.Mask) []int32 {
 	for i, p := range pts {
 		dominated := false
 		for j, q := range pts {
-			if i != j && dominatesIn(q, p, delta) {
+			if i != j && dom.DominatesIn(q, p, delta) {
 				dominated = true
 				break
 			}
@@ -209,11 +210,11 @@ func TestDeleteValidation(t *testing.T) {
 
 // TestEpochPinnedHistory checks MVCC isolation: an old epoch pinned from
 // the history ring keeps serving its old answers verbatim after later
-// batches, and eviction honours the History bound.
+// batches, and the ring evicts beyond its history bound.
 func TestEpochPinnedHistory(t *testing.T) {
 	const d = 4
 	ds := gen.Synthetic(gen.Independent, 150, d, 3)
-	u := NewUpdater(ds, Options{Threads: 2, History: 3})
+	u := NewUpdater(ds, Options{Threads: 2})
 	defer u.Close()
 	full := mask.Full(d)
 	s1 := u.Current()
@@ -223,7 +224,7 @@ func TestEpochPinnedHistory(t *testing.T) {
 	wantSky := s1.Skyline(full)
 	wantMem := s1.Membership(wantSky[0])
 
-	for round := 0; round < 4; round++ {
+	for round := 0; round < history; round++ {
 		if _, err := u.Insert(make([]float32, d)); err != nil { // dominates everything
 			t.Fatal(err)
 		}
@@ -235,14 +236,14 @@ func TestEpochPinnedHistory(t *testing.T) {
 	if got := s1.Membership(wantSky[0]); !reflect.DeepEqual(got, wantMem) {
 		t.Fatalf("pinned epoch 1 membership changed")
 	}
-	if u.Current().Epoch() != 5 {
-		t.Fatalf("epoch after 4 batches: %d", u.Current().Epoch())
+	if u.Current().Epoch() != history+1 {
+		t.Fatalf("epoch after %d batches: %d", history, u.Current().Epoch())
 	}
 	if u.At(1) != nil {
-		t.Fatal("epoch 1 still addressable past History=3")
+		t.Fatalf("epoch 1 still addressable past %d epochs", history)
 	}
-	if s := u.At(4); s == nil || s.Epoch() != 4 {
-		t.Fatal("epoch 4 not addressable")
+	if s := u.At(2); s == nil || s.Epoch() != 2 {
+		t.Fatal("epoch 2, the oldest in the ring, not addressable")
 	}
 	if u.At(99) != nil {
 		t.Fatal("future epoch addressable")
@@ -250,12 +251,11 @@ func TestEpochPinnedHistory(t *testing.T) {
 }
 
 // TestAutoCompactTrigger drives the overlay past an aggressive threshold
-// and waits for the background compactor to fold it into a new base.
+// (and past the minCompactOverlay floor: 5 × 15 entries at least) and waits
+// for the background compactor to fold it into a new base.
 func TestAutoCompactTrigger(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 120, 4, 9)
-	u := NewUpdater(ds, Options{
-		Threads: 2, AutoCompact: true, CompactFraction: 0.01, MinCompactOverlay: -1,
-	})
+	u := NewUpdater(ds, Options{Threads: 2, AutoCompact: true, CompactFraction: 0.01})
 	defer u.Close()
 	rng := rand.New(rand.NewSource(9))
 	live := make([]int32, ds.N)
@@ -263,7 +263,7 @@ func TestAutoCompactTrigger(t *testing.T) {
 		live[i] = int32(i)
 	}
 	for b := 0; b < 5; b++ {
-		for k := 0; k < 10; k++ {
+		for k := 0; k < 20; k++ {
 			p := []float32{rng.Float32(), rng.Float32(), rng.Float32(), rng.Float32()}
 			id, err := u.Insert(p)
 			if err != nil {

@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"skycube/internal/bitset"
 	"skycube/internal/data"
+	"skycube/internal/dom"
 	"skycube/internal/gen"
 	"skycube/internal/mask"
 	"skycube/internal/obs"
@@ -16,8 +18,8 @@ import (
 
 // The tests in this file aim at the edges of the transitivity lemma the
 // insert path rests on (package comment): every flushed snapshot is held
-// against the naive oracle on every subspace and id, and the overlay masks
-// must only ever grow between two epochs over the same base.
+// against the naive oracle on every subspace and id, and its overlay against
+// the package's one invariant (assertOverlayExact).
 
 // lemmaRig is an updater plus the test's own record of the live ids.
 type lemmaRig struct {
@@ -68,39 +70,65 @@ func (r *lemmaRig) members() int {
 	return int(r.reg.CounterM("skycube_delta_member_inserts_total", "").Value())
 }
 
-// flush applies the batch, checks the snapshot against the oracle and the
-// overlay masks against the previous epoch's.
+// flush applies the batch and checks the snapshot against the oracle and
+// its overlay against the invariant.
 func (r *lemmaRig) flush() *Snapshot {
 	r.t.Helper()
 	prev := r.u.Current()
 	snap := r.u.Flush()
 	verifySnapshot(r.t, snap, sortedIDs(r.live))
-	assertMasksGrew(r.t, prev, snap)
+	assertOverlayExact(r.t, prev, snap, r.live)
 	return snap
 }
 
-// assertMasksGrew checks that every patched/added mask of prev is a subset
-// of the same id's mask in cur (same base: no compaction in between).
-func assertMasksGrew(t *testing.T, prev, cur *Snapshot) {
+// assertOverlayExact checks cur's overlay, one flush after prev over the
+// same base (no compaction in between): (a) every entry of masks belongs to
+// a live point and is that point's brute-force B_{p∉S} over the live set;
+// (b) while nothing has been deleted since the base, a base point has an
+// entry only if it differs from the base's mask — an entry is created only
+// when a bit changes, though a delete and a later insert may bring one back
+// to the base value; (c) a flush without victims only sets bits: every entry
+// of prev is still there and a subset of cur's.
+func assertOverlayExact(t *testing.T, prev, cur *Snapshot, live []int32) {
 	t.Helper()
 	if prev.base != cur.base {
 		t.Fatalf("epochs %d and %d are over different bases", prev.epoch, cur.epoch)
 	}
-	subset := func(kind string, was, now map[int32]*bitset.Set) {
-		for id, m := range was {
-			n, ok := now[id]
-			if !ok {
-				t.Fatalf("epoch %d: %s mask of %d vanished", cur.epoch, kind, id)
-			}
-			lost := m.Clone()
-			lost.AndNot(n)
-			if lost.Count() != 0 {
-				t.Fatalf("epoch %d: %s mask of %d lost %d bits", cur.epoch, kind, id, lost.Count())
+	total := mask.NumSubspaces(cur.d)
+	for id, m := range cur.masks {
+		if !cur.Alive(id) {
+			t.Fatalf("epoch %d: overlay mask for %d, which is not alive", cur.epoch, id)
+		}
+		want := bitset.New(total)
+		for delta := mask.Mask(1); int(delta) <= total; delta++ {
+			if slices.ContainsFunc(live, func(q int32) bool {
+				return q != id && dom.DominatesIn(cur.Point(q), cur.Point(id), delta)
+			}) {
+				want.Set(int(delta) - 1)
 			}
 		}
+		if !slices.Equal(m.Words64(), want.Words64()) {
+			t.Fatalf("epoch %d: overlay mask of %d is %b, brute force %b", cur.epoch, id, m.Words64(), want.Words64())
+		}
+		if row, inBase := cur.base.rowOf(id); inBase && len(cur.tomb) == 0 &&
+			slices.Equal(cur.base.mask(row).Words64(), m.Words64()) {
+			t.Fatalf("epoch %d: overlay entry for %d repeats its base mask", cur.epoch, id)
+		}
 	}
-	subset("patched", prev.patched, cur.patched)
-	subset("added", prev.added, cur.added)
+	if len(cur.tomb) != len(prev.tomb) {
+		return
+	}
+	for id, was := range prev.masks {
+		now, ok := cur.masks[id]
+		if !ok {
+			t.Fatalf("epoch %d: overlay mask of %d vanished", cur.epoch, id)
+		}
+		lost := was.Clone()
+		lost.AndNot(now)
+		if lost.Count() != 0 {
+			t.Fatalf("epoch %d: overlay mask of %d lost %d bits in a flush without victims", cur.epoch, id, lost.Count())
+		}
+	}
 }
 
 // gridDataset draws coordinates from {0..levels-1}: ties on every subspace
@@ -179,8 +207,8 @@ func TestLemmaSameBatchChain(t *testing.T) {
 	if got := r.members(); got != 1 {
 		t.Fatalf("member inserts = %d after a dominated insert, want 1", got)
 	}
-	// p1 deleted: p2 resurfaces through the recompute, and a new insert
-	// between them must dominate it again through the override lists.
+	// p1 deleted: p2 resurfaces with bits cleared, and a new insert between
+	// them must set them again — p2 is off the tree, an overlay point.
 	r.delete(p1)
 	r.flush()
 	r.insert(3.5, 3.5, 3.5)
@@ -218,7 +246,7 @@ func TestLemmaDeleteThenInsertOneBatch(t *testing.T) {
 		if got := r.members(); got != 0 {
 			t.Fatalf("member inserts = %d, want 0", got)
 		}
-		// Next batch, over the overridden cuboid: q falls to an insert.
+		// Next batch, over the mask the delete cleared: q falls to an insert.
 		r.insert(1.75, 1.75)
 		r.flush()
 	})
@@ -233,7 +261,7 @@ func TestLemmaDeleteThenInsertOneBatch(t *testing.T) {
 }
 
 // (d) Random mixed batches at d = 8 (255 subspaces, four mask words) and
-// d = 4, with the mask-growth check TestRandomMixedBatchesMatchNaive lacks.
+// d = 4, with the overlay check TestRandomMixedBatchesMatchNaive lacks.
 func TestLemmaRandomBatchesWideAndNarrow(t *testing.T) {
 	for _, d := range []int{4, 8} {
 		for _, dist := range []gen.Distribution{gen.Independent, gen.Anticorrelated} {
@@ -262,8 +290,8 @@ func TestLemmaRandomBatchesWideAndNarrow(t *testing.T) {
 }
 
 // (e) An outsider the tree never held is promoted to loose by the delete of
-// its vouching dominator, resurfaces through the recompute, and is then
-// dominated by an insert.
+// its vouching dominator, resurfaces with an overlay mask of its own, and is
+// then dominated by an insert: the reverse pass must reach it off the tree.
 func TestLemmaLooseOutsiderThenDominated(t *testing.T) {
 	ds := data.FromRows([][]float32{
 		{1, 1, 1}, // a: strictly dominates o in the full space
@@ -329,11 +357,43 @@ func TestFlushCostFollowsMembers(t *testing.T) {
 	if got := reg.CounterM("skycube_delta_inserts_total", "").Value(); got != batch {
 		t.Errorf("skycube_delta_inserts_total = %v, want %d", got, batch)
 	}
-	// The patched overlay against a fresh build over the same points.
+	// The overlay against a fresh build over the same points.
 	fresh := u.Compact()
 	for delta := mask.Mask(1); int(delta) <= mask.NumSubspaces(d); delta++ {
 		if got, want := snap.Skyline(delta), fresh.Skyline(delta); !reflect.DeepEqual(got, want) {
-			t.Fatalf("δ=%b: patched overlay has %d members, fresh build %d", delta, len(got), len(want))
+			t.Fatalf("δ=%b: overlay has %d members, fresh build %d", delta, len(got), len(want))
 		}
+	}
+}
+
+// TestOverlayEntriesFollowChangedMasks pins what one overlay entry means on
+// the benchmark's wide update shape: 100 inserts over 12 000 independent
+// d = 6 points publish the 100 inserts' masks plus one entry per base point
+// that actually lost a membership — not one per tree point a member insert
+// dominates somewhere (1 060 entries before, 960 of them repeating the base).
+func TestOverlayEntriesFollowChangedMasks(t *testing.T) {
+	const d, n, batch = 6, 12000, 100
+	u := NewUpdater(gen.Synthetic(gen.Independent, n, d, 1), Options{Threads: 2})
+	defer u.Close()
+	base := u.Current()
+	extra := gen.Synthetic(gen.Independent, batch, d, 2)
+	for i := 0; i < extra.N; i++ {
+		if _, err := u.Insert(extra.Point(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := u.Flush()
+	changed := 0
+	for id := int32(0); id < n; id++ {
+		if !reflect.DeepEqual(snap.Membership(id), base.Membership(id)) {
+			changed++
+		}
+	}
+	if changed == 0 {
+		t.Fatal("no base point lost a membership: the reverse pass was not exercised")
+	}
+	if got := snap.OverlaySize(); got != batch+changed {
+		t.Fatalf("overlay has %d entries after %d inserts that changed %d base points' memberships, want %d",
+			got, batch, changed, batch+changed)
 	}
 }

@@ -132,78 +132,32 @@ func (h *HashCube) Membership(id int32) []mask.Mask {
 	return out
 }
 
-// Remove deletes every stored occurrence of id — the tombstone hook of
-// incremental maintenance. Removing an id that was never inserted (or whose
-// words were all fully dominated) is a no-op. List order within a key is
-// not preserved: Skyline sorts its output and Membership only scans, so no
-// reader depends on it.
-func (h *HashCube) Remove(id int32) {
+// RowMasks returns B_{p∉S} of rows [0, n) as one flat slice, stride words
+// per row in bitset.Set's layout (wrap a row with bitset.View): one pass over
+// the tables instead of one Membership scan per row. A row absent from a
+// word's table — never inserted, or fully dominated there — reads all ones
+// in that word, so every row's mask is exact.
+func (h *HashCube) RowMasks(n int) (words []uint64, stride int) {
+	full := bitset.New(mask.NumSubspaces(h.D))
+	full.Fill()
+	stride = len(full.Words64())
+	words = make([]uint64, n*stride)
+	for r := 0; r < n; r++ {
+		copy(words[r*stride:], full.Words64())
+	}
 	for w := range h.words {
 		t := &h.words[w]
+		shift := uint(w%2) * WordBits
 		t.mu.Lock()
 		for key, ids := range t.m {
-			for i, v := range ids {
-				if v != id {
-					continue
-				}
-				ids[i] = ids[len(ids)-1]
-				ids = ids[:len(ids)-1]
-				if len(ids) == 0 {
-					delete(t.m, key)
-				} else {
-					t.m[key] = ids
-				}
-				break
+			members := uint64(h.fullWordMask(w)&^key) << shift
+			for _, id := range ids {
+				words[int(id)*stride+w/2] &^= members
 			}
 		}
 		t.mu.Unlock()
 	}
-}
-
-// Patch augments id's stored non-membership mask with the set bits of
-// extra, relocating the id between hash keys: masks only grow under
-// inserts (a new point can only dominate existing points in more
-// subspaces), so the patch ORs per word. A word whose key becomes fully
-// dominated is dropped entirely, preserving the representation's
-// compression invariant; a word from which the id is already absent stays
-// absent (it was fully dominated before, and remains so).
-func (h *HashCube) Patch(id int32, extra *bitset.Set) {
-	for w := range h.words {
-		x := extra.Word32(w)
-		if x == 0 {
-			continue
-		}
-		t := &h.words[w]
-		t.mu.Lock()
-		for key, ids := range t.m {
-			found := false
-			for i, v := range ids {
-				if v != id {
-					continue
-				}
-				found = true
-				nk := key | x
-				if nk == key {
-					break
-				}
-				ids[i] = ids[len(ids)-1]
-				ids = ids[:len(ids)-1]
-				if len(ids) == 0 {
-					delete(t.m, key)
-				} else {
-					t.m[key] = ids
-				}
-				if nk != h.fullWordMask(w) {
-					t.m[nk] = append(t.m[nk], id)
-				}
-				break
-			}
-			if found {
-				break
-			}
-		}
-		t.mu.Unlock()
-	}
+	return words, stride
 }
 
 // IDCount returns the total number of stored ids — the HashCube's

@@ -1,6 +1,7 @@
 package hashcube
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -139,6 +140,52 @@ func TestConcurrentInsert(t *testing.T) {
 	for i := 1; i < len(s2); i++ {
 		if s2[i-1] >= s2[i] {
 			t.Fatal("Skyline ids not sorted")
+		}
+	}
+}
+
+// TestRowMasks holds the per-row accessor against Membership where the word
+// layouts differ: d = 3 (one partial 32-bit word), d = 6 (two 32-bit words in
+// one 64) and d = 7 (multi-word, partial last), with rows that are never
+// inserted and rows dominated everywhere.
+func TestRowMasks(t *testing.T) {
+	for _, d := range []int{3, 6, 7} {
+		total := mask.NumSubspaces(d)
+		rng := rand.New(rand.NewSource(int64(d)))
+		const n = 40
+		h := New(d)
+		for id := int32(0); id < n; id++ {
+			b := bitset.New(total)
+			switch id % 4 {
+			case 0: // never inserted
+				continue
+			case 1: // dominated everywhere: inserted, stored nowhere
+				b.Fill()
+			default:
+				for bit := 0; bit < total; bit++ {
+					if rng.Intn(3) > 0 {
+						b.Set(bit)
+					}
+				}
+			}
+			h.Insert(id, b)
+		}
+		words, stride := h.RowMasks(n)
+		if want := (total + 63) / 64; stride != want || len(words) != n*want {
+			t.Fatalf("d=%d: stride %d over %d words, want %d over %d", d, stride, len(words), want, n*want)
+		}
+		for id := int32(0); id < n; id++ {
+			row := bitset.View(words[int(id)*stride:][:stride], total)
+			var got []mask.Mask
+			for b := row.NextClear(0); b >= 0; b = row.NextClear(b + 1) {
+				got = append(got, mask.Mask(b+1))
+			}
+			if want := h.Membership(id); !reflect.DeepEqual(got, want) {
+				t.Errorf("d=%d row %d: clear bits %v, Membership %v", d, id, got, want)
+			}
+			if row.Count()+len(got) != total {
+				t.Errorf("d=%d row %d: %d bits set beyond the %d subspaces", d, id, row.Count()+len(got)-total, total)
+			}
 		}
 	}
 }

@@ -53,7 +53,7 @@ func (m *DeltaMetrics) Epoch(epoch uint64, live, overlay int) {
 	m.reg.GaugeM("skycube_delta_live_points",
 		"Live points in the current snapshot.").Set(float64(live))
 	m.reg.GaugeM("skycube_delta_overlay_entries",
-		"Overlay entries (tombstones, masks, cuboid overrides) above the base cube.").Set(float64(overlay))
+		"Overlay entries (tombstones and masks) above the base cube.").Set(float64(overlay))
 }
 
 // Compaction records one completed compaction: the full-rebuild wall time

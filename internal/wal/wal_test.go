@@ -621,7 +621,7 @@ func TestConcurrentCommits(t *testing.T) {
 func TestRecoveryIgnoresStaleCompactSignal(t *testing.T) {
 	dir := t.TempDir()
 	ds := gen.Synthetic(gen.Independent, 150, 3, 7)
-	dopt := delta.Options{Threads: 2, AutoCompact: true, CompactFraction: 0.05, MinCompactOverlay: 1}
+	dopt := delta.Options{Threads: 2, AutoCompact: true, CompactFraction: 0.05}
 	wopt := wal.Options{Dir: dir, Fsync: wal.FsyncAlways, CheckpointEvery: -1}
 
 	s, rec, err := wal.Open(wopt)

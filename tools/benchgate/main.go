@@ -9,9 +9,11 @@
 //
 // A benchmark regresses when its best observed ns/op exceeds the baseline's
 // by more than -threshold (default 0.30, the 30%% gate), or when a
-// baseline-zero allocs/op benchmark starts allocating. Benchmarks present in
-// only one of the two sides are reported but never fail the gate, so the
-// baseline does not have to enumerate every bench CI happens to run.
+// baseline-zero allocs/op benchmark starts allocating, or when a custom metric
+// the baseline lists under "exact" (a hardware-independent count such as
+// cmp/delete) reads anything else in any run. Benchmarks present in only one
+// of the two sides are reported but never fail the gate, so the baseline does
+// not have to enumerate every bench CI happens to run.
 //
 // With -count > 1 the minimum per benchmark is compared — the minimum is the
 // least noisy estimator of the true cost on a shared CI runner.
@@ -26,6 +28,7 @@ import (
 	"os"
 	"regexp"
 	"strconv"
+	"strings"
 )
 
 // baselineFile mirrors the committed BENCH_*.json layout.
@@ -40,7 +43,10 @@ type baselineEntry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	Note        string  `json:"note"`
+	// Exact maps the unit of a b.ReportMetric value to the number every run
+	// must print.
+	Exact map[string]float64 `json:"exact"`
+	Note  string             `json:"note"`
 }
 
 // result is the best (minimum ns/op) observation of one benchmark in the
@@ -53,12 +59,14 @@ type result struct {
 	// hasAllocs records whether the line carried -benchmem columns.
 	hasAllocs bool
 	runs      int
+	// values holds every run's value of each unit, b.ReportMetric's included.
+	values map[string][]float64
 }
 
-// benchLine matches one go-test benchmark result line. The -N GOMAXPROCS
-// suffix is stripped from the name; sub-benchmark slashes stay.
-var benchLine = regexp.MustCompile(
-	`^(Benchmark[^\s]+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9]+) allocs/op)?`)
+// benchLine matches one go-test benchmark result line: the name, the
+// iteration count, then "value unit" pairs. The -N GOMAXPROCS suffix is
+// stripped from the name; sub-benchmark slashes stay.
+var benchLine = regexp.MustCompile(`^(Benchmark[^\s]+?)(?:-\d+)?\s+\d+\s+(.+)$`)
 
 var pkgLine = regexp.MustCompile(`^pkg:\s+(\S+)`)
 
@@ -79,29 +87,37 @@ func parseBench(r io.Reader) (map[string]*result, error) {
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %v", line, err)
+		pairs := strings.Fields(m[2])
+		vals := map[string]float64{}
+		for i := 0; i+1 < len(pairs); i += 2 {
+			v, err := strconv.ParseFloat(pairs[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad %s in %q: %v", pairs[i+1], line, err)
+			}
+			vals[pairs[i+1]] = v
+		}
+		ns, ok := vals["ns/op"]
+		if !ok {
+			continue
 		}
 		name := m[1]
 		res := out[name]
 		if res == nil {
-			res = &result{name: name, pkg: pkg, nsPerOp: ns}
+			res = &result{name: name, pkg: pkg, nsPerOp: ns, values: map[string][]float64{}}
 			out[name] = res
 		}
 		res.runs++
 		if ns < res.nsPerOp {
 			res.nsPerOp = ns
 		}
-		if m[4] != "" {
-			allocs, err := strconv.ParseFloat(m[4], 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad allocs/op in %q: %v", line, err)
-			}
+		if allocs, ok := vals["allocs/op"]; ok {
 			if !res.hasAllocs || allocs > res.allocs {
 				res.allocs = allocs // worst-case allocs: they should be deterministic
 			}
 			res.hasAllocs = true
+		}
+		for unit, v := range vals {
+			res.values[unit] = append(res.values[unit], v)
 		}
 	}
 	return out, sc.Err()
@@ -132,6 +148,18 @@ func gate(base []baselineEntry, results map[string]*result, threshold float64) (
 		if res.hasAllocs && b.AllocsPerOp == 0 && res.allocs > 0 {
 			failures = append(failures, fmt.Sprintf(
 				"REGRESSION %-42s allocates %.0f allocs/op, baseline is allocation-free", b.Name, res.allocs))
+		}
+		for unit, want := range b.Exact {
+			got := res.values[unit]
+			if len(got) == 0 {
+				failures = append(failures, fmt.Sprintf("MISSING %-45s reports no %s, baseline pins %v", b.Name, unit, want))
+			}
+			for _, v := range got {
+				if v != want {
+					failures = append(failures, fmt.Sprintf("CHANGED %-45s %s %v, baseline pins %v", b.Name, unit, v, want))
+					break
+				}
+			}
 		}
 	}
 	known := map[string]bool{}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -118,5 +119,38 @@ func TestGatePackageMismatch(t *testing.T) {
 	_, failures := gate(base, results, 0.30)
 	if len(failures) != 1 || !strings.Contains(failures[0], "MISMATCH") {
 		t.Fatalf("failures = %v, want a package mismatch", failures)
+	}
+}
+
+// A baseline entry's exact metrics are counts, not timings: any other value
+// in any run fails, as does a run that no longer reports the unit, while the
+// -benchmem columns after the custom ones are still read.
+func TestGateExactMetric(t *testing.T) {
+	const line = "BenchmarkFlushDeletes/I_d6_n15000-2 \t 200\t 6594343 ns/op\t %s cmp/delete\t 442210 B/op\t 597 allocs/op\n"
+	base := []baselineEntry{{
+		Name: "BenchmarkFlushDeletes/I_d6_n15000", NsPerOp: 6500000, AllocsPerOp: 597,
+		Exact: map[string]float64{"cmp/delete": 2924},
+	}}
+	gateOn := func(out string) []string {
+		results, err := parseBench(strings.NewReader(out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := results[base[0].Name]; res == nil || !res.hasAllocs || res.allocs != 597 {
+			t.Fatalf("result = %+v, want the allocs column read past the custom metric", res)
+		}
+		_, failures := gate(base, results, 0.30)
+		return failures
+	}
+	same := fmt.Sprintf(line, "2924")
+	if failures := gateOn(same + same); len(failures) != 0 {
+		t.Fatalf("identical counts failed the gate: %v", failures)
+	}
+	if failures := gateOn(same + fmt.Sprintf(line, "2925")); len(failures) != 1 || !strings.Contains(failures[0], "CHANGED") {
+		t.Fatalf("failures = %v, want the changed count of the second run", failures)
+	}
+	noMetric := strings.Replace(same, "2924 cmp/delete\t ", "", 1)
+	if failures := gateOn(noMetric); len(failures) != 1 || !strings.Contains(failures[0], "MISSING") {
+		t.Fatalf("failures = %v, want the missing metric", failures)
 	}
 }

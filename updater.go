@@ -40,18 +40,13 @@ type DurableOptions struct {
 // fraction, no background compactor, an 8-epoch history ring.
 type DeltaOptions struct {
 	// CompactFraction triggers compaction when the snapshot's overlay entry
-	// count exceeds this fraction of the base cube's point count. 0 means
-	// 0.25; negative disables the automatic trigger entirely.
+	// count — tombstones plus the masks of inserted and changed points, at
+	// least 64 — reaches this fraction of the base cube's point count. 0
+	// means 0.25; negative disables the automatic trigger entirely.
 	CompactFraction float64
 	// AutoCompact runs triggered compactions in a background goroutine.
 	// Without it, compaction happens only through Updater.Compact.
 	AutoCompact bool
-	// History is how many recent epochs stay addressable through
-	// Updater.At for pinned reads; 0 means 8.
-	History int
-	// MinCompactOverlay is the overlay floor below which auto-compaction
-	// never fires; 0 means 64, negative means no floor.
-	MinCompactOverlay int
 }
 
 // Snapshot is one immutable MVCC epoch of a maintained skycube. It extends
@@ -81,8 +76,9 @@ type UpdaterStats = delta.Stats
 // publishing an immutable Snapshot per applied batch. Inserts are solved
 // as single-point MDMC tasks against the retained static tree; deletes
 // tombstone the victim and re-derive exactly the cuboids it was a skyline
-// member of, re-testing only the points it dominated there. All methods are
-// safe for concurrent use.
+// member of, re-testing only the points it dominated there and clearing that
+// bit in the masks of the ones that resurface. All methods are safe for
+// concurrent use.
 type Updater struct {
 	u *delta.Updater
 	// store is the durability subsystem; nil for in-memory updaters.
@@ -152,13 +148,11 @@ func maintenanceOptions(opt Options) (delta.Options, error) {
 		devices, _ = buildDevices(opt, threads)
 	}
 	return delta.Options{
-		Threads:           threads,
-		Devices:           devices,
-		CompactFraction:   opt.Delta.CompactFraction,
-		AutoCompact:       opt.Delta.AutoCompact,
-		History:           opt.Delta.History,
-		MinCompactOverlay: opt.Delta.MinCompactOverlay,
-		Metrics:           obs.NewDeltaMetrics(opt.Metrics),
+		Threads:         threads,
+		Devices:         devices,
+		CompactFraction: opt.Delta.CompactFraction,
+		AutoCompact:     opt.Delta.AutoCompact,
+		Metrics:         obs.NewDeltaMetrics(opt.Metrics),
 	}, nil
 }
 
@@ -268,7 +262,7 @@ func (up *Updater) Compact() Snapshot { return up.u.Compact() }
 func (up *Updater) Current() Snapshot { return up.u.Current() }
 
 // At returns the snapshot at the given epoch while it remains in the
-// history ring (see DeltaOptions.History).
+// history ring (the last 8 epochs).
 func (up *Updater) At(epoch uint64) (Snapshot, bool) {
 	s := up.u.At(epoch)
 	if s == nil {
