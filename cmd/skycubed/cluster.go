@@ -18,7 +18,7 @@ import (
 )
 
 // shardEndpoints is the banner line every shard-mode variant prints.
-const shardEndpoints = "GET /shard/cuboid?subspace=N, /shard/info, /shard/snapshot, /shard/tail, /skyline, /healthz, /metrics; POST /insert, /delete, /flush"
+const shardEndpoints = "GET /shard/cuboid?subspace=N (binary frame), /shard/info, /shard/snapshot, /shard/tail, /skyline, /healthz, /metrics; POST /insert, /delete, /flush"
 
 // parseIDSegments parses the -id-segments flag: a comma-separated list of
 // start:base:stride triples (e.g. "0:1:2,500:268435456:1").

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"skycube"
+	"skycube/internal/mask"
 	"skycube/internal/obs"
 )
 
@@ -267,4 +268,58 @@ func BenchmarkClusterServeHotPruned(b *testing.B) {
 	})
 	defer done()
 	benchClusterRequest(b, coord, false)
+}
+
+// BenchmarkMergeFrames times the coordinator's merge alone, over frames built
+// once outside the timer from the local skylines of a round-robin partition
+// (through the wire codec, as the gather hands them over), and reports beside
+// the nanoseconds the counts that do not depend on the host: candidates in,
+// ids kept, 64-lane word sweeps. The shapes are the repository benchmark's
+// cluster stages — wide: A d=6 n=10 000, narrow: A d=4 n=50 000, K=2 — plus a
+// 5-d subspace and K=1, where the merge must cost no sweep at all.
+func BenchmarkMergeFrames(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		n, d, k int
+		delta   mask.Mask
+	}{
+		{"A_d6_n10000_K2_full", 10000, 6, 2, mask.Full(6)},
+		{"A_d6_n10000_K2_5d", 10000, 6, 2, mask.Full(5)},
+		{"A_d4_n50000_K2_full", 50000, 4, 2, mask.Full(4)},
+		{"A_d6_n10000_K1_full", 10000, 6, 1, mask.Full(6)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ds := skycube.GenerateSynthetic(skycube.Anticorrelated, c.n, c.d, 103)
+			parts, err := ds.Partition(c.k, skycube.RoundRobinPartition)
+			if err != nil {
+				b.Fatal(err)
+			}
+			frames := make([]*cuboidFrame, c.k)
+			for s, part := range parts {
+				cube, _, err := skycube.Build(part, skycube.Options{Threads: 2})
+				if err != nil {
+					b.Fatal(err)
+				}
+				local := cube.Skyline(skycube.Subspace(c.delta))
+				ids := make([]int32, len(local))
+				for i, row := range local {
+					ids[i] = int32(s) + row*int32(c.k)
+				}
+				wire := encodeCuboidFrame(c.delta, 1, 0, ids, func(i int) []float32 { return part.Point(int(local[i])) })
+				if frames[s], err = decodeCuboidFrame(wire, c.delta); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var kept []int32
+			var st mergeStats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kept, st = mergeFrames(frames, c.delta)
+			}
+			b.ReportMetric(float64(st.cands), "cands/op")
+			b.ReportMetric(float64(len(kept)), "kept/op")
+			b.ReportMetric(float64(st.sweeps), "sweeps/op")
+		})
+	}
 }

@@ -190,6 +190,15 @@ func TestShardCuboidCacheWarms(t *testing.T) {
 	if first.Body.String() != second.Body.String() {
 		t.Fatal("shard cuboid bytes changed between cold and warm")
 	}
+	// The cached entry carries its content type: a hit is a frame too.
+	for i, rec := range []*httptest.ResponseRecorder{first, second} {
+		if ct := rec.Header().Get("Content-Type"); ct != "application/octet-stream" {
+			t.Fatalf("request %d: Content-Type %q", i, ct)
+		}
+		if _, err := decodeCuboidFrame(rec.Body.Bytes(), 3); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
 	if sh.cm.Hits() < 1 {
 		t.Fatalf("no shard cache hit recorded; hits=%v", sh.cm.Hits())
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"skycube"
+	"skycube/internal/data"
 	"skycube/internal/dom"
 	"skycube/internal/mask"
 	"skycube/internal/obs"
@@ -174,6 +175,56 @@ func sortIDs(ids []int32) {
 	}
 }
 
+// fetchCuboid GETs a /shard/cuboid path from h and decodes the reply through
+// the production decoder, then asserts what a reader of the wire format may
+// rely on beyond what the decoder enforces: the content type, that exactly
+// δ's columns travel (body length included), that the lane sums are what
+// data.SumOver yields and that ties in δ-sum ascend by id.
+func fetchCuboid(t *testing.T, h http.Handler, path string, delta mask.Mask) *cuboidFrame {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", path, rec.Code, rec.Body.String())
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/octet-stream" {
+		t.Fatalf("GET %s: Content-Type %q", path, ct)
+	}
+	f, err := decodeCuboidFrame(rec.Body.Bytes(), delta)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	checkFrameShape(t, f, delta, rec.Body.Len())
+	return f
+}
+
+// checkFrameShape is fetchCuboid's assertions on a decoded frame whose wire
+// encoding was bodyLen bytes long.
+func checkFrameShape(t testing.TB, f *cuboidFrame, delta mask.Mask, bodyLen int) {
+	t.Helper()
+	k, n := mask.Count(delta), len(f.ids)
+	if len(f.cols) != k {
+		t.Fatalf("subspace %d: frame has %d columns, want δ's %d", delta, len(f.cols), k)
+	}
+	if want := 8 + frameHeaderSize + 4*n*(k+1); bodyLen != want {
+		t.Fatalf("subspace %d: %d lanes in %d bytes, want %d", delta, n, bodyLen, want)
+	}
+	p := make([]float32, k)
+	all := mask.Dims(mask.Full(k))
+	for i := range f.ids {
+		for j := range p {
+			p[j] = f.cols[j][i]
+		}
+		if s := data.SumOver(p, all); s != f.sums[i] {
+			t.Fatalf("subspace %d lane %d: sum %v, SumOver %v", delta, i, f.sums[i], s)
+		}
+		if i > 0 && (f.sums[i] < f.sums[i-1] || f.sums[i] == f.sums[i-1] && f.ids[i] <= f.ids[i-1]) {
+			t.Fatalf("subspace %d: lanes %d, %d out of (δ-sum, id) order: (%v, %d) then (%v, %d)",
+				delta, i-1, i, f.sums[i-1], f.ids[i-1], f.sums[i], f.ids[i])
+		}
+	}
+}
+
 func TestShardCuboidEndpoint(t *testing.T) {
 	ds := skycube.GenerateSynthetic(skycube.Independent, 300, 3, 7)
 	parts, err := ds.Partition(2, skycube.RoundRobinPartition)
@@ -191,29 +242,26 @@ func TestShardCuboidEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for delta := mask.Mask(1); delta < 1<<3; delta++ {
-		req := httptest.NewRequest(http.MethodGet, fmt.Sprintf("/shard/cuboid?subspace=%d", delta), nil)
-		rec := httptest.NewRecorder()
-		sh.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("subspace %d: status %d: %s", delta, rec.Code, rec.Body.String())
-		}
-		var resp cuboidResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
+		frame := fetchCuboid(t, sh, fmt.Sprintf("/shard/cuboid?subspace=%d", delta), delta)
 		local := cube.Skyline(skycube.Subspace(delta))
-		if len(resp.IDs) != len(local) {
-			t.Fatalf("subspace %d: %d ids, want %d", delta, len(resp.IDs), len(local))
+		if len(frame.ids) != len(local) {
+			t.Fatalf("subspace %d: %d ids, want %d", delta, len(frame.ids), len(local))
 		}
-		for i, row := range local {
+		lane := map[int32]int{}
+		for i, id := range frame.ids {
+			lane[id] = i
+		}
+		for _, row := range local {
 			want := int32(1) + row*2
-			if resp.IDs[i] != want {
-				t.Fatalf("subspace %d id[%d] = %d, want global %d", delta, i, resp.IDs[i], want)
+			i, ok := lane[want]
+			if !ok {
+				t.Fatalf("subspace %d: global id %d (row %d) missing from %v", delta, want, row, frame.ids)
 			}
 			p := parts[1].Point(int(row))
-			for j := range p {
-				if resp.Points[i][j] != p[j] {
-					t.Fatalf("subspace %d: point mismatch for id %d", delta, want)
+			for j, dim := range mask.Dims(delta) {
+				if frame.cols[j][i] != p[dim] {
+					t.Fatalf("subspace %d: id %d column %d = %v, want dimension %d = %v",
+						delta, want, j, frame.cols[j][i], dim, p[dim])
 				}
 			}
 		}

@@ -479,110 +479,88 @@ func (c *Coordinator) dimsOrRefresh(ctx context.Context) (int, error) {
 	return c.dims, nil
 }
 
-// gatherResult is one shard's contribution to a scatter-gather query.
-type gatherResult struct {
-	shard string
-	resp  *cuboidResponse
+// shardReply is one shard's answer to a cuboid request: the decoded frame or
+// why there is none, plus what the fan-out metrics and the trace record of it.
+type shardReply struct {
+	frame *cuboidFrame
 	err   error
+	began time.Duration // offset within the request's trace record
+	wall  time.Duration
 }
 
-// mergeScratch holds one query's gather/merge slices, recycled through
-// mergePool so the steady-state serving path stops allocating them.
-type mergeScratch struct {
-	cands []candidate
-	ids   []int32
-}
-
-var mergePool = sync.Pool{New: func() interface{} { return new(mergeScratch) }}
-
-// maxPooledCandidates caps what a scratch may retain back into the pool: a
-// pathological huge answer should not pin its backing arrays (and the
-// candidate point slices they reference) forever.
-const maxPooledCandidates = 1 << 16
-
-func (s *mergeScratch) release() {
-	if cap(s.cands) > maxPooledCandidates {
-		return
+// fetchFrame fetches one shard's cuboid and decodes it. A reply that does not
+// decode is a failed reply like any other — labelled, never merged.
+func (c *Coordinator) fetchFrame(ctx context.Context, g *shardGroup, path string, gen uint64, delta mask.Mask) shardReply {
+	r := shardReply{began: obs.RecordFrom(ctx).Since()}
+	start := time.Now()
+	body, err := c.client.get(ctx, g, path, gen)
+	if err == nil {
+		r.frame, err = decodeCuboidFrame(body, delta)
 	}
-	// Drop the point references so pooling does not pin decoded bodies.
-	for i := range s.cands {
-		s.cands[i] = candidate{}
-	}
-	s.cands = s.cands[:0]
-	s.ids = s.ids[:0]
-	mergePool.Put(s)
+	r.err, r.wall = err, time.Since(start)
+	return r
 }
 
-// gather scatters the cuboid request to every shard of the pinned map
-// concurrently and collects the responses; failed shards (all replicas
-// exhausted) are reported, not fatal. The candidate slice is assembled into
-// scratch, pre-sized from the shard-reported counts instead of grown from
-// zero. stale reports that a shard rejected the map generation — the caller
-// must retry the whole query on the current map rather than serve a mix.
-func (c *Coordinator) gather(ctx context.Context, m *shardMap, delta mask.Mask, scratch *mergeScratch) (_ []candidate, _ map[string]uint64, _ []string, stale bool) {
+// reportReply accounts for a reply the gather acts on: fan-out histogram and
+// failure counter, a log line with a failure's reason, the shard_result event.
+func (c *Coordinator) reportReply(rec *obs.ReqRecord, g *shardGroup, r shardReply) {
+	c.cm.Fanout(g.name, r.wall, r.err == nil)
+	ev := obs.Event{Kind: obs.EvShardResult, Shard: g.name, Start: r.began, Dur: r.wall}
+	if r.err != nil {
+		if c.opt.Logger != nil {
+			c.opt.Logger.Printf("cluster: shard %s: %v", g.name, r.err)
+		}
+		ev.Err = r.err.Error()
+	} else {
+		ev.N, ev.Bytes, ev.Epoch = int64(len(r.frame.ids)), int64(r.frame.wire), r.frame.epoch
+	}
+	rec.Event(ev)
+}
+
+// gather collects the cuboid frames of the pinned map's shards, indexed like
+// m.shards: by the pruned gather (prune.go) when enabled, and when that is
+// off or fell back, by scattering the plain request to every shard at once.
+// Failed shards (all replicas exhausted, or an undecodable reply) are
+// reported, not fatal. considered is the response's Candidates: lanes shipped
+// plus — pruned — those filtered source-side and skipped. stale reports that
+// a shard rejected the map generation: the caller must retry the whole query
+// on the current map rather than serve a mix (a stale pruned gather falls
+// back to the plain one, which sees the same 409).
+func (c *Coordinator) gather(ctx context.Context, m *shardMap, delta mask.Mask) (_ []*cuboidFrame, _ map[string]uint64, failed []string, considered int, stale bool) {
+	if c.opt.Prune && len(m.shards) > 1 {
+		if frames, epochs, n, ok := c.gatherPruned(ctx, m, delta); ok {
+			return frames, epochs, nil, n, false
+		}
+	}
 	path := fmt.Sprintf("/shard/cuboid?subspace=%d", uint32(delta))
 	rec := obs.RecordFrom(ctx)
-	ch := make(chan gatherResult, len(m.shards))
-	for _, g := range m.shards {
-		go func(g *shardGroup) {
-			began := rec.Since()
-			start := time.Now()
-			body, err := c.client.get(ctx, g, path, m.gen)
-			c.cm.Fanout(g.name, time.Since(start), err == nil)
-			if err != nil {
-				if c.opt.Logger != nil {
-					c.opt.Logger.Printf("cluster: shard %s: %v", g.name, err)
-				}
-				if rec != nil {
-					rec.Event(obs.Event{Kind: obs.EvShardResult, Shard: g.name,
-						Start: began, Dur: rec.Since() - began, Err: err.Error()})
-				}
-				ch <- gatherResult{shard: g.name, err: err}
-				return
-			}
-			var resp cuboidResponse
-			if err := json.Unmarshal(body, &resp); err != nil {
-				ch <- gatherResult{shard: g.name, err: err}
-				return
-			}
-			if rec != nil {
-				rec.Event(obs.Event{Kind: obs.EvShardResult, Shard: g.name,
-					Start: began, Dur: rec.Since() - began,
-					N: int64(len(resp.IDs)), Bytes: int64(len(body)), Epoch: resp.Epoch})
-			}
-			ch <- gatherResult{shard: g.name, resp: &resp}
-		}(g)
+	replies := make([]shardReply, len(m.shards))
+	var wg sync.WaitGroup
+	for i, g := range m.shards {
+		wg.Add(1)
+		go func(i int, g *shardGroup) {
+			defer wg.Done()
+			replies[i] = c.fetchFrame(ctx, g, path, m.gen, delta)
+			c.reportReply(rec, g, replies[i])
+		}(i, g)
 	}
-	responses := make([]*cuboidResponse, 0, len(m.shards))
+	wg.Wait()
+	frames := make([]*cuboidFrame, len(m.shards))
 	epochs := make(map[string]uint64, len(m.shards))
-	var failed []string
-	total := 0
-	for range m.shards {
-		r := <-ch
-		if r.err != nil {
-			if staleMapGen(r.err) {
+	for i, g := range m.shards {
+		if err := replies[i].err; err != nil {
+			if staleMapGen(err) {
 				stale = true
-				c.adoptMapGen(staleGenOf(r.err))
+				c.adoptMapGen(staleGenOf(err))
 			}
-			failed = append(failed, r.shard)
+			failed = append(failed, g.name)
 			continue
 		}
-		epochs[r.shard] = r.resp.Epoch
-		responses = append(responses, r.resp)
-		total += len(r.resp.IDs)
+		frames[i], epochs[g.name] = replies[i].frame, replies[i].frame.epoch
+		considered += len(frames[i].ids)
 	}
-	if cap(scratch.cands) < total {
-		scratch.cands = make([]candidate, 0, total)
-	}
-	cands := scratch.cands[:0]
-	for _, resp := range responses {
-		for i, id := range resp.IDs {
-			cands = append(cands, candidate{id: id, point: resp.Points[i]})
-		}
-	}
-	scratch.cands = cands
 	sort.Strings(failed)
-	return cands, epochs, failed, stale
+	return frames, epochs, failed, considered, stale
 }
 
 // epochVectorHash folds the gathered per-shard epochs — in the fixed shard
@@ -793,62 +771,37 @@ var errStaleMap = errors.New("cluster: shard map generation went stale mid-query
 // concurrent identical cold queries share one fan-out.
 func (c *Coordinator) computeSkyline(ctx context.Context, m *shardMap, rawQuery string, dims []int, delta mask.Mask) (*rcache.Entry, error) {
 	rec := obs.RecordFrom(ctx)
-	scratch := mergePool.Get().(*mergeScratch)
-	defer scratch.release()
-	cands, epochs, failed, considered, stale := c.gatherForQuery(ctx, m, delta, scratch)
+	frames, epochs, failed, considered, stale := c.gather(ctx, m, delta)
 	if stale {
 		return nil, errStaleMap
 	}
 	if len(failed) == len(m.shards) {
 		return nil, &gatewayError{msg: fmt.Sprintf("all %d shards unreachable", len(m.shards))}
 	}
-	if len(failed) == 0 {
+	partial := len(failed) > 0
+	var evKey rcache.Key
+	if !partial {
 		// Complete answer: the shard-epoch vector fully determines the
 		// response bytes. If an identical vector was merged before — under
 		// any write generation — reuse it and skip the merge and encode.
-		evKey := rcache.Key{Epoch: c.epochVectorHash(m, epochs), Variant: epochKeyPrefix + rawQuery}
+		evKey = rcache.Key{Epoch: c.epochVectorHash(m, epochs), Variant: epochKeyPrefix + rawQuery}
 		if e, ok := c.cache.Get(evKey); ok {
 			rec.Event(obs.Event{Kind: obs.EvCache, Detail: "hit-epoch-vector", Start: rec.Since()})
 			return e, nil
 		}
-		mergeStart := rec.Since()
-		ids := mergeSkyline(cands, delta, scratch.ids)
-		scratch.ids = ids
-		c.cm.Merge(len(cands), len(ids))
-		rec.Event(obs.Event{Kind: obs.EvMerge, Start: mergeStart,
-			Dur: rec.Since() - mergeStart, N: int64(len(ids))})
-		resp := skylineResponse{
-			Dims:       dims,
-			Subspace:   uint32(delta),
-			Count:      len(ids),
-			IDs:        ids,
-			Candidates: considered,
-			Epochs:     epochs,
-		}
-		encStart := rec.Since()
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(resp); err != nil {
-			return nil, err
-		}
-		rec.Event(obs.Event{Kind: obs.EvEncode, Start: encStart,
-			Dur: rec.Since() - encStart, Bytes: int64(buf.Len())})
-		e := rcache.NewEntry(fmt.Sprintf(`"v%x-s%d"`, evKey.Epoch, uint32(delta)), buf.Bytes())
-		c.cache.Put(evKey, e)
-		return e, nil
 	}
 	mergeStart := rec.Since()
-	ids := mergeSkyline(cands, delta, scratch.ids)
-	scratch.ids = ids
-	c.cm.Merge(len(cands), len(ids))
+	ids, st := mergeFrames(frames, delta)
+	c.cm.Merge(st.cands, len(ids))
 	rec.Event(obs.Event{Kind: obs.EvMerge, Start: mergeStart,
-		Dur: rec.Since() - mergeStart, N: int64(len(ids))})
+		Dur: rec.Since() - mergeStart, N: int64(len(ids)), Detail: st.String()})
 	resp := skylineResponse{
 		Dims:         dims,
 		Subspace:     uint32(delta),
 		Count:        len(ids),
 		IDs:          ids,
 		Candidates:   considered,
-		Partial:      true,
+		Partial:      partial,
 		FailedShards: failed,
 		Epochs:       epochs,
 	}
@@ -859,7 +812,12 @@ func (c *Coordinator) computeSkyline(ctx context.Context, m *shardMap, rawQuery 
 	}
 	rec.Event(obs.Event{Kind: obs.EvEncode, Start: encStart,
 		Dur: rec.Since() - encStart, Bytes: int64(buf.Len())})
-	return nil, &partialError{body: buf.Bytes()}
+	if partial {
+		return nil, &partialError{body: buf.Bytes()}
+	}
+	e := rcache.NewEntry(fmt.Sprintf(`"v%x-s%d"`, evKey.Epoch, uint32(delta)), buf.Bytes())
+	c.cache.Put(evKey, e)
+	return e, nil
 }
 
 // infoResponse is the coordinator's /info payload.

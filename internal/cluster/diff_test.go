@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -123,19 +124,14 @@ func TestDifferentialClusterAfterMutations(t *testing.T) {
 	}
 	// Replicas must have stayed identical: ask each replica of each shard
 	// for the full-space cuboid and compare.
-	for s, reps := range tc.servers {
-		var first []int32
-		for rep, srv := range reps {
-			resp, err := http.Get(srv.URL + "/shard/cuboid?subspace=7")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var cr cuboidResponse
-			decodeBody(t, resp, &cr)
+	for s, reps := range tc.shards {
+		var first *cuboidFrame
+		for rep, sh := range reps {
+			frame := fetchCuboid(t, sh, "/shard/cuboid?subspace=7", 7)
 			if rep == 0 {
-				first = cr.IDs
-			} else if !equalIDs(first, cr.IDs) {
-				t.Fatalf("shard %d replicas diverged: %v vs %v", s, first, cr.IDs)
+				first = frame
+			} else if !reflect.DeepEqual(first, frame) {
+				t.Fatalf("shard %d replicas diverged: %+v vs %+v", s, first, frame)
 			}
 		}
 	}
@@ -145,17 +141,6 @@ func mustUnmarshal(t *testing.T, b []byte, v interface{}) {
 	t.Helper()
 	if err := json.Unmarshal(b, v); err != nil {
 		t.Fatalf("unmarshal: %v", err)
-	}
-}
-
-func decodeBody(t *testing.T, resp *http.Response, v interface{}) {
-	t.Helper()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		t.Fatal(err)
 	}
 }
 

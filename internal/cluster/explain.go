@@ -64,7 +64,7 @@ type explainShard struct {
 	StartNS int64 `json:"start_ns"`
 	DurNS   int64 `json:"dur_ns"`
 	// Candidates/Bytes are the shard-reported candidate count and the
-	// response body size; Epoch is the shard's serving epoch.
+	// length of the frame it shipped; Epoch is the shard's serving epoch.
 	Candidates int64  `json:"candidates"`
 	Bytes      int64  `json:"bytes"`
 	Epoch      uint64 `json:"epoch,omitempty"`
@@ -90,12 +90,14 @@ type explainAttempt struct {
 	Err     string `json:"error,omitempty"`
 }
 
-// explainStage is a coordinator-local pipeline stage (merge, encode).
+// explainStage is a coordinator-local pipeline stage (merge, encode). Detail
+// is the merge's work in counts, as mergeStats renders them.
 type explainStage struct {
-	StartNS int64 `json:"start_ns"`
-	DurNS   int64 `json:"dur_ns"`
-	N       int64 `json:"n,omitempty"`
-	Bytes   int64 `json:"bytes,omitempty"`
+	StartNS int64  `json:"start_ns"`
+	DurNS   int64  `json:"dur_ns"`
+	N       int64  `json:"n,omitempty"`
+	Bytes   int64  `json:"bytes,omitempty"`
+	Detail  string `json:"detail,omitempty"`
 }
 
 // serveExplain runs the real fan-out for the query and writes the timing
@@ -216,7 +218,7 @@ func buildExplain(resp *explainResponse, snap obs.RecordSnapshot, total time.Dur
 			resp.PruneFallback = e.Detail
 		case obs.EvMerge:
 			resp.Merge = &explainStage{StartNS: e.Start.Nanoseconds(),
-				DurNS: e.Dur.Nanoseconds(), N: e.N}
+				DurNS: e.Dur.Nanoseconds(), N: e.N, Detail: e.Detail}
 			resp.Count = int(e.N)
 		case obs.EvEncode:
 			resp.Encode = &explainStage{StartNS: e.Start.Nanoseconds(),

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"cmp"
+	"fmt"
 	"slices"
 
 	"skycube/internal/data"
@@ -9,95 +9,158 @@ import (
 	"skycube/internal/mask"
 )
 
-// candidate is one shard-local skyline member: a global point id and its
-// coordinates, shipped together so the coordinator can run dominance tests
-// without a second round trip.
-type candidate struct {
-	id    int32
-	point []float32
+// mergeStats is one merge in hardware-independent counts: lanes handed in,
+// (shard, label) groups built, (candidate, foreign group) pairs the labels
+// ruled out before any dominance test, and 64-lane word sweeps run.
+type mergeStats struct {
+	cands, groups      int
+	labelSkips, sweeps uint64
 }
 
-// mergeSkyline reduces the union of shard-local results to the exact global
-// skyline of δ with one final dominance filter (the merge step of
-// partition-and-merge skyline processing).
+func (s mergeStats) String() string {
+	return fmt.Sprintf("groups=%d label_skips=%d sweeps=%d", s.groups, s.labelSkips, s.sweeps)
+}
+
+// labelGroup holds the lanes of one shard's frame that share a label, in
+// frame order: ascending δ-sum, the precondition of stop points.
+type labelGroup struct {
+	label mask.Mask
+	bs    *data.BlockSet
+}
+
+// mergeFrames reduces the per-shard frames of one subspace δ (nil entries:
+// shards that were skipped or failed) to the ids of the exact skyline of
+// their union, ascending and without duplicates — the merge step of
+// partition-and-merge skyline processing.
 //
-// Correctness: each shard returns a superset of its partition's
-// contribution to the global skyline — a globally undominated point is
-// undominated within its shard, so it appears in the shard's local S_δ
-// (and a fortiori in its S⁺_δ). Any union member outside the global skyline
-// has, by transitivity of Definition-1 dominance, a dominator that IS a
-// global skyline member and therefore also in the union, so the filter
-// removes exactly the non-members. Ids return sorted ascending, matching
-// single-node Skycube.Skyline output.
+// Each lane is labelled against the per-column medians of the union (bit j
+// set iff v_j < med_j) and appended, in frame order, to the block set of its
+// (shard, label) — blocks of one verdict word, since a frame spreads over up
+// to 2^|δ| groups. A candidate of shard s with label m is then probed, with
+// stop points, only against groups of shards ≠ s whose label ⊇ m. Two lemmas
+// make that exact:
 //
-// cands is consumed (sorted and compacted in place), and the result reuses
-// scratch's backing array when it is large enough — both slices come from
-// the serving path's mergeScratch pool.
-func mergeSkyline(cands []candidate, delta mask.Mask, scratch []int32) []int32 {
-	// Sort by id and drop duplicates up front (a retried sub-request can in
-	// principle deliver a shard's answer twice); dominance-by-duplicate
-	// would otherwise be ambiguous under Definition 1's tie handling.
-	slices.SortFunc(cands, func(a, b candidate) int { return cmp.Compare(a.id, b.id) })
-	uniq := cands[:0]
-	for i, c := range cands {
-		if i == 0 || c.id != cands[i-1].id {
-			uniq = append(uniq, c)
+// Foreign-only. A frame is a subset of its shard's local S_δ, whose members
+// do not dominate each other, so a candidate has no dominator in its own
+// frame. If it is dominated at all then — dominance being a strict partial
+// order on a finite set — a member b of the global skyline dominates it. b
+// is not stored on the candidate's shard (the candidate would not be in that
+// shard's local skyline), is in its own shard's local skyline, and survives
+// every source-side filter and region skip, which remove only points that a
+// stored point dominates. So b sits in a foreign frame. This covers filtered
+// frames, skipped shards, the reachable part of a partial answer, and K = 1,
+// which costs no sweep at all.
+//
+// Label. b ≺_δ a ⇒ b_j ≤ a_j on every j of δ ⇒ (a_j < med_j ⇒ b_j < med_j) ⇒
+// label(a) ⊆ label(b): a group whose label misses a bit of m holds no
+// dominator of the candidate. This is the one-level case of
+// skyline.CompositeStrict2; Hybrid's two-level labels, measured, make groups
+// of one or two lanes here.
+//
+// Duplicate ids are removed from the output, not the input: during a split's
+// prune window parent and child both ship the copied rows, identical points
+// never dominate each other, so both copies survive or neither does.
+func mergeFrames(frames []*cuboidFrame, delta mask.Mask) ([]int32, mergeStats) {
+	var st mergeStats
+	nonEmpty := 0
+	for _, f := range frames {
+		if f != nil && len(f.ids) > 0 {
+			st.cands += len(f.ids)
+			nonEmpty++
 		}
 	}
-	out := scratch[:0]
-	if cap(out) < len(uniq) {
-		out = make([]int32, 0, len(uniq))
-	}
-	if dom.UseBlocks(len(uniq), mask.Count(delta), dom.Probe) {
-		return mergeSkylineBlocks(uniq, delta, out)
-	}
-	return mergeSkylineScalar(uniq, delta, out)
-}
-
-// mergeSkylineScalar is the O(n²) form of the final merge filter, for unions
-// too small to fill a block; appends the surviving ids to out in uniq order.
-func mergeSkylineScalar(uniq []candidate, delta mask.Mask, out []int32) []int32 {
-	for i, c := range uniq {
-		dominated := false
-		for j, q := range uniq {
-			if i == j {
-				continue
-			}
-			if dom.DominatesIn(q.point, c.point, delta) {
-				dominated = true
-				break
+	out := make([]int32, 0, st.cands)
+	if nonEmpty <= 1 {
+		for _, f := range frames {
+			if f != nil {
+				out = append(out, f.ids...)
 			}
 		}
-		if !dominated {
-			out = append(out, c.id)
-		}
+		slices.Sort(out)
+		return slices.Compact(out), st
 	}
-	return out
-}
 
-// mergeSkylineBlocks is the block-kernel form of the final merge filter:
-// the deduplicated union goes into one sum-sorted SoA block set, and each
-// candidate asks for any dominator with a sorted stop point. A point never
-// dominates itself (all-equal fails Definition 1), so no self-exclusion is
-// needed, and the id-ascending output order of the scalar loop is preserved
-// because candidates are emitted in uniq order, not scan order.
-func mergeSkylineBlocks(uniq []candidate, delta mask.Mask, out []int32) []int32 {
-	dims := mask.Dims(delta)
-	ids := make([]int32, len(uniq))
-	for i, c := range uniq {
-		ids[i] = c.id
+	k := mask.Count(delta)
+	med := make([]float32, k)
+	col := make([]float32, 0, st.cands)
+	for j := range med {
+		col = col[:0]
+		for _, f := range frames {
+			if f != nil {
+				col = append(col, f.cols[j]...)
+			}
+		}
+		data.SelectRanks(col, len(col)/2)
+		med[j] = col[len(col)/2]
 	}
-	bs := data.SortedBlocks(ids, func(i int) []float32 { return uniq[i].point }, dims, data.DefaultBlockSize)
-	defer data.PutBlockSet(bs)
+
+	groups := make([][]labelGroup, len(frames))
+	defer func() {
+		for _, g := range slices.Concat(groups...) {
+			data.PutBlockSet(g.bs)
+		}
+	}()
+	pq := make([]float32, k)
+	index := map[mask.Mask]int{}
+	for s, f := range frames {
+		if f == nil {
+			continue
+		}
+		clear(index)
+		for i, id := range f.ids {
+			var label mask.Mask
+			for j, c := range f.cols {
+				pq[j] = c[i]
+				if c[i] < med[j] {
+					label |= mask.Bit(j)
+				}
+			}
+			gi, ok := index[label]
+			if !ok {
+				gi = len(groups[s])
+				index[label] = gi
+				groups[s] = append(groups[s], labelGroup{label, data.GetBlockSet(k, 64)})
+			}
+			groups[s][gi].bs.Append(pq, id, f.sums[i])
+		}
+		st.groups += len(groups[s])
+	}
 
 	var tally dom.KernelTally
-	pq := make([]float32, len(dims))
-	for _, c := range uniq {
-		data.ProjectInto(pq, c.point, dims)
-		if !dom.BlocksAnyDominator(bs, pq, data.SumOver(c.point, dims), false, true, &tally) {
-			out = append(out, c.id)
+	var foreign []*data.BlockSet
+	for s, gs := range groups {
+		for _, g := range gs {
+			foreign = foreign[:0]
+			for t, others := range groups {
+				if t == s {
+					continue
+				}
+				for _, o := range others {
+					if o.label&g.label == g.label {
+						foreign = append(foreign, o.bs)
+					} else {
+						st.labelSkips += uint64(g.bs.Len())
+					}
+				}
+			}
+			for _, b := range g.bs.Blocks {
+			lanes:
+				for lane := 0; lane < b.N; lane++ {
+					for j, c := range b.Cols {
+						pq[j] = c[lane]
+					}
+					for _, bs := range foreign {
+						if dom.BlocksAnyDominator(bs, pq, b.Sums[lane], false, true, &tally) {
+							continue lanes
+						}
+					}
+					out = append(out, b.Rows[lane])
+				}
+			}
 		}
 	}
+	st.sweeps = tally.Sweeps
 	tally.Flush()
-	return out
+	slices.Sort(out)
+	return slices.Compact(out), st
 }

@@ -52,7 +52,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
 	"skycube/internal/data"
 	"skycube/internal/dom"
@@ -118,11 +117,6 @@ func decodePointList(s string, dims int) ([][]float32, error) {
 	}
 	return pts, nil
 }
-
-// estPointBytes estimates the wire cost of one candidate in a cuboid
-// response body (its id plus d JSON-encoded float32s) — the unit the
-// bytes-saved counter is credited in.
-func estPointBytes(d int) int { return 8 + 14*d }
 
 // dominatedByAny reports whether any filter point dominates p in δ. Filter
 // points are dominance witnesses (actual points or non-empty-region max
@@ -282,38 +276,11 @@ func (c *Coordinator) pruneFallback(rec *obs.ReqRecord, reason string, err error
 	}
 }
 
-// dimCount returns the learned cluster dimensionality (0 until Refresh).
-func (c *Coordinator) dimCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dims
-}
-
-// gatherForQuery is the gather used by computeSkyline: the pruned path when
-// enabled (falling back to the plain gather on any prelude/epoch/transport
-// trouble), the plain gather otherwise. The fourth result is the considered
-// candidate count — shipped + source-filtered + skipped — which the response
-// reports as Candidates; on the unpruned path it equals len(cands). The
-// fifth result reports a stale-map 409 from any shard: the pinned map's
-// generation is behind a cutover the shards already crossed, so the caller
-// must abandon this gather and retry on the current map. A stale pruned
-// prelude/gather simply falls back to the plain gather, which sees the same
-// 409 and raises the flag.
-func (c *Coordinator) gatherForQuery(ctx context.Context, m *shardMap, delta mask.Mask, scratch *mergeScratch) ([]candidate, map[string]uint64, []string, int, bool) {
-	if c.opt.Prune && len(m.shards) > 1 {
-		if cands, epochs, considered, ok := c.gatherPruned(ctx, m, delta, scratch); ok {
-			return cands, epochs, nil, considered, false
-		}
-	}
-	cands, epochs, failed, stale := c.gather(ctx, m, delta, scratch)
-	return cands, epochs, failed, len(cands), stale
-}
-
 // gatherPruned runs the pruned gather: prelude (corners + reps), upfront
 // region skips, filtered cuboid fan-out with arrival-order late skips, and
 // per-shard epoch validation. ok=false means the caller must fall back to
 // the plain gather; the reason has already been recorded.
-func (c *Coordinator) gatherPruned(ctx context.Context, m *shardMap, delta mask.Mask, scratch *mergeScratch) ([]candidate, map[string]uint64, int, bool) {
+func (c *Coordinator) gatherPruned(ctx context.Context, m *shardMap, delta mask.Mask) ([]*cuboidFrame, map[string]uint64, int, bool) {
 	rec := obs.RecordFrom(ctx)
 	n := len(m.shards)
 	preK := c.opt.PreFilterK
@@ -376,12 +343,8 @@ func (c *Coordinator) gatherPruned(ctx context.Context, m *shardMap, delta mask.
 	// cancels never look like replica failures).
 	basePath := fmt.Sprintf("/shard/cuboid?subspace=%d", uint32(delta))
 	type prResult struct {
-		idx        int
-		resp       *cuboidResponse
-		bodyLen    int
-		err        error
-		began, dur time.Duration
-		wall       time.Duration
+		idx int
+		shardReply
 	}
 	ch := make(chan prResult, n)
 	cancels := make([]context.CancelFunc, n)
@@ -405,26 +368,14 @@ func (c *Coordinator) gatherPruned(ctx context.Context, m *shardMap, delta mask.
 		cancels[i] = cancel
 		active++
 		go func(i int, g *shardGroup, path string, cctx context.Context) {
-			began := rec.Since()
-			start := time.Now()
-			body, err := c.client.get(cctx, g, path, m.gen)
-			res := prResult{idx: i, began: began, wall: time.Since(start), err: err}
-			if err == nil {
-				var resp cuboidResponse
-				if uerr := json.Unmarshal(body, &resp); uerr != nil {
-					res.err = uerr
-				} else {
-					res.resp = &resp
-					res.bodyLen = len(body)
-				}
-			}
-			res.dur = rec.Since() - began
-			ch <- res
+			ch <- prResult{i, c.fetchFrame(cctx, g, path, m.gen, delta)}
 		}(i, g, path, cctx)
 	}
 
-	d := c.dimCount()
-	responses := make([]*cuboidResponse, n)
+	dims, full := mask.Dims(delta), mask.Full(mask.Count(delta))
+	lane := laneBytes(len(dims))
+	minCorner, lanePoint := make([]float32, len(dims)), make([]float32, len(dims))
+	frames := make([]*cuboidFrame, n)
 	lateSkipped := make([]bool, n)
 	var fallbackReason string
 	var fallbackErr error
@@ -436,41 +387,41 @@ func (c *Coordinator) gatherPruned(ctx context.Context, m *shardMap, delta mask.
 			// prelude already accounts for it.
 			continue
 		}
+		g := m.shards[r.idx]
 		if r.err != nil {
-			fallbackReason, fallbackErr = "gather_error",
-				fmt.Errorf("shard %s: %w", m.shards[r.idx].name, r.err)
+			fallbackReason, fallbackErr = "gather_error", fmt.Errorf("shard %s: %w", g.name, r.err)
 			break
 		}
-		if r.resp.Epoch != metas[r.idx].epoch {
+		if r.frame.epoch != metas[r.idx].epoch {
 			// The shard advanced between prelude and gather: the filter
 			// points other shards pruned with may reference points this
 			// epoch no longer holds. Only the unpruned path is exact now.
 			fallbackReason = "epoch_mismatch"
 			fallbackErr = fmt.Errorf("shard %s answered at epoch %d, prelude saw %d",
-				m.shards[r.idx].name, r.resp.Epoch, metas[r.idx].epoch)
+				g.name, r.frame.epoch, metas[r.idx].epoch)
 			break
 		}
-		g := m.shards[r.idx]
-		c.cm.Fanout(g.name, r.wall, true)
-		rec.Event(obs.Event{Kind: obs.EvShardResult, Shard: g.name,
-			Start: r.began, Dur: r.dur,
-			N: int64(len(r.resp.IDs)), Bytes: int64(r.bodyLen), Epoch: r.resp.Epoch})
-		if r.resp.Filtered > 0 {
-			c.cm.Pruned(g.name, len(r.resp.IDs)+r.resp.Filtered, r.resp.Filtered,
-				r.resp.Filtered*estPointBytes(d))
+		c.reportReply(rec, g, r.shardReply)
+		if r.frame.filtered > 0 {
+			c.cm.Pruned(g.name, len(r.frame.ids)+r.frame.filtered, r.frame.filtered, r.frame.filtered*lane)
 			rec.Event(obs.Event{Kind: obs.EvPrune, Shard: g.name,
-				Start: rec.Since(), N: int64(r.resp.Filtered)})
+				Start: rec.Since(), N: int64(r.frame.filtered)})
 		}
-		responses[r.idx] = r.resp
+		frames[r.idx] = r.frame
 		// Arrival-order late skips: an arrived actual point dominating a
-		// pending shard's min corner dominates that shard's every result
-		// point — stop asking.
+		// pending shard's min corner — compared on δ's columns, which is all
+		// a frame carries — dominates that shard's every result point: stop
+		// asking.
 		for j := range m.shards {
-			if j == r.idx || skipped[j] || lateSkipped[j] || responses[j] != nil {
+			if j == r.idx || skipped[j] || lateSkipped[j] || frames[j] != nil || metas[j].region.Min == nil {
 				continue
 			}
-			for _, p := range r.resp.Points {
-				if dom.PointDominatesRegion(p, metas[j].region, delta) {
+			data.ProjectInto(minCorner, metas[j].region.Min, dims)
+			for i := range r.frame.ids {
+				for k, col := range r.frame.cols {
+					lanePoint[k] = col[i]
+				}
+				if dom.DominatesIn(lanePoint, minCorner, full) {
 					lateSkipped[j] = true
 					cancels[j]()
 					break
@@ -483,29 +434,15 @@ func (c *Coordinator) gatherPruned(ctx context.Context, m *shardMap, delta mask.
 		return nil, nil, 0, false
 	}
 
-	// Assemble: candidates from gathered shards; epochs and considered
-	// counts cover every shard (skipped ones at their prelude epoch, which
-	// gathered epochs were just validated against — the whole response
-	// corresponds to the prelude's epoch vector).
+	// Assemble: epochs and considered counts cover every shard (skipped ones
+	// at their prelude epoch, which gathered epochs were just validated
+	// against — the whole response corresponds to the prelude's epoch vector).
 	epochs := make(map[string]uint64, n)
 	considered := 0
-	total := 0
-	for i := range m.shards {
-		if responses[i] != nil {
-			total += len(responses[i].IDs)
-		}
-	}
-	if cap(scratch.cands) < total {
-		scratch.cands = make([]candidate, 0, total)
-	}
-	cands := scratch.cands[:0]
 	for i, g := range m.shards {
-		if resp := responses[i]; resp != nil {
-			epochs[g.name] = resp.Epoch
-			considered += len(resp.IDs) + resp.Filtered
-			for k, id := range resp.IDs {
-				cands = append(cands, candidate{id: id, point: resp.Points[k]})
-			}
+		if f := frames[i]; f != nil {
+			epochs[g.name] = f.epoch
+			considered += len(f.ids) + f.filtered
 			continue
 		}
 		epochs[g.name] = metas[i].epoch
@@ -514,10 +451,9 @@ func (c *Coordinator) gatherPruned(ctx context.Context, m *shardMap, delta mask.
 		if lateSkipped[i] {
 			detail = "late"
 		}
-		c.cm.ShardSkipped(g.name, metas[i].count, metas[i].count*estPointBytes(d))
+		c.cm.ShardSkipped(g.name, metas[i].count, metas[i].count*lane)
 		rec.Event(obs.Event{Kind: obs.EvPruneSkip, Shard: g.name, Detail: detail,
 			Start: rec.Since(), N: int64(metas[i].count), Epoch: metas[i].epoch})
 	}
-	scratch.cands = cands
-	return cands, epochs, considered, true
+	return frames, epochs, considered, true
 }

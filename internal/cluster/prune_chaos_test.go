@@ -46,20 +46,30 @@ func TestShardSkymetaEndpoint(t *testing.T) {
 	defer sh.Close()
 
 	for delta := mask.Mask(1); delta < 1<<3; delta++ {
-		var cuboid cuboidResponse
-		getJSON(t, sh, fmt.Sprintf("/shard/cuboid?subspace=%d", delta), http.StatusOK, &cuboid)
+		cuboid := fetchCuboid(t, sh, fmt.Sprintf("/shard/cuboid?subspace=%d", delta), delta)
 		var meta skymetaResponse
 		getJSON(t, sh, fmt.Sprintf("/shard/skymeta?subspace=%d&k=3", delta), http.StatusOK, &meta)
 
-		if meta.Count != cuboid.Count || meta.Epoch != cuboid.Epoch {
+		if meta.Count != len(cuboid.ids) || meta.Epoch != cuboid.epoch {
 			t.Fatalf("subspace %d: skymeta (count %d, epoch %d) disagrees with cuboid (count %d, epoch %d)",
-				delta, meta.Count, meta.Epoch, cuboid.Count, cuboid.Epoch)
+				delta, meta.Count, meta.Epoch, len(cuboid.ids), cuboid.epoch)
+		}
+		// The frame carries δ's columns only; the members' full coordinates
+		// are the dataset's (a lone shard's global id is its row).
+		members := make([][]float32, len(cuboid.ids))
+		for i, id := range cuboid.ids {
+			members[i] = ds.Point(int(id))
+			for j, dim := range mask.Dims(delta) {
+				if cuboid.cols[j][i] != members[i][dim] {
+					t.Fatalf("subspace %d: id %d column %d = %v, want %v", delta, id, j, cuboid.cols[j][i], members[i][dim])
+				}
+			}
 		}
 		// The corner must tightly bound every member, and each corner
 		// coordinate must be attained by some member.
 		for j := 0; j < 3; j++ {
-			lo, hi := cuboid.Points[0][j], cuboid.Points[0][j]
-			for _, p := range cuboid.Points {
+			lo, hi := members[0][j], members[0][j]
+			for _, p := range members {
 				if p[j] < meta.Min[j] || p[j] > meta.Max[j] {
 					t.Fatalf("subspace %d: member coord %v outside corner [%v,%v]", delta, p[j], meta.Min[j], meta.Max[j])
 				}
@@ -88,7 +98,7 @@ func TestShardSkymetaEndpoint(t *testing.T) {
 					sum += float64(rep[j])
 				}
 			}
-			for _, p := range cuboid.Points {
+			for _, p := range members {
 				same := true
 				for j := range p {
 					if p[j] != rep[j] {
@@ -133,37 +143,37 @@ func TestShardCuboidFilterParam(t *testing.T) {
 	}
 	defer sh.Close()
 
-	var unfiltered cuboidResponse
-	getJSON(t, sh, "/shard/cuboid?subspace=7", http.StatusOK, &unfiltered)
+	const path = "/shard/cuboid?subspace=7"
+	unfiltered := fetchCuboid(t, sh, path, 7)
+	total := len(unfiltered.ids)
 
-	// A filter point dominating part of the local skyline: Count shrinks,
-	// Filtered grows, and their sum stays the full local cuboid size.
-	filter := encodePointList([][]float32{unfiltered.Points[len(unfiltered.Points)/2]})
-	var got cuboidResponse
-	getJSON(t, sh, "/shard/cuboid?subspace=7&filter="+url.QueryEscape(filter), http.StatusOK, &got)
-	if got.Count+got.Filtered != unfiltered.Count {
-		t.Fatalf("count %d + filtered %d != unfiltered %d", got.Count, got.Filtered, unfiltered.Count)
-	}
+	// A filter point dominating part of the local skyline: the count shrinks,
+	// filtered grows, and their sum stays the full local cuboid size.
 	// The filter point is itself a local member: it dominates nothing of its
 	// own skyline (members are mutually undominated), so nothing is dropped.
-	if got.Filtered != 0 {
-		t.Fatalf("a shard's own member filtered %d of its own skyline", got.Filtered)
+	filter := encodePointList([][]float32{ds.Point(int(unfiltered.ids[total/2]))})
+	got := fetchCuboid(t, sh, path+"&filter="+url.QueryEscape(filter), 7)
+	if len(got.ids) != total || got.filtered != 0 {
+		t.Fatalf("a shard's own member as filter: count %d filtered %d, want %d/0", len(got.ids), got.filtered, total)
 	}
 	// An overwhelming foreign witness prunes everything.
 	strong := encodePointList([][]float32{{-1000, -1000, -1000}})
-	getJSON(t, sh, "/shard/cuboid?subspace=7&filter="+url.QueryEscape(strong), http.StatusOK, &got)
-	if got.Count != 0 || got.Filtered != unfiltered.Count {
-		t.Fatalf("overwhelming filter: count %d filtered %d, want 0/%d", got.Count, got.Filtered, unfiltered.Count)
+	got = fetchCuboid(t, sh, path+"&filter="+url.QueryEscape(strong), 7)
+	if len(got.ids) != 0 || got.filtered != total {
+		t.Fatalf("overwhelming filter: count %d filtered %d, want 0/%d", len(got.ids), got.filtered, total)
 	}
 	// Survivors under a partial filter are exactly the undominated members.
 	weak := [][]float32{{0.2, 0.2, 0.2}}
-	getJSON(t, sh, "/shard/cuboid?subspace=7&filter="+url.QueryEscape(encodePointList(weak)), http.StatusOK, &got)
+	got = fetchCuboid(t, sh, path+"&filter="+url.QueryEscape(encodePointList(weak)), 7)
+	if len(got.ids)+got.filtered != total {
+		t.Fatalf("count %d + filtered %d != unfiltered %d", len(got.ids), got.filtered, total)
+	}
 	kept := map[int32]bool{}
-	for _, id := range got.IDs {
+	for _, id := range got.ids {
 		kept[id] = true
 	}
-	for i, id := range unfiltered.IDs {
-		want := !dominatedByAny(weak, unfiltered.Points[i], mask.Mask(7))
+	for _, id := range unfiltered.ids {
+		want := !dominatedByAny(weak, ds.Point(int(id)), mask.Mask(7))
 		if kept[id] != want {
 			t.Fatalf("id %d: shipped=%v, want %v", id, kept[id], want)
 		}

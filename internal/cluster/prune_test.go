@@ -254,15 +254,16 @@ func TestBuildFilterExcludesSelf(t *testing.T) {
 }
 
 // fuzzPrunePlan decodes raw fuzz bytes into a deterministic multi-shard
-// scenario: d in [2,4], k shards in [2,4], preK reps in [0,3], then int16
-// coordinate pairs on a 1/16384 grid (negative coordinates and exact
-// duplicates arise naturally).
-func fuzzPrunePlan(raw []byte) (d, k, preK int, pts [][]float32) {
+// scenario: d in [2,4], k shards in [1,5] placed round-robin or skewed, preK
+// reps in [0,3], then int16 coordinate pairs on a 1/16384 grid (negative
+// coordinates and exact duplicates arise naturally).
+func fuzzPrunePlan(raw []byte) (d, k, preK int, skewed bool, pts [][]float32) {
 	if len(raw) < 3 {
-		return 0, 0, 0, nil
+		return 0, 0, 0, false, nil
 	}
 	d = 2 + int(raw[0])%3
-	k = 2 + int(raw[1])%3
+	k = 1 + (int(raw[1])+1)%5
+	skewed = raw[1] >= 128
 	preK = int(raw[2]) % 4
 	body := raw[3:]
 	n := len(body) / (2 * d)
@@ -270,7 +271,7 @@ func fuzzPrunePlan(raw []byte) (d, k, preK int, pts [][]float32) {
 		n = 48
 	}
 	if n < k {
-		return 0, 0, 0, nil
+		return 0, 0, 0, false, nil
 	}
 	pts = make([][]float32, n)
 	for i := 0; i < n; i++ {
@@ -281,15 +282,16 @@ func fuzzPrunePlan(raw []byte) (d, k, preK int, pts [][]float32) {
 		}
 		pts[i] = p
 	}
-	return d, k, preK, pts
+	return d, k, preK, skewed, pts
 }
 
 // FuzzPrunedMergeEquivalence drives the pure pruning pipeline — prelude
 // metadata, upfront region/rep skips, per-destination filters, source-side
-// drops — against the plain union-then-merge on the same round-robin
-// sharding, and requires identical skylines plus exact considered-count
-// accounting for every subspace. This is the merge path's equivalence
-// obligation with no HTTP in the way.
+// drops, frames through the wire codec, the merge — and the plain
+// frames-then-merge on the same sharding, and requires of both the
+// brute-force skyline of all the points (an oracle that runs none of that
+// code), plus exact considered-count accounting, for every subspace. This is
+// the merge path's equivalence obligation with no HTTP in the way.
 func FuzzPrunedMergeEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{1, 1, 2,
@@ -298,68 +300,55 @@ func FuzzPrunedMergeEquivalence(f *testing.F) {
 		0xff, 0xff, 0xee, 0xee, 0x01, 0x00,
 		0x00, 0x40, 0x00, 0xc0, 0x00, 0x20})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		d, k, preK, pts := fuzzPrunePlan(raw)
+		d, k, preK, skewed, pts := fuzzPrunePlan(raw)
 		if pts == nil {
 			t.Skip("not enough bytes for a scenario")
 		}
-		// Round-robin sharding with global id = index.
-		locals := make([][][]float32, k) // shard -> local skyline points
-		ids := make([][]int32, k)        // shard -> matching global ids
+		// Global id = index.
+		points := make(map[int32][]float32, len(pts))
+		parts := make([][]int32, k)
+		for i, p := range pts {
+			points[int32(i)] = p
+			s := assignShard(i, k, skewed)
+			parts[s] = append(parts[s], int32(i))
+		}
+		point := func(id int32) []float32 { return pts[id] }
 		for delta := mask.Mask(1); delta < mask.Mask(1)<<d; delta++ {
-			for s := range locals {
-				locals[s], ids[s] = locals[s][:0], ids[s][:0]
-			}
-			for i, p := range pts {
-				s := i % k
-				dominated := false
-				for j, q := range pts {
-					if j != i && j%k == s && dom.DominatesIn(q, p, delta) {
-						dominated = true
-						break
-					}
-				}
-				if !dominated {
-					locals[s] = append(locals[s], p)
-					ids[s] = append(ids[s], int32(i))
-				}
-			}
+			want := bruteSkyline(points, delta)
 
-			var unpruned []candidate
+			plain := make([]*cuboidFrame, k)
+			locals := make([][][]float32, k) // shard -> local skyline points
 			totalLocal := 0
-			for s := range locals {
-				totalLocal += len(locals[s])
-				for i, p := range locals[s] {
-					unpruned = append(unpruned, candidate{id: ids[s][i], point: p})
+			for s := range parts {
+				plain[s] = localFrame(t, parts[s], point, delta, nil)
+				totalLocal += len(plain[s].ids)
+				for _, id := range plain[s].ids {
+					locals[s] = append(locals[s], pts[id])
 				}
 			}
-			want := mergeSkyline(unpruned, delta, nil)
+			if got, _ := mergeFrames(plain, delta); !equalIDs(got, want) {
+				t.Fatalf("subspace %b: unpruned merge %v != brute force %v (d=%d k=%d skewed=%v, %d pts)",
+					delta, got, want, d, k, skewed, len(pts))
+			}
 
 			metas := make([]shardMeta, k)
 			for s := range metas {
 				metas[s] = metaOf(7, locals[s], preK, delta)
 			}
 			skips := upfrontSkips(metas, delta)
-			var pruned []candidate
+			pruned := make([]*cuboidFrame, k)
 			considered := 0
 			for s := range metas {
 				if skips[s] {
 					considered += metas[s].count
 					continue
 				}
-				filter := buildFilter(metas, s)
-				for i, p := range locals[s] {
-					considered++
-					if dominatedByAny(filter, p, delta) {
-						continue
-					}
-					pruned = append(pruned, candidate{id: ids[s][i], point: p})
-				}
+				pruned[s] = localFrame(t, parts[s], point, delta, buildFilter(metas, s))
+				considered += len(pruned[s].ids) + pruned[s].filtered
 			}
-			got := mergeSkyline(pruned, delta, nil)
-
-			if !equalIDs(got, want) {
-				t.Fatalf("subspace %b: pruned skyline %v != unpruned %v (d=%d k=%d preK=%d, %d pts)",
-					delta, got, want, d, k, preK, len(pts))
+			if got, _ := mergeFrames(pruned, delta); !equalIDs(got, want) {
+				t.Fatalf("subspace %b: pruned merge %v != brute force %v (d=%d k=%d skewed=%v preK=%d, %d pts)",
+					delta, got, want, d, k, skewed, preK, len(pts))
 			}
 			if considered != totalLocal {
 				t.Fatalf("subspace %b: considered %d points, want Σ|local| = %d", delta, considered, totalLocal)

@@ -7,9 +7,14 @@
 // The distribution rests on the distributivity of skyline computation over
 // horizontal partitions (Zhang & Zhang, "Computing Skylines on Distributed
 // Data"): a globally undominated point is undominated within its partition,
-// so the union of shard-local (extended) skylines is a superset of the
-// global skyline, and dominance transitivity guarantees the final filter
-// removes exactly the impostors. No shard ever needs another shard's data.
+// so the union of shard-local skylines is a superset of the global skyline.
+// The merge (mergeFrames) removes the impostors on two lemmas. Foreign-only:
+// members of one shard's local skyline do not dominate each other, and a
+// dominated candidate is dominated by a member of the global skyline, which
+// no shard-side filter removes — so it is probed against other shards' frames
+// only. Label: with bit j of a label set iff v_j is below the union's median,
+// b ≺ a implies label(a) ⊆ label(b) — so only groups whose label contains the
+// candidate's are probed. No shard ever needs another shard's data.
 //
 // The serving path is engineered for partial failure: replication factor R
 // per shard, per-attempt timeouts, capped exponential backoff with jitter,
@@ -87,8 +92,8 @@ type ShardOptions struct {
 // partition, serving the embedded server's full endpoint set (reads,
 // mutations, /healthz, /metrics) plus the cluster protocol:
 //
-//	GET /shard/cuboid?subspace=N[&filter=pts]   shard-local S_δ with global ids + coordinates,
-//	                                            minus members dominated by a filter point
+//	GET /shard/cuboid?subspace=N[&filter=pts]   shard-local S_δ minus members a filter point dominates, as
+//	                                            one binary frame (frame.go): global ids and δ's columns
 //	GET /shard/skymeta?subspace=N[&k=K]         the cuboid's count, epoch, min/max corner and
 //	                                            top-K representative points (the pruning prelude)
 //	GET /shard/info                             id mapping, dims, live points, epoch
@@ -250,25 +255,8 @@ func (s *Shard) GlobalID(local int32) int32 {
 	return s.scheme.Load().global(local)
 }
 
-// cuboidResponse is the /shard/cuboid payload: the shard-local result for
-// one subspace, as global ids plus coordinates (so the coordinator's merge
-// needs no second round trip). Filtered counts the local members dropped
-// source-side because a request filter point dominated them; Count + Filtered
-// is always the full local cuboid size, which is what keeps the pruned
-// coordinator's candidate accounting identical to the unpruned one.
-type cuboidResponse struct {
-	Subspace uint32      `json:"subspace"`
-	Epoch    uint64      `json:"epoch"`
-	Count    int         `json:"count"`
-	Filtered int         `json:"filtered,omitempty"`
-	IDs      []int32     `json:"ids"`
-	Points   [][]float32 `json:"points"`
-}
-
 func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed (use GET)", http.StatusMethodNotAllowed)
+	if !allowMethod(w, r, http.MethodGet) {
 		return
 	}
 	rec := obs.RecordFrom(r.Context())
@@ -305,7 +293,8 @@ func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
 			// dominates before they are encoded. Every filter point the
 			// coordinator sends witnesses an actual point elsewhere in the
 			// cluster, so a dropped member could never survive the final
-			// merge anyway.
+			// merge anyway. Shipped + filtered stays the full local cuboid
+			// size: the pruned coordinator counts candidates as the plain one.
 			filtered := 0
 			if len(filter) > 0 {
 				pruneStart := rec.Since()
@@ -313,24 +302,14 @@ func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
 				rec.Event(obs.Event{Kind: obs.EvPrune, Start: pruneStart,
 					Dur: rec.Since() - pruneStart, N: int64(filtered)})
 			}
-			resp := cuboidResponse{
-				Subspace: uint32(delta),
-				Epoch:    snap.Epoch(),
-				Count:    len(local),
-				Filtered: filtered,
-				IDs:      make([]int32, len(local)),
-				Points:   make([][]float32, len(local)),
-			}
+			ids := make([]int32, len(local))
 			for i, row := range local {
-				resp.IDs[i] = s.GlobalID(row)
-				resp.Points[i] = snap.Point(row)
+				ids[i] = s.GlobalID(row)
 			}
-			var buf bytes.Buffer
-			if err := json.NewEncoder(&buf).Encode(resp); err != nil {
-				return nil, err
-			}
+			body := encodeCuboidFrame(delta, snap.Epoch(), filtered, ids,
+				func(i int) []float32 { return snap.Point(local[i]) })
 			tag := fmt.Sprintf(`"e%d-s%d"`, snap.Epoch(), uint32(delta))
-			return rcache.NewEntry(tag, buf.Bytes()), nil
+			return rcache.NewBinaryEntry(tag, body), nil
 		})
 	if err2 != nil {
 		http.Error(w, err2.Error(), http.StatusInternalServerError)

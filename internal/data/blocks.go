@@ -188,21 +188,15 @@ func SumOver(p []float32, dims []int) float32 {
 // precondition of stop-point filtering. The caller owns the result and must
 // return it with PutBlockSet.
 func SortedBlocksOf(ds *Dataset, rows []int32, dims []int, blockSize int) *BlockSet {
-	return SortedBlocks(rows, func(i int) []float32 { return ds.Point(int(rows[i])) }, dims, blockSize)
-}
-
-// SortedBlocks is SortedBlocksOf for points that do not live in a Dataset:
-// point(i) holds the full coordinates of the lane whose identity is ids[i].
-func SortedBlocks(ids []int32, point func(i int) []float32, dims []int, blockSize int) *BlockSet {
-	sums := make([]float32, len(ids))
-	for i := range ids {
-		sums[i] = SumOver(point(i), dims)
+	sums := make([]float32, len(rows))
+	for i, row := range rows {
+		sums[i] = SumOver(ds.Point(int(row)), dims)
 	}
 	s := GetBlockSet(len(dims), blockSize)
 	pq := make([]float32, len(dims))
-	for _, i := range SumOrder(sums, ids) {
-		ProjectInto(pq, point(int(i)), dims)
-		s.Append(pq, ids[i], sums[i])
+	for _, i := range SumOrder(sums, rows) {
+		ProjectInto(pq, ds.Point(int(rows[i])), dims)
+		s.Append(pq, rows[i], sums[i])
 	}
 	return s
 }

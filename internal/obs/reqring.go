@@ -34,10 +34,10 @@ const (
 	EvHedge         = "hedge"          // hedge launched against a second replica
 	EvRetry         = "retry"          // backoff retry launched
 	EvBreakerReject = "breaker_reject" // no replica's breaker admitted a request
-	EvShardResult   = "shard_result"   // accepted shard response (N = candidates)
+	EvShardResult   = "shard_result"   // shard reply acted on (N = candidates, Bytes = frame length; Err: why it failed)
 	EvCache         = "cache"          // cache disposition (Detail: hit-*, miss, bypass)
 	EvCuboid        = "cuboid"         // shard-local cuboid extraction (N = rows)
-	EvMerge         = "merge"          // coordinator dominance-filter merge (N = kept)
+	EvMerge         = "merge"          // coordinator dominance-filter merge (N = kept; Detail: groups, label skips, sweeps)
 	EvEncode        = "encode"         // response encode (Bytes = body length)
 	EvPrefilter     = "prefilter"      // representative-point pre-round (N = filter points)
 	EvPrune         = "prune"          // shard-side filtered candidates (N = dropped)

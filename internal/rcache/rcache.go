@@ -35,9 +35,9 @@ type Key struct {
 	Variant string
 }
 
-// Entry is one immutable cached response: the encoded body and its strong
-// validator. Entries are shared between concurrent readers and must never
-// be mutated after publication.
+// Entry is one immutable cached response: the encoded body, its content
+// type and its strong validator. Entries are shared between concurrent
+// readers and must never be mutated after publication.
 type Entry struct {
 	// ETag is the strong validator of the body, derived from the epoch and
 	// subspace that produced it (quoted, per RFC 9110).
@@ -45,19 +45,29 @@ type Entry struct {
 	// ETagHeader is ETag pre-boxed as a header value slice, so serving a
 	// hit can assign it into the header map without allocating.
 	ETagHeader []string
-	// Body is the fully-encoded response (JSON bytes, trailing newline
+	// ContentType is the pre-boxed Content-Type header value, assigned into
+	// the header map directly so serving a hit does not allocate.
+	ContentType []string
+	// Body is the fully-encoded response (for JSON: trailing newline
 	// included, exactly as the uncached path would have written).
 	Body []byte
 }
 
-// NewEntry builds an immutable entry, pre-boxing the header value.
+var (
+	contentTypeJSON   = []string{"application/json"}
+	contentTypeBinary = []string{"application/octet-stream"}
+)
+
+// NewEntry builds an immutable JSON entry, pre-boxing the header value.
 func NewEntry(etag string, body []byte) *Entry {
-	return &Entry{ETag: etag, ETagHeader: []string{etag}, Body: body}
+	return &Entry{ETag: etag, ETagHeader: []string{etag}, ContentType: contentTypeJSON, Body: body}
 }
 
-// contentTypeJSON is the pre-boxed Content-Type header value, assigned
-// into the header map directly so serving a hit does not allocate.
-var contentTypeJSON = []string{"application/json"}
+// NewBinaryEntry is NewEntry for a body that is a binary frame
+// (application/octet-stream) — the shard's /shard/cuboid replies.
+func NewBinaryEntry(etag string, body []byte) *Entry {
+	return &Entry{ETag: etag, ETagHeader: []string{etag}, ContentType: contentTypeBinary, Body: body}
+}
 
 // Serve writes a materialized response: strong ETag always, 304 Not
 // Modified when If-None-Match revalidates, the pre-encoded bytes
@@ -70,7 +80,7 @@ func Serve(w http.ResponseWriter, r *http.Request, e *Entry, cm *obs.CacheMetric
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	h["Content-Type"] = contentTypeJSON
+	h["Content-Type"] = e.ContentType
 	_, _ = w.Write(e.Body)
 }
 

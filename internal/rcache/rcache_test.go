@@ -3,6 +3,8 @@ package rcache
 import (
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -166,5 +168,30 @@ func TestCacheGetZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Get allocates %v objects per hit, want 0", allocs)
+	}
+}
+
+// TestServeEntryContentType: an entry is served under its own content type —
+// JSON for NewEntry, octet-stream for a binary frame — and a 304 carries none.
+func TestServeEntryContentType(t *testing.T) {
+	for _, c := range []struct {
+		e    *Entry
+		want string
+	}{
+		{NewEntry(`"j"`, []byte("{}\n")), "application/json"},
+		{NewBinaryEntry(`"b"`, []byte{1, 2, 3}), "application/octet-stream"},
+	} {
+		rec := httptest.NewRecorder()
+		Serve(rec, httptest.NewRequest(http.MethodGet, "/", nil), c.e, nil)
+		if got := rec.Header().Get("Content-Type"); got != c.want || rec.Body.Len() != len(c.e.Body) {
+			t.Fatalf("entry %s: Content-Type %q (want %q), %d body bytes", c.e.ETag, got, c.want, rec.Body.Len())
+		}
+		req := httptest.NewRequest(http.MethodGet, "/", nil)
+		req.Header.Set("If-None-Match", c.e.ETag)
+		rec = httptest.NewRecorder()
+		Serve(rec, req, c.e, nil)
+		if rec.Code != http.StatusNotModified || rec.Header().Get("Content-Type") != "" {
+			t.Fatalf("entry %s revalidated: status %d, Content-Type %q", c.e.ETag, rec.Code, rec.Header().Get("Content-Type"))
+		}
 	}
 }

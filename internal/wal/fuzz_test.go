@@ -24,7 +24,7 @@ func fuzzSeedFrames() [][]byte {
 		if err != nil {
 			panic(err)
 		}
-		out = append(out, appendFrame(nil, payload))
+		out = append(out, AppendFrame(nil, payload))
 	}
 	return out
 }
@@ -67,7 +67,7 @@ func FuzzWALDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("accepted record fails to re-encode: %v (%+v)", err, r)
 			}
-			if enc := appendFrame(nil, payload); !bytes.Equal(enc, consumed) {
+			if enc := AppendFrame(nil, payload); !bytes.Equal(enc, consumed) {
 				t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", consumed, enc)
 			}
 			r2, err := DecodePayload(payload)

@@ -104,8 +104,11 @@ func appendPayload(dst []byte, r *Record) ([]byte, error) {
 	return dst, nil
 }
 
-// appendFrame appends the framed encoding of payload to dst.
-func appendFrame(dst, payload []byte) []byte {
+// AppendFrame appends the framed encoding of payload — `u32 len | u32
+// crc32c(payload) | payload`, little-endian — to dst. It is the one framing
+// convention of the repository's byte streams: WAL segments, the rebalance
+// tail stream and the cluster's /shard/cuboid replies all use it.
+func AppendFrame(dst, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
 	return append(dst, payload...)
@@ -167,30 +170,41 @@ func DecodePayload(p []byte) (Record, error) {
 	return r, nil
 }
 
-// DecodeFrame decodes the first frame in b, returning the record and the
-// remaining bytes. Errors distinguish a torn frame (errTorn: b ends before
-// the declared length) from corruption (bad CRC, bad payload).
-func DecodeFrame(b []byte) (Record, []byte, error) {
+// OpenFrame verifies the envelope of the first frame in b and returns its
+// payload (aliasing b) and the remaining bytes. Errors distinguish a torn
+// frame (errTorn: b ends before the declared length) from corruption (a
+// length beyond maxRecordSize, a CRC mismatch). It never panics on corrupt
+// input and allocates nothing.
+func OpenFrame(b []byte) (payload, rest []byte, err error) {
 	if len(b) < frameHeaderSize {
-		return Record{}, nil, errTorn
+		return nil, nil, errTorn
 	}
 	n := int(binary.LittleEndian.Uint32(b[0:4]))
-	if n < 9 || n > maxRecordSize {
-		return Record{}, nil, fmt.Errorf("wal: frame declares %d payload bytes", n)
+	if n > maxRecordSize {
+		return nil, nil, fmt.Errorf("wal: frame declares %d payload bytes", n)
 	}
 	if len(b) < frameHeaderSize+n {
-		return Record{}, nil, errTorn
+		return nil, nil, errTorn
 	}
-	want := binary.LittleEndian.Uint32(b[4:8])
-	payload := b[frameHeaderSize : frameHeaderSize+n]
-	if crc32.Checksum(payload, castagnoli) != want {
-		return Record{}, nil, fmt.Errorf("wal: frame CRC mismatch")
+	payload = b[frameHeaderSize : frameHeaderSize+n]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, nil, fmt.Errorf("wal: frame CRC mismatch")
+	}
+	return payload, b[frameHeaderSize+n:], nil
+}
+
+// DecodeFrame decodes the first frame in b, returning the record and the
+// remaining bytes: OpenFrame's envelope check, then DecodePayload.
+func DecodeFrame(b []byte) (Record, []byte, error) {
+	payload, rest, err := OpenFrame(b)
+	if err != nil {
+		return Record{}, nil, err
 	}
 	r, err := DecodePayload(payload)
 	if err != nil {
 		return Record{}, nil, err
 	}
-	return r, b[frameHeaderSize+n:], nil
+	return r, rest, nil
 }
 
 // errTorn marks an incomplete final frame: the file ends before the frame's

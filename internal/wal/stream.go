@@ -69,7 +69,7 @@ func EncodeRecords(records []Record) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = appendFrame(out, payload)
+		out = AppendFrame(out, payload)
 	}
 	return out, nil
 }

@@ -282,7 +282,7 @@ func (s *Store) appendLocked(r *Record) error {
 	if err != nil {
 		return err
 	}
-	frame := appendFrame(nil, payload)
+	frame := AppendFrame(nil, payload)
 	if _, err := s.buf.Write(frame); err != nil {
 		return err
 	}
