@@ -12,9 +12,10 @@
 // <out>-<s>-of-<K>.txt, ready to serve with skycubed -shard. -shard-mode
 // picks the split: round-robin (row r goes to shard r mod K, global id
 // arithmetic base s / stride K), range (contiguous blocks, base offset /
-// stride 1), or the spatial modes grid and angular (positional ids — base =
-// total size of earlier shards, stride 1 — whose tight per-shard bounding
-// boxes feed the coordinator's -prune region pruning; read-only clusters);
+// stride 1), or angular (equal-count slices by angle around the min corner,
+// which mostly ship fewer candidates per query than round-robin; positional
+// ids — base = total size of earlier shards, stride 1 — so read-only clusters
+// like range);
 // each file carries its skycubed -shard flags in a comment header.
 package main
 
@@ -35,7 +36,7 @@ func main() {
 	real := flag.String("real", "", "real-data stand-in instead: NBA, HH, CT, or WE")
 	scale := flag.Float64("scale", 1, "row-count scale for -real, in (0,1]")
 	shards := flag.Int("shards", 0, "split into this many disjoint partition files instead of writing stdout")
-	shardMode := flag.String("shard-mode", "round-robin", "partition mode with -shards: round-robin, range, grid, or angular")
+	shardMode := flag.String("shard-mode", "round-robin", "partition mode with -shards: round-robin, range, or angular")
 	out := flag.String("out", "part", "output file prefix with -shards (files named <out>-<s>-of-<K>.txt)")
 	joinStub := flag.Bool("join-stub", false, "with -shards: additionally write an empty joinable shard stub <out>-join-of-<K>.txt whose header shows the -join-from bootstrap and split commands")
 	flag.Parse()
@@ -93,12 +94,10 @@ func writeShards(ds *skycube.Dataset, k int, modeName, prefix string, joinStub b
 		mode = skycube.RoundRobinPartition
 	case "range":
 		mode = skycube.RangePartition
-	case "grid":
-		mode = skycube.GridPartition
 	case "angular":
 		mode = skycube.AngularPartition
 	default:
-		return fmt.Errorf("unknown -shard-mode %q (round-robin, range, grid, or angular)", modeName)
+		return fmt.Errorf("unknown -shard-mode %q (round-robin, range, or angular)", modeName)
 	}
 	parts, err := ds.Partition(k, mode)
 	if err != nil {
@@ -106,8 +105,7 @@ func writeShards(ds *skycube.Dataset, k int, modeName, prefix string, joinStub b
 	}
 	// Positional modes number global ids by concatenation order, so a
 	// shard's id base is the total size of the shards before it (for equal
-	// range blocks this reproduces data.RangeOffsets; grid/angular cells
-	// are generally unequal).
+	// range blocks this reproduces data.RangeOffsets).
 	posBase := 0
 	for s, part := range parts {
 		base, stride := s, k

@@ -262,19 +262,12 @@ func runJoiningShard(addr, peer string, dopt skycube.DurableOptions,
 	serveAndDrain(addr, sh, shardEndpoints)
 }
 
-// pruneOptions carry the -prune/-pre-filter-k/-pre-filter-min-shards flags.
-type pruneOptions struct {
-	enabled            bool
-	preFilterK         int
-	preFilterMinShards int
-}
-
 // runCoordinatorMode serves the cluster's public surface over a shard map
 // given as a flat URL list: with -replicas R, each consecutive run of R
 // URLs is one shard's replica set.
 func runCoordinatorMode(addr, shardList string, replicas int,
 	timeout, hedgeDelay time.Duration, withPprof bool, cacheEntries int, noCache bool,
-	tracing traceOptions, prune pruneOptions) {
+	tracing traceOptions) {
 	urls := splitNonEmpty(shardList)
 	if len(urls) == 0 {
 		fmt.Fprintln(os.Stderr, "skycubed: -coordinator requires -shards url,url,...")
@@ -294,18 +287,15 @@ func runCoordinatorMode(addr, shardList string, replicas int,
 	}
 	metrics := skycube.NewMetrics()
 	coord, err := cluster.NewCoordinator(specs, cluster.CoordinatorOptions{
-		Timeout:            timeout,
-		HedgeDelay:         hedgeDelay,
-		Prune:              prune.enabled,
-		PreFilterK:         prune.preFilterK,
-		PreFilterMinShards: prune.preFilterMinShards,
-		Metrics:            metrics,
-		Logger:             log.New(os.Stderr, "skycubed: ", log.LstdFlags),
-		CacheEntries:       cacheEntries,
-		DisableCache:       noCache,
-		Requests:           tracing.ring,
-		SampleEvery:        tracing.sampleEvery,
-		SlowQuery:          tracing.slowQuery,
+		Timeout:      timeout,
+		HedgeDelay:   hedgeDelay,
+		Metrics:      metrics,
+		Logger:       log.New(os.Stderr, "skycubed: ", log.LstdFlags),
+		CacheEntries: cacheEntries,
+		DisableCache: noCache,
+		Requests:     tracing.ring,
+		SampleEvery:  tracing.sampleEvery,
+		SlowQuery:    tracing.slowQuery,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "skycubed:", err)

@@ -112,9 +112,6 @@ func main() {
 	shardURLs := flag.String("shards", "", "with -coordinator: comma-separated shard replica URLs")
 	replicas := flag.Int("replicas", 1, "with -coordinator: replicas per shard (consecutive -shards URLs are grouped)")
 	clusterTimeout := flag.Duration("cluster-timeout", 0, "with -coordinator: per-attempt shard request timeout (0 = default 2s)")
-	prune := flag.Bool("prune", false, "with -coordinator: region-pruned gathers — fetch per-shard corners first, skip dominated shards, filter candidates source-side")
-	preFilterK := flag.Int("pre-filter-k", 0, "with -coordinator: representative points per shard in the pruning prelude (0 = corners only; >0 implies -prune)")
-	preFilterMinShards := flag.Int("pre-filter-min-shards", 0, "with -coordinator: skip the representative pre-filter below this many shards (0 = default 3)")
 	hedgeDelay := flag.Duration("hedge-delay", 0, "with -coordinator: delay before hedging a slow read to a second replica (0 = default 50ms, negative disables)")
 	cacheEntries := flag.Int("cache-entries", 0, "with -serve: LRU bound of the epoch-keyed response cache (0 = default 4096)")
 	noCache := flag.Bool("no-cache", false, "with -serve: disable response caching (the ETag/304 contract remains)")
@@ -141,8 +138,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "skycubed: -coordinator takes no data file")
 			os.Exit(2)
 		}
-		runCoordinatorMode(*serve, *shardURLs, *replicas, *clusterTimeout, *hedgeDelay, *pprofFlag, *cacheEntries, *noCache, tracing,
-			pruneOptions{enabled: *prune, preFilterK: *preFilterK, preFilterMinShards: *preFilterMinShards})
+		runCoordinatorMode(*serve, *shardURLs, *replicas, *clusterTimeout, *hedgeDelay, *pprofFlag, *cacheEntries, *noCache, tracing)
 		return
 	}
 

@@ -173,11 +173,6 @@ const (
 	RoundRobinPartition = data.RoundRobin
 	// RangePartition assigns balanced contiguous blocks (id stride 1).
 	RangePartition = data.Range
-	// GridPartition assigns axis-aligned spatial cells via recursive median
-	// splits, so every shard's points live in a tight bounding box — the
-	// shape the cluster tier's region pruning exploits. Positional id
-	// mapping (stride 1 over the concatenation order), read-only clusters.
-	GridPartition = data.Grid
 	// AngularPartition cuts equal-count slices by the first hyperspherical
 	// angle around the dataset's min corner, which keeps per-slice skylines
 	// small on anticorrelated data. Positional id mapping, read-only.

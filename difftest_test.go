@@ -259,7 +259,7 @@ func TestDifferentialIncremental(t *testing.T) {
 // identity through the public API alone: for every partition mode, splitting
 // a dataset, building each part independently, and re-filtering the union of
 // the local cuboids yields exactly the full build's skycube, cuboid by
-// cuboid. Positional modes (range, grid, angular) renumber points by
+// cuboid. Positional modes (range, angular) renumber points by
 // concatenation order, so their oracle is a rebuild over the concatenated
 // rows; round-robin keeps the arithmetic id mapping s + r·k.
 func TestDifferentialPartitionMerge(t *testing.T) {
@@ -269,7 +269,6 @@ func TestDifferentialPartitionMerge(t *testing.T) {
 	}{
 		{"roundrobin", skycube.RoundRobinPartition},
 		{"range", skycube.RangePartition},
-		{"grid", skycube.GridPartition},
 		{"angular", skycube.AngularPartition},
 	}
 	dominates := func(p, q []float32, delta skycube.Subspace) bool {

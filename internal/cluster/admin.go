@@ -32,6 +32,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+
+	"skycube/internal/server"
 )
 
 // trimURL normalises a replica URL the way newReplica does, so lookups by
@@ -52,7 +54,7 @@ type adminMapShard struct {
 }
 
 func (c *Coordinator) handleAdminMap(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !server.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	c.handleAdminMapBody(w)
@@ -66,7 +68,7 @@ func (c *Coordinator) handleAdminMap(w http.ResponseWriter, r *http.Request) {
 // "degraded". Responds with the refreshed map so the caller sees the
 // surviving flags.
 func (c *Coordinator) handleAdminRefresh(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost) {
+	if !server.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	if err := c.Refresh(r.Context()); err != nil {
@@ -91,7 +93,7 @@ func (c *Coordinator) handleAdminMapBody(w http.ResponseWriter) {
 		}
 		resp.Shards = append(resp.Shards, s)
 	}
-	writeJSON(w, resp)
+	server.WriteJSON(w, resp)
 }
 
 // swapMap publishes a new topology: generation+1, a ring over the new label
@@ -187,7 +189,7 @@ type adminSwapResponse struct {
 // the replica's frontier must equal the group's exactly — so from the swap
 // on, write-all delivery keeps it converged.
 func (c *Coordinator) handleAdminJoin(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost) {
+	if !server.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req adminTargetRequest
@@ -242,14 +244,14 @@ func (c *Coordinator) handleAdminJoin(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	nm := c.swapMap(shards)
-	writeJSON(w, adminSwapResponse{Gen: nm.gen, Shard: g.name, Replicas: replicaURLs(nm.find(g.name))})
+	server.WriteJSON(w, adminSwapResponse{Gen: nm.gen, Shard: g.name, Replicas: replicaURLs(nm.find(g.name))})
 }
 
 // handleAdminDrain removes a replica from a shard group. The drained replica
 // keeps serving whatever it holds (and can be wiped or re-joined later); it
 // simply stops receiving traffic from maps at the new generation on.
 func (c *Coordinator) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost) {
+	if !server.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req adminTargetRequest
@@ -295,7 +297,7 @@ func (c *Coordinator) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	nm := c.swapMap(shards)
-	writeJSON(w, adminSwapResponse{Gen: nm.gen, Shard: g.name, Replicas: replicaURLs(nm.find(g.name))})
+	server.WriteJSON(w, adminSwapResponse{Gen: nm.gen, Shard: g.name, Replicas: replicaURLs(nm.find(g.name))})
 }
 
 // adminSplitRequest cuts a pre-bootstrapped child shard into the map.
@@ -321,7 +323,7 @@ type adminSplitResponse struct {
 }
 
 func (c *Coordinator) handleAdminSplit(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost) {
+	if !server.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req adminSplitRequest
@@ -466,7 +468,7 @@ func (c *Coordinator) handleAdminSplit(w http.ResponseWriter, r *http.Request) {
 	// read memo so no pre-prune body outlives them.
 	c.writeGen.Add(1)
 
-	writeJSON(w, adminSplitResponse{
+	server.WriteJSON(w, adminSplitResponse{
 		Gen:         nm.gen,
 		Parent:      parent.name,
 		Child:       child.name,

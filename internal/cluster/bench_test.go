@@ -3,14 +3,9 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -119,157 +114,6 @@ func BenchmarkClusterServeCold(b *testing.B) {
 	benchClusterRequest(b, coord, true)
 }
 
-// benchPrunedCluster wires a K-shard grid-partitioned cluster (positional id
-// mapping) over anticorrelated data — the pruning benchmarks' fixture. Grid
-// cells give each shard a tight bounding box, which is what the prelude's
-// corners and reps exploit.
-func benchPrunedCluster(b *testing.B, k int, copt CoordinatorOptions) (*Coordinator, func()) {
-	b.Helper()
-	ds := skycube.GenerateSynthetic(skycube.Anticorrelated, 2048, 4, 103)
-	parts, err := ds.Partition(k, skycube.GridPartition)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cleanups []func()
-	var specs []ShardSpec
-	base := 0
-	for _, part := range parts {
-		sh, err := NewShard(part, skycube.Options{Threads: 2}, ShardOptions{IDBase: base, IDStride: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := httptest.NewServer(sh)
-		cleanups = append(cleanups, srv.Close, sh.Close)
-		specs = append(specs, ShardSpec{Replicas: []string{srv.URL}, IDBase: base, IDStride: 1})
-		base += part.Len()
-	}
-	if copt.Timeout == 0 {
-		copt.Timeout = 5 * time.Second
-	}
-	coord, err := NewCoordinator(specs, copt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return coord, func() {
-		for _, f := range cleanups {
-			f()
-		}
-	}
-}
-
-// reportShipped runs one instrumented query and reports the per-query
-// candidate points actually shipped over the wire (and, for the pruned
-// path, the estimated shard-response bytes saved) — the communication cost
-// the pruned gather exists to cut. Shard state is static, so one
-// measurement is exact for every iteration.
-func reportShipped(b *testing.B, coord *Coordinator, reg *obs.Registry, path string) {
-	b.Helper()
-	before := struct{ pruned, saved float64 }{}
-	if reg != nil {
-		before.pruned = benchMetricTotal(b, reg, "skycube_cluster_pruned_points_total")
-		before.saved = benchMetricTotal(b, reg, "skycube_cluster_bytes_saved_total")
-	}
-	req := httptest.NewRequest(http.MethodGet, path, nil)
-	rec := httptest.NewRecorder()
-	coord.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		b.Fatalf("measurement query: status %d: %s", rec.Code, rec.Body.String())
-	}
-	var resp skylineResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		b.Fatal(err)
-	}
-	shipped := float64(resp.Candidates)
-	if reg != nil {
-		prunedPts := benchMetricTotal(b, reg, "skycube_cluster_pruned_points_total") - before.pruned
-		shipped -= prunedPts
-		b.ReportMetric(benchMetricTotal(b, reg, "skycube_cluster_bytes_saved_total")-before.saved, "wire_B_saved/op")
-	}
-	b.ReportMetric(shipped, "shipped_pts/op")
-}
-
-func benchMetricTotal(b *testing.B, reg *obs.Registry, name string) float64 {
-	b.Helper()
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		b.Fatal(err)
-	}
-	var total float64
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if rest == "" || (rest[0] != ' ' && rest[0] != '{') {
-			continue
-		}
-		fields := strings.Fields(line)
-		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += v
-	}
-	return total
-}
-
-// BenchmarkClusterServeColdPruned: the communication-efficiency matrix —
-// unpruned versus pruned cold gathers at K ∈ {2,4,8} on grid-partitioned
-// anticorrelated data, reporting shipped candidate points per query
-// alongside ns/op. The pruned rows must ship ≥2× fewer candidates at K=4
-// (BENCH_serve.json records the measured ratio).
-func BenchmarkClusterServeColdPruned(b *testing.B) {
-	for _, k := range []int{2, 4, 8} {
-		for _, prune := range []bool{false, true} {
-			name := fmt.Sprintf("k%d/unpruned", k)
-			if prune {
-				name = fmt.Sprintf("k%d/pruned", k)
-			}
-			b.Run(name, func(b *testing.B) {
-				copt := CoordinatorOptions{DisableCache: true}
-				var reg *obs.Registry
-				if prune {
-					reg = obs.NewRegistry()
-					copt.Prune = true
-					copt.PreFilterK = 16
-					copt.PreFilterMinShards = 2
-					copt.Metrics = reg
-				}
-				coord, done := benchPrunedCluster(b, k, copt)
-				defer done()
-				u, err := url.Parse("/skyline?dims=0,1")
-				if err != nil {
-					b.Fatal(err)
-				}
-				req := &http.Request{Method: http.MethodGet, URL: u, Header: http.Header{}}
-				w := &benchNopWriter{h: http.Header{}}
-				coord.ServeHTTP(w, req) // learn dims
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					w.reset()
-					coord.ServeHTTP(w, req)
-				}
-				b.StopTimer()
-				// After the loop: ResetTimer clears ReportMetric values, so
-				// the shipped-candidates measurement must come last.
-				reportShipped(b, coord, reg, "/skyline?dims=0,1")
-			})
-		}
-	}
-}
-
-// BenchmarkClusterServeHotPruned: the warm write-generation memo with
-// pruning enabled. The fast path must stay a map probe and a byte copy —
-// CI holds this to the same 0 allocs/op as the unpruned hot path.
-func BenchmarkClusterServeHotPruned(b *testing.B) {
-	coord, done := benchPrunedCluster(b, 2, CoordinatorOptions{
-		Prune: true, PreFilterK: 16, PreFilterMinShards: 2,
-	})
-	defer done()
-	benchClusterRequest(b, coord, false)
-}
-
 // BenchmarkMergeFrames times the coordinator's merge alone, over frames built
 // once outside the timer from the local skylines of a round-robin partition
 // (through the wire codec, as the gather hands them over), and reports beside
@@ -305,7 +149,7 @@ func BenchmarkMergeFrames(b *testing.B) {
 				for i, row := range local {
 					ids[i] = int32(s) + row*int32(c.k)
 				}
-				wire := encodeCuboidFrame(c.delta, 1, 0, ids, func(i int) []float32 { return part.Point(int(local[i])) })
+				wire := encodeCuboidFrame(c.delta, 1, ids, func(i int) []float32 { return part.Point(int(local[i])) })
 				if frames[s], err = decodeCuboidFrame(wire, c.delta); err != nil {
 					b.Fatal(err)
 				}

@@ -343,3 +343,82 @@ func TestChaosConcurrentQueriesUnderFaults(t *testing.T) {
 		}
 	}
 }
+
+// cuboidHook wraps a shard and runs a hook once, right before the next
+// /shard/cuboid request is forwarded.
+type cuboidHook struct {
+	inner  http.Handler
+	before atomic.Pointer[func()]
+}
+
+func (h *cuboidHook) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/shard/cuboid" {
+		if fn := h.before.Swap(nil); fn != nil {
+			(*fn)()
+		}
+	}
+	h.inner.ServeHTTP(w, r)
+}
+
+// TestChaosEpochAdvanceMidGather lands a write between the coordinator's
+// scatter and one shard's answer: shard 0 applies an insert and flushes just
+// before serving its cuboid. A shard always answers from one snapshot and
+// names its epoch, so the gather stays exact for the state each shard
+// answered at: the new point is in, the points it dominates are out, and the
+// response's epochs show shard 0 ahead of shard 1. (The write bypasses the
+// coordinator, so its memo is off, as it must be for such a topology.)
+func TestChaosEpochAdvanceMidGather(t *testing.T) {
+	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 71)
+	const k = 2
+	parts, err := ds.Partition(k, skycube.RoundRobinPartition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []ShardSpec
+	var shard0 *Shard
+	var hook0 *cuboidHook
+	for s, part := range parts {
+		sh, err := NewShard(part, skycube.Options{Threads: 2}, ShardOptions{IDBase: s, IDStride: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sh.Close)
+		hook := &cuboidHook{inner: sh}
+		srv := httptest.NewServer(hook)
+		t.Cleanup(srv.Close)
+		if s == 0 {
+			shard0, hook0 = sh, hook
+		}
+		specs = append(specs, ShardSpec{Replicas: []string{srv.URL}, IDBase: s, IDStride: k})
+	}
+	coord, err := NewCoordinator(specs, CoordinatorOptions{Timeout: time.Second, HedgeDelay: -1, DisableCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	points := map[int32][]float32{}
+	for i := 0; i < ds.Len(); i++ {
+		points[int32(i)] = ds.Point(i)
+	}
+	before := querySkyline(t, coord, mask.Mask(7), http.StatusOK)
+
+	strong := []float32{0.001, 0.001, 0.001}
+	advance := func() {
+		postJSON(t, shard0, "/insert", insertRequest{Points: [][]float32{strong}}, http.StatusOK)
+		postJSON(t, shard0, "/flush", struct{}{}, http.StatusOK)
+	}
+	hook0.before.Store(&advance)
+	// Shard 0 (base 0, stride 2) appends local row 100 -> global id 200.
+	points[200] = strong
+
+	got := querySkyline(t, coord, mask.Mask(7), http.StatusOK)
+	if got.Partial {
+		t.Fatal("epoch advance degraded to partial despite healthy shards")
+	}
+	if want := bruteSkyline(points, mask.Mask(7)); !equalIDs(got.IDs, want) {
+		t.Fatalf("ids %v, want %v (silently wrong under epoch advance)", got.IDs, want)
+	}
+	if got.Epochs["0"] != before.Epochs["0"]+1 || got.Epochs["1"] != before.Epochs["1"] {
+		t.Fatalf("epochs %v after %v: want shard 0 one ahead, shard 1 unmoved", got.Epochs, before.Epochs)
+	}
+}

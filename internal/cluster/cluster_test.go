@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -61,10 +62,9 @@ func newTestClusterOpts(t *testing.T, ds *skycube.Dataset, k, r int, mode skycub
 	for s, part := range parts {
 		base, stride := s, k
 		if mode.Positional() {
-			// Positional modes (range, grid, angular) number global ids by
+			// Positional modes (range, angular) number global ids by
 			// concatenation order: this shard's base is the total size of
-			// the shards before it. For range partitions of equal size this
-			// reproduces data.RangeOffsets; grid/angular cells are unequal.
+			// the shards before it, which reproduces data.RangeOffsets.
 			base, stride = posBase, 1
 		}
 		posBase += part.Len()
@@ -275,15 +275,32 @@ func TestShardCuboidBadSubspace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	// The last two are well-formed subspaces with a parameter the endpoint
-	// does not have: the retired S⁺ switch and a skymeta-only one.
-	for _, spec := range []string{"", "0", "8", "abc", "-1", "7&extended=true", "7&k=3"} {
+	// The last three are well-formed subspaces with a parameter the endpoint
+	// does not have: the retired S⁺ switch, and the retired pruning protocol's
+	// rep count and (well-formed, one 3-d point) source-side filter — a reply
+	// of plain S_δ would be taken for the filtered one.
+	for _, spec := range []string{"", "0", "8", "abc", "-1", "7&extended=true", "7&k=3", "7&filter=0,0,0"} {
 		req := httptest.NewRequest(http.MethodGet, "/shard/cuboid?subspace="+spec, nil)
 		rec := httptest.NewRecorder()
 		sh.ServeHTTP(rec, req)
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("subspace %q: status %d, want 400", spec, rec.Code)
 		}
+	}
+}
+
+// TestShardSkymetaEndpointGone: the pruning prelude has no route left.
+func TestShardSkymetaEndpointGone(t *testing.T) {
+	ds := skycube.GenerateSynthetic(skycube.Independent, 50, 3, 1)
+	sh, err := NewShard(ds, skycube.Options{Threads: 1}, ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	rec := httptest.NewRecorder()
+	sh.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/shard/skymeta?subspace=7", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /shard/skymeta: status %d, want 404: %s", rec.Code, rec.Body.String())
 	}
 }
 
@@ -522,6 +539,55 @@ func TestCoordinatorOptionsDefaults(t *testing.T) {
 	}
 	if _, err := NewCoordinator([]ShardSpec{{}}, CoordinatorOptions{}); err == nil {
 		t.Fatal("NewCoordinator accepted a shard with no replicas")
+	}
+}
+
+// TestCoordinatorCountsQueriesItFailed: a read refused after three stale-map
+// attempts is exactly the query an operator looks for during a cutover, so it
+// must move skycube_cluster_queries_total and the latency histogram like an
+// answered one. Every shard here rejects each cuboid request's generation as
+// one behind, forever.
+func TestCoordinatorCountsQueriesItFailed(t *testing.T) {
+	ds := skycube.GenerateSynthetic(skycube.Independent, 40, 3, 3)
+	sh, err := NewShard(ds, skycube.Options{Threads: 1}, ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/shard/cuboid" {
+			sh.ServeHTTP(w, r)
+			return
+		}
+		gen, _ := strconv.ParseUint(r.Header.Get(mapGenHeader), 10, 64)
+		w.Header().Set(mapGenHeader, strconv.FormatUint(gen+1, 10))
+		http.Error(w, "stale shard map generation", http.StatusConflict)
+	}))
+	defer srv.Close()
+	reg := obs.NewRegistry()
+	coord, err := NewCoordinator([]ShardSpec{{Replicas: []string{srv.URL}}}, CoordinatorOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A request that never becomes a query is not one.
+	rec := httptest.NewRecorder()
+	coord.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/skyline?dims=9", nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("bad dims: status %d, want 400", rec.Code)
+	}
+	if n := metricTotal(t, reg, "skycube_cluster_queries_total"); n != 0 {
+		t.Fatalf("a 400 counted as %v queries", n)
+	}
+	rec = httptest.NewRecorder()
+	coord.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/skyline?dims=0,1", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("forever-stale shard: status %d, want 503: %s", rec.Code, rec.Body.String())
+	}
+	if n := metricTotal(t, reg, "skycube_cluster_queries_total"); n != 1 {
+		t.Fatalf("queries_total = %v after one refused query, want 1", n)
+	}
+	if n := metricTotal(t, reg, "skycube_cluster_query_seconds_count"); n != 1 {
+		t.Fatalf("query_seconds_count = %v after one refused query, want 1", n)
 	}
 }
 

@@ -18,10 +18,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"skycube/internal/dom"
 	"skycube/internal/mask"
 	"skycube/internal/obs"
 	"skycube/internal/rcache"
+	"skycube/internal/server"
 )
 
 // ShardSpec names one shard of the cluster: its replica URLs (all serving
@@ -55,21 +55,12 @@ type CoordinatorOptions struct {
 	// BreakerCooldown, during which the replica is skipped outright.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Prune enables the communication-efficient gather (see prune.go): a
-	// prelude round fetches per-shard region corners, whole shards whose
-	// region is dominated are skipped, and the remaining shards drop
-	// candidates dominated by foreign corners before replying. The merged
-	// result is byte-identical to the unpruned gather; any prelude failure
-	// or epoch race falls back to the plain path.
+	// Prune is read by nothing in this package: there is one gather. The
+	// field stays only because benchmark/serve.go sets it and benchmark/ is
+	// frozen while a PR is measured against it; the benchmark PR that drops
+	// the probe's second (prune = true) loop and
+	// cluster.cold_gather_pruned_ms removes this field with them.
 	Prune bool
-	// PreFilterK, when > 0, additionally broadcasts each shard's K best
-	// points (smallest coordinate sum in the queried subspace) as filter
-	// points — the representative-point pre-filter. Implies Prune. The
-	// pre-filter is skipped automatically below PreFilterMinShards shards.
-	PreFilterK int
-	// PreFilterMinShards is the minimum cluster size at which PreFilterK
-	// takes effect (0 = DefaultPreFilterMinShards).
-	PreFilterMinShards int
 	// CacheEntries bounds the coordinator's merged-response cache (LRU);
 	// 0 means rcache.DefaultEntries.
 	CacheEntries int
@@ -130,12 +121,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{}
-	}
-	if o.PreFilterK > 0 {
-		o.Prune = true
-	}
-	if o.PreFilterMinShards <= 0 {
-		o.PreFilterMinShards = DefaultPreFilterMinShards
 	}
 	return o
 }
@@ -517,21 +502,12 @@ func (c *Coordinator) reportReply(rec *obs.ReqRecord, g *shardGroup, r shardRepl
 	rec.Event(ev)
 }
 
-// gather collects the cuboid frames of the pinned map's shards, indexed like
-// m.shards: by the pruned gather (prune.go) when enabled, and when that is
-// off or fell back, by scattering the plain request to every shard at once.
-// Failed shards (all replicas exhausted, or an undecodable reply) are
-// reported, not fatal. considered is the response's Candidates: lanes shipped
-// plus — pruned — those filtered source-side and skipped. stale reports that
-// a shard rejected the map generation: the caller must retry the whole query
-// on the current map rather than serve a mix (a stale pruned gather falls
-// back to the plain one, which sees the same 409).
-func (c *Coordinator) gather(ctx context.Context, m *shardMap, delta mask.Mask) (_ []*cuboidFrame, _ map[string]uint64, failed []string, considered int, stale bool) {
-	if c.opt.Prune && len(m.shards) > 1 {
-		if frames, epochs, n, ok := c.gatherPruned(ctx, m, delta); ok {
-			return frames, epochs, nil, n, false
-		}
-	}
+// gather scatters the cuboid request to every shard of the pinned map and
+// returns the decoded frames, indexed like m.shards. Failed shards (all
+// replicas exhausted, or an undecodable reply) are reported, not fatal. stale
+// reports that a shard rejected the map generation: the caller must retry the
+// whole query on the current map rather than serve a mix.
+func (c *Coordinator) gather(ctx context.Context, m *shardMap, delta mask.Mask) (_ []*cuboidFrame, _ map[string]uint64, failed []string, stale bool) {
 	path := fmt.Sprintf("/shard/cuboid?subspace=%d", uint32(delta))
 	rec := obs.RecordFrom(ctx)
 	replies := make([]shardReply, len(m.shards))
@@ -557,10 +533,9 @@ func (c *Coordinator) gather(ctx context.Context, m *shardMap, delta mask.Mask) 
 			continue
 		}
 		frames[i], epochs[g.name] = replies[i].frame, replies[i].frame.epoch
-		considered += len(frames[i].ids)
 	}
 	sort.Strings(failed)
-	return frames, epochs, failed, considered, stale
+	return frames, epochs, failed, stale
 }
 
 // epochVectorHash folds the gathered per-shard epochs — in the fixed shard
@@ -599,9 +574,7 @@ func (c *Coordinator) epochVectorHash(m *shardMap, epochs map[string]uint64) uin
 // and the HTTP status is 206 — when a shard had no live replica: the ids
 // are then a correct skyline of the reachable partitions only, never a
 // silently wrong global answer. Candidates counts the shard-local skyline
-// members the query CONSIDERED — shipped plus source-side filtered plus
-// skipped-shard counts — so the pruned and unpruned gathers report the
-// same value (and stay byte-identical).
+// members the reachable shards shipped.
 type skylineResponse struct {
 	Dims         []int             `json:"dims"`
 	Subspace     uint32            `json:"subspace"`
@@ -634,7 +607,7 @@ type gatewayError struct{ msg string }
 func (e *gatewayError) Error() string { return e.msg }
 
 func (c *Coordinator) handleSkyline(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !server.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	start := time.Now()
@@ -659,7 +632,10 @@ func (c *Coordinator) handleSkyline(w http.ResponseWriter, r *http.Request) {
 			r = r.WithContext(obs.WithRecord(r.Context(), rec))
 		}
 	}
-	status := c.serveSkyline(w, r, rec, explain, start)
+	status, counted := c.serveSkyline(w, r, rec, explain, start)
+	if counted {
+		c.cm.QueryTraced(time.Since(start), status == http.StatusPartialContent, rec.TraceID())
+	}
 	rec.Finish(status)
 	if dur := time.Since(start); c.opt.SlowQuery > 0 && dur >= c.opt.SlowQuery {
 		c.logSlow(r, status, dur, rec.TraceID())
@@ -667,8 +643,10 @@ func (c *Coordinator) handleSkyline(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveSkyline answers one /skyline query and returns the HTTP status it
-// wrote (for the trace record and the slow-query log).
-func (c *Coordinator) serveSkyline(w http.ResponseWriter, r *http.Request, rec *obs.ReqRecord, explain bool, start time.Time) int {
+// wrote (for the query metrics, the trace record and the slow-query log).
+// counted is false for a request that never became a query: the cluster's
+// dimensionality is unknown, or the dims parameter does not parse.
+func (c *Coordinator) serveSkyline(w http.ResponseWriter, r *http.Request, rec *obs.ReqRecord, explain bool, start time.Time) (status int, counted bool) {
 	// Fast path: a query already answered at this write generation cannot
 	// have changed (shard epochs advance only through routed writes), so
 	// serve the memoized bytes with no fan-out — no hedges, no retries, no
@@ -678,22 +656,21 @@ func (c *Coordinator) serveSkyline(w http.ResponseWriter, r *http.Request, rec *
 		if e, ok := c.cache.Get(rcache.Key{Epoch: c.writeGen.Load(), Variant: genKeyPrefix + r.URL.RawQuery}); ok {
 			rec.Event(obs.Event{Kind: obs.EvCache, Detail: "hit-generation", Start: rec.Since()})
 			rcache.Serve(w, r, e, c.cacheCM)
-			c.cm.QueryTraced(time.Since(start), false, rec.TraceID())
-			return http.StatusOK
+			return http.StatusOK, true
 		}
 	}
 	d, err := c.dimsOrRefresh(r.Context())
 	if err != nil {
 		http.Error(w, fmt.Sprintf("cluster not ready: %v", err), http.StatusServiceUnavailable)
-		return http.StatusServiceUnavailable
+		return http.StatusServiceUnavailable, false
 	}
-	dims, delta, errMsg := parseDims(r.URL.Query().Get("dims"), d)
+	dims, delta, errMsg := server.ParseDims(r.URL.Query().Get("dims"), d)
 	if errMsg != "" {
 		http.Error(w, errMsg, http.StatusBadRequest)
-		return http.StatusBadRequest
+		return http.StatusBadRequest, false
 	}
 	if explain {
-		return c.serveExplain(w, r, rec, dims, delta, start)
+		return c.serveExplain(w, r, rec, dims, delta, start), true
 	}
 	rec.Event(obs.Event{Kind: obs.EvCache, Detail: "miss", Start: rec.Since()})
 	// Pin one shard map per attempt. A shard answering "stale generation"
@@ -726,24 +703,21 @@ func (c *Coordinator) serveSkyline(w http.ResponseWriter, r *http.Request, rec *
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusPartialContent)
 			_, _ = w.Write(pe.body)
-			c.cm.QueryTraced(time.Since(start), true, rec.TraceID())
-			return http.StatusPartialContent
+			return http.StatusPartialContent, true
 		case errors.As(err, &ge):
 			http.Error(w, ge.msg, http.StatusBadGateway)
-			c.cm.QueryTraced(time.Since(start), false, rec.TraceID())
-			return http.StatusBadGateway
+			return http.StatusBadGateway, true
 		case errors.Is(err, errStaleMap):
 			http.Error(w, "shard map changed repeatedly during the query; retry",
 				http.StatusServiceUnavailable)
-			return http.StatusServiceUnavailable
+			return http.StatusServiceUnavailable, true
 		default:
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return http.StatusInternalServerError
+			return http.StatusInternalServerError, true
 		}
 	}
 	rcache.Serve(w, r, entry, c.cacheCM)
-	c.cm.QueryTraced(time.Since(start), false, rec.TraceID())
-	return http.StatusOK
+	return http.StatusOK, true
 }
 
 // logSlow emits the coordinator's slow-query log line.
@@ -771,7 +745,7 @@ var errStaleMap = errors.New("cluster: shard map generation went stale mid-query
 // concurrent identical cold queries share one fan-out.
 func (c *Coordinator) computeSkyline(ctx context.Context, m *shardMap, rawQuery string, dims []int, delta mask.Mask) (*rcache.Entry, error) {
 	rec := obs.RecordFrom(ctx)
-	frames, epochs, failed, considered, stale := c.gather(ctx, m, delta)
+	frames, epochs, failed, stale := c.gather(ctx, m, delta)
 	if stale {
 		return nil, errStaleMap
 	}
@@ -800,7 +774,7 @@ func (c *Coordinator) computeSkyline(ctx context.Context, m *shardMap, rawQuery 
 		Subspace:     uint32(delta),
 		Count:        len(ids),
 		IDs:          ids,
-		Candidates:   considered,
+		Candidates:   st.cands,
 		Partial:      partial,
 		FailedShards: failed,
 		Epochs:       epochs,
@@ -855,7 +829,7 @@ func breakerName(state int) string {
 }
 
 func (c *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !server.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	c.mu.Lock()
@@ -874,7 +848,7 @@ func (c *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Shards = append(resp.Shards, st)
 	}
-	writeJSON(w, resp)
+	server.WriteJSON(w, resp)
 }
 
 // healthResponse is the coordinator's /healthz payload: ready means every
@@ -894,7 +868,7 @@ type healthResponse struct {
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !server.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	m := c.curMap()
@@ -919,29 +893,20 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if !resp.Ready {
 		resp.Status = "unavailable"
-		writeJSONStatus(w, http.StatusServiceUnavailable, resp)
+		server.WriteJSONStatus(w, http.StatusServiceUnavailable, resp)
 		return
 	}
 	if len(resp.DivergedShards) > 0 {
 		resp.Status = "degraded"
 	}
-	writeJSON(w, resp)
+	server.WriteJSON(w, resp)
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !server.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	ks := dom.KernelStats()
-	c.km.Sync(ks.BlockSweeps, ks.StopPointExits, ks.ScalarFallbacks)
-	// Exemplars use OpenMetrics syntax that classic text-format parsers
-	// reject, so they are opt-in per scrape.
-	if r.URL.Query().Get("exemplars") == "1" {
-		_ = c.opt.Metrics.WritePrometheusExemplars(w)
-		return
-	}
-	_ = c.opt.Metrics.WritePrometheus(w)
+	server.ServeMetrics(w, r, c.opt.Metrics, c.km)
 }
 
 // insertRequest / insertResponse mirror the shard server's protocol, but
@@ -979,7 +944,7 @@ func newBatchID() string {
 }
 
 func (c *Coordinator) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost) {
+	if !server.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	if _, err := c.dimsOrRefresh(r.Context()); err != nil {
@@ -1120,7 +1085,7 @@ func (c *Coordinator) insertOnce(w http.ResponseWriter, r *http.Request, req *in
 		}
 		resp.Routed[g.name] += len(idxs)
 	}
-	writeJSON(w, resp)
+	server.WriteJSON(w, resp)
 	return 0, ""
 }
 
@@ -1136,7 +1101,7 @@ type deleteResponse struct {
 }
 
 func (c *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost) {
+	if !server.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	if _, err := c.dimsOrRefresh(r.Context()); err != nil {
@@ -1262,7 +1227,7 @@ func (c *Coordinator) deleteOnce(w http.ResponseWriter, r *http.Request, req *de
 		}
 		resp.Deleted++
 	}
-	writeJSON(w, resp)
+	server.WriteJSON(w, resp)
 	return 0, ""
 }
 
@@ -1277,7 +1242,7 @@ type shardEpochResponse struct {
 }
 
 func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodPost) {
+	if !server.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	// Flush is a write: it holds the gate shared and pins one map.
@@ -1315,54 +1280,5 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, resp)
-}
-
-// parseDims parses the dims=0,2,5 query parameter against dimensionality d,
-// returning the dims, the subspace mask, and "" or an error message.
-func parseDims(spec string, d int) ([]int, mask.Mask, string) {
-	if spec == "" {
-		return nil, 0, "missing dims parameter (e.g. dims=0,2,5)"
-	}
-	var dims []int
-	var delta mask.Mask
-	for _, part := range strings.Split(spec, ",") {
-		dim, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || dim < 0 || dim >= d {
-			return nil, 0, fmt.Sprintf("bad dimension %q (need 0..%d)", part, d-1)
-		}
-		if delta&mask.Bit(dim) != 0 {
-			return nil, 0, fmt.Sprintf("duplicate dimension %d in dims=%s", dim, spec)
-		}
-		dims = append(dims, dim)
-		delta |= mask.Bit(dim)
-	}
-	return dims, delta, ""
-}
-
-// allowMethod guards a handler's verb with the Allow header on mismatch.
-func allowMethod(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method == method {
-		return true
-	}
-	w.Header().Set("Allow", method)
-	http.Error(w, fmt.Sprintf("method %s not allowed (use %s)", r.Method, method),
-		http.StatusMethodNotAllowed)
-	return false
-}
-
-// writeJSON buffers the encoding so a failure can still produce a clean 500.
-func writeJSON(w http.ResponseWriter, v interface{}) { writeJSONStatus(w, http.StatusOK, v) }
-
-func writeJSONStatus(w http.ResponseWriter, status int, v interface{}) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if status != http.StatusOK {
-		w.WriteHeader(status)
-	}
-	_, _ = w.Write(buf.Bytes())
+	server.WriteJSON(w, resp)
 }

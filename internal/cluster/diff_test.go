@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"skycube"
@@ -144,18 +145,6 @@ func mustUnmarshal(t *testing.T, b []byte, v interface{}) {
 	}
 }
 
-// newSecondCoordinator stands up another coordinator over the same shard
-// servers as tc — the pruned/unpruned byte-identity tests compare two
-// independent gather paths against identical shard state.
-func newSecondCoordinator(t *testing.T, tc *testCluster, copt CoordinatorOptions) *Coordinator {
-	t.Helper()
-	coord, err := NewCoordinator(tc.specs, copt)
-	if err != nil {
-		t.Fatalf("NewCoordinator (second): %v", err)
-	}
-	return coord
-}
-
 // queryRawSkyline issues GET /skyline and returns the raw response body.
 func queryRawSkyline(t *testing.T, h http.Handler, delta mask.Mask, wantStatus int) []byte {
 	t.Helper()
@@ -177,8 +166,8 @@ func queryRawSkyline(t *testing.T, h http.Handler, delta mask.Mask, wantStatus i
 // oracleDataset returns the dataset whose single-node skyline uses the same
 // global ids the cluster serves: the original dataset for round-robin
 // (id = original row), the shard concatenation for positional modes
-// (grid/angular permute rows; range preserves order, so concatenation is a
-// no-op there).
+// (angular permutes rows; range preserves order, so concatenation is a no-op
+// there).
 func oracleDataset(t *testing.T, tc *testCluster, mode skycube.PartitionMode, ds *skycube.Dataset) *skycube.Dataset {
 	t.Helper()
 	if !mode.Positional() {
@@ -223,139 +212,68 @@ func metricTotal(t *testing.T, reg *obs.Registry, name string) float64 {
 	return total
 }
 
-// TestDifferentialPrunedVsUnprunedMatrix is the merge path's acceptance
-// wall: across partition mode × shard count × pre-filter setting, the pruned
-// coordinator's /skyline response must be byte-identical to the unpruned
-// coordinator's over the same shards, and both must match a single-node build. The matrix runs on anticorrelated
-// data — the distribution with the largest local skylines, i.e. pruning's
-// hardest case for staying exact.
-func TestDifferentialPrunedVsUnprunedMatrix(t *testing.T) {
+// TestDifferentialClusterPartitionModes: across partition mode × shard
+// count, every subspace the coordinator answers matches a single-node build
+// in the mode's id space. Anticorrelated data — the distribution with the
+// largest local skylines, the merge's hardest case.
+func TestDifferentialClusterPartitionModes(t *testing.T) {
 	modes := []struct {
 		name string
 		mode skycube.PartitionMode
 	}{
 		{"roundrobin", skycube.RoundRobinPartition},
 		{"range", skycube.RangePartition},
-		{"grid", skycube.GridPartition},
 		{"angular", skycube.AngularPartition},
 	}
 	shardCounts := []int{1, 2, 4}
-	preKs := []int{0, 8}
 	if testing.Short() {
-		modes = modes[:2:2]
-		modes = append(modes, struct {
-			name string
-			mode skycube.PartitionMode
-		}{"grid", skycube.GridPartition})
 		shardCounts = []int{2}
 	}
 	ds := skycube.GenerateSynthetic(skycube.Anticorrelated, 240, 4, 41)
-	reg := obs.NewRegistry()
 	for _, mc := range modes {
 		for _, k := range shardCounts {
-			for _, preK := range preKs {
-				// "extfalse" is a constant: the cells keep the ids they had next to
-				// the S⁺ protocol's, so results stay comparable across that removal.
-				t.Run(fmt.Sprintf("%s/k%d/extfalse/pre%d", mc.name, k, preK), func(t *testing.T) {
-					tc := newTestCluster(t, ds, k, 1, mc.mode, CoordinatorOptions{})
-					pruned := newSecondCoordinator(t, tc, CoordinatorOptions{
-						Prune:              true,
-						PreFilterK:         preK,
-						PreFilterMinShards: 2,
-						Metrics:            reg,
-					})
-					oracle := oracleDataset(t, tc, mc.mode, ds)
-					cube, _, err := skycube.Build(oracle, skycube.Options{Threads: 2})
-					if err != nil {
-						t.Fatalf("single-node Build: %v", err)
-					}
-					for delta := mask.Mask(1); delta < 1<<4; delta++ {
-						plain := queryRawSkyline(t, tc.coord, delta, http.StatusOK)
-						fast := queryRawSkyline(t, pruned, delta, http.StatusOK)
-						if !bytes.Equal(plain, fast) {
-							t.Fatalf("subspace %b: pruned body differs from unpruned:\n  pruned:   %s\n  unpruned: %s",
-								delta, fast, plain)
-						}
-						var resp skylineResponse
-						mustUnmarshal(t, fast, &resp)
-						want := cube.Skyline(skycube.Subspace(delta))
-						if !equalIDs(resp.IDs, want) {
-							t.Fatalf("subspace %b: cluster ids %v != single-node %v", delta, resp.IDs, want)
-						}
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("%s/k%d", mc.name, k), func(t *testing.T) {
+				tc := newTestCluster(t, ds, k, 1, mc.mode, CoordinatorOptions{})
+				assertClusterMatchesSingleNode(t, tc, oracleDataset(t, tc, mc.mode, ds))
+			})
 		}
-	}
-	// The matrix must not have passed vacuously: pruning really engaged on
-	// the multi-shard cells, and never by giving up on a healthy cluster.
-	if pruned := metricTotal(t, reg, "skycube_cluster_pruned_points_total"); pruned == 0 {
-		t.Fatal("matrix passed but no points were ever pruned — the pruned path did not engage")
-	}
-	if fb := metricTotal(t, reg, "skycube_cluster_prune_fallbacks_total"); fb != 0 {
-		t.Fatalf("pruned gather fell back %v times on healthy clusters", fb)
 	}
 }
 
-// TestDifferentialPrunedAfterMutationsAndEpochRoll routes writes through the
-// cluster and re-checks byte-identity at the new epoch vector: the pruned
-// path's prelude/gather epoch validation must keep it exact across flushes,
-// not just on static data.
-func TestDifferentialPrunedAfterMutationsAndEpochRoll(t *testing.T) {
-	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 43)
-	tc := newTestCluster(t, ds, 3, 1, skycube.RoundRobinPartition, CoordinatorOptions{})
-	reg := obs.NewRegistry()
-	pruned := newSecondCoordinator(t, tc, CoordinatorOptions{
-		Prune:              true,
-		PreFilterK:         4,
-		PreFilterMinShards: 2,
-		Metrics:            reg,
+// countingTransport counts the round trips of a coordinator's client.
+type countingTransport struct{ trips atomic.Int64 }
+
+func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	ct.trips.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestCoordinatorPruneOptionIsInert pins what benchmark/probes.go relies on while
+// CoordinatorOptions.Prune outlives the pruned gather: a coordinator built
+// with it set answers every subspace byte-identically to one built from the
+// zero options, in exactly one request per shard per cold query.
+func TestCoordinatorPruneOptionIsInert(t *testing.T) {
+	const k = 3
+	ds := skycube.GenerateSynthetic(skycube.Anticorrelated, 240, 4, 41)
+	tc := newTestCluster(t, ds, k, 1, skycube.RoundRobinPartition, CoordinatorOptions{})
+	ct := &countingTransport{}
+	flagged, err := NewCoordinator(tc.specs, CoordinatorOptions{
+		Prune: true, DisableCache: true, Client: &http.Client{Transport: ct},
 	})
-
-	points := map[int32][]float32{}
-	for i := 0; i < ds.Len(); i++ {
-		points[int32(i)] = ds.Point(i)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for delta := mask.Mask(1); delta < 1<<3; delta++ {
-		plain := queryRawSkyline(t, tc.coord, delta, http.StatusOK)
-		fast := queryRawSkyline(t, pruned, delta, http.StatusOK)
-		if !bytes.Equal(plain, fast) {
-			t.Fatalf("subspace %b pre-mutation: pruned body differs from unpruned", delta)
+	if err := flagged.Refresh(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	for delta := mask.Mask(1); delta < 1<<4; delta++ {
+		before := ct.trips.Load()
+		got := queryRawSkyline(t, flagged, delta, http.StatusOK)
+		if trips := ct.trips.Load() - before; trips != k {
+			t.Fatalf("subspace %b: %d shard requests for one cold query, want %d", delta, trips, k)
 		}
-	}
-
-	ins := [][]float32{{0.01, 0.95, 0.4}, {0.95, 0.01, 0.6}, {0.4, 0.4, 0.005}}
-	var iresp insertResponse
-	mustUnmarshal(t, postJSON(t, tc.coord, "/insert", insertRequest{Points: ins}, http.StatusOK), &iresp)
-	for i, id := range iresp.IDs {
-		points[id] = ins[i]
-	}
-	del := []int32{1, 5, 9, 33}
-	postJSON(t, tc.coord, "/delete", deleteRequest{IDs: del}, http.StatusOK)
-	for _, id := range del {
-		delete(points, id)
-	}
-	// Flush through both coordinators: shard epochs advance once per flush,
-	// and each coordinator's own write generation must roll so neither
-	// serves its pre-mutation fast-path entry.
-	postJSON(t, tc.coord, "/flush", struct{}{}, http.StatusOK)
-	postJSON(t, pruned, "/flush", struct{}{}, http.StatusOK)
-
-	for delta := mask.Mask(1); delta < 1<<3; delta++ {
-		plain := queryRawSkyline(t, tc.coord, delta, http.StatusOK)
-		fast := queryRawSkyline(t, pruned, delta, http.StatusOK)
-		if !bytes.Equal(plain, fast) {
-			t.Fatalf("subspace %b post-mutation: pruned body differs from unpruned:\n  pruned:   %s\n  unpruned: %s",
-				delta, fast, plain)
+		if want := queryRawSkyline(t, tc.coord, delta, http.StatusOK); !bytes.Equal(got, want) {
+			t.Fatalf("subspace %b: Prune: true answers\n  %s\nzero options answer\n  %s", delta, got, want)
 		}
-		var resp skylineResponse
-		mustUnmarshal(t, fast, &resp)
-		want := bruteSkyline(points, delta)
-		if !equalIDs(resp.IDs, want) {
-			t.Fatalf("subspace %b post-mutation: ids %v, want %v", delta, resp.IDs, want)
-		}
-	}
-	if fb := metricTotal(t, reg, "skycube_cluster_prune_fallbacks_total"); fb != 0 {
-		t.Fatalf("pruned gather fell back %v times with no concurrent writers", fb)
 	}
 }

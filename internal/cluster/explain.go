@@ -9,6 +9,7 @@ import (
 
 	"skycube/internal/mask"
 	"skycube/internal/obs"
+	"skycube/internal/server"
 )
 
 // ?explain=1 on the coordinator's /skyline: answer the query AND return a
@@ -37,23 +38,15 @@ type explainResponse struct {
 	// Cache is the coordinator-cache disposition: "bypass" (explain skips
 	// the generation fast path), or "hit-epoch-vector" when the merge memo
 	// proved the shards unchanged and merge/encode were skipped.
-	Cache        string   `json:"cache"`
-	Count        int      `json:"count"`
-	Candidates   int64    `json:"candidates"`
-	Partial      bool     `json:"partial,omitempty"`
-	FailedShards []string `json:"failed_shards,omitempty"`
-	// Pruned is the total candidate points that never crossed the wire
-	// (source-side filtered plus skipped-shard counts); SkippedShards lists
-	// shards whose cuboid was never requested; PruneFallback names the
-	// reason when a pruned gather abandoned its prelude and re-ran plain.
-	Pruned        int64            `json:"pruned,omitempty"`
-	SkippedShards []string         `json:"skipped_shards,omitempty"`
-	PruneFallback string           `json:"prune_fallback,omitempty"`
-	Prefilter     *explainStage    `json:"prefilter,omitempty"`
-	Shards        []explainShard   `json:"shards"`
-	Merge         *explainStage    `json:"merge,omitempty"`
-	Encode        *explainStage    `json:"encode,omitempty"`
-	Attempts      []explainAttempt `json:"attempts"`
+	Cache        string           `json:"cache"`
+	Count        int              `json:"count"`
+	Candidates   int64            `json:"candidates"`
+	Partial      bool             `json:"partial,omitempty"`
+	FailedShards []string         `json:"failed_shards,omitempty"`
+	Shards       []explainShard   `json:"shards"`
+	Merge        *explainStage    `json:"merge,omitempty"`
+	Encode       *explainStage    `json:"encode,omitempty"`
+	Attempts     []explainAttempt `json:"attempts"`
 }
 
 // explainShard summarises one shard's contribution to the scatter.
@@ -74,10 +67,6 @@ type explainShard struct {
 	// BreakerRejects counts launch attempts no replica's breaker admitted.
 	BreakerRejects int    `json:"breaker_rejects,omitempty"`
 	Err            string `json:"error,omitempty"`
-	// Pruned counts candidate points of this shard that never crossed the
-	// wire; Skipped means the whole cuboid request was elided.
-	Pruned  int64 `json:"pruned,omitempty"`
-	Skipped bool  `json:"skipped,omitempty"`
 }
 
 // explainAttempt is one HTTP attempt against a replica.
@@ -127,7 +116,6 @@ func (c *Coordinator) serveExplain(w http.ResponseWriter, r *http.Request, rec *
 			return http.StatusInternalServerError
 		}
 	}
-	c.cm.QueryTraced(time.Since(start), resp.Partial, rec.TraceID())
 	resp.Status = status
 	buildExplain(&resp, rec.Snapshot(), time.Since(start))
 	if entry != nil && resp.Count == 0 {
@@ -140,7 +128,7 @@ func (c *Coordinator) serveExplain(w http.ResponseWriter, r *http.Request, rec *
 		}
 	}
 	w.Header().Set("Cache-Control", "no-store")
-	writeJSONStatus(w, status, resp)
+	server.WriteJSONStatus(w, status, resp)
 	return status
 }
 
@@ -197,25 +185,6 @@ func buildExplain(resp *explainResponse, snap obs.RecordSnapshot, total time.Dur
 			if e.Detail != "" && e.Detail != "miss" {
 				resp.Cache = e.Detail
 			}
-		case obs.EvPrefilter:
-			resp.Prefilter = &explainStage{StartNS: e.Start.Nanoseconds(),
-				DurNS: e.Dur.Nanoseconds(), N: e.N}
-		case obs.EvPrune:
-			if e.Shard != "" {
-				shard(e.Shard).Pruned += e.N
-			}
-			resp.Pruned += e.N
-			resp.Candidates += e.N
-		case obs.EvPruneSkip:
-			s := shard(e.Shard)
-			s.Skipped = true
-			s.Pruned += e.N
-			s.Epoch = e.Epoch
-			resp.Pruned += e.N
-			resp.Candidates += e.N
-			resp.SkippedShards = append(resp.SkippedShards, e.Shard)
-		case obs.EvPruneFallback:
-			resp.PruneFallback = e.Detail
 		case obs.EvMerge:
 			resp.Merge = &explainStage{StartNS: e.Start.Nanoseconds(),
 				DurNS: e.Dur.Nanoseconds(), N: e.N, Detail: e.Detail}
@@ -231,7 +200,6 @@ func buildExplain(resp *explainResponse, snap obs.RecordSnapshot, total time.Dur
 		resp.Shards = append(resp.Shards, *byShard[name])
 	}
 	sort.Strings(resp.FailedShards)
-	sort.Strings(resp.SkippedShards)
 	sort.Slice(resp.Attempts, func(i, j int) bool {
 		if resp.Attempts[i].Shard != resp.Attempts[j].Shard {
 			return resp.Attempts[i].Shard < resp.Attempts[j].Shard

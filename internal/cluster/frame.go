@@ -14,53 +14,48 @@ import (
 // speaks — in the WAL's envelope (wal.AppendFrame: u32 len | u32 CRC-32C |
 // payload, little-endian). The payload is
 //
-//	 0  4 bytes  magic and version, "SKF1"
+//	 0  4 bytes  magic and version, "SKF2"
 //	 4  u32      subspace δ
 //	 8  u64      epoch the shard answered at
 //	16  u32      count: lanes shipped
-//	20  u32      filtered: local members dropped by the request's filter
-//	24  u32      k = |δ|
-//	28  count × i32 global ids, then k columns of count × f32: δ's dimensions only
+//	20  u32      k = |δ|
+//	24  count × i32 global ids, then k columns of count × f32: δ's dimensions only
 //
 // with the lanes in ascending (δ-sum, id) order as data.SumOver and
-// data.SumOrder define it: the layout and order the merge compares in.
+// data.SumOrder define it: the layout and order the merge compares in. The
+// magic changes with the header layout, so a mixed-version pair fails the
+// magic check instead of misreading offsets.
 const (
-	frameMagic      = "SKF1"
-	frameHeaderSize = 28
+	frameMagic      = "SKF2"
+	frameHeaderSize = 24
 )
 
-// cuboidFrame is one shard's local S_δ (minus source-side filtered members)
-// as the merge consumes it: column j is the j-th dimension of δ, lane i of
-// every slice is one point, and sums is non-decreasing.
+// cuboidFrame is one shard's local S_δ as the merge consumes it: column j is
+// the j-th dimension of δ, lane i of every slice is one point, and sums is
+// non-decreasing.
 type cuboidFrame struct {
-	epoch    uint64
-	filtered int
-	wire     int // encoded length
-	ids      []int32
-	cols     [][]float32
-	sums     []float32
+	epoch uint64
+	wire  int // encoded length
+	ids   []int32
+	cols  [][]float32
+	sums  []float32
 }
-
-// laneBytes is one lane's wire cost — id and k coordinates — the unit of the
-// bytes-saved counters.
-func laneBytes(k int) int { return 4 * (k + 1) }
 
 // encodeCuboidFrame encodes the members ids[i] = point(i) (full coordinates)
 // as the frame answering δ.
-func encodeCuboidFrame(delta mask.Mask, epoch uint64, filtered int, ids []int32, point func(i int) []float32) []byte {
+func encodeCuboidFrame(delta mask.Mask, epoch uint64, ids []int32, point func(i int) []float32) []byte {
 	dims := mask.Dims(delta)
 	n, k := len(ids), len(dims)
 	sums := make([]float32, n)
 	for i := range sums {
 		sums[i] = data.SumOver(point(i), dims)
 	}
-	p := make([]byte, frameHeaderSize+n*laneBytes(k))
+	p := make([]byte, frameHeaderSize+4*n*(k+1))
 	copy(p, frameMagic)
 	binary.LittleEndian.PutUint32(p[4:], uint32(delta))
 	binary.LittleEndian.PutUint64(p[8:], epoch)
 	binary.LittleEndian.PutUint32(p[16:], uint32(n))
-	binary.LittleEndian.PutUint32(p[20:], uint32(filtered))
-	binary.LittleEndian.PutUint32(p[24:], uint32(k))
+	binary.LittleEndian.PutUint32(p[20:], uint32(k))
 	body := p[frameHeaderSize:]
 	for lane, i := range data.SumOrder(sums, ids) {
 		binary.LittleEndian.PutUint32(body[4*lane:], uint32(ids[i]))
@@ -91,7 +86,7 @@ func decodeCuboidFrame(body []byte, want mask.Mask) (*cuboidFrame, error) {
 		return nil, fmt.Errorf("cuboid frame: not a %s payload (%d bytes)", frameMagic, len(p))
 	}
 	n := uint64(binary.LittleEndian.Uint32(p[16:]))
-	k := uint64(binary.LittleEndian.Uint32(p[24:]))
+	k := uint64(binary.LittleEndian.Uint32(p[20:]))
 	if got := mask.Mask(binary.LittleEndian.Uint32(p[4:])); got != want || k != uint64(mask.Count(want)) {
 		return nil, fmt.Errorf("cuboid frame: answers subspace %d in %d columns, asked for %d", got, k, want)
 	}
@@ -99,12 +94,11 @@ func decodeCuboidFrame(body []byte, want mask.Mask) (*cuboidFrame, error) {
 		return nil, fmt.Errorf("cuboid frame: %d payload bytes for %d lanes of %d columns", len(p), n, k)
 	}
 	f := &cuboidFrame{
-		wire:     len(body),
-		epoch:    binary.LittleEndian.Uint64(p[8:]),
-		filtered: int(binary.LittleEndian.Uint32(p[20:])),
-		ids:      make([]int32, n),
-		cols:     make([][]float32, k),
-		sums:     make([]float32, n),
+		wire:  len(body),
+		epoch: binary.LittleEndian.Uint64(p[8:]),
+		ids:   make([]int32, n),
+		cols:  make([][]float32, k),
+		sums:  make([]float32, n),
 	}
 	buf := make([]float32, k*n)
 	p = p[frameHeaderSize:]

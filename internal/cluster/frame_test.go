@@ -47,7 +47,7 @@ func fuzzFrame(raw []byte) (delta mask.Mask, ids []int32, pts [][]float32, wire 
 			pts[i][j] = math.Float32frombits(bits)
 		}
 	}
-	return delta, ids, pts, encodeCuboidFrame(delta, uint64(len(raw)), n/3, ids, func(i int) []float32 { return pts[i] })
+	return delta, ids, pts, encodeCuboidFrame(delta, uint64(len(raw)), ids, func(i int) []float32 { return pts[i] })
 }
 
 // swapLanes returns wire with lanes a and b of its n-lane, k-column frame
@@ -76,8 +76,31 @@ func lyingCountFrame() []byte {
 	copy(p, frameMagic)
 	binary.LittleEndian.PutUint32(p[4:], 0b11)
 	binary.LittleEndian.PutUint32(p[16:], 1<<31)
-	binary.LittleEndian.PutUint32(p[24:], 2)
+	binary.LittleEndian.PutUint32(p[20:], 2)
 	return wal.AppendFrame(nil, p)
+}
+
+// skf1Frame is an intact one-lane answer to δ = {0,2} in the retired layout:
+// magic "SKF1" and a 28-byte header with a filtered word before k.
+func skf1Frame() []byte {
+	p := make([]byte, 28+4*3)
+	copy(p, "SKF1")
+	binary.LittleEndian.PutUint32(p[4:], 0b101)
+	binary.LittleEndian.PutUint64(p[8:], 9)
+	binary.LittleEndian.PutUint32(p[16:], 1)
+	binary.LittleEndian.PutUint32(p[24:], 2)
+	binary.LittleEndian.PutUint32(p[28:], 4)
+	binary.LittleEndian.PutUint32(p[32:], math.Float32bits(0.5))
+	binary.LittleEndian.PutUint32(p[36:], math.Float32bits(0.25))
+	return wal.AppendFrame(nil, p)
+}
+
+// TestRetiredFrameVersionRejected: a shard still speaking SKF1 fails the
+// frame check — its reply is never read at the new offsets.
+func TestRetiredFrameVersionRejected(t *testing.T) {
+	if f, err := decodeCuboidFrame(skf1Frame(), 0b101); err == nil {
+		t.Fatalf("an SKF1 frame decoded as %+v", f)
+	}
 }
 
 // FuzzCuboidFrame holds the /shard/cuboid codec to its contract from both
@@ -92,7 +115,8 @@ func lyingCountFrame() []byte {
 func FuzzCuboidFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(lyingCountFrame())
-	f.Add(encodeCuboidFrame(0b101, 9, 1, []int32{4, 2}, func(i int) []float32 {
+	f.Add(skf1Frame())
+	f.Add(encodeCuboidFrame(0b101, 9, []int32{4, 2}, func(i int) []float32 {
 		return [][]float32{{0.5, 9, 0.25}, {0.25, 9, 0.5}}[i]
 	}))
 	negZero := math.Float32bits(float32(math.Copysign(0, -1)))
@@ -128,8 +152,8 @@ func FuzzCuboidFrame(f *testing.F) {
 			t.Fatalf("decode of a fresh frame: %v", err)
 		}
 		checkFrameShape(t, got, delta, len(wire))
-		if got.epoch != uint64(len(raw)) || got.filtered != len(ids)/3 || len(got.ids) != len(ids) {
-			t.Fatalf("round trip: epoch %d filtered %d lanes %d", got.epoch, got.filtered, len(got.ids))
+		if got.epoch != uint64(len(raw)) || len(got.ids) != len(ids) {
+			t.Fatalf("round trip: epoch %d lanes %d", got.epoch, len(got.ids))
 		}
 		lane := map[int32]int{}
 		for i, id := range got.ids {

@@ -29,9 +29,9 @@ type labelGroup struct {
 }
 
 // mergeFrames reduces the per-shard frames of one subspace δ (nil entries:
-// shards that were skipped or failed) to the ids of the exact skyline of
-// their union, ascending and without duplicates — the merge step of
-// partition-and-merge skyline processing.
+// shards that failed) to the ids of the exact skyline of their union,
+// ascending and without duplicates — the merge step of partition-and-merge
+// skyline processing.
 //
 // Each lane is labelled against the per-column medians of the union (bit j
 // set iff v_j < med_j) and appended, in frame order, to the block set of its
@@ -40,16 +40,14 @@ type labelGroup struct {
 // stop points, only against groups of shards ≠ s whose label ⊇ m. Two lemmas
 // make that exact:
 //
-// Foreign-only. A frame is a subset of its shard's local S_δ, whose members
-// do not dominate each other, so a candidate has no dominator in its own
-// frame. If it is dominated at all then — dominance being a strict partial
-// order on a finite set — a member b of the global skyline dominates it. b
-// is not stored on the candidate's shard (the candidate would not be in that
-// shard's local skyline), is in its own shard's local skyline, and survives
-// every source-side filter and region skip, which remove only points that a
-// stored point dominates. So b sits in a foreign frame. This covers filtered
-// frames, skipped shards, the reachable part of a partial answer, and K = 1,
-// which costs no sweep at all.
+// Foreign-only. A frame is its shard's local S_δ, whose members do not
+// dominate each other, so a candidate has no dominator in its own frame. If
+// it is dominated at all then — dominance being a strict partial order on a
+// finite set — a member b of the union's skyline dominates it. b is not
+// stored on the candidate's shard (the candidate would not be in that
+// shard's local skyline) and is in its own shard's local skyline. So b sits
+// in a foreign frame. This covers the reachable part of a partial answer,
+// and K = 1, which costs no sweep at all.
 //
 // Label. b ≺_δ a ⇒ b_j ≤ a_j on every j of δ ⇒ (a_j < med_j ⇒ b_j < med_j) ⇒
 // label(a) ⊆ label(b): a group whose label misses a bit of m holds no

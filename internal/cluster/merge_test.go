@@ -19,12 +19,10 @@ import (
 // oracle that shares no code with the merge.
 
 // localFrame returns the frame a shard storing exactly the given members
-// would answer for δ: their brute-force local S_δ, minus the members a filter
-// point dominates, encoded and decoded again.
-func localFrame(t testing.TB, ids []int32, point func(int32) []float32, delta mask.Mask, filter [][]float32) *cuboidFrame {
+// would answer for δ: their brute-force local S_δ, encoded and decoded again.
+func localFrame(t testing.TB, ids []int32, point func(int32) []float32, delta mask.Mask) *cuboidFrame {
 	t.Helper()
 	var kept []int32
-	filtered := 0
 	for _, id := range ids {
 		dominated := false
 		for _, other := range ids {
@@ -33,15 +31,11 @@ func localFrame(t testing.TB, ids []int32, point func(int32) []float32, delta ma
 				break
 			}
 		}
-		switch {
-		case dominated:
-		case dominatedByAny(filter, point(id), delta):
-			filtered++
-		default:
+		if !dominated {
 			kept = append(kept, id)
 		}
 	}
-	wire := encodeCuboidFrame(delta, 7, filtered, kept, func(i int) []float32 { return point(kept[i]) })
+	wire := encodeCuboidFrame(delta, 7, kept, func(i int) []float32 { return point(kept[i]) })
 	got, err := decodeCuboidFrame(wire, delta)
 	if err != nil {
 		t.Fatalf("decode of a fresh frame: %v", err)
@@ -68,7 +62,7 @@ func mergeParts(t *testing.T, parts [][]int32, points map[int32][]float32, delta
 	t.Helper()
 	frames := make([]*cuboidFrame, len(parts))
 	for s, ids := range parts {
-		frames[s] = localFrame(t, ids, func(id int32) []float32 { return points[id] }, delta, nil)
+		frames[s] = localFrame(t, ids, func(id int32) []float32 { return points[id] }, delta)
 		if nilEmpty && len(frames[s].ids) == 0 {
 			frames[s] = nil // a skipped shard is a nil frame, an empty one ships zero lanes
 		}
@@ -89,8 +83,8 @@ func TestMergeSkylineFiltersDominated(t *testing.T) {
 	delta := mask.Mask(0b11)
 	mergeParts(t, [][]int32{{5}, {9}, {2}}, points, delta, false)
 	got, _ := mergeFrames([]*cuboidFrame{
-		localFrame(t, []int32{5, 2}, func(id int32) []float32 { return points[id] }, delta, nil),
-		localFrame(t, []int32{9}, func(id int32) []float32 { return points[id] }, delta, nil),
+		localFrame(t, []int32{5, 2}, func(id int32) []float32 { return points[id] }, delta),
+		localFrame(t, []int32{9}, func(id int32) []float32 { return points[id] }, delta),
 	}, delta)
 	if !equalIDs(got, []int32{2, 5}) {
 		t.Fatalf("merge = %v, want [2 5]", got)
@@ -115,9 +109,9 @@ func TestMergeSkylineDedupsSameID(t *testing.T) {
 	delta := mask.Mask(0b11)
 	// id 3 lives on two shards; 6 is dominated by both copies (and by 8).
 	got, _ := mergeFrames([]*cuboidFrame{
-		localFrame(t, []int32{3, 8}, func(id int32) []float32 { return points[id] }, delta, nil),
-		localFrame(t, []int32{3}, func(id int32) []float32 { return points[id] }, delta, nil),
-		localFrame(t, []int32{6}, func(id int32) []float32 { return points[id] }, delta, nil),
+		localFrame(t, []int32{3, 8}, func(id int32) []float32 { return points[id] }, delta),
+		localFrame(t, []int32{3}, func(id int32) []float32 { return points[id] }, delta),
+		localFrame(t, []int32{6}, func(id int32) []float32 { return points[id] }, delta),
 	}, delta)
 	if !equalIDs(got, []int32{3, 8}) {
 		t.Fatalf("merge = %v, want [3 8]", got)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"skycube/internal/obs"
+	"skycube/internal/server"
 )
 
 // GET /trace/query?id=<32-hex trace id>: the assembled cross-process Chrome
@@ -31,7 +32,7 @@ import (
 const traceFetchTimeout = 2 * time.Second
 
 func (c *Coordinator) handleTraceQuery(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !server.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	id := r.URL.Query().Get("id")

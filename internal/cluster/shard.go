@@ -11,8 +11,8 @@
 // The merge (mergeFrames) removes the impostors on two lemmas. Foreign-only:
 // members of one shard's local skyline do not dominate each other, and a
 // dominated candidate is dominated by a member of the global skyline, which
-// no shard-side filter removes — so it is probed against other shards' frames
-// only. Label: with bit j of a label set iff v_j is below the union's median,
+// its own shard ships — so it is probed against other shards' frames only.
+// Label: with bit j of a label set iff v_j is below the union's median,
 // b ≺ a implies label(a) ⊆ label(b) — so only groups whose label contains the
 // candidate's are probed. No shard ever needs another shard's data.
 //
@@ -26,12 +26,9 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -92,11 +89,9 @@ type ShardOptions struct {
 // partition, serving the embedded server's full endpoint set (reads,
 // mutations, /healthz, /metrics) plus the cluster protocol:
 //
-//	GET /shard/cuboid?subspace=N[&filter=pts]   shard-local S_δ minus members a filter point dominates, as
-//	                                            one binary frame (frame.go): global ids and δ's columns
-//	GET /shard/skymeta?subspace=N[&k=K]         the cuboid's count, epoch, min/max corner and
-//	                                            top-K representative points (the pruning prelude)
-//	GET /shard/info                             id mapping, dims, live points, epoch
+//	GET /shard/cuboid?subspace=N   shard-local S_δ as one binary frame (frame.go):
+//	                               global ids and δ's columns
+//	GET /shard/info                id mapping, dims, live points, epoch
 type Shard struct {
 	srv  *server.Server
 	up   *skycube.Updater
@@ -197,7 +192,6 @@ func finishShard(up *skycube.Updater, dims int, scheme *idScheme, sopt ShardOpti
 		TraceKind:    "shard",
 	})
 	sh.srv.Handle("/shard/cuboid", http.HandlerFunc(sh.handleCuboid))
-	sh.srv.Handle("/shard/skymeta", http.HandlerFunc(sh.handleSkymeta))
 	sh.srv.Handle("/shard/info", http.HandlerFunc(sh.handleInfo))
 	sh.srv.Handle("/shard/snapshot", http.HandlerFunc(sh.handleSnapshot))
 	sh.srv.Handle("/shard/tail", http.HandlerFunc(sh.handleTail))
@@ -256,7 +250,7 @@ func (s *Shard) GlobalID(local int32) int32 {
 }
 
 func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
-	if !allowMethod(w, r, http.MethodGet) {
+	if !server.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	rec := obs.RecordFrom(r.Context())
@@ -268,13 +262,8 @@ func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rec.Event(obs.Event{Kind: obs.EvCache, Detail: "miss", Start: rec.Since()})
-	delta, ok := s.parseSubspace(w, r, "filter")
+	delta, ok := s.parseSubspace(w, r)
 	if !ok {
-		return
-	}
-	filter, err := decodePointList(r.URL.Query().Get("filter"), s.dims)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 
@@ -283,50 +272,36 @@ func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
 	// payload disagrees with their validator. The singleflight gate means R
 	// replicas' worth of concurrent cold fan-outs cost one extraction here.
 	snap := s.up.Current()
-	e, err2 := s.cache.Fill(rcache.Key{Epoch: snap.Epoch(), Variant: r.URL.RawQuery},
+	e, err := s.cache.Fill(rcache.Key{Epoch: snap.Epoch(), Variant: r.URL.RawQuery},
 		func() (*rcache.Entry, error) {
 			extractStart := rec.Since()
 			local := snap.Skyline(delta)
 			rec.Event(obs.Event{Kind: obs.EvCuboid, Start: extractStart,
 				Dur: rec.Since() - extractStart, N: int64(len(local)), Epoch: snap.Epoch()})
-			// Source-side pruning: drop local members a filter point
-			// dominates before they are encoded. Every filter point the
-			// coordinator sends witnesses an actual point elsewhere in the
-			// cluster, so a dropped member could never survive the final
-			// merge anyway. Shipped + filtered stays the full local cuboid
-			// size: the pruned coordinator counts candidates as the plain one.
-			filtered := 0
-			if len(filter) > 0 {
-				pruneStart := rec.Since()
-				local, filtered = filterMembers(local, snap.Point, filter, delta)
-				rec.Event(obs.Event{Kind: obs.EvPrune, Start: pruneStart,
-					Dur: rec.Since() - pruneStart, N: int64(filtered)})
-			}
 			ids := make([]int32, len(local))
 			for i, row := range local {
 				ids[i] = s.GlobalID(row)
 			}
-			body := encodeCuboidFrame(delta, snap.Epoch(), filtered, ids,
+			body := encodeCuboidFrame(delta, snap.Epoch(), ids,
 				func(i int) []float32 { return snap.Point(local[i]) })
 			tag := fmt.Sprintf(`"e%d-s%d"`, snap.Epoch(), uint32(delta))
 			return rcache.NewBinaryEntry(tag, body), nil
 		})
-	if err2 != nil {
-		http.Error(w, err2.Error(), http.StatusInternalServerError)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	rcache.Serve(w, r, e, s.cm)
 }
 
-// parseSubspace reads the subspace parameter of /shard/cuboid and
-// /shard/skymeta, answering 400 itself when it is missing or out of range, or
-// when the query carries a parameter other than subspace and the endpoint's
-// own (also): a request for something the shard does not serve — S⁺_δ by
+// parseSubspace reads the subspace parameter of /shard/cuboid, answering 400
+// itself when it is missing or out of range, or when the query carries any
+// other parameter: a request for something the shard does not serve — S⁺_δ by
 // extended=true, say — must fail, not be answered with S_δ.
-func (s *Shard) parseSubspace(w http.ResponseWriter, r *http.Request, also string) (mask.Mask, bool) {
+func (s *Shard) parseSubspace(w http.ResponseWriter, r *http.Request) (mask.Mask, bool) {
 	q := r.URL.Query()
 	for name := range q {
-		if name != "subspace" && name != also {
+		if name != "subspace" {
 			http.Error(w, fmt.Sprintf("unknown parameter %q", name), http.StatusBadRequest)
 			return 0, false
 		}
@@ -339,138 +314,6 @@ func (s *Shard) parseSubspace(w http.ResponseWriter, r *http.Request, also strin
 		return 0, false
 	}
 	return mask.Mask(v), true
-}
-
-// skymetaResponse is the /shard/skymeta payload — the pruning prelude's
-// view of one shard-local cuboid: its size and serving epoch, the tight
-// min/max corner over its members (absent when empty), and up to K
-// representative points (the members with the smallest coordinate sum over
-// the queried subspace — the strongest dominators to broadcast).
-type skymetaResponse struct {
-	Subspace uint32      `json:"subspace"`
-	Epoch    uint64      `json:"epoch"`
-	Count    int         `json:"count"`
-	Min      []float32   `json:"min,omitempty"`
-	Max      []float32   `json:"max,omitempty"`
-	Reps     [][]float32 `json:"reps,omitempty"`
-}
-
-// maxSkymetaReps caps the k parameter (a rep list is broadcast to every
-// other shard; past a few dozen the marginal rep prunes nothing).
-const maxSkymetaReps = 1024
-
-func (s *Shard) handleSkymeta(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed (use GET)", http.StatusMethodNotAllowed)
-		return
-	}
-	rec := obs.RecordFrom(r.Context())
-	// Skymeta entries share the cuboid cache under a namespaced variant (the
-	// two endpoints' raw queries can collide verbatim).
-	variant := "m|" + r.URL.RawQuery
-	if s.cache != nil {
-		if e, ok := s.cache.Get(rcache.Key{Epoch: s.up.Current().Epoch(), Variant: variant}); ok {
-			rec.Event(obs.Event{Kind: obs.EvCache, Detail: "hit", Start: rec.Since()})
-			rcache.Serve(w, r, e, s.cm)
-			return
-		}
-	}
-	rec.Event(obs.Event{Kind: obs.EvCache, Detail: "miss", Start: rec.Since()})
-	delta, ok := s.parseSubspace(w, r, "k")
-	if !ok {
-		return
-	}
-	k := 0
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		kv, err := strconv.Atoi(ks)
-		if err != nil || kv < 0 || kv > maxSkymetaReps {
-			http.Error(w, fmt.Sprintf("bad k %q (need 0..%d)", ks, maxSkymetaReps), http.StatusBadRequest)
-			return
-		}
-		k = kv
-	}
-
-	snap := s.up.Current()
-	e, err2 := s.cache.Fill(rcache.Key{Epoch: snap.Epoch(), Variant: variant},
-		func() (*rcache.Entry, error) {
-			extractStart := rec.Since()
-			local := snap.Skyline(delta)
-			rec.Event(obs.Event{Kind: obs.EvCuboid, Start: extractStart,
-				Dur: rec.Since() - extractStart, N: int64(len(local)), Epoch: snap.Epoch()})
-			resp := skymetaResponse{
-				Subspace: uint32(delta),
-				Epoch:    snap.Epoch(),
-				Count:    len(local),
-			}
-			if len(local) > 0 {
-				resp.Min = make([]float32, s.dims)
-				resp.Max = make([]float32, s.dims)
-				copy(resp.Min, snap.Point(local[0]))
-				copy(resp.Max, snap.Point(local[0]))
-				for _, row := range local[1:] {
-					p := snap.Point(row)
-					for j, pv := range p {
-						if pv < resp.Min[j] {
-							resp.Min[j] = pv
-						}
-						if pv > resp.Max[j] {
-							resp.Max[j] = pv
-						}
-					}
-				}
-				if k > 0 {
-					resp.Reps = s.bestReps(snap, local, delta, k)
-				}
-			}
-			var buf bytes.Buffer
-			if err := json.NewEncoder(&buf).Encode(resp); err != nil {
-				return nil, err
-			}
-			tag := fmt.Sprintf(`"m%d-s%d-k%d"`, snap.Epoch(), uint32(delta), k)
-			return rcache.NewEntry(tag, buf.Bytes()), nil
-		})
-	if err2 != nil {
-		http.Error(w, err2.Error(), http.StatusInternalServerError)
-		return
-	}
-	rcache.Serve(w, r, e, s.cm)
-}
-
-// bestReps returns the k members of the local cuboid with the smallest
-// coordinate sum over δ — on a smaller-is-better dataset, the points most
-// likely to dominate foreign candidates. Ties break on global id so the rep
-// set is deterministic across replicas (replica sets are byte-identical).
-func (s *Shard) bestReps(snap skycube.Snapshot, local []int32, delta mask.Mask, k int) [][]float32 {
-	type scored struct {
-		row int32
-		sum float64
-	}
-	cand := make([]scored, len(local))
-	for i, row := range local {
-		p := snap.Point(row)
-		var sum float64
-		for j := 0; j < s.dims; j++ {
-			if delta&mask.Bit(j) != 0 {
-				sum += float64(p[j])
-			}
-		}
-		cand[i] = scored{row: row, sum: sum}
-	}
-	sort.Slice(cand, func(a, b int) bool {
-		if cand[a].sum != cand[b].sum {
-			return cand[a].sum < cand[b].sum
-		}
-		return s.GlobalID(cand[a].row) < s.GlobalID(cand[b].row)
-	})
-	if k > len(cand) {
-		k = len(cand)
-	}
-	reps := make([][]float32, k)
-	for i := 0; i < k; i++ {
-		reps[i] = snap.Point(cand[i].row)
-	}
-	return reps
 }
 
 // shardInfo is the /shard/info payload. IDBase/IDStride echo the first
@@ -515,5 +358,5 @@ func (s *Shard) handleInfo(w http.ResponseWriter, r *http.Request) {
 		info.Replayed = s.up.Replayed()
 		info.Records = st.Records()
 	}
-	writeJSON(w, info)
+	server.WriteJSON(w, info)
 }

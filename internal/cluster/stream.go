@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"skycube/internal/rebalance"
+	"skycube/internal/server"
 	"skycube/internal/wal"
 )
 
@@ -139,7 +140,7 @@ func (s *Shard) handleSync(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.up.Current()
-	writeJSON(w, syncResponse{Applied: applied, Epoch: snap.Epoch(), Live: snap.Live()})
+	server.WriteJSON(w, syncResponse{Applied: applied, Epoch: snap.Epoch(), Live: snap.Live()})
 }
 
 // sealRequest is the POST /shard/seal body.
@@ -176,7 +177,7 @@ func (s *Shard) handleSeal(w http.ResponseWriter, r *http.Request) {
 	cur := s.scheme.Load()
 	last := cur.segs[len(cur.segs)-1]
 	if last.Stride == 1 && last.Base == req.Base {
-		writeJSON(w, sealResponse{IDSegments: cur.segments(), Sealed: true})
+		server.WriteJSON(w, sealResponse{IDSegments: cur.segments(), Sealed: true})
 		return
 	}
 	snap := s.up.Current()
@@ -188,7 +189,7 @@ func (s *Shard) handleSeal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.scheme.Store(sealed)
-	writeJSON(w, sealResponse{IDSegments: sealed.segments(), Sealed: true})
+	server.WriteJSON(w, sealResponse{IDSegments: sealed.segments(), Sealed: true})
 }
 
 // pruneRequest is the POST /shard/prune body: the post-cutover shard labels
@@ -292,7 +293,7 @@ func (s *Shard) handlePrune(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.rbm.Prune(examined, deleted, time.Since(start))
-	writeJSON(w, pruneResponse{
+	server.WriteJSON(w, pruneResponse{
 		Examined: examined,
 		Deleted:  deleted,
 		Failed:   failed,

@@ -20,20 +20,14 @@ const (
 	// [RangeOffsets(n,k)[s], RangeOffsets(n,k)[s+1]) — local row r is global
 	// row offset+r (id base offset, id stride 1).
 	Range
-	// Grid assigns each shard an axis-aligned spatial cell via recursive
-	// median splits (kd-style, cycling dimensions), so every shard's points
-	// live in a tight bounding box — the region bounds that let a shard
-	// prove most of its points globally dominated before replying (see
-	// internal/cluster's pruned gather). Grid is a positional mode: global
-	// ids follow the concatenation order of the returned shards (shard s's
-	// id base is the total size of shards 0..s-1, stride 1), so
-	// grid-partitioned clusters are read-only like Range.
-	Grid
 	// Angular sorts points by their first hyperspherical angle around the
 	// dataset's per-dimension minimum corner and cuts equal-count slices.
 	// Angular slices align with dominance rays from the origin, which keeps
 	// every slice's local skyline small on anticorrelated data (arXiv
-	// 2501.03850). Positional id mapping, like Grid.
+	// 2501.03850). Angular is a positional mode: global ids follow the
+	// concatenation order of the returned shards (shard s's id base is the
+	// total size of shards 0..s-1, stride 1), so angular-partitioned
+	// clusters are read-only like Range.
 	Angular
 )
 
@@ -44,8 +38,6 @@ func (m PartitionMode) String() string {
 		return "round-robin"
 	case Range:
 		return "range"
-	case Grid:
-		return "grid"
 	case Angular:
 		return "angular"
 	}
@@ -57,7 +49,7 @@ func (m PartitionMode) String() string {
 // over original row numbers. Positional partitions renumber points: global
 // id g is row g - base of shard owner(g), in the shard order Partition
 // returned.
-func (m PartitionMode) Positional() bool { return m == Range || m == Grid || m == Angular }
+func (m PartitionMode) Positional() bool { return m == Range || m == Angular }
 
 // RangeOffsets returns the k+1 boundaries of the balanced contiguous split
 // of n rows: shard s is [out[s], out[s+1]), sizes differing by at most one.
@@ -103,14 +95,6 @@ func Partition(ds *Dataset, k int, mode PartitionMode) ([]*Dataset, error) {
 			}
 			shards[s] = ds.Subset(rows)
 		}
-	case Grid:
-		all := make([]int, ds.N)
-		for i := range all {
-			all[i] = i
-		}
-		for s, rows := range gridSplit(ds, all, k, 0) {
-			shards[s] = ds.Subset(rows)
-		}
 	case Angular:
 		for s, rows := range angularSplit(ds, k) {
 			shards[s] = ds.Subset(rows)
@@ -119,30 +103,6 @@ func Partition(ds *Dataset, k int, mode PartitionMode) ([]*Dataset, error) {
 		return nil, fmt.Errorf("data: unknown partition mode %d", mode)
 	}
 	return shards, nil
-}
-
-// gridSplit recursively halves rows at the median of a cycling dimension
-// until k cells remain, keeping cell sizes balanced (each recursion gives
-// the left branch ⌊len·kl/k⌋ rows, which keeps every cell non-empty while
-// rows ≥ k). Sorting ties on the row index makes the split deterministic
-// for duplicate coordinates.
-func gridSplit(ds *Dataset, rows []int, k, dim int) [][]int {
-	if k == 1 {
-		return [][]int{rows}
-	}
-	d := dim % ds.Dims
-	sort.Slice(rows, func(a, b int) bool {
-		va, vb := ds.Vals[rows[a]*ds.Dims+d], ds.Vals[rows[b]*ds.Dims+d]
-		if va != vb {
-			return va < vb
-		}
-		return rows[a] < rows[b]
-	})
-	kl := k / 2
-	cut := len(rows) * kl / k
-	left := gridSplit(ds, rows[:cut], kl, dim+1)
-	right := gridSplit(ds, rows[cut:], k-kl, dim+1)
-	return append(left, right...)
 }
 
 // angularSplit orders rows by the first hyperspherical angle of the point
@@ -188,31 +148,6 @@ func angularSplit(ds *Dataset, k int) [][]int {
 		out[s] = rows[off[s]:off[s+1]]
 	}
 	return out
-}
-
-// Corners returns the componentwise min and max corner over every row of
-// ds — the tight axis-aligned bounding box of the partition. An empty
-// dataset yields nil corners.
-func Corners(ds *Dataset) (min, max []float32) {
-	if ds.N == 0 {
-		return nil, nil
-	}
-	min = make([]float32, ds.Dims)
-	max = make([]float32, ds.Dims)
-	copy(min, ds.Vals[:ds.Dims])
-	copy(max, ds.Vals[:ds.Dims])
-	for i := 1; i < ds.N; i++ {
-		for j := 0; j < ds.Dims; j++ {
-			v := ds.Vals[i*ds.Dims+j]
-			if v < min[j] {
-				min[j] = v
-			}
-			if v > max[j] {
-				max[j] = v
-			}
-		}
-	}
-	return min, max
 }
 
 // CheckFinite returns an error naming the first non-finite coordinate

@@ -1,11 +1,11 @@
-// Property tests for the spatial partition modes: every row lands in
-// exactly one shard, shard sizes stay balanced enough to be non-empty, and
-// the per-partition corners genuinely bound their points — including
+// Property tests for the partition modes: every row lands in exactly one
+// shard and shard sizes stay balanced enough to be non-empty — including
 // datasets with negative coordinates and duplicate points.
 package data
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -42,7 +42,7 @@ func TestPartitionPropertySpatialModes(t *testing.T) {
 		}
 		dup := float64(trial%3) * 0.25
 		ds := randDataset(rng, n, d, dup)
-		for _, mode := range []PartitionMode{Grid, Angular, RoundRobin, Range} {
+		for _, mode := range []PartitionMode{Angular, RoundRobin, Range} {
 			t.Run(fmt.Sprintf("t%d/%v/n%d/d%d/k%d", trial, mode, n, d, k), func(t *testing.T) {
 				parts, err := Partition(ds, k, mode)
 				if err != nil {
@@ -77,60 +77,52 @@ func TestPartitionPropertySpatialModes(t *testing.T) {
 						t.Fatalf("row %d covered %d times", id, c)
 					}
 				}
-				// Corners bound: every coordinate of every point of a shard
-				// lies inside that shard's [min, max] box.
-				for s, p := range parts {
-					min, max := Corners(p)
-					for i := 0; i < p.N; i++ {
-						for j := 0; j < p.Dims; j++ {
-							v := p.Vals[i*p.Dims+j]
-							if v < min[j] || v > max[j] {
-								t.Fatalf("shard %d row %d dim %d: %v outside corner box [%v,%v]",
-									s, i, j, v, min[j], max[j])
-							}
-						}
-					}
-				}
 			})
 		}
 	}
 }
 
-// TestPartitionGridCellsDisjoint pins the Grid mode's defining property on
-// the split dimension hierarchy: the first-level split separates cells on
-// dimension 0 (left cells' max ≤ right cells' min), which is what makes
-// grid corners useful dominance witnesses.
-func TestPartitionGridCellsDisjoint(t *testing.T) {
+// TestPartitionAngularSlicesOrdered pins the Angular mode's defining
+// property: shards are contiguous slices of the first hyperspherical angle
+// around the min corner, so no point of shard s+1 lies at a smaller angle
+// than a point of shard s.
+func TestPartitionAngularSlicesOrdered(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ds := randDataset(rng, 256, 3, 0)
-	parts, err := Partition(ds, 4, Grid)
+	parts, err := Partition(ds, 4, Angular)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// gridSplit halves k first: shards {0,1} are the low half of dim 0,
-	// shards {2,3} the high half.
-	var lowMax, highMin float32
-	for s, p := range parts {
-		min, max := Corners(p)
-		if s < 2 {
-			if max[0] > lowMax || s == 0 {
-				lowMax = max[0]
-			}
-		} else {
-			if min[0] < highMin || s == 2 {
-				highMin = min[0]
-			}
+	min := make([]float64, ds.Dims)
+	for j := range min {
+		min[j] = math.Inf(1)
+		for i := 0; i < ds.N; i++ {
+			min[j] = math.Min(min[j], float64(ds.Vals[i*ds.Dims+j]))
 		}
 	}
-	if lowMax > highMin {
-		t.Fatalf("grid first-level split leaks on dim 0: low max %v > high min %v", lowMax, highMin)
+	prevMax := math.Inf(-1)
+	for s, p := range parts {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i := 0; i < p.N; i++ {
+			var tail float64
+			for j := 1; j < p.Dims; j++ {
+				v := float64(p.Vals[i*p.Dims+j]) - min[j]
+				tail += v * v
+			}
+			a := math.Atan2(math.Sqrt(tail), float64(p.Vals[i*p.Dims])-min[0])
+			lo, hi = math.Min(lo, a), math.Max(hi, a)
+		}
+		if lo < prevMax {
+			t.Fatalf("angular slice %d starts at angle %v, below slice %d's max %v", s, lo, s-1, prevMax)
+		}
+		prevMax = hi
 	}
 }
 
 func TestPartitionDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ds := randDataset(rng, 200, 4, 0.3)
-	for _, mode := range []PartitionMode{Grid, Angular} {
+	for _, mode := range []PartitionMode{Angular, RoundRobin, Range} {
 		a, err := Partition(ds, 5, mode)
 		if err != nil {
 			t.Fatal(err)

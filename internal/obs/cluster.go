@@ -94,74 +94,6 @@ func (m *ClusterMetrics) Merge(candidates, kept int) {
 	}
 }
 
-// Pruned records one shard's source-side pruning outcome within a pruned
-// gather: how many local skyline members the shard dropped before replying
-// (filtered), against how many it considered. Filtered points are bytes that
-// never crossed the wire — the saving is credited here using the caller's
-// estimate of the per-point wire cost.
-func (m *ClusterMetrics) Pruned(shard string, considered, filtered, bytesSaved int) {
-	if m == nil {
-		return
-	}
-	m.reg.CounterM("skycube_cluster_pruned_points_total",
-		"Shard-local skyline points dropped source-side by region/filter pruning.",
-		"shard", shard).Add(float64(filtered))
-	m.reg.CounterM("skycube_cluster_prune_considered_total",
-		"Shard-local skyline points considered by the pruned gather (shipped + filtered + skipped).",
-		"shard", shard).Add(float64(considered))
-	if bytesSaved > 0 {
-		m.reg.CounterM("skycube_cluster_bytes_saved_total",
-			"Estimated response bytes avoided by source-side pruning and shard skips.").
-			Add(float64(bytesSaved))
-	}
-}
-
-// ShardSkipped records a whole-shard skip: the prelude proved the shard's
-// entire remaining region dominated (or empty), so its cuboid was never
-// requested. count is the shard's local skyline size the coordinator
-// avoided shipping; bytesSaved is the caller's estimate of the body bytes
-// that never crossed the wire.
-func (m *ClusterMetrics) ShardSkipped(shard string, count, bytesSaved int) {
-	if m == nil {
-		return
-	}
-	m.reg.CounterM("skycube_cluster_shards_skipped_total",
-		"Gather sub-requests skipped entirely because the shard's region was dominated.",
-		"shard", shard).Inc()
-	m.reg.CounterM("skycube_cluster_pruned_points_total",
-		"Shard-local skyline points dropped source-side by region/filter pruning.",
-		"shard", shard).Add(float64(count))
-	if bytesSaved > 0 {
-		m.reg.CounterM("skycube_cluster_bytes_saved_total",
-			"Estimated response bytes avoided by source-side pruning and shard skips.").
-			Add(float64(bytesSaved))
-	}
-}
-
-// Prefilter records one representative-point pre-round: how many filter
-// points the merged broadcast set carried.
-func (m *ClusterMetrics) Prefilter(points int) {
-	if m == nil {
-		return
-	}
-	m.reg.CounterM("skycube_cluster_prefilter_rounds_total",
-		"Representative-point pre-rounds executed before the main gather.").Inc()
-	m.reg.CounterM("skycube_cluster_prefilter_points_total",
-		"Representative points broadcast in pre-filter rounds.").Add(float64(points))
-}
-
-// PruneFallback records the pruned gather abandoning its prelude and falling
-// back to the plain unpruned path. reason is one of "prelude_error",
-// "epoch_mismatch", "gather_error".
-func (m *ClusterMetrics) PruneFallback(reason string) {
-	if m == nil {
-		return
-	}
-	m.reg.CounterM("skycube_cluster_prune_fallbacks_total",
-		"Pruned gathers that fell back to the unpruned path, by reason.",
-		"reason", reason).Inc()
-}
-
 // Query records one coordinator query end-to-end: total latency and whether
 // the response was complete or explicitly partial (a whole shard down).
 func (m *ClusterMetrics) Query(dur time.Duration, partial bool) {

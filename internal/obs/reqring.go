@@ -39,10 +39,6 @@ const (
 	EvCuboid        = "cuboid"         // shard-local cuboid extraction (N = rows)
 	EvMerge         = "merge"          // coordinator dominance-filter merge (N = kept; Detail: groups, label skips, sweeps)
 	EvEncode        = "encode"         // response encode (Bytes = body length)
-	EvPrefilter     = "prefilter"      // representative-point pre-round (N = filter points)
-	EvPrune         = "prune"          // shard-side filtered candidates (N = dropped)
-	EvPruneSkip     = "prune_skip"     // whole shard skipped, region dominated (N = skipped count)
-	EvPruneFallback = "prune_fallback" // pruned gather abandoned (Detail: reason)
 )
 
 // Event is one typed, timed occurrence within a request. Start is the

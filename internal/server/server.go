@@ -293,7 +293,7 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
+	if !AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	resp := healthResponse{Status: "ok", Ready: s.Ready(), Mode: "static"}
@@ -309,12 +309,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if !resp.Ready {
 		resp.Status = "unavailable"
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(resp)
+		WriteJSONStatus(w, http.StatusServiceUnavailable, resp)
 		return
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // statusWriter captures the response code and body byte count for the
@@ -425,10 +423,10 @@ func (s *Server) logSlow(r *http.Request, status int, dur time.Duration, traceID
 	log.Print(line)
 }
 
-// allow guards a handler's verb: on mismatch it answers 405 with the
+// AllowMethod guards a handler's verb: on mismatch it answers 405 with the
 // Allow header RFC 9110 §15.5.6 requires, so clients learn the right verb
 // instead of guessing.
-func allow(w http.ResponseWriter, r *http.Request, method string) bool {
+func AllowMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	if r.Method == method {
 		return true
 	}
@@ -539,14 +537,14 @@ type infoResponse struct {
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
+	if !AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	v, ok := s.resolveView(w, r)
 	if !ok {
 		return
 	}
-	writeJSON(w, infoResponse{
+	WriteJSON(w, infoResponse{
 		Points:    v.points(s),
 		Dims:      v.cube.Dims(),
 		Subspaces: len(skycube.AllSubspaces(v.cube.Dims())),
@@ -557,30 +555,36 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
+	if !AllowMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, s.opt.BuildInfo)
+	WriteJSON(w, s.opt.BuildInfo)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
+	if !AllowMethod(w, r, http.MethodGet) {
 		return
 	}
+	ServeMetrics(w, r, s.opt.Metrics, s.km)
+}
+
+// ServeMetrics writes reg as the Prometheus text exposition, after folding
+// the process-wide dominance-kernel counters into km's families.
+func ServeMetrics(w http.ResponseWriter, r *http.Request, reg *obs.Registry, km *obs.KernelMetrics) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	ks := skycube.KernelStats()
-	s.km.Sync(ks.BlockSweeps, ks.StopPointExits, ks.ScalarFallback)
+	km.Sync(ks.BlockSweeps, ks.StopPointExits, ks.ScalarFallback)
 	// Exemplars use OpenMetrics syntax that classic text-format parsers
 	// reject, so they are opt-in per scrape.
 	if r.URL.Query().Get("exemplars") == "1" {
-		_ = s.opt.Metrics.WritePrometheusExemplars(w)
+		_ = reg.WritePrometheusExemplars(w)
 		return
 	}
-	_ = s.opt.Metrics.WritePrometheus(w)
+	_ = reg.WritePrometheus(w)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
+	if !AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -637,8 +641,30 @@ func encodeEntry(epoch uint64, tag string, v interface{}) (*rcache.Entry, error)
 	return rcache.NewEntry(fmt.Sprintf(`"e%d-%s"`, epoch, tag), buf.Bytes()), nil
 }
 
+// ParseDims parses the dims=0,2,5 query parameter against dimensionality d,
+// returning the dims, the subspace, and "" or the 400 message.
+func ParseDims(spec string, d int) ([]int, skycube.Subspace, string) {
+	if spec == "" {
+		return nil, 0, "missing dims parameter (e.g. dims=0,2,5)"
+	}
+	var dims []int
+	var delta skycube.Subspace
+	for _, part := range strings.Split(spec, ",") {
+		dim, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || dim < 0 || dim >= d {
+			return nil, 0, fmt.Sprintf("bad dimension %q (need 0..%d)", part, d-1)
+		}
+		if delta&skycube.SubspaceOf(dim) != 0 {
+			return nil, 0, fmt.Sprintf("duplicate dimension %d in dims=%s", dim, spec)
+		}
+		dims = append(dims, dim)
+		delta |= skycube.SubspaceOf(dim)
+	}
+	return dims, delta, ""
+}
+
 func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
+	if !AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	if s.cache != nil && cacheable(r) {
@@ -653,27 +679,10 @@ func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	dimSpec := r.URL.Query().Get("dims")
-	if dimSpec == "" {
-		http.Error(w, "missing dims parameter (e.g. dims=0,2,5)", http.StatusBadRequest)
+	dims, delta, errMsg := ParseDims(r.URL.Query().Get("dims"), v.cube.Dims())
+	if errMsg != "" {
+		http.Error(w, errMsg, http.StatusBadRequest)
 		return
-	}
-	var dims []int
-	var delta skycube.Subspace
-	for _, part := range strings.Split(dimSpec, ",") {
-		d, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || d < 0 || d >= v.cube.Dims() {
-			http.Error(w, fmt.Sprintf("bad dimension %q (need 0..%d)", part, v.cube.Dims()-1),
-				http.StatusBadRequest)
-			return
-		}
-		if delta&skycube.SubspaceOf(d) != 0 {
-			http.Error(w, fmt.Sprintf("duplicate dimension %d in dims=%s", d, dimSpec),
-				http.StatusBadRequest)
-			return
-		}
-		dims = append(dims, d)
-		delta |= skycube.SubspaceOf(d)
 	}
 	if skycube.SubspaceSize(delta) > v.cube.MaxLevel() {
 		http.Error(w, fmt.Sprintf("subspace has %d dimensions but only levels ≤ %d are materialised",
@@ -713,7 +722,7 @@ type membershipResponse struct {
 }
 
 func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
+	if !AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	if s.cache != nil && cacheable(r) {
@@ -774,7 +783,7 @@ type insertResponse struct {
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodPost) {
+	if !AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req insertRequest
@@ -835,7 +844,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "durability failure: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // rememberBatch stores a batch outcome for replay, evicting the oldest
@@ -892,7 +901,7 @@ type deleteResponse struct {
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodPost) {
+	if !AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req deleteRequest
@@ -915,7 +924,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ins, del := s.opt.Updater.Pending()
-	writeJSON(w, deleteResponse{Deleted: len(req.IDs), PendingInserts: ins, PendingDeletes: del})
+	WriteJSON(w, deleteResponse{Deleted: len(req.IDs), PendingInserts: ins, PendingDeletes: del})
 }
 
 // epochResponse is the /flush and /compact payload: the snapshot that now
@@ -927,7 +936,7 @@ type epochResponse struct {
 }
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodPost) {
+	if !AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	snap := s.opt.Updater.Flush()
@@ -937,11 +946,11 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "durability failure: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, epochResponse{Epoch: snap.Epoch(), Live: snap.Live(), Overlay: s.opt.Updater.Stats().Overlay})
+	WriteJSON(w, epochResponse{Epoch: snap.Epoch(), Live: snap.Live(), Overlay: s.opt.Updater.Stats().Overlay})
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodPost) {
+	if !AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	// The rebuild makes the node unready for the probe's purposes: readers
@@ -954,24 +963,27 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "durability failure: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, epochResponse{Epoch: snap.Epoch(), Live: snap.Live(), Overlay: s.opt.Updater.Stats().Overlay})
+	WriteJSON(w, epochResponse{Epoch: snap.Epoch(), Live: snap.Live(), Overlay: s.opt.Updater.Stats().Overlay})
 }
 
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
-	if !allow(w, r, http.MethodGet) {
+	if !AllowMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, s.opt.Updater.Stats())
+	WriteJSON(w, s.opt.Updater.Stats())
 }
 
-// bufPool recycles encode buffers across requests; writeJSON copies the
+// bufPool recycles encode buffers across requests; WriteJSONStatus copies the
 // bytes out to the wire before returning its buffer, so pooling is safe.
 var bufPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
 
-// writeJSON encodes to a pooled buffer first so an encoding failure can
-// still produce a clean 500: encoding straight to w would have committed a
-// 200 and a partial body before the error surfaced.
-func writeJSON(w http.ResponseWriter, v interface{}) {
+// WriteJSON answers 200 with v as JSON.
+func WriteJSON(w http.ResponseWriter, v interface{}) { WriteJSONStatus(w, http.StatusOK, v) }
+
+// WriteJSONStatus encodes to a pooled buffer first so an encoding failure can
+// still produce a clean 500: encoding straight to w would have committed the
+// status and a partial body before the error surfaced.
+func WriteJSONStatus(w http.ResponseWriter, status int, v interface{}) {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer bufPool.Put(buf)
@@ -980,5 +992,8 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	if status != http.StatusOK {
+		w.WriteHeader(status)
+	}
 	_, _ = w.Write(buf.Bytes())
 }
