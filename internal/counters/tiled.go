@@ -16,11 +16,15 @@ import (
 const barrierCycles = 5000
 
 // probedTiledFilter is the profiled build of the Hybrid-style tiled
-// flat-array skyline used by the ST and SD hooks. It mirrors
-// skyline.hybridFilter: global two-level labels over δ, L1-norm tile order,
-// a per-tile parallel prune against the accumulated result groups, then a
-// sequential intra-tile pass. Probes record the sequential label-array
-// loads, the DT point loads, and the result-group walks.
+// flat-array skyline used by the ST and SD hooks. It runs the production
+// prologue (skyline.HybridPrepare: labels to the depth skyline.LabelDepth
+// derives, L1-norm tile order) and then still models the two-phase tile loop
+// the engine had before it fused its passes — a strict and a non-strict run,
+// each a per-tile parallel prune against the accumulated result groups and a
+// sequential intra-tile pass — so the probes see the groups the code that
+// runs would form, not yet its single pass (ROADMAP item 3(c)). Probes record
+// the sequential label-array loads, the DT point loads, and the result-group
+// walks.
 //
 // With one probe the run is single-threaded (the STSC hook); with several,
 // each tile's phase A is split across the probes' goroutines (the SDSC
@@ -34,12 +38,14 @@ func probedTiledFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict b
 	}
 	dims := mask.Dims(delta)
 	medM, quartM, _, ord := skyline.HybridPrepare(ds, rows, dims)
-	// What the prologue reads, charged in the order it reads it: one column
-	// scan per dimension for the pivots, round-robin over the probes (the
-	// production code computes the columns independently in parallel), then
-	// every point's row once for its labels and δ-sum.
-	for idx, j := range dims {
-		probes[idx%len(probes)].Load(dataBase+uint64(j)*uint64(n)*4, n*4)
+	// What the prologue reads, charged in the order it reads it: when there
+	// are labels, one column scan per dimension for the pivots, round-robin
+	// over the probes (the production code computes the columns independently
+	// in parallel); then every point's row once for its labels and δ-sum.
+	if skyline.LabelDepth(n, len(dims)) > 0 {
+		for idx, j := range dims {
+			probes[idx%len(probes)].Load(dataBase+uint64(j)*uint64(n)*4, n*4)
+		}
 	}
 	for _, q := range rows {
 		probes[0].Load(pointAddr(ds, q), ds.Dims*4)

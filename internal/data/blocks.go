@@ -106,6 +106,9 @@ func NewBlockSet(k, blockSize int) *BlockSet {
 // Len returns the number of appended lanes (killed lanes included).
 func (s *BlockSet) Len() int { return s.n }
 
+// Reset empties the set, keeping its shape and its blocks for reuse.
+func (s *BlockSet) Reset() { s.reset(s.K, s.BlockSize) }
+
 func (s *BlockSet) reset(k, blockSize int) {
 	if blockSize < 64 {
 		blockSize = 64

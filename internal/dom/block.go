@@ -25,6 +25,8 @@
 package dom
 
 import (
+	"math/bits"
+
 	"skycube/internal/data"
 	"skycube/internal/mask"
 )
@@ -137,6 +139,93 @@ func BlocksAnyDominator(bs *data.BlockSet, pq []float32, psum float32, strict bo
 		}
 	}
 	return false
+}
+
+// Verdict is what the live lanes of a block set say about a probe, ordered so
+// that the verdicts of several sets combine with max.
+type Verdict uint8
+
+const (
+	// Undominated: no lane dominates the probe.
+	Undominated Verdict = iota
+	// Dominated: some lane dominates the probe (Definition 1), none strictly.
+	Dominated
+	// StrictlyDominated: some lane is less than the probe on every column.
+	StrictlyDominated
+)
+
+// blockLeqWord computes, for word w of block b, the live lanes that are ≤ pq
+// on every column: the probe's dominators, strict or not, and its exact
+// duplicates. One compare per lane and column — the price of the strict sweep
+// in blockDomWord — because which of the three a lane is only matters on the
+// rare word that has one.
+func blockLeqWord(b *data.Block, w int, pq []float32) uint64 {
+	base := w << 6
+	cnt := b.N - base
+	if cnt <= 0 {
+		return 0
+	}
+	if cnt > 64 {
+		cnt = 64
+	}
+	leAll := b.Alive[w]
+	if leAll == 0 {
+		return 0
+	}
+	for j, col := range b.Cols {
+		pv := pq[j]
+		var le uint64
+		if cnt == 64 {
+			sub := col[base : base+64 : base+64]
+			for i := 0; i < 64; i++ {
+				if sub[i] <= pv {
+					le |= 1 << uint(i)
+				}
+			}
+		} else {
+			for i, v := range col[base : base+cnt] {
+				if v <= pv {
+					le |= 1 << uint(i)
+				}
+			}
+		}
+		leAll &= le
+		if leAll == 0 {
+			return 0
+		}
+	}
+	return leAll
+}
+
+// BlocksVerdict classifies pq against every live lane of bs in one scan: each
+// word is swept once for the lanes ≤ pq everywhere, and only those lanes are
+// then read again to tell a strict dominator from a dominator from a
+// duplicate. The scan ends at the first strict dominator; a non-strict one
+// does not end it, since a later lane may still dominate strictly.
+func BlocksVerdict(bs *data.BlockSet, pq []float32, t *KernelTally) Verdict {
+	v := Undominated
+	for _, b := range bs.Blocks {
+		words := (b.N + 63) >> 6
+		for w := 0; w < words; w++ {
+			t.Sweeps++
+			for le := blockLeqWord(b, w, pq); le != 0; le &= le - 1 {
+				lane := w<<6 + bits.TrailingZeros64(le)
+				less := 0
+				for j, col := range b.Cols {
+					if col[lane] < pq[j] {
+						less++
+					}
+				}
+				if less == len(b.Cols) {
+					return StrictlyDominated
+				}
+				if less > 0 {
+					v = Dominated
+				}
+			}
+		}
+	}
+	return v
 }
 
 // DominatedBitmap writes into out (len ≥ ⌈b.N/64⌉ words) the lanes of b that

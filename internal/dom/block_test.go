@@ -39,6 +39,17 @@ func scalarAnyDominator(bs *data.BlockSet, pq []float32, strict bool) bool {
 	return false
 }
 
+// scalarVerdict is the reference loop BlocksVerdict must match.
+func scalarVerdict(bs *data.BlockSet, pq []float32) Verdict {
+	switch {
+	case scalarAnyDominator(bs, pq, true):
+		return StrictlyDominated
+	case scalarAnyDominator(bs, pq, false):
+		return Dominated
+	}
+	return Undominated
+}
+
 func randBlockSet(rng *rand.Rand, k, n, blockSize int, grid int) ([]float32, *data.BlockSet) {
 	pts := make([][]float32, n)
 	dims := make([]int, k)
@@ -87,6 +98,9 @@ func TestBlockKernelsMatchScalar(t *testing.T) {
 			if got != want {
 				t.Fatalf("trial %d strict=%v: block %v, scalar %v", trial, strict, got, want)
 			}
+		}
+		if got, want := BlocksVerdict(bs, pq, &tally), scalarVerdict(bs, pq); got != want {
+			t.Fatalf("trial %d: verdict %v, scalar %v", trial, got, want)
 		}
 		data.PutBlockSet(bs)
 	}

@@ -96,6 +96,20 @@ func FuzzBlockKernelEquivalence(f *testing.F) {
 			t.Fatalf("AnyDominator with stop point: block %v, scalar %v", got, want)
 		}
 
+		// The fused verdict is the two any-dominator answers in one scan.
+		wantV := Undominated
+		for i := 0; i < n; i++ {
+			if r := Compare(ds.Point(i), pq); RelStrictlyDominates(r, full) {
+				wantV = StrictlyDominated
+				break
+			} else if RelDominates(r, full) {
+				wantV = Dominated
+			}
+		}
+		if got := BlocksVerdict(bs, pq, &tally); got != wantV {
+			t.Fatalf("BlocksVerdict: %v, scalar %v", got, wantV)
+		}
+
 		out := make([]uint64, 1)
 		for _, b := range bs.Blocks {
 			DominatedBitmap(b, pq, strict, out, &tally)

@@ -87,7 +87,10 @@ const deviceBlockThreads = 128
 // deviceFilter is the SkyAlign-style survivor filter: points sorted by L1
 // norm over δ are consumed in tiles; each tile is one kernel launch in
 // which every thread owns one point and scans the flat label array of the
-// current result, mask-testing before any dominance test.
+// current result, mask-testing before any dominance test. The labels are the
+// production prologue's, to the depth skyline.LabelDepth derives; the loop is
+// still the two-phase tile loop, run once strictly and once not, that the CPU
+// engine had before it fused its passes (ROADMAP item 3(c)).
 func deviceFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, stats *StatsCollector) []int32 {
 	n := len(rows)
 	if n == 0 {
@@ -96,9 +99,10 @@ func deviceFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask
 	d := ds.Dims
 	dims := mask.Dims(delta)
 	medM, quartM, _, ord := skyline.HybridPrepare(ds, rows, dims)
+	depth := skyline.LabelDepth(n, len(dims))
 
 	// Input upload: the cuboid's (reduced) rows and labels cross PCIe once.
-	stats.Add(gpusim.Transfer(n * (d*4 + 8)))
+	stats.Add(gpusim.Transfer(n * (d*4 + 4*depth)))
 
 	// Flat, append-only result arrays: the linear layout the kernel scans
 	// sequentially for coalesced reads.
@@ -126,23 +130,25 @@ func deviceFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask
 				pp := ds.Point(int(rows[k]))
 				mp, qp := medM[k], quartM[k]
 				// One coalesced load of the point's own row and labels.
-				b.LoadCoalesced(4*d + 8)
+				b.LoadCoalesced(4*d + 4*depth)
 				ok := true
 				for e := 0; e < len(resIdx); e++ {
-					// The label scan is sequential over flat arrays; a warp
-					// reads each 128-byte line once.
-					if t%gpusim.WarpSize == 0 && e%16 == 0 {
-						b.LoadCoalesced(128)
-					}
-					b.Instr(3)
-					worse := skyline.CompositeStrict2(mp, qp, resMed[e], resQuart[e])
-					if worse&delta != 0 {
-						continue
-					}
-					better := skyline.CompositeStrict2(resMed[e], resQuart[e], mp, qp)
-					if better&delta == delta {
-						ok = false
-						break
+					if depth > 0 {
+						// The label scan is sequential over flat arrays; a
+						// warp reads each 128-byte line once.
+						if t%gpusim.WarpSize == 0 && e%16 == 0 {
+							b.LoadCoalesced(128)
+						}
+						b.Instr(3)
+						worse := skyline.CompositeStrict2(mp, qp, resMed[e], resQuart[e])
+						if worse&delta != 0 {
+							continue
+						}
+						better := skyline.CompositeStrict2(resMed[e], resQuart[e], mp, qp)
+						if better&delta == delta {
+							ok = false
+							break
+						}
 					}
 					// Inconclusive: exact DT with an on-the-fly projected
 					// load (§6.1 — the GPU projects points into δ).

@@ -7,14 +7,16 @@
 package lattice
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"skycube/internal/data"
 	"skycube/internal/mask"
 	"skycube/internal/obs"
+	"skycube/internal/skyline"
 )
 
 // Lattice is a materialised skycube: Sky[δ] is the sorted id list of S_δ
@@ -185,24 +187,38 @@ func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice 
 
 	for level := maxLevel; level >= 1; level-- {
 		cuboids := mask.Level(d, level)
-		if opt.LargestFirst && level < maxLevel && len(cuboids) > 1 {
-			// The input of each cuboid at this level is its min-parent's
-			// extended skyline, already materialised — its size is the best
-			// available cost estimate for the cuboid.
-			ordered := make([]mask.Mask, len(cuboids))
-			copy(ordered, cuboids)
-			sort.SliceStable(ordered, func(a, b int) bool {
-				return l.ExtendedSize(l.MinParent(ordered[a])) > l.ExtendedSize(l.MinParent(ordered[b]))
-			})
-			cuboids = ordered
+		// A cuboid below the top level reads the extended skyline of its
+		// smallest (or, for the ablation, first) materialised parent. Each
+		// parent's is merged once per level and shared by its children, which
+		// only read it.
+		inputs := make([][]int32, len(cuboids))
+		merged := make(map[mask.Mask][]int32)
+		for i, delta := range cuboids {
+			if level == maxLevel {
+				inputs[i] = topInput
+				continue
+			}
+			p := l.parent(delta, opt.FirstParent)
+			rows, ok := merged[p]
+			if !ok {
+				rows = mergeSorted(l.Sky[p], l.ExtOnly[p])
+				merged[p] = rows
+			}
+			inputs[i] = rows
+		}
+		order := make([]int, len(cuboids))
+		for i := range order {
+			order[i] = i
+		}
+		if opt.LargestFirst && level < maxLevel {
+			// The size of a cuboid's input is the best available estimate of
+			// its cost.
+			slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(len(inputs[b]), len(inputs[a])) })
 		}
 		lh := tr.Begin("levels", obs.CatLevel, fmt.Sprintf("level %d", level))
 		lh.SetN(int64(len(cuboids)))
-		run := func(worker int, delta mask.Mask) {
-			rows := topInput
-			if level < maxLevel {
-				rows = inputRows(l, delta, opt.FirstParent)
-			}
+		run := func(worker, i int) {
+			delta, rows := cuboids[i], inputs[i]
 			var ch obs.SpanHandle
 			if tr != nil && !opt.SuppressCuboidSpans {
 				ch = tr.Begin(fmt.Sprintf("%s-%d", prefix, worker), obs.CatCuboid,
@@ -210,6 +226,9 @@ func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice 
 				ch.SetN(int64(len(rows)))
 			}
 			sky, extOnly := compute(ds, rows, delta)
+			ch.SetArg("sky", int64(len(sky)))
+			ch.SetArg("ext_only", int64(len(extOnly)))
+			ch.SetArg("label_depth", int64(skyline.LabelDepth(len(rows), level)))
 			ch.End()
 			l.Sky[delta] = sky
 			l.ExtOnly[delta] = extOnly
@@ -218,8 +237,8 @@ func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice 
 			}
 		}
 		if threads == 1 || len(cuboids) == 1 {
-			for _, delta := range cuboids {
-				run(0, delta)
+			for _, i := range order {
+				run(0, i)
 			}
 			lh.End()
 			continue
@@ -240,7 +259,7 @@ func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice 
 					if i >= int64(len(cuboids)) {
 						return
 					}
-					run(w, cuboids[i])
+					run(w, order[i])
 				}
 			}(w)
 		}
@@ -250,16 +269,13 @@ func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice 
 	return l
 }
 
-// inputRows returns the extended skyline of δ's smallest (or, for the
-// ablation, first) materialised parent.
-func inputRows(l *Lattice, delta mask.Mask, firstParent bool) []int32 {
-	var p mask.Mask
-	if firstParent {
-		p = l.anyParent(delta)
-	} else {
-		p = l.MinParent(delta)
+// parent returns the materialised immediate superspace of δ whose extended
+// skyline is δ's input: the smallest, or the first for the ablation.
+func (l *Lattice) parent(delta mask.Mask, first bool) mask.Mask {
+	if first {
+		return l.anyParent(delta)
 	}
-	return mergeSorted(l.Sky[p], l.ExtOnly[p])
+	return l.MinParent(delta)
 }
 
 // anyParent returns the first materialised immediate superspace of δ.

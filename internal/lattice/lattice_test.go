@@ -1,13 +1,19 @@
 package lattice
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"skycube/internal/data"
 	"skycube/internal/gen"
 	"skycube/internal/mask"
+	"skycube/internal/obs"
 	"skycube/internal/skyline"
 )
 
@@ -142,5 +148,128 @@ func TestMergeSorted(t *testing.T) {
 	}
 	if got := mergeSorted([]int32{3}, nil); !reflect.DeepEqual(got, []int32{3}) {
 		t.Errorf("mergeSorted([3], nil) = %v", got)
+	}
+}
+
+// hybridCuboid is the hook STSC and SDSC run.
+func hybridCuboid(ds *data.Dataset, rows []int32, delta mask.Mask) (sky, extOnly []int32) {
+	res := skyline.Compute(ds, rows, delta, skyline.AlgoHybrid, 2)
+	return res.Skyline, res.ExtOnly
+}
+
+func TestSiblingsShareOneInputThatIsNeverWritten(t *testing.T) {
+	// A grid, so that S⁺ \ S is not empty and inputs are real merges.
+	const d = 5
+	pts := make([][]float32, 600)
+	for i := range pts {
+		pts[i] = make([]float32, d)
+		for j := range pts[i] {
+			pts[i][j] = float32((i*(j+3) + i/7) % 5)
+		}
+	}
+	ds := data.FromRows(pts)
+	for _, hook := range []CuboidFunc{bnlCuboid, hybridCuboid} {
+		type call struct {
+			delta      mask.Mask
+			rows, copy []int32
+		}
+		var mu sync.Mutex
+		var calls []call
+		recording := func(ds *data.Dataset, rows []int32, delta mask.Mask) (sky, extOnly []int32) {
+			mu.Lock()
+			calls = append(calls, call{delta, rows, slices.Clone(rows)})
+			mu.Unlock()
+			return hook(ds, rows, delta)
+		}
+		l := TopDown(ds, recording, TopDownOptions{CuboidThreads: 3, LargestFirst: true})
+
+		arrays := map[int]map[*int32]bool{} // level → distinct input arrays
+		for _, c := range calls {
+			if !slices.Equal(c.rows, c.copy) {
+				t.Errorf("δ=%05b: the input was written during the traversal", c.delta)
+			}
+			level := mask.Count(c.delta)
+			if arrays[level] == nil {
+				arrays[level] = map[*int32]bool{}
+			}
+			arrays[level][&c.rows[0]] = true
+			if level < d {
+				p := l.MinParent(c.delta)
+				if want := mergeSorted(l.Sky[p], l.ExtOnly[p]); !slices.Equal(c.rows, want) {
+					t.Errorf("δ=%05b: input is not S⁺ of its smallest parent %05b", c.delta, p)
+				}
+			}
+		}
+		for level := 1; level < d; level++ {
+			if got, parents := len(arrays[level]), len(mask.Level(d, level+1)); got > parents {
+				t.Errorf("level %d: %d distinct inputs for %d parents", level, got, parents)
+			}
+		}
+		if len(arrays[1]) >= len(mask.Level(d, 1)) && len(arrays[2]) >= len(mask.Level(d, 2)) {
+			t.Error("no two siblings shared an input")
+		}
+
+		// The same lattice as when every cuboid gets an input of its own.
+		private := TopDown(ds, func(ds *data.Dataset, rows []int32, delta mask.Mask) (sky, extOnly []int32) {
+			return hook(ds, slices.Clone(rows), delta)
+		}, TopDownOptions{})
+		if !reflect.DeepEqual(l, private) {
+			t.Error("sharing inputs changed the lattice")
+		}
+	}
+}
+
+func TestCuboidSpansCarryOutputSizesAndLabelDepth(t *testing.T) {
+	const d = 4
+	ds := gen.Synthetic(gen.Anticorrelated, 3000, d, 9)
+	tr := obs.New()
+	l := TopDown(ds, hybridCuboid, TopDownOptions{CuboidThreads: 2, Trace: tr})
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name, Cat string
+			Args      map[string]any // numbers, and the track names of metadata events
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	seen, depths := 0, map[int]bool{}
+	for _, ev := range file.TraceEvents {
+		if ev.Cat != obs.CatCuboid {
+			continue
+		}
+		var delta mask.Mask
+		if _, err := fmt.Sscanf(ev.Name, "δ=%b", &delta); err != nil {
+			t.Fatalf("span %q: %v", ev.Name, err)
+		}
+		seen++
+		arg := func(key string) int {
+			v, ok := ev.Args[key].(float64)
+			if !ok {
+				t.Errorf("%s: no %q in args %v", ev.Name, key, ev.Args)
+			}
+			return int(v)
+		}
+		if got, want := arg("sky"), len(l.Sky[delta]); got != want {
+			t.Errorf("%s: sky = %d, want %d", ev.Name, got, want)
+		}
+		if got, want := arg("ext_only"), len(l.ExtOnly[delta]); got != want {
+			t.Errorf("%s: ext_only = %d, want %d", ev.Name, got, want)
+		}
+		want := skyline.LabelDepth(arg("n"), mask.Count(delta))
+		if got := arg("label_depth"); got != want {
+			t.Errorf("%s: label_depth = %d, want %d", ev.Name, got, want)
+		}
+		depths[want] = true
+	}
+	if seen != mask.NumSubspaces(d) {
+		t.Errorf("%d cuboid spans, want %d", seen, mask.NumSubspaces(d))
+	}
+	if len(depths) < 2 {
+		t.Errorf("label depths seen: %v, want more than one", depths)
 	}
 }

@@ -68,8 +68,14 @@ func WriteChromeSpans(w io.Writer, spans []Span) error {
 			PID:  1,
 			TID:  tid[s.Track],
 		}
-		if s.N != 0 {
-			ev.Args = map[string]any{"n": s.N}
+		if s.N != 0 || len(s.Args) > 0 {
+			ev.Args = map[string]any{}
+			if s.N != 0 {
+				ev.Args["n"] = s.N
+			}
+			for _, a := range s.Args {
+				ev.Args[a.Name] = a.Value
+			}
 		}
 		file.TraceEvents = append(file.TraceEvents, ev)
 	}

@@ -55,6 +55,9 @@ type Span struct {
 	Dur time.Duration
 	// N is an optional work count (points in a chunk, rows in a cuboid).
 	N int64
+	// Args are further named counts (a cuboid's output sizes and label
+	// depth), exported with N in the Chrome trace's args.
+	Args []SpanArg
 }
 
 // End returns the span's end offset from the trace epoch.
@@ -116,12 +119,19 @@ func (t *Trace) Now() time.Duration {
 	return t.now()
 }
 
+// SpanArg is one named count of a span.
+type SpanArg struct {
+	Name  string
+	Value int64
+}
+
 // SpanHandle is an in-flight span started by Begin. The zero value (what a
 // nil trace hands out) is a no-op.
 type SpanHandle struct {
 	t     *Trace
 	start time.Duration
 	n     int64
+	args  []SpanArg
 	track string
 	cat   string
 	name  string
@@ -143,6 +153,13 @@ func (h *SpanHandle) SetN(n int64) {
 	}
 }
 
+// SetArg attaches a named count to the span before End.
+func (h *SpanHandle) SetArg(name string, v int64) {
+	if h.t != nil {
+		h.args = append(h.args, SpanArg{name, v})
+	}
+}
+
 // End records the span. Safe on the zero handle.
 func (h SpanHandle) End() {
 	if h.t == nil {
@@ -150,7 +167,7 @@ func (h SpanHandle) End() {
 	}
 	h.t.record(Span{
 		Track: h.track, Cat: h.cat, Name: h.name,
-		Start: h.start, Dur: h.t.now() - h.start, N: h.n,
+		Start: h.start, Dur: h.t.now() - h.start, N: h.n, Args: h.args,
 	})
 }
 

@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 
@@ -12,160 +13,262 @@ import (
 // hybridTileSize is α, the number of points processed per tile.
 const hybridTileSize = 512
 
-// hybridFilter is the multicore algorithm in the style of Hybrid (Chester,
-// Šidlauskas, Assent, Bøgh — ICDE 2015; paper §5.1): a compact, fixed
-// two-level, array-based tree of *global* median/quartile pivots replaces
-// the recursive SkyTree, and the input is consumed in tiles so threads
-// cooperate on one shared, read-mostly result structure.
-//
-// Points are ordered by their L1 norm over δ, which guarantees every
-// (strict or non-strict) dominator of a point appears in an earlier tile or
-// in the point's own tile; cross-tile work is the data-parallel hook.
-func hybridFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, threads int) []int32 {
-	if threads < 1 {
-		threads = 1
-	}
-	if len(rows) <= hybridTileSize || threads == 1 && len(rows) <= 4*hybridTileSize {
-		return pivotFilter(ds, rows, delta, strict)
-	}
-	dims := mask.Dims(delta)
-	medM, quartM, sum, ord := HybridPrepare(ds, rows, dims)
-	n := len(rows)
+// kernelWord is the lane count of one verdict word of the block kernels: the
+// block size of the engine's windows, and what a label group must be able to
+// fill (LabelDepth).
+const kernelWord = 64
 
-	// Group members live in small SoA blocks appended in tile (= ascending
-	// δ-sum) order, so phase A is one kernel sweep per group and meets the
-	// likeliest dominators first. No stop point: a group holds only members
-	// of earlier tiles, which sum to no more than the probe.
+// hybridCompute is the multicore algorithm in the style of Hybrid (Chester,
+// Šidlauskas, Assent, Bøgh — ICDE 2015; paper §5.1) as the templates hook it
+// into a cuboid: a compact, fixed-depth, array-based tree of *global*
+// median/quartile pivots replaces the recursive SkyTree, and the input is
+// consumed in tiles so threads cooperate on one shared, read-mostly result
+// structure. One pass in ascending (δ-sum, row) order classifies every point
+// once — strictly dominated, in S⁺_δ \ S_δ, or in S_δ — against a window that
+// holds members of S_δ only.
+//
+// The S-only window is sound because dominance is a strict partial order on a
+// finite set: any dominator of p can be replaced by one in S_δ, and a strict
+// one by a member s with s ≤ q < p on all of δ, itself strict. So p ∈ S⁺_δ iff
+// no member of S_δ strictly dominates p, and p ∈ S_δ iff none dominates it.
+//
+// The sum order puts every dominator of a point before it, except one whose
+// float32 δ-sum ties with the point's. An arriving member therefore evicts the
+// equal-sum members it dominates and drops the equal-sum points of S⁺_δ \ S_δ
+// it strictly dominates; a tile never ends inside an equal-sum run, so both
+// are still in the tile's own structures.
+func hybridCompute(ds *data.Dataset, rows []int32, delta mask.Mask, threads int) Result {
+	threads = max(threads, 1)
+	dims := mask.Dims(delta)
+	k, n := len(dims), len(rows)
+	medM, quartM, sum, ord := HybridPrepare(ds, rows, dims)
+
+	// The members of S_δ found by earlier tiles, one sum-ordered block set per
+	// label. No stop point: every lane sums to no more than the probe. Groups
+	// are probed in descending order of the points they have dropped so far,
+	// so the scan of a point that dies is short; the order changes between
+	// tiles only, and a point's verdict does not depend on it.
 	type group struct {
 		med, quart mask.Mask
 		bs         *data.BlockSet
+		kills      int
 	}
 	var groups []group
-	groupIdx := make(map[uint64]int)
-	survivors := make([]int32, 0, n/4)
+	defer func() {
+		for _, g := range groups {
+			data.PutBlockSet(g.bs)
+		}
+	}()
+	// This tile's new members, and the points of S⁺_δ \ S_δ that share the
+	// current δ-sum. Both hold indices into rows, as ord and st do.
+	fresh := data.GetBlockSet(k, kernelWord)
+	defer data.PutBlockSet(fresh)
+	var extRun []int32
 
-	// Per-tile scratch, allocated once: alive flags by tile position, the
-	// BNL input, each kept row's tile position, and one projection buffer per
-	// phase-A worker plus one for phase B.
+	st := make([]Status, n)
 	var tile []int32
-	alive := make([]bool, hybridTileSize)
-	tileRows := make([]int32, 0, hybridTileSize)
-	pos := make([]int32, hybridTileSize)
-	pqs := make([]float32, (threads+1)*len(dims))
+	var killer []int32                    // by tile position: the group that dropped the point, or -1
+	pqs := make([]float32, (threads+1)*k) // one projection per phase-A worker, one for phase B
 	var wg sync.WaitGroup
 
-	// Phase A (parallel): prune tile points against the global result,
-	// group by group, with label tests before any dominance test.
-	work := func(w, lo, hi int) {
-		defer wg.Done()
+	// Phase A (parallel, read-only): classify tile[lo:hi] against the groups,
+	// with label tests before any dominance test.
+	probe := func(w, lo, hi int) {
 		var tally dom.KernelTally
-		pq := pqs[w*len(dims):][:len(dims)]
+		pq := pqs[w*k:][:k]
 		for t := lo; t < hi; t++ {
-			k := tile[t]
-			data.ProjectInto(pq, ds.Point(int(rows[k])), dims)
-			mp, qp := medM[k], quartM[k]
-			ok := true
+			p := tile[t]
+			data.ProjectInto(pq, ds.Point(int(rows[p])), dims)
+			mp, qp := medM[p], quartM[p]
+			v := dom.Undominated
+			killer[t] = -1
 			for gi := range groups {
 				g := &groups[gi]
-				// Group members are guaranteed strictly worse than the
-				// point on `worse`; if that intersects δ they cannot
-				// dominate it.
+				// Group members are guaranteed strictly worse than the point
+				// on `worse`; if that intersects δ they cannot dominate it.
 				worse := CompositeStrict2(mp, qp, g.med, g.quart)
 				if worse&delta != 0 {
 					continue
 				}
-				// Conversely, if the group is guaranteed strictly
-				// better on all of δ, the point dies with no DT.
+				// Conversely, if the group is guaranteed strictly better on
+				// all of δ, the point dies with no DT.
 				better := CompositeStrict2(g.med, g.quart, mp, qp)
 				if better&delta == delta {
-					ok = false
-					break
+					v = dom.StrictlyDominated
+				} else {
+					v = max(v, dom.BlocksVerdict(g.bs, pq, &tally))
 				}
-				if dom.BlocksAnyDominator(g.bs, pq, sum[k], strict, false, &tally) {
-					ok = false
+				if v == dom.StrictlyDominated {
+					killer[t] = int32(gi)
 					break
 				}
 			}
-			alive[t] = ok
+			st[p] = statusOf(v)
 		}
 		tally.Flush()
 	}
 
-	for tileStart := 0; tileStart < n; tileStart += hybridTileSize {
-		tile = ord[tileStart:min(tileStart+hybridTileSize, n)]
-		tlen := len(tile)
-		tn := min(threads, tlen)
-		wg.Add(tn)
-		for w := 0; w < tn; w++ {
-			go work(w, w*tlen/tn, (w+1)*tlen/tn)
+	var tally dom.KernelTally
+	members := 0
+	for start := 0; start < n; {
+		end := min(start+hybridTileSize, n)
+		for end < n && sum[ord[end]] == sum[ord[end-1]] {
+			end++
 		}
-		wg.Wait()
+		tile = ord[start:end]
+		start = end
+		killer = slices.Grow(killer[:0], len(tile))[:len(tile)]
 
-		// Phase B (sequential): intra-tile filtering among survivors. The
-		// L1 order makes earlier tile members the only possible intra-tile
-		// dominators, but BNL handles any order regardless.
-		tileRows = tileRows[:0]
-		for t, k := range tile {
-			if alive[t] {
-				tileRows = append(tileRows, rows[k])
+		if tn := min(threads, len(tile)); tn == 1 || len(groups) == 0 {
+			probe(0, 0, len(tile))
+		} else {
+			wg.Add(tn)
+			for w := 0; w < tn; w++ {
+				go func(w int) {
+					defer wg.Done()
+					probe(w, w*len(tile)/tn, (w+1)*len(tile)/tn)
+				}(w)
+			}
+			wg.Wait()
+		}
+		for _, gi := range killer {
+			if gi >= 0 {
+				groups[gi].kills++
 			}
 		}
-		kept := bnlFilter(ds, tileRows, delta, strict)
+		slices.SortStableFunc(groups, func(a, b group) int { return cmp.Compare(b.kills, a.kills) })
 
-		// kept is row-sorted, so a binary search gives each alive position
-		// its kept index; alive narrows to the kept positions. Survivors join
-		// their (med, quart) group in kept order.
-		for t, k := range tile {
-			if !alive[t] {
+		// Phase B (sequential): the tile's undropped points, in sum order,
+		// against the tile's own new members.
+		pq := pqs[threads*k:][:k]
+		for _, p := range tile {
+			if st[p] == Dominated {
 				continue
 			}
-			ki, ok := slices.BinarySearch(kept, rows[k])
-			if alive[t] = ok; ok {
-				pos[ki] = int32(t)
+			s := sum[p]
+			if len(extRun) > 0 && sum[extRun[0]] != s {
+				extRun = extRun[:0]
+			}
+			data.ProjectInto(pq, ds.Point(int(rows[p])), dims)
+			st[p] = min(st[p], statusOf(dom.BlocksVerdict(fresh, pq, &tally)))
+			switch st[p] {
+			case ExtendedOnly:
+				extRun = append(extRun, p)
+			case InSkyline:
+				for _, e := range extRun {
+					if st[e] == ExtendedOnly && dom.StrictlyDominatesIn(ds.Point(int(rows[p])), ds.Point(int(rows[e])), delta) {
+						st[e] = Dominated
+					}
+				}
+				extRun = evictEqualSumTail(fresh, pq, s, st, extRun)
+				fresh.Append(pq, p, s)
 			}
 		}
-		for _, t := range pos[:len(kept)] {
-			k := tile[t]
-			key := uint64(medM[k])<<32 | uint64(quartM[k])
-			gi, exists := groupIdx[key]
-			if !exists {
-				gi = len(groups)
-				groups = append(groups, group{med: medM[k], quart: quartM[k], bs: data.NewBlockSet(len(dims), 64)})
-				groupIdx[key] = gi
+
+		// The surviving new members join their (med, quart) group in sum
+		// order, so each group's lanes stay sum-ordered across tiles.
+		for _, b := range fresh.Blocks {
+			for lane := 0; lane < b.N; lane++ {
+				if !b.IsAlive(lane) {
+					continue
+				}
+				p := b.Rows[lane]
+				gi := slices.IndexFunc(groups, func(g group) bool { return g.med == medM[p] && g.quart == quartM[p] })
+				if gi < 0 {
+					gi = len(groups)
+					groups = append(groups, group{med: medM[p], quart: quartM[p], bs: data.GetBlockSet(k, kernelWord)})
+				}
+				for j, col := range b.Cols {
+					pq[j] = col[lane]
+				}
+				groups[gi].bs.Append(pq, p, b.Sums[lane])
+				members++
 			}
-			survivors = append(survivors, rows[k])
 		}
-		// Members are appended in tile order, not kept's row order: each
-		// group's lanes stay in non-decreasing δ-sum order across all tiles.
-		pq := pqs[threads*len(dims):][:len(dims)]
-		for t, k := range tile {
-			if !alive[t] {
-				continue
-			}
-			r := rows[k]
-			g := &groups[groupIdx[uint64(medM[k])<<32|uint64(quartM[k])]]
-			data.ProjectInto(pq, ds.Point(int(r)), dims)
-			g.bs.Append(pq, r, sum[k])
+		fresh.Reset()
+	}
+	tally.Flush()
+
+	res := Result{Skyline: make([]int32, 0, members), ExtOnly: make([]int32, 0)}
+	for p, s := range st {
+		switch s {
+		case InSkyline:
+			res.Skyline = append(res.Skyline, rows[p])
+		case ExtendedOnly:
+			res.ExtOnly = append(res.ExtOnly, rows[p])
 		}
 	}
-
-	slices.Sort(survivors)
-	return survivors
+	slices.Sort(res.Skyline)
+	slices.Sort(res.ExtOnly)
+	return res
 }
 
-// HybridPrepare is everything hybridFilter does before its first dominance
-// test, all of it linear in len(rows): the global two-level labels over only
-// the relevant dimensions (§5.1: partition on the subspace's dimensions when
-// hooked into a cuboid), each row's δ-sum, and the tile order — L1 norm
-// ascending, ties by row for determinism. All four are indexed like rows.
-// Exported because the simulated-device filter (internal/gpu) and the memsim
-// probes (internal/counters) run this prologue, not a copy of it.
+// statusOf is the status of a point with verdict v against all of S_δ.
+func statusOf(v dom.Verdict) Status { return InSkyline - Status(v) }
+
+// evictEqualSumTail moves the members of win that the arriving member pq
+// dominates out of S_δ: to S⁺_δ \ S_δ, where they join extRun, or out of S⁺_δ
+// when pq dominates them strictly. Only lanes with pq's own δ-sum can qualify
+// (a dominated lane's sum is at least its dominator's), and sums are appended
+// non-decreasing, so they form a suffix of the window.
+func evictEqualSumTail(win *data.BlockSet, pq []float32, psum float32, st []Status, extRun []int32) []int32 {
+	for bi := len(win.Blocks) - 1; bi >= 0; bi-- {
+		b := win.Blocks[bi]
+		for lane := b.N - 1; lane >= 0; lane-- {
+			if b.Sums[lane] != psum {
+				return extRun
+			}
+			if !b.IsAlive(lane) || !laneDominatedBy(b, lane, pq, false) {
+				continue
+			}
+			b.Kill(lane)
+			q := b.Rows[lane]
+			if laneDominatedBy(b, lane, pq, true) {
+				st[q] = Dominated
+			} else {
+				st[q] = ExtendedOnly
+				extRun = append(extRun, q)
+			}
+		}
+	}
+	return extRun
+}
+
+// LabelDepth is the number of pivot levels Hybrid labels a cuboid's points
+// with — 0 none, 1 medians, 2 medians and quartiles — for `lanes` input points
+// in a subspace of `width` dimensions: the deepest at which the 2^(depth·width)
+// possible labels could each fill one 64-lane kernel word. Shallower than
+// that, a group is a partial word and a label test saves less than it costs.
+func LabelDepth(lanes, width int) int {
+	for depth := 2; depth > 0; depth-- {
+		if lanes>>uint(depth*width) >= kernelWord {
+			return depth
+		}
+	}
+	return 0
+}
+
+// HybridPrepare is everything hybridCompute does before its first dominance
+// test, all of it linear in len(rows): the global labels over only the
+// relevant dimensions (§5.1: partition on the subspace's dimensions when
+// hooked into a cuboid) to the depth LabelDepth gives — levels not used are
+// zero, and depth 0 computes no pivot — each row's δ-sum, and the tile order:
+// L1 norm ascending, ties by row for determinism. All four are indexed like
+// rows. Exported because the simulated-device filter (internal/gpu) and the
+// memsim probes (internal/counters) run this prologue, not a copy of it.
 func HybridPrepare(ds *data.Dataset, rows []int32, dims []int) (medM, quartM []mask.Mask, sum []float32, ord []int32) {
-	med, quart := subspacePivots(ds, rows, dims)
 	n := len(rows)
 	medM = make([]mask.Mask, n)
 	quartM = make([]mask.Mask, n)
 	sum = make([]float32, n)
+	depth := LabelDepth(n, len(dims))
+	if depth == 0 {
+		for k, p := range rows {
+			sum[k] = data.SumOver(ds.Point(int(p)), dims)
+		}
+		return medM, quartM, sum, data.SumOrder(sum, rows)
+	}
+	med, quart := subspacePivots(ds, rows, dims)
 	for k, p := range rows {
 		pt := ds.Point(int(p))
 		var m, q mask.Mask
@@ -181,6 +284,9 @@ func HybridPrepare(ds *data.Dataset, rows []int32, dims []int) (medM, quartM []m
 			if v < quart[half][idx] {
 				q |= 1 << uint(j)
 			}
+		}
+		if depth == 1 { // tested here, not per dimension: the loop above is the prologue's hot one
+			q = 0
 		}
 		medM[k], quartM[k], sum[k] = m, q, s
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"skycube/internal/data"
+	"skycube/internal/dom"
 	"skycube/internal/gen"
 	"skycube/internal/mask"
 )
@@ -68,7 +69,7 @@ var hybridBenchInputs = []struct {
 	{"I_d=6_n=15000", gen.Independent, 15_000, 6},
 }
 
-// BenchmarkHybridPreprocess is hybridFilter before its first dominance test:
+// BenchmarkHybridPreprocess is hybridCompute before its first dominance test:
 // pivots, labels, δ-sums and the tile order. It is linear in n; a full sort
 // creeping back in shows here first.
 func BenchmarkHybridPreprocess(b *testing.B) {
@@ -87,9 +88,8 @@ func BenchmarkHybridPreprocess(b *testing.B) {
 	}
 }
 
-// BenchmarkExtendedSkylineHybrid is the whole cuboid hook on one thread:
-// preprocessing plus the tiled filter, the unit STSC, SDSC, PrepareMDMC and
-// a delete flush pay per cuboid.
+// BenchmarkExtendedSkylineHybrid is the whole engine on one thread as
+// PrepareMDMC calls it: preprocessing, the fused pass, and S⁺ as one list.
 func BenchmarkExtendedSkylineHybrid(b *testing.B) {
 	for _, in := range hybridBenchInputs {
 		b.Run(in.name, func(b *testing.B) {
@@ -101,6 +101,35 @@ func BenchmarkExtendedSkylineHybrid(b *testing.B) {
 					b.Fatal("empty extended skyline")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkComputeHybrid is the cuboid hook of STSC and SDSC on one thread,
+// where its word sweeps repeat exactly: the `wide` and `narrow` build inputs,
+// and an input almost all of which dies on its first sweep — the shape on
+// which a dearer sweep would cost more than the second pass it replaces saves.
+func BenchmarkComputeHybrid(b *testing.B) {
+	for _, in := range []struct {
+		name string
+		dist gen.Distribution
+		n, d int
+	}{
+		{"I_d=8_n=5000", gen.Independent, 5000, 8},
+		{"A_d=4_n=200000", gen.Anticorrelated, 200_000, 4},
+		{"I_d=4_n=100000", gen.Independent, 100_000, 4},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			ds := gen.Synthetic(in.dist, in.n, in.d, 7)
+			b.ReportAllocs()
+			b.ResetTimer()
+			before := dom.KernelStats().BlockSweeps
+			for i := 0; i < b.N; i++ {
+				if len(Compute(ds, nil, mask.Full(in.d), AlgoHybrid, 1).Skyline) == 0 {
+					b.Fatal("empty skyline")
+				}
+			}
+			b.ReportMetric(float64(dom.KernelStats().BlockSweeps-before)/float64(b.N), "sweeps/op")
 		})
 	}
 }

@@ -5,8 +5,9 @@
 //     implementation and for small recursion leaves;
 //   - BSkyTree: sequential point-based pivot partitioning (Lee & Hwang),
 //     the per-cuboid engine of QSkycube;
-//   - Hybrid: the tiled, two-level-tree multicore algorithm (Chester et
-//     al., ICDE 2015), the hook of the STSC and SDSC CPU specialisations.
+//   - Hybrid: the tiled, label-tree multicore algorithm (Chester et
+//     al., ICDE 2015), the hook of the STSC and SDSC CPU specialisations,
+//     as one fused pass over a window of skyline members.
 //
 // Every algorithm computes, for a subspace δ, both the skyline S_δ and the
 // extended skyline S⁺_δ (Definition 2): the extended skyline of a parent
@@ -92,16 +93,21 @@ func (r Result) Extended() []int32 {
 }
 
 // Compute runs algorithm algo on the given rows of ds (all rows if rows is
-// nil) in subspace δ, with the given thread count (only AlgoHybrid is
-// parallel; the others ignore threads). It returns both S_δ and S⁺_δ\S_δ.
+// nil) in subspace δ, with the given thread count (only AlgoHybrid and
+// AlgoPSkyline are parallel; the others ignore threads). It returns both S_δ
+// and S⁺_δ\S_δ.
 //
-// The two sets are produced with the paper's two-phase structure: a strict-
+// Hybrid classifies every point in one pass (hybridCompute). The others
+// produce the two sets with the paper's two-phase structure: a strict-
 // dominance filter yields S⁺_δ, and a dominance filter *within* S⁺_δ yields
 // S_δ — sound because S_δ ⊆ S⁺_δ and any dominator of a point in S⁺_δ can
 // be replaced by one in S⁺_δ.
 func Compute(ds *data.Dataset, rows []int32, delta mask.Mask, algo Algo, threads int) Result {
 	if rows == nil {
 		rows = allRows(ds.N)
+	}
+	if algo == AlgoHybrid {
+		return hybridCompute(ds, rows, delta, threads)
 	}
 	ext := filter(ds, rows, delta, true, algo, threads)
 	sky := filter(ds, ext, delta, false, algo, threads)
@@ -113,19 +119,21 @@ func ExtendedSkyline(ds *data.Dataset, rows []int32, delta mask.Mask, algo Algo,
 	if rows == nil {
 		rows = allRows(ds.N)
 	}
+	if algo == AlgoHybrid {
+		return hybridCompute(ds, rows, delta, threads).Extended()
+	}
 	return filter(ds, rows, delta, true, algo, threads)
 }
 
 // filter returns the rows not (strictly, if strict) dominated in δ by any
-// other given row, in ascending row order.
+// other given row, in ascending row order, for the algorithms that are a
+// filter run twice.
 func filter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, algo Algo, threads int) []int32 {
 	switch algo {
 	case AlgoBNL:
 		return bnlFilter(ds, rows, delta, strict)
 	case AlgoBSkyTree:
 		return pivotFilter(ds, rows, delta, strict)
-	case AlgoHybrid:
-		return hybridFilter(ds, rows, delta, strict, threads)
 	case AlgoPSkyline:
 		return pskyFilter(ds, rows, delta, strict, threads)
 	}

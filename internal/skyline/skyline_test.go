@@ -120,13 +120,11 @@ func TestHybridConstantColumnAndDuplicates(t *testing.T) {
 	rng.Shuffle(n, func(a, b int) { rows[a], rows[b] = rows[b], rows[a] })
 
 	for _, delta := range []mask.Mask{mask.Full(d), 0b01101, 0b00100} {
-		for _, strict := range []bool{true, false} {
-			want := bnlScalarFilter(ds, rows, delta, strict)
-			for _, threads := range []int{1, 2} {
-				if got := hybridFilter(ds, rows, delta, strict, threads); !reflect.DeepEqual(got, want) {
-					t.Errorf("δ=%05b strict=%v threads=%d: hybrid keeps %d rows, scalar BNL %d",
-						delta, strict, threads, len(got), len(want))
-				}
+		want := scalarOracle(ds, rows, delta)
+		for _, threads := range []int{1, 2} {
+			if got := Compute(ds, rows, delta, AlgoHybrid, threads); !reflect.DeepEqual(got, want) {
+				t.Errorf("δ=%05b threads=%d: hybrid has |S|=%d |S⁺\\S|=%d, scalar BNL %d and %d",
+					delta, threads, len(got.Skyline), len(got.ExtOnly), len(want.Skyline), len(want.ExtOnly))
 			}
 		}
 	}
