@@ -111,8 +111,11 @@ func BenchmarkCompactionFraction(b *testing.B) {
 // Every iteration gets a fresh updater, built with the clock stopped, so the
 // flush meets the same base whatever -benchtime is. cmp/delete is the
 // hardware-independent twin: point pairs compared while resolving the
-// deletes, per victim. The sub-benchmark names carry no slash, which -bench
-// would split its pattern on.
+// deletes, per victim; vouch/delete is the promotion walk's: strict
+// full-space tests of outsiders against vouchers and, for the ones a voucher
+// dominates, against surviving skyline members until one confirms them. Both
+// sum per-point counts, so they repeat exactly. The sub-benchmark names carry
+// no slash, which -bench would split its pattern on.
 func BenchmarkFlushDeletes(b *testing.B) {
 	for _, c := range []struct {
 		dist gen.Distribution
@@ -125,7 +128,7 @@ func BenchmarkFlushDeletes(b *testing.B) {
 			const batch, fromSkyline = 25, 5
 			ds := gen.Synthetic(c.dist, c.n, c.d, 20170514)
 			rng := rand.New(rand.NewSource(5))
-			var cmps int64
+			var cmps, vouches int64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -145,10 +148,12 @@ func BenchmarkFlushDeletes(b *testing.B) {
 				u.Flush()
 				b.StopTimer()
 				cmps += u.cmps
+				vouches += u.vouches.Load()
 				u.Close()
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(cmps)/float64(b.N*batch), "cmp/delete")
+			b.ReportMetric(float64(vouches)/float64(b.N*batch), "vouch/delete")
 		})
 	}
 }

@@ -161,7 +161,7 @@ func TestDeleteVictimKinds(t *testing.T) {
 		if got := r.recomputed(); got != 0 {
 			t.Fatalf("%d cuboids re-derived for a victim that was no member", got)
 		}
-		if _, out := r.u.outsiders[2]; !out || len(r.u.loose) != 0 {
+		if !slices.Contains(r.u.outsiders, 2) || len(r.u.loose) != 0 {
 			t.Fatalf("o must stay an outsider while a lives: outsiders %v, loose %v", r.u.outsiders, r.u.loose)
 		}
 	})
@@ -198,6 +198,116 @@ func TestDeleteVictimKinds(t *testing.T) {
 		r.flush()
 		if len(r.u.outsiders) != 2 || len(r.u.loose) != 0 {
 			t.Fatalf("an insert-only flush moved outsiders: %v, loose %v", r.u.outsiders, r.u.loose)
+		}
+	})
+}
+
+// promoted reads skycube_delta_promoted_outsiders_total.
+func (r *lemmaRig) promoted() int {
+	return int(r.reg.CounterM("skycube_delta_promoted_outsiders_total", "").Value())
+}
+
+// The promotion lemma (package comment) on hand-made planes: an outsider
+// turns loose exactly when the batch killed the last member of the full-space
+// skyline strictly above it. lemmaRig.flush checks the other direction — no
+// live outsider is left without a live strict dominator — after every batch.
+func TestPromotionLemma(t *testing.T) {
+	wantLoose := func(t *testing.T, r *lemmaRig, promoted int, loose ...int32) {
+		t.Helper()
+		got := make([]int32, 0, len(r.u.loose))
+		for id := range r.u.loose {
+			got = append(got, id)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, loose) || r.promoted() != promoted {
+			t.Fatalf("loose %v after %d promotions, want %v after %d", got, r.promoted(), loose, promoted)
+		}
+	}
+	t.Run("one of two members above an outsider dies", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows([][]float32{
+			{1, 2}, {2, 1}, // a, b: both members, both strictly above q
+			{3, 3}, // q
+			{0, 9}, {9, 0},
+		}))
+		r.delete(0)
+		r.flush()
+		wantLoose(t, r, 0)
+		if !slices.Contains(r.u.outsiders, 2) {
+			t.Fatalf("q left the outsiders though b lives: %v", r.u.outsiders)
+		}
+		r.delete(1)
+		if m := r.flush().Membership(2); len(m) == 0 {
+			t.Fatal("q did not resurface after a and b")
+		}
+		wantLoose(t, r, 1, 2)
+	})
+	t.Run("a victim in S+ but not in the full-space skyline", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows([][]float32{
+			{1, 1}, // a: strictly above q
+			{1, 5}, // e: ties a on x, so a member of {x} only; strictly above q too
+			{2, 6}, // q
+			{9, 0},
+		}))
+		if m := r.u.Current().Membership(1); !slices.Equal(m, []mask.Mask{0b01}) {
+			t.Fatalf("e is a member of %v, want {x} alone", m)
+		}
+		r.delete(1)
+		r.flush()
+		if r.recomputed() != 1 {
+			t.Fatalf("%d cuboids re-derived, want 1: e was a member of {x}", r.recomputed())
+		}
+		wantLoose(t, r, 0)
+	})
+	t.Run("the last dominator is an inserted point", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows([][]float32{
+			{1, 1}, // a
+			{3, 3}, // q: outsider under a
+			{0, 9}, {9, 0},
+		}))
+		p := r.insert(0.5, 0.5) // takes a's place in the skyline
+		r.flush()
+		r.delete(0) // no member any more: vouches for nobody
+		r.flush()
+		wantLoose(t, r, 0)
+		r.delete(p)
+		if m := r.flush().Membership(1); len(m) == 0 {
+			t.Fatal("q did not resurface after the inserted point above it died")
+		}
+		wantLoose(t, r, 1, 1)
+	})
+	t.Run("exact duplicates of a voucher", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows([][]float32{
+			{1, 1}, {1, 1}, {1, 1}, // three copies of a, members all
+			{2, 2}, // q
+			{0, 9}, {9, 0},
+		}))
+		r.delete(0)
+		r.delete(2)
+		r.flush()
+		wantLoose(t, r, 0)
+		r.delete(1)
+		r.flush()
+		wantLoose(t, r, 1, 3)
+	})
+	t.Run("a chain orphaned in one batch", func(t *testing.T) {
+		r := newLemmaRig(t, data.FromRows([][]float32{
+			{1, 1}, {1.5, 1}, // a, b: the members above q and t
+			{2, 2}, // q
+			{3, 3}, // t: behind q as well
+			{0, 9}, {9, 0},
+		}))
+		r.delete(0)
+		r.delete(1)
+		snap := r.flush()
+		// t is judged by the old members alone, so it turns loose with q; the
+		// delete pass's cross-test then keeps it out.
+		wantLoose(t, r, 2, 2, 3)
+		if m := snap.Membership(3); m != nil {
+			t.Fatalf("t is behind q, got membership %v", m)
+		}
+		r.delete(2)
+		if m := r.flush().Membership(3); len(m) == 0 {
+			t.Fatal("t did not resurface after q")
 		}
 	})
 }
@@ -351,11 +461,17 @@ func TestDeleteAgainstQSkycube(t *testing.T) {
 // and duplicates everywhere): byte 0 picks d, byte 1 the base size, and each
 // byte after it is an op — insert (the next d bytes are the point), delete a
 // live id (the next byte picks it) or flush. Every flush is held against the
-// naive oracle.
+// naive oracle, and the outsiders it leaves against assertOutsidersVouched.
 func FuzzDeleteBatch(f *testing.F) {
 	f.Add([]byte{1, 12, 2, 0, 2, 1, 2, 2, 3, 2, 0, 3})                      // two delete batches
 	f.Add([]byte{0, 8, 0, 1, 1, 2, 7, 2, 0, 3, 2, 1, 0, 0, 0, 3})           // insert, cancel it, delete, flush
 	f.Add([]byte{2, 20, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 3, 2, 3}) // delete the low ids
+	// TestPromotionLemma's cases, as they occur in the generated bases.
+	f.Add([]byte{0, 37, 2, 3, 3, 2, 8, 3})                  // (2,2) under members (1,0) and (0,1), which die a batch apart
+	f.Add([]byte{0, 6, 2, 2, 3})                            // victim (1,0): member of {y} only, strictly above outsider (2,1)
+	f.Add([]byte{0, 5, 0, 0, 0, 3, 2, 0, 2, 1, 3, 2, 3, 3}) // insert (0,0) above all, delete the old members, then it
+	f.Add([]byte{0, 5, 2, 0, 3, 2, 1, 3})                   // two copies of (0,1) above outsider (1,2), deleted a batch apart
+	f.Add([]byte{0, 179, 2, 9, 2, 9, 3})                    // both (0,0) die: (1,1) and the (2,2)s behind it orphaned at once
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 2 || len(raw) > 96 {
 			return
@@ -394,8 +510,10 @@ func FuzzDeleteBatch(f *testing.F) {
 				live = slices.Delete(live, i, i+1)
 			case op%4 == 3:
 				verifySnapshot(t, u.Flush(), sortedIDs(live))
+				assertOutsidersVouched(t, u, live)
 			}
 		}
 		verifySnapshot(t, u.Flush(), sortedIDs(live))
+		assertOutsidersVouched(t, u, live)
 	})
 }

@@ -43,14 +43,20 @@
 // clone of the mask, and an entry appears only when a bit changes.
 //
 // One subtlety deserves a name: the loose set. Points outside the extended
-// skyline S⁺(P) are absent from the static tree, which is sound while
-// their full-space strict dominators live. When a delete kills such a
-// dominator, the outsiders it strictly dominated are promoted to "loose"
-// dominance sources: future inserts must test against them, since the tree
-// no longer vouches for them, and once the delete pass has cleared a bit of
-// one it is an overlay point like any other. An outsider that is not loose
-// still has a live full-space strict dominator, so it is in no skyline and no
-// pass visits it.
+// skyline S⁺(P) are absent from the static tree, which is sound while some
+// live point strictly dominates them in the full space: such an outsider is in
+// no skyline and no pass visits it. Dominance chains end in skyline members,
+// and s ≤ r < q gives s < q on every dimension, so (the promotion lemma) q has
+// a live strict dominator exactly when a live member of the full-space skyline
+// is one. A delete batch therefore (1) takes as vouchers only its victims that
+// were members of that skyline, (2) walks the outsiders once for those a
+// voucher strictly dominates, and (3) promotes one of them to "loose" only if
+// no surviving old member — smallest coordinate sum first, first hit wins —
+// strictly dominates it too. Judging by old members alone is conservative: a q
+// whose last dominator turns loose in the same batch turns loose with it, and
+// the delete pass's cross-test closes it. Future inserts must test against a
+// loose point, since the tree no longer vouches for it, and once the delete
+// pass has cleared a bit of one it is an overlay point like any other.
 //
 // The lemma the insert path rests on is transitivity: if a live point r
 // dominates the insert p in δ and p dominates q in δ, then r dominates q in
@@ -78,7 +84,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -179,10 +184,10 @@ type Updater struct {
 	posLeaf []int32
 	// leafDead counts deleted points per tree leaf, for filter liveness.
 	leafDead []int
-	// outsiders are live base-era ids outside S⁺ of the base, still
-	// vouched for by a live full-space dominator; loose are the promoted
-	// ones that future inserts must test against directly.
-	outsiders map[int32]struct{}
+	// outsiders are the base-era ids outside S⁺ of the base, ascending; a live
+	// one still has a live full-space strict dominator. loose are the ones
+	// promoted out of it, which future inserts must test against directly.
+	outsiders []int32
 	loose     map[int32]struct{}
 
 	cur atomic.Pointer[Snapshot]
@@ -204,8 +209,10 @@ type Updater struct {
 	// cmps counts the point-pair coordinate comparisons phase B, the
 	// reverse pass and the delete pass have made (guarded by mu) — what a
 	// flush costs beyond its forward solves; BenchmarkFlushInserts reports
-	// it per insert, BenchmarkFlushDeletes per delete.
-	cmps int64
+	// it per insert, BenchmarkFlushDeletes per delete — and vouches, the
+	// promotion walk's strict full-space tests (its workers add to it).
+	cmps    int64
+	vouches atomic.Int64
 
 	// journal, if non-nil, receives every accepted mutation and epoch
 	// advance (AttachJournal). Plain field: it is attached once, before the
@@ -310,7 +317,7 @@ func (u *Updater) CaptureState(rotate func(epoch uint64) error) (RestoreState, e
 	for id := range u.dead {
 		st.Dead = append(st.Dead, id)
 	}
-	sort.Slice(st.Dead, func(a, b int) bool { return st.Dead[a] < st.Dead[b] })
+	slices.Sort(st.Dead)
 	if len(u.pendInserts) > 0 {
 		st.PendingInserts = make([]PendingOp, len(u.pendInserts))
 		for i, pi := range u.pendInserts {
@@ -322,9 +329,7 @@ func (u *Updater) CaptureState(rotate func(epoch uint64) error) (RestoreState, e
 		for id := range u.pendDeleted {
 			st.PendingDeletes = append(st.PendingDeletes, id)
 		}
-		sort.Slice(st.PendingDeletes, func(a, b int) bool {
-			return st.PendingDeletes[a] < st.PendingDeletes[b]
-		})
+		slices.Sort(st.PendingDeletes)
 	}
 	if rotate != nil {
 		if err := rotate(st.Epoch); err != nil {
@@ -649,7 +654,7 @@ func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 	if len(live) == 0 {
 		u.mctx = &templates.MDMCContext{D: u.d, MaxLevel: u.d, Cube: hashcube.New(u.d)}
 		u.treeID, u.treePos, u.posLeaf, u.leafDead = nil, map[int32]int{}, nil, nil
-		u.outsiders, u.loose = map[int32]struct{}{}, map[int32]struct{}{}
+		u.outsiders, u.loose = nil, map[int32]struct{}{}
 		return &Snapshot{
 			epoch: epoch, d: u.d, ds: header,
 			base: &baseCube{h: u.mctx.Cube, ids: []int32{}},
@@ -694,16 +699,14 @@ func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 		}
 	}
 	u.leafDead = make([]int, len(tree.Leaves))
-	ext := make(map[int32]struct{}, len(ctx.ExtRows))
+	// The rows between those of ExtRows, which ascends as sub.IDs does.
+	u.outsiders = make([]int32, 0, sub.N-len(ctx.ExtRows))
+	next := int32(0)
 	for _, r := range ctx.ExtRows {
-		ext[sub.IDs[r]] = struct{}{}
+		u.outsiders = append(u.outsiders, sub.IDs[next:r]...)
+		next = r + 1
 	}
-	u.outsiders = make(map[int32]struct{}, len(live)-len(ext))
-	for _, id := range live {
-		if _, in := ext[id]; !in {
-			u.outsiders[id] = struct{}{}
-		}
-	}
+	u.outsiders = append(u.outsiders, sub.IDs[next:]...)
 	u.loose = map[int32]struct{}{}
 
 	return &Snapshot{epoch: epoch, d: u.d, ds: header, base: base, live: len(live)}
@@ -750,52 +753,39 @@ func (u *Updater) applyLocked() *Snapshot {
 	for id := range deleted {
 		victims = append(victims, id)
 	}
-	sort.Slice(victims, func(a, b int) bool { return victims[a] < victims[b] })
+	slices.Sort(victims)
 
 	// Cuboids where a victim was a member must be re-derived; everywhere
 	// else the delete is invisible (non-members never shield anything).
-	// shields are the victims that were members somewhere.
-	affected := make(map[mask.Mask]struct{})
+	// shields are the victims that were members somewhere, vouchers those of
+	// the full-space skyline (the last entry of an ascending membership).
+	affected := bitset.New(mask.NumSubspaces(u.d))
 	var shields []shield
+	var vouchers []int32
 	for _, v := range victims {
 		member := prev.Membership(v)
 		if len(member) == 0 {
 			continue
 		}
 		for _, delta := range member {
-			affected[delta] = struct{}{}
+			affected.Set(int(delta) - 1)
 		}
 		shields = append(shields, shield{point: u.point(v), member: member})
+		if member[len(member)-1] == mask.Full(u.d) {
+			vouchers = append(vouchers, v)
+		}
 	}
 
-	// Tombstone victims in writer state, and promote outsiders whose
-	// full-space vouching dominator might just have died: one walk over the
-	// outsiders per batch, the first voucher that strictly dominates one
-	// wins. A victim that was an outsider itself is no voucher — the chain of
-	// strict dominators above it ends in a point that is not one, alive or a
-	// voucher of this batch, and that point dominates whatever the victim did.
-	var vouchers [][]float32
+	// Tombstone victims in writer state, then promote the outsiders they
+	// orphaned.
 	for _, v := range victims {
 		u.dead[v] = struct{}{}
 		if pos, ok := u.treePos[v]; ok {
 			u.leafDead[u.posLeaf[pos]]++
 		}
 		delete(u.loose, v)
-		if _, out := u.outsiders[v]; out {
-			delete(u.outsiders, v)
-			continue
-		}
-		vouchers = append(vouchers, u.point(v))
 	}
-	if len(vouchers) > 0 {
-		for q := range u.outsiders {
-			qp := u.point(q)
-			if slices.ContainsFunc(vouchers, func(vp []float32) bool { return strictlyDominatesFull(vp, qp) }) {
-				u.loose[q] = struct{}{}
-				delete(u.outsiders, q)
-			}
-		}
-	}
+	promoted := u.promoteOrphans(prev, vouchers)
 
 	// Append all insert rows (cancelled ones too — ids are positional) and
 	// collect the live ones.
@@ -874,16 +864,20 @@ func (u *Updater) applyLocked() *Snapshot {
 	}
 	u.reversePass(snap, lives, results, members, liveTree, offTree)
 
-	// With tombstones, insert masks and the reverse pass in it, snap answers
-	// Skyline(δ) with the surviving members of an affected cuboid. What is
-	// missing is the pre-existing points the victims shielded (the delete
-	// lemma): each clears its bit δ.
+	// With tombstones, insert masks and the reverse pass in it, snap's masks
+	// name the surviving members of an affected cuboid. What is missing is
+	// the pre-existing points the victims shielded (the delete lemma): each
+	// clears its bit δ.
 	cleared := make(map[int32]*bitset.Set)
-	for delta, ids := range u.resolveDeletes(snap, shields, affected, liveTree, extras) {
+	inserted := make([]int32, len(members))
+	for i, m := range members {
+		inserted[i] = lives[m].id
+	}
+	for delta, ids := range u.resolveDeletes(snap, shields, affected, liveTree, extras, inserted) {
 		for _, id := range ids {
 			m := cleared[id]
 			if m == nil {
-				m = snap.mask(id).Clone()
+				m = bitset.View(snap.mask(id), affected.Len()).Clone()
 				cleared[id], masks[id] = m, m
 			}
 			m.Clear(int(delta) - 1)
@@ -899,10 +893,47 @@ func (u *Updater) applyLocked() *Snapshot {
 		_ = u.journal.Commit()
 	}
 	u.publish(snap)
-	u.opt.Metrics.Batch(len(lives), len(members), len(victims), len(affected), time.Since(start))
+	u.opt.Metrics.Batch(len(lives), len(members), len(victims), affected.Count(), promoted, time.Since(start))
 	u.opt.Metrics.Epoch(snap.epoch, snap.live, snap.OverlaySize())
 	u.maybeCompact(snap)
 	return snap
+}
+
+// promoteOrphans turns loose the outsiders the batch orphaned (the package
+// comment's promotion lemma): those a voucher strictly dominates and no other
+// member of prev's full-space skyline does. One walk over the outsiders,
+// workers only marking; a dead one that is marked just leaves the list. It
+// returns how many turned loose.
+func (u *Updater) promoteOrphans(prev *Snapshot, vouchers []int32) int {
+	if len(vouchers) == 0 {
+		return 0
+	}
+	kept := u.strongestFirst(slices.DeleteFunc(prev.Skyline(mask.Full(u.d)),
+		func(id int32) bool { return slices.Contains(vouchers, id) }))
+	orphan := make([]bool, len(u.outsiders))
+	u.eachChunk(len(u.outsiders), func(claim func() (int, int)) {
+		var n int64
+		var q []float32
+		above := func(id int32) bool { n++; return strictlyDominatesFull(u.point(id), q) }
+		for lo, hi := claim(); lo < hi; lo, hi = claim() {
+			for i := lo; i < hi; i++ {
+				q = u.point(u.outsiders[i])
+				orphan[i] = slices.ContainsFunc(vouchers, above) && !slices.ContainsFunc(kept, above)
+			}
+		}
+		u.vouches.Add(n)
+	})
+	before := len(u.loose)
+	stay := u.outsiders[:0]
+	for i, q := range u.outsiders {
+		if !orphan[i] {
+			stay = append(stay, q)
+		} else if _, dead := u.dead[q]; !dead {
+			u.loose[q] = struct{}{}
+		}
+	}
+	u.outsiders = stay
+	return len(u.loose) - before
 }
 
 // solveInserts is phase A: each live insert solved as a single-point MDMC
@@ -1040,7 +1071,7 @@ func (u *Updater) reversePass(snap *Snapshot, lives []pendingInsert, results []*
 				if scratch.Count() == 0 {
 					continue
 				}
-				cur := snap.mask(targets[t])
+				cur := bitset.View(snap.mask(targets[t]), scratch.Len())
 				if scratch.AndNot(cur); scratch.Count() == 0 {
 					continue
 				}
@@ -1066,9 +1097,9 @@ type shield struct {
 
 // resolveDeletes finds the pre-existing points that enter an affected
 // cuboid because the batch deleted every member that dominated them there
-// (the package comment's delete lemma). snap is the epoch in the making: its
-// Skyline(δ) holds, per affected δ, the surviving members — kept old members
-// and the batch's member inserts.
+// (the package comment's delete lemma). snap is the epoch in the making: a
+// mask of it with an affected bit clear is a surviving member's — a kept old
+// member or, among inserted, one of the batch's member inserts.
 //
 // One pass, parallel over the points that can be members at all — live tree
 // points and extras; an outsider still has a live full-space strict
@@ -1079,35 +1110,25 @@ type shield struct {
 // The (q, δ) still open were dominated in δ by victims alone among the old
 // members, so only each other can keep them out: they are cross-tested per
 // δ, and what remains is returned.
-func (u *Updater) resolveDeletes(snap *Snapshot, shields []shield, affected map[mask.Mask]struct{},
-	liveTree, extras []int32) map[mask.Mask][]int32 {
+func (u *Updater) resolveDeletes(snap *Snapshot, shields []shield, affected *bitset.Set,
+	liveTree, extras, inserted []int32) map[mask.Mask][]int32 {
 	if len(shields) == 0 {
 		return nil
 	}
-	// Strongest is smallest coordinate sum: of two points the one with the
-	// smaller sum dominates the larger region, so an open set empties after
-	// the fewest comparisons.
-	seen := make([]bool, u.n)
-	var survivors []int32
-	var sums []float32
-	for delta := range affected {
-		for _, id := range snap.Skyline(delta) {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			var sum float32
-			for _, x := range u.point(id) {
-				sum += x
-			}
-			survivors = append(survivors, id)
-			sums = append(sums, sum)
-		}
-	}
-	order := data.SumOrder(sums, survivors)
-
 	nTree := len(liveTree)
 	targets := append(liveTree[:nTree:nTree], extras...)
+	var survivors []int32
+	member := bitset.New(affected.Len())
+	for _, ids := range [][]int32{targets, inserted} {
+		for _, id := range ids {
+			member.CopyFrom(affected)
+			if member.AndNot(bitset.View(snap.mask(id), member.Len())); member.Count() != 0 {
+				survivors = append(survivors, id)
+			}
+		}
+	}
+	survivors = u.strongestFirst(survivors)
+
 	var mu sync.Mutex
 	open := make(map[mask.Mask][]int32)
 	var cmps int64
@@ -1137,8 +1158,8 @@ func (u *Updater) resolveDeletes(snap *Snapshot, shields []shield, affected map[
 				if closed.All() {
 					continue
 				}
-				for _, i := range order {
-					r := dom.Compare(u.point(survivors[i]), q)
+				for _, s := range survivors {
+					r := dom.Compare(u.point(s), q)
 					n++
 					if teach(closed, closed, r.Lt, r.Eq); closed.All() {
 						break
@@ -1255,6 +1276,23 @@ func teach(dst, src *bitset.Set, lt, eq mask.Mask) {
 			dst.Set(b)
 		}
 	}
+}
+
+// strongestFirst returns ids by ascending (coordinate sum, id): of two points
+// the one with the smaller sum dominates the larger region, so a scan for a
+// dominator ends, and an open set empties, after the fewest comparisons.
+func (u *Updater) strongestFirst(ids []int32) []int32 {
+	sums := make([]float32, len(ids))
+	for i, id := range ids {
+		for _, x := range u.point(id) {
+			sums[i] += x
+		}
+	}
+	out := make([]int32, len(ids))
+	for i, k := range data.SumOrder(sums, ids) {
+		out[i] = ids[k]
+	}
+	return out
 }
 
 // strictlyDominatesFull reports a < b on every dimension.

@@ -311,3 +311,32 @@ func TestStatsShape(t *testing.T) {
 		t.Fatalf("stats after batch: %+v", st)
 	}
 }
+
+// TestAliveOfBasePointDoesNotAllocate: a point without an overlay entry is
+// read from the base's flat word table, through no wrapper on the heap — Alive,
+// Membership's scan, the reverse pass and the delete pass's survivor gather
+// all make this lookup once per point. With and without an overlay above.
+func TestAliveOfBasePointDoesNotAllocate(t *testing.T) {
+	u := NewUpdater(gen.Synthetic(gen.Independent, 300, 4, 9), Options{Threads: 1})
+	defer u.Close()
+	for _, victim := range []int32{-1, 7} {
+		if victim >= 0 {
+			if err := u.Delete(victim); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := u.Flush()
+		alive := 0
+		allocs := testing.AllocsPerRun(10, func() {
+			alive = 0
+			for id := int32(0); id < 300; id++ {
+				if snap.Alive(id) {
+					alive++
+				}
+			}
+		})
+		if allocs != 0 || alive != snap.Live() {
+			t.Fatalf("Alive over 300 base ids: %v allocations, %d alive of %d live", allocs, alive, snap.Live())
+		}
+	}
+}

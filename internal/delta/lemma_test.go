@@ -70,15 +70,37 @@ func (r *lemmaRig) members() int {
 	return int(r.reg.CounterM("skycube_delta_member_inserts_total", "").Value())
 }
 
-// flush applies the batch and checks the snapshot against the oracle and
-// its overlay against the invariant.
+// flush applies the batch and checks the snapshot against the oracle, its
+// overlay against the invariant and the outsiders against theirs.
 func (r *lemmaRig) flush() *Snapshot {
 	r.t.Helper()
 	prev := r.u.Current()
 	snap := r.u.Flush()
 	verifySnapshot(r.t, snap, sortedIDs(r.live))
 	assertOverlayExact(r.t, prev, snap, r.live)
+	assertOutsidersVouched(r.t, r.u, r.live)
 	return snap
+}
+
+// assertOutsidersVouched checks by brute force what lets every pass skip the
+// outsiders: each live one that is not loose has a live point strictly below
+// it on every dimension. The list ascends and shares no id with loose.
+func assertOutsidersVouched(t *testing.T, u *Updater, live []int32) {
+	t.Helper()
+	if !slices.IsSorted(u.outsiders) {
+		t.Fatalf("outsiders are not in id order: %v", u.outsiders)
+	}
+	for _, q := range u.outsiders {
+		if _, loose := u.loose[q]; loose {
+			t.Fatalf("%d is both an outsider and loose", q)
+		}
+		if _, dead := u.dead[q]; dead {
+			continue
+		}
+		if !slices.ContainsFunc(live, func(p int32) bool { return strictlyDominatesFull(u.point(p), u.point(q)) }) {
+			t.Fatalf("outsider %d %v is not loose though no live point strictly dominates it", q, u.point(q))
+		}
+	}
 }
 
 // assertOverlayExact checks cur's overlay, one flush after prev over the
@@ -111,7 +133,7 @@ func assertOverlayExact(t *testing.T, prev, cur *Snapshot, live []int32) {
 			t.Fatalf("epoch %d: overlay mask of %d is %b, brute force %b", cur.epoch, id, m.Words64(), want.Words64())
 		}
 		if row, inBase := cur.base.rowOf(id); inBase && len(cur.tomb) == 0 &&
-			slices.Equal(cur.base.mask(row).Words64(), m.Words64()) {
+			slices.Equal(cur.base.mask(row), m.Words64()) {
 			t.Fatalf("epoch %d: overlay entry for %d repeats its base mask", cur.epoch, id)
 		}
 	}
@@ -299,7 +321,7 @@ func TestLemmaLooseOutsiderThenDominated(t *testing.T) {
 		{0, 9, 9}, {9, 0, 9}, {9, 9, 0},
 	})
 	r := newLemmaRig(t, ds)
-	if _, out := r.u.outsiders[1]; !out {
+	if !slices.Contains(r.u.outsiders, 1) {
 		t.Fatal("o is not an outsider of the base")
 	}
 	r.delete(0)
@@ -358,6 +380,57 @@ func TestFlushCostFollowsMembers(t *testing.T) {
 		t.Errorf("skycube_delta_inserts_total = %v, want %d", got, batch)
 	}
 	// The overlay against a fresh build over the same points.
+	fresh := u.Compact()
+	for delta := mask.Mask(1); int(delta) <= mask.NumSubspaces(d); delta++ {
+		if got, want := snap.Skyline(delta), fresh.Skyline(delta); !reflect.DeepEqual(got, want) {
+			t.Fatalf("δ=%b: overlay has %d members, fresh build %d", delta, len(got), len(want))
+		}
+	}
+}
+
+// TestPromotionFollowsOrphans pins what the promotion lemma buys on the same
+// shape: 25 deletes, 5 of them members of the full-space skyline, strictly
+// dominate thousands of the ≈ 48 600 outsiders between them, and all but a
+// handful of those still have a surviving member above them (≈ 11 000 turned
+// loose when any non-outsider victim above an outsider promoted it).
+func TestPromotionFollowsOrphans(t *testing.T) {
+	const d, n, batch, fromSkyline = 4, 50000, 25, 5
+	reg := obs.NewRegistry()
+	u := NewUpdater(gen.Synthetic(gen.Anticorrelated, n, d, 20170514),
+		Options{Threads: 2, Metrics: obs.NewDeltaMetrics(reg)})
+	defer u.Close()
+	rng := rand.New(rand.NewSource(5))
+	live := make([]int32, n)
+	for i := range live {
+		live[i] = int32(i)
+	}
+	victims := slices.Clone(u.Current().Skyline(mask.Full(d)))
+	rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
+	victims = victims[:fromSkyline]
+	for len(victims) < batch {
+		if id := int32(rng.Intn(n)); !slices.Contains(victims, id) {
+			victims = append(victims, id)
+		}
+	}
+	for _, id := range victims {
+		if err := u.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outsiders := len(u.outsiders)
+	snap := u.Flush()
+	live = slices.DeleteFunc(live, func(id int32) bool { return slices.Contains(victims, id) })
+	assertOutsidersVouched(t, u, live)
+
+	promoted := reg.CounterM("skycube_delta_promoted_outsiders_total", "").Value()
+	t.Logf("%d deletes over %d outsiders: %v promoted, %d strict tests", batch, outsiders, promoted, u.vouches.Load())
+	if promoted >= 64 || int(promoted) != len(u.loose) {
+		t.Errorf("skycube_delta_promoted_outsiders_total = %v with %d loose points, want the same and < 64",
+			promoted, len(u.loose))
+	}
+	if u.vouches.Load() < int64(outsiders) {
+		t.Errorf("%d strict tests over %d outsiders: the walk did not run", u.vouches.Load(), outsiders)
+	}
 	fresh := u.Compact()
 	for delta := mask.Mask(1); int(delta) <= mask.NumSubspaces(d); delta++ {
 		if got, want := snap.Skyline(delta), fresh.Skyline(delta); !reflect.DeepEqual(got, want) {

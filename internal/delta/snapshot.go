@@ -29,9 +29,9 @@ type baseCube struct {
 	points int
 }
 
-// mask returns row's B_{p∉S} as the base was built (read-only).
-func (b *baseCube) mask(row int32) *bitset.Set {
-	return bitset.View(b.masks[int(row)*b.stride:][:b.stride], mask.NumSubspaces(b.h.D))
+// mask returns the words of row's B_{p∉S} as the base was built (read-only).
+func (b *baseCube) mask(row int32) []uint64 {
+	return b.masks[int(row)*b.stride:][:b.stride]
 }
 
 func (b *baseCube) id(row int32) int32 {
@@ -95,15 +95,15 @@ func (s *Snapshot) Live() int { return s.live }
 // ≤ this one, though some may be dead.
 func (s *Snapshot) Len() int { return s.ds.N }
 
-// mask returns the exact B_{p∉S} of a live point at this epoch (read-only),
-// nil for an id that is not alive: tombstoned, or neither overlaid nor in the
-// base.
-func (s *Snapshot) mask(id int32) *bitset.Set {
+// mask returns the words of a live point's exact B_{p∉S} at this epoch (read-
+// only; bitset.View wraps them), nil for an id that is not alive: tombstoned,
+// or neither overlaid nor in the base.
+func (s *Snapshot) mask(id int32) []uint64 {
 	if _, dead := s.tomb[id]; dead {
 		return nil
 	}
 	if m, ok := s.masks[id]; ok {
-		return m
+		return m.Words64()
 	}
 	if row, ok := s.base.rowOf(id); ok {
 		return s.base.mask(row)
@@ -150,10 +150,11 @@ func (s *Snapshot) Skyline(delta mask.Mask) []int32 {
 // epoch, ascending — the inverse query of Skyline, consistent with it for
 // every (id, δ) pair.
 func (s *Snapshot) Membership(id int32) []mask.Mask {
-	m := s.mask(id)
-	if m == nil {
+	words := s.mask(id)
+	if words == nil {
 		return nil
 	}
+	m := bitset.View(words, mask.NumSubspaces(s.d))
 	var member []mask.Mask
 	for b := m.NextClear(0); b >= 0; b = m.NextClear(b + 1) {
 		member = append(member, mask.Mask(b+1))

@@ -22,9 +22,9 @@ func NewDeltaMetrics(reg *Registry) *DeltaMetrics {
 // Batch records one applied delta batch: its insert/delete counts, how many
 // of the inserts entered at least one skyline (members — the reverse pass
 // runs over these alone, so they, not the batch size, set a flush's cost),
-// how many cuboids the deletes forced the batch to re-derive, and the apply
-// wall time.
-func (m *DeltaMetrics) Batch(inserts, members, deletes, recomputed int, dur time.Duration) {
+// how many cuboids the deletes forced the batch to re-derive, how many
+// outsiders they promoted to loose, and the apply wall time.
+func (m *DeltaMetrics) Batch(inserts, members, deletes, recomputed, promoted int, dur time.Duration) {
 	if m == nil {
 		return
 	}
@@ -38,6 +38,8 @@ func (m *DeltaMetrics) Batch(inserts, members, deletes, recomputed int, dur time
 		"Points deleted through delta batches.").Add(float64(deletes))
 	m.reg.CounterM("skycube_delta_recomputed_cuboids_total",
 		"Cuboids a delete batch re-derived because a deleted point was a skyline member there.").Add(float64(recomputed))
+	m.reg.CounterM("skycube_delta_promoted_outsiders_total",
+		"Outsiders a delete batch turned loose because no surviving full-space skyline member strictly dominates them.").Add(float64(promoted))
 	m.reg.HistogramM("skycube_delta_apply_seconds",
 		"Wall time to apply one delta batch.", nil).Observe(dur.Seconds())
 }
