@@ -4,6 +4,8 @@
 //
 // A Set over 2^d − 1 subspaces indexes bit δ−1 for subspace δ (the empty
 // subspace δ = 0 is never used, matching the paper's right-shift by one).
+// Dominance facts enter such a set a downset at a time, by whole words
+// (OrDownset).
 package bitset
 
 import "math/bits"
@@ -102,8 +104,8 @@ func (s *Set) Clone() *Set {
 }
 
 // NextClear returns the index of the first unset bit ≥ from, or -1 if every
-// bit in [from, Len) is set. Used by the MDMC refine phase to iterate the
-// subspaces that the filter could not prune.
+// bit in [from, Len) is set: a walk over it lists the subspaces a point is a
+// skyline member of.
 func (s *Set) NextClear(from int) int {
 	if from >= s.n {
 		return -1

@@ -281,7 +281,7 @@ func ProfileMD(ds *data.Dataset, cfg Config) (Report, *templates.MDMCResult) {
 				}
 				for p := pStart; p < pEnd; p++ {
 					sol.Reset()
-					profiledMDFilter(th, tree, sol, p, scratch)
+					profiledMDFilter(th, sol, p, scratch)
 					profiledMDRefine(th, tree, sol, p, scratch)
 					ctx.Cube.Insert(ctx.OrigRow[p], sol.NotInS())
 				}
@@ -294,32 +294,23 @@ func ProfileMD(ds *data.Dataset, cfg Config) (Report, *templates.MDMCResult) {
 		CriticalPathCycles: sys.MaxThreadCycles()}, res
 }
 
-// profiledMDFilter mirrors Solution.Filter (top two tree levels) with
+// profiledMDFilter drives Solution.Filter (top two tree levels) with
 // probes: only the compact node-label arrays are read — they fit in L2 —
-// plus the thread's own bitset scratch.
-func profiledMDFilter(th *memsim.Thread, tree *stree.Tree, sol *templates.Solution, p int, scratch uint64) {
-	t := tree
-	medP, quartP := t.Med[p], t.Quart[p]
+// plus the thread's own bitset scratch, once per subspace looked up in it.
+func profiledMDFilter(th *memsim.Thread, sol *templates.Solution, p int, scratch uint64) {
 	th.Load(treeBase+uint64(p)*8, 8) // p's own labels
-	for i1 := range t.L1 {
-		n1 := t.L1[i1]
-		th.Load(treeBase+0x1000+uint64(i1)*8, 8)
-		th.Instr(2)
-		d1 := n1.Label &^ medP
-		sameHalf := ^(n1.Label ^ medP)
-		c := t.L1Child[i1]
-		for i2 := c[0]; i2 < c[1]; i2++ {
-			n2 := t.L2[i2]
-			th.Load(treeBase+0x10000+uint64(i2)*8, 8)
+	sol.FilterInstrumented(p, 2, func(level, i int, delta mask.Mask) {
+		if level == 1 {
+			th.Load(treeBase+0x1000+uint64(i)*8, 8)
+			th.Instr(2)
+		} else {
+			th.Load(treeBase+0x10000+uint64(i)*8, 8)
 			th.Instr(3)
-			d2 := (n2.Label &^ quartP) & sameHalf
-			total := d1 | d2
-			if total != 0 {
-				th.Load(scratch+uint64(total/8)%scratchPerThread, 8)
-			}
-			sol.SetStrict(total)
 		}
-	}
+		if delta != 0 {
+			th.Load(scratch+uint64(delta/8)%scratchPerThread, 8)
+		}
+	})
 }
 
 // profiledMDRefine mirrors Solution.Refine with probes: sequential loads of

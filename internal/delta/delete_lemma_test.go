@@ -472,6 +472,11 @@ func FuzzDeleteBatch(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 0, 0, 3, 2, 0, 2, 1, 3, 2, 3, 3}) // insert (0,0) above all, delete the old members, then it
 	f.Add([]byte{0, 5, 2, 0, 3, 2, 1, 3})                   // two copies of (0,1) above outsider (1,2), deleted a batch apart
 	f.Add([]byte{0, 179, 2, 9, 2, 9, 3})                    // both (0,0) die: (1,1) and the (2,2)s behind it orphaned at once
+	// The closed-source lemma's excluded case, found by this target with the
+	// precondition dropped: an insert-only flush leaves (1,1) closed under the
+	// base's only point (0,0); the next batch deletes that and inserts (0,2),
+	// which nothing but (1,1) dominates in {y}.
+	f.Add([]byte("01011720002"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 2 || len(raw) > 96 {
 			return

@@ -70,6 +70,16 @@
 // the batch's skyline members — set bits in existing points' masks, each
 // only in the subspaces it is a member of.
 //
+// The same chain shortens phase A's source list (the closed-source lemma). A
+// live overlay point e whose mask has every bit set was, in each δ, dominated
+// by a member s of the previous epoch's S_δ; whatever e dominates an insert
+// in, s does too, and s is a live tree point or an overlay point with bit δ
+// clear — a source either way, provided s survives the batch. So a batch in
+// which no victim was a member anywhere tests its inserts only against the
+// overlay points that are not closed (and the loose ones that have no mask
+// yet); a batch with a member victim — which may have been the only member
+// above e — tests them against all.
+//
 // The delete lemma is the same chain argument read the other way. A live q
 // outside the old S_δ was dominated in δ by an old member; while one such
 // member survives, q stays out. So after a batch the new S_δ is contained
@@ -213,6 +223,10 @@ type Updater struct {
 	// promotion walk's strict full-space tests (its workers add to it).
 	cmps    int64
 	vouches atomic.Int64
+	// srcs counts the overlay points phase A took as dominance sources, one
+	// list per flush with inserts (guarded by mu): the closed-source lemma's
+	// tests read off it which list a batch took.
+	srcs int64
 
 	// journal, if non-nil, receives every accepted mutation and epoch
 	// advance (AttachJournal). Plain field: it is attached once, before the
@@ -811,12 +825,14 @@ func (u *Updater) applyLocked() *Snapshot {
 	for _, v := range victims {
 		tomb[v] = struct{}{}
 	}
-	// Dominance sources beyond the tree: earlier inserted points and loose
-	// outsiders, both restricted to live. The ones that are still members
-	// somewhere — an inserted point, or a loose one a delete resurfaced — are
-	// also reverse-pass targets, and all of those have an entry in masks.
+	// Live points beyond the tree: earlier inserted points and loose
+	// outsiders. The ones that are still members somewhere — an inserted
+	// point, or a loose one a delete resurfaced — are also reverse-pass
+	// targets, and all of those have an entry in masks. sources are the ones
+	// phase A tests an insert against: all of them when a member victim
+	// leaves, otherwise only those not closed (the closed-source lemma).
 	masks := make(map[int32]*bitset.Set, len(prev.masks)+len(lives))
-	var extras, offTree []int32
+	var extras, offTree, sources []int32
 	for id, m := range prev.masks {
 		if _, victim := deleted[id]; victim {
 			continue
@@ -831,9 +847,17 @@ func (u *Updater) applyLocked() *Snapshot {
 	}
 	slices.Sort(extras)
 	for _, id := range extras {
-		if m := masks[id]; m != nil && !m.All() {
+		m := masks[id]
+		if m != nil && m.All() {
+			continue
+		}
+		sources = append(sources, id)
+		if m != nil {
 			offTree = append(offTree, id)
 		}
+	}
+	if len(shields) > 0 {
+		sources = extras
 	}
 	snap := &Snapshot{
 		epoch: prev.epoch + 1, d: u.d, ds: u.datasetHeader(),
@@ -846,7 +870,10 @@ func (u *Updater) applyLocked() *Snapshot {
 	// left open is a skyline member somewhere, and only those — and only in
 	// those subspaces — can teach an existing point anything (the package
 	// comment's insert lemma).
-	results := u.solveInserts(lives, extras)
+	results := u.solveInserts(lives, sources)
+	if len(lives) > 0 {
+		u.srcs += int64(len(sources))
+	}
 	members := u.crossTest(lives, results)
 	for i, pi := range lives {
 		masks[pi.id] = results[i]
@@ -938,9 +965,10 @@ func (u *Updater) promoteOrphans(prev *Snapshot, vouchers []int32) int {
 
 // solveInserts is phase A: each live insert solved as a single-point MDMC
 // task — filter + refine against the live tree points, then exact DTs
-// against extras — in parallel. Workers only read writer state (frozen for
-// the batch). The returned masks do not yet know about batch-mates.
-func (u *Updater) solveInserts(lives []pendingInsert, extras []int32) []*bitset.Set {
+// against sources, the live points beyond the tree — in parallel. Workers
+// only read writer state (frozen for the batch). The returned masks do not
+// yet know about batch-mates.
+func (u *Updater) solveInserts(lives []pendingInsert, sources []int32) []*bitset.Set {
 	results := make([]*bitset.Set, len(lives))
 	if len(lives) == 0 {
 		return results
@@ -978,7 +1006,7 @@ func (u *Updater) solveInserts(lives []pendingInsert, extras []int32) []*bitset.
 						sol.RefineExternal(p, medP, quartP, octP, true, alive)
 					}
 				}
-				for _, id := range extras {
+				for _, id := range sources {
 					if sol.Remaining() == 0 {
 						break
 					}
@@ -1267,15 +1295,7 @@ func (u *Updater) compactLoop() {
 // With src = dst it closes the subspaces still clear that the relation
 // decides (the delete pass).
 func teach(dst, src *bitset.Set, lt, eq mask.Mask) {
-	if lt == 0 {
-		return
-	}
-	le := lt | eq
-	for b := src.NextClear(0); b >= 0; b = src.NextClear(b + 1) {
-		if delta := mask.Mask(b + 1); delta&lt != 0 && delta&^le == 0 {
-			dst.Set(b)
-		}
-	}
+	dst.OrDownset(lt|eq, eq, src, nil)
 }
 
 // strongestFirst returns ids by ascending (coordinate sum, id): of two points

@@ -470,3 +470,177 @@ func TestOverlayEntriesFollowChangedMasks(t *testing.T) {
 			got, batch, changed, batch+changed)
 	}
 }
+
+// ---- the closed-source lemma (package comment): which overlay points phase A
+// tests an insert against ----
+
+// overlaySources lists u's live points beyond the tree as the next flush will
+// see them, were ids its victims: all of them, and the ones not closed.
+func overlaySources(u *Updater, victims ...int32) (all, open []int32) {
+	snap := u.Current()
+	for id, m := range snap.masks {
+		if _, inBase := snap.base.rowOf(id); !inBase && !slices.Contains(victims, id) {
+			all = append(all, id)
+			if !m.All() {
+				open = append(open, id)
+			}
+		}
+	}
+	for id := range u.loose {
+		if slices.Contains(victims, id) {
+			continue
+		}
+		all = append(all, id)
+		if snap.masks[id] == nil {
+			open = append(open, id)
+		}
+	}
+	slices.Sort(all)
+	slices.Sort(open)
+	return all, open
+}
+
+// closedOverlayRig is 400 independent d = 4 points and one flushed batch of
+// 160 inserts, 130 of them from the upper half of the cube: those enter no
+// skyline and sit in the overlay closed.
+func closedOverlayRig(t *testing.T) *lemmaRig {
+	t.Helper()
+	const d = 4
+	r := newLemmaRig(t, gen.Synthetic(gen.Independent, 400, d, 31))
+	upper := gen.Synthetic(gen.Independent, 160, d, 32)
+	for i := 0; i < upper.N; i++ {
+		p := slices.Clone(upper.Point(i))
+		if i >= 30 {
+			for j := range p {
+				p[j] = 0.5 + p[j]/2
+			}
+		}
+		r.insert(p...)
+	}
+	r.flush()
+	if all, open := overlaySources(r.u); len(all)-len(open) < 100 || len(open) == 0 {
+		t.Fatalf("%d overlay points, %d of them open: want ≥ 100 closed and some open", len(all), len(open))
+	}
+	return r
+}
+
+// nextBatch is 40 inserts over closedOverlayRig: half of them just behind an
+// overlay point, so that overlay points — closed ones too — dominate them.
+func nextBatch(r *lemmaRig, seed int64) [][]float32 {
+	rng := rand.New(rand.NewSource(seed))
+	all, _ := overlaySources(r.u)
+	fresh := gen.Synthetic(gen.Independent, 20, r.u.d, seed)
+	var batch [][]float32
+	for i := 0; i < fresh.N; i++ {
+		low := slices.Clone(fresh.Point(i))
+		for j := range low {
+			low[j] /= 4 // the corner where the skylines are
+		}
+		batch = append(batch, low)
+		p := slices.Clone(r.u.point(all[rng.Intn(len(all))]))
+		p[rng.Intn(len(p))] += 0.01 // ties its source on the other dimensions
+		batch = append(batch, p)
+	}
+	return batch
+}
+
+// (a) An insert-only batch tests its inserts against the open overlay points
+// alone, and every mask comes out as it does against all of them.
+func TestClosedSourcesInsertOnlyBatch(t *testing.T) {
+	r := closedOverlayRig(t)
+	all, open := overlaySources(r.u)
+	batch := nextBatch(r, 33)
+	lives := make([]pendingInsert, len(batch))
+	for i, p := range batch {
+		lives[i].point = p
+	}
+	fromAll, fromOpen := r.u.solveInserts(lives, all), r.u.solveInserts(lives, open)
+	closedBy := 0
+	for i := range lives {
+		if !slices.Equal(fromAll[i].Words64(), fromOpen[i].Words64()) {
+			t.Fatalf("insert %v: mask %b against the open sources, %b against all", batch[i], fromOpen[i].Words64(), fromAll[i].Words64())
+		}
+		if fromAll[i].All() {
+			closedBy++
+		}
+	}
+	if closedBy == 0 || closedBy == len(lives) {
+		t.Fatalf("%d of %d inserts closed: want some of each", closedBy, len(lives))
+	}
+	before := r.u.srcs
+	for _, p := range batch {
+		r.insert(p...)
+	}
+	r.flush()
+	if got := r.u.srcs - before; got != int64(len(open)) {
+		t.Fatalf("phase A took %d overlay sources, want the %d open ones of %d", got, len(open), len(all))
+	}
+}
+
+// (b) The case the lemma excludes, by construction: e sits in the overlay
+// closed, v is the only member above it in δ = {x, y}, and one batch deletes
+// v and inserts p behind e. No surviving point but e dominates p in δ, so the
+// batch must test p against e — it has a member victim and takes every
+// overlay point as a source. (With the precondition dropped p keeps bit δ
+// clear and the oracle fails this test.)
+func TestClosedSourceWhoseOnlyMemberDies(t *testing.T) {
+	r := newLemmaRig(t, data.FromRows([][]float32{
+		{1, 1}, // v
+		{0, 10}, {10, 0}, {0.5, 6}, {6, 0.5},
+	}))
+	e := r.insert(2, 2)
+	snap := r.flush()
+	if m := snap.masks[e]; m == nil || !m.All() {
+		t.Fatalf("e is not a closed overlay point: mask %v", m)
+	}
+	before := r.u.srcs
+	r.delete(0)
+	p := r.insert(3, 3)
+	snap = r.flush()
+	if got := r.u.srcs - before; got != 1 {
+		t.Fatalf("phase A took %d overlay sources, want 1 (e)", got)
+	}
+	if got := snap.Skyline(mask.Full(2)); !reflect.DeepEqual(got, []int32{1, 2, 3, 4, e}) {
+		t.Fatalf("full-space skyline %v, want e = %d in it and p = %d out", got, e, p)
+	}
+}
+
+// (c) Victims that were members nowhere leave every S_δ as it was: such a
+// batch takes the open sources too. One member victim and it takes them all.
+func TestClosedSourcesFollowMemberVictims(t *testing.T) {
+	r := closedOverlayRig(t)
+	snap := r.u.Current()
+	var nonMembers []int32 // three base points, three closed overlay points
+	for _, id := range r.live {
+		if len(snap.Membership(id)) == 0 && (len(nonMembers) < 3 || id >= 400 && len(nonMembers) < 6) {
+			nonMembers = append(nonMembers, id)
+		}
+	}
+	if len(nonMembers) < 6 || nonMembers[2] >= 400 {
+		t.Fatalf("non-member victims %v: want three base points and three overlay points", nonMembers)
+	}
+	all, open := overlaySources(r.u, nonMembers...)
+	before := r.u.srcs
+	for _, id := range nonMembers {
+		r.delete(id)
+	}
+	for _, p := range nextBatch(r, 34) {
+		r.insert(p...)
+	}
+	r.flush()
+	if got := r.u.srcs - before; got != int64(len(open)) {
+		t.Fatalf("batch without a member victim: phase A took %d overlay sources, want the %d open ones of %d", got, len(open), len(all))
+	}
+
+	member := r.u.Current().Skyline(mask.Full(r.u.d))[0]
+	all, open = overlaySources(r.u, member)
+	before = r.u.srcs
+	r.delete(member)
+	for _, p := range nextBatch(r, 35) {
+		r.insert(p...)
+	}
+	r.flush()
+	if got := r.u.srcs - before; got != int64(len(all)) || len(all) == len(open) {
+		t.Fatalf("batch with a member victim: phase A took %d overlay sources, want all %d (%d open)", got, len(all), len(open))
+	}
+}

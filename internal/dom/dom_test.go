@@ -121,12 +121,11 @@ func TestDominancePropagatesToSubspaces(t *testing.T) {
 		if !StrictlyDominatesIn(p, q, delta) {
 			continue
 		}
-		mask.SubmasksOf(delta, func(sub mask.Mask) bool {
+		for sub := delta; sub != 0; sub = (sub - 1) & delta {
 			if !StrictlyDominatesIn(p, q, sub) {
 				t.Fatalf("strict dominance did not propagate to %b ⊆ %b", sub, delta)
 			}
-			return true
-		})
+		}
 	}
 }
 

@@ -1,8 +1,13 @@
 package mask
 
 import (
+	"encoding/binary"
 	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
+
+	"skycube/internal/bitset"
 )
 
 // FuzzMaskSubspaces checks the structural invariants of the subspace
@@ -108,6 +113,85 @@ func FuzzMaskSubspaces(f *testing.F) {
 		}
 		if rebuilt != m {
 			t.Fatalf("Dims(%b) rebuilt to %b", m, rebuilt)
+		}
+	})
+}
+
+// FuzzDownset holds the word-parallel bitset.OrDownset to the bit-by-bit
+// loops it replaced, over sequences of updates on two sets of one space:
+// the SubmasksOf walk of MDMC's Solution (no except set; the return value is
+// what Solution subtracts from its remaining count, here under a level
+// bound) and the NextClear walk of delta's teach (an except set, which may
+// be the destination itself). After every update the sets must agree word
+// for word — so the partial word below six dimensions and the unused top bit
+// above stay clear — and so must the counts.
+func FuzzDownset(f *testing.F) {
+	f.Add(uint8(0), uint8(0), []byte{0, 1, 0, 0, 0})
+	f.Add(uint8(3), uint8(1), []byte{9, 0b1011, 0, 0b0010, 0, 2, 0b1111, 0, 0b0101, 0})
+	f.Add(uint8(5), uint8(5), []byte{7, 0x3f, 0, 0x15, 0, 4, 0x2a, 0, 0x2a, 0, 1, 0x3f, 0, 0, 0})
+	f.Add(uint8(7), uint8(2), []byte{3, 0xff, 0, 0x0f, 0, 0, 0xc0, 0, 0x40, 0, 5, 0xff, 0, 0xc0, 0})
+	f.Add(uint8(11), uint8(6), []byte{1, 0xff, 0x0f, 0xc0, 0x03, 2, 0x40, 0x08, 0, 0, 4, 0xce, 0x0a, 0xce, 0x02, 6, 0xff, 0x0f, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, dRaw, levelRaw uint8, ops []byte) {
+		d := 1 + int(dRaw)%12
+		maxLevel := 1 + int(levelRaw)%d
+		n := NumSubspaces(d)
+		relevant := bitset.New(n)
+		for delta := 1; delta <= n; delta++ {
+			if Count(Mask(delta)) <= maxLevel {
+				relevant.Set(delta - 1)
+			}
+		}
+		// Two sets, each as the word form and the reference maintain it; the
+		// second starts from arbitrary bits, the shape of a teach source.
+		var word, ref [2]*bitset.Set
+		rng := rand.New(rand.NewSource(int64(len(ops))<<16 | int64(dRaw)<<8 | int64(levelRaw)))
+		for i := range word {
+			word[i], ref[i] = bitset.New(n), bitset.New(n)
+		}
+		for b := 0; b < n; b++ {
+			if rng.Intn(2) == 0 {
+				word[1].Set(b)
+				ref[1].Set(b)
+			}
+		}
+		for ; len(ops) >= 5; ops = ops[5:] {
+			dst := int(ops[0] & 1)
+			m := Mask(binary.LittleEndian.Uint16(ops[1:])) & Full(d)
+			e := Mask(binary.LittleEndian.Uint16(ops[3:])) & Full(d)
+			if ops[0]&8 == 0 {
+				e &= m // the callers' shape; any e must work too
+			}
+			var got, want int
+			if src := int(ops[0] >> 1 & 3); src < 2 {
+				got = word[dst].OrDownset(m, e, word[src], relevant)
+				for b := ref[src].NextClear(0); b >= 0; b = ref[src].NextClear(b + 1) {
+					if delta := Mask(b + 1); delta&^m == 0 && delta&^e != 0 {
+						if !ref[dst].Test(b) && relevant.Test(b) {
+							want++
+						}
+						ref[dst].Set(b)
+					}
+				}
+			} else {
+				got = word[dst].OrDownset(m, e, nil, relevant)
+				SubmasksOf(m, func(sub Mask) bool {
+					if b := int(sub) - 1; sub&^e != 0 && !ref[dst].Test(b) {
+						ref[dst].Set(b)
+						if Count(sub) <= maxLevel {
+							want++
+						}
+					}
+					return true
+				})
+			}
+			if got != want {
+				t.Fatalf("d=%d level≤%d op %08b m=%b e=%b: %d new relevant bits, want %d", d, maxLevel, ops[0], m, e, got, want)
+			}
+			for i := range word {
+				if !slices.Equal(word[i].Words64(), ref[i].Words64()) {
+					t.Fatalf("d=%d op %08b m=%b e=%b: set %d is\n%x, want\n%x", d, ops[0], m, e, i, word[i].Words64(), ref[i].Words64())
+				}
+			}
 		}
 	})
 }

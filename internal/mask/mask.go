@@ -116,26 +116,6 @@ func Children(delta Mask) []Mask {
 	return out
 }
 
-// SubmasksOf calls fn for every non-empty submask of m, including m itself.
-// Iteration stops early if fn returns false. The standard (s−1)&m walk
-// enumerates submasks in descending numeric order.
-func SubmasksOf(m Mask, fn func(Mask) bool) {
-	if m == 0 {
-		return
-	}
-	for s := m; ; s = (s - 1) & m {
-		if !fn(s) {
-			return
-		}
-		if s == 0 { // unreachable: loop exits below before reaching 0
-			return
-		}
-		if s == m&-m { // smallest non-empty submask processed; stop
-			return
-		}
-	}
-}
-
 // Project compacts the dimensions selected by δ into the low bits of m:
 // bit j of the result is bit i of m where i is the j'th set dimension of δ.
 // Used when re-partitioning data on only the relevant dimensions.

@@ -246,9 +246,10 @@ type Solution struct {
 	notInS     *bitset.Set // B_{p∉S}: bit δ−1 set iff p dominated in δ
 	notInSPlus *bitset.Set // B_{p∉S⁺}: bit δ−1 set iff p strictly dominated in δ
 	// remaining counts subspaces with |δ| ≤ MaxLevel not yet set in notInS;
-	// when it reaches zero the point's fate is fully decided.
+	// when it reaches zero the point's fate is fully decided. relevant holds
+	// those subspaces.
 	remaining int
-	relevant  int // initial value of remaining
+	relevant  *bitset.Set
 	// relBuf is per-worker scratch for the chunked block refine: one
 	// dom.CompareBlock sweep's worth of relationship masks.
 	relBuf [refineChunk]dom.Rel
@@ -267,12 +268,10 @@ func (k *Solution) FlushKernelTally() { k.tally.Flush() }
 // NewSolution allocates task state for one worker of ctx's run.
 func NewSolution(ctx *MDMCContext) *Solution {
 	n := mask.NumSubspaces(ctx.D)
-	relevant := 0
-	if ctx.MaxLevel >= ctx.D {
-		relevant = n
-	} else {
-		for l := 1; l <= ctx.MaxLevel; l++ {
-			relevant += mask.Binomial(ctx.D, l)
+	relevant := bitset.New(n)
+	for delta := 1; delta <= n; delta++ {
+		if mask.Count(mask.Mask(delta)) <= ctx.MaxLevel {
+			relevant.Set(delta - 1)
 		}
 	}
 	return &Solution{
@@ -297,37 +296,18 @@ func StateBytes(d int) int { return 2 * ((1 << uint(d)) / 8) }
 func (k *Solution) Reset() {
 	k.notInS.Reset()
 	k.notInSPlus.Reset()
-	k.remaining = k.relevant
-}
-
-// setDominated marks p as dominated in δ.
-func (k *Solution) setDominated(delta mask.Mask) {
-	i := int(delta) - 1
-	if !k.notInS.Test(i) {
-		k.notInS.Set(i)
-		if k.ctx.MaxLevel >= k.ctx.D || mask.Count(delta) <= k.ctx.MaxLevel {
-			k.remaining--
-		}
-	}
+	k.remaining = k.relevant.Count()
 }
 
 // SetStrict marks p as strictly dominated in δ and all δ's submasks.
-// Propagation is cut short at masks already known to be strictly dominated.
+// B_{p∉S⁺} is closed under submasks, so δ's own bit says whether there is
+// anything to add.
 func (k *Solution) SetStrict(delta mask.Mask) {
 	if delta == 0 || k.notInSPlus.Test(int(delta)-1) {
 		return
 	}
-	mask.SubmasksOf(delta, func(sub mask.Mask) bool {
-		i := int(sub) - 1
-		if k.notInSPlus.Test(i) {
-			// Already known: the bit tests keep per-submask work to a pair
-			// of word operations.
-			return true
-		}
-		k.notInSPlus.Set(i)
-		k.setDominated(sub)
-		return true
-	})
+	k.notInSPlus.OrDownset(delta, 0, nil, nil)
+	k.remaining -= k.notInS.OrDownset(delta, 0, nil, k.relevant)
 }
 
 // Filter is the CPU filter hook (§5.2): iterate the top tree levels
@@ -335,8 +315,16 @@ func (k *Solution) SetStrict(delta mask.Mask) {
 // if levels == 3) into guaranteed-strict-dominance subspaces. Only path
 // labels are read — never data points.
 func (k *Solution) Filter(p int, levels int) {
+	k.FilterInstrumented(p, levels, nil)
+}
+
+// FilterInstrumented is Filter with an accounting callback: onNode, if
+// non-nil, is told every L1 node (level 1) and L2 node (level 2) the walk
+// reads, by index, with the subspace tested against B_{p∉S⁺} there — the
+// node's best case at level 1, its own contribution at level 2.
+func (k *Solution) FilterInstrumented(p int, levels int, onNode func(level, i int, delta mask.Mask)) {
 	t := k.ctx.Tree
-	k.FilterExternal(t.Med[p], t.Quart[p], t.Oct[p], levels, nil)
+	k.filter(t.Med[p], t.Quart[p], t.Oct[p], levels, nil, onNode)
 }
 
 // FilterExternal is the filter phase for a point identified by its path
@@ -351,18 +339,38 @@ func (k *Solution) Filter(p int, levels int) {
 // with the callback set, the walk always descends to leaf granularity and
 // skips fully-dead leaves.
 func (k *Solution) FilterExternal(medP, quartP, octP mask.Mask, levels int, leafAlive func(li int) bool) {
+	k.filter(medP, quartP, octP, levels, leafAlive, nil)
+}
+
+// filter is the one walk behind Filter, FilterInstrumented and FilterExternal.
+func (k *Solution) filter(medP, quartP, octP mask.Mask, levels int,
+	leafAlive func(li int) bool, onNode func(level, i int, delta mask.Mask)) {
 	t := k.ctx.Tree
+	full := mask.Full(k.ctx.D)
 	for i1 := range t.L1 {
 		n1 := t.L1[i1]
 		// Dims where the node's points are strictly below the median and p
 		// is not: every point of n1 strictly dominates p there.
 		d1 := n1.Label &^ medP
 		sameHalf := ^(n1.Label ^ medP)
+		// Below n1 a node adds dims of sameHalf only, so nothing under it
+		// proves more than best, and B_{p∉S⁺} is closed under submasks: once
+		// it holds best, the subtree has nothing to add.
+		best := (d1 | sameHalf) & full
+		if onNode != nil {
+			onNode(1, i1, best)
+		}
+		if best == 0 || k.notInSPlus.Test(int(best)-1) {
+			continue
+		}
 		c := t.L1Child[i1]
 		for i2 := c[0]; i2 < c[1]; i2++ {
 			n2 := t.L2[i2]
 			d2 := (n2.Label &^ quartP) & sameHalf
 			total := d1 | d2
+			if onNode != nil {
+				onNode(2, int(i2), total)
+			}
 			lc := t.L2Child[i2]
 			if levels >= 3 && t.Depth == 3 {
 				sameQuarter := sameHalf & ^(n2.Label ^ quartP)
@@ -553,7 +561,7 @@ func (k *Solution) ApplyDT(qq, pp []float32, full mask.Mask, memo bool) {
 //   - every submask of B_{q<p} is strictly dominated;
 //   - every submask δ of B_{q≤p} with at least one strict bit is dominated.
 func (k *Solution) ApplyRel(r dom.Rel, full mask.Mask, memo bool) {
-	lt := r.Lt
+	lt := r.Lt & full
 	m := (lt | r.Eq) & full
 	if m == 0 || lt == 0 {
 		return // q beats p nowhere, or only ties: no dominance anywhere
@@ -563,12 +571,9 @@ func (k *Solution) ApplyRel(r dom.Rel, full mask.Mask, memo bool) {
 		// recorded in both bitsets: q conveys no new information (§4.3).
 		return
 	}
-	k.SetStrict(lt)
-	// Non-strict contributions: submasks of m that intersect lt.
-	mask.SubmasksOf(m, func(sub mask.Mask) bool {
-		if sub&lt != 0 {
-			k.setDominated(sub)
-		}
-		return true
-	})
+	if !k.notInSPlus.Test(int(lt) - 1) {
+		k.notInSPlus.OrDownset(lt, 0, nil, nil)
+	}
+	// The submasks of m that intersect lt, those of lt among them.
+	k.remaining -= k.notInS.OrDownset(m, m&^lt, nil, k.relevant)
 }

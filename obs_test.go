@@ -2,12 +2,15 @@ package skycube
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"skycube/internal/hetero"
+	"skycube/internal/mask"
 	"skycube/internal/obs"
+	"skycube/internal/skyline"
 )
 
 // TestBuildTraceCoverage checks the tentpole acceptance criterion: a traced
@@ -39,13 +42,31 @@ func TestBuildTraceCoverage(t *testing.T) {
 	if len(doc.TraceEvents) < tr.Len() {
 		t.Errorf("Chrome export has %d events for %d spans", len(doc.TraceEvents), tr.Len())
 	}
-	// The prepare phases and the per-worker chunk tracks must be present.
+	// The prepare phases must be present, and the point tasks on per-worker
+	// chunk tracks: workers pull chunks off one counter, so which of the four
+	// record a span is the scheduler's choice (a worker that never wins a grab
+	// has no track), but every task is in exactly one chunk.
 	tracks := map[string]bool{}
 	for _, trk := range tr.Tracks() {
 		tracks[trk] = true
 	}
-	if !tracks["build"] || !tracks["prepare"] || !tracks["cpu-0"] {
+	if !tracks["build"] || !tracks["prepare"] {
 		t.Errorf("missing expected tracks in %v", tr.Tracks())
+	}
+	var tasks int64
+	for _, s := range tr.Spans() {
+		if s.Cat != obs.CatChunk {
+			continue
+		}
+		var w int
+		if _, err := fmt.Sscanf(s.Track, "cpu-%d", &w); err != nil || w < 0 || w >= 4 {
+			t.Errorf("chunk span on track %q, want cpu-0 … cpu-3", s.Track)
+		}
+		tasks += s.N
+	}
+	ext := skyline.ExtendedSkyline(ds.ds, nil, mask.Full(6), skyline.AlgoHybrid, 1)
+	if tasks != int64(len(ext)) {
+		t.Errorf("chunk spans cover %d point tasks, want |S⁺(P)| = %d", tasks, len(ext))
 	}
 }
 
