@@ -122,6 +122,7 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 0, "with -serve: log one structured line (with trace id) per request at least this slow (0 = off)")
 	debugRequests := flag.Int("debug-requests", 0, "with -serve: request-ring size behind GET /debug/requests (0 = off unless -trace-sample is set, then 256)")
 	flag.Parse()
+	fmt.Fprintf(os.Stderr, "skycubed: dominance kernel: %s\n", skycube.KernelStats().Impl)
 
 	tracing := traceOptions{
 		ring:        requestRing(*traceSample, *debugRequests),

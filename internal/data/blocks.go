@@ -14,6 +14,18 @@ const DefaultBlockSize = 256
 // sequentially. This is the CPU mirror of the paper's §6.1 coalesced layout
 // argument — the row-major Dataset stays the storage format, a Block is the
 // comparison format.
+//
+// Layout rule the kernels of internal/dom lean on: BlockSize is a multiple of
+// 64, every column has BlockSize floats of backing store, and the columns are
+// equally strided (len(Cols[0]) floats apart, carved from one buffer). So a
+// sweep reads all 64 lanes of any word below ⌈N/64⌉ — unoccupied lanes hold
+// zeros or the stale values of a pooled block's previous use, and are masked
+// by Alive, not skipped. Blocks are built by BlockSet only.
+//
+// Invariant: no block is appended to while another goroutine sweeps it (a
+// sweep reads lanes past N). Hybrid appends to its groups only after wg.Wait,
+// its fresh window lives in the sequential phase, and merges sweep prebuilt
+// sets; -race on the portable kernels checks it.
 type Block struct {
 	// N is the number of occupied lanes.
 	N int
@@ -26,8 +38,8 @@ type Block struct {
 	// Sums[lane] is the lane's δ-sum (float32 L1 norm over the projected
 	// dimensions), the sort key of stop-point filtering.
 	Sums []float32
-	// Alive has bit lane set iff the lane is occupied and not killed; the
-	// kernels mask their verdict words with it.
+	// Alive has bit lane set iff the lane is occupied and not killed (only
+	// Append sets a bit); the kernels mask their verdict words with it.
 	Alive []uint64
 
 	buf []float32 // backing array carved into Cols
@@ -87,7 +99,7 @@ func (b *Block) prepare(k, bs int) {
 type BlockSet struct {
 	// K is the projection width (number of dimensions per lane).
 	K int
-	// BlockSize is the lane capacity of each block.
+	// BlockSize is the lane capacity of each block, a multiple of 64.
 	BlockSize int
 	// Blocks are the filled blocks, in append order.
 	Blocks []*Block
@@ -110,9 +122,8 @@ func (s *BlockSet) Len() int { return s.n }
 func (s *BlockSet) Reset() { s.reset(s.K, s.BlockSize) }
 
 func (s *BlockSet) reset(k, blockSize int) {
-	if blockSize < 64 {
-		blockSize = 64
-	}
+	// Whole 64-lane words only, at least one: see Block.
+	blockSize = (max(blockSize, 1) + 63) &^ 63
 	// A block's buffer is carved per (k, blockSize); a shape change just
 	// re-carves it in prepare, so spares survive reconfiguration.
 	s.spare = append(s.spare, s.Blocks...)

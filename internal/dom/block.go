@@ -12,11 +12,20 @@
 // the next block's minimum sum exceeds the query's, no later lane can
 // dominate it and the sweep terminates.
 //
-// The lane loops run a fixed 64 iterations on full words (the constant trip
-// count is what lets the compiler unroll and drop bounds checks — measured
-// faster than both a SETcc accumulation and a float-bits sign extraction),
-// with per-point early exit only at word granularity: a column sweep stops
-// when the whole word's verdict is already zero.
+// Every word a kernel sweeps is a full word: block columns have backing store
+// for all 64 lanes of it (data.Block's layout rule), so the lane loop has one
+// constant trip count and the lanes past Block.N — zeros or stale values —
+// produce bits that Alive clears. Per-point early exit exists only at word
+// granularity: a column sweep stops when the whole word's verdict is zero.
+//
+// The ≤ and < word sweeps have two implementations. On amd64 with AVX2
+// (block_amd64.s; chosen once at package init from CPUID, never by a caller)
+// a column is eight 8-lane VCMPPS/VMOVMSKPS steps. Everywhere else — arm64,
+// older amd64, -tags purego — and as the oracle the fuzz target holds the
+// assembly to, it is the Go loop below, which the compiler turns into a
+// rolled 64-trip loop of one UCOMISS, one BTSQ and one CMOV per lane (no
+// unrolling, no vector code; still faster than a SETcc accumulation or a
+// float-bits sign extraction).
 //
 // Every kernel is bit-for-bit equivalent to the scalar loop it replaces
 // (FuzzBlockKernelEquivalence enforces this); dominance semantics are those
@@ -37,35 +46,28 @@ import (
 // less) when strict, else Definition 1 (every column ≤, at least one <).
 // Dead lanes report 0.
 func blockDomWord(b *data.Block, w int, pq []float32, strict bool) uint64 {
-	base := w << 6
-	cnt := b.N - base
-	if cnt <= 0 {
-		return 0
-	}
-	if cnt > 64 {
-		cnt = 64
-	}
 	alive := b.Alive[w]
 	if alive == 0 {
 		return 0
 	}
+	if useAVX2 {
+		col0, stride, k := wordArgs(b, w, pq)
+		le, ltAny, ltAll := domWordAVX2(col0, stride, k, &pq[0], alive)
+		if strict {
+			return ltAll
+		}
+		return le & ltAny
+	}
+	base := w << 6
 	if strict {
 		ltAll := alive
 		for j, col := range b.Cols {
 			pv := pq[j]
+			sub := col[base : base+64 : base+64]
 			var lt uint64
-			if cnt == 64 {
-				sub := col[base : base+64 : base+64]
-				for i := 0; i < 64; i++ {
-					if sub[i] < pv {
-						lt |= 1 << uint(i)
-					}
-				}
-			} else {
-				for i, v := range col[base : base+cnt] {
-					if v < pv {
-						lt |= 1 << uint(i)
-					}
+			for i := 0; i < 64; i++ {
+				if sub[i] < pv {
+					lt |= 1 << uint(i)
 				}
 			}
 			ltAll &= lt
@@ -79,26 +81,15 @@ func blockDomWord(b *data.Block, w int, pq []float32, strict bool) uint64 {
 	var ltAny uint64
 	for j, col := range b.Cols {
 		pv := pq[j]
+		sub := col[base : base+64 : base+64]
 		var lt, le uint64
-		if cnt == 64 {
-			sub := col[base : base+64 : base+64]
-			for i := 0; i < 64; i++ {
-				v := sub[i]
-				if v < pv {
-					lt |= 1 << uint(i)
-				}
-				if v <= pv {
-					le |= 1 << uint(i)
-				}
+		for i := 0; i < 64; i++ {
+			v := sub[i]
+			if v < pv {
+				lt |= 1 << uint(i)
 			}
-		} else {
-			for i, v := range col[base : base+cnt] {
-				if v < pv {
-					lt |= 1 << uint(i)
-				}
-				if v <= pv {
-					le |= 1 << uint(i)
-				}
+			if v <= pv {
+				le |= 1 << uint(i)
 			}
 		}
 		leqAll &= le
@@ -108,6 +99,18 @@ func blockDomWord(b *data.Block, w int, pq []float32, strict bool) uint64 {
 		ltAny |= lt
 	}
 	return leqAll & ltAny
+}
+
+// wordArgs is how word w of b reaches the assembly: the address of its first
+// lane in column 0, the byte distance between columns (data.Block's layout
+// rule: equally strided, len — not cap — floats apart) and the column count.
+// The slice expressions are the routine's bounds checks: 64 lanes of backing
+// store and one query coordinate per column. A block always has a column.
+func wordArgs(b *data.Block, w int, pq []float32) (col0 *float32, stride uintptr, k int) {
+	col := b.Cols[0]
+	k = len(b.Cols)
+	_ = pq[k-1]
+	return &col[w<<6 : w<<6+64][0], uintptr(len(col)) * 4, k
 }
 
 // AnyDominatorIn reports whether any live lane of b dominates the projected
@@ -160,33 +163,22 @@ const (
 // in blockDomWord — because which of the three a lane is only matters on the
 // rare word that has one.
 func blockLeqWord(b *data.Block, w int, pq []float32) uint64 {
-	base := w << 6
-	cnt := b.N - base
-	if cnt <= 0 {
-		return 0
-	}
-	if cnt > 64 {
-		cnt = 64
-	}
 	leAll := b.Alive[w]
 	if leAll == 0 {
 		return 0
 	}
+	if useAVX2 {
+		col0, stride, k := wordArgs(b, w, pq)
+		return leqWordAVX2(col0, stride, k, &pq[0], leAll)
+	}
+	base := w << 6
 	for j, col := range b.Cols {
 		pv := pq[j]
+		sub := col[base : base+64 : base+64]
 		var le uint64
-		if cnt == 64 {
-			sub := col[base : base+64 : base+64]
-			for i := 0; i < 64; i++ {
-				if sub[i] <= pv {
-					le |= 1 << uint(i)
-				}
-			}
-		} else {
-			for i, v := range col[base : base+cnt] {
-				if v <= pv {
-					le |= 1 << uint(i)
-				}
+		for i := 0; i < 64; i++ {
+			if sub[i] <= pv {
+				le |= 1 << uint(i)
 			}
 		}
 		leAll &= le
@@ -226,86 +218,6 @@ func BlocksVerdict(bs *data.BlockSet, pq []float32, t *KernelTally) Verdict {
 		}
 	}
 	return v
-}
-
-// DominatedBitmap writes into out (len ≥ ⌈b.N/64⌉ words) the lanes of b that
-// the projected query pq dominates — the reverse direction of AnyDominatorIn,
-// used to cross one dominance witness off a whole block of members at once.
-func DominatedBitmap(b *data.Block, pq []float32, strict bool, out []uint64, t *KernelTally) {
-	words := (b.N + 63) >> 6
-	for w := 0; w < words; w++ {
-		t.Sweeps++
-		base := w << 6
-		cnt := b.N - base
-		if cnt > 64 {
-			cnt = 64
-		}
-		alive := b.Alive[w]
-		if alive == 0 {
-			out[w] = 0
-			continue
-		}
-		if strict {
-			gtAll := alive
-			for j, col := range b.Cols {
-				pv := pq[j]
-				var gt uint64
-				if cnt == 64 {
-					sub := col[base : base+64 : base+64]
-					for i := 0; i < 64; i++ {
-						if pv < sub[i] {
-							gt |= 1 << uint(i)
-						}
-					}
-				} else {
-					for i, v := range col[base : base+cnt] {
-						if pv < v {
-							gt |= 1 << uint(i)
-						}
-					}
-				}
-				gtAll &= gt
-				if gtAll == 0 {
-					break
-				}
-			}
-			out[w] = gtAll
-			continue
-		}
-		geqAll := alive
-		var gtAny uint64
-		for j, col := range b.Cols {
-			pv := pq[j]
-			var gt, ge uint64
-			if cnt == 64 {
-				sub := col[base : base+64 : base+64]
-				for i := 0; i < 64; i++ {
-					v := sub[i]
-					if pv < v {
-						gt |= 1 << uint(i)
-					}
-					if pv <= v {
-						ge |= 1 << uint(i)
-					}
-				}
-			} else {
-				for i, v := range col[base : base+cnt] {
-					if pv < v {
-						gt |= 1 << uint(i)
-					}
-					if pv <= v {
-						ge |= 1 << uint(i)
-					}
-				}
-			}
-			geqAll &= ge
-			if geqAll == 0 {
-				break
-			}
-			gtAny |= gt
-		}
-		out[w] = geqAll & gtAny
-	}
 }
 
 // CompareBlock computes Compare(point q, pp) for every q in the half-open

@@ -36,47 +36,6 @@ func benchBlock(d int) (*data.Block, []float32, [][]float32) {
 	return bs.Blocks[0], pq, rows
 }
 
-// BenchmarkDominatedBitmap is the dense block sweep: one query marked
-// against all 256 lanes in four verdict words.
-func BenchmarkDominatedBitmap(b *testing.B) {
-	for _, d := range []int{4, 8} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			blk, pq, _ := benchBlock(d)
-			out := make([]uint64, 4)
-			var tally KernelTally
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				DominatedBitmap(blk, pq, false, out, &tally)
-			}
-		})
-	}
-}
-
-// BenchmarkDominatedBitmapScalar is the scalar-loop equivalent the block
-// kernel is gated ≥2× against: the same 256 verdicts via per-point Compare.
-func BenchmarkDominatedBitmapScalar(b *testing.B) {
-	for _, d := range []int{4, 8} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			_, pq, rows := benchBlock(d)
-			full := mask.Full(d)
-			out := make([]uint64, 4)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for w := range out {
-					out[w] = 0
-				}
-				for lane, q := range rows {
-					if RelDominates(Compare(pq, q), full) {
-						out[lane>>6] |= 1 << uint(lane&63)
-					}
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAnyDominatorIn measures the filter direction (does any lane
 // dominate the query) with its word-level early exit.
 func BenchmarkAnyDominatorIn(b *testing.B) {
@@ -88,6 +47,28 @@ func BenchmarkAnyDominatorIn(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				AnyDominatorIn(blk, pq, false, &tally)
+			}
+		})
+	}
+}
+
+// BenchmarkAnyDominatorInScalar is the scalar-loop equivalent the block
+// kernel is gated against: the same verdict over the same 256 points via
+// per-point Compare, stopping at the first dominator as the kernel's callers'
+// scalar forms do.
+func BenchmarkAnyDominatorInScalar(b *testing.B) {
+	for _, d := range []int{4, 8} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			_, pq, rows := benchBlock(d)
+			full := mask.Full(d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range rows {
+					if RelDominates(Compare(q, pq), full) {
+						break
+					}
+				}
 			}
 		})
 	}

@@ -92,52 +92,18 @@ func TestBlockKernelsMatchScalar(t *testing.T) {
 				}
 			}
 		}
-		for _, strict := range []bool{false, true} {
-			want := scalarAnyDominator(bs, pq, strict)
-			got := BlocksAnyDominator(bs, pq, 0, strict, false, &tally)
-			if got != want {
-				t.Fatalf("trial %d strict=%v: block %v, scalar %v", trial, strict, got, want)
-			}
-		}
-		if got, want := BlocksVerdict(bs, pq, &tally), scalarVerdict(bs, pq); got != want {
-			t.Fatalf("trial %d: verdict %v, scalar %v", trial, got, want)
-		}
-		data.PutBlockSet(bs)
-	}
-	tally.Flush()
-}
-
-func TestDominatedBitmapMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var tally KernelTally
-	out := make([]uint64, 8)
-	buf := make([]float32, 8)
-	for trial := 0; trial < 300; trial++ {
-		k := 1 + rng.Intn(8)
-		n := 1 + rng.Intn(300)
-		pq, bs := randBlockSet(rng, k, n, 64+64*rng.Intn(4), 8)
-		full := mask.Full(k)
-		for _, strict := range []bool{false, true} {
-			for _, b := range bs.Blocks {
-				DominatedBitmap(b, pq, strict, out, &tally)
-				for lane := 0; lane < b.N; lane++ {
-					q := lanePoint(b, lane, buf)
-					want := false
-					if b.IsAlive(lane) {
-						r := Compare(pq, q)
-						if strict {
-							want = RelStrictlyDominates(r, full)
-						} else {
-							want = RelDominates(r, full)
-						}
-					}
-					got := out[lane>>6]&(1<<uint(lane&63)) != 0
-					if got != want {
-						t.Fatalf("trial %d strict=%v lane %d: bitmap %v, scalar %v", trial, strict, lane, got, want)
-					}
+		eachKernel(func(impl string) {
+			for _, strict := range []bool{false, true} {
+				want := scalarAnyDominator(bs, pq, strict)
+				got := BlocksAnyDominator(bs, pq, 0, strict, false, &tally)
+				if got != want {
+					t.Fatalf("trial %d %s strict=%v: block %v, scalar %v", trial, impl, strict, got, want)
 				}
 			}
-		}
+			if got, want := BlocksVerdict(bs, pq, &tally), scalarVerdict(bs, pq); got != want {
+				t.Fatalf("trial %d %s: verdict %v, scalar %v", trial, impl, got, want)
+			}
+		})
 		data.PutBlockSet(bs)
 	}
 	tally.Flush()
@@ -190,16 +156,15 @@ func TestStopPointSound(t *testing.T) {
 			dims[j] = j
 		}
 		psum := data.SumOver(pq, dims)
-		noStop := BlocksAnyDominator(bs, pq, psum, false, false, &tally)
-		withStop := BlocksAnyDominator(bs, pq, psum, false, true, &tally)
-		if noStop != withStop {
-			t.Fatalf("trial %d: stop point changed verdict: %v vs %v", trial, withStop, noStop)
-		}
-		sNo := BlocksAnyDominator(bs, pq, psum, true, false, &tally)
-		sStop := BlocksAnyDominator(bs, pq, psum, true, true, &tally)
-		if sNo != sStop {
-			t.Fatalf("trial %d strict: stop point changed verdict: %v vs %v", trial, sStop, sNo)
-		}
+		eachKernel(func(impl string) {
+			for _, strict := range []bool{false, true} {
+				noStop := BlocksAnyDominator(bs, pq, psum, strict, false, &tally)
+				withStop := BlocksAnyDominator(bs, pq, psum, strict, true, &tally)
+				if noStop != withStop {
+					t.Fatalf("trial %d %s strict=%v: stop point changed verdict: %v vs %v", trial, impl, strict, withStop, noStop)
+				}
+			}
+		})
 		data.PutBlockSet(bs)
 	}
 	tally.Flush()
@@ -233,6 +198,15 @@ func TestUseBlocksGate(t *testing.T) {
 				tc.lanes, tc.width, tc.shape, got, fell, tc.want)
 		}
 	}
+}
+
+// TestKernelStatsNamesTheSweep: Impl follows the implementation in use.
+func TestKernelStatsNamesTheSweep(t *testing.T) {
+	eachKernel(func(impl string) {
+		if got := KernelStats().Impl; got != impl {
+			t.Errorf("KernelStats().Impl = %q with the %s sweeps on", got, impl)
+		}
+	})
 }
 
 func TestKernelTallyFlush(t *testing.T) {

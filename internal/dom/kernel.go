@@ -10,13 +10,20 @@ package dom
 
 import "sync/atomic"
 
-// The two thresholds of the gate, as measured for BENCH_kernel.json (4 096
-// uniform points, amd64): below 64 lanes there is not one full verdict word
-// to sweep, so projecting into a block and setting it up is pure overhead;
-// and a BNL window in a subspace narrower than 5 dimensions is dense with
-// dominators, so the scalar loop exits on its first comparisons — blocks
-// lose 1.7× at d = 4 and win 2.9×/5.6× at d = 6/8. Making blocks win below
-// either line is ROADMAP item 3; this is the one gate that work then moves.
+// The two thresholds of the gate: below 64 lanes there is not one full verdict
+// word to sweep, so projecting into a block and setting it up is mostly
+// overhead; and a BNL window in a subspace narrower than 5 dimensions is
+// dense with dominators, so the scalar loop exits on its first comparisons.
+// They were set on the Go word sweep (4 096 uniform points, amd64: blocks lost
+// 1.7× at d = 4 and won 2.9×/5.6× at d = 6/8). Re-measured on the AVX2 sweep
+// (BenchmarkBNLGate, table in EXPERIMENTS.md "Dominance-kernel benchmarks"),
+// blocks win 21.7×/37.8× at d = 6/8 and now also 3.0× at d = 4, from 64 lanes
+// up; they draw at d = 3 (1.1–1.5×), lose at d = 2 (0.4–0.7×) and at 8 lanes
+// (0.2–0.6× at every width), and at 32 lanes win only from d = 4 (1.5–3.1×).
+// So the lines are conservative on an AVX2 host and right on a portable one.
+// They stay where they are: moving either changes dom.scalar_fallbacks and
+// the exact counts of narrow inputs, which is ROADMAP item 3(d), a change
+// with its own claim; this is the one gate that work then moves.
 const (
 	blockMinLanes = 64
 	blockMinWidth = 5
@@ -51,6 +58,9 @@ func UseBlocks(lanes, width int, shape Shape) bool {
 // KernelCounters is a snapshot of the process-wide kernel activity counters,
 // exported as the skycube_kernel_* metric family.
 type KernelCounters struct {
+	// Impl names the implementation of the word sweeps this process runs:
+	// "avx2" (block_amd64.s) or "go" (the portable loops of block.go).
+	Impl string
 	// BlockSweeps counts 64-lane word sweeps executed by the block kernels.
 	BlockSweeps uint64
 	// StopPointExits counts scans terminated early because the next block's
@@ -64,7 +74,12 @@ var kcSweeps, kcStops, kcFallbacks atomic.Uint64
 
 // KernelStats returns the cumulative counters since process start.
 func KernelStats() KernelCounters {
+	impl := "go"
+	if useAVX2 {
+		impl = "avx2"
+	}
 	return KernelCounters{
+		Impl:            impl,
 		BlockSweeps:     kcSweeps.Load(),
 		StopPointExits:  kcStops.Load(),
 		ScalarFallbacks: kcFallbacks.Load(),

@@ -28,11 +28,14 @@ func NewKernelMetrics(reg *Registry) *KernelMetrics {
 // adding only the growth since the previous Sync. Callers pass the raw
 // values (this package cannot import internal/dom — dom sits below obs in
 // the dependency order) — typically dom.KernelStats() at /metrics scrape
-// time.
-func (m *KernelMetrics) Sync(sweeps, stops, scalarFB uint64) {
+// time, with the name of the sweep implementation for the info gauge.
+func (m *KernelMetrics) Sync(impl string, sweeps, stops, scalarFB uint64) {
 	if m == nil {
 		return
 	}
+	m.reg.GaugeM("skycube_kernel_impl",
+		"Implementation of the block word sweeps this process runs (avx2 or go); always 1.",
+		"impl", impl).Set(1)
 	m.mu.Lock()
 	dSweeps := sweeps - m.sweeps
 	dStops := stops - m.stops

@@ -244,6 +244,7 @@ func TestMetricsEndpointAndMiddleware(t *testing.T) {
 	body := rec.Body.String()
 	for _, want := range []string{
 		`skycube_builds_total{algorithm="MDMC"} 1`,
+		`skycube_kernel_impl{impl="` + skycube.KernelStats().Impl + `"} 1`,
 		`http_requests_total{code="200",path="/info"} 1`,
 		`http_requests_total{code="400",path="/skyline"} 1`,
 		`http_request_duration_seconds_bucket`,

@@ -1,6 +1,7 @@
 package skyline
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -30,9 +31,9 @@ func benchFilterDataset(n, d int) (*data.Dataset, []int32, mask.Mask) {
 	return ds, idx, mask.Full(d)
 }
 
-// benchBNL runs one form of the window filter end to end.
-func benchBNL(b *testing.B, d int, filter func(*data.Dataset, []int32, mask.Mask, bool) []int32) {
-	ds, idx, delta := benchFilterDataset(4096, d)
+// benchBNL runs one form of the window filter end to end over n points.
+func benchBNL(b *testing.B, n, d int, filter func(*data.Dataset, []int32, mask.Mask, bool) []int32) {
+	ds, idx, delta := benchFilterDataset(n, d)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -47,15 +48,29 @@ func benchBNL(b *testing.B, d int, filter func(*data.Dataset, []int32, mask.Mask
 // microbenchmarks: the whole BNL window filter as production runs it at
 // these sizes — through the gate, which picks the block kernels here.
 func BenchmarkBNLFilterBlocks(b *testing.B) {
-	b.Run("d=6", func(b *testing.B) { benchBNL(b, 6, bnlFilter) })
-	b.Run("d=8", func(b *testing.B) { benchBNL(b, 8, bnlFilter) })
+	b.Run("d=6", func(b *testing.B) { benchBNL(b, 4096, 6, bnlFilter) })
+	b.Run("d=8", func(b *testing.B) { benchBNL(b, 4096, 8, bnlFilter) })
 }
 
 // BenchmarkBNLFilterScalar is the scalar window filter on the same input,
 // called directly — the other side of the measurement behind the gate.
 func BenchmarkBNLFilterScalar(b *testing.B) {
-	b.Run("d=6", func(b *testing.B) { benchBNL(b, 6, bnlScalarFilter) })
-	b.Run("d=8", func(b *testing.B) { benchBNL(b, 8, bnlScalarFilter) })
+	b.Run("d=6", func(b *testing.B) { benchBNL(b, 4096, 6, bnlScalarFilter) })
+	b.Run("d=8", func(b *testing.B) { benchBNL(b, 4096, 8, bnlScalarFilter) })
+}
+
+// BenchmarkBNLGate is the measurement behind dom.UseBlocks' two thresholds:
+// both forms of the window filter called directly, bypassing the gate, over
+// subspace width × input size on either side of each threshold. The table is
+// in EXPERIMENTS.md ("Dominance-kernel benchmarks"); it is not gated.
+func BenchmarkBNLGate(b *testing.B) {
+	for _, d := range []int{2, 3, 4, 5, 6, 8} {
+		for _, n := range []int{8, 32, 64, 128, 512, 4096} {
+			name := fmt.Sprintf("d=%d/n=%d", d, n)
+			b.Run("blocks/"+name, func(b *testing.B) { benchBNL(b, n, d, bnlBlockFilter) })
+			b.Run("scalar/"+name, func(b *testing.B) { benchBNL(b, n, d, bnlScalarFilter) })
+		}
+	}
 }
 
 // hybridBenchInputs are the two cuboid shapes the repo's benchmark feeds

@@ -6,7 +6,10 @@ import "skycube/internal/dom"
 // 64-lane block sweeps executed, scans terminated early by a stop point, and
 // filter calls the block/scalar gate (internal/dom.UseBlocks) sent to the
 // scalar loop because the input was too small or the subspace too narrow.
+// Impl says which implementation of the sweep this process runs — "avx2"
+// where the CPU has it, "go" otherwise; the answers are the same.
 type KernelCounters struct {
+	Impl           string
 	BlockSweeps    uint64
 	StopPointExits uint64
 	ScalarFallback uint64
@@ -16,6 +19,7 @@ type KernelCounters struct {
 func KernelStats() KernelCounters {
 	s := dom.KernelStats()
 	return KernelCounters{
+		Impl:           s.Impl,
 		BlockSweeps:    s.BlockSweeps,
 		StopPointExits: s.StopPointExits,
 		ScalarFallback: s.ScalarFallbacks,
