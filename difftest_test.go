@@ -122,7 +122,7 @@ func TestDifferentialKernelAblation(t *testing.T) {
 		{"independent", skycube.Independent},
 		{"anticorrelated", skycube.Anticorrelated},
 	}
-	// SDSC covers the hybrid/BNL filters, MDMC the tree refine.
+	// SDSC covers the hybrid/BNL filters, MDMC the label sweeps of its tree walks.
 	paths := []struct {
 		diffCase
 		blocks bool

@@ -295,18 +295,13 @@ func ProfileMD(ds *data.Dataset, cfg Config) (Report, *templates.MDMCResult) {
 }
 
 // profiledMDFilter drives Solution.Filter (top two tree levels) with
-// probes: only the compact node-label arrays are read — they fit in L2 —
-// plus the thread's own bitset scratch, once per subspace looked up in it.
+// probes: only the flat L2 label columns are read, sequentially — they fit in
+// L2 — plus the thread's own bitset scratch, once per subspace looked up in it.
 func profiledMDFilter(th *memsim.Thread, sol *templates.Solution, p int, scratch uint64) {
 	th.Load(treeBase+uint64(p)*8, 8) // p's own labels
-	sol.FilterInstrumented(p, 2, func(level, i int, delta mask.Mask) {
-		if level == 1 {
-			th.Load(treeBase+0x1000+uint64(i)*8, 8)
-			th.Instr(2)
-		} else {
-			th.Load(treeBase+0x10000+uint64(i)*8, 8)
-			th.Instr(3)
-		}
+	sol.FilterInstrumented(p, 2, func(_, i int, delta mask.Mask) {
+		th.Load(treeBase+0x10000+uint64(i)*8, 8)
+		th.Instr(3)
 		if delta != 0 {
 			th.Load(scratch+uint64(delta/8)%scratchPerThread, 8)
 		}

@@ -223,9 +223,11 @@ func BlocksVerdict(bs *data.BlockSet, pq []float32, t *KernelTally) Verdict {
 // CompareBlock computes Compare(point q, pp) for every q in the half-open
 // leaf-sorted range [lo, hi) of the column-major view cols (cols[j][q] is
 // point q's coordinate on dimension j), writing the Rel masks into
-// out[:hi-lo]. It is the SoA form of the MDMC refine DT: dimensions-outer,
-// so each column is one sequential sweep, and the two independent compares
-// per lane mirror Compare's branch-free accumulation exactly.
+// out[:hi-lo]: dimensions-outer, so each column is one sequential sweep, and
+// the two independent compares per lane mirror Compare's branch-free
+// accumulation exactly. No build calls it since MDMC's leaf DT became a row
+// compare (the tree's leaves hold one or two points, so a sweep ran for one
+// lane); it stays for benchmark/probes.go's dom.compare_block_ns_per_row.
 func CompareBlock(cols [][]float32, lo, hi int, pp []float32, out []Rel) {
 	n := hi - lo
 	for i := 0; i < n; i++ {

@@ -44,3 +44,11 @@ func detectAVX2() bool {
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
 }
+
+// labelWordAVX2 is LabelWord's sweep of one 64-entry word: med, quart and oct
+// address the word's first entry in each label column, seen the subspace set's
+// first word. It reads 64 entries of each column, and of seen only the dwords
+// the non-zero masks index — at most (s.full−1)>>5.
+//
+//go:noescape
+func labelWordAVX2(med, quart, oct *uint32, s *LabelSel, seen *uint64) uint64

@@ -106,3 +106,34 @@ func BenchmarkCompareBlockScalar(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLabelWord is one point's refine pass over the leaf columns of the
+// `wide` build input's tree — 29 words at d = 8 — against a subspace set a
+// third full, through each implementation of the sweep.
+func BenchmarkLabelWord(b *testing.B) {
+	const d, words = 8, 29
+	rng := rand.New(rand.NewSource(8))
+	full := mask.Full(d)
+	med, quart, oct := make([]mask.Mask, words*64), make([]mask.Mask, words*64), make([]mask.Mask, words*64)
+	for i := range med {
+		med[i], quart[i], oct[i] = rng.Uint32()&full, rng.Uint32()&full, rng.Uint32()&full
+	}
+	seen := make([]uint64, (full-1)>>6+1)
+	for i := range seen {
+		seen[i] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+	}
+	sel := RefineSel(rng.Uint32()&full, rng.Uint32()&full, rng.Uint32()&full, full)
+	eachKernel(func(impl string) {
+		b.Run(impl, func(b *testing.B) {
+			var live uint64
+			for i := 0; i < b.N; i++ {
+				for w := 0; w < words; w++ {
+					live |= LabelWord(med, quart, oct, w, &sel, seen)
+				}
+			}
+			if live == 0 {
+				b.Fatal("no lane was ever live")
+			}
+		})
+	})
+}

@@ -58,10 +58,13 @@ func UseBlocks(lanes, width int, shape Shape) bool {
 // KernelCounters is a snapshot of the process-wide kernel activity counters,
 // exported as the skycube_kernel_* metric family.
 type KernelCounters struct {
-	// Impl names the implementation of the word sweeps this process runs:
-	// "avx2" (block_amd64.s) or "go" (the portable loops of block.go).
+	// Impl names the implementation of the word sweeps this process runs —
+	// dominance blocks and MDMC label columns alike: "avx2" (block_amd64.s,
+	// label_amd64.s) or "go" (the portable loops of block.go and label.go).
 	Impl string
-	// BlockSweeps counts 64-lane word sweeps executed by the block kernels.
+	// BlockSweeps counts 64-lane word sweeps executed: dominance blocks
+	// (one per word a block kernel sweeps) and MDMC label columns (one per
+	// LabelWord call of a filter or refine).
 	BlockSweeps uint64
 	// StopPointExits counts scans terminated early because the next block's
 	// minimum δ-sum proved no later candidate could dominate.

@@ -34,7 +34,7 @@ func (m *KernelMetrics) Sync(impl string, sweeps, stops, scalarFB uint64) {
 		return
 	}
 	m.reg.GaugeM("skycube_kernel_impl",
-		"Implementation of the block word sweeps this process runs (avx2 or go); always 1.",
+		"Implementation of the word sweeps — dominance blocks and MDMC label columns — this process runs (avx2 or go); always 1.",
 		"impl", impl).Set(1)
 	m.mu.Lock()
 	dSweeps := sweeps - m.sweeps
@@ -44,7 +44,7 @@ func (m *KernelMetrics) Sync(impl string, sweeps, stops, scalarFB uint64) {
 	m.mu.Unlock()
 	if dSweeps > 0 {
 		m.reg.CounterM("skycube_kernel_block_sweeps_total",
-			"64-lane block dominance sweeps executed by the SoA kernels.").
+			"64-lane word sweeps executed: dominance blocks and MDMC label columns.").
 			Add(float64(dSweeps))
 	}
 	if dStops > 0 {

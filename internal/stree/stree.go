@@ -12,8 +12,10 @@
 //
 // Physically, all masks live in flat arrays sorted in leaf order — a
 // reverse lookup from point to tree node — so scans are sequential and, on
-// the GPU device model, coalesced. Only the top median level is kept as a
-// node array with child ranges.
+// the GPU device model, coalesced. The labels of the leaves and of the
+// quartile-level nodes are kept a second time as flat columns, one entry per
+// node, which is what MDMC's filter and refine sweep 64 entries at a time
+// (dom.LabelWord).
 package stree
 
 import (
@@ -42,9 +44,8 @@ type Tree struct {
 	// original external ids.
 	Data *data.Dataset
 	// Cols is the column-major mirror of Data (Cols[j][i] == Data.Value(i, j)),
-	// the SoA view the block refine kernel (dom.CompareBlock) sweeps: a leaf
-	// range is contiguous in every column, so one query point against a leaf
-	// chunk is d sequential column scans.
+	// the SoA view dom.CompareBlock sweeps. No build reads it; it stays for
+	// benchmark/probes.go's dom.compare_block_ns_per_row.
 	Cols [][]float32
 	// SrcRow[i] is the input row stored at sorted position i.
 	SrcRow []int32
@@ -53,14 +54,19 @@ type Tree struct {
 	// j; Quart is relative to the point's own half's quartile; Oct (depth-3
 	// only) relative to its own quarter's octile.
 	Med, Quart, Oct []mask.Mask
-	// L1 are the median-level nodes (distinct Med labels); L1Child[k] is
-	// the half-open range of L2 nodes under L1[k]. L2 likewise points into
-	// Leaves. For depth 2, Leaves == L2 ranges with zero Oct labels.
-	L1      []Node
-	L1Child [][2]int32
+	// L2 are the quartile-level nodes (distinct (Med, Quart) labels);
+	// L2Child[k] is the half-open range of Leaves under L2[k]. For depth 2,
+	// Leaves == L2 ranges with zero Oct labels.
 	L2      []Node
 	L2Child [][2]int32
 	Leaves  []Node
+	// The label columns: entry i of LeafMed/LeafQuart/LeafOct is the label
+	// triple all points of Leaves[i] share, entry i of L2Med/L2Quart the pair
+	// of L2[i]. Each column is zero-padded to a multiple of 64 entries, so
+	// the word holding its last entry is a full word of backing store; the
+	// sweeper masks the lanes past len(Leaves) or len(L2).
+	LeafMed, LeafQuart, LeafOct []mask.Mask
+	L2Med, L2Quart              []mask.Mask
 
 	// Pivots, retained so unseen points can be routed (tests, queries):
 	// MedPivot[j]; QuartPivot[h][j] for half h; OctPivot[q][j] for quarter q.
@@ -173,14 +179,14 @@ func Build(ds *data.Dataset, depth int) *Tree {
 	return t
 }
 
-// buildNodes derives the node ranges from the sorted label arrays.
+// buildNodes derives the node ranges and the label columns from the sorted
+// label arrays.
 func (t *Tree) buildNodes() {
 	n := len(t.Med)
 	for i := 0; i < n; {
-		l1start := i
 		m := t.Med[i]
 		for i < n && t.Med[i] == m {
-			l2start := i
+			l2start, leaf0 := i, len(t.Leaves)
 			q := t.Quart[i]
 			for i < n && t.Med[i] == m && t.Quart[i] == q {
 				leafStart := i
@@ -189,28 +195,18 @@ func (t *Tree) buildNodes() {
 					i++
 				}
 				t.Leaves = append(t.Leaves, Node{Start: int32(leafStart), End: int32(i), Label: o})
+				t.LeafMed = append(t.LeafMed, m)
+				t.LeafQuart = append(t.LeafQuart, q)
+				t.LeafOct = append(t.LeafOct, o)
 			}
-			_ = l2start
 			t.L2 = append(t.L2, Node{Start: int32(l2start), End: int32(i), Label: q})
-			// L2Child filled below once leaf indices are known.
+			t.L2Child = append(t.L2Child, [2]int32{int32(leaf0), int32(len(t.Leaves))})
+			t.L2Med = append(t.L2Med, m)
+			t.L2Quart = append(t.L2Quart, q)
 		}
-		t.L1 = append(t.L1, Node{Start: int32(l1start), End: int32(i), Label: m})
 	}
-	// Child ranges: walk the node lists matching by position ranges.
-	t.L1Child = make([][2]int32, len(t.L1))
-	t.L2Child = make([][2]int32, len(t.L2))
-	li, l2i := 0, 0
-	for k := range t.L1 {
-		start2 := l2i
-		for l2i < len(t.L2) && t.L2[l2i].End <= t.L1[k].End {
-			startLeaf := li
-			for li < len(t.Leaves) && t.Leaves[li].End <= t.L2[l2i].End {
-				li++
-			}
-			t.L2Child[l2i] = [2]int32{int32(startLeaf), int32(li)}
-			l2i++
-		}
-		t.L1Child[k] = [2]int32{int32(start2), int32(l2i)}
+	for _, col := range []*[]mask.Mask{&t.LeafMed, &t.LeafQuart, &t.LeafOct, &t.L2Med, &t.L2Quart} {
+		*col = append(*col, make([]mask.Mask, -len(*col)&63)...)
 	}
 }
 
@@ -240,12 +236,6 @@ func (t *Tree) Route(p []float32) (med, quart, oct mask.Mask) {
 		}
 	}
 	return med, quart, oct
-}
-
-// StrictBelowMasks returns, for sorted position i, the point's path labels
-// at each level (Oct is zero for depth-2 trees).
-func (t *Tree) StrictBelowMasks(i int) (med, quart, oct mask.Mask) {
-	return t.Med[i], t.Quart[i], t.Oct[i]
 }
 
 // CompositeStrict returns the subspace in which *every* point at sorted
@@ -283,14 +273,6 @@ func CompositeStrictLabels(medQ, quartQ, octQ, medP, quartP, octP mask.Mask, dep
 		delta |= (octQ &^ octP) & sameQuarter
 	}
 	return delta
-}
-
-// CompositeWorse returns the subspace in which every point at sorted
-// position q is guaranteed to be strictly *worse* than p — the mirror image
-// of CompositeStrict, used to prune nodes/leaves that cannot contain a
-// dominator of p.
-func (t *Tree) CompositeWorse(q, p int) mask.Mask {
-	return t.CompositeStrict(p, q)
 }
 
 func min(a, b int) int {

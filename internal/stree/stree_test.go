@@ -87,41 +87,67 @@ func TestLeavesPartitionInput(t *testing.T) {
 }
 
 func TestNodeHierarchy(t *testing.T) {
-	tr := buildRandom(t, 800, 5, 3, 2)
-	// L1 children ranges tile L2, and L2 children tile Leaves.
-	var l2seen int32
-	for k, n1 := range tr.L1 {
-		c := tr.L1Child[k]
-		if c[0] != l2seen {
-			t.Fatalf("L1[%d] children start at %d, want %d", k, c[0], l2seen)
+	for _, depth := range []int{2, 3} {
+		tr := buildRandom(t, 800, 5, depth, 2)
+		// L2 nodes tile the points, their children ranges tile Leaves.
+		var pos, leafSeen int32
+		for i, n2 := range tr.L2 {
+			if n2.Start != pos {
+				t.Fatalf("depth %d: L2[%d] starts at %d, want %d", depth, i, n2.Start, pos)
+			}
+			pos = n2.End
+			c := tr.L2Child[i]
+			if c[0] != leafSeen || c[1] <= c[0] {
+				t.Fatalf("depth %d: L2[%d] leaf children [%d,%d), want a non-empty range from %d", depth, i, c[0], c[1], leafSeen)
+			}
+			for k := c[0]; k < c[1]; k++ {
+				lf := tr.Leaves[k]
+				if lf.Start < n2.Start || lf.End > n2.End {
+					t.Fatalf("depth %d: leaf %d outside its L2 node", depth, k)
+				}
+			}
+			leafSeen = c[1]
 		}
-		for i := c[0]; i < c[1]; i++ {
-			n2 := tr.L2[i]
-			if n2.Start < n1.Start || n2.End > n1.End {
-				t.Fatalf("L2[%d] range [%d,%d) outside L1 [%d,%d)", i, n2.Start, n2.End, n1.Start, n1.End)
+		if int(pos) != tr.Data.N || int(leafSeen) != len(tr.Leaves) {
+			t.Fatalf("depth %d: L2 nodes cover %d of %d points, their children %d of %d leaves",
+				depth, pos, tr.Data.N, leafSeen, len(tr.Leaves))
+		}
+	}
+}
+
+// The flat label columns repeat, per node, the labels its points share, and
+// are zero-padded to whole 64-entry words.
+func TestLabelColumns(t *testing.T) {
+	for _, tc := range []struct{ n, d, depth int }{{500, 6, 3}, {500, 6, 2}, {64, 2, 3}, {3000, 3, 3}, {1, 4, 3}} {
+		tr := buildRandom(t, tc.n, tc.d, tc.depth, 21)
+		padded := func(name string, col []mask.Mask, n int) {
+			t.Helper()
+			if len(col) != (n+63)&^63 {
+				t.Fatalf("%+v: %s has %d entries for %d nodes, want them padded to a multiple of 64", tc, name, len(col), n)
+			}
+			for i := n; i < len(col); i++ {
+				if col[i] != 0 {
+					t.Fatalf("%+v: %s[%d] = %b in the padding", tc, name, i, col[i])
+				}
 			}
 		}
-		l2seen = c[1]
-	}
-	if int(l2seen) != len(tr.L2) {
-		t.Fatalf("L1 children cover %d of %d L2 nodes", l2seen, len(tr.L2))
-	}
-	var leafSeen int32
-	for i, n2 := range tr.L2 {
-		c := tr.L2Child[i]
-		if c[0] != leafSeen {
-			t.Fatalf("L2[%d] leaf children start at %d, want %d", i, c[0], leafSeen)
-		}
-		for k := c[0]; k < c[1]; k++ {
-			lf := tr.Leaves[k]
-			if lf.Start < n2.Start || lf.End > n2.End {
-				t.Fatalf("leaf %d outside its L2 node", k)
+		padded("LeafMed", tr.LeafMed, len(tr.Leaves))
+		padded("LeafQuart", tr.LeafQuart, len(tr.Leaves))
+		padded("LeafOct", tr.LeafOct, len(tr.Leaves))
+		padded("L2Med", tr.L2Med, len(tr.L2))
+		padded("L2Quart", tr.L2Quart, len(tr.L2))
+		for i, lf := range tr.Leaves {
+			s := lf.Start
+			if tr.LeafMed[i] != tr.Med[s] || tr.LeafQuart[i] != tr.Quart[s] || tr.LeafOct[i] != tr.Oct[s] || lf.Label != tr.Oct[s] {
+				t.Fatalf("%+v: leaf %d columns (%b,%b,%b) differ from its points' labels", tc, i, tr.LeafMed[i], tr.LeafQuart[i], tr.LeafOct[i])
 			}
 		}
-		leafSeen = c[1]
-	}
-	if int(leafSeen) != len(tr.Leaves) {
-		t.Fatalf("L2 children cover %d of %d leaves", leafSeen, len(tr.Leaves))
+		for i, n2 := range tr.L2 {
+			s := n2.Start
+			if tr.L2Med[i] != tr.Med[s] || tr.L2Quart[i] != tr.Quart[s] || n2.Label != tr.Quart[s] {
+				t.Fatalf("%+v: L2 node %d columns (%b,%b) differ from its points' labels", tc, i, tr.L2Med[i], tr.L2Quart[i])
+			}
+		}
 	}
 }
 
@@ -235,17 +261,6 @@ func TestCompositeStrictLabelsMatchesMethod(t *testing.T) {
 		got := CompositeStrictLabels(tr.Med[q], tr.Quart[q], tr.Oct[q], tr.Med[p], tr.Quart[p], tr.Oct[p], 3)
 		if got != want {
 			t.Fatalf("label form %b != method form %b", got, want)
-		}
-	}
-}
-
-func TestCompositeWorseMirrors(t *testing.T) {
-	tr := buildRandom(t, 200, 5, 3, 11)
-	rng := rand.New(rand.NewSource(12))
-	for it := 0; it < 2000; it++ {
-		q, p := rng.Intn(tr.Data.N), rng.Intn(tr.Data.N)
-		if tr.CompositeWorse(q, p) != tr.CompositeStrict(p, q) {
-			t.Fatal("CompositeWorse is not the mirror of CompositeStrict")
 		}
 	}
 }

@@ -2,6 +2,7 @@ package templates
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,8 +24,8 @@ type MDMCOptions struct {
 	// 0 defaults to 3. Exposed for the tree-depth ablation.
 	TreeDepth int
 	// FilterLevels is how many tree levels the filter phase reads: the CPU
-	// specialisation uses 2 (top levels stay L2-cache-resident, §5.2); the
-	// GPU one uses all (§6.2). 0 defaults to 2.
+	// specialisation uses 2 (§5.2); the GPU one uses all (§6.2). 0 defaults
+	// to 2.
 	FilterLevels int
 	// DisableFilter skips the filter phase entirely (refine-only ablation).
 	DisableFilter bool
@@ -208,15 +209,18 @@ func MDMC(ds *data.Dataset, opt MDMCOptions) *MDMCResult {
 
 // CPUPointKernel returns the CPU filter/refine hook of §5.2. Per point p:
 //
-//   - Filter: walk the top FilterLevels of the tree in a predictable
-//     depth-first order, deriving from path labels alone subspaces in which
-//     some tree node's points strictly dominate p, and set all their
-//     submasks. No data points are loaded.
-//   - Refine: scan the leaves; a leaf is skipped when everything it could
-//     contribute is already known (its optimistic mask is strictly
-//     dominated). Otherwise each leaf point gets one vectorisable DT whose
-//     (B_{q<p}, B_{q=p}) masks are expanded into the solution bitsets,
-//     memoised so each distinct mask is processed once.
+//   - Filter: sweep the label columns of the top FilterLevels of the tree,
+//     deriving from path labels alone subspaces in which some tree node's
+//     points strictly dominate p, and set all their submasks. No data points
+//     are loaded.
+//   - Refine: sweep the leaf label columns; a leaf is skipped when everything
+//     it could contribute is already known (its optimistic mask is strictly
+//     dominated). Otherwise each leaf point gets one DT whose (B_{q<p},
+//     B_{q=p}) masks are expanded into the solution bitsets, memoised so each
+//     distinct mask is processed once.
+//
+// Both sweeps test 64 tree entries per dom.LabelWord call (see Solution.refine
+// for why that changes no bit and no DT of an entry-by-entry walk).
 func CPUPointKernel(opt MDMCOptions) PointKernel {
 	filterLevels := opt.FilterLevels
 	if filterLevels == 0 {
@@ -250,16 +254,13 @@ type Solution struct {
 	// those subspaces.
 	remaining int
 	relevant  *bitset.Set
-	// relBuf is per-worker scratch for the chunked block refine: one
-	// dom.CompareBlock sweep's worth of relationship masks.
-	relBuf [refineChunk]dom.Rel
-	// tally batches kernel counter updates; FlushKernelTally publishes them.
+	// empty is the always-empty set a refine without memoisation sweeps
+	// against, allocated by the first one.
+	empty []uint64
+	// tally batches kernel counter updates (one sweep per label word);
+	// FlushKernelTally publishes them.
 	tally dom.KernelTally
 }
-
-// refineChunk is the leaf-chunk width of the block refine path: one verdict
-// word of lanes per CompareBlock sweep.
-const refineChunk = 64
 
 // FlushKernelTally publishes the solution's batched kernel counters. The
 // point-kernel drivers call it once per chunk of point tasks.
@@ -310,18 +311,18 @@ func (k *Solution) SetStrict(delta mask.Mask) {
 	k.remaining -= k.notInS.OrDownset(delta, 0, nil, k.relevant)
 }
 
-// Filter is the CPU filter hook (§5.2): iterate the top tree levels
-// depth-first, combining median- and quartile-label information (and octile
-// if levels == 3) into guaranteed-strict-dominance subspaces. Only path
-// labels are read — never data points.
+// Filter is the CPU filter hook (§5.2): sweep the quartile-level label
+// columns (the leaf columns if levels == 3), combining median- and quartile-
+// label information (and octile) into guaranteed-strict-dominance subspaces.
+// Only path labels are read — never data points.
 func (k *Solution) Filter(p int, levels int) {
 	k.FilterInstrumented(p, levels, nil)
 }
 
 // FilterInstrumented is Filter with an accounting callback: onNode, if
-// non-nil, is told every L1 node (level 1) and L2 node (level 2) the walk
-// reads, by index, with the subspace tested against B_{p∉S⁺} there — the
-// node's best case at level 1, its own contribution at level 2.
+// non-nil, is told every entry the sweep reads — L2 nodes (level 2), or
+// leaves (level 3) when the filter reads three levels — by index, with the
+// subspace the entry contributes.
 func (k *Solution) FilterInstrumented(p int, levels int, onNode func(level, i int, delta mask.Mask)) {
 	t := k.ctx.Tree
 	k.filter(t.Med[p], t.Quart[p], t.Oct[p], levels, nil, onNode)
@@ -336,69 +337,69 @@ func (k *Solution) FilterInstrumented(p int, levels int, onNode func(level, i in
 // leafAlive, if non-nil, reports whether tree leaf li still holds at least
 // one live point. The filter's dominance claims quantify over every point
 // of a node, so a node whose points have all been deleted proves nothing;
-// with the callback set, the walk always descends to leaf granularity and
-// skips fully-dead leaves.
+// with the callback set, an entry counts only if one of its leaves is alive.
 func (k *Solution) FilterExternal(medP, quartP, octP mask.Mask, levels int, leafAlive func(li int) bool) {
 	k.filter(medP, quartP, octP, levels, leafAlive, nil)
 }
 
-// filter is the one walk behind Filter, FilterInstrumented and FilterExternal.
+// filter is the one walk behind Filter, FilterInstrumented and
+// FilterExternal: a word sweep over the columns of the deepest level read.
+// What it leaves is the union of the entries' downsets whatever the order, so
+// visiting only the lanes live at their word's start loses nothing:
+// SetStrict on any other lane is a no-op then, and still is at its turn,
+// since B_{p∉S⁺} only grows.
 func (k *Solution) filter(medP, quartP, octP mask.Mask, levels int,
 	leafAlive func(li int) bool, onNode func(level, i int, delta mask.Mask)) {
 	t := k.ctx.Tree
-	full := mask.Full(k.ctx.D)
-	for i1 := range t.L1 {
-		n1 := t.L1[i1]
-		// Dims where the node's points are strictly below the median and p
-		// is not: every point of n1 strictly dominates p there.
-		d1 := n1.Label &^ medP
-		sameHalf := ^(n1.Label ^ medP)
-		// Below n1 a node adds dims of sameHalf only, so nothing under it
-		// proves more than best, and B_{p∉S⁺} is closed under submasks: once
-		// it holds best, the subtree has nothing to add.
-		best := (d1 | sameHalf) & full
+	level, n := 2, len(t.L2)
+	med, quart, oct := t.L2Med, t.L2Quart, t.L2Quart // two levels: the third column is not looked at
+	if levels >= 3 && t.Depth == 3 {
+		level, n = 3, len(t.Leaves)
+		med, quart, oct = t.LeafMed, t.LeafQuart, t.LeafOct
+	}
+	sel := dom.FilterSel(medP, quartP, octP, level, mask.Full(k.ctx.D))
+	seen := k.notInSPlus.Words64()
+	for w := 0; w<<6 < n; w++ {
+		k.tally.Sweeps++
+		visit := dom.LabelWord(med, quart, oct, w, &sel, seen)
 		if onNode != nil {
-			onNode(1, i1, best)
+			visit = ^uint64(0)
 		}
-		if best == 0 || k.notInSPlus.Test(int(best)-1) {
-			continue
-		}
-		c := t.L1Child[i1]
-		for i2 := c[0]; i2 < c[1]; i2++ {
-			n2 := t.L2[i2]
-			d2 := (n2.Label &^ quartP) & sameHalf
-			total := d1 | d2
+		for visit &= wordLanes(n, w); visit != 0; visit &= visit - 1 {
+			i := w<<6 + bits.TrailingZeros64(visit)
+			delta := dom.LabelMask(med[i], quart[i], oct[i], &sel)
 			if onNode != nil {
-				onNode(2, int(i2), total)
+				onNode(level, i, delta)
 			}
-			lc := t.L2Child[i2]
-			if levels >= 3 && t.Depth == 3 {
-				sameQuarter := sameHalf & ^(n2.Label ^ quartP)
-				for li := lc[0]; li < lc[1]; li++ {
-					if leafAlive != nil && !leafAlive(int(li)) {
-						continue
-					}
-					lf := t.Leaves[li]
-					d3 := (lf.Label &^ octP) & sameQuarter
-					k.SetStrict(total | d3)
-				}
+			if leafAlive != nil && !k.anyLeafAlive(level, i, leafAlive) {
 				continue
 			}
-			if leafAlive != nil {
-				alive := false
-				for li := lc[0]; li < lc[1]; li++ {
-					if leafAlive(int(li)) {
-						alive = true
-						break
-					}
-				}
-				if !alive {
-					continue
-				}
-			}
-			k.SetStrict(total)
+			k.SetStrict(delta)
 		}
 	}
+}
+
+// anyLeafAlive reports whether entry i of the given level — a leaf, or an L2
+// node standing for its leaves — still has a leaf with a live point.
+func (k *Solution) anyLeafAlive(level, i int, leafAlive func(li int) bool) bool {
+	if level == 3 {
+		return leafAlive(i)
+	}
+	lc := k.ctx.Tree.L2Child[i]
+	for li := lc[0]; li < lc[1]; li++ {
+		if leafAlive(int(li)) {
+			return true
+		}
+	}
+	return false
+}
+
+// wordLanes is the mask of the lanes of word w that hold one of n entries.
+func wordLanes(n, w int) uint64 {
+	if rest := n - w<<6; rest < 64 {
+		return 1<<uint(rest) - 1
+	}
+	return ^uint64(0)
 }
 
 // FilterLeafScan is the GPU-style filter (§6.2): a sequential scan of all
@@ -416,83 +417,18 @@ func (k *Solution) FilterLeafScan(p int, onLeaf func(leafLen int)) {
 }
 
 // Refine is the refine hook: leaf scan with label-based skipping, exact
-// DTs, and seen-mask memoisation. OnLeaf/OnDT, if non-nil, are called for
-// device accounting (leaf visits and dominance tests respectively).
+// DTs, and seen-mask memoisation.
 func (k *Solution) Refine(p int, memo bool) {
 	k.RefineInstrumented(p, memo, nil, nil)
 }
 
-// RefineInstrumented is Refine with accounting callbacks.
+// RefineInstrumented is Refine with accounting callbacks for device models
+// and exact counts: onLeaf, if non-nil, is told of every leaf the scan
+// reaches, in order, and whether it was skipped; onDT fires before every
+// dominance test.
 func (k *Solution) RefineInstrumented(p int, memo bool, onLeaf func(skipped bool), onDT func()) {
 	t := k.ctx.Tree
-	ds := t.Data
-	pp := ds.Point(p)
-	full := mask.Full(k.ctx.D)
-	for _, lf := range t.Leaves {
-		if k.remaining == 0 {
-			return
-		}
-		// Optimistic mask: dims on which leaf points might be ≤ p. If p is
-		// already strictly dominated there, nothing new can come from this
-		// leaf (every contribution is one of its submasks).
-		optimistic := full &^ t.CompositeStrict(p, int(lf.Start))
-		skip := optimistic == 0 || (memo && k.notInSPlus.Test(int(optimistic)-1))
-		if onLeaf != nil {
-			onLeaf(skip)
-		}
-		if skip {
-			continue
-		}
-		// A block sweep tests a whole chunk at once, so callers that count
-		// each DT (the hardware-counter and GPU-model experiments) keep the
-		// scalar loop.
-		if onDT == nil {
-			if k.refineLeafBlocks(t, int(lf.Start), int(lf.End), p, pp, full, memo) {
-				return
-			}
-			continue
-		}
-		for q := int(lf.Start); q < int(lf.End); q++ {
-			if q == p {
-				continue
-			}
-			if onDT != nil {
-				onDT()
-			}
-			k.ApplyDT(ds.Point(q), pp, full, memo)
-			if k.remaining == 0 {
-				return
-			}
-		}
-	}
-}
-
-// refineLeafBlocks applies the leaf range [lo, hi) to the solution through
-// the SoA kernel: dom.CompareBlock computes the relationship masks of up to
-// refineChunk leaf points per sweep over t.Cols, then each lane's masks are
-// folded in with exactly the scalar path's per-point early-exit checks —
-// the bitsets evolve identically to per-point ApplyDT calls. skip, when
-// ≥ 0, is the sorted position of the task point itself (self-DTs convey
-// nothing and the scalar path skips them). Reports whether remaining hit 0.
-func (k *Solution) refineLeafBlocks(t *stree.Tree, lo, hi, skip int, pp []float32, full mask.Mask, memo bool) bool {
-	for ; lo < hi; lo += refineChunk {
-		end := lo + refineChunk
-		if end > hi {
-			end = hi
-		}
-		k.tally.Sweeps++
-		dom.CompareBlock(t.Cols, lo, end, pp, k.relBuf[:end-lo])
-		for i := 0; i < end-lo; i++ {
-			if lo+i == skip {
-				continue
-			}
-			k.ApplyRel(k.relBuf[i], full, memo)
-			if k.remaining == 0 {
-				return true
-			}
-		}
-	}
-	return false
+	k.refine(t.Data.Point(p), p, t.Med[p], t.Quart[p], t.Oct[p], memo, nil, onLeaf, onDT)
 }
 
 // RefineExternal is the refine hook for a point outside the tree: exact
@@ -506,36 +442,74 @@ func (k *Solution) refineLeafBlocks(t *stree.Tree, lo, hi, skip int, pp []float3
 // live points outside the tree (later incremental inserts) extend the
 // solution with ApplyDT per extra point, checking Remaining for early exit.
 func (k *Solution) RefineExternal(pp []float32, medP, quartP, octP mask.Mask, memo bool, alive func(q int) bool) {
+	k.refine(pp, -1, medP, quartP, octP, memo, alive, nil, nil)
+}
+
+// refine is the one walk behind Refine, RefineInstrumented and
+// RefineExternal. self is the task point's own sorted position (−1 for an
+// external point): a self-DT conveys nothing.
+//
+// A leaf is worth its DTs only while its optimistic mask — the dimensions on
+// which its points might be ≤ p, from labels alone — is not yet in B_{p∉S⁺}:
+// otherwise every contribution it could make is a submask of something
+// recorded. The walk tests 64 leaves per dom.LabelWord call and then visits
+// the live lanes in order, and that is exactly the leaf-by-leaf walk:
+// B_{p∉S⁺} only grows during a task, so a lane that is not live when its word
+// is swept would not be live at its turn either, and a lane that is live is
+// tested again at its turn, against the set as the DTs before it in the same
+// word left it. Same leaves entered in the same order, hence the same DTs,
+// the same OrDownset calls and the same early exits on remaining.
+func (k *Solution) refine(pp []float32, self int, medP, quartP, octP mask.Mask, memo bool,
+	alive func(q int) bool, onLeaf func(skipped bool), onDT func()) {
 	t := k.ctx.Tree
 	ds := t.Data
 	full := mask.Full(k.ctx.D)
-	for _, lf := range t.Leaves {
-		if k.remaining == 0 {
-			return
+	if t.Depth < 3 {
+		octP = 0
+	}
+	sel := dom.RefineSel(medP, quartP, octP, full)
+	seen := k.notInSPlus.Words64()
+	if !memo {
+		// Without memoisation a leaf is skipped only when its mask is empty.
+		if k.empty == nil {
+			k.empty = make([]uint64, len(seen))
 		}
-		s := int(lf.Start)
-		// Optimistic mask: dims on which leaf points might be ≤ p, from the
-		// routed labels against the leaf representative's stored labels.
-		optimistic := full &^ stree.CompositeStrictLabels(
-			medP, quartP, octP, t.Med[s], t.Quart[s], t.Oct[s], t.Depth)
-		if optimistic == 0 || (memo && k.notInSPlus.Test(int(optimistic)-1)) {
-			continue
+		seen = k.empty
+	}
+	n := len(t.Leaves)
+	for w := 0; w<<6 < n && k.remaining > 0; w++ {
+		k.tally.Sweeps++
+		live := dom.LabelWord(t.LeafMed, t.LeafQuart, t.LeafOct, w, &sel, seen)
+		visit := live
+		if onLeaf != nil {
+			visit = ^uint64(0)
 		}
-		// The block sweep has no per-lane liveness hook; with deletions
-		// pending (alive != nil) the scalar loop runs instead.
-		if alive == nil {
-			if k.refineLeafBlocks(t, s, int(lf.End), -1, pp, full, memo) {
-				return
+		for visit &= wordLanes(n, w); visit != 0; visit &= visit - 1 {
+			lane := bits.TrailingZeros64(visit)
+			li := w<<6 + lane
+			skip := live>>uint(lane)&1 == 0
+			if !skip && memo {
+				optimistic := dom.LabelMask(t.LeafMed[li], t.LeafQuart[li], t.LeafOct[li], &sel)
+				skip = k.notInSPlus.Test(int(optimistic) - 1)
 			}
-			continue
-		}
-		for q := s; q < int(lf.End); q++ {
-			if alive != nil && !alive(q) {
+			if onLeaf != nil {
+				onLeaf(skip)
+			}
+			if skip {
 				continue
 			}
-			k.ApplyDT(ds.Point(q), pp, full, memo)
-			if k.remaining == 0 {
-				return
+			lf := t.Leaves[li]
+			for q := int(lf.Start); q < int(lf.End); q++ {
+				if q == self || (alive != nil && !alive(q)) {
+					continue
+				}
+				if onDT != nil {
+					onDT()
+				}
+				k.ApplyDT(ds.Point(q), pp, full, memo)
+				if k.remaining == 0 {
+					return
+				}
 			}
 		}
 	}
@@ -556,7 +530,7 @@ func (k *Solution) ApplyDT(qq, pp []float32, full mask.Mask, memo bool) {
 }
 
 // ApplyRel folds precomputed relationship masks of one DT (q's relation to
-// p, as produced by dom.Compare/dom.CompareBlock) into the solution bitsets:
+// p, as produced by dom.Compare) into the solution bitsets:
 //
 //   - every submask of B_{q<p} is strictly dominated;
 //   - every submask δ of B_{q≤p} with at least one strict bit is dominated.
