@@ -99,9 +99,6 @@ func main() {
 	noRetune := flag.Bool("no-retune", false, "freeze chunk sizes at the device hints instead of auto-tuning")
 	noCostOrder := flag.Bool("no-cost-order", false, "disable SDSC's largest-first cuboid ordering")
 	prepartition := flag.Bool("prepartition", false, "statically split the MDMC task range across devices up front")
-	minChunk := flag.Int("min-chunk", 0, "minimum auto-tuned grab size (0 = default 16)")
-	maxChunk := flag.Int("max-chunk", 0, "maximum auto-tuned grab size (0 = default 4096)")
-	chunkTime := flag.Duration("chunk-time", 0, "target wall time of one grab (0 = default 2ms)")
 	shardMode := flag.Bool("shard", false, "with -serve: run as a cluster shard node over this partition file")
 	idBase := flag.Int("id-base", 0, "with -shard: global id of local row 0")
 	idStride := flag.Int("id-stride", 1, "with -shard: global id step between consecutive local rows (shard count for round-robin partitions)")
@@ -241,9 +238,6 @@ func main() {
 			DisableRetune:    *noRetune,
 			DisableCostOrder: *noCostOrder,
 			Prepartition:     *prepartition,
-			MinChunk:         *minChunk,
-			MaxChunk:         *maxChunk,
-			TargetChunkTime:  *chunkTime,
 		},
 	}
 	for i := 0; i < *gpus; i++ {

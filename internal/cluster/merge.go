@@ -51,9 +51,9 @@ type labelGroup struct {
 //
 // Label. b ≺_δ a ⇒ b_j ≤ a_j on every j of δ ⇒ (a_j < med_j ⇒ b_j < med_j) ⇒
 // label(a) ⊆ label(b): a group whose label misses a bit of m holds no
-// dominator of the candidate. This is the one-level case of
-// skyline.CompositeStrict2; Hybrid's two-level labels, measured, make groups
-// of one or two lanes here.
+// dominator of the candidate. This is the one-level case of the label test
+// in skyline.HybridInstrumented; Hybrid's two-level labels, measured, make
+// groups of one or two lanes here.
 //
 // Duplicate ids are removed from the output, not the input: during a split's
 // prune window parent and child both ship the copied rows, identical points

@@ -1,14 +1,16 @@
 // Package counters provides the profiled builds used by the hardware-level
-// experiments (paper §7.2, Figures 8–11): variants of PQSkycube, STSC, SDSC
-// and MDMC whose hot loops route every significant data access through a
-// memsim probe, so the memory-hierarchy model observes the algorithms'
-// *real* access streams.
+// experiments (paper §7.2, Figures 8–11): PQSkycube, STSC, SDSC and MDMC
+// with every significant data access routed through a memsim probe, so the
+// memory-hierarchy model observes the algorithms' *real* access streams.
 //
-// The profiled variants mirror the production algorithms' inner loops —
-// the same pivot partitioning, tile scans and filter/refine phases — and
-// their outputs are asserted equal to the production implementations in
-// the package tests. Addresses are logical but faithful to the layouts:
-// the dataset and flat label arrays are contiguous; the baseline's
+// STSC, SDSC and MDMC run the production engines themselves and charge what
+// their instrumentation hooks report: skyline.HybridInstrumented's tiles,
+// label tests and word sweeps, and the MDMC Solution's filter and refine
+// visits. The PQSkycube baseline, which no build runs any more, is modelled
+// here as a recursive pivot filter. Outputs are asserted equal to the
+// production implementations in the package tests. Addresses are logical but
+// faithful to the layouts: the dataset and flat label arrays are contiguous,
+// each Hybrid group's column words are one region per group; the baseline's
 // recursive tree nodes come from a shared pseudo-heap allocator, scattering
 // them the way a real allocator does under concurrent cuboid construction.
 package counters
@@ -37,10 +39,19 @@ const (
 	heapBase    = 0x40_0000_0000
 	scratchBase = 0x50_0000_0000
 	resultBase  = 0x60_0000_0000
+	groupBase   = 0x70_0000_0000
 
 	heapNodeBytes    = 256
 	scratchPerThread = 1 << 20
+	// groupRegion is one worker's share of groupBase: the Hybrid engine's
+	// block sets come from per-P pools, so concurrent cuboids never share
+	// them, while one worker's successive cuboids reuse the same memory.
+	groupRegion = 1 << 36
 )
+
+// barrierCycles is the modelled cost of one fork/join barrier per
+// participating thread (≈ a microsecond at the modelled clock).
+const barrierCycles = 5000
 
 // Config selects the modelled machine for a profiled run.
 type Config struct {
@@ -66,6 +77,9 @@ type Report struct {
 	// modelled parallel execution time, from which Figure 5's modelled
 	// speedups are computed.
 	CriticalPathCycles int64
+	// Sweeps is the number of 64-lane dominance words the Hybrid engine
+	// swept under the probes (ST and SD; 0 for PQ and MD).
+	Sweeps int64
 }
 
 // CPI returns the run's modelled cycles per instruction.
@@ -120,6 +134,21 @@ func (s *System) threadProbe(w int) *memsim.Thread {
 	return s.NewThread(sock)
 }
 
+// probes creates one probe per worker, placed by threadProbe.
+func (s *System) probes() []*memsim.Thread {
+	probes := make([]*memsim.Thread, s.threads)
+	for w := range probes {
+		probes[w] = s.threadProbe(w)
+	}
+	return probes
+}
+
+// report is the run's Report once its probes are done.
+func (s *System) report(algo string, sweeps int64) Report {
+	return Report{Algo: algo, Counters: s.Totals(), MachCfg: s.Config(),
+		CriticalPathCycles: s.MaxThreadCycles(), Sweeps: sweeps}
+}
+
 // allocNode returns the pseudo-heap address of a freshly allocated tree
 // node or bucket: a shared atomic counter interleaves concurrent cuboids'
 // allocations across the heap, like a real allocator under parallel load.
@@ -139,7 +168,7 @@ func pointAddr(ds *data.Dataset, row int32) uint64 {
 // paths are deterministic on any machine (static scheduling is also what
 // pinned OpenMP loops do on the paper's testbed).
 func staticTopDown(ds *data.Dataset, probes []*memsim.Thread,
-	cuboid func(th *memsim.Thread, rows []int32, delta mask.Mask) ([]int32, []int32)) *lattice.Lattice {
+	cuboid func(w int, rows []int32, delta mask.Mask) ([]int32, []int32)) *lattice.Lattice {
 
 	d := ds.Dims
 	l := lattice.New(d)
@@ -165,7 +194,7 @@ func staticTopDown(ds *data.Dataset, probes []*memsim.Thread,
 						par := l.MinParent(delta)
 						rows = mergeRows(l.Sky[par], l.ExtOnly[par])
 					}
-					sky, extOnly := cuboid(probes[w], rows, delta)
+					sky, extOnly := cuboid(w, rows, delta)
 					l.Sky[delta] = sky
 					l.ExtOnly[delta] = extOnly
 				}
@@ -208,52 +237,114 @@ func mergeRows(a, b []int32) []int32 {
 func ProfilePQ(ds *data.Dataset, cfg Config) (Report, *lattice.Lattice) {
 	sys := newSystem(cfg)
 	p := &profiler{sys: sys}
-	probes := make([]*memsim.Thread, sys.threads)
-	for w := range probes {
-		probes[w] = sys.threadProbe(w)
-	}
-	l := staticTopDown(ds, probes, func(th *memsim.Thread, rows []int32, delta mask.Mask) ([]int32, []int32) {
-		ext := p.probedPivotFilter(th, ds, rows, delta, true)
-		sky := p.probedPivotFilter(th, ds, ext, delta, false)
+	probes := sys.probes()
+	l := staticTopDown(ds, probes, func(w int, rows []int32, delta mask.Mask) ([]int32, []int32) {
+		ext := p.probedPivotFilter(probes[w], ds, rows, delta, true)
+		sky := p.probedPivotFilter(probes[w], ds, ext, delta, false)
 		return sky, skyline.DiffSorted(ext, sky)
 	})
-	return Report{Algo: "PQ", Counters: sys.Totals(), MachCfg: sys.Config(),
-		CriticalPathCycles: sys.MaxThreadCycles()}, l
+	return sys.report("PQ", 0), l
 }
 
 // ProfileST runs the profiled STSC: the same traversal, but each cuboid is
-// a single-threaded run of the tiled flat-array algorithm.
+// a single-threaded run of the Hybrid engine.
 func ProfileST(ds *data.Dataset, cfg Config) (Report, *lattice.Lattice) {
 	sys := newSystem(cfg)
-	probes := make([]*memsim.Thread, sys.threads)
-	for w := range probes {
-		probes[w] = sys.threadProbe(w)
-	}
-	l := staticTopDown(ds, probes, func(th *memsim.Thread, rows []int32, delta mask.Mask) ([]int32, []int32) {
-		ext := probedTiledFilter(ds, rows, delta, true, []*memsim.Thread{th})
-		sky := probedTiledFilter(ds, ext, delta, false, []*memsim.Thread{th})
-		return sky, skyline.DiffSorted(ext, sky)
+	probes := sys.probes()
+	var sweeps atomic.Int64
+	l := staticTopDown(ds, probes, func(w int, rows []int32, delta mask.Mask) ([]int32, []int32) {
+		res := profiledHybrid(ds, rows, delta, probes[w:w+1], groupBase+uint64(w)*groupRegion, &sweeps)
+		return res.Skyline, res.ExtOnly
 	})
-	return Report{Algo: "ST", Counters: sys.Totals(), MachCfg: sys.Config(),
-		CriticalPathCycles: sys.MaxThreadCycles()}, l
+	return sys.report("ST", sweeps.Load()), l
 }
 
 // ProfileSD runs the profiled SDSC: cuboids one at a time, all threads
 // cooperating on each tile.
 func ProfileSD(ds *data.Dataset, cfg Config) (Report, *lattice.Lattice) {
 	sys := newSystem(cfg)
-	probes := make([]*memsim.Thread, sys.threads)
-	for w := range probes {
-		probes[w] = sys.threadProbe(w)
-	}
+	probes := sys.probes()
+	var sweeps atomic.Int64
 	hook := func(ds *data.Dataset, rows []int32, delta mask.Mask) ([]int32, []int32) {
-		ext := probedTiledFilter(ds, rows, delta, true, probes)
-		sky := probedTiledFilter(ds, ext, delta, false, probes)
-		return sky, skyline.DiffSorted(ext, sky)
+		res := profiledHybrid(ds, rows, delta, probes, groupBase, &sweeps)
+		return res.Skyline, res.ExtOnly
 	}
 	l := lattice.TopDown(ds, hook, lattice.TopDownOptions{CuboidThreads: 1})
-	return Report{Algo: "SD", Counters: sys.Totals(), MachCfg: sys.Config(),
-		CriticalPathCycles: sys.MaxThreadCycles()}, l
+	return sys.report("SD", sweeps.Load()), l
+}
+
+// profiledHybrid is one cuboid of the Hybrid engine under the probes. The
+// prologue's reads are charged in the order it reads them: when there are
+// labels, one column scan per dimension for the pivots, round-robin over the
+// probes (the production code computes the columns independently); then
+// every point's row once for its labels and δ-sum. Each tile's phase A is
+// spread over as many probes as the engine would fork goroutines, with a
+// fork/join barrier per tile when that is more than one: a point costs its
+// own labels and its row, a group visit one label entry and three
+// instructions, a word swept the group's k column words of 256 B. Phase B
+// runs on one goroutine, so the first probe pays it: a point's row and its
+// words of the tile's new members. Those members, and then each group's
+// block set, live in the region at base.
+func profiledHybrid(ds *data.Dataset, rows []int32, delta mask.Mask, probes []*memsim.Thread, base uint64, sweeps *atomic.Int64) skyline.Result {
+	n := len(rows)
+	dims := mask.Dims(delta)
+	k := len(dims)
+	if skyline.LabelDepth(n, k) > 0 {
+		for idx, j := range dims {
+			probes[idx%len(probes)].Load(dataBase+uint64(j)*uint64(n)*4, n*4)
+		}
+	}
+	for _, q := range rows {
+		probes[0].Load(pointAddr(ds, q), ds.Dims*4)
+		probes[0].Instr(k)
+	}
+
+	// The tile's new members are at base, each group's words after them, one
+	// line past a page boundary so the groups' first words do not all map to
+	// one cache set.
+	groupBytes := (uint64(n*k*4)+4095)&^4095 + 64
+	sweep := func(th *memsim.Thread, addr uint64, words int) {
+		for i := 0; i < words*k; i++ {
+			th.Load(addr+uint64(i)*256, 256)
+		}
+		sweeps.Add(int64(words))
+	}
+	point := func(th *memsim.Thread, p int32) {
+		th.Load(labelBase+uint64(p)*8, 8)
+		th.Load(pointAddr(ds, rows[p]), ds.Dims*4)
+		th.Instr(k)
+	}
+	return skyline.HybridInstrumented(ds, rows, delta, len(probes), &skyline.HybridHooks{
+		Spread: func(tile []int32, tn int, probe func(w, lo, hi int), fanOut func(func(w, lo, hi int))) {
+			fanOut(func(w, lo, hi int) {
+				for t := lo; t < hi; t++ {
+					point(probes[w], tile[t])
+					probe(w, t, t+1)
+				}
+			})
+			if tn == 1 {
+				return
+			}
+			// Fork/join barrier per tile, paid by every participating
+			// thread — the synchronisation cost that limits SDSC's
+			// scalability and makes hyper-threading counterproductive for
+			// it (paper §7.2, Fig. 5).
+			for _, th := range probes {
+				th.Barrier(barrierCycles)
+			}
+		},
+		Group: func(w, _, gi, id, words int) {
+			th := probes[w]
+			th.Load(labelBase+0x1000_0000+uint64(gi)*8, 8)
+			th.Instr(3)
+			sweep(th, base+groupBytes*uint64(id+1), words)
+		},
+		Fresh: func(p, words int) {
+			probes[0].Load(pointAddr(ds, rows[p]), ds.Dims*4)
+			probes[0].Instr(k)
+			sweep(probes[0], base, words)
+		},
+	})
 }
 
 // ProfileMD runs the profiled MDMC point loop over the shared static tree.
@@ -290,8 +381,7 @@ func ProfileMD(ds *data.Dataset, cfg Config) (Report, *templates.MDMCResult) {
 	}
 	wg.Wait()
 	res := &templates.MDMCResult{Cube: ctx.Cube, ExtRows: ctx.ExtRows}
-	return Report{Algo: "MD", Counters: sys.Totals(), MachCfg: sys.Config(),
-		CriticalPathCycles: sys.MaxThreadCycles()}, res
+	return sys.report("MD", 0), res
 }
 
 // profiledMDFilter drives Solution.Filter (top two tree levels) with

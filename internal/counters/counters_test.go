@@ -4,9 +4,14 @@ import (
 	"reflect"
 	"testing"
 
+	"skycube/internal/data"
+	"skycube/internal/dom"
 	"skycube/internal/gen"
+	"skycube/internal/gpu"
+	"skycube/internal/gpusim"
 	"skycube/internal/mask"
 	"skycube/internal/skyline"
+	"skycube/internal/templates"
 )
 
 // The profiled builds must produce exactly the same skycubes as the
@@ -30,6 +35,43 @@ func TestProfiledBuildsAreCorrect(t *testing.T) {
 		} {
 			if !reflect.DeepEqual(got, want.Skyline) {
 				t.Errorf("%s δ=%05b: %v, want %v", name, delta, got, want.Skyline)
+			}
+		}
+	}
+}
+
+// The memsim and gpusim models run the production engine and charge what its
+// hooks report, so the words they are told of must be exactly the words the
+// production build sweeps on the same input: no fewer (an engine sweep no
+// model charges) and no more (a model sweeping on its own). A cuboid's sweeps
+// do not depend on its thread count, so one production count serves all.
+func TestModelsSweepWhatTheEngineSweeps(t *testing.T) {
+	sweeps := func(build func() int64) (reported, swept int64) {
+		before := dom.KernelStats().BlockSweeps
+		reported = build()
+		return reported, int64(dom.KernelStats().BlockSweeps - before)
+	}
+	for _, in := range []struct {
+		name string
+		ds   *data.Dataset
+	}{
+		{"I_d=6_n=3000", gen.Synthetic(gen.Independent, 3000, 6, 7)},
+		{"A_d=4_n=20000", gen.Synthetic(gen.Anticorrelated, 20_000, 4, 7)},
+	} {
+		_, want := sweeps(func() int64 { templates.STSC(in.ds, templates.Options{Threads: 1}); return 0 })
+		if want == 0 {
+			t.Fatalf("%s: the production build swept no words", in.name)
+		}
+		for name, build := range map[string]func() int64{
+			"ProfileST/4": func() int64 { r, _ := ProfileST(in.ds, Config{Threads: 4}); return r.Sweeps },
+			"ProfileSD/1": func() int64 { r, _ := ProfileSD(in.ds, Config{Threads: 1}); return r.Sweeps },
+			"ProfileSD/4": func() int64 { r, _ := ProfileSD(in.ds, Config{Threads: 4, Sockets: 2}); return r.Sweeps },
+			"gpu.SDSC":    func() int64 { var st gpu.StatsCollector; gpu.SDSC(in.ds, gpusim.GTX980(), 0, &st); return st.Sweeps() },
+		} {
+			reported, swept := sweeps(build)
+			if reported != want || swept != want {
+				t.Errorf("%s %s: hooks reported %d words, engine swept %d, production build sweeps %d",
+					in.name, name, reported, swept, want)
 			}
 		}
 	}

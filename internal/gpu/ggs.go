@@ -126,6 +126,29 @@ func ggsFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.Ma
 	return survivors
 }
 
+// intraTile removes points dominated within their own tile: GGS's host
+// epilogue of each launch.
+func intraTile(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
+	out := rows[:0]
+	for i, p := range rows {
+		pp := ds.Point(int(p))
+		dead := false
+		for j, q := range rows {
+			if i == j {
+				continue
+			}
+			if dom.Kills(dom.CompareIn(ds.Point(int(q)), pp, delta), delta, strict) {
+				dead = true
+				break
+			}
+		}
+		if !dead {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // SDSCWithGGS runs the SDSC template on one device with the GGS hook.
 func SDSCWithGGS(ds *data.Dataset, dev *gpusim.Device, maxLevel int, stats *StatsCollector) *lattice.Lattice {
 	return SDSCWithGGSTraced(ds, dev, maxLevel, stats, nil, nil)

@@ -1,9 +1,10 @@
 // Package gpu contains the GPU specialisations of the skycube templates
 // (paper §6), executed on the gpusim device model.
 //
-// SDSC hook (§6.1): a SkyAlign-style skyline — global static pivots, flat
-// label arrays scanned sequentially for coalesced reads, mask tests before
-// dominance tests, and on-the-fly subspace projection of DTs.
+// SDSC hook (§6.1): the CPU's Hybrid engine with each tile's phase A as a
+// kernel launch — global static pivots, label arrays scanned sequentially
+// for coalesced reads, label tests before dominance tests, and points
+// projected into the subspace.
 //
 // MDMC hook (§6.2): one thread block per point task. The task-local
 // bitmasks B_{p∉S} and B_{p∉S⁺} live in (simulated) shared memory, whose
@@ -14,11 +15,10 @@ package gpu
 
 import (
 	"fmt"
-	"slices"
 	"sync"
+	"sync/atomic"
 
 	"skycube/internal/data"
-	"skycube/internal/dom"
 	"skycube/internal/gpusim"
 	"skycube/internal/lattice"
 	"skycube/internal/mask"
@@ -40,8 +40,9 @@ func CuboidHook(dev *gpusim.Device, stats *StatsCollector) lattice.CuboidFunc {
 // StatsCollector accumulates device statistics across launches; safe for
 // concurrent use.
 type StatsCollector struct {
-	mu sync.Mutex
-	s  gpusim.Stats
+	mu     sync.Mutex
+	s      gpusim.Stats
+	sweeps int64
 }
 
 // Add merges launch stats.
@@ -54,6 +55,26 @@ func (c *StatsCollector) Add(s gpusim.Stats) {
 	c.mu.Unlock()
 }
 
+func (c *StatsCollector) addSweeps(n int64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.sweeps += n
+	c.mu.Unlock()
+}
+
+// Sweeps returns the 64-lane dominance words the SDSC hook's engine swept,
+// on the device and on the host.
+func (c *StatsCollector) Sweeps() int64 {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sweeps
+}
+
 // Total returns the accumulated stats.
 func (c *StatsCollector) Total() gpusim.Stats {
 	if c == nil {
@@ -64,8 +85,17 @@ func (c *StatsCollector) Total() gpusim.Stats {
 	return c.s
 }
 
-// Compute runs the two-phase (extended, then skyline-within-extended)
-// computation of one cuboid on the device.
+// deviceBlockThreads is the SDSC kernels' block size.
+const deviceBlockThreads = 128
+
+// Compute runs the Hybrid engine on one cuboid with each tile's phase A —
+// every point against the result groups, label tests before any dominance
+// test — as one kernel launch in which a block owns 128 points: a coalesced
+// load of each point's row and labels, three instructions and a warp's share
+// of a 128 B label line per label test, and per word swept a warp vote, the
+// group's k column words of 256 B loaded coalesced (the GPU projects points
+// into δ, §6.1) and k compares. Phase B and the group appends stay on the
+// host, the sequential tail of each tile.
 func Compute(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.Mask, stats *StatsCollector) skyline.Result {
 	if rows == nil {
 		rows = make([]int32, ds.N)
@@ -73,148 +103,50 @@ func Compute(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.Mask
 			rows[i] = int32(i)
 		}
 	}
-	ext := deviceFilter(dev, ds, rows, delta, true, stats)
-	sky := deviceFilter(dev, ds, ext, delta, false, stats)
-	return skyline.Result{Skyline: sky, ExtOnly: skyline.DiffSorted(ext, sky)}
-}
-
-// deviceTileSize is the number of points consumed per kernel launch.
-const deviceTileSize = 4096
-
-// deviceBlockThreads is the SDSC kernel's block size.
-const deviceBlockThreads = 128
-
-// deviceFilter is the SkyAlign-style survivor filter: points sorted by L1
-// norm over δ are consumed in tiles; each tile is one kernel launch in
-// which every thread owns one point and scans the flat label array of the
-// current result, mask-testing before any dominance test. The labels are the
-// production prologue's, to the depth skyline.LabelDepth derives; the loop is
-// still the two-phase tile loop, run once strictly and once not, that the CPU
-// engine had before it fused its passes (ROADMAP item 3(c)).
-func deviceFilter(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, stats *StatsCollector) []int32 {
-	n := len(rows)
-	if n == 0 {
-		return nil
-	}
-	d := ds.Dims
-	dims := mask.Dims(delta)
-	medM, quartM, _, ord := skyline.HybridPrepare(ds, rows, dims)
-	depth := skyline.LabelDepth(n, len(dims))
-
+	d, k := ds.Dims, mask.Count(delta)
+	depth := skyline.LabelDepth(len(rows), k)
 	// Input upload: the cuboid's (reduced) rows and labels cross PCIe once.
-	stats.Add(gpusim.Transfer(n * (d*4 + 4*depth)))
+	stats.Add(gpusim.Transfer(len(rows) * (d*4 + 4*depth)))
 
-	// Flat, append-only result arrays: the linear layout the kernel scans
-	// sequentially for coalesced reads.
-	var resMed, resQuart []mask.Mask
-	var resIdx []int32 // indices into rows
-	survivors := make([]int32, 0, n/4)
-
-	alive := make([]bool, deviceTileSize)
-	for tileStart := 0; tileStart < n; tileStart += deviceTileSize {
-		tileEnd := tileStart + deviceTileSize
-		if tileEnd > n {
-			tileEnd = n
-		}
-		tile := ord[tileStart:tileEnd]
-		tlen := len(tile)
-		blocks := (tlen + deviceBlockThreads - 1) / deviceBlockThreads
-		st, err := dev.Launch(blocks, deviceBlockThreads, 0, func(b *gpusim.BlockCtx) {
-			lo := b.Block * deviceBlockThreads
-			hi := lo + deviceBlockThreads
-			if hi > tlen {
-				hi = tlen
-			}
-			for t := lo; t < hi; t++ {
-				k := tile[t]
-				pp := ds.Point(int(rows[k]))
-				mp, qp := medM[k], quartM[k]
-				// One coalesced load of the point's own row and labels.
-				b.LoadCoalesced(4*d + 4*depth)
-				ok := true
-				for e := 0; e < len(resIdx); e++ {
-					if depth > 0 {
-						// The label scan is sequential over flat arrays; a
-						// warp reads each 128-byte line once.
-						if t%gpusim.WarpSize == 0 && e%16 == 0 {
-							b.LoadCoalesced(128)
-						}
-						b.Instr(3)
-						worse := skyline.CompositeStrict2(mp, qp, resMed[e], resQuart[e])
-						if worse&delta != 0 {
-							continue
-						}
-						better := skyline.CompositeStrict2(resMed[e], resQuart[e], mp, qp)
-						if better&delta == delta {
-							ok = false
-							break
-						}
-					}
-					// Inconclusive: exact DT with an on-the-fly projected
-					// load (§6.1 — the GPU projects points into δ).
-					if b.Vote(true) {
-						b.Diverge()
-					}
-					b.LoadScattered(1, 4*len(dims))
-					b.Instr(len(dims))
-					r := dom.CompareIn(ds.Point(int(rows[resIdx[e]])), pp, delta)
-					if dom.Kills(r, delta, strict) {
-						ok = false
-						break
-					}
+	var blocks []*gpusim.BlockCtx // this launch's blocks, by index
+	var sweeps atomic.Int64
+	res := skyline.HybridInstrumented(ds, rows, delta, 1, &skyline.HybridHooks{
+		Spread: func(tile []int32, _ int, probe func(w, lo, hi int), _ func(func(w, lo, hi int))) {
+			blocks = make([]*gpusim.BlockCtx, (len(tile)+deviceBlockThreads-1)/deviceBlockThreads)
+			st, err := dev.Launch(len(blocks), deviceBlockThreads, 0, func(b *gpusim.BlockCtx) {
+				blocks[b.Block] = b
+				lo := b.Block * deviceBlockThreads
+				for t := lo; t < min(lo+deviceBlockThreads, len(tile)); t++ {
+					b.LoadCoalesced(4*d + 4*depth)
+					probe(b.Block, t, t+1)
 				}
-				alive[t] = ok
+			})
+			if err != nil {
+				panic(fmt.Sprintf("gpu: SDSC launch failed: %v", err))
 			}
-		})
-		if err != nil {
-			panic(fmt.Sprintf("gpu: SDSC launch failed: %v", err))
-		}
-		stats.Add(st)
-
-		// Host-side epilogue: intra-tile filtering and appends, as the
-		// sequential tail of each iteration.
-		tileRows := make([]int32, 0, tlen)
-		backref := make(map[int32]int32, tlen)
-		for t := 0; t < tlen; t++ {
-			if alive[t] {
-				r := rows[tile[t]]
-				backref[r] = tile[t]
-				tileRows = append(tileRows, r)
+			stats.Add(st)
+		},
+		Group: func(w, t, gi, _, words int) {
+			b := blocks[w]
+			if depth > 0 {
+				// The label scan is sequential over flat arrays; a warp reads
+				// each 128-byte line once.
+				if t%gpusim.WarpSize == 0 && gi%16 == 0 {
+					b.LoadCoalesced(128)
+				}
+				b.Instr(3)
 			}
-		}
-		kept := intraTile(ds, tileRows, delta, strict)
-		for _, r := range kept {
-			k := backref[r]
-			resMed = append(resMed, medM[k])
-			resQuart = append(resQuart, quartM[k])
-			resIdx = append(resIdx, k)
-			survivors = append(survivors, r)
-		}
-	}
-	slices.Sort(survivors)
-	return survivors
-}
-
-// intraTile removes points dominated within their own tile.
-func intraTile(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
-	out := rows[:0]
-	for i, p := range rows {
-		pp := ds.Point(int(p))
-		dead := false
-		for j, q := range rows {
-			if i == j {
-				continue
+			for range words {
+				b.Vote(true)
+				b.LoadCoalesced(k * 256)
+				b.Instr(k)
 			}
-			if dom.Kills(dom.CompareIn(ds.Point(int(q)), pp, delta), delta, strict) {
-				dead = true
-				break
-			}
-		}
-		if !dead {
-			out = append(out, p)
-		}
-	}
-	return out
+			sweeps.Add(int64(words))
+		},
+		Fresh: func(_, words int) { sweeps.Add(int64(words)) },
+	})
+	stats.addSweeps(sweeps.Load())
+	return res
 }
 
 // BlockThreads returns the MDMC block size for dimensionality d: as the

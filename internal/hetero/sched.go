@@ -10,9 +10,23 @@ import (
 	"skycube/internal/templates"
 )
 
+// The scheduler's knobs. Grab sizes are clamped to [minChunk, maxChunk];
+// a grab is tuned to take targetChunkTime — short enough that the
+// end-of-queue straggler tail stays short, long enough to amortise grab
+// overhead; ewmaAlpha weighs the newest chunk in a device's throughput
+// average; and a refill pulls refillFactor tuned chunks from the global
+// counter, the surplus being what idle devices steal.
+const (
+	minChunk        = 16
+	maxChunk        = 4096
+	targetChunkTime = 2 * time.Millisecond
+	ewmaAlpha       = 0.4
+	refillFactor    = 4
+)
+
 // Tuning configures the adaptive work-stealing scheduler. The zero value
-// enables everything with the default knobs; the Disable* switches exist
-// for ablations, experiments and the differential tests.
+// enables everything; the Disable* switches exist for ablations,
+// experiments and the differential tests.
 type Tuning struct {
 	// DisableStealing turns off work stealing: an idle device whose queue
 	// and the global counter are both empty simply finishes.
@@ -28,43 +42,9 @@ type Tuning struct {
 	// demand. With stealing disabled this is the textbook static schedule —
 	// the baseline of the imbalance experiment and BenchmarkMDMCImbalance.
 	Prepartition bool
-	// MinChunk/MaxChunk clamp the auto-tuned grab size. Defaults 16/4096.
-	MinChunk, MaxChunk int
-	// TargetChunkTime is the wall time a grab is tuned to take; small
-	// enough that the end-of-queue straggler tail stays short, large enough
-	// to amortise grab overhead. Default 2 ms.
-	TargetChunkTime time.Duration
-	// EWMAAlpha is the smoothing factor of the per-device throughput
-	// average (weight of the newest chunk observation). Default 0.4.
-	EWMAAlpha float64
-	// RefillFactor is how many tuned chunks a queue pulls from the global
-	// counter per refill; the surplus is what idle devices steal. Default 4.
-	RefillFactor int
 	// Metrics, if non-nil, receives steal/refill/retune counters and the
 	// live chunk-size and throughput gauges.
 	Metrics *obs.SchedMetrics
-}
-
-func (t Tuning) withDefaults() Tuning {
-	if t.MinChunk <= 0 {
-		t.MinChunk = 16
-	}
-	if t.MaxChunk <= 0 {
-		t.MaxChunk = 4096
-	}
-	if t.MaxChunk < t.MinChunk {
-		t.MaxChunk = t.MinChunk
-	}
-	if t.TargetChunkTime <= 0 {
-		t.TargetChunkTime = 2 * time.Millisecond
-	}
-	if t.EWMAAlpha <= 0 || t.EWMAAlpha > 1 {
-		t.EWMAAlpha = 0.4
-	}
-	if t.RefillFactor <= 0 {
-		t.RefillFactor = 4
-	}
-	return t
 }
 
 // SchedCounters summarise one run of the scheduler.
@@ -127,16 +107,9 @@ type Scheduler struct {
 // for the given devices. Each device's queue starts at the device's own
 // chunk hint (a CPU cache-friendly 64, a GPU's resident-block count).
 func NewScheduler(n, d int, devices []Device, tun Tuning) *Scheduler {
-	tun = tun.withDefaults()
 	s := &Scheduler{n: n, tun: tun, queues: make([]*devQueue, len(devices))}
 	for i, dev := range devices {
-		chunk := dev.ChunkHint(d)
-		if chunk < tun.MinChunk {
-			chunk = tun.MinChunk
-		}
-		if chunk > tun.MaxChunk {
-			chunk = tun.MaxChunk
-		}
+		chunk := min(max(dev.ChunkHint(d), minChunk), maxChunk)
 		s.queues[i] = &devQueue{name: dev.Name(), chunk: chunk, hint: dev.SpeedHint()}
 	}
 	if tun.Prepartition && n > 0 && len(devices) > 0 {
@@ -215,13 +188,13 @@ func (q *devQueue) pop() (int, int, bool) {
 	return lo, hi, true
 }
 
-// refill claims RefillFactor tuned chunks from the global counter, returns
+// refill claims refillFactor tuned chunks from the global counter, returns
 // the first and queues the surplus (the part idle devices may steal back).
 func (s *Scheduler) refill(q *devQueue) (int, int, bool) {
 	q.mu.Lock()
 	chunk := q.chunk
 	q.mu.Unlock()
-	block := chunk * s.tun.RefillFactor
+	block := chunk * refillFactor
 	lo := int(s.next.Add(int64(block))) - block
 	if lo >= s.n {
 		return 0, 0, false
@@ -305,7 +278,7 @@ func (s *Scheduler) steal(thief int) bool {
 
 // Observe feeds one completed chunk (n tasks in dur on device dev) into the
 // device's throughput EWMA and retunes its chunk size toward
-// TargetChunkTime. Called from the account path of every device lane.
+// targetChunkTime. Called from the account path of every device lane.
 func (s *Scheduler) Observe(dev, n int, dur time.Duration) {
 	if n <= 0 {
 		return
@@ -320,18 +293,12 @@ func (s *Scheduler) Observe(dev, n int, dur time.Duration) {
 	if q.rate <= 0 {
 		q.rate = sample
 	} else {
-		q.rate = s.tun.EWMAAlpha*sample + (1-s.tun.EWMAAlpha)*q.rate
+		q.rate = ewmaAlpha*sample + (1-ewmaAlpha)*q.rate
 	}
 	rate := q.rate
 	retuned := 0
 	if !s.tun.DisableRetune {
-		want := int(rate * s.tun.TargetChunkTime.Seconds())
-		if want < s.tun.MinChunk {
-			want = s.tun.MinChunk
-		}
-		if want > s.tun.MaxChunk {
-			want = s.tun.MaxChunk
-		}
+		want := min(max(int(rate*targetChunkTime.Seconds()), minChunk), maxChunk)
 		// Retune only on a ≥ 25% move so the chunk size does not thrash on
 		// measurement noise.
 		if diff := want - q.chunk; 4*diff >= q.chunk || -4*diff >= q.chunk {

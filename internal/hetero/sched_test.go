@@ -153,7 +153,7 @@ func TestSchedulerRetune(t *testing.T) {
 	s := NewScheduler(1_000_000, 6, devs, Tuning{})
 	start := s.ChunkSize(0)
 
-	// A fast device (1e7 tasks/s × 2 ms target = 20k, clamped to MaxChunk)
+	// A fast device (1e7 tasks/s × 2 ms target = 20k, clamped to maxChunk)
 	// should grow its chunk...
 	for i := 0; i < 5; i++ {
 		s.Observe(0, 10_000, time.Millisecond)
@@ -161,7 +161,7 @@ func TestSchedulerRetune(t *testing.T) {
 	if got := s.ChunkSize(0); got <= start {
 		t.Errorf("chunk %d did not grow from %d for a fast device", got, start)
 	}
-	// ...and a slow one (1k tasks/s) should shrink toward MinChunk.
+	// ...and a slow one (1k tasks/s) should shrink toward minChunk.
 	for i := 0; i < 20; i++ {
 		s.Observe(0, 10, 10*time.Millisecond)
 	}
@@ -187,8 +187,8 @@ func TestSchedulerStealsFromSlowestQueue(t *testing.T) {
 	// drain time — device 0, once empty, must steal from it.
 	const n = 3_000
 	s := NewScheduler(n, 6, fakeDevices(3), Tuning{Prepartition: true, DisableRetune: true})
-	s.Observe(1, 1000, time.Millisecond)      // 1e6 tasks/s
-	s.Observe(2, 10, time.Millisecond)        // 1e4 tasks/s
+	s.Observe(1, 1000, time.Millisecond) // 1e6 tasks/s
+	s.Observe(2, 10, time.Millisecond)   // 1e4 tasks/s
 	for s.Remaining(0) > 0 {
 		if lo, hi := s.Grab(0); lo >= hi {
 			t.Fatal("grab failed before device 0's own range drained")
@@ -211,11 +211,11 @@ func TestSchedulerChunkHintClamped(t *testing.T) {
 		&fakeDevice{name: "tiny", chunk: 1, speed: 1},
 		&fakeDevice{name: "huge", chunk: 1 << 20, speed: 1},
 	}
-	s := NewScheduler(100, 6, devs, Tuning{MinChunk: 8, MaxChunk: 256})
-	if got := s.ChunkSize(0); got != 8 {
-		t.Errorf("tiny hint clamped to %d, want 8", got)
+	s := NewScheduler(100, 6, devs, Tuning{})
+	if got := s.ChunkSize(0); got != minChunk {
+		t.Errorf("tiny hint clamped to %d, want %d", got, minChunk)
 	}
-	if got := s.ChunkSize(1); got != 256 {
-		t.Errorf("huge hint clamped to %d, want 256", got)
+	if got := s.ChunkSize(1); got != maxChunk {
+		t.Errorf("huge hint clamped to %d, want %d", got, maxChunk)
 	}
 }

@@ -18,14 +18,37 @@ const hybridTileSize = 512
 // fill (LabelDepth).
 const kernelWord = 64
 
-// hybridCompute is the multicore algorithm in the style of Hybrid (Chester,
-// Šidlauskas, Assent, Bøgh — ICDE 2015; paper §5.1) as the templates hook it
-// into a cuboid: a compact, fixed-depth, array-based tree of *global*
-// median/quartile pivots replaces the recursive SkyTree, and the input is
-// consumed in tiles so threads cooperate on one shared, read-mostly result
-// structure. One pass in ascending (δ-sum, row) order classifies every point
-// once — strictly dominated, in S⁺_δ \ S_δ, or in S_δ — against a window that
-// holds members of S_δ only.
+// HybridHooks let a machine model run HybridInstrumented's loop on its own
+// workers and charge the work it does, so the model profiles the engine that
+// runs rather than a copy of it. All three must be set.
+type HybridHooks struct {
+	// Spread runs one tile's phase A: probe(w, lo, hi) classifies positions
+	// [lo, hi) of tile (indices into rows, in tile order) as worker w, and
+	// Spread returns once every position has been probed exactly once. Calls
+	// with different w may run concurrently. workers is how many goroutines
+	// the engine itself would use: 1 with one thread or no group to probe
+	// yet. fanOut(f) is the engine's own split — f(w, lo, hi) for each of
+	// those workers, on that many goroutines — for a model that spreads the
+	// tile as the engine does.
+	Spread func(tile []int32, workers int, probe func(w, lo, hi int), fanOut func(f func(w, lo, hi int)))
+	// Group is called once per phase-A visit of worker w, at tile position t,
+	// to the group at scan position gi (the id-th group created), with the
+	// words BlocksVerdict swept: 0 when the label test decided.
+	Group func(w, t, gi, id, sweeps int)
+	// Fresh is called once per phase-B point p (an index into rows) with the
+	// words swept against the tile's new members.
+	Fresh func(p, sweeps int)
+}
+
+// HybridInstrumented is the multicore algorithm in the style of Hybrid
+// (Chester, Šidlauskas, Assent, Bøgh — ICDE 2015; paper §5.1) as the
+// templates hook it into a cuboid, with the work it does reported to h (nil
+// for none; Compute and ExtendedSkyline pass nil): a compact, fixed-depth,
+// array-based tree of *global* median/quartile pivots replaces the recursive
+// SkyTree, and the input is consumed in tiles so threads cooperate on one
+// shared, read-mostly result structure. One pass in ascending (δ-sum, row)
+// order classifies every point once — strictly dominated, in S⁺_δ \ S_δ, or
+// in S_δ — against a window that holds members of S_δ only.
 //
 // The S-only window is sound because dominance is a strict partial order on a
 // finite set: any dominator of p can be replaced by one in S_δ, and a strict
@@ -37,11 +60,11 @@ const kernelWord = 64
 // equal-sum members it dominates and drops the equal-sum points of S⁺_δ \ S_δ
 // it strictly dominates; a tile never ends inside an equal-sum run, so both
 // are still in the tile's own structures.
-func hybridCompute(ds *data.Dataset, rows []int32, delta mask.Mask, threads int) Result {
+func HybridInstrumented(ds *data.Dataset, rows []int32, delta mask.Mask, threads int, h *HybridHooks) Result {
 	threads = max(threads, 1)
 	dims := mask.Dims(delta)
 	k, n := len(dims), len(rows)
-	medM, quartM, sum, ord := HybridPrepare(ds, rows, dims)
+	medM, quartM, sum, ord := hybridPrepare(ds, rows, dims)
 
 	// The members of S_δ found by earlier tiles, one sum-ordered block set per
 	// label. No stop point: every lane sums to no more than the probe. Groups
@@ -51,7 +74,7 @@ func hybridCompute(ds *data.Dataset, rows []int32, delta mask.Mask, threads int)
 	type group struct {
 		med, quart mask.Mask
 		bs         *data.BlockSet
-		kills      int
+		kills, id  int
 	}
 	var groups []group
 	defer func() {
@@ -67,15 +90,15 @@ func hybridCompute(ds *data.Dataset, rows []int32, delta mask.Mask, threads int)
 
 	st := make([]Status, n)
 	var tile []int32
-	var killer []int32                    // by tile position: the group that dropped the point, or -1
-	pqs := make([]float32, (threads+1)*k) // one projection per phase-A worker, one for phase B
+	var killer []int32 // by tile position: the group that dropped the point, or -1
 	var wg sync.WaitGroup
 
 	// Phase A (parallel, read-only): classify tile[lo:hi] against the groups,
 	// with label tests before any dominance test.
 	probe := func(w, lo, hi int) {
 		var tally dom.KernelTally
-		pq := pqs[w*k:][:k]
+		var buf [mask.MaxDims]float32
+		pq := buf[:k]
 		for t := lo; t < hi; t++ {
 			p := tile[t]
 			data.ProjectInto(pq, ds.Point(int(rows[p])), dims)
@@ -86,17 +109,24 @@ func hybridCompute(ds *data.Dataset, rows []int32, delta mask.Mask, threads int)
 				g := &groups[gi]
 				// Group members are guaranteed strictly worse than the point
 				// on `worse`; if that intersects δ they cannot dominate it.
-				worse := CompositeStrict2(mp, qp, g.med, g.quart)
+				worse := compositeStrict2(mp, qp, g.med, g.quart)
 				if worse&delta != 0 {
+					if h != nil {
+						h.Group(w, t, gi, g.id, 0)
+					}
 					continue
 				}
 				// Conversely, if the group is guaranteed strictly better on
 				// all of δ, the point dies with no DT.
-				better := CompositeStrict2(g.med, g.quart, mp, qp)
+				swept := tally.Sweeps
+				better := compositeStrict2(g.med, g.quart, mp, qp)
 				if better&delta == delta {
 					v = dom.StrictlyDominated
 				} else {
 					v = max(v, dom.BlocksVerdict(g.bs, pq, &tally))
+				}
+				if h != nil {
+					h.Group(w, t, gi, g.id, int(tally.Sweeps-swept))
 				}
 				if v == dom.StrictlyDominated {
 					killer[t] = int32(gi)
@@ -108,7 +138,26 @@ func hybridCompute(ds *data.Dataset, rows []int32, delta mask.Mask, threads int)
 		tally.Flush()
 	}
 
+	// fanOut runs f over the tile on tn goroutines, each an equal share.
+	var tn int
+	fanOut := func(f func(w, lo, hi int)) {
+		if tn == 1 {
+			f(0, 0, len(tile))
+			return
+		}
+		wg.Add(tn)
+		for w := 0; w < tn; w++ {
+			go func(w, lo, hi int) {
+				defer wg.Done()
+				f(w, lo, hi)
+			}(w, w*len(tile)/tn, (w+1)*len(tile)/tn)
+		}
+		wg.Wait()
+	}
+
 	var tally dom.KernelTally
+	var buf [mask.MaxDims]float32
+	pq := buf[:k]
 	members := 0
 	for start := 0; start < n; {
 		end := min(start+hybridTileSize, n)
@@ -119,17 +168,14 @@ func hybridCompute(ds *data.Dataset, rows []int32, delta mask.Mask, threads int)
 		start = end
 		killer = slices.Grow(killer[:0], len(tile))[:len(tile)]
 
-		if tn := min(threads, len(tile)); tn == 1 || len(groups) == 0 {
-			probe(0, 0, len(tile))
+		tn = min(threads, len(tile))
+		if len(groups) == 0 {
+			tn = 1 // nothing to probe yet: not worth a fork
+		}
+		if h != nil {
+			h.Spread(tile, tn, probe, fanOut)
 		} else {
-			wg.Add(tn)
-			for w := 0; w < tn; w++ {
-				go func(w int) {
-					defer wg.Done()
-					probe(w, w*len(tile)/tn, (w+1)*len(tile)/tn)
-				}(w)
-			}
-			wg.Wait()
+			fanOut(probe)
 		}
 		for _, gi := range killer {
 			if gi >= 0 {
@@ -140,7 +186,6 @@ func hybridCompute(ds *data.Dataset, rows []int32, delta mask.Mask, threads int)
 
 		// Phase B (sequential): the tile's undropped points, in sum order,
 		// against the tile's own new members.
-		pq := pqs[threads*k:][:k]
 		for _, p := range tile {
 			if st[p] == Dominated {
 				continue
@@ -150,7 +195,11 @@ func hybridCompute(ds *data.Dataset, rows []int32, delta mask.Mask, threads int)
 				extRun = extRun[:0]
 			}
 			data.ProjectInto(pq, ds.Point(int(rows[p])), dims)
+			swept := tally.Sweeps
 			st[p] = min(st[p], statusOf(dom.BlocksVerdict(fresh, pq, &tally)))
+			if h != nil {
+				h.Fresh(int(p), int(tally.Sweeps-swept))
+			}
 			switch st[p] {
 			case ExtendedOnly:
 				extRun = append(extRun, p)
@@ -176,7 +225,7 @@ func hybridCompute(ds *data.Dataset, rows []int32, delta mask.Mask, threads int)
 				gi := slices.IndexFunc(groups, func(g group) bool { return g.med == medM[p] && g.quart == quartM[p] })
 				if gi < 0 {
 					gi = len(groups)
-					groups = append(groups, group{med: medM[p], quart: quartM[p], bs: data.GetBlockSet(k, kernelWord)})
+					groups = append(groups, group{med: medM[p], quart: quartM[p], bs: data.GetBlockSet(k, kernelWord), id: gi})
 				}
 				for j, col := range b.Cols {
 					pq[j] = col[lane]
@@ -248,15 +297,14 @@ func LabelDepth(lanes, width int) int {
 	return 0
 }
 
-// HybridPrepare is everything hybridCompute does before its first dominance
+// hybridPrepare is everything HybridInstrumented does before its first dominance
 // test, all of it linear in len(rows): the global labels over only the
 // relevant dimensions (§5.1: partition on the subspace's dimensions when
 // hooked into a cuboid) to the depth LabelDepth gives — levels not used are
 // zero, and depth 0 computes no pivot — each row's δ-sum, and the tile order:
 // L1 norm ascending, ties by row for determinism. All four are indexed like
-// rows. Exported because the simulated-device filter (internal/gpu) and the
-// memsim probes (internal/counters) run this prologue, not a copy of it.
-func HybridPrepare(ds *data.Dataset, rows []int32, dims []int) (medM, quartM []mask.Mask, sum []float32, ord []int32) {
+// rows.
+func hybridPrepare(ds *data.Dataset, rows []int32, dims []int) (medM, quartM []mask.Mask, sum []float32, ord []int32) {
 	n := len(rows)
 	medM = make([]mask.Mask, n)
 	quartM = make([]mask.Mask, n)
@@ -293,11 +341,10 @@ func HybridPrepare(ds *data.Dataset, rows []int32, dims []int) (medM, quartM []m
 	return medM, quartM, sum, data.SumOrder(sum, rows)
 }
 
-// CompositeStrict2 is the two-level label comparison: the subspace on which
+// compositeStrict2 is the two-level label comparison: the subspace on which
 // any point labelled (medQ, quartQ) is guaranteed strictly better than any
-// point labelled (medP, quartP). Exported for the probe-instrumented
-// variants used in the hardware-counter experiments.
-func CompositeStrict2(medQ, quartQ, medP, quartP mask.Mask) mask.Mask {
+// point labelled (medP, quartP).
+func compositeStrict2(medQ, quartQ, medP, quartP mask.Mask) mask.Mask {
 	delta := medQ &^ medP
 	sameHalf := ^(medQ ^ medP)
 	return delta | (quartQ&^quartP)&sameHalf

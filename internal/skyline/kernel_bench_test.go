@@ -84,7 +84,7 @@ var hybridBenchInputs = []struct {
 	{"I_d=6_n=15000", gen.Independent, 15_000, 6},
 }
 
-// BenchmarkHybridPreprocess is hybridCompute before its first dominance test:
+// BenchmarkHybridPreprocess is HybridInstrumented before its first dominance test:
 // pivots, labels, δ-sums and the tile order. It is linear in n; a full sort
 // creeping back in shows here first.
 func BenchmarkHybridPreprocess(b *testing.B) {
@@ -95,7 +95,7 @@ func BenchmarkHybridPreprocess(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, ord := HybridPrepare(ds, rows, dims); len(ord) != in.n {
+				if _, _, _, ord := hybridPrepare(ds, rows, dims); len(ord) != in.n {
 					b.Fatal("short order")
 				}
 			}

@@ -97,7 +97,7 @@ func (r Result) Extended() []int32 {
 // AlgoPSkyline are parallel; the others ignore threads). It returns both S_δ
 // and S⁺_δ\S_δ.
 //
-// Hybrid classifies every point in one pass (hybridCompute). The others
+// Hybrid classifies every point in one pass (HybridInstrumented). The others
 // produce the two sets with the paper's two-phase structure: a strict-
 // dominance filter yields S⁺_δ, and a dominance filter *within* S⁺_δ yields
 // S_δ — sound because S_δ ⊆ S⁺_δ and any dominator of a point in S⁺_δ can
@@ -107,7 +107,7 @@ func Compute(ds *data.Dataset, rows []int32, delta mask.Mask, algo Algo, threads
 		rows = allRows(ds.N)
 	}
 	if algo == AlgoHybrid {
-		return hybridCompute(ds, rows, delta, threads)
+		return HybridInstrumented(ds, rows, delta, threads, nil)
 	}
 	ext := filter(ds, rows, delta, true, algo, threads)
 	sky := filter(ds, ext, delta, false, algo, threads)
@@ -120,7 +120,7 @@ func ExtendedSkyline(ds *data.Dataset, rows []int32, delta mask.Mask, algo Algo,
 		rows = allRows(ds.N)
 	}
 	if algo == AlgoHybrid {
-		return hybridCompute(ds, rows, delta, threads).Extended()
+		return HybridInstrumented(ds, rows, delta, threads, nil).Extended()
 	}
 	return filter(ds, rows, delta, true, algo, threads)
 }

@@ -194,15 +194,6 @@ type Scheduling struct {
 	// devices up front (the textbook static schedule; with DisableStealing
 	// it is the baseline of the imbalance experiment).
 	Prepartition bool
-	// MinChunk/MaxChunk clamp the auto-tuned grab size (defaults 16/4096).
-	MinChunk, MaxChunk int
-	// TargetChunkTime is the wall time one grab is tuned to take (default
-	// 2 ms).
-	TargetChunkTime time.Duration
-	// RefillFactor is how many tuned chunks a queue pulls from the global
-	// counter per refill; the surplus is what idle devices can steal
-	// (default 4).
-	RefillFactor int
 }
 
 // SchedCounters total the scheduling events of one cross-device build.
@@ -214,10 +205,6 @@ func (s Scheduling) tuning(reg *Metrics) hetero.Tuning {
 		DisableRetune:    s.DisableRetune,
 		DisableCostOrder: s.DisableCostOrder,
 		Prepartition:     s.Prepartition,
-		MinChunk:         s.MinChunk,
-		MaxChunk:         s.MaxChunk,
-		TargetChunkTime:  s.TargetChunkTime,
-		RefillFactor:     s.RefillFactor,
 		Metrics:          obs.NewSchedMetrics(reg),
 	}
 }
