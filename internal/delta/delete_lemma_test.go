@@ -161,8 +161,8 @@ func TestDeleteVictimKinds(t *testing.T) {
 		if got := r.recomputed(); got != 0 {
 			t.Fatalf("%d cuboids re-derived for a victim that was no member", got)
 		}
-		if !slices.Contains(r.u.outsiders, 2) || len(r.u.loose) != 0 {
-			t.Fatalf("o must stay an outsider while a lives: outsiders %v, loose %v", r.u.outsiders, r.u.loose)
+		if !slices.Contains(outsiderIDs(r.u), 2) || len(r.u.loose) != 0 {
+			t.Fatalf("o must stay an outsider while a lives: outsiders %v, loose %v", outsiderIDs(r.u), r.u.loose)
 		}
 	})
 	t.Run("an outsider and its voucher at once", func(t *testing.T) {
@@ -196,8 +196,8 @@ func TestDeleteVictimKinds(t *testing.T) {
 		r := newLemmaRig(t, ds)
 		r.insert(0.5, 0.5, 0.5)
 		r.flush()
-		if len(r.u.outsiders) != 2 || len(r.u.loose) != 0 {
-			t.Fatalf("an insert-only flush moved outsiders: %v, loose %v", r.u.outsiders, r.u.loose)
+		if ids := outsiderIDs(r.u); len(ids) != 2 || len(r.u.loose) != 0 {
+			t.Fatalf("an insert-only flush moved outsiders: %v, loose %v", ids, r.u.loose)
 		}
 	})
 }
@@ -232,8 +232,8 @@ func TestPromotionLemma(t *testing.T) {
 		r.delete(0)
 		r.flush()
 		wantLoose(t, r, 0)
-		if !slices.Contains(r.u.outsiders, 2) {
-			t.Fatalf("q left the outsiders though b lives: %v", r.u.outsiders)
+		if !slices.Contains(outsiderIDs(r.u), 2) {
+			t.Fatalf("q left the outsiders though b lives: %v", outsiderIDs(r.u))
 		}
 		r.delete(1)
 		if m := r.flush().Membership(2); len(m) == 0 {
@@ -458,10 +458,12 @@ func TestDeleteAgainstQSkycube(t *testing.T) {
 }
 
 // FuzzDeleteBatch replays a byte string as batches over a small grid (ties
-// and duplicates everywhere): byte 0 picks d, byte 1 the base size, and each
-// byte after it is an op — insert (the next d bytes are the point), delete a
-// live id (the next byte picks it) or flush. Every flush is held against the
-// naive oracle, and the outsiders it leaves against assertOutsidersVouched.
+// and duplicates everywhere): byte 0 picks d, byte 1 the base size — below 24
+// points for a value under 192, 64 to 253 points above, where the outsiders
+// of a d = 2 base fill more than one 64-lane word — and each byte after it is
+// an op — insert (the next d bytes are the point), delete a live id (the next
+// byte picks it) or flush. Every flush is held against the naive oracle, and
+// the outsiders it leaves against assertOutsidersVouched.
 func FuzzDeleteBatch(f *testing.F) {
 	f.Add([]byte{1, 12, 2, 0, 2, 1, 2, 2, 3, 2, 0, 3})                      // two delete batches
 	f.Add([]byte{0, 8, 0, 1, 1, 2, 7, 2, 0, 3, 2, 1, 0, 0, 0, 3})           // insert, cancel it, delete, flush
@@ -477,13 +479,19 @@ func FuzzDeleteBatch(f *testing.F) {
 	// base's only point (0,0); the next batch deletes that and inserts (0,2),
 	// which nothing but (1,1) dominates in {y}.
 	f.Add([]byte("01011720002"))
+	// A 235-point d = 2 base: its outsiders span two words of the walk.
+	f.Add([]byte{0, 249, 2, 0, 2, 7, 2, 40, 2, 99, 2, 150, 3, 2, 3, 2, 5, 3})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 2 || len(raw) > 96 {
 			return
 		}
 		d := 2 + int(raw[0])%3
 		rng := rand.New(rand.NewSource(int64(raw[1])))
-		ds := gridDataset(rng, int(raw[1])%24, d, 3)
+		n := int(raw[1]) % 24
+		if raw[1] >= 192 {
+			n = 64 + 3*int(raw[1]-192)
+		}
+		ds := gridDataset(rng, n, d, 3)
 		u := NewUpdater(ds, Options{Threads: 2})
 		defer u.Close()
 		live := make([]int32, ds.N)

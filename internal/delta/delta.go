@@ -49,14 +49,24 @@
 // and s ≤ r < q gives s < q on every dimension, so (the promotion lemma) q has
 // a live strict dominator exactly when a live member of the full-space skyline
 // is one. A delete batch therefore (1) takes as vouchers only its victims that
-// were members of that skyline, (2) walks the outsiders once for those a
-// voucher strictly dominates, and (3) promotes one of them to "loose" only if
-// no surviving old member — smallest coordinate sum first, first hit wins —
-// strictly dominates it too. Judging by old members alone is conservative: a q
-// whose last dominator turns loose in the same batch turns loose with it, and
-// the delete pass's cross-test closes it. Future inserts must test against a
-// loose point, since the tree no longer vouches for it, and once the delete
-// pass has cleared a bit of one it is an overlay point like any other.
+// were members of that skyline, (2) sweeps the outsiders a word at a time for
+// those a voucher strictly dominates, and (3) promotes one of them to "loose"
+// only if no surviving old member — smallest coordinate sum first, first hit
+// wins — strictly dominates it too. Judging by old members alone is
+// conservative: a q whose last dominator turns loose in the same batch turns
+// loose with it, and the delete pass's cross-test closes it. Future inserts
+// must test against a loose point, since the tree no longer vouches for it,
+// and once the delete pass has cleared a bit of one it is an overlay point
+// like any other.
+//
+// The outsiders are a column store, built with each base: one lane per
+// outsider in id order, holding its negated coordinates, so that q ≥ v on
+// every dimension reads -q ≤ -v, the ≤ word sweep of internal/dom with the
+// negated voucher as its probe. The strict check then runs only on the lanes
+// that sweep leaves, and the candidates are judged by one block verdict
+// against the kept members. Nothing is copied per batch: a victim's lane and a
+// promoted point's lane are killed in place, and the next compaction rebuilds
+// the store.
 //
 // The lemma the insert path rests on is transitivity: if a live point r
 // dominates the insert p in δ and p dominates q in δ, then r dominates q in
@@ -92,6 +102,7 @@ package delta
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -194,10 +205,13 @@ type Updater struct {
 	posLeaf []int32
 	// leafDead counts deleted points per tree leaf, for filter liveness.
 	leafDead []int
-	// outsiders are the base-era ids outside S⁺ of the base, ascending; a live
-	// one still has a live full-space strict dominator. loose are the ones
-	// promoted out of it, which future inserts must test against directly.
-	outsiders []int32
+	// outsiders is a column store of the base-era points outside S⁺ of the
+	// base: one block, one lane per point in ascending id order (Rows[lane] is
+	// the id), holding negated full-space coordinates. An alive lane still has
+	// a live full-space strict dominator; a victim's or a promoted point's lane
+	// is killed. loose are the promoted ones, which future inserts must test
+	// against directly.
+	outsiders *data.BlockSet
 	loose     map[int32]struct{}
 
 	cur atomic.Pointer[Snapshot]
@@ -219,8 +233,8 @@ type Updater struct {
 	// cmps counts the point-pair coordinate comparisons phase B, the
 	// reverse pass and the delete pass have made (guarded by mu) — what a
 	// flush costs beyond its forward solves; BenchmarkFlushInserts reports
-	// it per insert, BenchmarkFlushDeletes per delete — and vouches, the
-	// promotion walk's strict full-space tests (its workers add to it).
+	// it per insert, BenchmarkFlushDeletes per delete — and vouches, the words
+	// the promotion walk sweeps (its workers add to it).
 	cmps    int64
 	vouches atomic.Int64
 	// srcs counts the overlay points phase A took as dominance sources, one
@@ -668,7 +682,7 @@ func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 	if len(live) == 0 {
 		u.mctx = &templates.MDMCContext{D: u.d, MaxLevel: u.d, Cube: hashcube.New(u.d)}
 		u.treeID, u.treePos, u.posLeaf, u.leafDead = nil, map[int32]int{}, nil, nil
-		u.outsiders, u.loose = nil, map[int32]struct{}{}
+		u.outsiders, u.loose = data.NewBlockSet(u.d, 0), map[int32]struct{}{}
 		return &Snapshot{
 			epoch: epoch, d: u.d, ds: header,
 			base: &baseCube{h: u.mctx.Cube, ids: []int32{}},
@@ -713,14 +727,21 @@ func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 		}
 	}
 	u.leafDead = make([]int, len(tree.Leaves))
-	// The rows between those of ExtRows, which ascends as sub.IDs does.
-	u.outsiders = make([]int32, 0, sub.N-len(ctx.ExtRows))
-	next := int32(0)
-	for _, r := range ctx.ExtRows {
-		u.outsiders = append(u.outsiders, sub.IDs[next:r]...)
-		next = r + 1
+	// The rows between those of ExtRows, which ascends as sub.IDs does. The
+	// lanes carry no sum order: no scan of them stops early.
+	u.outsiders = data.NewBlockSet(u.d, sub.N-len(ctx.ExtRows))
+	neg := make([]float32, u.d)
+	ext := ctx.ExtRows
+	for r, id := range sub.IDs {
+		if len(ext) > 0 && ext[0] == int32(r) {
+			ext = ext[1:]
+			continue
+		}
+		for j, x := range u.point(id) {
+			neg[j] = -x
+		}
+		u.outsiders.Append(neg, id, 0)
 	}
-	u.outsiders = append(u.outsiders, sub.IDs[next:]...)
 	u.loose = map[int32]struct{}{}
 
 	return &Snapshot{epoch: epoch, d: u.d, ds: header, base: base, live: len(live)}
@@ -798,6 +819,7 @@ func (u *Updater) applyLocked() *Snapshot {
 			u.leafDead[u.posLeaf[pos]]++
 		}
 		delete(u.loose, v)
+		u.killOutsider(v)
 	}
 	promoted := u.promoteOrphans(prev, vouchers)
 
@@ -928,39 +950,76 @@ func (u *Updater) applyLocked() *Snapshot {
 
 // promoteOrphans turns loose the outsiders the batch orphaned (the package
 // comment's promotion lemma): those a voucher strictly dominates and no other
-// member of prev's full-space skyline does. One walk over the outsiders,
-// workers only marking; a dead one that is marked just leaves the list. It
-// returns how many turned loose.
+// member of prev's full-space skyline does. It returns how many turned loose.
 func (u *Updater) promoteOrphans(prev *Snapshot, vouchers []int32) int {
-	if len(vouchers) == 0 {
+	if len(vouchers) == 0 || len(u.outsiders.Blocks) == 0 {
 		return 0
 	}
-	kept := u.strongestFirst(slices.DeleteFunc(prev.Skyline(mask.Full(u.d)),
-		func(id int32) bool { return slices.Contains(vouchers, id) }))
-	orphan := make([]bool, len(u.outsiders))
-	u.eachChunk(len(u.outsiders), func(claim func() (int, int)) {
-		var n int64
-		var q []float32
-		above := func(id int32) bool { n++; return strictlyDominatesFull(u.point(id), q) }
-		for lo, hi := claim(); lo < hi; lo, hi = claim() {
-			for i := lo; i < hi; i++ {
-				q = u.point(u.outsiders[i])
-				orphan[i] = slices.ContainsFunc(vouchers, above) && !slices.ContainsFunc(kept, above)
-			}
-		}
-		u.vouches.Add(n)
-	})
+	kept := data.NewBlockSet(u.d, data.DefaultBlockSize)
+	for _, id := range u.strongestFirst(slices.DeleteFunc(prev.Skyline(mask.Full(u.d)),
+		func(id int32) bool { return slices.Contains(vouchers, id) })) {
+		kept.Append(u.point(id), id, 0)
+	}
+	b := u.outsiders.Blocks[0]
+	orphan := u.orphans(b, vouchers, kept)
 	before := len(u.loose)
-	stay := u.outsiders[:0]
-	for i, q := range u.outsiders {
-		if !orphan[i] {
-			stay = append(stay, q)
-		} else if _, dead := u.dead[q]; !dead {
-			u.loose[q] = struct{}{}
+	for w, m := range orphan {
+		for ; m != 0; m &= m - 1 {
+			lane := w<<6 + bits.TrailingZeros64(m)
+			b.Kill(lane)
+			u.loose[b.Rows[lane]] = struct{}{}
 		}
 	}
-	u.outsiders = stay
 	return len(u.loose) - before
+}
+
+// orphans is the promotion walk over the outsider block b, one bit per lane:
+// the alive lanes some voucher is strictly below on every dimension and no
+// lane of kept is. Negated, a voucher v is a probe of the ≤ sweep that picks
+// the lanes at or above v everywhere — negation is exact, and CheckFiniteRow
+// keeps NaN out of every insert — and the strict check then runs on those
+// lanes only. Workers take the words in chunks and judge their candidates
+// against kept, strongest first; each adds the words it swept to vouches.
+func (u *Updater) orphans(b *data.Block, vouchers []int32, kept *data.BlockSet) []uint64 {
+	probes := make([]float32, 0, len(vouchers)*u.d)
+	for _, v := range vouchers {
+		for _, x := range u.point(v) {
+			probes = append(probes, -x)
+		}
+	}
+	orphan := make([]uint64, (b.N+63)>>6)
+	u.eachChunk(len(orphan), passChunk/64, func(claim func() (int, int)) {
+		var t dom.KernelTally
+		for lo, hi := claim(); lo < hi; lo, hi = claim() {
+			for w := lo; w < hi; w++ {
+				var cand uint64
+				for k := 0; k < len(probes); k += u.d {
+					cand |= dom.StrictWord(b, w, probes[k:k+u.d])
+				}
+				t.Sweeps += uint64(len(vouchers))
+				for ; cand != 0; cand &= cand - 1 {
+					i := bits.TrailingZeros64(cand)
+					if dom.BlocksVerdict(kept, u.point(b.Rows[w<<6+i]), &t) != dom.StrictlyDominated {
+						orphan[w] |= 1 << uint(i)
+					}
+				}
+			}
+		}
+		u.vouches.Add(int64(t.Sweeps))
+		t.Flush()
+	})
+	return orphan
+}
+
+// killOutsider kills the outsider lane of id, if it has one.
+func (u *Updater) killOutsider(id int32) {
+	if len(u.outsiders.Blocks) == 0 {
+		return
+	}
+	b := u.outsiders.Blocks[0]
+	if lane, ok := slices.BinarySearch(b.Rows[:b.N], id); ok {
+		b.Kill(lane)
+	}
 }
 
 // solveInserts is phase A: each live insert solved as a single-point MDMC
@@ -1050,19 +1109,21 @@ func (u *Updater) crossTest(lives []pendingInsert, results []*bitset.Set) (membe
 }
 
 // passChunk is how many targets a worker of the reverse pass or of the
-// delete pass claims at a time.
+// delete pass claims at a time; the promotion walk claims the words of as many
+// outsiders.
 const passChunk = 256
 
 // eachChunk runs work on up to u.threads goroutines and waits for them. A
-// worker draws ranges [lo, hi) of 0..n from claim until it gets an empty one.
-func (u *Updater) eachChunk(n int, work func(claim func() (lo, hi int))) {
+// worker draws ranges [lo, hi) of 0..n, chunk at a time, from claim until it
+// gets an empty one.
+func (u *Updater) eachChunk(n, chunk int, work func(claim func() (lo, hi int))) {
 	var next atomic.Int64
 	claim := func() (int, int) {
-		hi := int(next.Add(passChunk))
-		return min(hi-passChunk, n), min(hi, n)
+		hi := int(next.Add(int64(chunk)))
+		return min(hi-chunk, n), min(hi, n)
 	}
 	var wg sync.WaitGroup
-	for w := min(u.threads, (n+passChunk-1)/passChunk); w > 0; w-- {
+	for w := min(u.threads, (n+chunk-1)/chunk); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -1086,7 +1147,7 @@ func (u *Updater) reversePass(snap *Snapshot, lives []pendingInsert, results []*
 	nTree := len(liveTree)
 	targets := append(liveTree[:nTree:nTree], offTree...)
 	grown := make([]*bitset.Set, len(targets))
-	u.eachChunk(len(targets), func(claim func() (int, int)) {
+	u.eachChunk(len(targets), passChunk, func(claim func() (int, int)) {
 		scratch := bitset.New(mask.NumSubspaces(u.d))
 		for lo, hi := claim(); lo < hi; lo, hi = claim() {
 			for t := lo; t < hi; t++ {
@@ -1160,7 +1221,7 @@ func (u *Updater) resolveDeletes(snap *Snapshot, shields []shield, affected *bit
 	var mu sync.Mutex
 	open := make(map[mask.Mask][]int32)
 	var cmps int64
-	u.eachChunk(len(targets), func(claim func() (int, int)) {
+	u.eachChunk(len(targets), passChunk, func(claim func() (int, int)) {
 		// closed has a clear bit per open subspace of the point at hand: the
 		// shields clear them, the survivors set them again.
 		closed := bitset.New(mask.NumSubspaces(u.d))
@@ -1313,14 +1374,4 @@ func (u *Updater) strongestFirst(ids []int32) []int32 {
 		out[i] = ids[k]
 	}
 	return out
-}
-
-// strictlyDominatesFull reports a < b on every dimension.
-func strictlyDominatesFull(a, b []float32) bool {
-	for j := range a {
-		if a[j] >= b[j] {
-			return false
-		}
-	}
-	return true
 }

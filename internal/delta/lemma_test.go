@@ -83,24 +83,59 @@ func (r *lemmaRig) flush() *Snapshot {
 }
 
 // assertOutsidersVouched checks by brute force what lets every pass skip the
-// outsiders: each live one that is not loose has a live point strictly below
-// it on every dimension. The list ascends and shares no id with loose.
+// outsiders: each one still listed is live, not loose, and has a live point
+// strictly below it on every dimension. The lanes ascend by id and hold the
+// negated coordinates of their points.
 func assertOutsidersVouched(t *testing.T, u *Updater, live []int32) {
 	t.Helper()
-	if !slices.IsSorted(u.outsiders) {
-		t.Fatalf("outsiders are not in id order: %v", u.outsiders)
+	ids := outsiderIDs(u)
+	if !slices.IsSorted(ids) {
+		t.Fatalf("outsiders are not in id order: %v", ids)
 	}
-	for _, q := range u.outsiders {
+	for _, b := range u.outsiders.Blocks {
+		for lane := 0; lane < b.N; lane++ {
+			for j, col := range b.Cols {
+				if col[lane] != -u.point(b.Rows[lane])[j] {
+					t.Fatalf("outsider lane %d holds %v on dimension %d, its point %v", lane, col[lane], j, u.point(b.Rows[lane]))
+				}
+			}
+		}
+	}
+	for _, q := range ids {
 		if _, loose := u.loose[q]; loose {
 			t.Fatalf("%d is both an outsider and loose", q)
 		}
 		if _, dead := u.dead[q]; dead {
-			continue
+			t.Fatalf("outsider %d is dead but its lane is alive", q)
 		}
 		if !slices.ContainsFunc(live, func(p int32) bool { return strictlyDominatesFull(u.point(p), u.point(q)) }) {
 			t.Fatalf("outsider %d %v is not loose though no live point strictly dominates it", q, u.point(q))
 		}
 	}
+}
+
+// outsiderIDs lists the ids of the alive outsider lanes, in lane order.
+func outsiderIDs(u *Updater) []int32 {
+	var ids []int32
+	for _, b := range u.outsiders.Blocks {
+		for lane := 0; lane < b.N; lane++ {
+			if b.IsAlive(lane) {
+				ids = append(ids, b.Rows[lane])
+			}
+		}
+	}
+	return ids
+}
+
+// strictlyDominatesFull reports a < b on every dimension: the scalar oracle
+// of the promotion walk.
+func strictlyDominatesFull(a, b []float32) bool {
+	for j := range a {
+		if a[j] >= b[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // assertOverlayExact checks cur's overlay, one flush after prev over the
@@ -321,7 +356,7 @@ func TestLemmaLooseOutsiderThenDominated(t *testing.T) {
 		{0, 9, 9}, {9, 0, 9}, {9, 9, 0},
 	})
 	r := newLemmaRig(t, ds)
-	if !slices.Contains(r.u.outsiders, 1) {
+	if !slices.Contains(outsiderIDs(r.u), 1) {
 		t.Fatal("o is not an outsider of the base")
 	}
 	r.delete(0)
@@ -417,25 +452,122 @@ func TestPromotionFollowsOrphans(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	outsiders := len(u.outsiders)
+	outsiders := len(outsiderIDs(u))
 	snap := u.Flush()
 	live = slices.DeleteFunc(live, func(id int32) bool { return slices.Contains(victims, id) })
 	assertOutsidersVouched(t, u, live)
 
 	promoted := reg.CounterM("skycube_delta_promoted_outsiders_total", "").Value()
-	t.Logf("%d deletes over %d outsiders: %v promoted, %d strict tests", batch, outsiders, promoted, u.vouches.Load())
+	t.Logf("%d deletes over %d outsiders: %v promoted, %d words swept", batch, outsiders, promoted, u.vouches.Load())
 	if promoted >= 64 || int(promoted) != len(u.loose) {
 		t.Errorf("skycube_delta_promoted_outsiders_total = %v with %d loose points, want the same and < 64",
 			promoted, len(u.loose))
 	}
-	if u.vouches.Load() < int64(outsiders) {
-		t.Errorf("%d strict tests over %d outsiders: the walk did not run", u.vouches.Load(), outsiders)
+	if words := int64(fromSkyline * ((outsiders + 63) / 64)); u.vouches.Load() < words {
+		t.Errorf("%d words swept, %d vouchers over %d outsiders: the walk did not run", u.vouches.Load(), fromSkyline, outsiders)
 	}
 	fresh := u.Compact()
 	for delta := mask.Mask(1); int(delta) <= mask.NumSubspaces(d); delta++ {
 		if got, want := snap.Skyline(delta), fresh.Skyline(delta); !reflect.DeepEqual(got, want) {
 			t.Fatalf("δ=%b: overlay has %d members, fresh build %d", delta, len(got), len(want))
 		}
+	}
+}
+
+// TestPromotionWalkMatchesScalar holds the promotion walk's word sweeps to the
+// scalar oracle on {0..3} grid bases, whose outsiders span tens of words and
+// tie vouchers and kept members on some dimensions or all. Each round deletes
+// every copy of one full-space skyline cell and a few random points, over a
+// freshly compacted base: the flush must promote exactly the live outsiders a
+// voucher strictly dominates and no kept member does. The walk is then fed
+// arbitrary vouchers and a kept set of several blocks, and must mark exactly
+// the lanes the oracle picks.
+func TestPromotionWalkMatchesScalar(t *testing.T) {
+	for _, d := range []int{3, 4} {
+		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) {
+			const n = 5000
+			rng := rand.New(rand.NewSource(int64(40 + d)))
+			u := NewUpdater(gridDataset(rng, n, d, 4), Options{Threads: 2})
+			defer u.Close()
+			full := mask.Full(d)
+			below := func(ps []int32, q int32) bool {
+				return slices.ContainsFunc(ps, func(p int32) bool { return strictlyDominatesFull(u.point(p), u.point(q)) })
+			}
+			live := make([]int32, n)
+			for i := range live {
+				live[i] = int32(i)
+			}
+			promoted := 0
+			for round := 0; round < 5; round++ {
+				snap := u.Compact()
+				if words := (len(outsiderIDs(u)) + 63) / 64; words < 4 {
+					t.Fatalf("round %d: the outsiders fill %d words, want several", round, words)
+				}
+				sky := snap.Skyline(full)
+				cell := u.point(sky[rng.Intn(len(sky))])
+				victims := slices.DeleteFunc(slices.Clone(live), func(id int32) bool { return !slices.Equal(u.point(id), cell) })
+				for k := 0; k < 5; k++ {
+					if id := live[rng.Intn(len(live))]; !slices.Contains(victims, id) {
+						victims = append(victims, id)
+					}
+				}
+				vouchers := slices.DeleteFunc(slices.Clone(sky), func(id int32) bool { return !slices.Contains(victims, id) })
+				kept := slices.DeleteFunc(slices.Clone(sky), func(id int32) bool { return slices.Contains(victims, id) })
+				var want []int32
+				for _, q := range outsiderIDs(u) {
+					if !slices.Contains(victims, q) && below(vouchers, q) && !below(kept, q) {
+						want = append(want, q)
+					}
+				}
+				for _, id := range victims {
+					if err := u.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				live = slices.DeleteFunc(live, func(id int32) bool { return slices.Contains(victims, id) })
+				u.Flush()
+				got := make([]int32, 0, len(u.loose))
+				for id := range u.loose {
+					got = append(got, id)
+				}
+				slices.Sort(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("round %d: %d vouchers, %d kept: promoted %v, oracle %v", round, len(vouchers), len(kept), got, want)
+				}
+				assertOutsidersVouched(t, u, live)
+				t.Logf("round %d: %d victims, %d vouchers, %d kept: %d promoted", round, len(victims), len(vouchers), len(kept), len(got))
+				promoted += len(got)
+			}
+			if promoted == 0 {
+				t.Fatal("no round promoted an outsider")
+			}
+
+			// The walk alone, on vouchers and kept members of any kind.
+			u.Compact()
+			b := u.outsiders.Blocks[0]
+			for trial := 0; trial < 20; trial++ {
+				vouchers := make([]int32, 1+rng.Intn(6))
+				for i := range vouchers {
+					vouchers[i] = live[rng.Intn(len(live))]
+				}
+				kept := make([]int32, 1+rng.Intn(600))
+				for i := range kept {
+					kept[i] = live[rng.Intn(len(live))]
+				}
+				ks := data.NewBlockSet(d, data.DefaultBlockSize)
+				for _, id := range u.strongestFirst(kept) {
+					ks.Append(u.point(id), id, 0)
+				}
+				orphan := u.orphans(b, vouchers, ks)
+				for lane := 0; lane < b.N; lane++ {
+					q := b.Rows[lane]
+					want := b.IsAlive(lane) && below(vouchers, q) && !below(kept, q)
+					if got := orphan[lane>>6]>>uint(lane&63)&1 != 0; got != want {
+						t.Fatalf("trial %d lane %d (%d %v): walk %v, oracle %v", trial, lane, q, u.point(q), got, want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -189,6 +189,18 @@ func blockLeqWord(b *data.Block, w int, pq []float32) uint64 {
 	return leAll
 }
 
+// lessCols counts the columns on which a lane is < pq: all of them for a
+// strict dominator, none for a duplicate of a lane ≤ pq.
+func lessCols(b *data.Block, lane int, pq []float32) int {
+	less := 0
+	for j, col := range b.Cols {
+		if col[lane] < pq[j] {
+			less++
+		}
+	}
+	return less
+}
+
 // BlocksVerdict classifies pq against every live lane of bs in one scan: each
 // word is swept once for the lanes ≤ pq everywhere, and only those lanes are
 // then read again to tell a strict dominator from a dominator from a
@@ -201,13 +213,7 @@ func BlocksVerdict(bs *data.BlockSet, pq []float32, t *KernelTally) Verdict {
 		for w := 0; w < words; w++ {
 			t.Sweeps++
 			for le := blockLeqWord(b, w, pq); le != 0; le &= le - 1 {
-				lane := w<<6 + bits.TrailingZeros64(le)
-				less := 0
-				for j, col := range b.Cols {
-					if col[lane] < pq[j] {
-						less++
-					}
-				}
+				less := lessCols(b, w<<6+bits.TrailingZeros64(le), pq)
 				if less == len(b.Cols) {
 					return StrictlyDominated
 				}
@@ -220,14 +226,31 @@ func BlocksVerdict(bs *data.BlockSet, pq []float32, t *KernelTally) Verdict {
 	return v
 }
 
+// StrictWord returns the live lanes of word w of b that are < pq on every
+// column. It is BlocksVerdict's scan of one word: the ≤ sweep, then the strict
+// check on the lanes it left.
+func StrictWord(b *data.Block, w int, pq []float32) uint64 {
+	le := blockLeqWord(b, w, pq)
+	for m := le; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if lessCols(b, w<<6+i, pq) != len(b.Cols) {
+			le &^= 1 << uint(i)
+		}
+	}
+	return le
+}
+
 // CompareBlock computes Compare(point q, pp) for every q in the half-open
 // leaf-sorted range [lo, hi) of the column-major view cols (cols[j][q] is
 // point q's coordinate on dimension j), writing the Rel masks into
 // out[:hi-lo]: dimensions-outer, so each column is one sequential sweep, and
 // the two independent compares per lane mirror Compare's branch-free
-// accumulation exactly. No build calls it since MDMC's leaf DT became a row
-// compare (the tree's leaves hold one or two points, so a sweep ran for one
-// lane); it stays for benchmark/probes.go's dom.compare_block_ns_per_row.
+// accumulation exactly. No production code calls it. MDMC's leaf DT is a row
+// compare, because the tree's leaves hold one or two points and a sweep ran for
+// one lane. The delete flush's survivor loop reads about 26 (I d=6) or 60 (A
+// d=4) lanes per target in order and stops at the first that closes it; there,
+// 4-, 8- and 16-lane calls were no faster than one Compare per lane. It stays
+// for benchmark/probes.go's dom.compare_block_ns_per_row.
 func CompareBlock(cols [][]float32, lo, hi int, pp []float32, out []Rel) {
 	n := hi - lo
 	for i := 0; i < n; i++ {

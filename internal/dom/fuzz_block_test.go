@@ -232,21 +232,23 @@ func FuzzBlockKernelEquivalence(f *testing.F) {
 			for _, b := range bs.Blocks {
 				for w := 0; w < (b.N+63)>>6; w++ {
 					dom, leq := blockDomWord(b, w, pq, strict), blockLeqWord(b, w, pq)
+					lt := StrictWord(b, w, pq)
 					for i := 0; i < 64; i++ {
 						lane := w<<6 + i
-						var wantDom, wantLeq bool
+						var wantDom, wantLeq, wantLt bool
 						if lane < b.N && b.IsAlive(lane) {
 							r := Compare(lanePoint(b, lane, buf), pq)
 							wantLeq = r.Lt|r.Eq == full
+							wantLt = RelStrictlyDominates(r, full)
 							wantDom = RelDominates(r, full)
 							if strict {
-								wantDom = RelStrictlyDominates(r, full)
+								wantDom = wantLt
 							}
 						}
-						gotDom, gotLeq := dom>>uint(i)&1 != 0, leq>>uint(i)&1 != 0
-						if gotDom != wantDom || gotLeq != wantLeq {
-							t.Fatalf("%s block word %d lane %d: dom %v leq %v, want %v %v",
-								impl, w, i, gotDom, gotLeq, wantDom, wantLeq)
+						gotDom, gotLeq, gotLt := dom>>uint(i)&1 != 0, leq>>uint(i)&1 != 0, lt>>uint(i)&1 != 0
+						if gotDom != wantDom || gotLeq != wantLeq || gotLt != wantLt {
+							t.Fatalf("%s block word %d lane %d: dom %v leq %v strict %v, want %v %v %v",
+								impl, w, i, gotDom, gotLeq, gotLt, wantDom, wantLeq, wantLt)
 						}
 					}
 				}
