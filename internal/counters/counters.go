@@ -274,35 +274,84 @@ func ProfileSD(ds *data.Dataset, cfg Config) (Report, *lattice.Lattice) {
 }
 
 // profiledHybrid is one cuboid of the Hybrid engine under the probes. The
-// prologue's reads are charged in the order it reads them: when there are
-// labels, one column scan per dimension for the pivots, round-robin over the
-// probes (the production code computes the columns independently); then
-// every point's row once for its labels and δ-sum. Each tile's phase A is
-// spread over as many probes as the engine would fork goroutines, with a
-// fork/join barrier per tile when that is more than one: a point costs its
-// own labels and its row, a group visit one label entry and three
-// instructions, a word swept the group's k column words of 256 B. Phase B
-// runs on one goroutine, so the first probe pays it: a point's row and its
-// words of the tile's new members. Those members, and then each group's
-// block set, live in the region at base.
+// prologue's passes are charged in the order the engine runs them, each split
+// over the probes as the engine splits it (skyline.PrologueWorkers): the δ-sum
+// pass reads every row; the tile order's inverse is written at random; the
+// scatter reads every row again and writes its projection and δ-sum at its
+// tile position; when there are labels, each dimension's pivots cost a
+// strided pass over the staged points and a column, and the labels one more
+// sequential pass. The model sorts the δ-sums itself to know where the
+// scatter writes land; the radix passes are not charged. Each tile's phase A
+// is spread over as many probes as the engine would fork goroutines, with a
+// fork/join barrier per tile when that is more than one: a point costs its own
+// labels and its k staged coordinates, read at its tile position, a group
+// visit one label entry and three instructions, a word swept the group's k
+// column words of 256 B. Phase B runs on one goroutine, so the first probe
+// pays it: a point's staged coordinates and its words of the tile's new
+// members. Those members, and then each group's block set, live in the region
+// at base, the staged cuboid in that region's upper half.
 func profiledHybrid(ds *data.Dataset, rows []int32, delta mask.Mask, probes []*memsim.Thread, base uint64, sweeps *atomic.Int64) skyline.Result {
 	n := len(rows)
 	dims := mask.Dims(delta)
 	k := len(dims)
-	if skyline.LabelDepth(n, k) > 0 {
-		for idx, j := range dims {
-			probes[idx%len(probes)].Load(dataBase+uint64(j)*uint64(n)*4, n*4)
+	span := func(bytes int) uint64 { return (uint64(bytes)+4095)&^4095 + 64 }
+	ptsAt := base + groupRegion/2
+	sumAt := ptsAt + span(n*k*4)
+	labelAt := sumAt + span(n*4)
+	posAt := labelAt + span(n*8)
+	rowSumAt := posAt + span(n*4)
+	colAt := rowSumAt + span(n*4)
+
+	workers := skyline.PrologueWorkers(n, len(probes))
+	pass := func(f func(th *memsim.Thread, i int)) {
+		for w := 0; w < workers; w++ {
+			for i := w * n / workers; i < (w+1)*n/workers; i++ {
+				f(probes[w], i)
+			}
 		}
 	}
-	for _, q := range rows {
-		probes[0].Load(pointAddr(ds, q), ds.Dims*4)
-		probes[0].Instr(k)
+	rowSum := make([]float32, n)
+	pass(func(th *memsim.Thread, i int) {
+		th.Load(pointAddr(ds, rows[i]), ds.Dims*4)
+		th.Instr(k)
+		th.Load(rowSumAt+uint64(i)*4, 4)
+		rowSum[i] = data.SumOver(ds.Point(int(rows[i])), dims)
+	})
+	ord := data.SumOrder(rowSum, rows)
+	pos := make([]int32, n)
+	pass(func(th *memsim.Thread, t int) {
+		th.Load(posAt+uint64(ord[t])*4, 4)
+		pos[ord[t]] = int32(t)
+	})
+	staged := func(t int32) uint64 { return ptsAt + uint64(t)*uint64(k)*4 }
+	pass(func(th *memsim.Thread, i int) {
+		th.Load(pointAddr(ds, rows[i]), ds.Dims*4)
+		th.Load(posAt+uint64(i)*4, 4)
+		th.Load(rowSumAt+uint64(i)*4, 4)
+		th.Load(staged(pos[i]), k*4)
+		th.Load(sumAt+uint64(pos[i])*4, 4)
+		th.Instr(k)
+	})
+	if skyline.LabelDepth(n, k) > 0 {
+		selectors := min(workers, k)
+		for w := 0; w < selectors; w++ {
+			for range (w+1)*k/selectors - w*k/selectors {
+				probes[w].Load(ptsAt, n*k*4)
+				probes[w].Load(colAt+uint64(w*n)*4, n*4)
+				probes[w].Instr(n)
+			}
+		}
+		pass(func(th *memsim.Thread, t int) {
+			th.Load(staged(int32(t)), k*4)
+			th.Load(labelAt+uint64(t)*8, 8)
+			th.Instr(k)
+		})
 	}
 
 	// The tile's new members are at base, each group's words after them, one
 	// line past a page boundary so the groups' first words do not all map to
 	// one cache set.
-	groupBytes := (uint64(n*k*4)+4095)&^4095 + 64
+	groupBytes := span(n * k * 4)
 	sweep := func(th *memsim.Thread, addr uint64, words int) {
 		for i := 0; i < words*k; i++ {
 			th.Load(addr+uint64(i)*256, 256)
@@ -310,8 +359,8 @@ func profiledHybrid(ds *data.Dataset, rows []int32, delta mask.Mask, probes []*m
 		sweeps.Add(int64(words))
 	}
 	point := func(th *memsim.Thread, p int32) {
-		th.Load(labelBase+uint64(p)*8, 8)
-		th.Load(pointAddr(ds, rows[p]), ds.Dims*4)
+		th.Load(labelAt+uint64(pos[p])*8, 8)
+		th.Load(staged(pos[p]), k*4)
 		th.Instr(k)
 	}
 	return skyline.HybridInstrumented(ds, rows, delta, len(probes), &skyline.HybridHooks{
@@ -340,7 +389,7 @@ func profiledHybrid(ds *data.Dataset, rows []int32, delta mask.Mask, probes []*m
 			sweep(th, base+groupBytes*uint64(id+1), words)
 		},
 		Fresh: func(p, words int) {
-			probes[0].Load(pointAddr(ds, rows[p]), ds.Dims*4)
+			probes[0].Load(staged(pos[p]), k*4)
 			probes[0].Instr(k)
 			sweep(probes[0], base, words)
 		},

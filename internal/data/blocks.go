@@ -13,7 +13,9 @@ const DefaultBlockSize = 256
 // lane, so a dominance sweep against one query point walks each column
 // sequentially. This is the CPU mirror of the paper's §6.1 coalesced layout
 // argument — the row-major Dataset stays the storage format, a Block is the
-// comparison format.
+// comparison format. Between the two, the Hybrid engine reads a cuboid's
+// staged copy: its points projected onto δ, point-major and sum-ordered, from
+// which it appends block lanes without going back to the Dataset.
 //
 // Layout rule the kernels of internal/dom lean on: BlockSize is a multiple of
 // 64, every column has BlockSize floats of backing store, and the columns are

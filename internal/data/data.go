@@ -6,6 +6,12 @@
 // specialisations rely on consecutive threads touching consecutive
 // addresses for coalescing. Smaller values are better on every dimension
 // (WLOG, per the paper's footnote 2).
+//
+// The Dataset is the storage format, not the only one algorithms read. The
+// Hybrid engine (internal/skyline) stages each cuboid once as a point-major
+// copy of its rows projected onto δ, in ascending (δ-sum, row) order
+// (SumOrderInto), and reads that copy instead of the rows; the block kernels
+// read the column-major Blocks below.
 package data
 
 import (

@@ -103,10 +103,18 @@ func orderKey(v float32) int32 {
 // alone orders an equal-sum run by row when rows ascends, the usual case;
 // a run it does not is re-sorted by row.
 func SumOrder(sums []float32, rows []int32) []int32 {
+	ord := make([]int32, len(sums))
+	SumOrderInto(ord, make([]uint64, 2*len(sums)), sums, rows)
+	return ord
+}
+
+// SumOrderInto is SumOrder writing the order into ord (len(sums) entries)
+// and sorting in scratch (at least 2·len(sums) words), so a caller that
+// orders many inputs can reuse both.
+func SumOrderInto(ord []int32, scratch []uint64, sums []float32, rows []int32) {
 	n := len(sums)
 	// cur[i] = key<<32 | index, so one word moves per element per pass.
-	cur := make([]uint64, n)
-	tmp := make([]uint64, n)
+	cur, tmp := scratch[:n:n], scratch[n:2*n]
 	var hist [4][256]int32
 	for i, s := range sums {
 		if s == 0 {
@@ -138,7 +146,6 @@ func SumOrder(sums []float32, rows []int32) []int32 {
 		cur, tmp = tmp, cur
 	}
 
-	ord := make([]int32, n)
 	for i, e := range cur {
 		ord[i] = int32(uint32(e))
 	}
@@ -155,5 +162,4 @@ func SumOrder(sums []float32, rows []int32) []int32 {
 		}
 		lo = hi
 	}
-	return ord
 }

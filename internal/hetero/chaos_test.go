@@ -210,34 +210,31 @@ func BenchmarkMDMCImbalance(b *testing.B) {
 
 // TestStealingBeatsStaticUnderImbalance pins the benchmark's headline claim
 // as a test: with one 10× straggler, the adaptive schedule must finish at
-// least 1.3× faster than the static split (the expected gap is ~3–8×, so
-// the margin absorbs CI noise), and the steals must show up in the exported
-// metrics.
+// least 1.3× faster than the static split, and the steals must show up in
+// the exported metrics. Both sides are timed the same way, the best of three
+// runs, interleaved so that a slow stretch of the host hits both; the
+// speedup's distribution over repeated runs is in EXPERIMENTS.md.
 func TestStealingBeatsStaticUnderImbalance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
 	ds := gen.Synthetic(gen.Anticorrelated, 4000, 6, 7)
-	timeRun := func(tun Tuning) (time.Duration, SchedCounters) {
-		best := time.Duration(0)
-		var counters SchedCounters
-		for i := 0; i < 2; i++ {
-			start := time.Now()
-			_, _, c := MDMCAllSched(ds, imbalancedDevices(), 2, 0, tun, nil, nil)
-			if el := time.Since(start); best == 0 || el < best {
-				best = el
-				counters = c
-			}
-		}
-		return best, counters
-	}
-	static, _ := timeRun(staticTuning)
-
 	reg := obs.NewRegistry()
 	adaptive := Tuning{Metrics: obs.NewSchedMetrics(reg)}
-	start := time.Now()
-	_, _, counters := MDMCAllSched(ds, imbalancedDevices(), 2, 0, adaptive, nil, nil)
-	stealing := time.Since(start)
+	var static, stealing time.Duration
+	var counters SchedCounters
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		MDMCAllSched(ds, imbalancedDevices(), 2, 0, staticTuning, nil, nil)
+		if el := time.Since(start); i == 0 || el < static {
+			static = el
+		}
+		start = time.Now()
+		_, _, c := MDMCAllSched(ds, imbalancedDevices(), 2, 0, adaptive, nil, nil)
+		if el := time.Since(start); i == 0 || el < stealing {
+			stealing, counters = el, c
+		}
+	}
 
 	if float64(static) < 1.3*float64(stealing) {
 		t.Errorf("static %v vs stealing %v: speedup %.2f× < 1.3×",

@@ -50,6 +50,13 @@ type HybridHooks struct {
 // order classifies every point once — strictly dominated, in S⁺_δ \ S_δ, or
 // in S_δ — against a window that holds members of S_δ only.
 //
+// The pass reads the cuboid hybridPrepare staged, not the dataset: inside
+// the engine a point is its tile position, the rank of its (δ-sum, row) key,
+// and so are its statuses, the rows of every block lane and the equal-sum
+// run. Only the hooks speak of indices into rows. Statuses return to row
+// order through the staged inverse of the tile order, which for rows in
+// ascending order is already the result's order: no sort.
+//
 // The S-only window is sound because dominance is a strict partial order on a
 // finite set: any dominator of p can be replaced by one in S_δ, and a strict
 // one by a member s with s ≤ q < p on all of δ, itself strict. So p ∈ S⁺_δ iff
@@ -64,7 +71,9 @@ func HybridInstrumented(ds *data.Dataset, rows []int32, delta mask.Mask, threads
 	threads = max(threads, 1)
 	dims := mask.Dims(delta)
 	k, n := len(dims), len(rows)
-	medM, quartM, sum, ord := hybridPrepare(ds, rows, dims)
+	stage := hybridPrepare(ds, rows, dims, threads)
+	defer stagePool.Put(stage)
+	pts, sum, medM, quartM, ord := stage.pts, stage.sum, stage.medM, stage.quartM, stage.ord
 
 	// The members of S_δ found by earlier tiles, one sum-ordered block set per
 	// label. No stop point: every lane sums to no more than the probe. Groups
@@ -83,25 +92,24 @@ func HybridInstrumented(ds *data.Dataset, rows []int32, delta mask.Mask, threads
 		}
 	}()
 	// This tile's new members, and the points of S⁺_δ \ S_δ that share the
-	// current δ-sum. Both hold indices into rows, as ord and st do.
+	// current δ-sum, by tile position.
 	fresh := data.GetBlockSet(k, kernelWord)
 	defer data.PutBlockSet(fresh)
 	var extRun []int32
 
-	st := make([]Status, n)
-	var tile []int32
-	var killer []int32 // by tile position: the group that dropped the point, or -1
+	st := stage.st
+	var first int      // the current tile's first position
+	var tile []int32   // ord over the current tile: what the hooks see
+	var killer []int32 // by position in the tile: the group that dropped the point, or -1
 	var wg sync.WaitGroup
 
-	// Phase A (parallel, read-only): classify tile[lo:hi] against the groups,
-	// with label tests before any dominance test.
+	// Phase A (parallel, read-only): classify tile positions [lo, hi) against
+	// the groups, with label tests before any dominance test.
 	probe := func(w, lo, hi int) {
 		var tally dom.KernelTally
-		var buf [mask.MaxDims]float32
-		pq := buf[:k]
 		for t := lo; t < hi; t++ {
-			p := tile[t]
-			data.ProjectInto(pq, ds.Point(int(rows[p])), dims)
+			p := first + t
+			pq := staged(pts, k, p)
 			mp, qp := medM[p], quartM[p]
 			v := dom.Undominated
 			killer[t] = -1
@@ -156,15 +164,13 @@ func HybridInstrumented(ds *data.Dataset, rows []int32, delta mask.Mask, threads
 	}
 
 	var tally dom.KernelTally
-	var buf [mask.MaxDims]float32
-	pq := buf[:k]
 	members := 0
 	for start := 0; start < n; {
 		end := min(start+hybridTileSize, n)
-		for end < n && sum[ord[end]] == sum[ord[end-1]] {
+		for end < n && sum[end] == sum[end-1] {
 			end++
 		}
-		tile = ord[start:end]
+		first, tile = start, ord[start:end]
 		start = end
 		killer = slices.Grow(killer[:0], len(tile))[:len(tile)]
 
@@ -186,7 +192,7 @@ func HybridInstrumented(ds *data.Dataset, rows []int32, delta mask.Mask, threads
 
 		// Phase B (sequential): the tile's undropped points, in sum order,
 		// against the tile's own new members.
-		for _, p := range tile {
+		for p := first; p < end; p++ {
 			if st[p] == Dominated {
 				continue
 			}
@@ -194,23 +200,23 @@ func HybridInstrumented(ds *data.Dataset, rows []int32, delta mask.Mask, threads
 			if len(extRun) > 0 && sum[extRun[0]] != s {
 				extRun = extRun[:0]
 			}
-			data.ProjectInto(pq, ds.Point(int(rows[p])), dims)
+			pq := staged(pts, k, p)
 			swept := tally.Sweeps
 			st[p] = min(st[p], statusOf(dom.BlocksVerdict(fresh, pq, &tally)))
 			if h != nil {
-				h.Fresh(int(p), int(tally.Sweeps-swept))
+				h.Fresh(int(ord[p]), int(tally.Sweeps-swept))
 			}
 			switch st[p] {
 			case ExtendedOnly:
-				extRun = append(extRun, p)
+				extRun = append(extRun, int32(p))
 			case InSkyline:
 				for _, e := range extRun {
-					if st[e] == ExtendedOnly && dom.StrictlyDominatesIn(ds.Point(int(rows[p])), ds.Point(int(rows[e])), delta) {
+					if st[e] == ExtendedOnly && strictlyBelow(pq, staged(pts, k, int(e))) {
 						st[e] = Dominated
 					}
 				}
 				extRun = evictEqualSumTail(fresh, pq, s, st, extRun)
-				fresh.Append(pq, p, s)
+				fresh.Append(pq, int32(p), s)
 			}
 		}
 
@@ -227,10 +233,7 @@ func HybridInstrumented(ds *data.Dataset, rows []int32, delta mask.Mask, threads
 					gi = len(groups)
 					groups = append(groups, group{med: medM[p], quart: quartM[p], bs: data.GetBlockSet(k, kernelWord), id: gi})
 				}
-				for j, col := range b.Cols {
-					pq[j] = col[lane]
-				}
-				groups[gi].bs.Append(pq, p, b.Sums[lane])
+				groups[gi].bs.Append(staged(pts, k, int(p)), p, b.Sums[lane])
 				members++
 			}
 		}
@@ -239,17 +242,33 @@ func HybridInstrumented(ds *data.Dataset, rows []int32, delta mask.Mask, threads
 	tally.Flush()
 
 	res := Result{Skyline: make([]int32, 0, members), ExtOnly: make([]int32, 0)}
-	for p, s := range st {
-		switch s {
+	for i, p := range stage.pos {
+		switch st[p] {
 		case InSkyline:
-			res.Skyline = append(res.Skyline, rows[p])
+			res.Skyline = append(res.Skyline, rows[i])
 		case ExtendedOnly:
-			res.ExtOnly = append(res.ExtOnly, rows[p])
+			res.ExtOnly = append(res.ExtOnly, rows[i])
 		}
 	}
-	slices.Sort(res.Skyline)
-	slices.Sort(res.ExtOnly)
+	if !slices.IsSorted(rows) {
+		slices.Sort(res.Skyline)
+		slices.Sort(res.ExtOnly)
+	}
 	return res
+}
+
+// staged is position p's coordinates in the point-major pts of width k.
+func staged(pts []float32, k, p int) []float32 { return pts[p*k : p*k+k : p*k+k] }
+
+// strictlyBelow reports whether a is smaller than b on every coordinate: a
+// strictly dominates b in the projection both are staged in.
+func strictlyBelow(a, b []float32) bool {
+	for j, v := range a {
+		if !(v < b[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // statusOf is the status of a point with verdict v against all of S_δ.
@@ -297,48 +316,178 @@ func LabelDepth(lanes, width int) int {
 	return 0
 }
 
-// hybridPrepare is everything HybridInstrumented does before its first dominance
-// test, all of it linear in len(rows): the global labels over only the
-// relevant dimensions (§5.1: partition on the subspace's dimensions when
-// hooked into a cuboid) to the depth LabelDepth gives — levels not used are
-// zero, and depth 0 computes no pivot — each row's δ-sum, and the tile order:
-// L1 norm ascending, ties by row for determinism. All four are indexed like
-// rows.
-func hybridPrepare(ds *data.Dataset, rows []int32, dims []int) (medM, quartM []mask.Mask, sum []float32, ord []int32) {
-	n := len(rows)
-	medM = make([]mask.Mask, n)
-	quartM = make([]mask.Mask, n)
-	sum = make([]float32, n)
-	depth := LabelDepth(n, len(dims))
+// hybridStage is a cuboid as HybridInstrumented reads it. Everything but
+// rowSum and pos is indexed by tile position, a point's rank in the ascending
+// (δ-sum, row) order. Stages are pooled, so a build's many cuboids reuse the
+// same buffers.
+type hybridStage struct {
+	pts          []float32   // point-major projections: position t's k coordinates at pts[t·k:]
+	sum          []float32   // δ-sums
+	medM, quartM []mask.Mask // labels, zero on the levels LabelDepth leaves out
+	ord          []int32     // the index into rows at each position: the tile order
+	pos          []int32     // ord's inverse: the position of rows[i]
+	st           []Status    // the engine's verdicts
+
+	rowSum []float32 // δ-sums in row order, the key of the tile order
+	radix  []uint64  // data.SumOrderInto's scratch
+	cols   []float32 // one column of n coordinates per selecting goroutine
+	med    [mask.MaxDims]float32
+	quart  [2][mask.MaxDims]float32
+}
+
+var stagePool = sync.Pool{New: func() any { return new(hybridStage) }}
+
+// prologueGrain is the fewest points a prologue pass hands one goroutine:
+// enough to fill a kernel word of tiles. A pass over that many points takes
+// tens of microseconds, the fork and join of its goroutines a few.
+const prologueGrain = kernelWord * hybridTileSize
+
+// PrologueWorkers is the number of goroutines on which HybridInstrumented
+// runs each linear pass of its prologue over n points with the given
+// threads: one per prologueGrain points, at most threads, at least one. So
+// STSC's one-thread cuboids never fork, and SDSC and MDMC fork on large
+// cuboids only.
+func PrologueWorkers(n, threads int) int {
+	return max(1, min(threads, n/prologueGrain))
+}
+
+// forRanges runs f(w, lo, hi) over [0, n) split into workers contiguous
+// ranges, on that many goroutines (the caller's among them), and returns when
+// all are done.
+func forRanges(n, workers int, f func(w, lo, hi int)) {
+	if workers <= 1 {
+		f(0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			f(w, w*n/workers, (w+1)*n/workers)
+		}(w)
+	}
+	f(0, 0, n/workers)
+	wg.Wait()
+}
+
+// resize returns s with length n, reallocated only when too small.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// hybridPrepare is everything HybridInstrumented does before its first
+// dominance test, all of it linear in len(rows), and all of it but the tile
+// order's radix passes over the engine's threads on large cuboids
+// (PrologueWorkers). It stages the cuboid once:
+//
+//  1. each row's δ-sum, reading the dataset in row order;
+//  2. the tile order: (δ-sum, row) ascending, data.SumOrderInto;
+//  3. its inverse, and a scatter of each row's projection onto the relevant
+//     dimensions (§5.1: partition on the subspace's dimensions when hooked
+//     into a cuboid) and δ-sum to the row's tile position — the dataset is
+//     again read in row order, and its rows never again;
+//  4. the global pivots to the depth LabelDepth gives, one selection per
+//     dimension over a strided copy of the staged column (depth 0 computes
+//     none);
+//  5. the labels, over the staged points in tile order.
+//
+// Phases A and B then read each point's coordinates from one short run of
+// pts at its position instead of gathering d-wide rows through rows, as
+// Hybrid's presorted copy of the data does (§5.1, and §6.1's coalescing
+// argument). The caller returns the stage to stagePool.
+func hybridPrepare(ds *data.Dataset, rows []int32, dims []int, threads int) *hybridStage {
+	n, k, d := len(rows), len(dims), ds.Dims
+	s := stagePool.Get().(*hybridStage)
+	s.pts = resize(s.pts, n*k)
+	s.sum = resize(s.sum, n)
+	s.medM = resize(s.medM, n)
+	s.quartM = resize(s.quartM, n)
+	s.ord = resize(s.ord, n)
+	s.pos = resize(s.pos, n)
+	s.st = resize(s.st, n)
+	s.rowSum = resize(s.rowSum, n)
+	s.radix = resize(s.radix, 2*n)
+	workers := PrologueWorkers(n, threads)
+	vals := ds.Vals
+
+	forRanges(n, workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := vals[int(rows[i])*d:]
+			var sum float32
+			for _, j := range dims {
+				sum += row[j]
+			}
+			s.rowSum[i] = sum
+		}
+	})
+	data.SumOrderInto(s.ord, s.radix, s.rowSum, rows)
+	forRanges(n, workers, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			s.pos[s.ord[t]] = int32(t)
+		}
+	})
+	forRanges(n, workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t := int(s.pos[i])
+			row, dst := vals[int(rows[i])*d:], s.pts[t*k:t*k+k]
+			for idx, j := range dims {
+				dst[idx] = row[j]
+			}
+			s.sum[t] = s.rowSum[i]
+		}
+	})
+
+	depth := LabelDepth(n, k)
 	if depth == 0 {
-		for k, p := range rows {
-			sum[k] = data.SumOver(ds.Point(int(p)), dims)
-		}
-		return medM, quartM, sum, data.SumOrder(sum, rows)
+		clear(s.medM)
+		clear(s.quartM)
+		return s
 	}
-	med, quart := subspacePivots(ds, rows, dims)
-	for k, p := range rows {
-		pt := ds.Point(int(p))
-		var m, q mask.Mask
-		var s float32
-		for idx, j := range dims {
-			v := pt[j]
-			s += v
-			half := 1
-			if v < med[idx] {
-				m |= 1 << uint(j)
-				half = 0
+	s.pivots(n, k, min(workers, k))
+	forRanges(n, workers, func(_, lo, hi int) {
+		for t := lo; t < hi; t++ {
+			var m, q mask.Mask
+			for idx, v := range s.pts[t*k : t*k+k] {
+				bit := mask.Mask(1) << uint(dims[idx])
+				half := 1
+				if v < s.med[idx] {
+					m |= bit
+					half = 0
+				}
+				if v < s.quart[half][idx] {
+					q |= bit
+				}
 			}
-			if v < quart[half][idx] {
-				q |= 1 << uint(j)
+			if depth == 1 { // tested here, not per dimension: the loop above is the prologue's hot one
+				q = 0
 			}
+			s.medM[t], s.quartM[t] = m, q
 		}
-		if depth == 1 { // tested here, not per dimension: the loop above is the prologue's hot one
-			q = 0
+	})
+	return s
+}
+
+// pivots sets the stage's per-dimension medians and half-relative quartiles
+// over its n staged points, the k dimensions spread over workers goroutines,
+// each with its own column buffer. Selection depends on a column's values
+// only, not their order, so the pivots are those of the rows in row order.
+func (s *hybridStage) pivots(n, k, workers int) {
+	s.cols = resize(s.cols, workers*n)
+	q3 := min(3*n/4, n-1)
+	forRanges(k, workers, func(w, lo, hi int) {
+		col := s.cols[w*n : (w+1)*n]
+		for idx := lo; idx < hi; idx++ {
+			for t := range col {
+				col[t] = s.pts[t*k+idx]
+			}
+			data.SelectRanks(col, n/4, n/2, q3)
+			s.med[idx], s.quart[0][idx], s.quart[1][idx] = col[n/2], col[n/4], col[q3]
 		}
-		medM[k], quartM[k], sum[k] = m, q, s
-	}
-	return medM, quartM, sum, data.SumOrder(sum, rows)
+	})
 }
 
 // compositeStrict2 is the two-level label comparison: the subspace on which
@@ -348,25 +497,4 @@ func compositeStrict2(medQ, quartQ, medP, quartP mask.Mask) mask.Mask {
 	delta := medQ &^ medP
 	sameHalf := ^(medQ ^ medP)
 	return delta | (quartQ&^quartP)&sameHalf
-}
-
-// subspacePivots computes per-dimension medians and half-relative quartiles
-// over the given rows, restricted to dims.
-func subspacePivots(ds *data.Dataset, rows []int32, dims []int) (med []float32, quart [2][]float32) {
-	med = make([]float32, len(dims))
-	quart[0] = make([]float32, len(dims))
-	quart[1] = make([]float32, len(dims))
-	col := make([]float32, len(rows))
-	for idx, j := range dims {
-		for i, p := range rows {
-			col[i] = ds.Value(int(p), j)
-		}
-		n := len(col)
-		q3 := min(3*n/4, n-1)
-		data.SelectRanks(col, n/4, n/2, q3)
-		med[idx] = col[n/2]
-		quart[0][idx] = col[n/4]
-		quart[1][idx] = col[q3]
-	}
-	return med, quart
 }

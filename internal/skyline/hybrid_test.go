@@ -21,12 +21,41 @@ func scalarOracle(ds *data.Dataset, rows []int32, delta mask.Mask) Result {
 	return Result{Skyline: sky, ExtOnly: DiffSorted(ext, sky)}
 }
 
+// poisonStage leaves a pooled stage shaped for n points of width k whose
+// buffers all hold -1, so that a prologue pass that misses a position hands
+// the engine a point below every other, or an index out of range, instead of
+// what an earlier run on the same input left there.
+func poisonStage(n, k int) {
+	s := stagePool.Get().(*hybridStage)
+	s.pts, s.sum, s.rowSum, s.cols = resize(s.pts, n*k), resize(s.sum, n), resize(s.rowSum, n), resize(s.cols, k*n)
+	s.medM, s.quartM = resize(s.medM, n), resize(s.quartM, n)
+	s.ord, s.pos = resize(s.ord, n), resize(s.pos, n)
+	for _, f := range [][]float32{s.pts, s.sum, s.rowSum, s.cols} {
+		for i := range f {
+			f[i] = -1
+		}
+	}
+	for _, m := range [][]mask.Mask{s.medM, s.quartM} {
+		for i := range m {
+			m[i] = ^mask.Mask(0)
+		}
+	}
+	for _, ix := range [][]int32{s.ord, s.pos} {
+		for i := range ix {
+			ix[i] = -1
+		}
+	}
+	stagePool.Put(s)
+}
+
 // checkHybrid compares the engine with the oracle on one cuboid at one, two
-// and three threads: both sets, empty meaning empty and not nil.
+// and three threads, each on a poisoned stage: both sets, empty meaning empty
+// and not nil.
 func checkHybrid(t *testing.T, name string, ds *data.Dataset, rows []int32, delta mask.Mask) {
 	t.Helper()
 	want := scalarOracle(ds, rows, delta)
 	for _, threads := range []int{1, 2, 3} {
+		poisonStage(len(rows), mask.Count(delta))
 		if got := Compute(ds, rows, delta, AlgoHybrid, threads); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s δ=%b n=%d threads=%d:\n got S=%v S⁺\\S=%v\nwant S=%v S⁺\\S=%v",
 				name, delta, len(rows), threads, got.Skyline, got.ExtOnly, want.Skyline, want.ExtOnly)
@@ -92,6 +121,64 @@ func TestHybridMatchesOracleOnContinuousData(t *testing.T) {
 		}
 		half := allRows(ds.N)[ds.N/2:]
 		checkHybrid(t, dist.String()+" subset", ds, half, 0b01011)
+	}
+}
+
+// TestHybridParallelPrologue runs the engine on cuboids large enough for the
+// prologue to fork on two and on three threads: grid values in {0..7}, so
+// every δ-sum is shared by thousands of points and equal-sum runs cross tile
+// edges, every cell holds exact duplicates, and rows are either all of them
+// or an ascending subset, as a child cuboid gets. Coordinates below 2 are
+// rare and a few points sit at (1, …, 1), which keeps S⁺ — and with it the
+// scalar oracle's window — to the points with a low coordinate, among which
+// S and S⁺ \ S are mixed. Not
+// skipped under -short: it is the race detector's view of the forked passes.
+func TestHybridParallelPrologue(t *testing.T) {
+	const n = 140_000
+	rng := rand.New(rand.NewSource(28))
+	for _, d := range []int{3, 4} {
+		vals := make([]float32, n*d)
+		for i := range vals {
+			switch r := rng.Intn(4000); {
+			case r < 3:
+				vals[i] = 0
+			case r < 8:
+				vals[i] = 1
+			default:
+				vals[i] = float32(2 + rng.Intn(6))
+			}
+		}
+		// Copies of (1, …, 1) strictly dominate every point without a
+		// coordinate below 2; one early row keeps the oracle's window short.
+		for _, r := range []int{5, n / 2, n - 2} {
+			for j := 0; j < d; j++ {
+				vals[r*d+j] = 1
+			}
+		}
+		ds := data.New(d, vals)
+		subset := make([]int32, 0, n)
+		for i := int32(0); i < n; i++ {
+			if i%7 != 3 {
+				subset = append(subset, i)
+			}
+		}
+		for _, c := range []struct {
+			name  string
+			rows  []int32
+			delta mask.Mask
+		}{
+			{"all rows", allRows(n), mask.Full(d)},
+			{"subset", subset, mask.Full(d)},
+			{"subset, subspace", subset, 0b1011 & mask.Full(d)},
+		} {
+			if w := PrologueWorkers(len(c.rows), 3); w != 3 {
+				t.Fatalf("%s: %d rows fork the prologue %d ways on three threads, want 3", c.name, len(c.rows), w)
+			}
+			if LabelDepth(len(c.rows), mask.Count(c.delta)) != 2 {
+				t.Fatalf("%s: label depth %d, want 2", c.name, LabelDepth(len(c.rows), mask.Count(c.delta)))
+			}
+			checkHybrid(t, fmt.Sprintf("grid d=%d %s", d, c.name), ds, c.rows, c.delta)
+		}
 	}
 }
 

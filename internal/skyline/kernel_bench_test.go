@@ -84,9 +84,10 @@ var hybridBenchInputs = []struct {
 	{"I_d=6_n=15000", gen.Independent, 15_000, 6},
 }
 
-// BenchmarkHybridPreprocess is HybridInstrumented before its first dominance test:
-// pivots, labels, δ-sums and the tile order. It is linear in n; a full sort
-// creeping back in shows here first.
+// BenchmarkHybridPreprocess is HybridInstrumented before its first dominance
+// test on one thread: δ-sums, the tile order, the staged copy of the
+// projected points, pivots and labels. It is linear in n; a full sort
+// creeping back in shows here first. Stages are pooled, as in the engine.
 func BenchmarkHybridPreprocess(b *testing.B) {
 	for _, in := range hybridBenchInputs {
 		b.Run(in.name, func(b *testing.B) {
@@ -95,27 +96,45 @@ func BenchmarkHybridPreprocess(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, ord := hybridPrepare(ds, rows, dims); len(ord) != in.n {
+				stage := hybridPrepare(ds, rows, dims, 1)
+				if len(stage.ord) != in.n {
 					b.Fatal("short order")
 				}
+				stagePool.Put(stage)
 			}
 		})
 	}
 }
 
-// BenchmarkExtendedSkylineHybrid is the whole engine on one thread as
-// PrepareMDMC calls it: preprocessing, the fused pass, and S⁺ as one list.
+// BenchmarkExtendedSkylineHybrid is the whole engine as PrepareMDMC calls it:
+// preprocessing, the fused pass, and S⁺ as one list, on one thread, and on
+// two over the `narrow` build input, where the prologue forks
+// (PrologueWorkers) and phase A spreads each tile. The group order, and with
+// it every word swept, does not depend on the thread count, so sweeps/op
+// repeats exactly on both.
 func BenchmarkExtendedSkylineHybrid(b *testing.B) {
-	for _, in := range hybridBenchInputs {
-		b.Run(in.name, func(b *testing.B) {
+	runs := []struct {
+		name    string
+		in      int // index into hybridBenchInputs
+		threads int
+	}{
+		{hybridBenchInputs[0].name, 0, 1},
+		{hybridBenchInputs[1].name, 1, 1},
+		{hybridBenchInputs[0].name + "_threads=2", 0, 2},
+	}
+	for _, run := range runs {
+		in := hybridBenchInputs[run.in]
+		b.Run(run.name, func(b *testing.B) {
 			ds := gen.Synthetic(in.dist, in.n, in.d, 7)
 			b.ReportAllocs()
 			b.ResetTimer()
+			before := dom.KernelStats().BlockSweeps
 			for i := 0; i < b.N; i++ {
-				if len(ExtendedSkyline(ds, nil, mask.Full(in.d), AlgoHybrid, 1)) == 0 {
+				if len(ExtendedSkyline(ds, nil, mask.Full(in.d), AlgoHybrid, run.threads)) == 0 {
 					b.Fatal("empty extended skyline")
 				}
 			}
+			b.ReportMetric(float64(dom.KernelStats().BlockSweeps-before)/float64(b.N), "sweeps/op")
 		})
 	}
 }
