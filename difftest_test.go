@@ -106,8 +106,8 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 // TestDifferentialKernelAblation is the oracle matrix read as a kernel
 // ablation — block kernels against none — with nothing to switch, because
 // the two sides differ by construction. QSkycube (the oracle) and PQSkycube
-// never sweep a block: their BSkyTree recursion hands the window filter only
-// leaves smaller than the block/scalar gate admits, which is what keeps the
+// never sweep a block: their BSkyTree recursion ends in the BNL window filter,
+// which compares rows and has no block path, and that is what keeps the
 // oracle independent of the kernels it judges; the test asserts it on
 // KernelStats. SDSC and MDMC do run the block kernels and must materialise
 // byte-identical cuboids. And no build's scan ends at a stop point: a window

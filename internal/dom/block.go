@@ -1,16 +1,21 @@
-// Block dominance kernels: branch-free 64-lane bitmask sweeps over the SoA
-// layout of internal/data, plus sorted stop-point termination.
+// Block dominance kernels: 64-lane bitmask sweeps over the SoA layout of
+// internal/data, plus sorted stop-point termination.
 //
-// The scalar kernels in dom.go compare one pair of points with a per-point
-// early exit; profitable when most comparisons fail fast, but every test
-// pays a call, a strided row load and unpredictable branches. The block
-// kernels amortise that: one query point against a whole block is d
-// sequential column sweeps accumulating lt/le verdict words, exactly the
-// compare-to-mask shape VSkyline vectorises and the GPU specialisation
-// coalesces. Combined with ascending δ-sum block order (Ciaccia &
-// Martinenghi's sort-based filtering), a scan also gains a stop point: once
-// the next block's minimum sum exceeds the query's, no later lane can
-// dominate it and the sweep terminates.
+// The row compare in dom.go tests one pair of points with a per-point early
+// exit; it is what the baselines and the oracle run. The block kernels are
+// what the templates, the delta flush and the cluster merge run: one query
+// point against a whole block is d sequential column sweeps accumulating a ≤
+// verdict word, exactly the compare-to-mask shape VSkyline vectorises and the
+// GPU specialisation coalesces. Combined with ascending δ-sum block order
+// (Ciaccia & Martinenghi's sort-based filtering), a scan also gains a stop
+// point: once the next block's minimum sum exceeds the query's, no later lane
+// can dominate it and the sweep terminates.
+//
+// There is one sweep, blockLeqWord: the live lanes ≤ the query on every
+// column, which are its dominators, strict or not, and its exact duplicates.
+// Every scan — AnyDominatorIn, BlocksVerdict, StrictWord — runs it once per
+// word and then reads only the lanes it left (lessCols) to tell the three
+// apart, because a word that has any is rare.
 //
 // Every word a kernel sweeps is a full word: block columns have backing store
 // for all 64 lanes of it (data.Block's layout rule), so the lane loop has one
@@ -18,16 +23,16 @@
 // produce bits that Alive clears. Per-point early exit exists only at word
 // granularity: a column sweep stops when the whole word's verdict is zero.
 //
-// The ≤ and < word sweeps have two implementations. On amd64 with AVX2
-// (block_amd64.s; chosen once at package init from CPUID, never by a caller)
-// a column is eight 8-lane VCMPPS/VMOVMSKPS steps. Everywhere else — arm64,
+// The sweep has two implementations. On amd64 with AVX2 (block_amd64.s,
+// leqWordAVX2; chosen once at package init from CPUID, never by a caller) a
+// column is eight 8-lane VCMPPS/VMOVMSKPS steps. Everywhere else — arm64,
 // older amd64, -tags purego — and as the oracle the fuzz target holds the
-// assembly to, it is the Go loop below, which the compiler turns into a
-// rolled 64-trip loop of one UCOMISS, one BTSQ and one CMOV per lane (no
-// unrolling, no vector code; still faster than a SETcc accumulation or a
+// assembly to, it is the Go loop of blockLeqWord, which the compiler turns
+// into a rolled 64-trip loop of one UCOMISS, one BTSQ and one CMOV per lane
+// (no unrolling, no vector code; still faster than a SETcc accumulation or a
 // float-bits sign extraction).
 //
-// Every kernel is bit-for-bit equivalent to the scalar loop it replaces
+// Every kernel is bit-for-bit equivalent to the row compare
 // (FuzzBlockKernelEquivalence enforces this); dominance semantics are those
 // of Definition 1 with the projection already applied, i.e. the block's K
 // columns ARE the subspace δ.
@@ -39,67 +44,6 @@ import (
 	"skycube/internal/data"
 	"skycube/internal/mask"
 )
-
-// blockDomWord computes the 64-lane dominance verdict for word w of block b
-// against the projected query pq (len ≥ number of columns): bit i is set iff
-// the lane's point dominates pq over all K columns — strictly (every column
-// less) when strict, else Definition 1 (every column ≤, at least one <).
-// Dead lanes report 0.
-func blockDomWord(b *data.Block, w int, pq []float32, strict bool) uint64 {
-	alive := b.Alive[w]
-	if alive == 0 {
-		return 0
-	}
-	if useAVX2 {
-		col0, stride, k := wordArgs(b, w, pq)
-		le, ltAny, ltAll := domWordAVX2(col0, stride, k, &pq[0], alive)
-		if strict {
-			return ltAll
-		}
-		return le & ltAny
-	}
-	base := w << 6
-	if strict {
-		ltAll := alive
-		for j, col := range b.Cols {
-			pv := pq[j]
-			sub := col[base : base+64 : base+64]
-			var lt uint64
-			for i := 0; i < 64; i++ {
-				if sub[i] < pv {
-					lt |= 1 << uint(i)
-				}
-			}
-			ltAll &= lt
-			if ltAll == 0 {
-				return 0
-			}
-		}
-		return ltAll
-	}
-	leqAll := alive
-	var ltAny uint64
-	for j, col := range b.Cols {
-		pv := pq[j]
-		sub := col[base : base+64 : base+64]
-		var lt, le uint64
-		for i := 0; i < 64; i++ {
-			v := sub[i]
-			if v < pv {
-				lt |= 1 << uint(i)
-			}
-			if v <= pv {
-				le |= 1 << uint(i)
-			}
-		}
-		leqAll &= le
-		if leqAll == 0 {
-			return 0
-		}
-		ltAny |= lt
-	}
-	return leqAll & ltAny
-}
 
 // wordArgs is how word w of b reaches the assembly: the address of its first
 // lane in column 0, the byte distance between columns (data.Block's layout
@@ -114,13 +58,20 @@ func wordArgs(b *data.Block, w int, pq []float32) (col0 *float32, stride uintptr
 }
 
 // AnyDominatorIn reports whether any live lane of b dominates the projected
-// query pq, sweeping word by word.
+// query pq — strictly (every column less) when strict, else Definition 1
+// (every column ≤, at least one <). Each word is swept once for the lanes ≤ pq
+// (blockLeqWord), and only those lanes are read again: a lane is a dominator
+// when it is less on every column, or, unless strict, on any. A word whose ≤
+// lanes are all duplicates of pq does not end the scan.
 func AnyDominatorIn(b *data.Block, pq []float32, strict bool, t *KernelTally) bool {
 	words := (b.N + 63) >> 6
 	for w := 0; w < words; w++ {
 		t.Sweeps++
-		if blockDomWord(b, w, pq, strict) != 0 {
-			return true
+		for le := blockLeqWord(b, w, pq); le != 0; le &= le - 1 {
+			less := lessCols(b, w<<6+bits.TrailingZeros64(le), pq)
+			if less == len(b.Cols) || !strict && less > 0 {
+				return true
+			}
 		}
 	}
 	return false
@@ -159,9 +110,8 @@ const (
 
 // blockLeqWord computes, for word w of block b, the live lanes that are ≤ pq
 // on every column: the probe's dominators, strict or not, and its exact
-// duplicates. One compare per lane and column — the price of the strict sweep
-// in blockDomWord — because which of the three a lane is only matters on the
-// rare word that has one.
+// duplicates. One compare per lane and column: which of the three a lane is
+// only matters on the rare word that has one.
 func blockLeqWord(b *data.Block, w int, pq []float32) uint64 {
 	leAll := b.Alive[w]
 	if leAll == 0 {

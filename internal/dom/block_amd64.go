@@ -14,14 +14,6 @@ var useAVX2 = detectAVX2()
 //go:noescape
 func leqWordAVX2(col0 *float32, stride uintptr, k int, pq *float32, alive uint64) uint64
 
-// domWordAVX2 is the same sweep with the < words alongside: of the lanes in
-// alive, le are ≤ pq on every column, ltAny < pq on at least one, ltAll < pq
-// on every one. ltAll is a subset of le; when le is zero the sweep has left
-// early, ltAll is zero too and ltAny is not meaningful.
-//
-//go:noescape
-func domWordAVX2(col0 *float32, stride uintptr, k int, pq *float32, alive uint64) (le, ltAny, ltAll uint64)
-
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -52,10 +52,9 @@ func BenchmarkAnyDominatorIn(b *testing.B) {
 	}
 }
 
-// BenchmarkAnyDominatorInScalar is the scalar-loop equivalent the block
-// kernel is gated against: the same verdict over the same 256 points via
-// per-point Compare, stopping at the first dominator as the kernel's callers'
-// scalar forms do.
+// BenchmarkAnyDominatorInScalar is the row-compare equivalent of the block
+// kernel: the same verdict over the same 256 points via per-point Compare,
+// stopping at the first dominator as the baselines' filters do.
 func BenchmarkAnyDominatorInScalar(b *testing.B) {
 	for _, d := range []int{4, 8} {
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {

@@ -11,10 +11,6 @@ func leqWordAVX2(col0 *float32, stride uintptr, k int, pq *float32, alive uint64
 	panic("dom: no AVX2 kernel in this build")
 }
 
-func domWordAVX2(col0 *float32, stride uintptr, k int, pq *float32, alive uint64) (le, ltAny, ltAll uint64) {
-	panic("dom: no AVX2 kernel in this build")
-}
-
 func labelWordAVX2(med, quart, oct *uint32, s *LabelSel, seen *uint64) uint64 {
 	panic("dom: no AVX2 kernel in this build")
 }

@@ -170,34 +170,46 @@ func TestStopPointSound(t *testing.T) {
 	tally.Flush()
 }
 
-// TestUseBlocksGate pins the one block/scalar decision: both sides of each
-// threshold for each scan shape, and one counted fallback per scalar verdict.
-func TestUseBlocksGate(t *testing.T) {
-	for _, tc := range []struct {
-		lanes, width int
-		shape        Shape
-		want         bool
-	}{
-		{blockMinLanes, blockMinWidth, Window, true},
-		{blockMinLanes - 1, blockMinWidth, Window, false},
-		{blockMinLanes, blockMinWidth - 1, Window, false},
-		{1 << 20, 1, Window, false},
-		{blockMinLanes, 1, Probe, true},
-		{blockMinLanes - 1, 16, Probe, false},
-		{0, 0, Probe, false},
-	} {
-		before := KernelStats().ScalarFallbacks
-		got := UseBlocks(tc.lanes, tc.width, tc.shape)
-		fell := KernelStats().ScalarFallbacks - before
-		wantFell := uint64(1)
-		if tc.want {
-			wantFell = 0
+// dupThenDominator is a two-word block for pq = (1, 1): word 1 holds 63
+// exact duplicates of pq and one incomparable lane, word 2 incomparable lanes
+// and, when withDominator, one lane that dominates pq but not strictly.
+func dupThenDominator(withDominator bool) (*data.Block, []float32) {
+	bs := data.NewBlockSet(2, 128)
+	for i := 0; i < 128; i++ {
+		p := []float32{0, 2}
+		if i < 63 {
+			p = []float32{1, 1}
 		}
-		if got != tc.want || fell != wantFell {
-			t.Errorf("UseBlocks(%d, %d, %v) = %v with %d fallbacks counted, want %v",
-				tc.lanes, tc.width, tc.shape, got, fell, tc.want)
+		if withDominator && i == 100 {
+			p = []float32{1, 0}
 		}
+		bs.Append(p, int32(i), p[0]+p[1])
 	}
+	return bs.Blocks[0], []float32{1, 1}
+}
+
+// TestAnyDominatorInLooksPastDuplicates pins the scan's exit rule: a word
+// whose ≤ lanes are all duplicates of the query does not end the scan, and a
+// non-strict dominator answers only the non-strict question.
+func TestAnyDominatorInLooksPastDuplicates(t *testing.T) {
+	eachKernel(func(impl string) {
+		for _, tc := range []struct {
+			dominator, strict bool
+			want              bool
+		}{
+			{true, false, true},
+			{true, true, false},
+			{false, false, false},
+			{false, true, false},
+		} {
+			b, pq := dupThenDominator(tc.dominator)
+			var tally KernelTally
+			if got := AnyDominatorIn(b, pq, tc.strict, &tally); got != tc.want || tally.Sweeps != 2 {
+				t.Errorf("%s dominator=%v strict=%v: %v after %d sweeps, want %v after 2",
+					impl, tc.dominator, tc.strict, got, tally.Sweeps, tc.want)
+			}
+		}
+	})
 }
 
 // TestKernelStatsNamesTheSweep: Impl follows the implementation in use.

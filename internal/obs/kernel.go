@@ -11,8 +11,8 @@ import "sync"
 type KernelMetrics struct {
 	reg *Registry
 
-	mu                      sync.Mutex
-	sweeps, stops, scalarFB uint64 // last synced cumulative values
+	mu            sync.Mutex
+	sweeps, stops uint64 // last synced cumulative values
 }
 
 // NewKernelMetrics wires kernel metrics into reg; a nil registry yields a
@@ -29,7 +29,7 @@ func NewKernelMetrics(reg *Registry) *KernelMetrics {
 // values (this package cannot import internal/dom — dom sits below obs in
 // the dependency order) — typically dom.KernelStats() at /metrics scrape
 // time, with the name of the sweep implementation for the info gauge.
-func (m *KernelMetrics) Sync(impl string, sweeps, stops, scalarFB uint64) {
+func (m *KernelMetrics) Sync(impl string, sweeps, stops uint64) {
 	if m == nil {
 		return
 	}
@@ -39,8 +39,7 @@ func (m *KernelMetrics) Sync(impl string, sweeps, stops, scalarFB uint64) {
 	m.mu.Lock()
 	dSweeps := sweeps - m.sweeps
 	dStops := stops - m.stops
-	dFB := scalarFB - m.scalarFB
-	m.sweeps, m.stops, m.scalarFB = sweeps, stops, scalarFB
+	m.sweeps, m.stops = sweeps, stops
 	m.mu.Unlock()
 	if dSweeps > 0 {
 		m.reg.CounterM("skycube_kernel_block_sweeps_total",
@@ -51,10 +50,5 @@ func (m *KernelMetrics) Sync(impl string, sweeps, stops, scalarFB uint64) {
 		m.reg.CounterM("skycube_kernel_stop_point_exits_total",
 			"Block scans terminated early by a sorted stop point.").
 			Add(float64(dStops))
-	}
-	if dFB > 0 {
-		m.reg.CounterM("skycube_kernel_scalar_fallbacks_total",
-			"Dominance filter calls the block/scalar gate sent to the scalar loop (input too small, or a BNL window too narrow, for blocks to win).").
-			Add(float64(dFB))
 	}
 }

@@ -573,7 +573,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func ServeMetrics(w http.ResponseWriter, r *http.Request, reg *obs.Registry, km *obs.KernelMetrics) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	ks := skycube.KernelStats()
-	km.Sync(ks.Impl, ks.BlockSweeps, ks.StopPointExits, ks.ScalarFallback)
+	km.Sync(ks.Impl, ks.BlockSweeps, ks.StopPointExits)
 	// Exemplars use OpenMetrics syntax that classic text-format parsers
 	// reject, so they are opt-in per scrape.
 	if r.URL.Query().Get("exemplars") == "1" {

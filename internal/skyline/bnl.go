@@ -8,21 +8,14 @@ import (
 	"skycube/internal/mask"
 )
 
-// bnlFilter is the window-based block-nested-loop skyline (Börzsönyi et
-// al.), over a sum-sorted SoA window or the scalar window as dom.UseBlocks
-// decides; both return the same rows, sorted ascending.
-func bnlFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
-	if dom.UseBlocks(len(rows), mask.Count(delta), dom.Window) {
-		return bnlBlockFilter(ds, rows, delta, strict)
-	}
-	return bnlScalarFilter(ds, rows, delta, strict)
-}
-
-// bnlScalarFilter compares each point against the current window of
+// bnlFilter is the window-based block-nested-loop skyline (Börzsönyi et al.):
+// each point is compared row by row against the current window of
 // undominated candidates; dominated points are dropped, and points dominated
-// by a new arrival are evicted. It is the correctness reference and the
-// recursion leaf of the pivot algorithm.
-func bnlScalarFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
+// by a new arrival are evicted. It returns the survivors sorted ascending. It
+// is the correctness reference (AlgoBNL) and the recursion leaf of the pivot
+// algorithm, so the baselines and the oracle never run the block kernels they
+// are measured against.
+func bnlFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
 	window := make([]int32, 0, 16)
 	for _, p := range rows {
 		pp := ds.Point(int(p))

@@ -286,12 +286,25 @@ func evictEqualSumTail(win *data.BlockSet, pq []float32, psum float32, st []Stat
 			if b.Sums[lane] != psum {
 				return extRun
 			}
-			if !b.IsAlive(lane) || !laneDominatedBy(b, lane, pq, false) {
+			if !b.IsAlive(lane) {
+				continue
+			}
+			less := 0 // the columns pq is < the lane on; -1 once it is > on one
+			for j, col := range b.Cols {
+				if pq[j] > col[lane] {
+					less = -1
+					break
+				}
+				if pq[j] < col[lane] {
+					less++
+				}
+			}
+			if less <= 0 {
 				continue
 			}
 			b.Kill(lane)
 			q := b.Rows[lane]
-			if laneDominatedBy(b, lane, pq, true) {
+			if less == len(b.Cols) {
 				st[q] = Dominated
 			} else {
 				st[q] = ExtendedOnly

@@ -12,13 +12,11 @@ import (
 	"skycube/internal/mask"
 )
 
-// scalarOracle is Compute by the scalar BNL window alone, in input order: no
-// block kernel, no sum order, no labels, none of what the Hybrid engine is
-// made of.
+// scalarOracle is Compute by AlgoBNL: the row-compare window alone, in input
+// order — no block kernel, no sum order, no labels, none of what the Hybrid
+// engine is made of.
 func scalarOracle(ds *data.Dataset, rows []int32, delta mask.Mask) Result {
-	ext := bnlScalarFilter(ds, rows, delta, true)
-	sky := bnlScalarFilter(ds, ext, delta, false)
-	return Result{Skyline: sky, ExtOnly: DiffSorted(ext, sky)}
+	return Compute(ds, rows, delta, AlgoBNL, 1)
 }
 
 // poisonStage leaves a pooled stage shaped for n points of width k whose

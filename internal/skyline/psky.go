@@ -62,15 +62,9 @@ func pskyFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, th
 
 // skyMerge merges two local skylines: because each side is already
 // internally undominated and dominance is transitive, the skyline of the
-// union is exactly the members of each side not dominated by the other.
+// union is exactly the members of each side not dominated by the other. Like
+// bnlFilter it compares rows.
 func skyMerge(ds *data.Dataset, a, b []int32, delta mask.Mask, strict bool) []int32 {
-	if dom.UseBlocks(len(a)+len(b), mask.Count(delta), dom.Probe) {
-		return skyMergeBlocks(ds, a, b, delta, strict)
-	}
-	return skyMergeScalar(ds, a, b, delta, strict)
-}
-
-func skyMergeScalar(ds *data.Dataset, a, b []int32, delta mask.Mask, strict bool) []int32 {
 	out := make([]int32, 0, len(a)+len(b))
 	for _, p := range a {
 		if !killedByAny(ds, b, p, delta, strict) {

@@ -1,7 +1,9 @@
 package skyline
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"skycube/internal/data"
@@ -60,6 +62,42 @@ func TestSkyMergeCrossDomination(t *testing.T) {
 	merged := skyMerge(ds, a, b, 0b11, false)
 	if len(merged) != 1 || merged[0] != 1 {
 		t.Errorf("skyMerge = %v, want [1]", merged)
+	}
+}
+
+// TestSkyMergeOfHalvesMatchesBNL merges the window filters of two halves and
+// compares the result with the window filter of the whole, on tie- and
+// duplicate-heavy inputs of 1 to 300 points of 2 to 7 dimensions, each in a
+// random subspace.
+func TestSkyMergeOfHalvesMatchesBNL(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for trial := 0; trial < 150; trial++ {
+		d := 2 + rng.Intn(6)
+		n := []int{1, 2, 40, 63, 64, 65, 130, 300}[rng.Intn(8)]
+		pts := make([][]float32, n)
+		for i := range pts {
+			pts[i] = make([]float32, d)
+			for j := range pts[i] {
+				pts[i][j] = float32(rng.Intn(6)) / 4
+			}
+		}
+		for i := 0; i < n/8; i++ {
+			pts[rng.Intn(n)] = pts[rng.Intn(n)] // exact duplicates
+		}
+		ds := data.FromRows(pts)
+		rows := allRows(n)
+		rng.Shuffle(n, func(a, b int) { rows[a], rows[b] = rows[b], rows[a] })
+		delta := mask.Mask(1 + rng.Intn(1<<uint(d)-1))
+		for _, strict := range []bool{true, false} {
+			want := bnlFilter(ds, rows, delta, strict)
+			a := bnlFilter(ds, rows[:n/2], delta, strict)
+			b := bnlFilter(ds, rows[n/2:], delta, strict)
+			got := skyMerge(ds, a, b, delta, strict)
+			slices.Sort(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d n=%d δ=%b strict=%v: merged halves keep %v, BNL %v", trial, n, delta, strict, got, want)
+			}
+		}
 	}
 }
 

@@ -9,6 +9,11 @@
 //     al., ICDE 2015), the hook of the STSC and SDSC CPU specialisations,
 //     as one fused pass over a window of skyline members.
 //
+// Each algorithm has one dominance path. Hybrid sweeps 64-lane words of its
+// block groups (internal/dom's block kernels); BNL, BSkyTree and PSkyline
+// compare rows, as the paper's baselines do, so the oracle and the baselines
+// never run the kernels they are measured against.
+//
 // Every algorithm computes, for a subspace δ, both the skyline S_δ and the
 // extended skyline S⁺_δ (Definition 2): the extended skyline of a parent
 // cuboid is the reduced input for its children in the top-down lattice

@@ -130,51 +130,6 @@ func TestHybridConstantColumnAndDuplicates(t *testing.T) {
 	}
 }
 
-// TestBlockFiltersMatchScalar calls each filter's block and scalar form
-// directly — past the gate that normally picks one — on tie- and
-// duplicate-heavy inputs whose sizes and subspace widths lie on both sides of
-// the gate's thresholds: the window filter, the skyline merge, and the gated
-// entry points themselves.
-func TestBlockFiltersMatchScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	for trial := 0; trial < 150; trial++ {
-		d := 2 + rng.Intn(6)
-		n := []int{1, 2, 40, 63, 64, 65, 130, 300}[rng.Intn(8)]
-		pts := make([][]float32, n)
-		for i := range pts {
-			pts[i] = make([]float32, d)
-			for j := range pts[i] {
-				pts[i][j] = float32(rng.Intn(6)) / 4
-			}
-		}
-		for i := 0; i < n/8; i++ {
-			pts[rng.Intn(n)] = pts[rng.Intn(n)] // exact duplicates
-		}
-		ds := data.FromRows(pts)
-		rows := allRows(n)
-		rng.Shuffle(n, func(a, b int) { rows[a], rows[b] = rows[b], rows[a] })
-		delta := mask.Mask(1 + rng.Intn(1<<uint(d)-1))
-		for _, strict := range []bool{true, false} {
-			want := bnlScalarFilter(ds, rows, delta, strict)
-			if got := bnlBlockFilter(ds, rows, delta, strict); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d n=%d δ=%b strict=%v: block window keeps %v, scalar %v", trial, n, delta, strict, got, want)
-			}
-			if got := bnlFilter(ds, rows, delta, strict); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d n=%d δ=%b strict=%v: gated window keeps %v, scalar %v", trial, n, delta, strict, got, want)
-			}
-			a := bnlScalarFilter(ds, rows[:n/2], delta, strict)
-			b := bnlScalarFilter(ds, rows[n/2:], delta, strict)
-			wantM := skyMergeScalar(ds, a, b, delta, strict)
-			if got := skyMergeBlocks(ds, a, b, delta, strict); !reflect.DeepEqual(got, wantM) {
-				t.Fatalf("trial %d n=%d δ=%b strict=%v: block merge keeps %v, scalar %v", trial, n, delta, strict, got, wantM)
-			}
-			if got := skyMerge(ds, a, b, delta, strict); !reflect.DeepEqual(got, wantM) {
-				t.Fatalf("trial %d n=%d δ=%b strict=%v: gated merge keeps %v, scalar %v", trial, n, delta, strict, got, wantM)
-			}
-		}
-	}
-}
-
 func TestDuplicatePointsStayInSkyline(t *testing.T) {
 	// Identical points do not dominate one another (Definition 1 requires a
 	// differing dimension), so duplicates of a skyline point all survive.

@@ -3,16 +3,16 @@ package skycube
 import "skycube/internal/dom"
 
 // KernelCounters is a snapshot of the process-wide kernel activity counters:
-// 64-lane word sweeps executed — dominance blocks and MDMC label columns —
-// scans terminated early by a stop point, and filter calls the block/scalar
-// gate (internal/dom.UseBlocks) sent to the scalar loop because the input was
-// too small or the subspace too narrow. Impl says which implementation of the
-// sweeps this process runs — "avx2" where the CPU has it, "go" otherwise; the
-// answers are the same.
+// 64-lane word sweeps executed — dominance blocks and MDMC label columns — and
+// scans terminated early by a stop point. Impl says which implementation of
+// the sweeps this process runs — "avx2" where the CPU has it, "go" otherwise;
+// the answers are the same.
 type KernelCounters struct {
 	Impl           string
 	BlockSweeps    uint64
 	StopPointExits uint64
+	// ScalarFallback is always 0: no filter chooses between a block and a
+	// scalar form any more. The field stays for existing readers.
 	ScalarFallback uint64
 }
 
@@ -23,6 +23,5 @@ func KernelStats() KernelCounters {
 		Impl:           s.Impl,
 		BlockSweeps:    s.BlockSweeps,
 		StopPointExits: s.StopPointExits,
-		ScalarFallback: s.ScalarFallbacks,
 	}
 }
