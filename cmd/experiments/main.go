@@ -8,7 +8,7 @@
 //	experiments -scale small all
 //
 // Experiments: fig4, fig5, fig6, fig7, fig8-11 (aliases fig8…fig11), fig12,
-// fig13, table2, table3, ablations, sched, all.
+// fig13, table2, table3, ablations, all.
 //
 // The default "small" scale completes on a laptop in tens of minutes; the
 // "paper" scale uses the publication's exact workload parameters and may
@@ -49,7 +49,6 @@ func main() {
 		"table2":    func() { bench.Table2(os.Stdout, scale) },
 		"table3":    func() { bench.Table3(os.Stdout, scale) },
 		"ablations": func() { bench.Ablations(os.Stdout, scale) },
-		"sched":     func() { bench.Sched(os.Stdout, scale) },
 	}
 	for _, alias := range []string{"fig8", "fig9", "fig10", "fig11"} {
 		experiments[alias] = experiments["fig8-11"]
@@ -58,7 +57,7 @@ func main() {
 	var order []string
 	if flag.NArg() == 1 && flag.Arg(0) == "all" {
 		order = []string{"fig4", "fig5", "fig6", "fig7", "fig8-11", "fig12", "fig13",
-			"table2", "table3", "ablations", "sched"}
+			"table2", "table3", "ablations"}
 	} else {
 		order = flag.Args()
 	}
@@ -89,6 +88,5 @@ experiments:
   table2     real dataset stand-in specifications
   table3     execution times on real-data stand-ins
   ablations  design-decision ablation timings
-  sched      static vs adaptive work-stealing schedule, cross-device MDMC
   all        everything above, in order`)
 }

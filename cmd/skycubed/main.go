@@ -95,10 +95,6 @@ func main() {
 	traceFile := flag.String("trace", "", "write the build trace as Chrome trace_event JSON to this file")
 	progress := flag.Bool("progress", false, "report build progress on stderr")
 	pprofFlag := flag.Bool("pprof", false, "with -serve: mount net/http/pprof under /debug/pprof/")
-	noSteal := flag.Bool("no-steal", false, "disable work stealing between device queues (cross-device runs)")
-	noRetune := flag.Bool("no-retune", false, "freeze chunk sizes at the device hints instead of auto-tuning")
-	noCostOrder := flag.Bool("no-cost-order", false, "disable SDSC's largest-first cuboid ordering")
-	prepartition := flag.Bool("prepartition", false, "statically split the MDMC task range across devices up front")
 	shardMode := flag.Bool("shard", false, "with -serve: run as a cluster shard node over this partition file")
 	idBase := flag.Int("id-base", 0, "with -shard: global id of local row 0")
 	idStride := flag.Int("id-stride", 1, "with -shard: global id step between consecutive local rows (shard count for round-robin partitions)")
@@ -233,12 +229,6 @@ func main() {
 		Threads:   *threads,
 		MaxLevel:  *maxLevel,
 		CPUAlso:   *cpuAlso,
-		Scheduling: skycube.Scheduling{
-			DisableStealing:  *noSteal,
-			DisableRetune:    *noRetune,
-			DisableCostOrder: *noCostOrder,
-			Prepartition:     *prepartition,
-		},
 	}
 	for i := 0; i < *gpus; i++ {
 		opt.GPUs = append(opt.GPUs, skycube.GTX980)
@@ -318,9 +308,8 @@ func main() {
 	for _, sh := range stats.Shares {
 		fmt.Printf("  %-8s %8d tasks (%.1f%%)\n", sh.Name, sh.Tasks, sh.Fraction*100)
 	}
-	if c := stats.Sched; c.Steals > 0 || c.Refills > 0 {
-		fmt.Printf("  scheduler: %d refills, %d steals (%d tasks moved), %d chunk retunes\n",
-			c.Refills, c.Steals, c.StolenTasks, c.Retunes)
+	if r := stats.Sched.Retunes; r > 0 {
+		fmt.Printf("  scheduler: %d chunk retunes\n", r)
 	}
 
 	if *traceFile != "" {

@@ -1,6 +1,6 @@
 // Cross-algorithm differential test harness: every algorithm path — the
 // QSkycube oracle, PQSkycube, STSC, SDSC and MDMC, including the
-// cross-device builds with the work-stealing scheduler on and off — must
+// cross-device builds on the common task queue — must
 // materialise exactly the same skycube, cuboid by cuboid, on every
 // distribution and dimensionality in the grid.
 package skycube_test
@@ -21,26 +21,19 @@ type diffCase struct {
 	opt  skycube.Options
 }
 
-// diffPaths returns every build path under test. Cross-device paths run
-// twice: with the adaptive work-stealing schedule (the default) and with a
-// static prepartitioned schedule, so a scheduler bug cannot hide behind the
-// schedule it happens to produce.
+// diffPaths returns every build path under test, the cross-device SDSC
+// and MDMC builds included.
 func diffPaths(threads int) []diffCase {
 	hetero := []skycube.GPUModel{skycube.GTX980, skycube.GTXTitan}
-	static := skycube.Scheduling{Prepartition: true, DisableStealing: true, DisableRetune: true}
 	return []diffCase{
 		{"PQSkycube", skycube.Options{Algorithm: skycube.PQSkycube, Threads: threads}},
 		{"STSC", skycube.Options{Algorithm: skycube.STSC, Threads: threads}},
 		{"SDSC", skycube.Options{Algorithm: skycube.SDSC, Threads: threads}},
 		{"MDMC", skycube.Options{Algorithm: skycube.MDMC, Threads: threads}},
-		{"SDSC-hetero-steal", skycube.Options{Algorithm: skycube.SDSC, Threads: threads,
+		{"SDSC-hetero", skycube.Options{Algorithm: skycube.SDSC, Threads: threads,
 			GPUs: hetero, CPUAlso: true}},
-		{"SDSC-hetero-static", skycube.Options{Algorithm: skycube.SDSC, Threads: threads,
-			GPUs: hetero, CPUAlso: true, Scheduling: static}},
-		{"MDMC-hetero-steal", skycube.Options{Algorithm: skycube.MDMC, Threads: threads,
+		{"MDMC-hetero", skycube.Options{Algorithm: skycube.MDMC, Threads: threads,
 			GPUs: hetero, CPUAlso: true}},
-		{"MDMC-hetero-static", skycube.Options{Algorithm: skycube.MDMC, Threads: threads,
-			GPUs: hetero, CPUAlso: true, Scheduling: static}},
 	}
 }
 
@@ -93,9 +86,6 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 						if sum < 0.9999 || sum > 1.0001 {
 							t.Errorf("%s: device share fractions sum to %v", c.name, sum)
 						}
-					}
-					if c.opt.Scheduling.DisableStealing && stats.Sched.Steals != 0 {
-						t.Errorf("%s: %d steals recorded with stealing disabled", c.name, stats.Sched.Steals)
 					}
 				}
 			})

@@ -126,16 +126,6 @@ func Transfer(bytes int) Stats {
 	return Stats{TransferBytes: int64(bytes)}
 }
 
-// RelativeSpeed is the device's raw issue throughput — SMs × IPC × clock,
-// in modelled giga-instructions per second. The cross-device scheduler uses
-// it as the initial throughput estimate of a card's queue, before any chunk
-// has completed and fed the real EWMA (a GTX 980 reports ≈ 72, the older
-// Titan ≈ 49 — matching the paper's observation that the Titan takes a
-// smaller work share).
-func (d *Device) RelativeSpeed() float64 {
-	return float64(d.SMs) * d.IPCPerSM * d.ClockGHz
-}
-
 // BlockCtx is the execution context of one thread block. Kernels run the
 // block's logic sequentially on the host while describing its parallel
 // shape (loads, votes, divergence) through the accounting methods.

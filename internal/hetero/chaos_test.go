@@ -3,10 +3,12 @@ package hetero
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"skycube/internal/data"
 	"skycube/internal/gen"
 	"skycube/internal/mask"
 	"skycube/internal/obs"
@@ -81,7 +83,8 @@ func (a *auditDevice) RunPoints(ctx *templates.MDMCContext, grab Grab, account A
 // random per-chunk delays on every device plus one device 10× slower — and
 // checks that the skycube is still exactly right, that no chunk was handed
 // out twice, and that the per-device Shares cover every point task exactly
-// once. Run under -race this exercises the steal path's ownership handoff.
+// once and match the trace. Run under -race this exercises the concurrent
+// grabs off the common counter and the per-device retunes.
 func TestScheduleChaos(t *testing.T) {
 	ds := gen.Synthetic(gen.Anticorrelated, 2000, 6, 21)
 	want := map[mask.Mask][]int32{}
@@ -89,88 +92,66 @@ func TestScheduleChaos(t *testing.T) {
 		want[delta] = skyline.Compute(ds, nil, delta, skyline.AlgoBNL, 1).Skyline
 	}
 
-	for _, cfg := range []struct {
-		name        string
-		tun         Tuning
-		needsSteals bool
-	}{
-		{"adaptive", Tuning{}, false},
-		{"no-steal", Tuning{DisableStealing: true}, false},
-		// Prepartitioned with stealing on: the fast devices can only finish
-		// by stealing the slow device's range, so steals are guaranteed.
-		{"prepartition-steal", Tuning{Prepartition: true}, true},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			claimed := make([]int32, ds.N)
-			var dupes atomic.Int64
-			chaos := func(d Device, slow bool) Device {
-				if slow {
-					d = &slowDevice{Device: d, factor: 10, perTask: 2 * time.Microsecond}
-				}
-				d = &jitterDevice{Device: d, maxDelay: 100 * time.Microsecond}
-				return &auditDevice{Device: d, claimed: claimed, dupes: &dupes}
+	t.Run("adaptive", func(t *testing.T) {
+		claimed := make([]int32, ds.N)
+		var dupes atomic.Int64
+		chaos := func(d Device, slow bool) Device {
+			if slow {
+				d = &slowDevice{Device: d, factor: 10, perTask: 2 * time.Microsecond}
 			}
-			devices := []Device{
-				chaos(&CPUDevice{Threads: 2, Label: "fast0"}, false),
-				chaos(&CPUDevice{Threads: 1, Label: "fast1"}, false),
-				chaos(&CPUDevice{Threads: 1, Label: "slow"}, true),
-			}
-			reg := obs.NewRegistry()
-			tun := cfg.tun
-			tun.Metrics = obs.NewSchedMetrics(reg)
-			tr := obs.New()
-			res, shares, counters := MDMCAllSched(ds, devices, 2, 0, tun, tr, nil)
+			d = &jitterDevice{Device: d, maxDelay: 100 * time.Microsecond}
+			return &auditDevice{Device: d, claimed: claimed, dupes: &dupes}
+		}
+		devices := []Device{
+			chaos(&CPUDevice{Threads: 2, Label: "fast0"}, false),
+			chaos(&CPUDevice{Threads: 1, Label: "fast1"}, false),
+			chaos(&CPUDevice{Threads: 1, Label: "slow"}, true),
+		}
+		reg := obs.NewRegistry()
+		tr := obs.New()
+		res, shares, _ := MDMCAll(ds, devices, 2, 0, obs.NewSchedMetrics(reg), tr, nil)
 
-			for _, delta := range mask.Subspaces(6) {
-				if got := res.Cube.Skyline(delta); !reflect.DeepEqual(got, want[delta]) {
-					t.Fatalf("δ=%06b: skyline diverged under chaos", delta)
-				}
+		for _, delta := range mask.Subspaces(6) {
+			if got := res.Cube.Skyline(delta); !reflect.DeepEqual(got, want[delta]) {
+				t.Fatalf("δ=%06b: skyline diverged under chaos", delta)
 			}
-			if d := dupes.Load(); d != 0 {
-				t.Errorf("%d tasks handed out more than once", d)
+		}
+		if d := dupes.Load(); d != 0 {
+			t.Errorf("%d tasks handed out more than once", d)
+		}
+		n := len(res.ExtRows)
+		for i := 0; i < n; i++ {
+			if claimed[i] != 1 {
+				t.Fatalf("task %d claimed %d times", i, claimed[i])
 			}
-			n := len(res.ExtRows)
-			for i := 0; i < n; i++ {
-				if claimed[i] != 1 {
-					t.Fatalf("task %d claimed %d times", i, claimed[i])
-				}
-			}
-			if shares.Total() != int64(n) {
-				t.Errorf("shares total %d, want %d point tasks", shares.Total(), n)
-			}
+		}
+		if shares.Total() != int64(n) {
+			t.Errorf("shares total %d, want %d point tasks", shares.Total(), n)
+		}
 
-			// Every chunk span in the trace is attributed to the device whose
-			// share it counts toward — stolen work included.
-			traced := map[string]int64{}
-			for _, s := range tr.Spans() {
-				if s.Cat == obs.CatChunk {
-					traced[DeviceOfTrack(s.Track)] += s.N
-				}
+		// Every chunk span in the trace is attributed to the device whose
+		// share it counts toward.
+		traced := map[string]int64{}
+		for _, s := range tr.Spans() {
+			if s.Cat == obs.CatChunk {
+				traced[DeviceOfTrack(s.Track)] += s.N
 			}
-			for _, f := range shares.Fractions() {
-				if traced[f.Name] != f.Tasks {
-					t.Errorf("device %s: trace says %d tasks, shares say %d",
-						f.Name, traced[f.Name], f.Tasks)
-				}
+		}
+		for _, f := range shares.Fractions() {
+			if traced[f.Name] != f.Tasks {
+				t.Errorf("device %s: trace says %d tasks, shares say %d",
+					f.Name, traced[f.Name], f.Tasks)
 			}
+		}
 
-			if cfg.needsSteals {
-				if counters.Steals == 0 {
-					t.Error("expected steals from the slow device's prepartitioned range")
-				}
-				var sb strings.Builder
-				if err := reg.WritePrometheus(&sb); err != nil {
-					t.Fatal(err)
-				}
-				if !strings.Contains(sb.String(), "skycube_sched_steals_total") {
-					t.Error("steal events missing from exported metrics")
-				}
-			}
-			if cfg.tun.DisableStealing && counters.Steals != 0 {
-				t.Errorf("steals recorded with stealing disabled: %+v", counters)
-			}
-		})
-	}
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), "skycube_sched_task_rate") {
+			t.Error("device throughput missing from exported metrics")
+		}
+	})
 }
 
 // imbalancedDevices is the benchmark fleet: three equal CPU devices and one
@@ -185,69 +166,93 @@ func imbalancedDevices() []Device {
 	}
 }
 
-var staticTuning = Tuning{Prepartition: true, DisableStealing: true, DisableRetune: true}
-
-// BenchmarkMDMCImbalance compares a static equal split against the adaptive
-// work-stealing schedule when one of four devices is 10× slower. Static is
-// bounded below by the straggler's quarter of the work; stealing moves that
-// quarter to the idle fast devices.
-func BenchmarkMDMCImbalance(b *testing.B) {
-	ds := gen.Synthetic(gen.Anticorrelated, 4000, 6, 7)
-	for _, cfg := range []struct {
-		name string
-		tun  Tuning
-	}{
-		{"static", staticTuning},
-		{"stealing", Tuning{}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MDMCAllSched(ds, imbalancedDevices(), 2, 0, cfg.tun, nil, nil)
+// staticMDMC is the textbook static schedule the imbalance wall measures
+// the common queue against: the same prologue as MDMCAll, then the task
+// range split equally across the devices up front, each device draining
+// only its own slice in chunks of its hint.
+func staticMDMC(ds *data.Dataset, devices []Device) {
+	ctx := templates.PrepareMDMC(ds, 2, 3, 0)
+	n := ctx.NumTasks()
+	var wg sync.WaitGroup
+	for i, dev := range devices {
+		hi := (i + 1) * n / len(devices)
+		chunk := dev.ChunkHint(ctx.D)
+		var next atomic.Int64
+		next.Store(int64(i * n / len(devices)))
+		grab := func(int) (int, int) {
+			lo := int(next.Add(int64(chunk))) - chunk
+			if lo >= hi {
+				return hi, hi
 			}
-		})
+			return lo, min(lo+chunk, hi)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dev.RunPoints(ctx, grab, func(int, int, time.Duration) {})
+		}()
 	}
+	wg.Wait()
 }
 
-// TestStealingBeatsStaticUnderImbalance pins the benchmark's headline claim
-// as a test: with one 10× straggler, the adaptive schedule must finish at
-// least 1.3× faster than the static split, and the steals must show up in
-// the exported metrics. Both sides are timed the same way, the best of three
+// BenchmarkMDMCImbalance compares a static equal split against the common
+// queue when one of four devices is 10× slower. Static is bounded below by
+// the straggler's quarter of the work; on the common queue the straggler
+// takes only what it can finish while the fast devices drain the rest.
+func BenchmarkMDMCImbalance(b *testing.B) {
+	ds := gen.Synthetic(gen.Anticorrelated, 4000, 6, 7)
+	b.Run("static", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			staticMDMC(ds, imbalancedDevices())
+		}
+	})
+	b.Run("dynamic", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MDMCAll(ds, imbalancedDevices(), 2, 0, nil, nil, nil)
+		}
+	})
+}
+
+// TestDynamicBeatsStaticUnderImbalance pins the benchmark's headline claim
+// as a test: with one 10× straggler, the common queue must finish at least
+// 1.3× faster than the static split, and its retunes must show up in the
+// exported metrics. Both sides are timed the same way, the best of three
 // runs, interleaved so that a slow stretch of the host hits both; the
 // speedup's distribution over repeated runs is in EXPERIMENTS.md.
-func TestStealingBeatsStaticUnderImbalance(t *testing.T) {
+func TestDynamicBeatsStaticUnderImbalance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
 	ds := gen.Synthetic(gen.Anticorrelated, 4000, 6, 7)
 	reg := obs.NewRegistry()
-	adaptive := Tuning{Metrics: obs.NewSchedMetrics(reg)}
-	var static, stealing time.Duration
+	metrics := obs.NewSchedMetrics(reg)
+	var static, dynamic time.Duration
 	var counters SchedCounters
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		MDMCAllSched(ds, imbalancedDevices(), 2, 0, staticTuning, nil, nil)
+		staticMDMC(ds, imbalancedDevices())
 		if el := time.Since(start); i == 0 || el < static {
 			static = el
 		}
 		start = time.Now()
-		_, _, c := MDMCAllSched(ds, imbalancedDevices(), 2, 0, adaptive, nil, nil)
-		if el := time.Since(start); i == 0 || el < stealing {
-			stealing, counters = el, c
+		_, _, c := MDMCAll(ds, imbalancedDevices(), 2, 0, metrics, nil, nil)
+		if el := time.Since(start); i == 0 || el < dynamic {
+			dynamic, counters = el, c
 		}
 	}
 
-	if float64(static) < 1.3*float64(stealing) {
-		t.Errorf("static %v vs stealing %v: speedup %.2f× < 1.3×",
-			static, stealing, float64(static)/float64(stealing))
+	if float64(static) < 1.3*float64(dynamic) {
+		t.Errorf("static %v vs dynamic %v: speedup %.2f× < 1.3×",
+			static, dynamic, float64(static)/float64(dynamic))
 	}
-	t.Logf("static %v, stealing %v (%.1f×), counters %+v",
-		static, stealing, float64(static)/float64(stealing), counters)
+	t.Logf("static %v, dynamic %v (%.1f×), counters %+v",
+		static, dynamic, float64(static)/float64(dynamic), counters)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if counters.Steals > 0 && !strings.Contains(sb.String(), "skycube_sched_steals_total") {
-		t.Error("steals counted but missing from exported metrics")
+	if counters.Retunes > 0 && !strings.Contains(sb.String(), "skycube_sched_retunes_total") {
+		t.Error("retunes counted but missing from exported metrics")
 	}
 }

@@ -53,10 +53,6 @@ type Device interface {
 	// the scheduler's starting point before throughput observations arrive
 	// (a cache-friendly 64 on the CPU, the resident-block count on a GPU).
 	ChunkHint(d int) int
-	// SpeedHint is a relative throughput estimate used to pick steal
-	// victims before any chunk of the device has completed. Only compared
-	// between devices; never mixed with measured rates.
-	SpeedHint() float64
 }
 
 // CPUDevice is the multicore CPU as a device: Hybrid for cuboids, the §5.2
@@ -104,9 +100,6 @@ func (c *CPUDevice) RunPoints(ctx *templates.MDMCContext, grab Grab, account Acc
 // ChunkHint implements Device: the §5.2 kernel's cache-friendly chunk.
 func (c *CPUDevice) ChunkHint(int) int { return cpuPointChunk }
 
-// SpeedHint implements Device: relative speed scales with the core count.
-func (c *CPUDevice) SpeedHint() float64 { return 8 * float64(c.threads()) }
-
 // GPUDevice wraps one modelled GPU.
 type GPUDevice struct {
 	Dev *gpusim.Device
@@ -148,9 +141,6 @@ func (g *GPUDevice) RunPoints(ctx *templates.MDMCContext, grab Grab, account Acc
 // ChunkHint implements Device: a launch should cover the card's resident
 // blocks, which shrink as the per-point task state grows with d (§6.2).
 func (g *GPUDevice) ChunkHint(d int) int { return gpu.PreferredChunk(g.Dev, d) }
-
-// SpeedHint implements Device with the card's modelled issue throughput.
-func (g *GPUDevice) SpeedHint() float64 { return g.Dev.RelativeSpeed() }
 
 // Shares records how many parallel tasks each device completed.
 type Shares struct {
@@ -208,26 +198,14 @@ type DeviceShare struct {
 
 // SDSCAll runs the SDSC template across all devices: within each lattice
 // level, devices pull cuboids from a shared queue, so k devices compute k
-// cuboids concurrently (Figure 2b with multiple devices).
-func SDSCAll(ds *data.Dataset, devices []Device, maxLevel int) (*lattice.Lattice, *Shares) {
-	return SDSCAllTraced(ds, devices, maxLevel, nil, nil)
-}
-
-// SDSCAllTraced is SDSCAll with default scheduler tuning (see SDSCAllSched).
-func SDSCAllTraced(ds *data.Dataset, devices []Device, maxLevel int, tr *obs.Trace,
-	onCuboid func(delta mask.Mask)) (*lattice.Lattice, *Shares) {
-	return SDSCAllSched(ds, devices, maxLevel, Tuning{}, tr, onCuboid)
-}
-
-// SDSCAllSched is the scheduled form of SDSCAll: within each lattice level
-// below the top, cuboids are handed out cost-ordered largest-first (by the
-// min-parent extended-skyline size) so the expensive cuboids start first
-// and no device is left holding a large cuboid after the rest of the level
-// has drained — LPT scheduling against the level barrier. Each cuboid is
-// recorded as a span on its device's track (plus per-level barrier spans),
-// and completed cuboids are reported to onCuboid. tr and onCuboid may be
-// nil.
-func SDSCAllSched(ds *data.Dataset, devices []Device, maxLevel int, tun Tuning,
+// cuboids concurrently (Figure 2b with multiple devices). Below the top,
+// each level's cuboids are handed out largest-first (by the min-parent
+// extended-skyline size) so the expensive cuboids start first and no device
+// is left holding a large cuboid after the rest of the level has drained —
+// LPT scheduling against the level barrier. Each cuboid is recorded as a
+// span on its device's track (plus per-level barrier spans), and completed
+// cuboids are reported to onCuboid. tr and onCuboid may be nil.
+func SDSCAll(ds *data.Dataset, devices []Device, maxLevel int,
 	tr *obs.Trace, onCuboid func(delta mask.Mask)) (*lattice.Lattice, *Shares) {
 	shares := NewShares()
 	pool := make(chan Device, len(devices))
@@ -253,53 +231,38 @@ func SDSCAllSched(ds *data.Dataset, devices []Device, maxLevel int, tun Tuning,
 		Trace:               tr,
 		SuppressCuboidSpans: true,
 		OnCuboid:            onCuboid,
-		LargestFirst:        !tun.DisableCostOrder,
+		LargestFirst:        true,
 	})
 	return l, shares
 }
 
 // MDMCAll runs the MDMC template across all devices: the shared tree and
-// HashCube are built once; devices then drain the point-task queue
-// concurrently with no further synchronisation (§4.3).
-func MDMCAll(ds *data.Dataset, devices []Device, prepThreads, maxLevel int) (*templates.MDMCResult, *Shares) {
-	return MDMCAllTraced(ds, devices, prepThreads, maxLevel, nil, nil)
-}
-
-// MDMCAllTraced is MDMCAll with default scheduler tuning (see MDMCAllSched).
-func MDMCAllTraced(ds *data.Dataset, devices []Device, prepThreads, maxLevel int,
-	tr *obs.Trace, onChunk func(n, total int)) (*templates.MDMCResult, *Shares) {
-	res, shares, _ := MDMCAllSched(ds, devices, prepThreads, maxLevel, Tuning{}, tr, onChunk)
-	return res, shares
-}
-
-// MDMCAllSched is the scheduled form of MDMCAll: devices drain per-device
-// deques fed by a global grab counter, chunk sizes are auto-tuned from each
-// device's throughput EWMA, and idle devices steal half the remaining range
-// from the most burdened queue (see Scheduler). The prologue phases and one
-// span per completed chunk are recorded on the owning device's track — the
-// raw data of a Figure-12 work-share timeline; a device's CPU workers
-// beyond lane 0 record on sub-tracks "NAME#lane". Stolen ranges are
-// attributed to the stealing device, so Shares and the trace stay exactly
-// consistent. onChunk, if non-nil, is told the size of every completed
-// chunk plus the total task count |S⁺(P)|. tr and onChunk may be nil.
-func MDMCAllSched(ds *data.Dataset, devices []Device, prepThreads, maxLevel int, tun Tuning,
+// HashCube are built once; devices then drain the common point-task queue
+// concurrently with no further synchronisation (§4.3), each grab sized from
+// the device's throughput (see Scheduler). The prologue phases and one span
+// per completed chunk are recorded on the owning device's track — the raw
+// data of a Figure-12 work-share timeline; a device's CPU workers beyond
+// lane 0 record on sub-tracks "NAME#lane". onChunk, if non-nil, is told the
+// size of every completed chunk plus the total task count |S⁺(P)|.
+// metrics, tr and onChunk may be nil.
+func MDMCAll(ds *data.Dataset, devices []Device, prepThreads, maxLevel int, metrics *obs.SchedMetrics,
 	tr *obs.Trace, onChunk func(n, total int)) (*templates.MDMCResult, *Shares, SchedCounters) {
 	ctx := templates.PrepareMDMCTraced(ds, prepThreads, 3, maxLevel, tr)
-	shares, counters := MDMCRunPrepared(ctx, devices, tun, tr, onChunk)
+	shares, counters := MDMCRunPrepared(ctx, devices, metrics, tr, onChunk)
 	return &templates.MDMCResult{Cube: ctx.Cube, ExtRows: ctx.ExtRows}, shares, counters
 }
 
 // MDMCRunPrepared drains an already-prepared MDMC context across devices —
-// the scheduled drain loop of MDMCAllSched without its prologue. Callers
-// that need the prologue's artefacts beyond the cube (the static tree, for
-// incremental maintenance; internal/delta keeps it to solve single-point
-// insert tasks and rebuilds it at compaction) prepare the context
-// themselves and hand it here.
-func MDMCRunPrepared(ctx *templates.MDMCContext, devices []Device, tun Tuning,
+// the drain loop of MDMCAll without its prologue. Callers that need the
+// prologue's artefacts beyond the cube (the static tree, for incremental
+// maintenance; internal/delta keeps it to solve single-point insert tasks
+// and rebuilds it at compaction) prepare the context themselves and hand it
+// here.
+func MDMCRunPrepared(ctx *templates.MDMCContext, devices []Device, metrics *obs.SchedMetrics,
 	tr *obs.Trace, onChunk func(n, total int)) (*Shares, SchedCounters) {
 	shares := NewShares()
 	n := ctx.NumTasks()
-	sched := NewScheduler(n, ctx.D, devices, tun)
+	sched := NewScheduler(n, ctx.D, devices, metrics)
 	var wg sync.WaitGroup
 	wg.Add(len(devices))
 	for i, d := range devices {

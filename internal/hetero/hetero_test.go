@@ -21,7 +21,7 @@ func smallEcosystem() []Device {
 
 func TestSDSCAllCorrectness(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 400, 5, 3)
-	l, shares := SDSCAll(ds, smallEcosystem(), 0)
+	l, shares := SDSCAll(ds, smallEcosystem(), 0, nil, nil)
 	for _, delta := range mask.Subspaces(5) {
 		want := skyline.Compute(ds, nil, delta, skyline.AlgoBNL, 1)
 		if got := l.Skyline(delta); !reflect.DeepEqual(got, want.Skyline) {
@@ -35,7 +35,7 @@ func TestSDSCAllCorrectness(t *testing.T) {
 
 func TestMDMCAllCorrectness(t *testing.T) {
 	ds := gen.Synthetic(gen.Anticorrelated, 800, 5, 5)
-	res, shares := MDMCAll(ds, smallEcosystem(), 2, 0)
+	res, shares, _ := MDMCAll(ds, smallEcosystem(), 2, 0, nil, nil, nil)
 	for _, delta := range mask.Subspaces(5) {
 		want := skyline.Compute(ds, nil, delta, skyline.AlgoBNL, 1)
 		if got := res.Cube.Skyline(delta); !reflect.DeepEqual(got, want.Skyline) {
@@ -82,7 +82,7 @@ func TestEmptySharesFractions(t *testing.T) {
 func TestEveryDeviceContributesOnLargeInput(t *testing.T) {
 	// With enough tasks, dynamic pulling should give every device work.
 	ds := gen.Synthetic(gen.Anticorrelated, 4000, 6, 7)
-	_, shares := MDMCAll(ds, smallEcosystem(), 2, 0)
+	_, shares, _ := MDMCAll(ds, smallEcosystem(), 2, 0, nil, nil, nil)
 	fr := shares.Fractions()
 	if len(fr) != 3 {
 		t.Fatalf("only %d devices contributed: %+v", len(fr), fr)
@@ -131,7 +131,7 @@ func TestCPUDeviceDefaults(t *testing.T) {
 
 func TestSDSCAllPartial(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 300, 6, 9)
-	l, _ := SDSCAll(ds, smallEcosystem(), 2)
+	l, _ := SDSCAll(ds, smallEcosystem(), 2, nil, nil)
 	for _, delta := range mask.Subspaces(6) {
 		got := l.Skyline(delta)
 		if mask.Count(delta) > 2 {
@@ -157,7 +157,7 @@ func TestTwoDeviceSharesMatchTrace(t *testing.T) {
 		&CPUDevice{Threads: 1, Label: "dev-b"},
 	}
 	tr := obs.New()
-	res, shares := MDMCAllTraced(ds, devices, 2, 0, tr, nil)
+	res, shares, _ := MDMCAll(ds, devices, 2, 0, nil, tr, nil)
 
 	// The queue is dynamic, so the split between the devices varies run to
 	// run; the invariants are that the fractions cover the whole queue and

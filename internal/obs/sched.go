@@ -1,8 +1,8 @@
 package obs
 
-// SchedMetrics bundles the metric families of the adaptive cross-device
-// scheduler (internal/hetero): steal and refill counters plus the live
-// chunk-size and throughput gauges each device's queue is tuned by. A nil
+// SchedMetrics bundles the metric families of the cross-device scheduler
+// (internal/hetero): the retune counter plus the live chunk-size and
+// throughput gauges each device's grab size is tuned by. A nil
 // *SchedMetrics is valid everywhere and records nothing, mirroring the
 // nil-trace fast path, so the scheduler hot loop pays one pointer test per
 // event when metrics are off.
@@ -19,29 +19,6 @@ func NewSchedMetrics(reg *Registry) *SchedMetrics {
 	return &SchedMetrics{reg: reg}
 }
 
-// Steal records one steal of tasks point tasks by thief from victim's queue.
-func (m *SchedMetrics) Steal(thief, victim string, tasks int) {
-	if m == nil {
-		return
-	}
-	m.reg.CounterM("skycube_sched_steals_total",
-		"Work-stealing events between device queues.",
-		"thief", thief, "victim", victim).Inc()
-	m.reg.CounterM("skycube_sched_stolen_tasks_total",
-		"Point tasks moved between device queues by stealing.",
-		"thief", thief).Add(float64(tasks))
-}
-
-// Refill records one refill of a device queue from the global grab counter.
-func (m *SchedMetrics) Refill(device string, tasks int) {
-	if m == nil {
-		return
-	}
-	m.reg.CounterM("skycube_sched_refills_total",
-		"Device-queue refills from the global grab counter.",
-		"device", device).Inc()
-}
-
 // Retune records a chunk-size adjustment and exposes the new size.
 func (m *SchedMetrics) Retune(device string, chunk int) {
 	if m == nil {
@@ -51,7 +28,7 @@ func (m *SchedMetrics) Retune(device string, chunk int) {
 		"Chunk-size retunes driven by the per-device throughput EWMA.",
 		"device", device).Inc()
 	m.reg.GaugeM("skycube_sched_chunk_size",
-		"Current auto-tuned grab size of the device's queue.",
+		"Current auto-tuned grab size of the device.",
 		"device", device).Set(float64(chunk))
 }
 

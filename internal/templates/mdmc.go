@@ -163,8 +163,8 @@ func RunMDMCTraced(ctx *MDMCContext, kernel PointKernel, workers int, tr *obs.Tr
 
 // RunMDMCGrab drives a kernel with workers independent pullers consuming an
 // arbitrary grab source — the generalised form of the MDMC drain loop that
-// the cross-device scheduler (internal/hetero) plugs its per-device
-// work-stealing queues into. account, if non-nil, is told the lane, size
+// the cross-device scheduler (internal/hetero) plugs each device's grabs
+// off its common queue into. account, if non-nil, is told the lane, size
 // and wall time of every completed chunk.
 func RunMDMCGrab(ctx *MDMCContext, kernel PointKernel, workers int, grab Grab,
 	account func(lane, n int, dur time.Duration)) {

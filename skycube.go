@@ -160,10 +160,6 @@ type Options struct {
 	// materialised cuboid (lattice algorithms) or completed point chunk
 	// (MDMC). Must be cheap and safe for concurrent calls.
 	Progress ProgressFunc
-	// Scheduling tunes the adaptive work-stealing scheduler of cross-device
-	// runs. The zero value enables stealing, chunk auto-tuning and SDSC's
-	// cost-ordered cuboid assignment with the default knobs.
-	Scheduling Scheduling
 	// Delta tunes incremental maintenance (NewUpdater): snapshot history
 	// depth and the background-compaction trigger. Ignored by Build.
 	Delta DeltaOptions
@@ -175,39 +171,8 @@ type Options struct {
 	Durable DurableOptions
 }
 
-// Scheduling configures the adaptive cross-device scheduler (the zero value
-// is the recommended default). Cross-device MDMC feeds per-device queues
-// from a global grab counter, auto-tunes each device's chunk size from its
-// measured throughput, and lets idle devices steal half the remaining range
-// of the most loaded queue; cross-device SDSC hands out each lattice
-// level's cuboids cost-ordered largest-first.
-type Scheduling struct {
-	// DisableStealing turns off work stealing between device queues.
-	DisableStealing bool
-	// DisableRetune freezes chunk sizes at each device's hint instead of
-	// auto-tuning them from the throughput EWMA.
-	DisableRetune bool
-	// DisableCostOrder keeps SDSC's within-level cuboid order numeric
-	// instead of largest-first.
-	DisableCostOrder bool
-	// Prepartition statically splits the MDMC task range equally across the
-	// devices up front (the textbook static schedule; with DisableStealing
-	// it is the baseline of the imbalance experiment).
-	Prepartition bool
-}
-
 // SchedCounters total the scheduling events of one cross-device build.
 type SchedCounters = hetero.SchedCounters
-
-func (s Scheduling) tuning(reg *Metrics) hetero.Tuning {
-	return hetero.Tuning{
-		DisableStealing:  s.DisableStealing,
-		DisableRetune:    s.DisableRetune,
-		DisableCostOrder: s.DisableCostOrder,
-		Prepartition:     s.Prepartition,
-		Metrics:          obs.NewSchedMetrics(reg),
-	}
-}
 
 // SDSCHook names a parallel skyline algorithm for the SDSC template.
 type SDSCHook int
@@ -265,8 +230,8 @@ type Stats struct {
 	// GPUModelSeconds is the device cost model's estimate of GPU time, per
 	// card, for GPU runs.
 	GPUModelSeconds []float64
-	// Sched totals the work-stealing scheduler's events for cross-device
-	// MDMC runs (zero otherwise).
+	// Sched totals the cross-device scheduler's chunk retunes for
+	// cross-device MDMC runs (zero otherwise).
 	Sched SchedCounters
 }
 
@@ -334,7 +299,7 @@ func Build(ds *Dataset, opt Options) (Skycube, Stats, error) {
 			exportGPUMetrics(opt.Metrics, dev.Name, collector, stats.GPUModelSeconds[0])
 		default:
 			devices, collectors := buildDevices(opt, threads)
-			l, shares := hetero.SDSCAllSched(ds.ds, devices, opt.MaxLevel, opt.Scheduling.tuning(opt.Metrics), tr, onCuboid)
+			l, shares := hetero.SDSCAll(ds.ds, devices, opt.MaxLevel, tr, onCuboid)
 			cube = latticeCube{l}
 			stats.Shares = shares.Fractions()
 			stats.GPUModelSeconds = modelSeconds(opt, collectors)
@@ -366,8 +331,8 @@ func Build(ds *Dataset, opt Options) (Skycube, Stats, error) {
 			}
 		default:
 			devices, collectors := buildDevices(opt, threads)
-			res, shares, sched := hetero.MDMCAllSched(ds.ds, devices, threads, opt.MaxLevel,
-				opt.Scheduling.tuning(opt.Metrics), tr, onChunk)
+			res, shares, sched := hetero.MDMCAll(ds.ds, devices, threads, opt.MaxLevel,
+				obs.NewSchedMetrics(opt.Metrics), tr, onChunk)
 			stats.Sched = sched
 			cube = hashCubeView{h: res.Cube, d: d, maxLevel: effectiveLevel(opt.MaxLevel, d)}
 			stats.Shares = shares.Fractions()
