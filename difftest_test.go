@@ -93,6 +93,41 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestDifferentialPreFilter runs the grid's comparison on inputs of 40 000
+// points, above the 32 768 rows from which the Hybrid engine first drops what
+// its 64 lowest-sum rows strictly dominate: the full-space cuboid of STSC and
+// SDSC, and MDMC's S⁺ prologue. The grid above stops at 2 000 points, where
+// no cuboid is filtered.
+func TestDifferentialPreFilter(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		dist skycube.Distribution
+		d    int
+	}{
+		{"anticorrelated/d=4", skycube.Anticorrelated, 4},
+		{"independent/d=5", skycube.Independent, 5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ds := skycube.GenerateSynthetic(c.dist, 40_000, c.d, int64(17*c.d)+1)
+			oracle, _, err := skycube.Build(ds, skycube.Options{Algorithm: skycube.QSkycube, Threads: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, algo := range []skycube.Algorithm{skycube.STSC, skycube.SDSC, skycube.MDMC} {
+				cube, _, err := skycube.Build(ds, skycube.Options{Algorithm: algo, Threads: 2})
+				if err != nil {
+					t.Fatalf("%v: %v", algo, err)
+				}
+				for _, delta := range skycube.AllSubspaces(c.d) {
+					if got, want := cube.Skyline(delta), oracle.Skyline(delta); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v: cuboid δ=%0*b has %d skyline points, oracle has %d", algo, c.d, delta, len(got), len(want))
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestDifferentialKernelAblation is the oracle matrix read as a kernel
 // ablation — block kernels against none — with nothing to switch, because
 // the two sides differ by construction. QSkycube (the oracle) and PQSkycube

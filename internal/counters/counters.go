@@ -276,20 +276,25 @@ func ProfileSD(ds *data.Dataset, cfg Config) (Report, *lattice.Lattice) {
 // profiledHybrid is one cuboid of the Hybrid engine under the probes. The
 // prologue's passes are charged in the order the engine runs them, each split
 // over the probes as the engine splits it (skyline.PrologueWorkers): the δ-sum
-// pass reads every row; the tile order's inverse is written at random; the
-// scatter reads every row again and writes its projection and δ-sum at its
-// tile position; when there are labels, each dimension's pivots cost a
-// strided pass over the staged points and a column, and the labels one more
-// sequential pass. The model sorts the δ-sums itself to know where the
-// scatter writes land; the radix passes are not charged. Each tile's phase A
-// is spread over as many probes as the engine would fork goroutines, with a
+// pass reads every row, and when there are labels the rows of the input's
+// prefix the pivots are selected from (skyline.PivotRows) also write their k
+// coordinates into the pivot columns; above the pre-filter's grain the engine
+// reports the words it swept (HybridHooks.Filter), and every row re-reads its
+// δ-sum, its row and the representatives' one word. The rest runs over the
+// survivors the engine reports: the tile order's inverse is written at random;
+// the scatter reads every survivor's row again and writes its projection and
+// δ-sum at its tile position; when there are labels, each dimension's pivots
+// cost a pass over its column, and the labels one more sequential pass over the
+// survivors. The model sorts the survivors' δ-sums itself to know where the
+// scatter writes land; the radix passes are not charged. Each tile's phase A is
+// spread over as many probes as the engine would fork goroutines, with a
 // fork/join barrier per tile when that is more than one: a point costs its own
-// labels and its k staged coordinates, read at its tile position, a group
-// visit one label entry and three instructions, a word swept the group's k
-// column words of 256 B. Phase B runs on one goroutine, so the first probe
-// pays it: a point's staged coordinates and its words of the tile's new
-// members. Those members, and then each group's block set, live in the region
-// at base, the staged cuboid in that region's upper half.
+// labels and its k staged coordinates, read at its tile position, a group visit
+// one label entry and three instructions, a word swept the group's k column
+// words of 256 B. Phase B runs on one goroutine, so the first probe pays it: a
+// point's staged coordinates and its words of the tile's new members. Those
+// members, and then each group's block set, live in the region at base, the
+// staged cuboid in that region's upper half.
 func profiledHybrid(ds *data.Dataset, rows []int32, delta mask.Mask, probes []*memsim.Thread, base uint64, sweeps *atomic.Int64) skyline.Result {
 	n := len(rows)
 	dims := mask.Dims(delta)
@@ -301,47 +306,75 @@ func profiledHybrid(ds *data.Dataset, rows []int32, delta mask.Mask, probes []*m
 	posAt := labelAt + span(n*8)
 	rowSumAt := posAt + span(n*4)
 	colAt := rowSumAt + span(n*4)
+	repsAt := colAt + span(n*k*4)
 
-	workers := skyline.PrologueWorkers(n, len(probes))
-	pass := func(f func(th *memsim.Thread, i int)) {
+	pass := func(n, workers int, f func(th *memsim.Thread, i int)) {
 		for w := 0; w < workers; w++ {
 			for i := w * n / workers; i < (w+1)*n/workers; i++ {
 				f(probes[w], i)
 			}
 		}
 	}
-	rowSum := make([]float32, n)
-	pass(func(th *memsim.Thread, i int) {
-		th.Load(pointAddr(ds, rows[i]), ds.Dims*4)
-		th.Instr(k)
-		th.Load(rowSumAt+uint64(i)*4, 4)
-		rowSum[i] = data.SumOver(ds.Point(int(rows[i])), dims)
-	})
-	ord := data.SumOrder(rowSum, rows)
-	pos := make([]int32, n)
-	pass(func(th *memsim.Thread, t int) {
-		th.Load(posAt+uint64(ord[t])*4, 4)
-		pos[ord[t]] = int32(t)
-	})
-	staged := func(t int32) uint64 { return ptsAt + uint64(t)*uint64(k)*4 }
-	pass(func(th *memsim.Thread, i int) {
-		th.Load(pointAddr(ds, rows[i]), ds.Dims*4)
-		th.Load(posAt+uint64(i)*4, 4)
-		th.Load(rowSumAt+uint64(i)*4, 4)
-		th.Load(staged(pos[i]), k*4)
-		th.Load(sumAt+uint64(pos[i])*4, 4)
-		th.Instr(k)
-	})
+	workers := skyline.PrologueWorkers(n, len(probes))
+	prefix := 0
 	if skyline.LabelDepth(n, k) > 0 {
-		selectors := min(workers, k)
-		for w := 0; w < selectors; w++ {
-			for range (w+1)*k/selectors - w*k/selectors {
-				probes[w].Load(ptsAt, n*k*4)
-				probes[w].Load(colAt+uint64(w*n)*4, n*4)
-				probes[w].Instr(n)
+		prefix = skyline.PivotRows(n)
+	}
+	pass(n, workers, func(th *memsim.Thread, i int) {
+		th.Load(pointAddr(ds, rows[i]), ds.Dims*4)
+		th.Instr(k)
+		th.Load(rowSumAt+uint64(i)*4, 4)
+		if i < prefix {
+			for idx := 0; idx < k; idx++ {
+				th.Load(colAt+uint64(idx*prefix+i)*4, 4)
 			}
 		}
-		pass(func(th *memsim.Thread, t int) {
+	})
+	staged := func(t int32) uint64 { return ptsAt + uint64(t)*uint64(k)*4 }
+	var pos []int32 // by index into the survivors: the tile position
+	filter := func(kept []int32, words int) {
+		if words > 0 {
+			pass(n, workers, func(th *memsim.Thread, i int) {
+				th.Load(rowSumAt+uint64(i)*4, 4)
+				th.Load(pointAddr(ds, rows[i]), ds.Dims*4)
+				th.Instr(k)
+				for j := 0; j < k; j++ {
+					th.Load(repsAt+uint64(j)*256, 256)
+				}
+			})
+			sweeps.Add(int64(words))
+		}
+		m := len(kept)
+		keptWorkers := skyline.PrologueWorkers(m, len(probes))
+		keptSum := make([]float32, m)
+		for i, r := range kept {
+			keptSum[i] = data.SumOver(ds.Point(int(r)), dims)
+		}
+		ord := data.SumOrder(keptSum, kept)
+		pos = make([]int32, m)
+		pass(m, keptWorkers, func(th *memsim.Thread, t int) {
+			th.Load(posAt+uint64(ord[t])*4, 4)
+			pos[ord[t]] = int32(t)
+		})
+		pass(m, keptWorkers, func(th *memsim.Thread, i int) {
+			th.Load(pointAddr(ds, kept[i]), ds.Dims*4)
+			th.Load(posAt+uint64(i)*4, 4)
+			th.Load(rowSumAt+uint64(i)*4, 4)
+			th.Load(staged(pos[i]), k*4)
+			th.Load(sumAt+uint64(pos[i])*4, 4)
+			th.Instr(k)
+		})
+		if prefix == 0 {
+			return
+		}
+		selectors := min(workers, k)
+		for w := 0; w < selectors; w++ {
+			for idx := w * k / selectors; idx < (w+1)*k/selectors; idx++ {
+				probes[w].Load(colAt+uint64(idx*prefix)*4, prefix*4)
+				probes[w].Instr(prefix)
+			}
+		}
+		pass(m, keptWorkers, func(th *memsim.Thread, t int) {
 			th.Load(staged(int32(t)), k*4)
 			th.Load(labelAt+uint64(t)*8, 8)
 			th.Instr(k)
@@ -364,6 +397,7 @@ func profiledHybrid(ds *data.Dataset, rows []int32, delta mask.Mask, probes []*m
 		th.Instr(k)
 	}
 	return skyline.HybridInstrumented(ds, rows, delta, len(probes), &skyline.HybridHooks{
+		Filter: filter,
 		Spread: func(tile []int32, tn int, probe func(w, lo, hi int), fanOut func(func(w, lo, hi int))) {
 			fanOut(func(w, lo, hi int) {
 				for t := lo; t < hi; t++ {

@@ -57,6 +57,8 @@ func TestModelsSweepWhatTheEngineSweeps(t *testing.T) {
 	}{
 		{"I_d=6_n=3000", gen.Synthetic(gen.Independent, 3000, 6, 7)},
 		{"A_d=4_n=20000", gen.Synthetic(gen.Anticorrelated, 20_000, 4, 7)},
+		// The full-space cuboid is above the pre-filter's grain.
+		{"A_d=4_n=40000", gen.Synthetic(gen.Anticorrelated, 40_000, 4, 7)},
 	} {
 		_, want := sweeps(func() int64 { templates.STSC(in.ds, templates.Options{Threads: 1}); return 0 })
 		if want == 0 {

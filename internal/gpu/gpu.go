@@ -94,8 +94,10 @@ const deviceBlockThreads = 128
 // load of each point's row and labels, three instructions and a warp's share
 // of a 128 B label line per label test, and per word swept a warp vote, the
 // group's k column words of 256 B loaded coalesced (the GPU projects points
-// into δ, §6.1) and k compares. Phase B and the group appends stay on the
-// host, the sequential tail of each tile.
+// into δ, §6.1) and k compares. A cuboid large enough for the engine's
+// pre-filter pays it first as one more launch, 128 input rows a block, each
+// row loaded coalesced and swept against the representatives' one word. Phase
+// B and the group appends stay on the host, the sequential tail of each tile.
 func Compute(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.Mask, stats *StatsCollector) skyline.Result {
 	if rows == nil {
 		rows = make([]int32, ds.N)
@@ -111,6 +113,25 @@ func Compute(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.Mask
 	var blocks []*gpusim.BlockCtx // this launch's blocks, by index
 	var sweeps atomic.Int64
 	res := skyline.HybridInstrumented(ds, rows, delta, 1, &skyline.HybridHooks{
+		Filter: func(_ []int32, words int) {
+			if words == 0 {
+				return
+			}
+			n := len(rows)
+			st, err := dev.Launch((n+deviceBlockThreads-1)/deviceBlockThreads, deviceBlockThreads, 0, func(b *gpusim.BlockCtx) {
+				for range min(deviceBlockThreads, n-b.Block*deviceBlockThreads) {
+					b.LoadCoalesced(4 * d)
+					b.Vote(true)
+					b.LoadCoalesced(k * 256)
+					b.Instr(k)
+				}
+			})
+			if err != nil {
+				panic(fmt.Sprintf("gpu: SDSC pre-filter launch failed: %v", err))
+			}
+			stats.Add(st)
+			sweeps.Add(int64(words))
+		},
 		Spread: func(tile []int32, _ int, probe func(w, lo, hi int), _ func(func(w, lo, hi int))) {
 			blocks = make([]*gpusim.BlockCtx, (len(tile)+deviceBlockThreads-1)/deviceBlockThreads)
 			st, err := dev.Launch(len(blocks), deviceBlockThreads, 0, func(b *gpusim.BlockCtx) {

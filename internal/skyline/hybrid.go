@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"skycube/internal/data"
 	"skycube/internal/dom"
@@ -20,23 +21,29 @@ const kernelWord = 64
 
 // HybridHooks let a machine model run HybridInstrumented's loop on its own
 // workers and charge the work it does, so the model profiles the engine that
-// runs rather than a copy of it. All three must be set.
+// runs rather than a copy of it. All four must be set.
 type HybridHooks struct {
+	// Filter is called once, before phase A, with the rows that survived the
+	// pre-filter (hybridPrepare), in input order — all of rows below
+	// prologueGrain — and the words the pre-filter swept: one per input row
+	// above the grain, none below it. The indices the other hooks take are
+	// into these survivors.
+	Filter func(survivors []int32, sweeps int)
 	// Spread runs one tile's phase A: probe(w, lo, hi) classifies positions
-	// [lo, hi) of tile (indices into rows, in tile order) as worker w, and
-	// Spread returns once every position has been probed exactly once. Calls
-	// with different w may run concurrently. workers is how many goroutines
-	// the engine itself would use: 1 with one thread or no group to probe
-	// yet. fanOut(f) is the engine's own split — f(w, lo, hi) for each of
-	// those workers, on that many goroutines — for a model that spreads the
-	// tile as the engine does.
+	// [lo, hi) of tile (indices into the survivors, in tile order) as worker
+	// w, and Spread returns once every position has been probed exactly once.
+	// Calls with different w may run concurrently. workers is how many
+	// goroutines the engine itself would use: 1 with one thread or no group
+	// to probe yet. fanOut(f) is the engine's own split — f(w, lo, hi) for
+	// each of those workers, on that many goroutines — for a model that
+	// spreads the tile as the engine does.
 	Spread func(tile []int32, workers int, probe func(w, lo, hi int), fanOut func(f func(w, lo, hi int)))
 	// Group is called once per phase-A visit of worker w, at tile position t,
 	// to the group at scan position gi (the id-th group created), with the
 	// words BlocksVerdict swept: 0 when the label test decided.
 	Group func(w, t, gi, id, sweeps int)
-	// Fresh is called once per phase-B point p (an index into rows) with the
-	// words swept against the tile's new members.
+	// Fresh is called once per phase-B point p (an index into the survivors)
+	// with the words swept against the tile's new members.
 	Fresh func(p, sweeps int)
 }
 
@@ -50,12 +57,16 @@ type HybridHooks struct {
 // order classifies every point once — strictly dominated, in S⁺_δ \ S_δ, or
 // in S_δ — against a window that holds members of S_δ only.
 //
-// The pass reads the cuboid hybridPrepare staged, not the dataset: inside
-// the engine a point is its tile position, the rank of its (δ-sum, row) key,
-// and so are its statuses, the rows of every block lane and the equal-sum
-// run. Only the hooks speak of indices into rows. Statuses return to row
-// order through the staged inverse of the tile order, which for rows in
-// ascending order is already the result's order: no sort.
+// The pass reads the cuboid hybridPrepare staged, not the dataset: on a
+// cuboid of at least prologueGrain rows, only the rows that none of the 64
+// with the smallest (δ-sum, row) strictly dominates; inside the engine a
+// point is its tile position, the rank of its (δ-sum, row) key among those
+// survivors, and so are its statuses, the rows of every block lane and the
+// equal-sum run. Only the hooks speak of indices into the survivors. Statuses
+// return to input order through the staged inverse of the tile order, which
+// for rows in ascending order is already the result's order: no sort. A
+// dropped row is strictly dominated, so it is in neither set, and the
+// pre-filter changes no other row's status (hybridPrepare).
 //
 // The S-only window is sound because dominance is a strict partial order on a
 // finite set: any dominator of p can be replaced by one in S_δ, and a strict
@@ -70,10 +81,14 @@ type HybridHooks struct {
 func HybridInstrumented(ds *data.Dataset, rows []int32, delta mask.Mask, threads int, h *HybridHooks) Result {
 	threads = max(threads, 1)
 	dims := mask.Dims(delta)
-	k, n := len(dims), len(rows)
+	k := len(dims)
 	stage := hybridPrepare(ds, rows, dims, threads)
 	defer stagePool.Put(stage)
+	if h != nil {
+		h.Filter(stage.rows, stage.swept)
+	}
 	pts, sum, medM, quartM, ord := stage.pts, stage.sum, stage.medM, stage.quartM, stage.ord
+	n := len(ord)
 
 	// The members of S_δ found by earlier tiles, one sum-ordered block set per
 	// label. No stop point: every lane sums to no more than the probe. Groups
@@ -245,12 +260,12 @@ func HybridInstrumented(ds *data.Dataset, rows []int32, delta mask.Mask, threads
 	for i, p := range stage.pos {
 		switch st[p] {
 		case InSkyline:
-			res.Skyline = append(res.Skyline, rows[i])
+			res.Skyline = append(res.Skyline, stage.rows[i])
 		case ExtendedOnly:
-			res.ExtOnly = append(res.ExtOnly, rows[i])
+			res.ExtOnly = append(res.ExtOnly, stage.rows[i])
 		}
 	}
-	if !slices.IsSorted(rows) {
+	if !slices.IsSorted(stage.rows) {
 		slices.Sort(res.Skyline)
 		slices.Sort(res.ExtOnly)
 	}
@@ -329,10 +344,11 @@ func LabelDepth(lanes, width int) int {
 	return 0
 }
 
-// hybridStage is a cuboid as HybridInstrumented reads it. Everything but
-// rowSum and pos is indexed by tile position, a point's rank in the ascending
-// (δ-sum, row) order. Stages are pooled, so a build's many cuboids reuse the
-// same buffers.
+// hybridStage is a cuboid as HybridInstrumented reads it. pts, sum, the
+// labels, ord and st are indexed by tile position, a survivor's rank in the
+// ascending (δ-sum, row) order; pos and rowSum by index into rows, the
+// survivors. Stages are pooled, so a build's many cuboids reuse the same
+// buffers.
 type hybridStage struct {
 	pts          []float32   // point-major projections: position t's k coordinates at pts[t·k:]
 	sum          []float32   // δ-sums
@@ -341,9 +357,14 @@ type hybridStage struct {
 	pos          []int32     // ord's inverse: the position of rows[i]
 	st           []Status    // the engine's verdicts
 
-	rowSum []float32 // δ-sums in row order, the key of the tile order
+	rows   []int32   // the pre-filter's survivors in input order; the input itself below prologueGrain
+	swept  int       // the words the pre-filter swept
+	rowSum []float32 // δ-sums in input order, then in rows order: the key of the tile order
+	kept   []int32   // rows' buffer above prologueGrain
+	cands  []repKey  // the pre-filter's candidate representatives, kernelWord per goroutine
+	counts []int     // per pre-filter goroutine: its candidates, then its survivors
 	radix  []uint64  // data.SumOrderInto's scratch
-	cols   []float32 // one column of n coordinates per selecting goroutine
+	cols   []float32 // the pivot columns: the first PivotRows values of each dimension
 	med    [mask.MaxDims]float32
 	quart  [2][mask.MaxDims]float32
 }
@@ -352,7 +373,9 @@ var stagePool = sync.Pool{New: func() any { return new(hybridStage) }}
 
 // prologueGrain is the fewest points a prologue pass hands one goroutine:
 // enough to fill a kernel word of tiles. A pass over that many points takes
-// tens of microseconds, the fork and join of its goroutines a few.
+// tens of microseconds, the fork and join of its goroutines a few. It is also
+// the smallest cuboid hybridPrepare pre-filters, and the most input rows its
+// pivots are selected from.
 const prologueGrain = kernelWord * hybridTileSize
 
 // PrologueWorkers is the number of goroutines on which HybridInstrumented
@@ -363,6 +386,11 @@ const prologueGrain = kernelWord * hybridTileSize
 func PrologueWorkers(n, threads int) int {
 	return max(1, min(threads, n/prologueGrain))
 }
+
+// PivotRows is how many of a cuboid's n input rows, from the first,
+// HybridInstrumented selects its pivots from: at most prologueGrain, so above
+// the grain selection costs the same for any n.
+func PivotRows(n int) int { return min(n, prologueGrain) }
 
 // forRanges runs f(w, lo, hi) over [0, n) split into workers contiguous
 // ranges, on that many goroutines (the caller's among them), and returns when
@@ -393,20 +421,36 @@ func resize[T any](s []T, n int) []T {
 }
 
 // hybridPrepare is everything HybridInstrumented does before its first
-// dominance test, all of it linear in len(rows), and all of it but the tile
-// order's radix passes over the engine's threads on large cuboids
+// dominance test of phase A, all of it linear in len(rows), and all of it but
+// the tile order's radix passes over the engine's threads on large cuboids
 // (PrologueWorkers). It stages the cuboid once:
 //
-//  1. each row's δ-sum, reading the dataset in row order;
-//  2. the tile order: (δ-sum, row) ascending, data.SumOrderInto;
-//  3. its inverse, and a scatter of each row's projection onto the relevant
-//     dimensions (§5.1: partition on the subspace's dimensions when hooked
-//     into a cuboid) and δ-sum to the row's tile position — the dataset is
+//  1. each row's δ-sum, reading the dataset in row order, and when there
+//     are labels a copy of the first PivotRows rows' coordinates, one
+//     column per dimension;
+//  2. on a cuboid of at least prologueGrain rows, the pre-filter
+//     (preFilter): every row that one of the kernelWord rows with the
+//     smallest (δ-sum, row) strictly dominates is dropped, and the steps below
+//     run over the survivors only;
+//  3. the tile order: (δ-sum, row) ascending, data.SumOrderInto;
+//  4. its inverse, and a scatter of each survivor's projection onto the
+//     relevant dimensions (§5.1: partition on the subspace's dimensions when
+//     hooked into a cuboid) and δ-sum to its tile position — the dataset is
 //     again read in row order, and its rows never again;
-//  4. the global pivots to the depth LabelDepth gives, one selection per
-//     dimension over a strided copy of the staged column (depth 0 computes
-//     none);
-//  5. the labels, over the staged points in tile order.
+//  5. the global pivots to the depth LabelDepth gives for len(rows), one
+//     selection per dimension in its column (depth 0 computes none);
+//  6. the labels, over the staged points in tile order.
+//
+// The pre-filter is sound because strict dominance is a strict partial order:
+// a dropped row has a representative strictly below it, and following
+// strict dominance among the representatives ends at one that is kept, itself
+// strictly below the row. So a dropped row is in neither S_δ nor S⁺_δ, and a
+// row it dominates is strictly dominated by that kept representative too: no
+// survivor's status changes. Pivots and depth come from the input, not the
+// survivors: on some inputs the survivors are too few for the input's depth,
+// and a flat phase A sweeps several times the words (DESIGN §5, decision
+// 12). Below the grain every row survives and the pivots are those of all of
+// rows.
 //
 // Phases A and B then read each point's coordinates from one short run of
 // pts at its position instead of gathering d-wide rows through rows, as
@@ -415,20 +459,29 @@ func resize[T any](s []T, n int) []T {
 func hybridPrepare(ds *data.Dataset, rows []int32, dims []int, threads int) *hybridStage {
 	n, k, d := len(rows), len(dims), ds.Dims
 	s := stagePool.Get().(*hybridStage)
-	s.pts = resize(s.pts, n*k)
-	s.sum = resize(s.sum, n)
-	s.medM = resize(s.medM, n)
-	s.quartM = resize(s.quartM, n)
-	s.ord = resize(s.ord, n)
-	s.pos = resize(s.pos, n)
-	s.st = resize(s.st, n)
 	s.rowSum = resize(s.rowSum, n)
-	s.radix = resize(s.radix, 2*n)
 	workers := PrologueWorkers(n, threads)
 	vals := ds.Vals
 
+	// The pivot columns are copied out of the first PivotRows(n) rows as the
+	// δ-sums read them: dimension idx at cols[idx·prefix:].
+	depth, prefix := LabelDepth(n, k), 0
+	if depth > 0 {
+		prefix = PivotRows(n)
+	}
+	s.cols = resize(s.cols, k*prefix)
 	forRanges(n, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
+		mid := min(max(lo, prefix), hi)
+		for i := lo; i < mid; i++ {
+			row := vals[int(rows[i])*d:]
+			var sum float32
+			for idx, j := range dims {
+				sum += row[j]
+				s.cols[idx*prefix+i] = row[j]
+			}
+			s.rowSum[i] = sum
+		}
+		for i := mid; i < hi; i++ {
 			row := vals[int(rows[i])*d:]
 			var sum float32
 			for _, j := range dims {
@@ -437,16 +490,31 @@ func hybridPrepare(ds *data.Dataset, rows []int32, dims []int, threads int) *hyb
 			s.rowSum[i] = sum
 		}
 	})
-	data.SumOrderInto(s.ord, s.radix, s.rowSum, rows)
-	forRanges(n, workers, func(_, lo, hi int) {
+	s.rows, s.swept = rows, 0
+	if n >= prologueGrain {
+		s.preFilter(ds, rows, dims, workers)
+	}
+
+	kept := len(s.rows)
+	s.pts = resize(s.pts, kept*k)
+	s.sum = resize(s.sum, kept)
+	s.medM = resize(s.medM, kept)
+	s.quartM = resize(s.quartM, kept)
+	s.ord = resize(s.ord, kept)
+	s.pos = resize(s.pos, kept)
+	s.st = resize(s.st, kept)
+	s.radix = resize(s.radix, 2*kept)
+	keptWorkers := PrologueWorkers(kept, threads)
+	data.SumOrderInto(s.ord, s.radix, s.rowSum, s.rows)
+	forRanges(kept, keptWorkers, func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			s.pos[s.ord[t]] = int32(t)
 		}
 	})
-	forRanges(n, workers, func(_, lo, hi int) {
+	forRanges(kept, keptWorkers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			t := int(s.pos[i])
-			row, dst := vals[int(rows[i])*d:], s.pts[t*k:t*k+k]
+			row, dst := vals[int(s.rows[i])*d:], s.pts[t*k:t*k+k]
 			for idx, j := range dims {
 				dst[idx] = row[j]
 			}
@@ -454,14 +522,13 @@ func hybridPrepare(ds *data.Dataset, rows []int32, dims []int, threads int) *hyb
 		}
 	})
 
-	depth := LabelDepth(n, k)
 	if depth == 0 {
 		clear(s.medM)
 		clear(s.quartM)
 		return s
 	}
-	s.pivots(n, k, min(workers, k))
-	forRanges(n, workers, func(_, lo, hi int) {
+	s.pivots(prefix, k, min(workers, k))
+	forRanges(kept, keptWorkers, func(_, lo, hi int) {
 		for t := lo; t < hi; t++ {
 			var m, q mask.Mask
 			for idx, v := range s.pts[t*k : t*k+k] {
@@ -484,19 +551,98 @@ func hybridPrepare(ds *data.Dataset, rows []int32, dims []int, threads int) *hyb
 	return s
 }
 
-// pivots sets the stage's per-dimension medians and half-relative quartiles
-// over its n staged points, the k dimensions spread over workers goroutines,
-// each with its own column buffer. Selection depends on a column's values
-// only, not their order, so the pivots are those of the rows in row order.
-func (s *hybridStage) pivots(n, k, workers int) {
-	s.cols = resize(s.cols, workers*n)
-	q3 := min(3*n/4, n-1)
-	forRanges(k, workers, func(w, lo, hi int) {
-		col := s.cols[w*n : (w+1)*n]
-		for idx := lo; idx < hi; idx++ {
-			for t := range col {
-				col[t] = s.pts[t*k+idx]
+// repKey is a candidate representative of the pre-filter: a row and its
+// δ-sum, ordered by (δ-sum, row) as the tile order is.
+type repKey struct {
+	sum float32
+	row int32
+}
+
+func (a repKey) less(b repKey) bool {
+	return a.sum < b.sum || a.sum == b.sum && a.row < b.row
+}
+
+// preFilter keeps, in s.rows and s.rowSum and in input order, the rows that
+// none of the representatives strictly dominates: the kernelWord rows of
+// smallest (δ-sum, row), one block word. Each goroutine keeps the kernelWord
+// smallest keys of its range and the representatives are the smallest of
+// those, so neither they nor the survivors depend on workers. Each row then
+// costs one strict dom.AnyDominatorIn sweep of the representatives' word.
+func (s *hybridStage) preFilter(ds *data.Dataset, rows []int32, dims []int, workers int) {
+	n, k, d := len(rows), len(dims), ds.Dims
+	vals := ds.Vals
+	s.cands = resize(s.cands, workers*kernelWord)
+	s.counts = resize(s.counts, workers)
+	forRanges(n, workers, func(w, lo, hi int) {
+		best := s.cands[w*kernelWord : w*kernelWord : (w+1)*kernelWord]
+		for i := lo; i < hi; i++ {
+			c := repKey{s.rowSum[i], rows[i]}
+			if len(best) == kernelWord {
+				if !c.less(best[kernelWord-1]) {
+					continue
+				}
+				best = best[:kernelWord-1]
 			}
+			j := len(best)
+			best = append(best, c)
+			for ; j > 0 && c.less(best[j-1]); j-- {
+				best[j] = best[j-1]
+			}
+			best[j] = c
+		}
+		s.counts[w] = len(best)
+	})
+	cands := s.cands[:0]
+	for w, c := range s.counts {
+		cands = append(cands, s.cands[w*kernelWord:w*kernelWord+c]...)
+	}
+	slices.SortFunc(cands, func(a, b repKey) int { return cmp.Or(cmp.Compare(a.sum, b.sum), cmp.Compare(a.row, b.row)) })
+
+	reps := data.GetBlockSet(k, kernelWord)
+	defer data.PutBlockSet(reps)
+	var pq [mask.MaxDims]float32
+	for _, c := range cands[:min(len(cands), kernelWord)] {
+		data.ProjectInto(pq[:], vals[int(c.row)*d:], dims)
+		reps.Append(pq[:k], c.row, c.sum)
+	}
+	word := reps.Blocks[0]
+
+	s.kept = resize(s.kept, n)
+	var swept atomic.Int64
+	forRanges(n, workers, func(w, lo, hi int) {
+		var tally dom.KernelTally
+		var pq [mask.MaxDims]float32
+		kept := lo
+		for i := lo; i < hi; i++ {
+			data.ProjectInto(pq[:], vals[int(rows[i])*d:], dims)
+			if dom.AnyDominatorIn(word, pq[:k], true, &tally) {
+				continue
+			}
+			s.kept[kept], s.rowSum[kept] = rows[i], s.rowSum[i]
+			kept++
+		}
+		s.counts[w] = kept - lo
+		swept.Add(int64(tally.Sweeps))
+		tally.Flush()
+	})
+	m := 0
+	for w, c := range s.counts {
+		lo := w * n / workers
+		copy(s.rowSum[m:], s.rowSum[lo:lo+c])
+		m += copy(s.kept[m:], s.kept[lo:lo+c])
+	}
+	s.rows, s.rowSum, s.swept = s.kept[:m], s.rowSum[:m], int(swept.Load())
+}
+
+// pivots sets the stage's per-dimension medians and half-relative quartiles
+// of its k pivot columns of n values each, selecting in place, the dimensions
+// spread over workers goroutines. Selection depends on a column's values
+// only, not their order.
+func (s *hybridStage) pivots(n, k, workers int) {
+	q3 := min(3*n/4, n-1)
+	forRanges(k, workers, func(_, lo, hi int) {
+		for idx := lo; idx < hi; idx++ {
+			col := s.cols[idx*n : (idx+1)*n]
 			data.SelectRanks(col, n/4, n/2, q3)
 			s.med[idx], s.quart[0][idx], s.quart[1][idx] = col[n/2], col[n/4], col[q3]
 		}

@@ -27,7 +27,7 @@ func poisonStage(n, k int) {
 	s := stagePool.Get().(*hybridStage)
 	s.pts, s.sum, s.rowSum, s.cols = resize(s.pts, n*k), resize(s.sum, n), resize(s.rowSum, n), resize(s.cols, k*n)
 	s.medM, s.quartM = resize(s.medM, n), resize(s.quartM, n)
-	s.ord, s.pos = resize(s.ord, n), resize(s.pos, n)
+	s.ord, s.pos, s.kept = resize(s.ord, n), resize(s.pos, n), resize(s.kept, n)
 	for _, f := range [][]float32{s.pts, s.sum, s.rowSum, s.cols} {
 		for i := range f {
 			f[i] = -1
@@ -38,7 +38,7 @@ func poisonStage(n, k int) {
 			m[i] = ^mask.Mask(0)
 		}
 	}
-	for _, ix := range [][]int32{s.ord, s.pos} {
+	for _, ix := range [][]int32{s.ord, s.pos, s.kept} {
 		for i := range ix {
 			ix[i] = -1
 		}
@@ -48,16 +48,24 @@ func poisonStage(n, k int) {
 
 // checkHybrid compares the engine with the oracle on one cuboid at one, two
 // and three threads, each on a poisoned stage: both sets, empty meaning empty
-// and not nil.
+// and not nil. Every run must sweep the same words: the pre-filter's
+// representatives, the pivots and the group order do not depend on the
+// thread count.
 func checkHybrid(t *testing.T, name string, ds *data.Dataset, rows []int32, delta mask.Mask) {
 	t.Helper()
 	want := scalarOracle(ds, rows, delta)
-	for _, threads := range []int{1, 2, 3} {
+	var sweeps [3]uint64
+	for i, threads := range []int{1, 2, 3} {
 		poisonStage(len(rows), mask.Count(delta))
+		before := dom.KernelStats().BlockSweeps
 		if got := Compute(ds, rows, delta, AlgoHybrid, threads); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s δ=%b n=%d threads=%d:\n got S=%v S⁺\\S=%v\nwant S=%v S⁺\\S=%v",
 				name, delta, len(rows), threads, got.Skyline, got.ExtOnly, want.Skyline, want.ExtOnly)
 		}
+		sweeps[i] = dom.KernelStats().BlockSweeps - before
+	}
+	if sweeps[1] != sweeps[0] || sweeps[2] != sweeps[0] {
+		t.Errorf("%s δ=%b n=%d: %v words swept on one, two and three threads, want one count", name, delta, len(rows), sweeps)
 	}
 }
 
@@ -288,5 +296,75 @@ func TestHybridWindowHoldsSkylineOnly(t *testing.T) {
 	if limit := uint64(2 * n * (len(res.Skyline)/64 + 1)); sweeps > limit {
 		t.Errorf("%d word sweeps for |S| = %d, |S⁺\\S| = %d; an S-only window needs at most %d",
 			sweeps, len(res.Skyline), len(res.ExtOnly), limit)
+	}
+}
+
+// TestHybridPreFilterMatchesOracle runs HybridInstrumented on cuboids above
+// prologueGrain, where hybridPrepare drops every row one of the 64 lowest-sum
+// rows strictly dominates before it stages the rest: S and S⁺ must still be
+// the oracle's. The grid plants exact duplicates among those 64 — copies of
+// the origin and of the unit vectors, which share one δ-sum — so a filter
+// that dropped on non-strict dominance would lose the unit vectors' copies
+// from S⁺ \ S. The I d=6 cuboid is a projection of shuffled rows. The hooks
+// must report a pre-filter that dropped rows and swept one word per input
+// row. The forked selection of the representatives (two or three goroutines)
+// is TestHybridParallelPrologue's.
+func TestHybridPreFilterMatchesOracle(t *testing.T) {
+	const n = 40_000
+	rng := rand.New(rand.NewSource(31))
+	const d = 5
+	grid := make([][]float32, n)
+	for i := range grid {
+		grid[i] = make([]float32, d)
+		for j := range grid[i] {
+			if rng.Intn(32) > 0 { // zeros are rare, which keeps S⁺ and the oracle's window small
+				grid[i][j] = float32(1 + rng.Intn(3))
+			}
+		}
+	}
+	for c := 0; c < 20; c++ {
+		clear(grid[rng.Intn(n)]) // the origin
+		for j := 0; j < d; j++ {
+			p := grid[rng.Intn(n)]
+			clear(p)
+			p[j] = 1 // a unit vector: in S⁺ \ S
+		}
+	}
+	shuffled := allRows(n)
+	rng.Shuffle(n, func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+
+	for _, c := range []struct {
+		name  string
+		ds    *data.Dataset
+		rows  []int32
+		delta mask.Mask
+	}{
+		{"A d=4", gen.Synthetic(gen.Anticorrelated, n, 4, 7), allRows(n), mask.Full(4)},
+		{"grid {0..3}^5", data.FromRows(grid), shuffled, mask.Full(d)},
+		{"I d=6 projected, unsorted rows", gen.Synthetic(gen.Independent, n, 6, 5), shuffled, 0b110101},
+	} {
+		want := scalarOracle(c.ds, c.rows, c.delta)
+		if c.name == "grid {0..3}^5" && len(want.ExtOnly) < 100 {
+			t.Fatalf("%s: |S⁺\\S| = %d, not the input this test needs", c.name, len(want.ExtOnly))
+		}
+		for _, threads := range []int{1, 2} {
+			var survivors, words int
+			got := HybridInstrumented(c.ds, c.rows, c.delta, threads, &HybridHooks{
+				Filter: func(rows []int32, sweeps int) { survivors, words = len(rows), sweeps },
+				Spread: func(_ []int32, _ int, probe func(w, lo, hi int), fanOut func(func(w, lo, hi int))) {
+					fanOut(probe)
+				},
+				Group: func(w, t, gi, id, sweeps int) {},
+				Fresh: func(p, sweeps int) {},
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s threads=%d: |S| = %d, |S⁺\\S| = %d; the oracle's %d and %d",
+					c.name, threads, len(got.Skyline), len(got.ExtOnly), len(want.Skyline), len(want.ExtOnly))
+			}
+			if survivors >= n || survivors < want.ExtendedSize() || words != n {
+				t.Errorf("%s threads=%d: %d of %d rows survived the pre-filter (|S⁺| = %d) after %d words, want fewer, and %d words",
+					c.name, threads, survivors, n, want.ExtendedSize(), words, n)
+			}
+		}
 	}
 }
