@@ -17,7 +17,6 @@ import (
 	"skycube/internal/gpu"
 	"skycube/internal/gpusim"
 	"skycube/internal/lattice"
-	"skycube/internal/skyline"
 	"skycube/internal/templates"
 )
 
@@ -237,25 +236,6 @@ func BenchmarkAblationNoExtendedInput(b *testing.B) {
 		lattice.TopDown(ds, hook, lattice.TopDownOptions{CuboidThreads: 4})
 	}
 }
-
-// --- Ablation: pivot-selection strategies (BSkyTree vs OSP vs VMPSP style) ---
-
-func benchPivotStrategy(b *testing.B, strat skyline.PivotStrategy) {
-	ds := gen.Synthetic(gen.Anticorrelated, 4000, 6, 20170514)
-	rows := make([]int32, ds.N)
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	delta := uint32(1)<<6 - 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		skyline.PivotFilterWith(ds, rows, delta, false, strat)
-	}
-}
-
-func BenchmarkAblationPivotMinL1(b *testing.B)  { benchPivotStrategy(b, skyline.PivotMinL1) }
-func BenchmarkAblationPivotFirst(b *testing.B)  { benchPivotStrategy(b, skyline.PivotFirst) }
-func BenchmarkAblationPivotMedian(b *testing.B) { benchPivotStrategy(b, skyline.PivotMedian) }
 
 // --- Ablation: GPU hook comparison (SkyAlign-style vs GGS) ------------------
 

@@ -3,25 +3,24 @@
 // with every significant data access routed through a memsim probe, so the
 // memory-hierarchy model observes the algorithms' *real* access streams.
 //
-// STSC, SDSC and MDMC run the production engines themselves and charge what
-// their instrumentation hooks report: skyline.HybridInstrumented's tiles,
-// label tests and word sweeps, and the MDMC Solution's filter and refine
-// visits. The PQSkycube baseline, which no build runs any more, is modelled
-// here as a recursive pivot filter. Outputs are asserted equal to the
-// production implementations in the package tests. Addresses are logical but
-// faithful to the layouts: the dataset and flat label arrays are contiguous,
-// each Hybrid group's column words are one region per group; the baseline's
-// recursive tree nodes come from a shared pseudo-heap allocator, scattering
-// them the way a real allocator does under concurrent cuboid construction.
+// Every profiled build runs the production engine itself and charges what its
+// instrumentation hooks report: skyline.HybridInstrumented's tiles, label
+// tests and word sweeps (STSC, SDSC), the MDMC Solution's filter and refine
+// visits (MDMC), and skyline.PivotFilter's pivots, partitions, mask tests,
+// row compares and result entries (PQSkycube, whose cuboids QSkycube computes
+// with that filter). Outputs are asserted equal to the production
+// implementations in the package tests. Addresses are logical but faithful to
+// the layouts: the dataset and flat label arrays are contiguous, each Hybrid
+// group's column words are one region per group; the baseline's recursive
+// tree nodes come from a shared pseudo-heap allocator, scattering them the way
+// a real allocator does under concurrent cuboid construction.
 package counters
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"skycube/internal/data"
-	"skycube/internal/dom"
 	"skycube/internal/lattice"
 	"skycube/internal/mask"
 	"skycube/internal/memsim"
@@ -85,12 +84,6 @@ type Report struct {
 // CPI returns the run's modelled cycles per instruction.
 func (r Report) CPI() float64 { return r.Counters.CPI(r.MachCfg) }
 
-// profiler bundles the per-run shared state.
-type profiler struct {
-	sys   *System
-	alloc int64 // pseudo-heap allocation counter
-}
-
 // System wraps a memsim.System with thread placement.
 type System struct {
 	*memsim.System
@@ -149,12 +142,13 @@ func (s *System) report(algo string, sweeps int64) Report {
 		CriticalPathCycles: s.MaxThreadCycles(), Sweeps: sweeps}
 }
 
-// allocNode returns the pseudo-heap address of a freshly allocated tree
-// node or bucket: a shared atomic counter interleaves concurrent cuboids'
+// pseudoHeap hands out the addresses of the baseline's tree nodes: one
+// counter shared by a run's workers interleaves concurrent cuboids'
 // allocations across the heap, like a real allocator under parallel load.
-func (p *profiler) allocNode() uint64 {
-	n := atomic.AddInt64(&p.alloc, 1) - 1
-	return heapBase + uint64(n)*heapNodeBytes
+type pseudoHeap struct{ n atomic.Int64 }
+
+func (h *pseudoHeap) alloc() uint64 {
+	return heapBase + uint64(h.n.Add(1)-1)*heapNodeBytes
 }
 
 func pointAddr(ds *data.Dataset, row int32) uint64 {
@@ -233,17 +227,74 @@ func mergeRows(a, b []int32) []int32 {
 
 // ProfilePQ runs the profiled PQSkycube baseline: a top-down lattice
 // traversal whose cuboids (computed threads-at-a-time within a level) each
-// build a recursive, pointer-based pivot tree.
+// run the BSkyTree filter twice, strict then not, as QSkycube does, building
+// its recursive, pointer-based pivot tree.
 func ProfilePQ(ds *data.Dataset, cfg Config) (Report, *lattice.Lattice) {
 	sys := newSystem(cfg)
-	p := &profiler{sys: sys}
+	var heap pseudoHeap
 	probes := sys.probes()
 	l := staticTopDown(ds, probes, func(w int, rows []int32, delta mask.Mask) ([]int32, []int32) {
-		ext := p.probedPivotFilter(probes[w], ds, rows, delta, true)
-		sky := p.probedPivotFilter(probes[w], ds, ext, delta, false)
+		h := pivotHooks(probes[w], &heap, ds, mask.Count(delta))
+		ext := skyline.PivotFilter(ds, rows, delta, true, h)
+		sky := skyline.PivotFilter(ds, ext, delta, false, h)
 		return sky, skyline.DiffSorted(ext, sky)
 	})
 	return sys.report("PQ", 0), l
+}
+
+// pivotHooks charges one cuboid's BSkyTree filters to th. Pivot selection
+// reads every row but the first, then every row again at k instructions each,
+// and then the pivot's row. A row partitioned against the pivot costs its row
+// and d instructions and, unless the pivot killed it, 16 B of its partition's
+// node; a mask test costs 8 B of the result entry's node and one instruction;
+// a row compare both rows and d instructions. Partitions and result entries
+// are nodes from heap, allocated when the filter creates them and kept per
+// recursion depth for the call that depth runs.
+func pivotHooks(th *memsim.Thread, heap *pseudoHeap, ds *data.Dataset, k int) *skyline.PivotHooks {
+	var parts []map[mask.Mask]uint64 // by depth: the call's partition nodes
+	var entries [][]uint64           // by depth: the call's result entry nodes
+	row := func(r int32) { th.Load(pointAddr(ds, r), ds.Dims*4) }
+	return &skyline.PivotHooks{
+		Pivot: func(depth int, rows []int32, piv int32) {
+			for _, r := range rows[1:] {
+				row(r)
+			}
+			for _, r := range rows {
+				row(r)
+				th.Instr(k)
+			}
+			row(piv)
+			for len(parts) <= depth {
+				parts = append(parts, map[mask.Mask]uint64{})
+				entries = append(entries, nil)
+			}
+			clear(parts[depth])
+			entries[depth] = entries[depth][:0]
+		},
+		Partition: func(depth int, r int32, m mask.Mask, killed bool) {
+			row(r)
+			th.Instr(ds.Dims)
+			if killed {
+				return
+			}
+			addr, ok := parts[depth][m]
+			if !ok {
+				addr = heap.alloc()
+				parts[depth][m] = addr
+			}
+			th.Load(addr, 16)
+		},
+		Test: func(depth, i int) {
+			th.Load(entries[depth][i], 8)
+			th.Instr(1)
+		},
+		Compare: func(q, r int32) {
+			row(q)
+			row(r)
+			th.Instr(ds.Dims)
+		},
+		Keep: func(depth int) { entries[depth] = append(entries[depth], heap.alloc()) },
+	}
 }
 
 // ProfileST runs the profiled STSC: the same traversal, but each cuboid is
@@ -499,174 +550,4 @@ func profiledMDRefine(th *memsim.Thread, tree *stree.Tree, sol *templates.Soluti
 			th.Load(scratch+uint64(leafIdx*8)%scratchPerThread, 8)
 			th.Instr(tree.Data.Dims)
 		})
-}
-
-// probedCompare is an exact DT with probes: loads both points' rows.
-func probedCompare(th *memsim.Thread, ds *data.Dataset, q, p int32) dom.Rel {
-	th.Load(pointAddr(ds, q), ds.Dims*4)
-	th.Load(pointAddr(ds, p), ds.Dims*4)
-	th.Instr(ds.Dims)
-	return dom.Compare(ds.Point(int(q)), ds.Point(int(p)))
-}
-
-// ---------------------------------------------------------------------------
-// Profiled PQSkycube cuboid: recursive pivot partitioning with pointer-
-// based buckets from the shared pseudo-heap.
-
-const probedLeafSize = 48
-
-func (p *profiler) probedPivotFilter(th *memsim.Thread, ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
-	out := p.probedPivotRec(th, ds, rows, delta, strict, 0)
-	sorted := append([]int32(nil), out...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	return sorted
-}
-
-type probedBucket struct {
-	m    mask.Mask
-	rows []int32
-	addr uint64 // pseudo-heap node backing this bucket
-}
-
-func (p *profiler) probedPivotRec(th *memsim.Thread, ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, depth int) []int32 {
-	if len(rows) <= probedLeafSize || depth > 64 {
-		return p.probedBNL(th, ds, rows, delta, strict)
-	}
-	piv := p.probedSelectPivot(th, ds, rows, delta)
-	pivPoint := ds.Point(int(piv))
-	th.Load(pointAddr(ds, piv), ds.Dims*4)
-
-	parts := make(map[mask.Mask]*probedBucket, 64)
-	var order []*probedBucket
-	progress := false
-	for _, q := range rows {
-		th.Load(pointAddr(ds, q), ds.Dims*4)
-		th.Instr(ds.Dims)
-		r := dom.Compare(pivPoint, ds.Point(int(q)))
-		if q != piv && dom.Kills(r, delta, strict) {
-			progress = true
-			continue
-		}
-		m := r.Leq() & delta
-		b := parts[m]
-		if b == nil {
-			b = &probedBucket{m: m, addr: p.allocNode()}
-			parts[m] = b
-			order = append(order, b)
-		}
-		// Bucket append chases the bucket's heap node.
-		th.Load(b.addr, 16)
-		b.rows = append(b.rows, q)
-	}
-	if !progress && len(order) == 1 {
-		return p.probedBNL(th, ds, rows, delta, strict)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := mask.Count(order[a].m), mask.Count(order[b].m)
-		if ca != cb {
-			return ca < cb
-		}
-		return order[a].m < order[b].m
-	})
-
-	type resEntry struct {
-		row  int32
-		m    mask.Mask
-		addr uint64
-	}
-	var result []resEntry
-	for _, b := range order {
-		local := p.probedPivotRec(th, ds, b.rows, delta, strict, depth+1)
-		for _, q := range local {
-			dead := false
-			for _, e := range result {
-				// The mask test reads the result entry's tree node.
-				th.Load(e.addr, 8)
-				th.Instr(1)
-				if e.m&^b.m&delta != 0 {
-					continue
-				}
-				if dom.Kills(probedCompare(th, ds, e.row, q), delta, strict) {
-					dead = true
-					break
-				}
-			}
-			if !dead {
-				result = append(result, resEntry{row: q, m: b.m, addr: p.allocNode()})
-			}
-		}
-	}
-	out := make([]int32, len(result))
-	for i, e := range result {
-		out[i] = e.row
-	}
-	return out
-}
-
-func (p *profiler) probedSelectPivot(th *memsim.Thread, ds *data.Dataset, rows []int32, delta mask.Mask) int32 {
-	dims := mask.Dims(delta)
-	lo := make([]float32, len(dims))
-	hi := make([]float32, len(dims))
-	for k := range dims {
-		v := ds.Value(int(rows[0]), dims[k])
-		lo[k], hi[k] = v, v
-	}
-	for _, q := range rows[1:] {
-		th.Load(pointAddr(ds, q), ds.Dims*4)
-		for k, j := range dims {
-			v := ds.Value(int(q), j)
-			if v < lo[k] {
-				lo[k] = v
-			}
-			if v > hi[k] {
-				hi[k] = v
-			}
-		}
-	}
-	best := rows[0]
-	bestScore := float64(1e30)
-	for _, q := range rows {
-		th.Load(pointAddr(ds, q), ds.Dims*4)
-		th.Instr(len(dims))
-		s := 0.0
-		for k, j := range dims {
-			den := hi[k] - lo[k]
-			if den <= 0 {
-				continue
-			}
-			s += float64((ds.Value(int(q), j) - lo[k]) / den)
-		}
-		if s < bestScore {
-			bestScore = s
-			best = q
-		}
-	}
-	return best
-}
-
-func (p *profiler) probedBNL(th *memsim.Thread, ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
-	window := make([]int32, 0, 16)
-	for _, q := range rows {
-		dead := false
-		w := 0
-		for _, e := range window {
-			r := probedCompare(th, ds, e, q)
-			if dom.Kills(r, delta, strict) {
-				dead = true
-				break
-			}
-			rq := dom.Rel{Lt: delta &^ (r.Lt | r.Eq), Eq: r.Eq}
-			if !dom.Kills(rq, delta, strict) {
-				window[w] = e
-				w++
-			}
-		}
-		if dead {
-			continue
-		}
-		window = window[:w]
-		window = append(window, q)
-	}
-	sort.Slice(window, func(a, b int) bool { return window[a] < window[b] })
-	return window
 }

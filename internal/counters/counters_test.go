@@ -10,6 +10,7 @@ import (
 	"skycube/internal/gpu"
 	"skycube/internal/gpusim"
 	"skycube/internal/mask"
+	"skycube/internal/memsim"
 	"skycube/internal/skyline"
 	"skycube/internal/templates"
 )
@@ -75,6 +76,62 @@ func TestModelsSweepWhatTheEngineSweeps(t *testing.T) {
 				t.Errorf("%s %s: hooks reported %d words, engine swept %d, production build sweeps %d",
 					in.name, name, reported, swept, want)
 			}
+		}
+	}
+}
+
+// The PQ and GPU-MDMC models run the production filters (skyline.PivotFilter,
+// Solution.FilterInstrumented) and charge what their hooks report, so their
+// counts must be exactly those of the hand-written copies they replaced. Each
+// literal below was recorded from the deleted copy: the probed BSkyTree mirror
+// ProfilePQ ran, and the leaf scan (Solution.FilterLeafScan over
+// Tree.CompositeStrict) gpu.PointKernel filtered with. At one thread every
+// memsim counter repeats; at four, the heap addresses interleave with the host
+// scheduler, so only instructions and loads do.
+func TestModelsRepeatTheirPinnedCounts(t *testing.T) {
+	for _, in := range []struct {
+		name   string
+		ds     *data.Dataset
+		one    memsim.Counters // ProfilePQ, Threads: 1, recorded from the deleted probed mirror
+		fourIL [2]int64        // ProfilePQ, Threads: 4: Instructions, Loads, recorded from the deleted probed mirror
+	}{
+		{"I_d=6_n=2000_s5", gen.Synthetic(gen.Independent, 2000, 6, 5),
+			memsim.Counters{Instructions: 4101622, Loads: 1459956, L2Misses: 10241, L3Misses: 10168,
+				StallL2Pending: 1314, StallL3Pending: 996464, STLBMisses: 607, PageWalkCycles: 54630, SyncCycles: 15000},
+			[2]int64{4101622, 1459956}},
+		{"A_d=5_n=600_s9", gen.Synthetic(gen.Anticorrelated, 600, 5, 9),
+			memsim.Counters{Instructions: 3065295, Loads: 1169418, L2Misses: 5526, L3Misses: 5526,
+				StallL2Pending: 0, StallL3Pending: 541548, STLBMisses: 341, PageWalkCycles: 30690, SyncCycles: 12500},
+			[2]int64{3065295, 1169418}},
+		{"I_d=5_n=400_s3", gen.Synthetic(gen.Independent, 400, 5, 3),
+			memsim.Counters{Instructions: 303635, Loads: 113020, L2Misses: 1411, L3Misses: 1411,
+				StallL2Pending: 0, StallL3Pending: 138278, STLBMisses: 84, PageWalkCycles: 7560, SyncCycles: 12500},
+			[2]int64{303635, 113020}},
+	} {
+		if r, _ := ProfilePQ(in.ds, Config{Threads: 1}); r.Counters != in.one {
+			t.Errorf("%s ProfilePQ/1: %+v, want %+v", in.name, r.Counters, in.one)
+		}
+		r, _ := ProfilePQ(in.ds, Config{Threads: 4})
+		if got := [2]int64{r.Counters.Instructions, r.Counters.Loads}; got != in.fourIL {
+			t.Errorf("%s ProfilePQ/4: instructions, loads %v, want %v", in.name, got, in.fourIL)
+		}
+	}
+	for _, in := range []struct {
+		name string
+		ds   *data.Dataset
+		want gpusim.Stats // gpu.MDMC on a GTX 980, recorded from the deleted leaf scan
+	}{
+		{"A_d=5_n=400_s13", gen.Synthetic(gen.Anticorrelated, 400, 5, 13),
+			gpusim.Stats{Blocks: 297, Instructions: 985110, Transactions: 20338, SharedAccesses: 94433,
+				Divergences: 3686, Votes: 87615, Syncs: 297, TransferBytes: 1188}},
+		{"I_d=6_n=3000_s7", gen.Synthetic(gen.Independent, 3000, 6, 7),
+			gpusim.Stats{Blocks: 440, Instructions: 2191649, Transactions: 46767, SharedAccesses: 211894,
+				Divergences: 9801, Votes: 193160, Syncs: 440, TransferBytes: 3520}},
+	} {
+		var st gpu.StatsCollector
+		gpu.MDMC(in.ds, gpusim.GTX980(), 2, 0, &st)
+		if got := st.Total(); got != in.want {
+			t.Errorf("%s gpu.MDMC: %+v, want %+v", in.name, got, in.want)
 		}
 	}
 }

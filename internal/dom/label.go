@@ -38,15 +38,15 @@ type LabelSel struct {
 }
 
 // RefineSel is the selector of the refine sweep over a tree's leaf columns:
-// LabelMask is then the optimistic mask full &^ CompositeStrict(p → entry).
+// LabelMask is then the optimistic mask full &^ c(p → entry).
 // Pass op = 0 on a depth-2 tree.
 func RefineSel(mp, qp, op, full mask.Mask) LabelSel {
 	return LabelSel{mp: mp, qp: qp, op: op, selM: mp, selQ: qp, selO: op, flip: full, full: full}
 }
 
-// FilterSel is the selector of the filter sweep: LabelMask is then
-// CompositeStrict(entry → p) over the top two levels, or all three when
-// levels ≥ 3. A two-level sweep never looks at the third column (selO = 0).
+// FilterSel is the selector of the filter sweep: LabelMask is then c(entry → p)
+// over the top two levels, or all three when levels ≥ 3. A two-level sweep
+// never looks at the third column (selO = 0).
 func FilterSel(mp, qp, op mask.Mask, levels int, full mask.Mask) LabelSel {
 	s := LabelSel{mp: mp, qp: qp, op: op, selM: ^mp, selQ: ^qp, full: full}
 	if levels >= 3 {

@@ -225,9 +225,11 @@ func PointKernel(dev *gpusim.Device, stats *StatsCollector) templates.PointKerne
 
 			// Filter (§6.2): the block's threads stride the leaves, reading
 			// the flat three-level label arrays — one coalesced pass over
-			// 3×4 bytes per leaf — and compare full paths.
+			// 3×4 bytes per leaf — and derive each leaf's full three-level
+			// composite mask, stronger than the CPU's two-level filter: six
+			// instructions and a shared-memory update per leaf.
 			b.LoadCoalesced(12 * nLeaves)
-			sol.FilterLeafScan(p, func(int) {
+			sol.FilterInstrumented(p, 3, func(int, int, mask.Mask) {
 				b.Instr(6)
 				b.SharedAccess(1)
 			})

@@ -14,14 +14,17 @@ import (
 // by a new arrival are evicted. It returns the survivors sorted ascending. It
 // is the correctness reference (AlgoBNL) and the recursion leaf of the pivot
 // algorithm, so the baselines and the oracle never run the block kernels they
-// are measured against.
-func bnlFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
+// are measured against. It reports its compares to h (nil for none).
+func bnlFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, h *PivotHooks) []int32 {
 	window := make([]int32, 0, 16)
 	for _, p := range rows {
 		pp := ds.Point(int(p))
 		dead := false
 		w := 0
 		for _, q := range window {
+			if h != nil {
+				h.Compare(q, p)
+			}
 			r := dom.Compare(ds.Point(int(q)), pp)
 			if dom.Kills(r, delta, strict) {
 				dead = true

@@ -41,7 +41,26 @@ func BenchmarkBNLFilter(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if len(bnlFilter(ds, idx, delta, false)) == 0 {
+				if len(bnlFilter(ds, idx, delta, false, nil)) == 0 {
+					b.Fatal("empty skyline")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPivotFilter is the BSkyTree filter QSkycube and PQSkycube build
+// every cuboid with, hooks nil, on A 4000×6 in the full space: strict (S⁺)
+// and not (S).
+func BenchmarkPivotFilter(b *testing.B) {
+	ds := gen.Synthetic(gen.Anticorrelated, 4000, 6, 20170514)
+	rows, delta := allRows(ds.N), mask.Full(6)
+	for _, strict := range []bool{true, false} {
+		b.Run(fmt.Sprintf("strict=%v", strict), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(PivotFilter(ds, rows, delta, strict, nil)) == 0 {
 					b.Fatal("empty skyline")
 				}
 			}

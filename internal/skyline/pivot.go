@@ -9,48 +9,46 @@ import (
 	"skycube/internal/mask"
 )
 
-// PivotStrategy selects how the pivot-partitioned algorithm picks its
-// pivot per recursion (the axis on which BSkyTree, OSP and friends differ,
-// paper §3).
-type PivotStrategy int
-
-const (
-	// PivotMinL1 is BSkyTree's balanced pivot: the point with the smallest
-	// range-normalised L1 distance from the origin. It cannot be strictly
-	// dominated, and it balances the partition masks.
-	PivotMinL1 PivotStrategy = iota
-	// PivotFirst takes the first input point after removing those it
-	// dominates — OSP-style "a skyline point", cheap but unbalanced.
-	PivotFirst
-	// PivotMedian builds a virtual pivot from per-dimension medians
-	// (VMPSP-style). Virtual pivots partition but never kill points.
-	PivotMedian
-)
-
-// pivotStrategy is the package-wide strategy used by AlgoBSkyTree; the
-// ablation benchmarks swap it via PivotFilterWith.
-var defaultPivotStrategy = PivotMinL1
-
-// PivotFilterWith runs the pivot-partitioned filter under an explicit
-// strategy, for ablation studies.
-func PivotFilterWith(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, strategy PivotStrategy) []int32 {
-	out := pivotRecWith(ds, rows, delta, strict, 0, strategy)
-	slices.Sort(out)
-	return out
+// PivotHooks let a machine model run PivotFilter on its own worker and charge
+// the work it does, as HybridHooks do for Hybrid, so the model profiles the
+// filter that runs rather than a copy of it. All five must be set. depth is
+// the recursion depth of the partitioning call an event belongs to: the call
+// the latest Pivot at that depth opened.
+type PivotHooks struct {
+	// Pivot is called once per partitioning call, after selectPivot's two
+	// passes over rows chose piv.
+	Pivot func(depth int, rows []int32, piv int32)
+	// Partition is called once per row p compared with the pivot: killed, or
+	// appended to the call's partition of mask m, which the call's first row
+	// with m creates.
+	Partition func(depth int, p int32, m mask.Mask, killed bool)
+	// Test is called once per mask test of a row against the call's result
+	// entry i.
+	Test func(depth, i int)
+	// Compare is called before every row compare but the pivot's, in the
+	// result loops and in the BNL leaves: q as the candidate dominator of p.
+	Compare func(q, p int32)
+	// Keep is called once per row appended to the call's result, which
+	// becomes its next entry.
+	Keep func(depth int)
 }
 
-// pivotFilter is the sequential point-based partitioning algorithm in the
+// PivotFilter is the sequential point-based partitioning algorithm in the
 // style of BSkyTree (Lee & Hwang; paper §3, App. B.2): pick a pivot that
 // cannot be strictly dominated (the minimum range-normalised L1 point),
 // partition the input by each point's B_{π≤p} mask, recurse per partition
 // in ascending popcount order, and compare across partitions only when the
-// mask test (Equation 1) is inconclusive.
+// mask test (Equation 1) is inconclusive. It returns the rows not (strictly,
+// if strict) dominated in δ, in ascending order, and reports its work to h
+// (nil for none; AlgoBSkyTree passes nil).
 //
 // This is the per-cuboid engine of the QSkycube baseline; it uses a
 // variable-depth recursive tree, which is exactly the pointer-chasing,
 // cache-hungry structure whose parallel scalability the paper critiques.
-func pivotFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []int32 {
-	return PivotFilterWith(ds, rows, delta, strict, defaultPivotStrategy)
+func PivotFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, h *PivotHooks) []int32 {
+	out := pivotRec(ds, rows, delta, strict, 0, h)
+	slices.Sort(out)
+	return out
 }
 
 // pivotLeafSize is the input size below which recursion falls back to BNL.
@@ -61,25 +59,15 @@ type bucket struct {
 	rows []int32
 }
 
-func pivotRecWith(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, depth int, strategy PivotStrategy) []int32 {
+func pivotRec(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, depth int, h *PivotHooks) []int32 {
 	if len(rows) <= pivotLeafSize || depth > 64 {
-		return bnlFilter(ds, rows, delta, strict)
+		return bnlFilter(ds, rows, delta, strict, h)
 	}
-	var piv int32
-	var pivPoint []float32
-	var virtual []float32
-	switch strategy {
-	case PivotFirst:
-		piv = rows[0]
-		pivPoint = ds.Point(int(piv))
-	case PivotMedian:
-		piv = -1
-		virtual = medianPivot(ds, rows, delta)
-		pivPoint = virtual
-	default:
-		piv = selectPivot(ds, rows, delta)
-		pivPoint = ds.Point(int(piv))
+	piv := selectPivot(ds, rows, delta)
+	if h != nil {
+		h.Pivot(depth, rows, piv)
 	}
+	pivPoint := ds.Point(int(piv))
 
 	// Partition by mask against the pivot, dropping points the pivot kills.
 	parts := make(map[mask.Mask]*bucket, 64)
@@ -87,13 +75,15 @@ func pivotRecWith(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 	progress := false
 	for _, p := range rows {
 		r := dom.Compare(pivPoint, ds.Point(int(p)))
-		// A virtual pivot (piv < 0) is not a data point, so it must not
-		// remove anything: only a real pivot kills.
-		if piv >= 0 && p != piv && dom.Kills(r, delta, strict) {
+		killed := p != piv && dom.Kills(r, delta, strict)
+		m := r.Leq() & delta
+		if h != nil {
+			h.Partition(depth, p, m, killed)
+		}
+		if killed {
 			progress = true
 			continue
 		}
-		m := r.Leq() & delta
 		b := parts[m]
 		if b == nil {
 			b = &bucket{m: m}
@@ -105,7 +95,7 @@ func pivotRecWith(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 	if !progress && len(order) == 1 {
 		// Degenerate input (e.g. all duplicates): partitioning cannot make
 		// progress, so finish with the quadratic leaf algorithm.
-		return bnlFilter(ds, rows, delta, strict)
+		return bnlFilter(ds, rows, delta, strict, h)
 	}
 
 	// Ascending popcount: a partition's dominators lie only in partitions
@@ -120,15 +110,21 @@ func pivotRecWith(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 	}
 	var result []resEntry
 	for _, b := range order {
-		local := pivotRecWith(ds, b.rows, delta, strict, depth+1, strategy)
+		local := pivotRec(ds, b.rows, delta, strict, depth+1, h)
 		for _, p := range local {
 			pp := ds.Point(int(p))
 			dead := false
-			for _, e := range result {
+			for i, e := range result {
+				if h != nil {
+					h.Test(depth, i)
+				}
 				// Mask test: e can only dominate p if e.m ⊆ b.m within δ
 				// (Equation 1 with the shared pivot π).
 				if e.m&^b.m&delta != 0 {
 					continue
+				}
+				if h != nil {
+					h.Compare(e.row, p)
 				}
 				r := dom.Compare(ds.Point(int(e.row)), pp)
 				if dom.Kills(r, delta, strict) {
@@ -137,6 +133,9 @@ func pivotRecWith(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 				}
 			}
 			if !dead {
+				if h != nil {
+					h.Keep(depth)
+				}
 				result = append(result, resEntry{row: p, m: b.m})
 			}
 		}
@@ -146,22 +145,6 @@ func pivotRecWith(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, 
 		out[i] = e.row
 	}
 	return out
-}
-
-// medianPivot builds VMPSP's virtual pivot: the per-dimension median of
-// the rows, restricted to δ (other dimensions are zero and never consulted
-// because the partition masks are projected onto δ).
-func medianPivot(ds *data.Dataset, rows []int32, delta mask.Mask) []float32 {
-	piv := make([]float32, ds.Dims)
-	col := make([]float32, len(rows))
-	for _, j := range mask.Dims(delta) {
-		for i, p := range rows {
-			col[i] = ds.Value(int(p), j)
-		}
-		data.SelectRanks(col, len(col)/2)
-		piv[j] = col[len(col)/2]
-	}
-	return piv
 }
 
 // selectPivot returns the row minimising the range-normalised L1 distance

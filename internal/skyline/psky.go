@@ -21,7 +21,7 @@ func pskyFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, th
 		threads = 1
 	}
 	if threads == 1 || len(rows) < 2*threads {
-		return bnlFilter(ds, rows, delta, strict)
+		return bnlFilter(ds, rows, delta, strict, nil)
 	}
 
 	// Map: local skylines of equal slices.
@@ -33,7 +33,7 @@ func pskyFilter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, th
 		hi := (w + 1) * len(rows) / threads
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			parts[w] = bnlFilter(ds, rows[lo:hi], delta, strict)
+			parts[w] = bnlFilter(ds, rows[lo:hi], delta, strict, nil)
 		}(w, lo, hi)
 	}
 	wg.Wait()

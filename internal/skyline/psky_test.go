@@ -57,8 +57,8 @@ func TestSkyMergeCrossDomination(t *testing.T) {
 		{0.5, 0.5}, // b  (slice B) — dominates a, dominated by a'
 		{0.8, 0.7}, // b2 (slice B) — dominated by a'
 	})
-	a := bnlFilter(ds, []int32{0, 1}, 0b11, false)
-	b := bnlFilter(ds, []int32{2, 3}, 0b11, false)
+	a := bnlFilter(ds, []int32{0, 1}, 0b11, false, nil)
+	b := bnlFilter(ds, []int32{2, 3}, 0b11, false, nil)
 	merged := skyMerge(ds, a, b, 0b11, false)
 	if len(merged) != 1 || merged[0] != 1 {
 		t.Errorf("skyMerge = %v, want [1]", merged)
@@ -89,9 +89,9 @@ func TestSkyMergeOfHalvesMatchesBNL(t *testing.T) {
 		rng.Shuffle(n, func(a, b int) { rows[a], rows[b] = rows[b], rows[a] })
 		delta := mask.Mask(1 + rng.Intn(1<<uint(d)-1))
 		for _, strict := range []bool{true, false} {
-			want := bnlFilter(ds, rows, delta, strict)
-			a := bnlFilter(ds, rows[:n/2], delta, strict)
-			b := bnlFilter(ds, rows[n/2:], delta, strict)
+			want := bnlFilter(ds, rows, delta, strict, nil)
+			a := bnlFilter(ds, rows[:n/2], delta, strict, nil)
+			b := bnlFilter(ds, rows[n/2:], delta, strict, nil)
 			got := skyMerge(ds, a, b, delta, strict)
 			slices.Sort(got)
 			if !reflect.DeepEqual(got, want) {
@@ -118,35 +118,33 @@ func TestPSkylineString(t *testing.T) {
 	}
 }
 
+// BSkyTree's MinL1 pivot filter agrees with BNL in a subspace, a three-
+// dimensional one and the full space, strict and not.
 func TestPivotStrategiesAgree(t *testing.T) {
 	for _, dist := range []gen.Distribution{gen.Independent, gen.Anticorrelated, gen.Correlated} {
 		ds := gen.Synthetic(dist, 700, 5, 29)
 		for _, delta := range []mask.Mask{1, 0b10110, mask.Full(5)} {
 			for _, strict := range []bool{false, true} {
-				want := bnlFilter(ds, allRows(ds.N), delta, strict)
-				for _, strat := range []PivotStrategy{PivotMinL1, PivotFirst, PivotMedian} {
-					got := PivotFilterWith(ds, allRows(ds.N), delta, strict, strat)
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%v strat=%d δ=%b strict=%v: %d ids != %d ids",
-							dist, strat, delta, strict, len(got), len(want))
-					}
+				want := bnlFilter(ds, allRows(ds.N), delta, strict, nil)
+				if got := PivotFilter(ds, allRows(ds.N), delta, strict, nil); !reflect.DeepEqual(got, want) {
+					t.Errorf("%v δ=%b strict=%v: %d ids != %d ids", dist, delta, strict, len(got), len(want))
 				}
 			}
 		}
 	}
 }
 
+// Two points repeated 150 times each: the pivot kills one half, and the
+// partition of its own duplicates cannot make progress, so the filter
+// finishes that partition with the BNL leaf.
 func TestPivotStrategiesOnDuplicates(t *testing.T) {
 	rows := make([][]float32, 300)
 	for i := range rows {
 		rows[i] = []float32{float32(i % 2), float32(i % 2), 0.5}
 	}
 	ds := data.FromRows(rows)
-	want := bnlFilter(ds, allRows(ds.N), 0b111, false)
-	for _, strat := range []PivotStrategy{PivotMinL1, PivotFirst, PivotMedian} {
-		got := PivotFilterWith(ds, allRows(ds.N), 0b111, false, strat)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("strat=%d: duplicates broke pivot filter", strat)
-		}
+	want := bnlFilter(ds, allRows(ds.N), 0b111, false, nil)
+	if got := PivotFilter(ds, allRows(ds.N), 0b111, false, nil); !reflect.DeepEqual(got, want) {
+		t.Errorf("duplicates broke the pivot filter: %d ids != %d ids", len(got), len(want))
 	}
 }

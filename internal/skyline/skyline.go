@@ -136,9 +136,9 @@ func ExtendedSkyline(ds *data.Dataset, rows []int32, delta mask.Mask, algo Algo,
 func filter(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool, algo Algo, threads int) []int32 {
 	switch algo {
 	case AlgoBNL:
-		return bnlFilter(ds, rows, delta, strict)
+		return bnlFilter(ds, rows, delta, strict, nil)
 	case AlgoBSkyTree:
-		return pivotFilter(ds, rows, delta, strict)
+		return PivotFilter(ds, rows, delta, strict, nil)
 	case AlgoPSkyline:
 		return pskyFilter(ds, rows, delta, strict, threads)
 	}

@@ -238,9 +238,10 @@ func (t *Tree) Route(p []float32) (med, quart, oct mask.Mask) {
 	return med, quart, oct
 }
 
-// CompositeStrict returns the subspace in which *every* point at sorted
-// position q is guaranteed, from path labels alone, to strictly dominate
-// the point at sorted position p (paper §5.2 / §6.2 filter logic):
+// CompositeStrictLabels returns the subspace in which *every* point with
+// path labels (medQ, quartQ, octQ) is guaranteed, from the labels alone, to
+// strictly dominate a point with labels (medP, quartP, octP) (paper §5.2 /
+// §6.2 filter logic):
 //
 //   - median level: dims where q is below the median and p is not;
 //   - quartile level: dims where the median labels agree (same quartile
@@ -249,21 +250,6 @@ func (t *Tree) Route(p []float32) (med, quart, oct mask.Mask) {
 //     below the octile while p is not.
 //
 // A zero result conveys nothing.
-func (t *Tree) CompositeStrict(q, p int) mask.Mask {
-	mq, mp := t.Med[q], t.Med[p]
-	delta := mq &^ mp
-	sameHalf := ^(mq ^ mp)
-	qq, qp := t.Quart[q], t.Quart[p]
-	delta |= (qq &^ qp) & sameHalf
-	if t.Depth == 3 {
-		sameQuarter := sameHalf & ^(qq ^ qp)
-		delta |= (t.Oct[q] &^ t.Oct[p]) & sameQuarter
-	}
-	return delta
-}
-
-// CompositeStrictLabels is CompositeStrict expressed on raw labels, for
-// callers (the GPU kernels) that stage labels in simulated shared memory.
 func CompositeStrictLabels(medQ, quartQ, octQ, medP, quartP, octP mask.Mask, depth int) mask.Mask {
 	delta := medQ &^ medP
 	sameHalf := ^(medQ ^ medP)
@@ -273,11 +259,4 @@ func CompositeStrictLabels(medQ, quartQ, octQ, medP, quartP, octP mask.Mask, dep
 		delta |= (octQ &^ octP) & sameQuarter
 	}
 	return delta
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

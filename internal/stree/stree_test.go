@@ -196,15 +196,21 @@ func TestLeafGroupsShareLabels(t *testing.T) {
 	}
 }
 
-// The core soundness property: whenever CompositeStrict(q, p) claims a
-// subspace, an exact dominance test must confirm strict dominance there.
+// composite is CompositeStrictLabels of the points at sorted positions q and
+// p of tr, at tr's depth.
+func composite(tr *Tree, q, p int) mask.Mask {
+	return CompositeStrictLabels(tr.Med[q], tr.Quart[q], tr.Oct[q], tr.Med[p], tr.Quart[p], tr.Oct[p], tr.Depth)
+}
+
+// The core soundness property: whenever CompositeStrictLabels claims q
+// strictly dominates p in a subspace, an exact dominance test must confirm it.
 func TestCompositeStrictSound(t *testing.T) {
 	for _, depth := range []int{2, 3} {
 		tr := buildRandom(t, 400, 6, depth, 5)
 		rng := rand.New(rand.NewSource(9))
 		for it := 0; it < 20000; it++ {
 			q, p := rng.Intn(tr.Data.N), rng.Intn(tr.Data.N)
-			delta := tr.CompositeStrict(q, p)
+			delta := composite(tr, q, p)
 			if delta == 0 {
 				continue
 			}
@@ -218,8 +224,8 @@ func TestCompositeStrictSound(t *testing.T) {
 func TestCompositeStrictSelfIsZero(t *testing.T) {
 	tr := buildRandom(t, 300, 5, 3, 6)
 	for i := 0; i < tr.Data.N; i++ {
-		if got := tr.CompositeStrict(i, i); got != 0 {
-			t.Fatalf("CompositeStrict(%d,%d) = %b, want 0", i, i, got)
+		if got := composite(tr, i, i); got != 0 {
+			t.Fatalf("CompositeStrictLabels of %d against itself = %b, want 0", i, got)
 		}
 	}
 }
@@ -240,8 +246,8 @@ func TestDepth3PrunesAtLeastAsMuchAsDepth2(t *testing.T) {
 	weaker := 0
 	for a := 0; a < 200; a++ {
 		for b := 0; b < 200; b++ {
-			m2 := t2.CompositeStrict(pos2[a], pos2[b])
-			m3 := t3.CompositeStrict(pos3[a], pos3[b])
+			m2 := composite(t2, pos2[a], pos2[b])
+			m3 := composite(t3, pos3[a], pos3[b])
 			if m3&m2 != m2 {
 				weaker++
 			}
@@ -249,19 +255,6 @@ func TestDepth3PrunesAtLeastAsMuchAsDepth2(t *testing.T) {
 	}
 	if weaker != 0 {
 		t.Errorf("depth-3 mask lost information vs depth-2 for %d pairs", weaker)
-	}
-}
-
-func TestCompositeStrictLabelsMatchesMethod(t *testing.T) {
-	tr := buildRandom(t, 300, 6, 3, 8)
-	rng := rand.New(rand.NewSource(10))
-	for it := 0; it < 5000; it++ {
-		q, p := rng.Intn(tr.Data.N), rng.Intn(tr.Data.N)
-		want := tr.CompositeStrict(q, p)
-		got := CompositeStrictLabels(tr.Med[q], tr.Quart[q], tr.Oct[q], tr.Med[p], tr.Quart[p], tr.Oct[p], 3)
-		if got != want {
-			t.Fatalf("label form %b != method form %b", got, want)
-		}
 	}
 }
 
@@ -279,7 +272,7 @@ func TestDuplicatePointsShareLeaf(t *testing.T) {
 			posB = i
 		}
 	}
-	if tr.CompositeStrict(posA, posB) != 0 || tr.CompositeStrict(posB, posA) != 0 {
+	if composite(tr, posA, posB) != 0 || composite(tr, posB, posA) != 0 {
 		t.Error("duplicate points produced non-zero composite mask")
 	}
 }

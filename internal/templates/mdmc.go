@@ -402,20 +402,6 @@ func wordLanes(n, w int) uint64 {
 	return ^uint64(0)
 }
 
-// FilterLeafScan is the GPU-style filter (§6.2): a sequential scan of all
-// leaves deriving the full three-level composite mask for each, which is
-// stronger than the CPU's two-level filter but does more work. OnLeaf, if
-// non-nil, is called per leaf for device accounting.
-func (k *Solution) FilterLeafScan(p int, onLeaf func(leafLen int)) {
-	t := k.ctx.Tree
-	for _, lf := range t.Leaves {
-		if onLeaf != nil {
-			onLeaf(lf.Len())
-		}
-		k.SetStrict(t.CompositeStrict(int(lf.Start), p))
-	}
-}
-
 // Refine is the refine hook: leaf scan with label-based skipping, exact
 // DTs, and seen-mask memoisation.
 func (k *Solution) Refine(p int, memo bool) {
