@@ -129,19 +129,5 @@ func (s *Set) NextClear(from int) int {
 	}
 }
 
-// Word32 returns the w'th 32-bit word of the set, used by the HashCube to
-// hash fixed-width slices of B_{p∉S}. Bits beyond Len read as zero.
-func (s *Set) Word32(w int) uint32 {
-	bitOff := w * 32
-	if bitOff >= s.n || bitOff < 0 {
-		return 0
-	}
-	word := s.words[bitOff/wordBits]
-	if bitOff%wordBits == 0 {
-		return uint32(word)
-	}
-	return uint32(word >> 32)
-}
-
 // Words64 exposes the backing words (read-only by convention).
 func (s *Set) Words64() []uint64 { return s.words }

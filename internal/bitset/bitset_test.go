@@ -120,29 +120,6 @@ func TestNextClearIteratesAllClearBits(t *testing.T) {
 	}
 }
 
-func TestWord32(t *testing.T) {
-	s := New(128)
-	s.Set(0)
-	s.Set(31)
-	s.Set(32)
-	s.Set(95)
-	if got := s.Word32(0); got != 1|1<<31 {
-		t.Errorf("Word32(0) = %x", got)
-	}
-	if got := s.Word32(1); got != 1 {
-		t.Errorf("Word32(1) = %x, want 1", got)
-	}
-	if got := s.Word32(2); got != 1<<31 {
-		t.Errorf("Word32(2) = %x", got)
-	}
-	if got := s.Word32(3); got != 0 {
-		t.Errorf("Word32(3) = %x, want 0", got)
-	}
-	if got := s.Word32(4); got != 0 {
-		t.Errorf("Word32(4) out of range = %x, want 0", got)
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	a := New(70)
 	a.Set(69)

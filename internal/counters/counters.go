@@ -499,6 +499,8 @@ func ProfileMD(ds *data.Dataset, cfg Config) (Report, *templates.MDMCResult) {
 		go func(w int) {
 			defer wg.Done()
 			sol := templates.NewSolution(ctx)
+			stride := ctx.Cube.Stride()
+			rows := make([]uint64, 16*stride)
 			for pStart := w * 16; pStart < n; pStart += sys.threads * 16 {
 				pEnd := pStart + 16
 				if pEnd > n {
@@ -506,10 +508,11 @@ func ProfileMD(ds *data.Dataset, cfg Config) (Report, *templates.MDMCResult) {
 				}
 				for p := pStart; p < pEnd; p++ {
 					sol.Reset()
-					profiledMDFilter(th, sol, p, scratch)
+					profiledMDFilter(th, ctx, sol, p, scratch)
 					profiledMDRefine(th, tree, sol, p, scratch)
-					ctx.Cube.Insert(ctx.OrigRow[p], sol.NotInS())
+					copy(rows[(p-pStart)*stride:], sol.NotInS().Words64())
 				}
+				ctx.Cube.Insert(ctx.OrigRow[pStart:pEnd], rows[:(pEnd-pStart)*stride])
 			}
 		}(w)
 	}
@@ -518,13 +521,18 @@ func ProfileMD(ds *data.Dataset, cfg Config) (Report, *templates.MDMCResult) {
 	return sys.report("MD", 0), res
 }
 
-// profiledMDFilter drives Solution.Filter (top two tree levels) with
-// probes: only the flat L2 label columns are read, sequentially — they fit in
-// L2 — plus the thread's own bitset scratch, once per subspace looked up in it.
-func profiledMDFilter(th *memsim.Thread, sol *templates.Solution, p int, scratch uint64) {
+// profiledMDFilter drives Solution.Filter at the context's level with probes:
+// only the flat label columns of that level are read, sequentially — the L2
+// columns, which fit in L2, or the leaf columns the refine reads too — plus
+// the thread's own bitset scratch, once per subspace looked up in it.
+func profiledMDFilter(th *memsim.Thread, ctx *templates.MDMCContext, sol *templates.Solution, p int, scratch uint64) {
 	th.Load(treeBase+uint64(p)*8, 8) // p's own labels
-	sol.FilterInstrumented(p, 2, func(_, i int, delta mask.Mask) {
-		th.Load(treeBase+0x10000+uint64(i)*8, 8)
+	sol.FilterInstrumented(p, ctx.FilterLevel, func(level, i int, delta mask.Mask) {
+		if level == 3 {
+			th.Load(treeBase+0x100000+uint64(i)*12, 12)
+		} else {
+			th.Load(treeBase+0x10000+uint64(i)*8, 8)
+		}
 		th.Instr(3)
 		if delta != 0 {
 			th.Load(scratch+uint64(delta/8)%scratchPerThread, 8)

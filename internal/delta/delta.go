@@ -1060,7 +1060,7 @@ func (u *Updater) solveInserts(lives []pendingInsert, sources []int32) []*bitset
 				sol.Reset()
 				if tree != nil {
 					medP, quartP, octP := tree.Route(p)
-					sol.FilterExternal(medP, quartP, octP, 2, leafAlive)
+					sol.FilterExternal(medP, quartP, octP, u.mctx.FilterLevel, leafAlive)
 					if sol.Remaining() > 0 {
 						sol.RefineExternal(p, medP, quartP, octP, true, alive)
 					}

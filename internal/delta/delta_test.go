@@ -170,6 +170,60 @@ func TestEmptyStartAndDeleteAll(t *testing.T) {
 	verifySnapshot(t, u.Flush(), sortedIDs(live))
 }
 
+// TestInsertFilterReadsLeavesWithDeadLeaves solves inserts over a base tree
+// with about one leaf per L2 node, so their filter reads the leaf columns
+// (three levels), after whole leaves have died: FilterExternal may take no
+// dominance from a leaf whose points are all deleted, and leafAlive is what
+// tells it. Every flushed snapshot is checked against the naive oracle.
+func TestInsertFilterReadsLeavesWithDeadLeaves(t *testing.T) {
+	const d = 5
+	ds := gen.Synthetic(gen.Independent, 600, d, 29)
+	u := NewUpdater(ds, Options{Threads: 2, CompactFraction: -1})
+	defer u.Close()
+	tree := u.mctx.Tree
+	if u.mctx.FilterLevel != 3 {
+		t.Fatalf("%d leaves under %d L2 nodes: filter level %d, want 3", len(tree.Leaves), len(tree.L2), u.mctx.FilterLevel)
+	}
+	live := make(map[int32]bool, ds.N)
+	for i := 0; i < ds.N; i++ {
+		live[int32(i)] = true
+	}
+	liveIDs := func() []int32 {
+		var ids []int32
+		for id, ok := range live {
+			if ok {
+				ids = append(ids, id)
+			}
+		}
+		return sortedIDs(ids)
+	}
+	// Every point of every third leaf, so those leaves are dead.
+	for li, lf := range tree.Leaves {
+		if li%3 != 0 {
+			continue
+		}
+		for pos := lf.Start; pos < lf.End; pos++ {
+			id := u.treeID[pos]
+			if err := u.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			live[id] = false
+		}
+	}
+	verifySnapshot(t, u.Flush(), liveIDs())
+	for round := 0; round < 2; round++ {
+		extra := gen.Synthetic(gen.Independent, 60, d, int64(round)+30)
+		for i := 0; i < extra.N; i++ {
+			id, err := u.Insert(extra.Point(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[id] = true
+		}
+		verifySnapshot(t, u.Flush(), liveIDs())
+	}
+}
+
 // TestDeleteValidation checks the eager error contract of Delete.
 func TestDeleteValidation(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 30, 3, 1)

@@ -40,7 +40,8 @@ func detectAVX2() bool {
 // labelWordAVX2 is LabelWord's sweep of one 64-entry word: med, quart and oct
 // address the word's first entry in each label column, seen the subspace set's
 // first word. It reads 64 entries of each column, and of seen only the dwords
-// the non-zero masks index — at most (s.full−1)>>5.
+// the non-zero masks index — at most (s.full−1)>>5; it writes the 64 masks to
+// xs.
 //
 //go:noescape
-func labelWordAVX2(med, quart, oct *uint32, s *LabelSel, seen *uint64) uint64
+func labelWordAVX2(med, quart, oct *uint32, s *LabelSel, seen *uint64, xs *[64]uint32) uint64

@@ -125,9 +125,10 @@ func BenchmarkLabelWord(b *testing.B) {
 	eachKernel(func(impl string) {
 		b.Run(impl, func(b *testing.B) {
 			var live uint64
+			var xs [64]mask.Mask
 			for i := 0; i < b.N; i++ {
 				for w := 0; w < words; w++ {
-					live |= LabelWord(med, quart, oct, w, &sel, seen)
+					live |= LabelWord(med, quart, oct, w, &sel, seen, &xs)
 				}
 			}
 			if live == 0 {

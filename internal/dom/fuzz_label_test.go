@@ -50,7 +50,8 @@ func strictLabels(mq, qq, oq, mp, qp, op mask.Mask, depth int) mask.Mask {
 // — the assembly and the Go loop, in one execution — and the one-lane
 // LabelMask to stree.CompositeStrictLabels' definition and a plain bit test,
 // for both directions of the composite mask, on a word anywhere in its
-// columns, against a set of exactly the length the masks can index.
+// columns, against a set of exactly the length the masks can index. The 64
+// masks each implementation hands back must be LabelMask's, lane for lane.
 func FuzzLabelWordEquivalence(f *testing.F) {
 	ramp := make([]uint32, 0, 3*64)
 	for i := uint32(0); i < 64; i++ {
@@ -149,19 +150,29 @@ func FuzzLabelWordEquivalence(f *testing.F) {
 		}
 
 		var live uint64
+		var xs [64]mask.Mask
 		for i := 0; i < 64; i++ {
 			e := before<<6 + i
-			x := want(med[e], quart[e], oct[e])
-			if got := LabelMask(med[e], quart[e], oct[e], &sel); got != x {
-				t.Fatalf("d=%d flags=%#x entry %d: LabelMask = %#x, definition says %#x", d, flags, e, got, x)
+			xs[i] = want(med[e], quart[e], oct[e])
+			if got := LabelMask(med[e], quart[e], oct[e], &sel); got != xs[i] {
+				t.Fatalf("d=%d flags=%#x entry %d: LabelMask = %#x, definition says %#x", d, flags, e, got, xs[i])
 			}
-			if x != 0 && seen[(x-1)/64]&(1<<((x-1)%64)) == 0 {
+			if x := xs[i]; x != 0 && seen[(x-1)/64]&(1<<((x-1)%64)) == 0 {
 				live |= 1 << uint(i)
 			}
 		}
 		eachKernel(func(impl string) {
-			if got := LabelWord(med, quart, oct, before, &sel, seen); got != live {
-				t.Fatalf("%s: d=%d flags=%#x word %d: live lanes %#016x, want %#016x", impl, d, flags, before, got, live)
+			var got [64]mask.Mask
+			for i := range got {
+				got[i] = ^xs[i] // a lane the sweep does not write fails below
+			}
+			if l := LabelWord(med, quart, oct, before, &sel, seen, &got); l != live {
+				t.Fatalf("%s: d=%d flags=%#x word %d: live lanes %#016x, want %#016x", impl, d, flags, before, l, live)
+			}
+			for i := range got {
+				if got[i] != xs[i] {
+					t.Fatalf("%s: d=%d flags=%#x word %d lane %d: mask %#x, LabelMask says %#x", impl, d, flags, before, i, got[i], xs[i])
+				}
 			}
 		})
 	})

@@ -65,12 +65,13 @@ func LabelMask(m, q, o mask.Mask, s *LabelSel) mask.Mask {
 
 // LabelWord returns the live lanes of word w of the label columns med, quart
 // and oct: bit i is set iff x = LabelMask of entry 64w + i is non-zero and bit
-// x − 1 of seen is clear. The columns must hold all 64 entries of the word
-// (stree pads them), seen every bit up to full − 1; lanes past the last real
-// entry are the caller's to mask. On amd64 with AVX2 this is labelWordAVX2
-// (label_amd64.s); the Go loop is the portable build and the oracle
-// FuzzLabelWordEquivalence holds the assembly to.
-func LabelWord(med, quart, oct []mask.Mask, w int, s *LabelSel, seen []uint64) uint64 {
+// x − 1 of seen is clear. It stores every lane's x in xs, so a caller reads an
+// entry's mask instead of computing it again. The columns must hold all 64
+// entries of the word (stree pads them), seen every bit up to full − 1; lanes
+// past the last real entry are the caller's to mask. On amd64 with AVX2 this
+// is labelWordAVX2 (label_amd64.s); the Go loop is the portable build and the
+// oracle FuzzLabelWordEquivalence holds the assembly to.
+func LabelWord(med, quart, oct []mask.Mask, w int, s *LabelSel, seen []uint64, xs *[64]mask.Mask) uint64 {
 	base := w << 6
 	m := med[base : base+64 : base+64]
 	q := quart[base : base+64 : base+64]
@@ -78,11 +79,12 @@ func LabelWord(med, quart, oct []mask.Mask, w int, s *LabelSel, seen []uint64) u
 	// x ≤ full: the one bounds check of the assembly's gather.
 	seen = seen[: (s.full-1)>>6+1 : (s.full-1)>>6+1]
 	if useAVX2 {
-		return labelWordAVX2(&m[0], &q[0], &o[0], s, &seen[0])
+		return labelWordAVX2(&m[0], &q[0], &o[0], s, &seen[0], xs)
 	}
 	var live uint64
 	for i := 0; i < 64; i++ {
 		x := LabelMask(m[i], q[i], o[i], s)
+		xs[i] = x
 		if x != 0 && seen[(x-1)>>6]>>((x-1)&63)&1 == 0 {
 			live |= 1 << uint(i)
 		}

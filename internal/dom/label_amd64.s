@@ -18,7 +18,8 @@
 
 // LSTEP ORs into AX, at bit position sh, the 8 *dead* bits of entries off/4 …
 // off/4+7 of the label columns at SI (med), DX (quart), CX (oct): a lane is
-// dead when its mask x is zero or bit x − 1 of the set at BX is set.
+// dead when its mask x is zero or bit x − 1 of the set at BX is set. It stores
+// the 8 masks x at R8 + off before turning them into gather indices.
 //
 // x = ((dm&selM | dq&selQ&^dm | do&selO&^dm&^dq) ^ flip) & full, label.go's
 // identity. The set is gathered as dwords: dword (x−1)>>5, bit (x−1)&31. The
@@ -41,6 +42,7 @@
 	VPOR       Y4, Y3, Y3         \
 	VPXOR      FLIP, Y3, Y3       \
 	VPAND      FULL, Y3, Y3       \
+	VMOVDQU    Y3, off(R8)        \
 	VPCMPEQD   ZERO, Y3, Y4       \
 	VPADDD     ONES, Y3, Y3       \
 	VPSRLD     $5, Y3, Y5         \
@@ -56,13 +58,14 @@
 	SHLQ       $sh, R10           \
 	ORQ        R10, AX
 
-// func labelWordAVX2(med, quart, oct *uint32, s *LabelSel, seen *uint64) uint64
-TEXT ·labelWordAVX2(SB), NOSPLIT, $0-48
+// func labelWordAVX2(med, quart, oct *uint32, s *LabelSel, seen *uint64, xs *[64]uint32) uint64
+TEXT ·labelWordAVX2(SB), NOSPLIT, $0-56
 	MOVQ med+0(FP), SI
 	MOVQ quart+8(FP), DX
 	MOVQ oct+16(FP), CX
 	MOVQ s+24(FP), DI
 	MOVQ seen+32(FP), BX
+	MOVQ xs+40(FP), R8
 
 	VPBROADCASTD LabelSel_mp(DI), MP
 	VPBROADCASTD LabelSel_qp(DI), QP
@@ -87,5 +90,5 @@ TEXT ·labelWordAVX2(SB), NOSPLIT, $0-48
 	NOTQ AX
 
 	VZEROUPPER
-	MOVQ AX, ret+40(FP)
+	MOVQ AX, ret+48(FP)
 	RET

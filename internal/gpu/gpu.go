@@ -214,6 +214,8 @@ func PointKernel(dev *gpusim.Device, stats *StatsCollector) templates.PointKerne
 		shared := templates.StateBytes(d)
 		tree := ctx.Tree
 		nLeaves := len(tree.Leaves)
+		stride := ctx.Cube.Stride()
+		rows := make([]uint64, (hi-lo)*stride)
 		st, err := dev.Launch(hi-lo, threads, shared, func(b *gpusim.BlockCtx) {
 			sol, _ := pool.Get().(*templates.Solution)
 			if sol == nil {
@@ -252,15 +254,16 @@ func PointKernel(dev *gpusim.Device, stats *StatsCollector) templates.PointKerne
 					b.SharedAccess(2)
 				})
 
-			// Asynchronous copy of the finished bitmask to the host cube.
+			// Asynchronous copy of the finished bitmask to the host.
 			b.LoadCoalesced(templates.StateBytes(d) / 2)
-			ctx.Cube.Insert(ctx.OrigRow[p], sol.NotInS())
+			copy(rows[b.Block*stride:], sol.NotInS().Words64())
 		})
 		if err != nil {
 			panic(fmt.Sprintf("gpu: MDMC launch failed: %v", err))
 		}
 		// Finished bitmasks stream back to the host cube asynchronously.
 		st.Add(gpusim.Transfer((hi - lo) * templates.StateBytes(ctx.D) / 2))
+		ctx.Cube.Insert(ctx.OrigRow[lo:hi], rows)
 		stats.Add(st)
 	}
 }

@@ -3,9 +3,9 @@
 // B_{p∉S} — bit δ−1 set iff p is dominated in subspace δ — split into
 // 32-bit words that are hashed independently. A point id is therefore
 // stored at most once per 32 subspaces, giving up to 32-fold compression
-// over the lattice, and insertion is per-point, which matches MDMC's
-// point-parallel tasks: each task asynchronously inserts one finished
-// bitmask.
+// over the lattice, and insertion is by point, which matches MDMC's
+// point-parallel tasks: each chunk of tasks asynchronously inserts its
+// finished bitmasks.
 package hashcube
 
 import (
@@ -41,19 +41,30 @@ func New(d int) *HashCube {
 	return h
 }
 
-// Insert records point id with non-membership bitmask notInS (bit δ−1 set
-// iff id ∉ S_δ). Fully-dominated words (all bits set) are not stored at
-// all — those points are recoverable from no skyline in that word's group,
-// which is the HashCube's compression trick.
-func (h *HashCube) Insert(id int32, notInS *bitset.Set) {
+// Stride is the number of 64-bit words of one point's non-membership bitmask
+// in bitset.Set's layout: the row width of Insert and RowMasks.
+func (h *HashCube) Stride() int { return (mask.NumSubspaces(h.D) + 63) / 64 }
+
+// Insert records points ids[i] with non-membership bitmask rows[i·Stride :
+// (i+1)·Stride] (bit δ−1 set iff the point ∉ S_δ, bitset.Set's layout, bits
+// past 2^d − 1 clear), taking each word table's lock once for the whole
+// chunk. Fully-dominated words (all bits set) are not stored at all — those
+// points are recoverable from no skyline in that word's group, which is the
+// HashCube's compression trick.
+func (h *HashCube) Insert(ids []int32, rows []uint64) {
+	stride := h.Stride()
+	if len(rows) != len(ids)*stride {
+		panic("hashcube: Insert needs one row of Stride words per id")
+	}
 	for w := range h.words {
-		key := notInS.Word32(w)
-		if key == h.fullWordMask(w) {
-			continue
-		}
+		full, shift := h.fullWordMask(w), uint(w%2)*WordBits
 		t := &h.words[w]
 		t.mu.Lock()
-		t.m[key] = append(t.m[key], id)
+		for i, id := range ids {
+			if key := uint32(rows[i*stride+w/2] >> shift); key != full {
+				t.m[key] = append(t.m[key], id)
+			}
+		}
 		t.mu.Unlock()
 	}
 }
@@ -140,7 +151,7 @@ func (h *HashCube) Membership(id int32) []mask.Mask {
 func (h *HashCube) RowMasks(n int) (words []uint64, stride int) {
 	full := bitset.New(mask.NumSubspaces(h.D))
 	full.Fill()
-	stride = len(full.Words64())
+	stride = h.Stride()
 	words = make([]uint64, n*stride)
 	for r := 0; r < n; r++ {
 		copy(words[r*stride:], full.Words64())

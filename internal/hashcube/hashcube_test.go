@@ -27,7 +27,7 @@ func buildFlightCube() *HashCube {
 		for _, d := range deltas {
 			b.Set(int(d - 1))
 		}
-		h.Insert(id, b)
+		h.Insert([]int32{id}, b.Words64())
 	}
 	return h
 }
@@ -74,7 +74,7 @@ func TestMultiWordCube(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		b.Set(i)
 	}
-	h.Insert(7, b)
+	h.Insert([]int32{7}, b.Words64())
 	if got := h.Skyline(1); len(got) != 0 {
 		t.Errorf("S_1 = %v, want empty", got)
 	}
@@ -99,7 +99,7 @@ func TestLastWordPartialWidth(t *testing.T) {
 	for i := 32; i < 63; i++ {
 		b.Set(i)
 	}
-	h.Insert(3, b)
+	h.Insert([]int32{3}, b.Words64())
 	if got := h.Skyline(40); len(got) != 0 {
 		t.Errorf("S_40 = %v, want empty", got)
 	}
@@ -112,21 +112,25 @@ func TestLastWordPartialWidth(t *testing.T) {
 }
 
 func TestConcurrentInsert(t *testing.T) {
-	// MDMC inserts asynchronously from many tasks.
-	const n = 500
+	// MDMC inserts asynchronously from many tasks, a chunk of points at a time.
+	const n, chunk = 500, 10
 	h := New(4)
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(id int32) {
+	wg.Add(n / chunk)
+	for lo := 0; lo < n; lo += chunk {
+		go func(lo int32) {
 			defer wg.Done()
-			b := bitset.New(15)
-			// Even ids in every skyline; odd ids dominated in δ=1 only.
-			if id%2 == 1 {
-				b.Set(0)
+			ids := make([]int32, chunk)
+			rows := make([]uint64, chunk*h.Stride())
+			for i := range ids {
+				ids[i] = lo + int32(i)
+				// Even ids in every skyline; odd ids dominated in δ=1 only.
+				if ids[i]%2 == 1 {
+					rows[i*h.Stride()] = 1
+				}
 			}
-			h.Insert(id, b)
-		}(int32(i))
+			h.Insert(ids, rows)
+		}(int32(lo))
 	}
 	wg.Wait()
 	s1 := h.Skyline(1)
@@ -147,13 +151,15 @@ func TestConcurrentInsert(t *testing.T) {
 // TestRowMasks holds the per-row accessor against Membership where the word
 // layouts differ: d = 3 (one partial 32-bit word), d = 6 (two 32-bit words in
 // one 64) and d = 7 (multi-word, partial last), with rows that are never
-// inserted and rows dominated everywhere.
+// inserted and rows dominated everywhere, inserted in chunks of seven.
 func TestRowMasks(t *testing.T) {
 	for _, d := range []int{3, 6, 7} {
 		total := mask.NumSubspaces(d)
 		rng := rand.New(rand.NewSource(int64(d)))
 		const n = 40
 		h := New(d)
+		var ids []int32
+		var rows []uint64
 		for id := int32(0); id < n; id++ {
 			b := bitset.New(total)
 			switch id % 4 {
@@ -168,7 +174,11 @@ func TestRowMasks(t *testing.T) {
 					}
 				}
 			}
-			h.Insert(id, b)
+			ids, rows = append(ids, id), append(rows, b.Words64()...)
+		}
+		for lo := 0; lo < len(ids); lo += 7 {
+			hi := min(lo+7, len(ids))
+			h.Insert(ids[lo:hi], rows[lo*h.Stride():hi*h.Stride()])
 		}
 		words, stride := h.RowMasks(n)
 		if want := (total + 63) / 64; stride != want || len(words) != n*want {

@@ -12,13 +12,15 @@ import (
 
 // Property: for arbitrary non-membership bitmasks, retrieval inverts
 // insertion exactly — Skyline(δ) returns id iff bit δ−1 was unset — and
-// Membership(id) is the exact complement list.
+// Membership(id) is the exact complement list. The masks go in as one chunk.
 func TestQuickInsertRetrieveRoundTrip(t *testing.T) {
 	f := func(masks []uint64, d8 uint8) bool {
 		d := int(d8%5) + 2 // 2..6 dims → 1 or 2 words
 		total := mask.NumSubspaces(d)
 		h := New(d)
 		want := make(map[mask.Mask][]int32) // subspace → member ids
+		var ids []int32
+		var rows []uint64
 		for id, m := range masks {
 			b := bitset.New(total)
 			for bit := 0; bit < total; bit++ {
@@ -26,13 +28,14 @@ func TestQuickInsertRetrieveRoundTrip(t *testing.T) {
 					b.Set(bit)
 				}
 			}
-			h.Insert(int32(id), b)
+			ids, rows = append(ids, int32(id)), append(rows, b.Words64()...)
 			for delta := mask.Mask(1); int(delta) <= total; delta++ {
 				if !b.Test(int(delta) - 1) {
 					want[delta] = append(want[delta], int32(id))
 				}
 			}
 		}
+		h.Insert(ids, rows)
 		for delta := mask.Mask(1); int(delta) <= total; delta++ {
 			if got := h.Skyline(delta); !reflect.DeepEqual(got, want[delta]) {
 				return false
@@ -81,7 +84,7 @@ func TestQuickIDCountBounds(t *testing.T) {
 					b.Set(bit)
 				}
 			}
-			h.Insert(int32(id), b)
+			h.Insert([]int32{int32(id)}, b.Words64())
 		}
 		count := h.IDCount()
 		if count > len(masks) {

@@ -23,10 +23,6 @@ type MDMCOptions struct {
 	// TreeDepth is 3 (the paper's octile-extended tree) or 2 (SkyAlign's);
 	// 0 defaults to 3. Exposed for the tree-depth ablation.
 	TreeDepth int
-	// FilterLevels is how many tree levels the filter phase reads: the CPU
-	// specialisation uses 2 (§5.2); the GPU one uses all (§6.2). 0 defaults
-	// to 2.
-	FilterLevels int
 	// DisableFilter skips the filter phase entirely (refine-only ablation).
 	DisableFilter bool
 	// DisableMemo disables the seen-mask memoisation of refine (ablation of
@@ -50,7 +46,10 @@ type MDMCContext struct {
 	// MaxLevel is the partial-computation bound d′ (App. A.2): refine skips
 	// verification of subspaces with |δ| > MaxLevel.
 	MaxLevel int
-	Cube     *hashcube.HashCube
+	// FilterLevel is how many tree levels the CPU filter reads, derived from
+	// the tree by filterLevel: 3 (the leaf columns) or 2 (the L2 columns).
+	FilterLevel int
+	Cube        *hashcube.HashCube
 	// ExtRows are the rows of S⁺(P) in the input dataset (ascending).
 	ExtRows []int32
 }
@@ -98,13 +97,25 @@ func PrepareMDMCTraced(ds *data.Dataset, threads, treeDepth, maxLevel int, tr *o
 	}
 	h.End()
 	return &MDMCContext{
-		Tree:     tree,
-		OrigRow:  orig,
-		D:        ds.Dims,
-		MaxLevel: maxLevel,
-		Cube:     hashcube.New(ds.Dims),
-		ExtRows:  ext,
+		Tree:        tree,
+		OrigRow:     orig,
+		D:           ds.Dims,
+		MaxLevel:    maxLevel,
+		FilterLevel: filterLevel(tree),
+		Cube:        hashcube.New(ds.Dims),
+		ExtRows:     ext,
 	}
+}
+
+// filterLevel is the level the CPU filter reads on tree t (DESIGN §5,
+// decision 2): the leaf columns while there are fewer than two leaves per L2
+// node, where their sweep costs less than twice the L2 columns' and their
+// octile labels prove more, and the L2 columns otherwise (§5.2).
+func filterLevel(t *stree.Tree) int {
+	if t.Depth == 3 && len(t.Leaves) < 2*len(t.L2) {
+		return 3
+	}
+	return 2
 }
 
 // Grab hands the next chunk of point tasks to a worker lane, returning
@@ -209,7 +220,7 @@ func MDMC(ds *data.Dataset, opt MDMCOptions) *MDMCResult {
 
 // CPUPointKernel returns the CPU filter/refine hook of §5.2. Per point p:
 //
-//   - Filter: sweep the label columns of the top FilterLevels of the tree,
+//   - Filter: sweep the label columns of the tree level ctx.FilterLevel,
 //     deriving from path labels alone subspaces in which some tree node's
 //     points strictly dominate p, and set all their submasks. No data points
 //     are loaded.
@@ -220,22 +231,35 @@ func MDMC(ds *data.Dataset, opt MDMCOptions) *MDMCResult {
 //     distinct mask is processed once.
 //
 // Both sweeps test 64 tree entries per dom.LabelWord call (see Solution.refine
-// for why that changes no bit and no DT of an entry-by-entry walk).
+// for why that changes no bit and no DT of an entry-by-entry walk). The
+// chunk's finished B_{p∉S} rows go into the cube in one insert; the task state
+// and the rows buffer are reused from chunk to chunk.
 func CPUPointKernel(opt MDMCOptions) PointKernel {
-	filterLevels := opt.FilterLevels
-	if filterLevels == 0 {
-		filterLevels = 2
+	type scratch struct {
+		k    *Solution
+		rows []uint64
 	}
+	var pool sync.Pool
 	return func(ctx *MDMCContext, lo, hi int) {
-		k := NewSolution(ctx)
+		s, _ := pool.Get().(*scratch)
+		if s == nil || s.k.ctx != ctx {
+			s = &scratch{k: NewSolution(ctx)}
+		}
+		defer pool.Put(s)
+		k, stride := s.k, ctx.Cube.Stride()
+		if need := (hi - lo) * stride; cap(s.rows) < need {
+			s.rows = make([]uint64, need)
+		}
+		rows := s.rows[:(hi-lo)*stride]
 		for p := lo; p < hi; p++ {
 			k.Reset()
 			if !opt.DisableFilter {
-				k.Filter(p, filterLevels)
+				k.Filter(p, ctx.FilterLevel)
 			}
 			k.Refine(p, !opt.DisableMemo)
-			ctx.Cube.Insert(ctx.OrigRow[p], k.NotInS())
+			copy(rows[(p-lo)*stride:], k.NotInS().Words64())
 		}
+		ctx.Cube.Insert(ctx.OrigRow[lo:hi], rows)
 		k.FlushKernelTally()
 	}
 }
@@ -260,6 +284,8 @@ type Solution struct {
 	// tally batches kernel counter updates (one sweep per label word);
 	// FlushKernelTally publishes them.
 	tally dom.KernelTally
+	// xs holds the masks of the label word last swept (dom.LabelWord).
+	xs [64]mask.Mask
 }
 
 // FlushKernelTally publishes the solution's batched kernel counters. The
@@ -290,8 +316,8 @@ func (k *Solution) NotInS() *bitset.Set { return k.notInS }
 func (k *Solution) Remaining() int { return k.remaining }
 
 // StateBytes returns the shared-memory footprint of one task's state: two
-// bitmasks of 2^d − 1 bits (§6.2).
-func StateBytes(d int) int { return 2 * ((1 << uint(d)) / 8) }
+// bitmasks of 2^d − 1 bits (§6.2), each rounded up to whole bytes.
+func StateBytes(d int) int { return 2 * (((1 << uint(d)) - 1 + 7) / 8) }
 
 // Reset prepares the state for a new point task.
 func (k *Solution) Reset() {
@@ -361,13 +387,13 @@ func (k *Solution) filter(medP, quartP, octP mask.Mask, levels int,
 	seen := k.notInSPlus.Words64()
 	for w := 0; w<<6 < n; w++ {
 		k.tally.Sweeps++
-		visit := dom.LabelWord(med, quart, oct, w, &sel, seen)
+		visit := dom.LabelWord(med, quart, oct, w, &sel, seen, &k.xs)
 		if onNode != nil {
 			visit = ^uint64(0)
 		}
 		for visit &= wordLanes(n, w); visit != 0; visit &= visit - 1 {
-			i := w<<6 + bits.TrailingZeros64(visit)
-			delta := dom.LabelMask(med[i], quart[i], oct[i], &sel)
+			lane := bits.TrailingZeros64(visit)
+			i, delta := w<<6+lane, k.xs[lane]
 			if onNode != nil {
 				onNode(level, i, delta)
 			}
@@ -442,8 +468,8 @@ func (k *Solution) RefineExternal(pp []float32, medP, quartP, octP mask.Mask, me
 // the live lanes in order, and that is exactly the leaf-by-leaf walk:
 // B_{p∉S⁺} only grows during a task, so a lane that is not live when its word
 // is swept would not be live at its turn either, and a lane that is live is
-// tested again at its turn, against the set as the DTs before it in the same
-// word left it. Same leaves entered in the same order, hence the same DTs,
+// tested again at its turn — its mask as the sweep stored it, against the set
+// as the DTs before it in the same word left it. Same leaves entered in the same order, hence the same DTs,
 // the same OrDownset calls and the same early exits on remaining.
 func (k *Solution) refine(pp []float32, self int, medP, quartP, octP mask.Mask, memo bool,
 	alive func(q int) bool, onLeaf func(skipped bool), onDT func()) {
@@ -465,7 +491,7 @@ func (k *Solution) refine(pp []float32, self int, medP, quartP, octP mask.Mask, 
 	n := len(t.Leaves)
 	for w := 0; w<<6 < n && k.remaining > 0; w++ {
 		k.tally.Sweeps++
-		live := dom.LabelWord(t.LeafMed, t.LeafQuart, t.LeafOct, w, &sel, seen)
+		live := dom.LabelWord(t.LeafMed, t.LeafQuart, t.LeafOct, w, &sel, seen, &k.xs)
 		visit := live
 		if onLeaf != nil {
 			visit = ^uint64(0)
@@ -475,8 +501,7 @@ func (k *Solution) refine(pp []float32, self int, medP, quartP, octP mask.Mask, 
 			li := w<<6 + lane
 			skip := live>>uint(lane)&1 == 0
 			if !skip && memo {
-				optimistic := dom.LabelMask(t.LeafMed[li], t.LeafQuart[li], t.LeafOct[li], &sel)
-				skip = k.notInSPlus.Test(int(optimistic) - 1)
+				skip = k.notInSPlus.Test(int(k.xs[lane]) - 1) // the optimistic mask
 			}
 			if onLeaf != nil {
 				onLeaf(skip)
@@ -504,15 +529,7 @@ func (k *Solution) refine(pp []float32, self int, medP, quartP, octP mask.Mask, 
 // ApplyDT performs one exact dominance test of q against p and folds the
 // resulting masks into the solution bitsets.
 func (k *Solution) ApplyDT(qq, pp []float32, full mask.Mask, memo bool) {
-	var lt, eq mask.Mask
-	for i := range pp {
-		if qq[i] < pp[i] {
-			lt |= 1 << uint(i)
-		} else if qq[i] == pp[i] {
-			eq |= 1 << uint(i)
-		}
-	}
-	k.ApplyRel(dom.Rel{Lt: lt, Eq: eq}, full, memo)
+	k.ApplyRel(dom.Compare(qq, pp), full, memo)
 }
 
 // ApplyRel folds precomputed relationship masks of one DT (q's relation to

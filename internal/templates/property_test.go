@@ -337,7 +337,8 @@ func TestRefineRetestsALaneAtItsTurn(t *testing.T) {
 	if x := dom.LabelMask(tr.LeafMed[b], tr.LeafQuart[b], tr.LeafOct[b], &sel); x != 0b011 {
 		t.Fatalf("b's optimistic mask is %03b, want 011", x)
 	}
-	if live := dom.LabelWord(tr.LeafMed, tr.LeafQuart, tr.LeafOct, 0, &sel, make([]uint64, 1)); live>>uint(b)&1 == 0 {
+	var xs [64]mask.Mask
+	if live := dom.LabelWord(tr.LeafMed, tr.LeafQuart, tr.LeafOct, 0, &sel, make([]uint64, 1), &xs); live>>uint(b)&1 == 0 {
 		t.Fatalf("b's lane is not live at the word's start (%08b)", live)
 	}
 

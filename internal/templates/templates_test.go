@@ -112,12 +112,59 @@ func TestMDMCAblationsStayCorrect(t *testing.T) {
 		{"no-filter", MDMCOptions{DisableFilter: true}},
 		{"no-memo", MDMCOptions{DisableMemo: true}},
 		{"depth-2", MDMCOptions{TreeDepth: 2}},
-		{"filter-3-levels", MDMCOptions{FilterLevels: 3}},
 		{"everything-off", MDMCOptions{DisableFilter: true, DisableMemo: true, TreeDepth: 2}},
 	}
 	for _, v := range variants {
 		v.opt.Threads = 2
 		checkCube(t, v.name, ds, MDMC(ds, v.opt).Cube, 0)
+	}
+}
+
+// The filter reads the level its tree picks (DESIGN §5, decision 2): the leaf
+// columns below two leaves per L2 node, the L2 columns from two on, and the
+// L2 columns on a depth-2 tree. The first two inputs are the benchmark's wide
+// and narrow build inputs (1.02 and 6.1 leaves per L2 node); the other two
+// build a cube at each level and check it cuboid by cuboid.
+func TestFilterLevelRule(t *testing.T) {
+	for _, in := range []struct {
+		name  string
+		ds    *data.Dataset
+		level int
+		check bool
+	}{
+		{"I_d=8_n=5000", gen.Synthetic(gen.Independent, 5000, 8, 7), 3, false},
+		{"A_d=4_n=200000", gen.Synthetic(gen.Anticorrelated, 200_000, 4, 7), 2, false},
+		{"I_d=5_n=250", gen.Synthetic(gen.Independent, 250, 5, 17), 3, true},
+		{"A_d=4_n=2000", gen.Synthetic(gen.Anticorrelated, 2000, 4, 7), 2, true},
+	} {
+		ctx := PrepareMDMC(in.ds, 2, 0, 0)
+		ratio := float64(len(ctx.Tree.Leaves)) / float64(len(ctx.Tree.L2))
+		if ctx.FilterLevel != in.level {
+			t.Errorf("%s: %.2f leaves per L2 node, filter level %d, want %d", in.name, ratio, ctx.FilterLevel, in.level)
+		}
+		if in.check {
+			RunMDMC(ctx, CPUPointKernel(MDMCOptions{}), 2, nil)
+			checkCube(t, in.name, in.ds, ctx.Cube, 0)
+		}
+		if lv := PrepareMDMC(in.ds, 2, 2, 0).FilterLevel; lv != 2 {
+			t.Errorf("%s: filter level %d on a depth-2 tree, want 2", in.name, lv)
+		}
+	}
+}
+
+// A task's state is two bitmasks of 2^d − 1 bits, each a whole number of
+// bytes: at least one byte each, however small d. From d = 3 on, 2^d − 1 bits
+// round up to 2^d / 8 bytes.
+func TestStateBytes(t *testing.T) {
+	for _, c := range []struct{ d, want int }{{1, 2}, {2, 2}, {3, 2}, {4, 4}} {
+		if got := StateBytes(c.d); got != c.want {
+			t.Errorf("StateBytes(%d) = %d, want %d", c.d, got, c.want)
+		}
+	}
+	for d := 3; d <= 20; d++ {
+		if got, want := StateBytes(d), 2*(1<<d/8); got != want {
+			t.Errorf("StateBytes(%d) = %d, want %d", d, got, want)
+		}
 	}
 }
 
