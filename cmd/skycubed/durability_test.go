@@ -84,7 +84,26 @@ func writeDataset(t *testing.T, ds *skycube.Dataset) string {
 type node struct {
 	cmd *exec.Cmd
 	url string
-	out bytes.Buffer
+	out syncBuffer
+}
+
+// syncBuffer is a node's combined output. exec's copy goroutine writes it
+// while the node runs, and a test may read it meanwhile.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func startNode(t *testing.T, bin string, args ...string) *node {

@@ -1,8 +1,8 @@
 // Block dominance kernels: 64-lane bitmask sweeps over the SoA layout of
 // internal/data, plus sorted stop-point termination.
 //
-// The row compare in dom.go tests one pair of points with a per-point early
-// exit; it is what the baselines and the oracle run. The block kernels are
+// The row compare in dom.go tests one pair of points over all d coordinates;
+// it is what the baselines and the oracle run. The block kernels are
 // what the templates, the delta flush and the cluster merge run: one query
 // point against a whole block is d sequential column sweeps accumulating a ≤
 // verdict word, exactly the compare-to-mask shape VSkyline vectorises and the

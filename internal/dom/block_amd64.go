@@ -2,9 +2,10 @@
 
 package dom
 
-// useAVX2 selects the assembly word sweeps of block_amd64.s. It is set once,
-// here, from what the process can observe about its CPU; only in-package tests
-// write it afterwards, to hold both implementations to the same oracle.
+// useAVX2 selects the assembly word sweeps of block_amd64.s and label_amd64.s
+// and the row compare of compare_amd64.s. It is set once, here, from what the
+// process can observe about its CPU; only in-package tests write it
+// afterwards, to hold both implementations to the same oracle.
 var useAVX2 = detectAVX2()
 
 // leqWordAVX2 returns the lanes of alive that are ≤ pq on all k columns of one
@@ -45,3 +46,9 @@ func detectAVX2() bool {
 //
 //go:noescape
 func labelWordAVX2(med, quart, oct *uint32, s *LabelSel, seen *uint64, xs *[64]uint32) uint64
+
+// compareAVX2 is Compare's body: the masks of p[i] < q[i] and p[i] == q[i]
+// over the d coordinates at p and q, which it reads and no further. d ≥ 1.
+//
+//go:noescape
+func compareAVX2(p, q *float32, d int) (lt, eq uint32)

@@ -25,22 +25,36 @@ func (r Rel) Leq() mask.Mask { return r.Lt | r.Eq }
 
 // Compare computes the per-dimension relationship masks between p and q.
 // This is the exact dominance test's data load: it reads all d coordinates
-// of both points (the paper's DT cost). The loop is written without
-// branches in the accumulation so compilers can unroll it; on hardware this
-// is the part VSkyline vectorises with SIMD.
+// of both points (the paper's DT cost) and exits early on none of them. It is
+// the one row DT: the baselines, PSkyline and the QSkycube oracle run it, and
+// so do MDMC's refine and the delta flush.
+//
+// On amd64 with AVX2 (useAVX2, chosen once at package init from CPUID) the
+// body is compareAVX2 (compare_amd64.s): eight coordinates per VCMPPS pair,
+// the top group loaded by VMASKMOVPS so no byte past either slice is read.
+// Everywhere else — arm64, older amd64, -tags purego — and as the oracle
+// FuzzCompareEquivalence holds the assembly to, it is the Go loop below.
+// Both compare with Go's < and ==: NaN is neither less nor equal, −0 == +0.
 //
 // Contract: p and q must have the same length — comparing points of
 // different dimensionality is always a programming error, and silently
 // truncating to the shorter point would fabricate a Rel claiming equality
 // beyond it, so mismatches panic. Aliasing is fine: Compare(p, p) returns
-// {Lt: 0, Eq: full}, and p and q may overlap arbitrarily since both are
-// only read.
+// {Lt: 0, Eq: full} (for NaN-free p), and p and q may overlap arbitrarily
+// since both are only read.
 func Compare(p, q []float32) Rel {
 	if len(p) != len(q) {
 		panic("dom: Compare on points of different dimensionality")
 	}
+	if useAVX2 && len(p) > 0 {
+		lt, eq := compareAVX2(&p[0], &q[0], len(p))
+		return Rel{Lt: lt, Eq: eq}
+	}
+	// The portable body walks the coordinates from the last to the first, so
+	// each verdict bit enters its mask by a constant one-bit shift.
+	q = q[:len(p)]
 	var lt, eq mask.Mask
-	for i := 0; i < len(p); i++ {
+	for i := len(p) - 1; i >= 0; i-- {
 		pi, qi := p[i], q[i]
 		var l, e mask.Mask
 		if pi < qi {
@@ -49,8 +63,8 @@ func Compare(p, q []float32) Rel {
 		if pi == qi {
 			e = 1
 		}
-		lt |= l << uint(i)
-		eq |= e << uint(i)
+		lt = lt<<1 | l
+		eq = eq<<1 | e
 	}
 	return Rel{Lt: lt, Eq: eq}
 }

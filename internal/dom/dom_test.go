@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -212,12 +213,19 @@ func TestStrictTransitiveSound(t *testing.T) {
 	}
 }
 
-func BenchmarkCompare16(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	p, q := randPoint(rng, 16), randPoint(rng, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink = Compare(p, q).Lt
+// BenchmarkCompare is the row DT at the dimensionalities the benchmark and
+// the paper build at, through each body of Compare.
+func BenchmarkCompare(b *testing.B) {
+	for _, d := range []int{4, 8, 12, 16} {
+		rng := rand.New(rand.NewSource(7))
+		p, q := randPoint(rng, d), randPoint(rng, d)
+		eachKernel(func(impl string) {
+			b.Run(fmt.Sprintf("d=%d/%s", d, impl), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sink = Compare(p, q).Lt
+				}
+			})
+		})
 	}
 }
 

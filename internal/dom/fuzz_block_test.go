@@ -78,7 +78,7 @@ func patternVals(k, n int) []uint16 {
 	return vals
 }
 
-// eachKernel runs f once per implementation of the word sweeps this build and
+// eachKernel runs f once per implementation of the kernels this build and
 // CPU have: the Go loops always, the assembly where init detected it.
 func eachKernel(f func(impl string)) {
 	detected := useAVX2

@@ -11,9 +11,10 @@ import "sync/atomic"
 // KernelCounters is a snapshot of the process-wide kernel activity counters,
 // exported as the skycube_kernel_* metric family.
 type KernelCounters struct {
-	// Impl names the implementation of the word sweeps this process runs —
-	// dominance blocks and MDMC label columns alike: "avx2" (block_amd64.s,
-	// label_amd64.s) or "go" (the portable loops of block.go and label.go).
+	// Impl names the implementation of the kernels this process runs — the
+	// word sweeps of dominance blocks and MDMC label columns, and the row
+	// compare: "avx2" (block_amd64.s, label_amd64.s, compare_amd64.s) or "go"
+	// (the portable loops of block.go, label.go and dom.go).
 	Impl string
 	// BlockSweeps counts 64-lane word sweeps executed: dominance blocks
 	// (one per word a block kernel sweeps) and MDMC label columns (one per

@@ -34,7 +34,7 @@ func (m *KernelMetrics) Sync(impl string, sweeps, stops uint64) {
 		return
 	}
 	m.reg.GaugeM("skycube_kernel_impl",
-		"Implementation of the word sweeps — dominance blocks and MDMC label columns — this process runs (avx2 or go); always 1.",
+		"Implementation of the dominance kernels — the word sweeps (dominance blocks, MDMC label columns) and the row compare — this process runs (avx2 or go); always 1.",
 		"impl", impl).Set(1)
 	m.mu.Lock()
 	dSweeps := sweeps - m.sweeps

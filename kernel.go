@@ -5,8 +5,8 @@ import "skycube/internal/dom"
 // KernelCounters is a snapshot of the process-wide kernel activity counters:
 // 64-lane word sweeps executed — dominance blocks and MDMC label columns — and
 // scans terminated early by a stop point. Impl says which implementation of
-// the sweeps this process runs — "avx2" where the CPU has it, "go" otherwise;
-// the answers are the same.
+// the sweeps and the row compare this process runs — "avx2" where the CPU has
+// it, "go" otherwise; the answers are the same.
 type KernelCounters struct {
 	Impl           string
 	BlockSweeps    uint64
