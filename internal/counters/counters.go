@@ -156,13 +156,17 @@ func pointAddr(ds *data.Dataset, row int32) uint64 {
 }
 
 // staticTopDown is the profiled builds' level-synchronised traversal with
-// *static* round-robin cuboid assignment: cuboid i of each level goes to
-// thread i mod T. Unlike the production traversal's dynamic pulling, the
-// assignment is independent of the host's scheduler, so modelled critical
-// paths are deterministic on any machine (static scheduling is also what
-// pinned OpenMP loops do on the paper's testbed).
+// *static* round-robin cuboid assignment: cuboid i of a level goes to worker
+// i mod w, where w = min(T, cuboids). Unlike the production traversal's
+// dynamic pulling, the assignment is independent of the host's scheduler, so
+// modelled critical paths are deterministic on any machine (static scheduling
+// is also what pinned OpenMP loops do on the paper's testbed). The workers
+// split the probes as the production traversal splits its threads
+// (lattice.Shares): worker w owns the next lattice.Shares(T, cuboids)[w]
+// probes, which is probes[w] alone when every share is one. cuboid receives
+// the worker and its share; a hook that takes no share charges probes[w].
 func staticTopDown(ds *data.Dataset, probes []*memsim.Thread,
-	cuboid func(w int, rows []int32, delta mask.Mask) ([]int32, []int32)) *lattice.Lattice {
+	cuboid func(w int, share []*memsim.Thread, rows []int32, delta mask.Mask) ([]int32, []int32)) *lattice.Lattice {
 
 	d := ds.Dims
 	l := lattice.New(d)
@@ -172,14 +176,13 @@ func staticTopDown(ds *data.Dataset, probes []*memsim.Thread,
 	}
 	for level := d; level >= 1; level-- {
 		cuboids := mask.Level(d, level)
+		shares := lattice.Shares(len(probes), len(cuboids))
+		workers := len(shares)
 		var wg sync.WaitGroup
-		workers := len(probes)
-		if workers > len(cuboids) {
-			workers = len(cuboids)
-		}
 		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
+		first := 0
+		for w, n := range shares {
+			go func(w int, share []*memsim.Thread) {
 				defer wg.Done()
 				for i := w; i < len(cuboids); i += workers {
 					delta := cuboids[i]
@@ -188,11 +191,12 @@ func staticTopDown(ds *data.Dataset, probes []*memsim.Thread,
 						par := l.MinParent(delta)
 						rows = mergeRows(l.Sky[par], l.ExtOnly[par])
 					}
-					sky, extOnly := cuboid(w, rows, delta)
+					sky, extOnly := cuboid(w, share, rows, delta)
 					l.Sky[delta] = sky
 					l.ExtOnly[delta] = extOnly
 				}
-			}(w)
+			}(w, probes[first:first+n])
+			first += n
 		}
 		wg.Wait()
 		// Level-synchronisation barrier (once per lattice level).
@@ -233,7 +237,7 @@ func ProfilePQ(ds *data.Dataset, cfg Config) (Report, *lattice.Lattice) {
 	sys := newSystem(cfg)
 	var heap pseudoHeap
 	probes := sys.probes()
-	l := staticTopDown(ds, probes, func(w int, rows []int32, delta mask.Mask) ([]int32, []int32) {
+	l := staticTopDown(ds, probes, func(w int, _ []*memsim.Thread, rows []int32, delta mask.Mask) ([]int32, []int32) {
 		h := pivotHooks(probes[w], &heap, ds, mask.Count(delta))
 		ext := skyline.PivotFilter(ds, rows, delta, true, h)
 		sky := skyline.PivotFilter(ds, ext, delta, false, h)
@@ -298,13 +302,15 @@ func pivotHooks(th *memsim.Thread, heap *pseudoHeap, ds *data.Dataset, k int) *s
 }
 
 // ProfileST runs the profiled STSC: the same traversal, but each cuboid is
-// a single-threaded run of the Hybrid engine.
+// a run of the Hybrid engine on its worker's share of the probes — one probe
+// while a level has a cuboid for every thread, all of them for the root, as
+// templates.STSC runs it.
 func ProfileST(ds *data.Dataset, cfg Config) (Report, *lattice.Lattice) {
 	sys := newSystem(cfg)
 	probes := sys.probes()
 	var sweeps atomic.Int64
-	l := staticTopDown(ds, probes, func(w int, rows []int32, delta mask.Mask) ([]int32, []int32) {
-		res := profiledHybrid(ds, rows, delta, probes[w:w+1], groupBase+uint64(w)*groupRegion, &sweeps)
+	l := staticTopDown(ds, probes, func(w int, share []*memsim.Thread, rows []int32, delta mask.Mask) ([]int32, []int32) {
+		res := profiledHybrid(ds, rows, delta, share, groupBase+uint64(w)*groupRegion, &sweeps)
 		return res.Skyline, res.ExtOnly
 	})
 	return sys.report("ST", sweeps.Load()), l

@@ -2,6 +2,8 @@ package counters
 
 import (
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"skycube/internal/data"
@@ -9,6 +11,7 @@ import (
 	"skycube/internal/gen"
 	"skycube/internal/gpu"
 	"skycube/internal/gpusim"
+	"skycube/internal/lattice"
 	"skycube/internal/mask"
 	"skycube/internal/memsim"
 	"skycube/internal/skyline"
@@ -224,5 +227,41 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if s0 != 2 || s1 != 2 {
 		t.Errorf("placement: %d on socket0, %d on socket1", s0, s1)
+	}
+}
+
+// The ST model splits a level's probes among its workers as templates.STSC
+// splits its threads (lattice.Shares): cuboid i of a level goes to worker
+// i mod w, which owns the next Shares[w] probes — all of them for the root,
+// probes[w] alone on a level with a cuboid for every thread.
+func TestStaticTopDownSplitsProbesByShares(t *testing.T) {
+	const d = 4
+	ds := gen.Synthetic(gen.Independent, 200, d, 3)
+	for threads := 1; threads <= 5; threads++ {
+		probes := newSystem(Config{Threads: threads}).probes()
+		var mu sync.Mutex
+		got := map[mask.Mask][]*memsim.Thread{}
+		staticTopDown(ds, probes, func(_ int, share []*memsim.Thread, rows []int32, delta mask.Mask) ([]int32, []int32) {
+			mu.Lock()
+			got[delta] = share
+			mu.Unlock()
+			res := skyline.Compute(ds, rows, delta, skyline.AlgoBNL, 1)
+			return res.Skyline, res.ExtOnly
+		})
+		for level := 1; level <= d; level++ {
+			cuboids := mask.Level(d, level)
+			shares := lattice.Shares(threads, len(cuboids))
+			for i, delta := range cuboids {
+				w := i % len(shares)
+				first := 0
+				for _, n := range shares[:w] {
+					first += n
+				}
+				if want := probes[first : first+shares[w]]; !slices.Equal(got[delta], want) {
+					t.Errorf("threads=%d δ=%04b: %d probes from worker %d's share, want probes[%d:%d]",
+						threads, delta, len(got[delta]), w, first, first+shares[w])
+				}
+			}
+		}
 	}
 }

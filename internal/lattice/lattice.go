@@ -102,14 +102,37 @@ func (l *Lattice) MinParent(delta mask.Mask) mask.Mask {
 // CuboidFunc computes one cuboid: given the input dataset, the candidate
 // rows (ids into ds; never nil) and the subspace, it returns the rows of
 // S_δ and of S⁺_δ \ S_δ, each ascending. It is the hook the templates
-// specialise (paper §4.2).
+// specialise (paper §4.2). A CuboidFunc runs on however many threads it was
+// built with; TopDownShared builds one per thread share instead.
 type CuboidFunc func(ds *data.Dataset, rows []int32, delta mask.Mask) (sky, extOnly []int32)
+
+// Shares returns the thread share of each worker computing a level of the
+// given number of cuboids under a budget of threads: there are
+// w = min(threads, cuboids) workers, each gets ⌊threads/w⌋ threads and the
+// first threads mod w one more, so the shares sum to the budget. A level of
+// at least threads cuboids gives every worker one thread; a lone cuboid gets
+// them all.
+func Shares(threads, cuboids int) []int {
+	threads = max(threads, 1)
+	w := max(min(threads, cuboids), 1)
+	shares := make([]int, w)
+	for i := range shares {
+		shares[i] = threads / w
+		if i < threads%w {
+			shares[i]++
+		}
+	}
+	return shares
+}
 
 // TopDownOptions configure a traversal.
 type TopDownOptions struct {
-	// CuboidThreads is the number of cuboids computed concurrently within a
-	// lattice level (the STSC/PQSkycube axis of parallelism). 1 means each
-	// level is computed cuboid-by-cuboid (SDSC and sequential QSkycube).
+	// CuboidThreads is the traversal's thread budget: up to that many
+	// cuboids of a lattice level are computed concurrently (the
+	// STSC/PQSkycube axis of parallelism). 1 means each level is computed
+	// cuboid-by-cuboid (SDSC and sequential QSkycube). Under TopDownShared
+	// a level of fewer cuboids than threads splits the budget among them
+	// (Shares).
 	CuboidThreads int
 	// MaxLevel d′ restricts materialisation to subspaces with |δ| ≤ d′
 	// (partial skycubes, paper App. A.2). 0 or ≥ d means the full skycube.
@@ -147,8 +170,26 @@ type TopDownOptions struct {
 // TopDown materialises the skycube of ds with the level-synchronised
 // traversal of Algorithms 1–2, calling compute for every cuboid. The root
 // cuboid's input is all of ds; every other cuboid receives the extended
-// skyline of its smallest materialised parent.
+// skyline of its smallest materialised parent. Every cuboid runs as compute
+// runs, whatever its level's size.
 func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice {
+	return topDown(ds, func(int) CuboidFunc { return compute }, false, opt)
+}
+
+// TopDownShared is TopDown with a hook built per thread share: the workers
+// of a level split the CuboidThreads budget as Shares says, and each
+// computes its cuboids with hook(share). A level of at least CuboidThreads
+// cuboids runs exactly as under TopDown; a lone cuboid — the root, or a
+// partial skycube's S⁺(P) — runs on the whole budget.
+func TopDownShared(ds *data.Dataset, hook func(threads int) CuboidFunc, opt TopDownOptions) *Lattice {
+	return topDown(ds, hook, true, opt)
+}
+
+// topDown is the traversal of TopDown and TopDownShared: hook builds a
+// worker's cuboid hook from its Shares entry. Only a shared traversal's
+// cuboid spans carry the share (arg "threads"); a plain hook runs on however
+// many threads it was built with, which the traversal does not know.
+func topDown(ds *data.Dataset, hook func(threads int) CuboidFunc, shared bool, opt TopDownOptions) *Lattice {
 	d := ds.Dims
 	l := New(d)
 	maxLevel := opt.MaxLevel
@@ -156,10 +197,7 @@ func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice 
 		maxLevel = d
 	}
 	l.MaxLevel = maxLevel
-	threads := opt.CuboidThreads
-	if threads < 1 {
-		threads = 1
-	}
+	threads := max(opt.CuboidThreads, 1)
 
 	tr := opt.Trace
 	prefix := opt.TrackPrefix
@@ -180,7 +218,10 @@ func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice 
 		// input for level maxLevel, without materialising levels above it.
 		h := tr.Begin(prefix+"-0", obs.CatCuboid, "S⁺(P)")
 		h.SetN(int64(len(all)))
-		sky, extOnly := compute(ds, all, mask.Full(d))
+		sky, extOnly := hook(threads)(ds, all, mask.Full(d))
+		if shared {
+			h.SetArg("threads", int64(threads))
+		}
 		h.End()
 		topInput = mergeSorted(sky, extOnly)
 	}
@@ -217,7 +258,8 @@ func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice 
 		}
 		lh := tr.Begin("levels", obs.CatLevel, fmt.Sprintf("level %d", level))
 		lh.SetN(int64(len(cuboids)))
-		run := func(worker, i int) {
+		share := Shares(threads, len(cuboids))
+		run := func(worker int, compute CuboidFunc, i int) {
 			delta, rows := cuboids[i], inputs[i]
 			var ch obs.SpanHandle
 			if tr != nil && !opt.SuppressCuboidSpans {
@@ -229,6 +271,9 @@ func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice 
 			ch.SetArg("sky", int64(len(sky)))
 			ch.SetArg("ext_only", int64(len(extOnly)))
 			ch.SetArg("label_depth", int64(skyline.LabelDepth(len(rows), level)))
+			if shared {
+				ch.SetArg("threads", int64(share[worker]))
+			}
 			ch.End()
 			l.Sky[delta] = sky
 			l.ExtOnly[delta] = extOnly
@@ -236,9 +281,10 @@ func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice 
 				opt.OnCuboid(delta)
 			}
 		}
-		if threads == 1 || len(cuboids) == 1 {
+		if len(share) == 1 {
+			compute := hook(share[0])
 			for _, i := range order {
-				run(0, i)
+				run(0, compute, i)
 			}
 			lh.End()
 			continue
@@ -246,20 +292,17 @@ func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice 
 		// Level-parallel: cuboids are independent; synchronise per level.
 		var next int64
 		var wg sync.WaitGroup
-		workers := threads
-		if workers > len(cuboids) {
-			workers = len(cuboids)
-		}
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
+		wg.Add(len(share))
+		for w := range share {
 			go func(w int) {
 				defer wg.Done()
+				compute := hook(share[w])
 				for {
 					i := atomic.AddInt64(&next, 1) - 1
 					if i >= int64(len(cuboids)) {
 						return
 					}
-					run(w, order[i])
+					run(w, compute, order[i])
 				}
 			}(w)
 		}

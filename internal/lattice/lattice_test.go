@@ -264,6 +264,9 @@ func TestCuboidSpansCarryOutputSizesAndLabelDepth(t *testing.T) {
 		if got := arg("label_depth"); got != want {
 			t.Errorf("%s: label_depth = %d, want %d", ev.Name, got, want)
 		}
+		if v, ok := ev.Args["threads"]; ok { // TopDown's plain hook takes no share
+			t.Errorf("%s: threads = %v on a plain hook's span", ev.Name, v)
+		}
 		depths[want] = true
 	}
 	if seen != mask.NumSubspaces(d) {
@@ -271,5 +274,90 @@ func TestCuboidSpansCarryOutputSizesAndLabelDepth(t *testing.T) {
 	}
 	if len(depths) < 2 {
 		t.Errorf("label depths seen: %v, want more than one", depths)
+	}
+}
+
+// A level's workers split the thread budget: a lone cuboid gets all of it,
+// a level of at least that many cuboids one thread per cuboid, and the
+// shares of the cuboids running at any moment are each at least one and sum
+// to at most the budget.
+func TestTopDownSharesALevelsThreads(t *testing.T) {
+	for d := 2; d <= 5; d++ {
+		ds := gen.Synthetic(gen.Anticorrelated, 200, d, int64(d))
+		want := TopDown(ds, bnlCuboid, TopDownOptions{})
+		for threads := 1; threads <= 5; threads++ {
+			for _, maxLevel := range []int{d, d - 1} {
+				var mu sync.Mutex
+				got := map[mask.Mask]int{} // cuboid → its share
+				running, peak := 0, 0      // the shares of the cuboids being computed
+				hook := func(share int) CuboidFunc {
+					return func(ds *data.Dataset, rows []int32, delta mask.Mask) (sky, extOnly []int32) {
+						mu.Lock()
+						got[delta] = share
+						running += share
+						peak = max(peak, running)
+						mu.Unlock()
+						defer func() {
+							mu.Lock()
+							running -= share
+							mu.Unlock()
+						}()
+						return bnlCuboid(ds, rows, delta)
+					}
+				}
+				l := TopDownShared(ds, hook, TopDownOptions{CuboidThreads: threads, MaxLevel: maxLevel})
+				name := fmt.Sprintf("d=%d threads=%d maxLevel=%d", d, threads, maxLevel)
+				if peak > threads {
+					t.Errorf("%s: concurrent shares summed to %d", name, peak)
+				}
+				top := maxLevel
+				if maxLevel < d {
+					top = d // S⁺(P), computed alone before level maxLevel
+				}
+				for delta, share := range got {
+					level := mask.Count(delta)
+					cuboids := len(mask.Level(d, level))
+					switch {
+					case share < 1:
+						t.Errorf("%s: δ=%b got share %d", name, delta, share)
+					case level == top && share != threads:
+						t.Errorf("%s: lone cuboid δ=%b got %d threads, want %d", name, delta, share, threads)
+					case cuboids >= threads && share != 1:
+						t.Errorf("%s: δ=%b of a %d-cuboid level got %d threads, want 1", name, delta, cuboids, share)
+					case !slices.Contains(Shares(threads, cuboids), share):
+						t.Errorf("%s: δ=%b got share %d, not one of %v", name, delta, share, Shares(threads, cuboids))
+					}
+				}
+				for delta := mask.Mask(1); int(delta) < len(l.Sky); delta++ {
+					if mask.Count(delta) > maxLevel {
+						continue
+					}
+					if !slices.Equal(l.Sky[delta], want.Sky[delta]) || !slices.Equal(l.ExtOnly[delta], want.ExtOnly[delta]) {
+						t.Errorf("%s: δ=%b differs from the sequential traversal", name, delta)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestShares(t *testing.T) {
+	for threads := 1; threads <= 9; threads++ {
+		for cuboids := 1; cuboids <= 12; cuboids++ {
+			s := Shares(threads, cuboids)
+			if len(s) != min(threads, cuboids) {
+				t.Errorf("Shares(%d, %d) = %v: %d workers", threads, cuboids, s, len(s))
+			}
+			sum := 0
+			for i, v := range s {
+				sum += v
+				if v < threads/len(s) || v > threads/len(s)+1 || (i > 0 && v > s[i-1]) {
+					t.Errorf("Shares(%d, %d) = %v", threads, cuboids, s)
+				}
+			}
+			if sum != threads {
+				t.Errorf("Shares(%d, %d) = %v sums to %d", threads, cuboids, s, sum)
+			}
+		}
 	}
 }

@@ -3,8 +3,11 @@ package templates
 import (
 	"testing"
 
+	"skycube/internal/data"
+	"skycube/internal/dom"
 	"skycube/internal/gen"
 	"skycube/internal/hashcube"
+	"skycube/internal/lattice"
 )
 
 // BenchmarkMDMCBuild is the point-task half of an MDMC build — RunMDMC with
@@ -49,5 +52,42 @@ func BenchmarkMDMCBuild(b *testing.B) {
 			}
 			b.ReportMetric(float64(dts), "dts/op")
 		})
+	}
+}
+
+// BenchmarkTemplateBuild is a whole STSC or SDSC build on two threads, on the
+// `wide` and `narrow` build inputs. sweeps/op are the words one build sweeps;
+// a cuboid sweeps the same words on any number of threads, and neither
+// template's cuboids depend on how its threads are split, so they repeat
+// exactly.
+func BenchmarkTemplateBuild(b *testing.B) {
+	for _, tmpl := range []struct {
+		name  string
+		build func(*data.Dataset, Options) *lattice.Lattice
+	}{
+		{"STSC", STSC},
+		{"SDSC", SDSC},
+	} {
+		for _, in := range []struct {
+			name string
+			dist gen.Distribution
+			n, d int
+		}{
+			{"I_d=8_n=5000", gen.Independent, 5000, 8},
+			{"A_d=4_n=200000", gen.Anticorrelated, 200_000, 4},
+		} {
+			b.Run(tmpl.name+"/"+in.name, func(b *testing.B) {
+				ds := gen.Synthetic(in.dist, in.n, in.d, 7)
+				b.ReportAllocs()
+				b.ResetTimer()
+				before := dom.KernelStats().BlockSweeps
+				for i := 0; i < b.N; i++ {
+					if tmpl.build(ds, Options{Threads: 2}).IDCount() == 0 {
+						b.Fatal("empty lattice")
+					}
+				}
+				b.ReportMetric(float64(dom.KernelStats().BlockSweeps-before)/float64(b.N), "sweeps/op")
+			})
+		}
 	}
 }

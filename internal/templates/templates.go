@@ -17,9 +17,15 @@
 //     Hooks: the filter and refine phases, packaged as a PointKernel.
 //
 // The CPU specialisations hook in the Hybrid skyline algorithm (STSC with
-// one thread per cuboid, SDSC with all threads on one cuboid) and a
-// cache-conscious filter/refine kernel for MDMC. GPU specialisations live
-// in internal/gpu; cross-device composition in internal/hetero.
+// one thread per cuboid while a level has a cuboid for every thread, SDSC
+// with all threads on one cuboid) and a cache-conscious filter/refine
+// kernel for MDMC. Where the paper's STSC would leave threads idle — a
+// level of fewer cuboids than threads, above all the lone root — the
+// specialisation splits the level's threads among its cuboids
+// (lattice.Shares), so the root runs Hybrid on all of them; the
+// plain-hook STSCTemplate keeps the paper's one thread per cuboid. GPU
+// specialisations live in internal/gpu; cross-device composition in
+// internal/hetero.
 package templates
 
 import (
@@ -52,15 +58,20 @@ func (o Options) threads() int {
 }
 
 // STSCTemplate runs the single-thread-single-cuboid template with an
-// arbitrary sequential cuboid hook.
+// arbitrary sequential cuboid hook, as the paper does: a level's cuboids run
+// concurrently, each as the hook runs it, however few cuboids the level has.
 func STSCTemplate(ds *data.Dataset, hook lattice.CuboidFunc, opt Options) *lattice.Lattice {
-	return lattice.TopDown(ds, hook, lattice.TopDownOptions{
+	return lattice.TopDown(ds, hook, stscOptions(opt))
+}
+
+func stscOptions(opt Options) lattice.TopDownOptions {
+	return lattice.TopDownOptions{
 		CuboidThreads: opt.threads(),
 		MaxLevel:      opt.MaxLevel,
 		Trace:         opt.Trace,
 		TrackPrefix:   "stsc",
 		OnCuboid:      opt.OnCuboid,
-	})
+	}
 }
 
 // SDSCTemplate runs the single-device-single-cuboid template with an
@@ -80,9 +91,13 @@ func SDSCTemplate(ds *data.Dataset, hook lattice.CuboidFunc, opt Options) *latti
 // cuboids with a single-threaded run of the Hybrid algorithm, whose
 // compact, fixed-depth, array-based tree keeps concurrent queries from
 // thrashing the shared cache the way the baseline's pointer trees do
-// (paper §5.1).
+// (paper §5.1). A level of fewer cuboids than threads shares its threads
+// among them (lattice.Shares): the root cuboid, or a partial skycube's
+// S⁺(P), runs Hybrid on all of them, where the paper's hook would leave all
+// but one idle. A cuboid's result and the words it sweeps do not depend on
+// its share.
 func STSC(ds *data.Dataset, opt Options) *lattice.Lattice {
-	return STSCTemplate(ds, HybridCuboid(1), opt)
+	return lattice.TopDownShared(ds, HybridCuboid, stscOptions(opt))
 }
 
 // SDSC is the multicore specialisation of SDSC: one cuboid at a time,

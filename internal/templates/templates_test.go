@@ -1,14 +1,17 @@
 package templates
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"skycube/internal/data"
+	"skycube/internal/dom"
 	"skycube/internal/gen"
 	"skycube/internal/hashcube"
 	"skycube/internal/lattice"
 	"skycube/internal/mask"
+	"skycube/internal/obs"
 	"skycube/internal/qskycube"
 	"skycube/internal/skyline"
 )
@@ -243,4 +246,88 @@ func TestDuplicateHeavyData(t *testing.T) {
 	ds := data.FromRows(rows)
 	checkLattice(t, "STSC-lowcard", ds, STSC(ds, Options{Threads: 2}), 0)
 	checkCube(t, "MDMC-lowcard", ds, MDMC(ds, MDMCOptions{Options: Options{Threads: 2}}).Cube, 0)
+}
+
+// STSC splits a level's threads among its cuboids, so the full-space cuboid
+// of A d=4 n=40 000 — above the pre-filter's grain, so its prologue forks —
+// runs Hybrid on every thread. Neither the lattice nor the words swept may
+// depend on that: both repeat exactly at one, two and three threads.
+func TestSTSCThreadSharesChangeNothing(t *testing.T) {
+	ds := gen.Synthetic(gen.Anticorrelated, 40_000, 4, 7)
+	build := func(threads int) (*lattice.Lattice, uint64) {
+		before := dom.KernelStats().BlockSweeps
+		l := STSC(ds, Options{Threads: threads})
+		return l, dom.KernelStats().BlockSweeps - before
+	}
+	want, wantSweeps := build(1)
+	checkLattice(t, "STSC/1", ds, want, 0)
+	for _, threads := range []int{2, 3} {
+		got, sweeps := build(threads)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("threads=%d: the lattice differs from one thread's", threads)
+		}
+		if sweeps != wantSweeps {
+			t.Errorf("threads=%d: %d words swept, one thread sweeps %d", threads, sweeps, wantSweeps)
+		}
+	}
+}
+
+// cuboidShares returns the threads arg of each cuboid span of tr by name.
+func cuboidShares(t *testing.T, tr *obs.Trace) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	for _, sp := range tr.Spans() {
+		if sp.Cat != obs.CatCuboid {
+			continue
+		}
+		out[sp.Name] = -1
+		for _, a := range sp.Args {
+			if a.Name == "threads" {
+				out[sp.Name] = a.Value
+			}
+		}
+	}
+	return out
+}
+
+// A 2-thread STSC build runs its root cuboid on both threads and each cuboid
+// of the four-cuboid level below it on one, and says so on its spans.
+func TestSTSCSpansCarryThreadShares(t *testing.T) {
+	const d = 4
+	tr := obs.New()
+	STSC(gen.Synthetic(gen.Anticorrelated, 3000, d, 9), Options{Threads: 2, Trace: tr})
+	shares := cuboidShares(t, tr)
+	if len(shares) != mask.NumSubspaces(d) {
+		t.Fatalf("%d cuboid spans, want %d", len(shares), mask.NumSubspaces(d))
+	}
+	for name, share := range shares {
+		var delta mask.Mask
+		if _, err := fmt.Sscanf(name, "δ=%b", &delta); err != nil {
+			t.Fatalf("span %q: %v", name, err)
+		}
+		want := int64(1)
+		if mask.Count(delta) == d {
+			want = 2
+		}
+		if share != want {
+			t.Errorf("%s: threads = %d, want %d", name, share, want)
+		}
+	}
+}
+
+// A partial skycube computes S⁺(P) alone, on all the threads, and its lattice
+// does not depend on that.
+func TestPartialSTSCComputesSPlusOnAllThreads(t *testing.T) {
+	ds := gen.Synthetic(gen.Anticorrelated, 40_000, 4, 7)
+	const maxLevel = 2
+	want := STSC(ds, Options{Threads: 1, MaxLevel: maxLevel})
+	checkLattice(t, "STSC-partial/1", ds, want, maxLevel)
+	tr := obs.New()
+	got := STSC(ds, Options{Threads: 2, MaxLevel: maxLevel, Trace: tr})
+	if !reflect.DeepEqual(got, want) {
+		t.Error("threads=2: the partial lattice differs from one thread's")
+	}
+	if share := cuboidShares(t, tr)["S⁺(P)"]; share != 2 {
+		t.Errorf("S⁺(P): threads = %d, want 2", share)
+	}
 }
