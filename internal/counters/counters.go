@@ -189,7 +189,7 @@ func staticTopDown(ds *data.Dataset, probes []*memsim.Thread,
 					rows := all
 					if level < d {
 						par := l.MinParent(delta)
-						rows = mergeRows(l.Sky[par], l.ExtOnly[par])
+						rows = lattice.MergeSorted(l.Sky[par], l.ExtOnly[par])
 					}
 					sky, extOnly := cuboid(w, share, rows, delta)
 					l.Sky[delta] = sky
@@ -205,28 +205,6 @@ func staticTopDown(ds *data.Dataset, probes []*memsim.Thread,
 		}
 	}
 	return l
-}
-
-func mergeRows(a, b []int32) []int32 {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // ProfilePQ runs the profiled PQSkycube baseline: a top-down lattice

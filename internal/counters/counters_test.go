@@ -11,6 +11,7 @@ import (
 	"skycube/internal/gen"
 	"skycube/internal/gpu"
 	"skycube/internal/gpusim"
+	"skycube/internal/hetero"
 	"skycube/internal/lattice"
 	"skycube/internal/mask"
 	"skycube/internal/memsim"
@@ -72,7 +73,11 @@ func TestModelsSweepWhatTheEngineSweeps(t *testing.T) {
 			"ProfileST/4": func() int64 { r, _ := ProfileST(in.ds, Config{Threads: 4}); return r.Sweeps },
 			"ProfileSD/1": func() int64 { r, _ := ProfileSD(in.ds, Config{Threads: 1}); return r.Sweeps },
 			"ProfileSD/4": func() int64 { r, _ := ProfileSD(in.ds, Config{Threads: 4, Sockets: 2}); return r.Sweeps },
-			"gpu.SDSC":    func() int64 { var st gpu.StatsCollector; gpu.SDSC(in.ds, gpusim.GTX980(), 0, &st); return st.Sweeps() },
+			"hetero.SDSC/GTX980": func() int64 {
+				devs, st := oneCard()
+				hetero.SDSC(in.ds, devs, hetero.Options{})
+				return st.Sweeps()
+			},
 		} {
 			reported, swept := sweeps(build)
 			if reported != want || swept != want {
@@ -122,7 +127,7 @@ func TestModelsRepeatTheirPinnedCounts(t *testing.T) {
 	for _, in := range []struct {
 		name string
 		ds   *data.Dataset
-		want gpusim.Stats // gpu.MDMC on a GTX 980, recorded from the deleted leaf scan
+		want gpusim.Stats // MDMC on a GTX 980, recorded from the deleted leaf scan
 	}{
 		{"A_d=5_n=400_s13", gen.Synthetic(gen.Anticorrelated, 400, 5, 13),
 			gpusim.Stats{Blocks: 297, Instructions: 985110, Transactions: 20338, SharedAccesses: 94433,
@@ -131,12 +136,19 @@ func TestModelsRepeatTheirPinnedCounts(t *testing.T) {
 			gpusim.Stats{Blocks: 440, Instructions: 2191649, Transactions: 46767, SharedAccesses: 211894,
 				Divergences: 9801, Votes: 193160, Syncs: 440, TransferBytes: 3520}},
 	} {
-		var st gpu.StatsCollector
-		gpu.MDMC(in.ds, gpusim.GTX980(), 2, 0, &st)
+		devs, st := oneCard()
+		hetero.MDMC(in.ds, devs, hetero.Options{Threads: 2})
 		if got := st.Total(); got != in.want {
-			t.Errorf("%s gpu.MDMC: %+v, want %+v", in.name, got, in.want)
+			t.Errorf("%s hetero.MDMC/GTX980: %+v, want %+v", in.name, got, in.want)
 		}
 	}
+}
+
+// oneCard is the device list of a run on one modelled GTX 980, with the
+// card's collector.
+func oneCard() ([]hetero.Device, *gpu.StatsCollector) {
+	devs := hetero.Devices(1, false, gpusim.GTX980())
+	return devs, devs[0].(*hetero.GPUDevice).Stats
 }
 
 func TestReportsHaveCounters(t *testing.T) {

@@ -698,7 +698,7 @@ func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 		sub = header.Subset(intRows)
 	}
 	ctx := templates.PrepareMDMC(sub, u.threads, 3, 0)
-	hetero.MDMCRunPrepared(ctx, u.devices(), nil, nil, nil)
+	hetero.MDMCPrepared(ctx, u.devices(), hetero.Options{})
 
 	base := &baseCube{h: ctx.Cube, points: sub.N}
 	base.masks, base.stride = ctx.Cube.RowMasks(sub.N)

@@ -7,30 +7,22 @@ import (
 	"skycube/internal/data"
 	"skycube/internal/dom"
 	"skycube/internal/gpusim"
-	"skycube/internal/lattice"
 	"skycube/internal/mask"
-	"skycube/internal/obs"
 	"skycube/internal/skyline"
 )
 
-// CuboidHookGGS returns an SDSC hook backed by the GGS algorithm (Bøgh,
-// Assent, Magnani — DaMoN 2013; paper §3): the sort-based, throughput-
-// oriented GPU skyline that SkyAlign was shown to beat on most workloads.
-// GGS sorts the input by its L1 norm and then repeatedly launches a kernel
-// in which every unresolved point is compared — with plain dominance tests
-// only, no mask tests — against the confirmed skyline so far.
+// ComputeGGS computes one cuboid with the GGS algorithm (Bøgh, Assent,
+// Magnani — DaMoN 2013; paper §3): the sort-based, throughput-oriented GPU
+// skyline that SkyAlign was shown to beat on most workloads. GGS sorts the
+// input by its L1 norm and then repeatedly launches a kernel in which every
+// unresolved point is compared — with plain dominance tests only, no mask
+// tests — against the confirmed skyline so far; the extended skyline and
+// the skyline are two such filters.
 //
-// It exists as the alternative GPU hook, demonstrating the SDSC template's
-// "plug in any parallel skyline algorithm" property (§4.2.2), and as the
-// baseline for the SkyAlign-style hook's work-efficiency advantage.
-func CuboidHookGGS(dev *gpusim.Device, stats *StatsCollector) lattice.CuboidFunc {
-	return func(ds *data.Dataset, rows []int32, delta mask.Mask) (sky, extOnly []int32) {
-		res := ComputeGGS(dev, ds, rows, delta, stats)
-		return res.Skyline, res.ExtOnly
-	}
-}
-
-// ComputeGGS runs the two-phase cuboid computation with the GGS filter.
+// It is the alternative GPU hook (hetero.GPUDevice.GGS), demonstrating the
+// SDSC template's "plug in any parallel skyline algorithm" property
+// (§4.2.2), and the baseline for the SkyAlign-style hook's work-efficiency
+// advantage.
 func ComputeGGS(dev *gpusim.Device, ds *data.Dataset, rows []int32, delta mask.Mask, stats *StatsCollector) skyline.Result {
 	if rows == nil {
 		rows = make([]int32, ds.N)
@@ -147,22 +139,4 @@ func intraTile(ds *data.Dataset, rows []int32, delta mask.Mask, strict bool) []i
 		}
 	}
 	return out
-}
-
-// SDSCWithGGS runs the SDSC template on one device with the GGS hook.
-func SDSCWithGGS(ds *data.Dataset, dev *gpusim.Device, maxLevel int, stats *StatsCollector) *lattice.Lattice {
-	return SDSCWithGGSTraced(ds, dev, maxLevel, stats, nil, nil)
-}
-
-// SDSCWithGGSTraced is SDSCWithGGS with span recording and a completed-
-// cuboid callback.
-func SDSCWithGGSTraced(ds *data.Dataset, dev *gpusim.Device, maxLevel int,
-	stats *StatsCollector, tr *obs.Trace, onCuboid func(delta mask.Mask)) *lattice.Lattice {
-	return lattice.TopDown(ds, CuboidHookGGS(dev, stats), lattice.TopDownOptions{
-		CuboidThreads: 1,
-		MaxLevel:      maxLevel,
-		Trace:         tr,
-		TrackPrefix:   dev.Name,
-		OnCuboid:      onCuboid,
-	})
 }

@@ -31,7 +31,7 @@ func TestSDSCWithGGSBuildsFullSkycube(t *testing.T) {
 	dev := gpusim.GTXTitan()
 	ds := gen.Synthetic(gen.Independent, 400, 4, 9)
 	stats := &StatsCollector{}
-	l := SDSCWithGGS(ds, dev, 0, stats)
+	l := sdsc(ds, ComputeGGS, dev, stats)
 	for _, delta := range mask.Subspaces(4) {
 		want := skyline.Compute(ds, nil, delta, skyline.AlgoBNL, 1)
 		if got := l.Skyline(delta); !reflect.DeepEqual(got, want.Skyline) {

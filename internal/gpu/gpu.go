@@ -20,22 +20,10 @@ import (
 
 	"skycube/internal/data"
 	"skycube/internal/gpusim"
-	"skycube/internal/lattice"
 	"skycube/internal/mask"
-	"skycube/internal/obs"
 	"skycube/internal/skyline"
 	"skycube/internal/templates"
 )
-
-// CuboidHook returns the SDSC GPU specialisation: a lattice cuboid function
-// that computes S_δ and S⁺_δ \ S_δ on the given device. Stats, if non-nil,
-// accumulates the modelled device counters across cuboids.
-func CuboidHook(dev *gpusim.Device, stats *StatsCollector) lattice.CuboidFunc {
-	return func(ds *data.Dataset, rows []int32, delta mask.Mask) (sky, extOnly []int32) {
-		res := Compute(dev, ds, rows, delta, stats)
-		return res.Skyline, res.ExtOnly
-	}
-}
 
 // StatsCollector accumulates device statistics across launches; safe for
 // concurrent use.
@@ -266,44 +254,4 @@ func PointKernel(dev *gpusim.Device, stats *StatsCollector) templates.PointKerne
 		ctx.Cube.Insert(ctx.OrigRow[lo:hi], rows)
 		stats.Add(st)
 	}
-}
-
-// MDMC runs the full MDMC template on a single device: shared prologue on
-// the CPU, all point tasks on the GPU.
-func MDMC(ds *data.Dataset, dev *gpusim.Device, threads, maxLevel int, stats *StatsCollector) *templates.MDMCResult {
-	return MDMCTraced(ds, dev, threads, maxLevel, stats, nil)
-}
-
-// MDMCTraced is MDMC recording the prologue phases and the device's point
-// pass as spans on the device's track.
-func MDMCTraced(ds *data.Dataset, dev *gpusim.Device, threads, maxLevel int,
-	stats *StatsCollector, tr *obs.Trace) *templates.MDMCResult {
-	ctx := templates.PrepareMDMCTraced(ds, threads, 3, maxLevel, tr)
-	kernel := PointKernel(dev, stats)
-	// One launch per chunk; a single puller suffices since the launch
-	// itself fans out across the device's resident blocks.
-	h := tr.Begin(dev.Name, obs.CatChunk, "points")
-	h.SetN(int64(ctx.NumTasks()))
-	kernel(ctx, 0, ctx.NumTasks())
-	h.End()
-	return &templates.MDMCResult{Cube: ctx.Cube, ExtRows: ctx.ExtRows}
-}
-
-// SDSC runs the full SDSC template on a single device.
-func SDSC(ds *data.Dataset, dev *gpusim.Device, maxLevel int, stats *StatsCollector) *lattice.Lattice {
-	return SDSCTraced(ds, dev, maxLevel, stats, nil, nil)
-}
-
-// SDSCTraced is SDSC recording level and per-cuboid spans on tracks named
-// after the device, reporting completed cuboids to onCuboid (both the
-// trace and the callback may be nil).
-func SDSCTraced(ds *data.Dataset, dev *gpusim.Device, maxLevel int,
-	stats *StatsCollector, tr *obs.Trace, onCuboid func(delta mask.Mask)) *lattice.Lattice {
-	return lattice.TopDown(ds, CuboidHook(dev, stats), lattice.TopDownOptions{
-		CuboidThreads: 1,
-		MaxLevel:      maxLevel,
-		Trace:         tr,
-		TrackPrefix:   dev.Name,
-		OnCuboid:      onCuboid,
-	})
 }

@@ -7,6 +7,7 @@ import (
 	"skycube/internal/data"
 	"skycube/internal/gen"
 	"skycube/internal/gpusim"
+	"skycube/internal/lattice"
 	"skycube/internal/mask"
 	"skycube/internal/skyline"
 	"skycube/internal/templates"
@@ -56,11 +57,28 @@ func TestDeviceComputeMatchesCPU(t *testing.T) {
 	}
 }
 
+// sdsc runs the SDSC template with compute (Compute or ComputeGGS) on dev
+// as its cuboid hook.
+func sdsc(ds *data.Dataset, compute func(*gpusim.Device, *data.Dataset, []int32, mask.Mask, *StatsCollector) skyline.Result,
+	dev *gpusim.Device, stats *StatsCollector) *lattice.Lattice {
+	return lattice.TopDown(ds, func(ds *data.Dataset, rows []int32, delta mask.Mask) ([]int32, []int32) {
+		res := compute(dev, ds, rows, delta, stats)
+		return res.Skyline, res.ExtOnly
+	}, lattice.TopDownOptions{})
+}
+
+// mdmc runs the MDMC template with every point task in one launch on dev.
+func mdmc(ds *data.Dataset, dev *gpusim.Device, stats *StatsCollector) *templates.MDMCContext {
+	ctx := templates.PrepareMDMC(ds, 2, 3, 0)
+	PointKernel(dev, stats)(ctx, 0, ctx.NumTasks())
+	return ctx
+}
+
 func TestSDSCOnDevice(t *testing.T) {
 	dev := gpusim.GTX980()
 	ds := gen.Synthetic(gen.Independent, 300, 4, 9)
 	stats := &StatsCollector{}
-	l := SDSC(ds, dev, 0, stats)
+	l := sdsc(ds, Compute, dev, stats)
 	for _, delta := range mask.Subspaces(4) {
 		want := skyline.Compute(ds, nil, delta, skyline.AlgoBNL, 1)
 		if got := l.Skyline(delta); !reflect.DeepEqual(got, want.Skyline) {
@@ -80,7 +98,7 @@ func TestMDMCOnDevice(t *testing.T) {
 	dev := gpusim.GTX980()
 	ds := gen.Synthetic(gen.Anticorrelated, 400, 5, 13)
 	stats := &StatsCollector{}
-	res := MDMC(ds, dev, 2, 0, stats)
+	res := mdmc(ds, dev, stats)
 	for _, delta := range mask.Subspaces(5) {
 		want := skyline.Compute(ds, nil, delta, skyline.AlgoBNL, 1)
 		if got := res.Cube.Skyline(delta); !reflect.DeepEqual(got, want.Skyline) {
@@ -99,7 +117,7 @@ func TestMDMCOnDevice(t *testing.T) {
 func TestMDMCOnDeviceMatchesCPUKernel(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 500, 6, 17)
 	cpu := templates.MDMC(ds, templates.MDMCOptions{Options: templates.Options{Threads: 2}})
-	gpuRes := MDMC(ds, gpusim.GTXTitan(), 2, 0, nil)
+	gpuRes := mdmc(ds, gpusim.GTXTitan(), nil)
 	for _, delta := range mask.Subspaces(6) {
 		a := cpu.Cube.Skyline(delta)
 		b := gpuRes.Cube.Skyline(delta)

@@ -79,6 +79,24 @@ func (a *auditDevice) RunPoints(ctx *templates.MDMCContext, grab Grab, account A
 	}, account)
 }
 
+// startBarrier decorates a Device so it grabs no second chunk until every
+// device sharing the barrier has grabbed its first: a device whose goroutine
+// starts late still gets work, since the guided cap leaves tasks for the
+// others after every grab.
+type startBarrier struct {
+	Device
+	all *sync.WaitGroup // one count per device
+}
+
+func (b *startBarrier) RunPoints(ctx *templates.MDMCContext, grab Grab, account AccountFunc) {
+	var first sync.Once
+	b.Device.RunPoints(ctx, func(lane int) (int, int) {
+		lo, hi := grab(lane)
+		first.Do(func() { b.all.Done(); b.all.Wait() })
+		return lo, hi
+	}, account)
+}
+
 // TestScheduleChaos runs cross-device MDMC under induced schedule chaos —
 // random per-chunk delays on every device plus one device 10× slower — and
 // checks that the skycube is still exactly right, that no chunk was handed
@@ -109,7 +127,7 @@ func TestScheduleChaos(t *testing.T) {
 		}
 		reg := obs.NewRegistry()
 		tr := obs.New()
-		res, shares, _ := MDMCAll(ds, devices, 2, 0, obs.NewSchedMetrics(reg), tr, nil)
+		res, shares, _ := MDMC(ds, devices, Options{Threads: 2, Metrics: obs.NewSchedMetrics(reg), Trace: tr})
 
 		for _, delta := range mask.Subspaces(6) {
 			if got := res.Cube.Skyline(delta); !reflect.DeepEqual(got, want[delta]) {
@@ -167,7 +185,7 @@ func imbalancedDevices() []Device {
 }
 
 // staticMDMC is the textbook static schedule the imbalance wall measures
-// the common queue against: the same prologue as MDMCAll, then the task
+// the common queue against: the same prologue as MDMC, then the task
 // range split equally across the devices up front, each device draining
 // only its own slice in chunks of its hint.
 func staticMDMC(ds *data.Dataset, devices []Device) {
@@ -208,7 +226,7 @@ func BenchmarkMDMCImbalance(b *testing.B) {
 	})
 	b.Run("dynamic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MDMCAll(ds, imbalancedDevices(), 2, 0, nil, nil, nil)
+			MDMC(ds, imbalancedDevices(), Options{Threads: 2})
 		}
 	})
 }
@@ -235,7 +253,7 @@ func TestDynamicBeatsStaticUnderImbalance(t *testing.T) {
 			static = el
 		}
 		start = time.Now()
-		_, _, c := MDMCAll(ds, imbalancedDevices(), 2, 0, metrics, nil, nil)
+		_, _, c := MDMC(ds, imbalancedDevices(), Options{Threads: 2, Metrics: metrics})
 		if el := time.Since(start); i == 0 || el < dynamic {
 			dynamic, counters = el, c
 		}

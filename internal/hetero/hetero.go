@@ -1,8 +1,10 @@
-// Package hetero composes the template specialisations across devices — the
-// paper's cross-device parallelism (§1, §4.1): one dual-socket CPU and any
-// number of modelled GPUs cooperating on a single skycube, sharing the
-// read-only template structures and pulling parallel tasks from a common
-// queue.
+// Package hetero runs the SDSC and MDMC templates over a list of devices —
+// the paper's cross-device parallelism (§1, §4.1). A CPU-only run is one CPU
+// device, a one-card run one GPU device, and a cross-device run the CPU (as
+// two socket devices) and any number of modelled GPUs cooperating on a
+// single skycube, sharing the read-only template structures and pulling
+// parallel tasks from a common queue. SDSC and MDMC are the only entry
+// points; every run, whatever its devices, takes the same path.
 //
 // For SDSC the unit of work is a cuboid: with k devices, k cuboids of a
 // lattice level run concurrently, each computed by that device's parallel
@@ -63,8 +65,9 @@ type CPUDevice struct {
 	// Label overrides the default name (e.g. "CPU0"/"CPU1" to present two
 	// sockets as separate devices, as Figure 12 does).
 	Label string
-	// MDMC options for the point kernel (ablations, partial computation).
-	MDMCOpt templates.MDMCOptions
+	// PSkyline computes cuboids with the naive divide-and-conquer multicore
+	// baseline instead of Hybrid.
+	PSkyline bool
 }
 
 // Name implements Device.
@@ -82,9 +85,13 @@ func (c *CPUDevice) threads() int {
 	return c.Threads
 }
 
-// Cuboid implements Device with the Hybrid multicore skyline.
+// Cuboid implements Device with the Hybrid multicore skyline, or PSkyline.
 func (c *CPUDevice) Cuboid(ds *data.Dataset, rows []int32, delta mask.Mask) ([]int32, []int32) {
-	res := skyline.Compute(ds, rows, delta, skyline.AlgoHybrid, c.threads())
+	algo := skyline.AlgoHybrid
+	if c.PSkyline {
+		algo = skyline.AlgoPSkyline
+	}
+	res := skyline.Compute(ds, rows, delta, algo, c.threads())
 	return res.Skyline, res.ExtOnly
 }
 
@@ -94,7 +101,7 @@ const cpuPointChunk = 64
 // RunPoints implements Device: every core is an independent puller lane on
 // the shared grab source.
 func (c *CPUDevice) RunPoints(ctx *templates.MDMCContext, grab Grab, account AccountFunc) {
-	templates.RunMDMCGrab(ctx, templates.CPUPointKernel(c.MDMCOpt), c.threads(), grab, account)
+	templates.RunMDMCGrab(ctx, templates.CPUPointKernel(templates.MDMCOptions{}), c.threads(), grab, account)
 }
 
 // ChunkHint implements Device: the §5.2 kernel's cache-friendly chunk.
@@ -103,10 +110,13 @@ func (c *CPUDevice) ChunkHint(int) int { return cpuPointChunk }
 // GPUDevice wraps one modelled GPU.
 type GPUDevice struct {
 	Dev *gpusim.Device
-	// Label disambiguates same-model cards ("980-1", "980-2").
+	// Label disambiguates same-model cards ("GTX980-1", "GTX980-2").
 	Label string
 	// Stats, if non-nil, accumulates the device's modelled counters.
 	Stats *gpu.StatsCollector
+	// GGS computes cuboids with the sort-based GGS baseline instead of the
+	// SkyAlign-style kernel.
+	GGS bool
 }
 
 // Name implements Device.
@@ -117,25 +127,20 @@ func (g *GPUDevice) Name() string {
 	return g.Dev.Name
 }
 
-// Cuboid implements Device with the SkyAlign-style device kernel.
+// Cuboid implements Device with the SkyAlign-style device kernel, or GGS.
 func (g *GPUDevice) Cuboid(ds *data.Dataset, rows []int32, delta mask.Mask) ([]int32, []int32) {
-	res := gpu.Compute(g.Dev, ds, rows, delta, g.Stats)
+	compute := gpu.Compute
+	if g.GGS {
+		compute = gpu.ComputeGGS
+	}
+	res := compute(g.Dev, ds, rows, delta, g.Stats)
 	return res.Skyline, res.ExtOnly
 }
 
 // RunPoints implements Device: one puller that turns each chunk into a
 // block-per-point kernel launch.
 func (g *GPUDevice) RunPoints(ctx *templates.MDMCContext, grab Grab, account AccountFunc) {
-	kernel := gpu.PointKernel(g.Dev, g.Stats)
-	for {
-		lo, hi := grab(0)
-		if lo >= hi {
-			return
-		}
-		start := time.Now()
-		kernel(ctx, lo, hi)
-		account(0, hi-lo, time.Since(start))
-	}
+	templates.RunMDMCGrab(ctx, gpu.PointKernel(g.Dev, g.Stats), 1, grab, account)
 }
 
 // ChunkHint implements Device: a launch should cover the card's resident
@@ -196,73 +201,77 @@ type DeviceShare struct {
 	Fraction float64
 }
 
-// SDSCAll runs the SDSC template across all devices: within each lattice
-// level, devices pull cuboids from a shared queue, so k devices compute k
-// cuboids concurrently (Figure 2b with multiple devices). Below the top,
-// each level's cuboids are handed out largest-first (by the min-parent
-// extended-skyline size) so the expensive cuboids start first and no device
-// is left holding a large cuboid after the rest of the level has drained —
-// LPT scheduling against the level barrier. Each cuboid is recorded as a
-// span on its device's track (plus per-level barrier spans), and completed
-// cuboids are reported to onCuboid. tr and onCuboid may be nil.
-func SDSCAll(ds *data.Dataset, devices []Device, maxLevel int,
-	tr *obs.Trace, onCuboid func(delta mask.Mask)) (*lattice.Lattice, *Shares) {
+// Options configure a run of SDSC or MDMC over devices. All may be zero.
+type Options struct {
+	// Threads is the thread count of MDMC's prologue (S⁺(P) and the static
+	// tree), which runs on the CPU whatever the devices.
+	Threads int
+	// MaxLevel restricts materialisation to |δ| ≤ MaxLevel (App. A.2); 0
+	// means the full skycube.
+	MaxLevel int
+	// Trace, if non-nil, records SDSC's level spans and each cuboid on its
+	// device's track, or MDMC's prologue phases and each completed chunk on
+	// its device lane's track (ChunkTrack).
+	Trace *obs.Trace
+	// Metrics, if non-nil, receives the MDMC scheduler's retunes and rates.
+	Metrics *obs.SchedMetrics
+	// OnCuboid, if non-nil, is called after each SDSC cuboid completes.
+	OnCuboid func(delta mask.Mask)
+	// OnChunk, if non-nil, is told the size of every completed MDMC chunk
+	// plus the task count |S⁺(P)|.
+	OnChunk func(n, total int)
+}
+
+// SDSC runs the SDSC template over devices: within each lattice level, the
+// devices pull cuboids from a shared queue, so k devices compute k cuboids
+// concurrently (Figure 2b with multiple devices); one device computes the
+// cuboids one at a time. Below the top, each level's cuboids are handed out
+// largest-first (by the min-parent extended-skyline size) so the expensive
+// cuboids start first and no device is left holding a large cuboid after
+// the rest of the level has drained — LPT scheduling against the level
+// barrier. A level of c cuboids, fewer than the devices, runs on the first c
+// (the root and a partial skycube's S⁺(P) on the first device). Each
+// cuboid's span is on its device's track.
+func SDSC(ds *data.Dataset, devices []Device, opt Options) (*lattice.Lattice, *Shares) {
 	shares := NewShares()
-	pool := make(chan Device, len(devices))
-	for _, d := range devices {
-		pool <- d
-	}
-	hook := func(ds *data.Dataset, rows []int32, delta mask.Mask) ([]int32, []int32) {
-		dev := <-pool
-		defer func() { pool <- dev }()
-		var h obs.SpanHandle
-		if tr != nil {
-			h = tr.Begin(dev.Name(), obs.CatCuboid, fmt.Sprintf("δ=%0*b", ds.Dims, uint32(delta)))
-			h.SetN(int64(len(rows)))
+	l := lattice.TopDownWorkers(ds, func(w int) lattice.CuboidFunc {
+		dev := devices[w]
+		return func(ds *data.Dataset, rows []int32, delta mask.Mask) ([]int32, []int32) {
+			sky, extOnly := dev.Cuboid(ds, rows, delta)
+			shares.Add(dev.Name(), 1)
+			return sky, extOnly
 		}
-		sky, extOnly := dev.Cuboid(ds, rows, delta)
-		h.End()
-		shares.Add(dev.Name(), 1)
-		return sky, extOnly
-	}
-	l := lattice.TopDown(ds, hook, lattice.TopDownOptions{
-		CuboidThreads:       len(devices),
-		MaxLevel:            maxLevel,
-		Trace:               tr,
-		SuppressCuboidSpans: true,
-		OnCuboid:            onCuboid,
-		LargestFirst:        true,
+	}, lattice.TopDownOptions{
+		CuboidThreads: len(devices),
+		MaxLevel:      opt.MaxLevel,
+		Trace:         opt.Trace,
+		Track:         func(w int) string { return devices[w].Name() },
+		OnCuboid:      opt.OnCuboid,
+		LargestFirst:  true,
 	})
 	return l, shares
 }
 
-// MDMCAll runs the MDMC template across all devices: the shared tree and
-// HashCube are built once; devices then drain the common point-task queue
-// concurrently with no further synchronisation (§4.3), each grab sized from
-// the device's throughput (see Scheduler). The prologue phases and one span
-// per completed chunk are recorded on the owning device's track — the raw
-// data of a Figure-12 work-share timeline; a device's CPU workers beyond
-// lane 0 record on sub-tracks "NAME#lane". onChunk, if non-nil, is told the
-// size of every completed chunk plus the total task count |S⁺(P)|.
-// metrics, tr and onChunk may be nil.
-func MDMCAll(ds *data.Dataset, devices []Device, prepThreads, maxLevel int, metrics *obs.SchedMetrics,
-	tr *obs.Trace, onChunk func(n, total int)) (*templates.MDMCResult, *Shares, SchedCounters) {
-	ctx := templates.PrepareMDMCTraced(ds, prepThreads, 3, maxLevel, tr)
-	shares, counters := MDMCRunPrepared(ctx, devices, metrics, tr, onChunk)
+// MDMC runs the MDMC template over devices: the shared tree and HashCube
+// are built once on the CPU (the prologue's phases are spans on the
+// "prepare" track), then MDMCPrepared drains the point tasks.
+func MDMC(ds *data.Dataset, devices []Device, opt Options) (*templates.MDMCResult, *Shares, SchedCounters) {
+	ctx := templates.PrepareMDMCTraced(ds, opt.Threads, 3, opt.MaxLevel, opt.Trace)
+	shares, counters := MDMCPrepared(ctx, devices, opt)
 	return &templates.MDMCResult{Cube: ctx.Cube, ExtRows: ctx.ExtRows}, shares, counters
 }
 
-// MDMCRunPrepared drains an already-prepared MDMC context across devices —
-// the drain loop of MDMCAll without its prologue. Callers that need the
-// prologue's artefacts beyond the cube (the static tree, for incremental
-// maintenance; internal/delta keeps it to solve single-point insert tasks
-// and rebuilds it at compaction) prepare the context themselves and hand it
-// here.
-func MDMCRunPrepared(ctx *templates.MDMCContext, devices []Device, metrics *obs.SchedMetrics,
-	tr *obs.Trace, onChunk func(n, total int)) (*Shares, SchedCounters) {
+// MDMCPrepared drains an already-prepared MDMC context over devices: they
+// consume the common point-task queue concurrently with no further
+// synchronisation (§4.3), each grab sized from the device's throughput (see
+// Scheduler). One span per completed chunk goes on the owning device lane's
+// track — the raw data of a Figure-12 work-share timeline. Callers that need
+// the prologue's artefacts beyond the cube (internal/delta keeps the static
+// tree to solve single-point insert tasks) prepare the context themselves.
+func MDMCPrepared(ctx *templates.MDMCContext, devices []Device, opt Options) (*Shares, SchedCounters) {
 	shares := NewShares()
 	n := ctx.NumTasks()
-	sched := NewScheduler(n, ctx.D, devices, metrics)
+	sched := NewScheduler(n, ctx.D, devices, opt.Metrics)
 	var wg sync.WaitGroup
 	wg.Add(len(devices))
 	for i, d := range devices {
@@ -272,11 +281,11 @@ func MDMCRunPrepared(ctx *templates.MDMCContext, devices []Device, metrics *obs.
 			dev.RunPoints(ctx, sched.GrabFor(i), func(lane, k int, dur time.Duration) {
 				sched.Observe(i, k, dur)
 				shares.Add(name, int64(k))
-				if tr != nil {
-					tr.Record(ChunkTrack(name, lane), obs.CatChunk, "points", dur, int64(k))
+				if opt.Trace != nil {
+					opt.Trace.Record(ChunkTrack(name, lane), obs.CatChunk, "points", dur, int64(k))
 				}
-				if onChunk != nil {
-					onChunk(k, n)
+				if opt.OnChunk != nil {
+					opt.OnChunk(k, n)
 				}
 			})
 		}(i, d)
@@ -305,19 +314,33 @@ func DeviceOfTrack(track string) string {
 	return track
 }
 
-// DefaultEcosystem reproduces the paper's test machine as devices: the two
-// CPU sockets presented as one CPU device per socket, plus two GTX 980s and
-// one Titan (§7.1 “Hardware”).
-func DefaultEcosystem(cpuThreads int) []Device {
-	half := cpuThreads / 2
-	if half < 1 {
-		half = 1
+// Devices lists the devices of a run on threads CPU threads and the given
+// cards. With no card it is the CPU as one device over all threads. With
+// cards it is the cards, preceded, when cpuAlso, by the CPU as two socket
+// devices "CPU0" and "CPU1" (Figure 12's presentation; §7.1 “Hardware”).
+// A lone card keeps its model's name; in a longer list every card is
+// numbered within its model ("GTX980-1", "GTX980-2"). Every card gets a
+// collector for its modelled counters.
+func Devices(threads int, cpuAlso bool, cards ...*gpusim.Device) []Device {
+	if len(cards) == 0 {
+		return []Device{&CPUDevice{Threads: threads}}
 	}
-	return []Device{
-		&CPUDevice{Threads: half, Label: "CPU0"},
-		&CPUDevice{Threads: cpuThreads - half, Label: "CPU1"},
-		&GPUDevice{Dev: gpusim.GTX980(), Label: "980-1"},
-		&GPUDevice{Dev: gpusim.GTX980(), Label: "980-2"},
-		&GPUDevice{Dev: gpusim.GTXTitan(), Label: "Titan"},
+	var devices []Device
+	if cpuAlso {
+		half := max(threads/2, 1)
+		devices = append(devices,
+			&CPUDevice{Threads: half, Label: "CPU0"},
+			&CPUDevice{Threads: max(threads-half, 1), Label: "CPU1"})
 	}
+	numbered := len(devices)+len(cards) > 1
+	counts := map[string]int{}
+	for _, card := range cards {
+		g := &GPUDevice{Dev: card, Stats: &gpu.StatsCollector{}}
+		if numbered {
+			counts[card.Name]++
+			g.Label = fmt.Sprintf("%s-%d", card.Name, counts[card.Name])
+		}
+		devices = append(devices, g)
+	}
+	return devices
 }

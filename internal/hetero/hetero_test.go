@@ -2,6 +2,7 @@ package hetero
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"skycube/internal/gen"
@@ -21,7 +22,7 @@ func smallEcosystem() []Device {
 
 func TestSDSCAllCorrectness(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 400, 5, 3)
-	l, shares := SDSCAll(ds, smallEcosystem(), 0, nil, nil)
+	l, shares := SDSC(ds, smallEcosystem(), Options{})
 	for _, delta := range mask.Subspaces(5) {
 		want := skyline.Compute(ds, nil, delta, skyline.AlgoBNL, 1)
 		if got := l.Skyline(delta); !reflect.DeepEqual(got, want.Skyline) {
@@ -35,7 +36,7 @@ func TestSDSCAllCorrectness(t *testing.T) {
 
 func TestMDMCAllCorrectness(t *testing.T) {
 	ds := gen.Synthetic(gen.Anticorrelated, 800, 5, 5)
-	res, shares, _ := MDMCAll(ds, smallEcosystem(), 2, 0, nil, nil, nil)
+	res, shares, _ := MDMC(ds, smallEcosystem(), Options{Threads: 2})
 	for _, delta := range mask.Subspaces(5) {
 		want := skyline.Compute(ds, nil, delta, skyline.AlgoBNL, 1)
 		if got := res.Cube.Skyline(delta); !reflect.DeepEqual(got, want.Skyline) {
@@ -80,9 +81,16 @@ func TestEmptySharesFractions(t *testing.T) {
 }
 
 func TestEveryDeviceContributesOnLargeInput(t *testing.T) {
-	// With enough tasks, dynamic pulling should give every device work.
+	// With enough tasks, dynamic pulling gives every device work once no
+	// device can drain the queue before every other has grabbed once.
 	ds := gen.Synthetic(gen.Anticorrelated, 4000, 6, 7)
-	_, shares, _ := MDMCAll(ds, smallEcosystem(), 2, 0, nil, nil, nil)
+	devices := smallEcosystem()
+	var all sync.WaitGroup
+	all.Add(len(devices))
+	for i, d := range devices {
+		devices[i] = &startBarrier{Device: d, all: &all}
+	}
+	_, shares, _ := MDMC(ds, devices, Options{Threads: 2})
 	fr := shares.Fractions()
 	if len(fr) != 3 {
 		t.Fatalf("only %d devices contributed: %+v", len(fr), fr)
@@ -95,23 +103,28 @@ func TestEveryDeviceContributesOnLargeInput(t *testing.T) {
 }
 
 func TestDefaultEcosystem(t *testing.T) {
-	devs := DefaultEcosystem(8)
-	if len(devs) != 5 {
-		t.Fatalf("ecosystem has %d devices, want 5", len(devs))
-	}
-	names := map[string]bool{}
+	// The paper's machine (§7.1): two CPU sockets, two GTX 980s, one Titan.
+	devs := Devices(8, true, gpusim.GTX980(), gpusim.GTX980(), gpusim.GTXTitan())
+	var names []string
 	for _, d := range devs {
-		names[d.Name()] = true
+		names = append(names, d.Name())
 	}
-	for _, want := range []string{"CPU0", "CPU1", "980-1", "980-2", "Titan"} {
-		if !names[want] {
-			t.Errorf("missing device %s", want)
-		}
+	if want := []string{"CPU0", "CPU1", "GTX980-1", "GTX980-2", "Titan-1"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("devices %v, want %v", names, want)
 	}
 	// Degenerate thread count still yields at least one thread per socket.
-	devs = DefaultEcosystem(1)
-	if cpu := devs[0].(*CPUDevice); cpu.threads() < 1 {
-		t.Error("CPU device must keep at least one thread")
+	devs = Devices(1, true, gpusim.GTX980())
+	for _, d := range devs[:2] {
+		if cpu := d.(*CPUDevice); cpu.threads() < 1 {
+			t.Error("CPU device must keep at least one thread")
+		}
+	}
+	// CPU-only is one device over every thread; a lone card keeps its name.
+	if devs := Devices(4, true); len(devs) != 1 || devs[0].Name() != "CPU" || devs[0].(*CPUDevice).Threads != 4 {
+		t.Errorf("CPU-only devices %+v", devs)
+	}
+	if devs := Devices(4, false, gpusim.GTX980()); len(devs) != 1 || devs[0].Name() != "GTX980" {
+		t.Errorf("one-card devices %+v", devs)
 	}
 }
 
@@ -131,7 +144,7 @@ func TestCPUDeviceDefaults(t *testing.T) {
 
 func TestSDSCAllPartial(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 300, 6, 9)
-	l, _ := SDSCAll(ds, smallEcosystem(), 2, nil, nil)
+	l, _ := SDSC(ds, smallEcosystem(), Options{MaxLevel: 2})
 	for _, delta := range mask.Subspaces(6) {
 		got := l.Skyline(delta)
 		if mask.Count(delta) > 2 {
@@ -157,7 +170,7 @@ func TestTwoDeviceSharesMatchTrace(t *testing.T) {
 		&CPUDevice{Threads: 1, Label: "dev-b"},
 	}
 	tr := obs.New()
-	res, shares, _ := MDMCAll(ds, devices, 2, 0, nil, tr, nil)
+	res, shares, _ := MDMC(ds, devices, Options{Threads: 2, Trace: tr})
 
 	// The queue is dynamic, so the split between the devices varies run to
 	// run; the invariants are that the fractions cover the whole queue and

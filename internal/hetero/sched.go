@@ -41,8 +41,9 @@ type devState struct {
 	rate float64
 }
 
-// Scheduler is the common task queue of the cross-device MDMC template
-// (§4.3): every device pulls its next chunk off one shared counter. A grab
+// Scheduler is the common task queue of the MDMC template (§4.3), on one
+// device or several: every device pulls its next chunk off one shared
+// counter. A grab
 // takes the device's tuned chunk — sized from its measured throughput —
 // capped at ⌈remaining / (2·#devices)⌉ (guided self-scheduling), so the
 // last tasks go out in ever smaller pieces and no device is left holding a
@@ -68,9 +69,6 @@ func NewScheduler(n, d int, devices []Device, metrics *obs.SchedMetrics) *Schedu
 	}
 	return s
 }
-
-// NumTasks returns the scheduled task count.
-func (s *Scheduler) NumTasks() int { return s.n }
 
 // Counters returns the run's scheduling event totals.
 func (s *Scheduler) Counters() SchedCounters {

@@ -40,7 +40,7 @@ func fakeDevices(hints ...int) []Device {
 // handed-out task, and returns the per-task claim counts.
 func claimAll(t *testing.T, s *Scheduler, devices int, slowDev int) []int32 {
 	t.Helper()
-	claimed := make([]int32, s.NumTasks())
+	claimed := make([]int32, s.n)
 	var wg sync.WaitGroup
 	wg.Add(devices)
 	for i := 0; i < devices; i++ {

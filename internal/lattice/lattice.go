@@ -151,14 +151,10 @@ type TopDownOptions struct {
 	// synchronisation barriers) and one span per cuboid, on a track per
 	// traversal worker. Nil costs one pointer test per cuboid.
 	Trace *obs.Trace
-	// TrackPrefix names the worker tracks in the trace ("lattice" by
-	// default; the cross-device scheduler substitutes device names at the
-	// hook layer instead and leaves this alone).
-	TrackPrefix string
-	// SuppressCuboidSpans keeps level spans but drops per-cuboid spans —
-	// set by the cross-device scheduler, whose hook records each cuboid on
-	// its *device's* track instead of a traversal-worker track.
-	SuppressCuboidSpans bool
+	// Track names worker w's trace track; nil names it "lattice-w" (see
+	// Tracks). The cross-device traversal names each worker after the device
+	// it is bound to.
+	Track func(worker int) string
 	// LargestFirst orders the cuboids of each level below the top by
 	// descending min-parent extended-skyline size before handing them to
 	// the workers — LPT scheduling against the per-level barrier, so the
@@ -167,13 +163,26 @@ type TopDownOptions struct {
 	LargestFirst bool
 }
 
+// Tracks returns the Track option that puts worker w on track "prefix-w".
+func Tracks(prefix string) func(worker int) string {
+	return func(w int) string { return fmt.Sprintf("%s-%d", prefix, w) }
+}
+
 // TopDown materialises the skycube of ds with the level-synchronised
 // traversal of Algorithms 1–2, calling compute for every cuboid. The root
 // cuboid's input is all of ds; every other cuboid receives the extended
 // skyline of its smallest materialised parent. Every cuboid runs as compute
 // runs, whatever its level's size.
 func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice {
-	return topDown(ds, func(int) CuboidFunc { return compute }, false, opt)
+	return topDown(ds, func(int, int) CuboidFunc { return compute }, false, opt)
+}
+
+// TopDownWorkers is TopDown with worker w of every level computing its
+// cuboids with hook(w); a level of c cuboids runs min(CuboidThreads, c)
+// workers, and a lone cuboid runs on worker 0. The cross-device traversal
+// binds one device to each worker this way.
+func TopDownWorkers(ds *data.Dataset, hook func(worker int) CuboidFunc, opt TopDownOptions) *Lattice {
+	return topDown(ds, func(w, _ int) CuboidFunc { return hook(w) }, false, opt)
 }
 
 // TopDownShared is TopDown with a hook built per thread share: the workers
@@ -182,14 +191,15 @@ func TopDown(ds *data.Dataset, compute CuboidFunc, opt TopDownOptions) *Lattice 
 // cuboids runs exactly as under TopDown; a lone cuboid — the root, or a
 // partial skycube's S⁺(P) — runs on the whole budget.
 func TopDownShared(ds *data.Dataset, hook func(threads int) CuboidFunc, opt TopDownOptions) *Lattice {
-	return topDown(ds, hook, true, opt)
+	return topDown(ds, func(_, threads int) CuboidFunc { return hook(threads) }, true, opt)
 }
 
-// topDown is the traversal of TopDown and TopDownShared: hook builds a
-// worker's cuboid hook from its Shares entry. Only a shared traversal's
-// cuboid spans carry the share (arg "threads"); a plain hook runs on however
-// many threads it was built with, which the traversal does not know.
-func topDown(ds *data.Dataset, hook func(threads int) CuboidFunc, shared bool, opt TopDownOptions) *Lattice {
+// topDown is the traversal behind TopDown, TopDownWorkers and TopDownShared:
+// hook builds worker w's cuboid hook from w and its Shares entry. Only a
+// shared traversal's cuboid spans carry the share (arg "threads"); any other
+// hook runs on however many threads it was built with, which the traversal
+// does not know.
+func topDown(ds *data.Dataset, hook func(worker, threads int) CuboidFunc, shared bool, opt TopDownOptions) *Lattice {
 	d := ds.Dims
 	l := New(d)
 	maxLevel := opt.MaxLevel
@@ -200,9 +210,9 @@ func topDown(ds *data.Dataset, hook func(threads int) CuboidFunc, shared bool, o
 	threads := max(opt.CuboidThreads, 1)
 
 	tr := opt.Trace
-	prefix := opt.TrackPrefix
-	if prefix == "" {
-		prefix = "lattice"
+	track := opt.Track
+	if track == nil {
+		track = Tracks("lattice")
 	}
 
 	all := make([]int32, ds.N)
@@ -216,14 +226,14 @@ func topDown(ds *data.Dataset, hook func(threads int) CuboidFunc, shared bool, o
 	} else {
 		// Partial skycube: compute S⁺ of the full space once as the reduced
 		// input for level maxLevel, without materialising levels above it.
-		h := tr.Begin(prefix+"-0", obs.CatCuboid, "S⁺(P)")
+		h := tr.Begin(track(0), obs.CatCuboid, "S⁺(P)")
 		h.SetN(int64(len(all)))
-		sky, extOnly := hook(threads)(ds, all, mask.Full(d))
+		sky, extOnly := hook(0, threads)(ds, all, mask.Full(d))
 		if shared {
 			h.SetArg("threads", int64(threads))
 		}
 		h.End()
-		topInput = mergeSorted(sky, extOnly)
+		topInput = MergeSorted(sky, extOnly)
 	}
 
 	for level := maxLevel; level >= 1; level-- {
@@ -242,7 +252,7 @@ func topDown(ds *data.Dataset, hook func(threads int) CuboidFunc, shared bool, o
 			p := l.parent(delta, opt.FirstParent)
 			rows, ok := merged[p]
 			if !ok {
-				rows = mergeSorted(l.Sky[p], l.ExtOnly[p])
+				rows = MergeSorted(l.Sky[p], l.ExtOnly[p])
 				merged[p] = rows
 			}
 			inputs[i] = rows
@@ -259,15 +269,19 @@ func topDown(ds *data.Dataset, hook func(threads int) CuboidFunc, shared bool, o
 		lh := tr.Begin("levels", obs.CatLevel, fmt.Sprintf("level %d", level))
 		lh.SetN(int64(len(cuboids)))
 		share := Shares(threads, len(cuboids))
-		run := func(worker int, compute CuboidFunc, i int) {
+		computes := make([]CuboidFunc, len(share))
+		for w := range computes {
+			computes[w] = hook(w, share[w])
+		}
+		run := func(worker, i int) {
 			delta, rows := cuboids[i], inputs[i]
 			var ch obs.SpanHandle
-			if tr != nil && !opt.SuppressCuboidSpans {
-				ch = tr.Begin(fmt.Sprintf("%s-%d", prefix, worker), obs.CatCuboid,
+			if tr != nil {
+				ch = tr.Begin(track(worker), obs.CatCuboid,
 					fmt.Sprintf("δ=%0*b", d, uint32(delta)))
 				ch.SetN(int64(len(rows)))
 			}
-			sky, extOnly := compute(ds, rows, delta)
+			sky, extOnly := computes[worker](ds, rows, delta)
 			ch.SetArg("sky", int64(len(sky)))
 			ch.SetArg("ext_only", int64(len(extOnly)))
 			ch.SetArg("label_depth", int64(skyline.LabelDepth(len(rows), level)))
@@ -282,29 +296,36 @@ func topDown(ds *data.Dataset, hook func(threads int) CuboidFunc, shared bool, o
 			}
 		}
 		if len(share) == 1 {
-			compute := hook(share[0])
 			for _, i := range order {
-				run(0, compute, i)
+				run(0, i)
 			}
 			lh.End()
 			continue
 		}
 		// Level-parallel: cuboids are independent; synchronise per level.
+		// Each cuboid runs as the worker that has been idle longest (a FIFO
+		// of idle workers), so every worker of a level with enough cuboids
+		// gets one, however the host schedules the goroutines.
+		idle := make(chan int, len(share))
+		for w := range share {
+			idle <- w
+		}
 		var next int64
 		var wg sync.WaitGroup
 		wg.Add(len(share))
-		for w := range share {
-			go func(w int) {
+		for range share {
+			go func() {
 				defer wg.Done()
-				compute := hook(share[w])
 				for {
 					i := atomic.AddInt64(&next, 1) - 1
 					if i >= int64(len(cuboids)) {
 						return
 					}
-					run(w, compute, order[i])
+					w := <-idle
+					run(w, order[i])
+					idle <- w
 				}
-			}(w)
+			}()
 		}
 		wg.Wait()
 		lh.End()
@@ -331,8 +352,9 @@ func (l *Lattice) anyParent(delta mask.Mask) mask.Mask {
 	panic("lattice: no materialised parent")
 }
 
-// mergeSorted merges two ascending id lists.
-func mergeSorted(a, b []int32) []int32 {
+// MergeSorted merges two ascending id lists; with one of them empty it
+// returns the other.
+func MergeSorted(a, b []int32) []int32 {
 	if len(b) == 0 {
 		return a
 	}

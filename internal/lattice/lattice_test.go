@@ -138,16 +138,16 @@ func TestIDCount(t *testing.T) {
 }
 
 func TestMergeSorted(t *testing.T) {
-	got := mergeSorted([]int32{1, 5, 9}, []int32{2, 5, 7})
+	got := MergeSorted([]int32{1, 5, 9}, []int32{2, 5, 7})
 	want := []int32{1, 2, 5, 5, 7, 9}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("mergeSorted = %v, want %v", got, want)
+		t.Errorf("MergeSorted = %v, want %v", got, want)
 	}
-	if got := mergeSorted(nil, []int32{3}); !reflect.DeepEqual(got, []int32{3}) {
-		t.Errorf("mergeSorted(nil, [3]) = %v", got)
+	if got := MergeSorted(nil, []int32{3}); !reflect.DeepEqual(got, []int32{3}) {
+		t.Errorf("MergeSorted(nil, [3]) = %v", got)
 	}
-	if got := mergeSorted([]int32{3}, nil); !reflect.DeepEqual(got, []int32{3}) {
-		t.Errorf("mergeSorted([3], nil) = %v", got)
+	if got := MergeSorted([]int32{3}, nil); !reflect.DeepEqual(got, []int32{3}) {
+		t.Errorf("MergeSorted([3], nil) = %v", got)
 	}
 }
 
@@ -195,7 +195,7 @@ func TestSiblingsShareOneInputThatIsNeverWritten(t *testing.T) {
 			arrays[level][&c.rows[0]] = true
 			if level < d {
 				p := l.MinParent(c.delta)
-				if want := mergeSorted(l.Sky[p], l.ExtOnly[p]); !slices.Equal(c.rows, want) {
+				if want := MergeSorted(l.Sky[p], l.ExtOnly[p]); !slices.Equal(c.rows, want) {
 					t.Errorf("δ=%05b: input is not S⁺ of its smallest parent %05b", c.delta, p)
 				}
 			}
@@ -337,6 +337,47 @@ func TestTopDownSharesALevelsThreads(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// Each cuboid runs as the worker idle longest, so the first cuboids of a
+// level go to workers 0, 1, … in turn: every worker of a level with at least
+// as many cuboids as workers computes one, however the goroutines are
+// scheduled, and each cuboid's span is on its worker's track.
+func TestTopDownWorkersAllGetWork(t *testing.T) {
+	const d, workers = 5, 3
+	ds := gen.Synthetic(gen.Independent, 300, d, 5)
+	tr := obs.New()
+	var mu sync.Mutex
+	ran := map[mask.Mask]int{} // cuboid → worker
+	l := TopDownWorkers(ds, func(w int) CuboidFunc {
+		return func(ds *data.Dataset, rows []int32, delta mask.Mask) ([]int32, []int32) {
+			mu.Lock()
+			ran[delta] = w
+			mu.Unlock()
+			return bnlCuboid(ds, rows, delta)
+		}
+	}, TopDownOptions{CuboidThreads: workers, Trace: tr, Track: Tracks("w")})
+	if want := TopDown(ds, bnlCuboid, TopDownOptions{}); !reflect.DeepEqual(l, want) {
+		t.Error("lattice differs from the sequential traversal")
+	}
+	for level := 1; level <= d; level++ {
+		seen := map[int]bool{}
+		for _, delta := range mask.Level(d, level) {
+			seen[ran[delta]] = true
+		}
+		if want := min(workers, len(mask.Level(d, level))); len(seen) != want {
+			t.Errorf("level %d: %d workers computed cuboids, want %d", level, len(seen), want)
+		}
+	}
+	for _, s := range tr.Spans() {
+		var delta mask.Mask
+		if _, err := fmt.Sscanf(s.Name, "δ=%b", &delta); s.Cat != obs.CatCuboid || err != nil {
+			continue
+		}
+		if want := fmt.Sprintf("w-%d", ran[delta]); s.Track != want {
+			t.Errorf("δ=%b span on track %s, want %s", delta, s.Track, want)
 		}
 	}
 }

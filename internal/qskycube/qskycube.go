@@ -38,7 +38,7 @@ func Build(ds *data.Dataset, opt Options) *lattice.Lattice {
 		CuboidThreads: opt.Threads,
 		MaxLevel:      opt.MaxLevel,
 		Trace:         opt.Trace,
-		TrackPrefix:   "qsc",
+		Track:         lattice.Tracks("qsc"),
 		OnCuboid:      opt.OnCuboid,
 	})
 }

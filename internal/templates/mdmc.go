@@ -28,9 +28,6 @@ type MDMCOptions struct {
 	// DisableMemo disables the seen-mask memoisation of refine (ablation of
 	// the O(n·(2^d+n)) improvement, §4.3).
 	DisableMemo bool
-	// OnChunk, if non-nil, is told how many point tasks each completed
-	// chunk processed (progress reporting and metrics).
-	OnChunk func(n int)
 }
 
 // MDMCContext is the shared, read-only state of one MDMC run: the static
@@ -151,23 +148,14 @@ func CounterGrab(n, chunk int) Grab {
 
 // RunMDMC drives a kernel over all point tasks with the given worker count,
 // handing out fixed-size chunks from an atomic counter — the template's
-// synchronisation-free data parallelism. OnChunk, if non-nil, is told how
-// many tasks each grab processed (used for device-share accounting).
-func RunMDMC(ctx *MDMCContext, kernel PointKernel, workers int, onChunk func(n int)) {
-	RunMDMCTraced(ctx, kernel, workers, nil, onChunk)
-}
-
-// RunMDMCTraced is RunMDMC recording one span per completed chunk on a
-// per-worker track ("cpu-0", "cpu-1", …). With a nil trace the only cost
-// over RunMDMC is a pointer test per chunk.
-func RunMDMCTraced(ctx *MDMCContext, kernel PointKernel, workers int, tr *obs.Trace, onChunk func(n int)) {
+// synchronisation-free data parallelism — and recording one span per
+// completed chunk on a per-worker track ("cpu-0", "cpu-1", …). With a nil
+// trace the only cost is a pointer test per chunk.
+func RunMDMC(ctx *MDMCContext, kernel PointKernel, workers int, tr *obs.Trace) {
 	grab := CounterGrab(ctx.NumTasks(), DefaultPointChunk)
 	RunMDMCGrab(ctx, kernel, workers, grab, func(lane, n int, dur time.Duration) {
 		if tr != nil {
 			tr.Record(fmt.Sprintf("cpu-%d", lane), obs.CatChunk, "points", dur, int64(n))
-		}
-		if onChunk != nil {
-			onChunk(n)
 		}
 	})
 }
@@ -214,7 +202,7 @@ type MDMCResult struct {
 // MDMC is the multicore CPU specialisation of the MDMC template.
 func MDMC(ds *data.Dataset, opt MDMCOptions) *MDMCResult {
 	ctx := PrepareMDMCTraced(ds, opt.threads(), opt.TreeDepth, opt.MaxLevel, opt.Trace)
-	RunMDMCTraced(ctx, CPUPointKernel(opt), opt.threads(), opt.Trace, opt.OnChunk)
+	RunMDMC(ctx, CPUPointKernel(opt), opt.threads(), opt.Trace)
 	return &MDMCResult{Cube: ctx.Cube, ExtRows: ctx.ExtRows}
 }
 

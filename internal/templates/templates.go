@@ -69,7 +69,7 @@ func stscOptions(opt Options) lattice.TopDownOptions {
 		CuboidThreads: opt.threads(),
 		MaxLevel:      opt.MaxLevel,
 		Trace:         opt.Trace,
-		TrackPrefix:   "stsc",
+		Track:         lattice.Tracks("stsc"),
 		OnCuboid:      opt.OnCuboid,
 	}
 }
@@ -82,7 +82,7 @@ func SDSCTemplate(ds *data.Dataset, hook lattice.CuboidFunc, opt Options) *latti
 		CuboidThreads: 1,
 		MaxLevel:      opt.MaxLevel,
 		Trace:         opt.Trace,
-		TrackPrefix:   "sdsc",
+		Track:         lattice.Tracks("sdsc"),
 		OnCuboid:      opt.OnCuboid,
 	})
 }
@@ -111,22 +111,8 @@ func SDSC(ds *data.Dataset, opt Options) *lattice.Lattice {
 // skyline alongside the skyline and to evaluate mask and dominance tests in
 // the subspace.
 func HybridCuboid(threads int) lattice.CuboidFunc {
-	return SkylineCuboid(skyline.AlgoHybrid, threads)
-}
-
-// SkylineCuboid returns a cuboid hook backed by any of the skyline
-// substrate's algorithms — the general form of the templates' pluggability
-// claim (§4.2): new parallel skyline algorithms slot in without touching
-// the traversal.
-func SkylineCuboid(algo skyline.Algo, threads int) lattice.CuboidFunc {
 	return func(ds *data.Dataset, rows []int32, delta mask.Mask) (sky, extOnly []int32) {
-		res := skyline.Compute(ds, rows, delta, algo, threads)
+		res := skyline.Compute(ds, rows, delta, skyline.AlgoHybrid, threads)
 		return res.Skyline, res.ExtOnly
 	}
-}
-
-// SDSCWith runs the SDSC template with the named skyline algorithm as its
-// hook (e.g. the PSkyline divide-and-conquer baseline).
-func SDSCWith(ds *data.Dataset, algo skyline.Algo, opt Options) *lattice.Lattice {
-	return SDSCTemplate(ds, SkylineCuboid(algo, opt.threads()), opt)
 }

@@ -221,12 +221,13 @@ func TestSTSCAndSDSCShareResults(t *testing.T) {
 func TestRunMDMCChunkAccounting(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 300, 4, 41)
 	ctx := PrepareMDMC(ds, 2, 3, 0)
+	tr := obs.New()
+	RunMDMC(ctx, CPUPointKernel(MDMCOptions{}), 3, tr)
 	var total int64
-	done := make(chan int64, 64)
-	RunMDMC(ctx, CPUPointKernel(MDMCOptions{}), 3, func(n int) { done <- int64(n) })
-	close(done)
-	for n := range done {
-		total += n
+	for _, s := range tr.Spans() {
+		if s.Cat == obs.CatChunk {
+			total += s.N
+		}
 	}
 	if total != int64(ctx.NumTasks()) {
 		t.Errorf("chunks accounted %d tasks, want %d", total, ctx.NumTasks())

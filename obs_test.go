@@ -2,7 +2,7 @@ package skycube
 
 import (
 	"encoding/json"
-	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -53,14 +53,17 @@ func TestBuildTraceCoverage(t *testing.T) {
 	if !tracks["build"] || !tracks["prepare"] {
 		t.Errorf("missing expected tracks in %v", tr.Tracks())
 	}
+	var lanes []string
+	for lane := range 4 {
+		lanes = append(lanes, hetero.ChunkTrack("CPU", lane))
+	}
 	var tasks int64
 	for _, s := range tr.Spans() {
 		if s.Cat != obs.CatChunk {
 			continue
 		}
-		var w int
-		if _, err := fmt.Sscanf(s.Track, "cpu-%d", &w); err != nil || w < 0 || w >= 4 {
-			t.Errorf("chunk span on track %q, want cpu-0 … cpu-3", s.Track)
+		if !slices.Contains(lanes, s.Track) {
+			t.Errorf("chunk span on track %q, want one of the CPU device's lanes 0 … 3", s.Track)
 		}
 		tasks += s.N
 	}

@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"skycube/internal/gpu"
 	"skycube/internal/gpusim"
 	"skycube/internal/hashcube"
 	"skycube/internal/hetero"
@@ -45,7 +44,6 @@ import (
 	"skycube/internal/mask"
 	"skycube/internal/obs"
 	"skycube/internal/qskycube"
-	"skycube/internal/skyline"
 	"skycube/internal/templates"
 )
 
@@ -135,18 +133,24 @@ type Options struct {
 	// MaxLevel restricts materialisation to subspaces with at most this
 	// many dimensions (partial skycubes, paper App. A.2); 0 = full skycube.
 	MaxLevel int
-	// GPUs lists modelled cards to use. For SDSC and MDMC:
-	//   - nil: CPU only;
-	//   - non-nil with CPUAlso false: GPU(s) only;
+	// GPUs lists modelled cards to use. SDSC and MDMC run over one list of
+	// devices, built from GPUs and CPUAlso:
+	//   - nil: the CPU as one device with all threads;
+	//   - non-nil with CPUAlso false: the cards only;
 	//   - non-nil with CPUAlso true: heterogeneous cross-device execution.
-	// STSC, QSkycube and PQSkycube are CPU-only (the paper: STSC cannot be
-	// specialised for the GPU).
+	// A lone card is named after its model ("GTX980"); in a longer list each
+	// card is numbered within its model ("GTX980-1"). STSC, QSkycube and
+	// PQSkycube are CPU-only (the paper: STSC cannot be specialised for the
+	// GPU).
 	GPUs []GPUModel
-	// CPUAlso adds the CPU (as two socket devices) to a GPU run.
+	// CPUAlso adds the CPU (as two socket devices, "CPU0" and "CPU1") to a
+	// GPU run.
 	CPUAlso bool
 	// SDSCHook selects the parallel skyline algorithm the SDSC template
 	// hooks in (§4.2.2's pluggability). The zero value picks the paper's
-	// choices: Hybrid on the CPU, the SkyAlign-style kernel on the GPU.
+	// choices: Hybrid on the CPU, the SkyAlign-style kernel on the GPU. A
+	// hook runs only if every device of the run can run it; otherwise
+	// Build fails.
 	SDSCHook SDSCHook
 	// Trace, if non-nil, records typed spans of the build (build → level →
 	// cuboid, MDMC prologue phases and per-device chunk grabs). Export with
@@ -171,7 +175,7 @@ type Options struct {
 	Durable DurableOptions
 }
 
-// SchedCounters total the scheduling events of one cross-device build.
+// SchedCounters total the scheduling events of one MDMC build.
 type SchedCounters = hetero.SchedCounters
 
 // SDSCHook names a parallel skyline algorithm for the SDSC template.
@@ -185,7 +189,7 @@ const (
 	// (CPU-only SDSC runs).
 	HookPSkyline
 	// HookGGS is the sort-based, throughput-oriented GPU baseline
-	// (single-GPU SDSC runs).
+	// (GPU-only SDSC runs, on one card or several).
 	HookGGS
 )
 
@@ -215,8 +219,8 @@ type Skycube interface {
 	Membership(id int32) []Subspace
 }
 
-// DeviceShare reports one device's fraction of the parallel tasks in a
-// cross-device run (paper Fig. 12).
+// DeviceShare reports one device's fraction of the parallel tasks of an
+// SDSC or MDMC run (paper Fig. 12).
 type DeviceShare = hetero.DeviceShare
 
 // Stats describe a Build run.
@@ -225,13 +229,15 @@ type Stats struct {
 	// dataset is resident to the completed skycube (the paper's timing
 	// convention, §7.1).
 	Elapsed time.Duration
-	// Shares lists per-device task counts for cross-device runs.
+	// Shares lists per-device task counts (cuboids for SDSC, point tasks
+	// for MDMC) of SDSC and MDMC runs, one per device that took work: a
+	// one-device run reports one share. Other algorithms report none.
 	Shares []DeviceShare
 	// GPUModelSeconds is the device cost model's estimate of GPU time, per
-	// card, for GPU runs.
+	// card in the order of GPUs, for GPU runs.
 	GPUModelSeconds []float64
-	// Sched totals the cross-device scheduler's chunk retunes for
-	// cross-device MDMC runs (zero otherwise).
+	// Sched totals the scheduler's chunk retunes for MDMC runs, on one
+	// device or several (zero otherwise).
 	Sched SchedCounters
 }
 
@@ -240,108 +246,51 @@ func Build(ds *Dataset, opt Options) (Skycube, Stats, error) {
 	if ds == nil || ds.ds.N == 0 {
 		return nil, Stats{}, fmt.Errorf("skycube: empty dataset")
 	}
+	if len(opt.GPUs) > 0 && opt.Algorithm != SDSC && opt.Algorithm != MDMC {
+		// §6.1: STSC has no single-threaded GPU algorithm to hook in, and
+		// the baselines are CPU algorithms.
+		return nil, Stats{}, fmt.Errorf("skycube: %v is CPU-only", opt.Algorithm)
+	}
 	threads := opt.threads()
+	devices := opt.devices(threads)
+	if opt.Algorithm == SDSC {
+		if err := setSDSCHook(devices, opt.SDSCHook); err != nil {
+			return nil, Stats{}, err
+		}
+	}
 	d := ds.ds.Dims
 	tr := opt.Trace
 	onCuboid, onChunk := progressHooks(opt, d)
+	hopt := hetero.Options{Threads: threads, MaxLevel: opt.MaxLevel, Trace: tr,
+		Metrics: obs.NewSchedMetrics(opt.Metrics), OnCuboid: onCuboid, OnChunk: onChunk}
 
 	start := time.Now()
 	bh := tr.Begin("build", obs.CatBuild, opt.Algorithm.String())
 	bh.SetN(int64(ds.ds.N))
 	var cube Skycube
 	var stats Stats
-
-	useGPU := len(opt.GPUs) > 0
 	switch opt.Algorithm {
-	case QSkycube:
-		if useGPU {
-			return nil, Stats{}, fmt.Errorf("skycube: QSkycube is CPU-only")
+	case QSkycube, PQSkycube:
+		workers := threads
+		if opt.Algorithm == QSkycube {
+			workers = 1
 		}
-		cube = latticeCube{qskycube.Build(ds.ds, qskycube.Options{Threads: 1, MaxLevel: opt.MaxLevel,
-			Trace: tr, OnCuboid: onCuboid})}
-	case PQSkycube:
-		if useGPU {
-			return nil, Stats{}, fmt.Errorf("skycube: PQSkycube is CPU-only")
-		}
-		cube = latticeCube{qskycube.Build(ds.ds, qskycube.Options{Threads: threads, MaxLevel: opt.MaxLevel,
+		cube = latticeCube{qskycube.Build(ds.ds, qskycube.Options{Threads: workers, MaxLevel: opt.MaxLevel,
 			Trace: tr, OnCuboid: onCuboid})}
 	case STSC:
-		if useGPU {
-			// §6.1: there is no single-threaded GPU algorithm to hook in.
-			return nil, Stats{}, fmt.Errorf("skycube: STSC cannot be specialised for the GPU")
-		}
 		cube = latticeCube{templates.STSC(ds.ds, templates.Options{Threads: threads, MaxLevel: opt.MaxLevel,
 			Trace: tr, OnCuboid: onCuboid})}
 	case SDSC:
-		switch {
-		case !useGPU:
-			topt := templates.Options{Threads: threads, MaxLevel: opt.MaxLevel, Trace: tr, OnCuboid: onCuboid}
-			switch opt.SDSCHook {
-			case HookDefault:
-				cube = latticeCube{templates.SDSC(ds.ds, topt)}
-			case HookPSkyline:
-				cube = latticeCube{templates.SDSCWith(ds.ds, skyline.AlgoPSkyline, topt)}
-			default:
-				return nil, Stats{}, fmt.Errorf("skycube: hook %d is not a CPU SDSC hook", opt.SDSCHook)
-			}
-		case !opt.CPUAlso && len(opt.GPUs) == 1:
-			collector := &gpu.StatsCollector{}
-			dev := opt.GPUs[0].device()
-			switch opt.SDSCHook {
-			case HookDefault:
-				cube = latticeCube{gpu.SDSCTraced(ds.ds, dev, opt.MaxLevel, collector, tr, onCuboid)}
-			case HookGGS:
-				cube = latticeCube{gpu.SDSCWithGGSTraced(ds.ds, dev, opt.MaxLevel, collector, tr, onCuboid)}
-			default:
-				return nil, Stats{}, fmt.Errorf("skycube: hook %d is not a GPU SDSC hook", opt.SDSCHook)
-			}
-			stats.GPUModelSeconds = []float64{dev.ModelSeconds(collector.Total())}
-			exportGPUMetrics(opt.Metrics, dev.Name, collector, stats.GPUModelSeconds[0])
-		default:
-			devices, collectors := buildDevices(opt, threads)
-			l, shares := hetero.SDSCAll(ds.ds, devices, opt.MaxLevel, tr, onCuboid)
-			cube = latticeCube{l}
-			stats.Shares = shares.Fractions()
-			stats.GPUModelSeconds = modelSeconds(opt, collectors)
-			exportHeteroGPUMetrics(opt.Metrics, devices, collectors, stats.GPUModelSeconds)
-		}
+		l, shares := hetero.SDSC(ds.ds, devices, hopt)
+		cube, stats.Shares = latticeCube{l}, shares.Fractions()
 	case MDMC:
-		switch {
-		case !useGPU:
-			mopt := templates.MDMCOptions{
-				Options: templates.Options{Threads: threads, MaxLevel: opt.MaxLevel},
-			}
-			ctx := templates.PrepareMDMCTraced(ds.ds, threads, 0, opt.MaxLevel, tr)
-			total := ctx.NumTasks()
-			var chunk func(n int)
-			if onChunk != nil {
-				chunk = func(n int) { onChunk(n, total) }
-			}
-			templates.RunMDMCTraced(ctx, templates.CPUPointKernel(mopt), threads, tr, chunk)
-			cube = hashCubeView{h: ctx.Cube, d: d, maxLevel: effectiveLevel(opt.MaxLevel, d)}
-		case !opt.CPUAlso && len(opt.GPUs) == 1:
-			collector := &gpu.StatsCollector{}
-			dev := opt.GPUs[0].device()
-			res := gpu.MDMCTraced(ds.ds, dev, threads, opt.MaxLevel, collector, tr)
-			cube = hashCubeView{h: res.Cube, d: d, maxLevel: effectiveLevel(opt.MaxLevel, d)}
-			stats.GPUModelSeconds = []float64{dev.ModelSeconds(collector.Total())}
-			exportGPUMetrics(opt.Metrics, dev.Name, collector, stats.GPUModelSeconds[0])
-			if onChunk != nil {
-				onChunk(len(res.ExtRows), len(res.ExtRows))
-			}
-		default:
-			devices, collectors := buildDevices(opt, threads)
-			res, shares, sched := hetero.MDMCAll(ds.ds, devices, threads, opt.MaxLevel,
-				obs.NewSchedMetrics(opt.Metrics), tr, onChunk)
-			stats.Sched = sched
-			cube = hashCubeView{h: res.Cube, d: d, maxLevel: effectiveLevel(opt.MaxLevel, d)}
-			stats.Shares = shares.Fractions()
-			stats.GPUModelSeconds = modelSeconds(opt, collectors)
-			exportHeteroGPUMetrics(opt.Metrics, devices, collectors, stats.GPUModelSeconds)
-		}
+		res, shares, sched := hetero.MDMC(ds.ds, devices, hopt)
+		cube = hashCubeView{h: res.Cube, d: d, maxLevel: effectiveLevel(opt.MaxLevel, d)}
+		stats.Shares, stats.Sched = shares.Fractions(), sched
 	default:
 		return nil, Stats{}, fmt.Errorf("skycube: unknown algorithm %d", opt.Algorithm)
 	}
+	stats.GPUModelSeconds = gpuModelSeconds(opt.Metrics, devices)
 	stats.Elapsed = time.Since(start)
 	bh.End()
 	exportBuildMetrics(opt.Metrics, opt.Algorithm, stats)
@@ -420,83 +369,70 @@ func exportBuildMetrics(reg *Metrics, algo Algorithm, stats Stats) {
 		"algorithm", name).Observe(stats.Elapsed.Seconds())
 	for _, s := range stats.Shares {
 		reg.CounterM("skycube_device_tasks_total",
-			"Parallel tasks completed per device in cross-device runs.",
+			"Parallel tasks completed per device in SDSC and MDMC runs.",
 			"device", s.Name).Add(float64(s.Tasks))
 		reg.GaugeM("skycube_device_share_fraction",
-			"Fraction of the parallel tasks the device took in the latest cross-device run.",
+			"Fraction of the parallel tasks the device took in the latest SDSC or MDMC run.",
 			"device", s.Name).Set(s.Fraction)
 	}
 }
 
-// exportGPUMetrics records one modelled card's counters.
-func exportGPUMetrics(reg *Metrics, device string, collector *gpu.StatsCollector, modelSec float64) {
-	if reg == nil {
-		return
-	}
-	st := collector.Total()
-	reg.CounterM("skycube_gpu_instructions_total",
-		"Modelled GPU instructions executed.", "device", device).Add(float64(st.Instructions))
-	reg.CounterM("skycube_gpu_transactions_total",
-		"Modelled GPU memory transactions.", "device", device).Add(float64(st.Transactions))
-	reg.CounterM("skycube_gpu_transfer_bytes_total",
-		"Modelled host↔device transfer bytes.", "device", device).Add(float64(st.TransferBytes))
-	reg.GaugeM("skycube_gpu_model_seconds",
-		"Cost model's GPU-time estimate for the latest build.", "device", device).Set(modelSec)
-}
-
-// exportHeteroGPUMetrics maps each collector back to its GPU device (the
-// last len(collectors) entries of the device list) and exports its counters.
-func exportHeteroGPUMetrics(reg *Metrics, devices []hetero.Device, collectors []*gpu.StatsCollector, modelSec []float64) {
-	if reg == nil {
-		return
-	}
-	base := len(devices) - len(collectors)
-	for i, c := range collectors {
-		exportGPUMetrics(reg, devices[base+i].Name(), c, modelSec[i])
-	}
-}
-
-// buildDevices assembles the hetero device list: optionally two CPU socket
-// devices, plus one device per requested GPU model.
-func buildDevices(opt Options, threads int) ([]hetero.Device, []*gpu.StatsCollector) {
-	var devices []hetero.Device
-	if opt.CPUAlso {
-		half := threads / 2
-		if half < 1 {
-			half = 1
+// gpuModelSeconds returns the cost model's estimate of each card's time, in
+// list order, and records each card's counters.
+func gpuModelSeconds(reg *Metrics, devices []hetero.Device) []float64 {
+	var secs []float64
+	for _, dev := range devices {
+		g, ok := dev.(*hetero.GPUDevice)
+		if !ok {
+			continue
 		}
-		rest := threads - half
-		if rest < 1 {
-			rest = 1
+		st := g.Stats.Total()
+		secs = append(secs, g.Dev.ModelSeconds(st))
+		if reg == nil {
+			continue
 		}
-		devices = append(devices,
-			&hetero.CPUDevice{Threads: half, Label: "CPU0",
-				MDMCOpt: templates.MDMCOptions{Options: templates.Options{MaxLevel: opt.MaxLevel}}},
-			&hetero.CPUDevice{Threads: rest, Label: "CPU1",
-				MDMCOpt: templates.MDMCOptions{Options: templates.Options{MaxLevel: opt.MaxLevel}}},
-		)
+		name := g.Name()
+		reg.CounterM("skycube_gpu_instructions_total",
+			"Modelled GPU instructions executed.", "device", name).Add(float64(st.Instructions))
+		reg.CounterM("skycube_gpu_transactions_total",
+			"Modelled GPU memory transactions.", "device", name).Add(float64(st.Transactions))
+		reg.CounterM("skycube_gpu_transfer_bytes_total",
+			"Modelled host↔device transfer bytes.", "device", name).Add(float64(st.TransferBytes))
+		reg.GaugeM("skycube_gpu_model_seconds",
+			"Cost model's GPU-time estimate for the latest build.", "device", name).Set(secs[len(secs)-1])
 	}
-	collectors := make([]*gpu.StatsCollector, len(opt.GPUs))
-	counts := map[GPUModel]int{}
-	for i, m := range opt.GPUs {
-		counts[m]++
-		collectors[i] = &gpu.StatsCollector{}
-		dev := m.device()
-		devices = append(devices, &hetero.GPUDevice{
-			Dev:   dev,
-			Label: fmt.Sprintf("%s-%d", dev.Name, counts[m]),
-			Stats: collectors[i],
-		})
-	}
-	return devices, collectors
+	return secs
 }
 
-func modelSeconds(opt Options, collectors []*gpu.StatsCollector) []float64 {
-	out := make([]float64, len(collectors))
-	for i, c := range collectors {
-		out[i] = opt.GPUs[i].device().ModelSeconds(c.Total())
+// devices is the device list of an SDSC or MDMC run (hetero.Devices): the
+// CPU alone without GPUs; otherwise the cards, after the CPU's two sockets
+// when CPUAlso.
+func (o Options) devices(threads int) []hetero.Device {
+	cards := make([]*gpusim.Device, len(o.GPUs))
+	for i, m := range o.GPUs {
+		cards[i] = m.device()
 	}
-	return out
+	return hetero.Devices(threads, o.CPUAlso, cards...)
+}
+
+// setSDSCHook sets hook on every device of an SDSC run, or fails if one
+// cannot run it: PSkyline runs only on CPUs, GGS only on cards.
+func setSDSCHook(devices []hetero.Device, hook SDSCHook) error {
+	for _, dev := range devices {
+		ok := hook == HookDefault
+		switch dev := dev.(type) {
+		case *hetero.CPUDevice:
+			dev.PSkyline = hook == HookPSkyline
+			ok = ok || dev.PSkyline
+		case *hetero.GPUDevice:
+			dev.GGS = hook == HookGGS
+			ok = ok || dev.GGS
+		}
+		if !ok {
+			return fmt.Errorf("skycube: SDSC hook %d cannot run on device %s", hook, dev.Name())
+		}
+	}
+	return nil
 }
 
 func effectiveLevel(maxLevel, d int) int {

@@ -62,6 +62,8 @@ func TestBuildOnGPUAndCrossDevice(t *testing.T) {
 	cases := []Options{
 		{Algorithm: MDMC, GPUs: []GPUModel{GTX980}},
 		{Algorithm: SDSC, GPUs: []GPUModel{GTX980}},
+		{Algorithm: MDMC, GPUs: []GPUModel{GTX980, GTXTitan}},
+		{Algorithm: SDSC, GPUs: []GPUModel{GTX980, GTX980}},
 		{Algorithm: MDMC, GPUs: []GPUModel{GTX980, GTX980, GTXTitan}, CPUAlso: true, Threads: 2},
 		{Algorithm: SDSC, GPUs: []GPUModel{GTX980, GTXTitan}, CPUAlso: true, Threads: 2},
 	}
@@ -75,8 +77,8 @@ func TestBuildOnGPUAndCrossDevice(t *testing.T) {
 				t.Errorf("%v GPUs=%d: δ=%b mismatch", opt.Algorithm, len(opt.GPUs), delta)
 			}
 		}
-		if opt.CPUAlso && len(stats.Shares) == 0 {
-			t.Errorf("%v: cross-device run reported no shares", opt.Algorithm)
+		if len(stats.Shares) == 0 {
+			t.Errorf("%v GPUs=%d: run reported no shares", opt.Algorithm, len(opt.GPUs))
 		}
 		if len(stats.GPUModelSeconds) != len(opt.GPUs) {
 			t.Errorf("%v: %d model times for %d GPUs", opt.Algorithm, len(stats.GPUModelSeconds), len(opt.GPUs))
@@ -100,6 +102,15 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, _, err := Build(ds, Options{Algorithm: Algorithm(99)}); err == nil {
 		t.Error("unknown algorithm should error")
+	}
+	for _, opt := range []Options{
+		{Algorithm: SDSC, GPUs: []GPUModel{GTX980}, CPUAlso: true, SDSCHook: HookGGS},
+		{Algorithm: SDSC, GPUs: []GPUModel{GTXTitan}, CPUAlso: true, SDSCHook: HookPSkyline},
+		{Algorithm: SDSC, SDSCHook: SDSCHook(9)},
+	} {
+		if _, _, err := Build(ds, opt); err == nil {
+			t.Errorf("SDSC hook %d with GPUs=%d CPUAlso=%v should error", opt.SDSCHook, len(opt.GPUs), opt.CPUAlso)
+		}
 	}
 }
 
@@ -229,6 +240,7 @@ func TestSDSCHookVariants(t *testing.T) {
 	cases := []Options{
 		{Algorithm: SDSC, Threads: 2, SDSCHook: HookPSkyline},
 		{Algorithm: SDSC, GPUs: []GPUModel{GTX980}, SDSCHook: HookGGS},
+		{Algorithm: SDSC, GPUs: []GPUModel{GTX980, GTXTitan}, SDSCHook: HookGGS},
 	}
 	for _, opt := range cases {
 		cube, _, err := Build(ds, opt)
@@ -247,6 +259,13 @@ func TestSDSCHookVariants(t *testing.T) {
 	}
 	if _, _, err := Build(ds, Options{Algorithm: SDSC, GPUs: []GPUModel{GTX980}, SDSCHook: HookPSkyline}); err == nil {
 		t.Error("PSkyline on the GPU should error")
+	}
+	// A hook runs on a cross-device list only if every device can run it.
+	for _, hook := range []SDSCHook{HookPSkyline, HookGGS} {
+		opt := Options{Algorithm: SDSC, Threads: 2, GPUs: []GPUModel{GTX980}, CPUAlso: true, SDSCHook: hook}
+		if _, _, err := Build(ds, opt); err == nil {
+			t.Errorf("hook %d on the CPU and a GPU should error", hook)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"skycube/internal/delta"
-	"skycube/internal/hetero"
 	"skycube/internal/obs"
 	"skycube/internal/wal"
 )
@@ -143,13 +142,9 @@ func maintenanceOptions(opt Options) (delta.Options, error) {
 		return delta.Options{}, fmt.Errorf("skycube: incremental maintenance requires the MDMC algorithm, not %v", opt.Algorithm)
 	}
 	threads := opt.threads()
-	var devices []hetero.Device
-	if len(opt.GPUs) > 0 {
-		devices, _ = buildDevices(opt, threads)
-	}
 	return delta.Options{
 		Threads:         threads,
-		Devices:         devices,
+		Devices:         opt.devices(threads),
 		CompactFraction: opt.Delta.CompactFraction,
 		AutoCompact:     opt.Delta.AutoCompact,
 		Metrics:         obs.NewDeltaMetrics(opt.Metrics),
