@@ -438,3 +438,226 @@ func parseDims(spec string) (skycube.Subspace, error) {
 	}
 	return delta, nil
 }
+
+// startShard launches a durable shard node on a fresh address and waits
+// until it reports ready.
+func startShard(t *testing.T, bin string, args ...string) *node {
+	t.Helper()
+	addr := freeAddr(t)
+	n := startNode(t, bin, append([]string{"-serve", addr, "-shard", "-fsync", "never"}, args...)...)
+	n.url = "http://" + addr
+	n.waitReady(t)
+	return n
+}
+
+// stop SIGTERMs a node and waits for its clean exit.
+func (n *node) stop(t *testing.T) {
+	t.Helper()
+	if err := n.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	n.waitExit(t)
+}
+
+// postOK POSTs a JSON body and fails the test on any status but 200.
+func postOK(t *testing.T, url, body string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: %d: %s", url, resp.StatusCode, b)
+	}
+}
+
+// nodeEpoch reads a ready node's serving epoch from /healthz.
+func nodeEpoch(t *testing.T, n *node) uint64 {
+	t.Helper()
+	code, body, _ := httpGetBody(t, n.url+"/healthz")
+	var h struct {
+		Epoch uint64 `json:"epoch"`
+	}
+	if code != http.StatusOK || json.Unmarshal(body, &h) != nil {
+		t.Fatalf("healthz: %d: %s", code, body)
+	}
+	return h.Epoch
+}
+
+// skylineAnswers fetches /skyline for every subspace of a d-dimensional
+// node: the response bodies and their ETags, in subspace order.
+func skylineAnswers(t *testing.T, n *node, d int) (bodies [][]byte, etags []string) {
+	t.Helper()
+	for sub := 1; sub < 1<<d; sub++ {
+		var dims []string
+		for i := 0; i < d; i++ {
+			if sub&(1<<i) != 0 {
+				dims = append(dims, fmt.Sprint(i))
+			}
+		}
+		code, body, hdr := httpGetBody(t, n.url+"/skyline?dims="+strings.Join(dims, ","))
+		if code != http.StatusOK {
+			t.Fatalf("skyline dims=%s: %d: %s", strings.Join(dims, ","), code, body)
+		}
+		bodies = append(bodies, body)
+		etags = append(etags, hdr.Get("ETag"))
+	}
+	return bodies, etags
+}
+
+// assertSameSkylines fails unless two nodes answer every subspace with the
+// same bytes.
+func assertSameSkylines(t *testing.T, a, b *node, d int, stage string) {
+	t.Helper()
+	want, _ := skylineAnswers(t, a, d)
+	got, _ := skylineAnswers(t, b, d)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: subspace %d diverged:\n got %s\nwant %s", stage, i+1, got[i], want[i])
+		}
+	}
+}
+
+// TestJoinFromPeerThenRestart drives -join-from end to end. A replica joins
+// from a durable shard seeded by a partition file and mutated since (so the
+// join replays a WAL tail on top of the snapshot). It must answer every
+// subspace byte-identically to its peer, and interpret its copied rows with
+// the peer's id scheme. After a SIGTERM it restarts from its data directory
+// alone, and every answer and ETag comes back unchanged.
+func TestJoinFromPeerThenRestart(t *testing.T) {
+	bin := skycubedBinary(t)
+	const d = 4
+	ds := skycube.GenerateSynthetic(skycube.Anticorrelated, 1500, d, 74)
+	src := startShard(t, bin, "-id-base", "1", "-id-stride", "2",
+		"-data-dir", filepath.Join(t.TempDir(), "src"), writeDataset(t, ds))
+	postOK(t, src.url+"/insert", `{"points":[[0.05,0.9,0.4,0.6],[0.9,0.05,0.6,0.4]]}`)
+	postOK(t, src.url+"/flush", "")
+	postOK(t, src.url+"/delete", `{"ids":[3,5]}`)
+	postOK(t, src.url+"/flush", "")
+
+	joinDir := filepath.Join(t.TempDir(), "joiner")
+	joiner := startShard(t, bin, "-join-from", src.url, "-data-dir", joinDir)
+	assertSameSkylines(t, src, joiner, d, "joined replica")
+	full := fmt.Sprintf("/shard/cuboid?subspace=%d", 1<<d-1)
+	_, wantFrame, _ := httpGetBody(t, src.url+full)
+	if _, got, _ := httpGetBody(t, joiner.url+full); !bytes.Equal(got, wantFrame) {
+		t.Fatal("joined replica's full-space frame differs from its peer's: id scheme not inherited")
+	}
+
+	wantBodies, wantETags := skylineAnswers(t, joiner, d)
+	joiner.stop(t)
+	re := startShard(t, bin, "-data-dir", joinDir)
+	gotBodies, gotETags := skylineAnswers(t, re, d)
+	for i := range wantETags {
+		if gotETags[i] != wantETags[i] || !bytes.Equal(gotBodies[i], wantBodies[i]) {
+			t.Fatalf("subspace %d after restart: ETag %q, want %q; body\n%s\nwant\n%s\noutput:\n%s",
+				i+1, gotETags[i], wantETags[i], gotBodies[i], wantBodies[i], re.out.String())
+		}
+	}
+	re.stop(t)
+}
+
+// TestJoinedReplicaExportsItsMetrics: a joiner's own /metrics must carry
+// its WAL series and the bootstrap it ran, exactly as a shard built from a
+// file carries its WAL series.
+func TestJoinedReplicaExportsItsMetrics(t *testing.T) {
+	bin := skycubedBinary(t)
+	ds := skycube.GenerateSynthetic(skycube.Independent, 500, 3, 75)
+	src := startShard(t, bin, "-data-dir", filepath.Join(t.TempDir(), "src"), writeDataset(t, ds))
+	joiner := startShard(t, bin, "-join-from", src.url, "-data-dir", filepath.Join(t.TempDir(), "joiner"))
+	postOK(t, joiner.url+"/insert", `{"points":[[0.1,0.2,0.3]]}`)
+	postOK(t, joiner.url+"/flush", "")
+
+	_, body, _ := httpGetBody(t, joiner.url+"/metrics")
+	if v := metricValue(string(body), "skycube_wal_appended_records_total"); v <= 0 {
+		t.Errorf("joiner's skycube_wal_appended_records_total = %v, want > 0", v)
+	}
+	if v := metricValue(string(body), "skycube_rebalance_bootstraps_total"); v != 1 {
+		t.Errorf("joiner's skycube_rebalance_bootstraps_total = %v, want 1", v)
+	}
+	if t.Failed() {
+		t.Logf("joiner /metrics:\n%s", body)
+	}
+}
+
+// metricValue sums a metric family's samples over all label sets in a
+// Prometheus text exposition; a missing family reads as -1.
+func metricValue(exposition, name string) float64 {
+	sum, found := 0.0, false
+	for _, line := range strings.Split(exposition, "\n") {
+		rest, ok := strings.CutPrefix(line, name)
+		if !ok || rest == "" || (rest[0] != ' ' && rest[0] != '{') {
+			continue
+		}
+		var v float64
+		if _, err := fmt.Sscan(rest[strings.LastIndexByte(rest, ' ')+1:], &v); err == nil {
+			sum, found = sum+v, true
+		}
+	}
+	if !found {
+		return -1
+	}
+	return sum
+}
+
+// TestRestartedReplicaCatchesUpBeforeReady: a replica that missed writes
+// while it was down restarts with -peers. Its recovered state is behind its
+// peer's, so anti-entropy must re-bootstrap it before /healthz ever answers
+// 200: the first ready answer already carries the peer's epoch.
+func TestRestartedReplicaCatchesUpBeforeReady(t *testing.T) {
+	bin := skycubedBinary(t)
+	const d = 3
+	ds := skycube.GenerateSynthetic(skycube.Independent, 800, d, 76)
+	dataFile := writeDataset(t, ds)
+	peer := startShard(t, bin, "-data-dir", filepath.Join(t.TempDir(), "peer"), dataFile)
+	dirB := filepath.Join(t.TempDir(), "replica")
+	b := startShard(t, bin, "-data-dir", dirB, dataFile)
+	for _, n := range []*node{peer, b} {
+		postOK(t, n.url+"/insert", `{"points":[[0.05,0.9,0.3]]}`)
+		postOK(t, n.url+"/flush", "")
+	}
+	b.stop(t)
+
+	postOK(t, peer.url+"/insert", `{"points":[[0.02,0.95,0.4],[0.95,0.02,0.7]]}`)
+	postOK(t, peer.url+"/flush", "")
+	postOK(t, peer.url+"/delete", `{"ids":[0,1,2]}`)
+	postOK(t, peer.url+"/flush", "")
+	want := nodeEpoch(t, peer)
+
+	addr := freeAddr(t)
+	re := startNode(t, bin, "-serve", addr, "-shard", "-fsync", "never",
+		"-data-dir", dirB, "-peers", peer.url)
+	re.url = "http://" + addr
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted replica never became ready; output:\n%s", re.out.String())
+		}
+		resp, err := http.Get(re.url + "/healthz")
+		if err != nil {
+			time.Sleep(10 * time.Millisecond)
+			continue
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			time.Sleep(10 * time.Millisecond)
+			continue
+		}
+		var h struct {
+			Epoch uint64 `json:"epoch"`
+		}
+		if err := json.Unmarshal(body, &h); err != nil {
+			t.Fatal(err)
+		}
+		if h.Epoch != want {
+			t.Fatalf("replica reported ready at epoch %d, peer is at %d; output:\n%s",
+				h.Epoch, want, re.out.String())
+		}
+		break
+	}
+	assertSameSkylines(t, peer, re, d, "re-bootstrapped replica")
+	re.stop(t)
+}

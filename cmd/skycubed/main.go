@@ -136,73 +136,6 @@ func main() {
 		return
 	}
 
-	if *shardMode && *joinFrom != "" {
-		if *serve == "" || *dataDir == "" {
-			fmt.Fprintln(os.Stderr, "skycubed: -join-from requires -shard, -serve and -data-dir")
-			os.Exit(2)
-		}
-		if flag.NArg() != 0 {
-			fmt.Fprintln(os.Stderr, "skycubed: -join-from takes no data file (state comes from the peer)")
-			os.Exit(2)
-		}
-		segs, err := parseIDSegments(*idSegments)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "skycubed:", err)
-			os.Exit(2)
-		}
-		idFlagsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "id-base", "id-stride", "id-segments":
-				idFlagsSet = true
-			}
-		})
-		g := maybeStartGated(*serve, *dataDir)
-		runJoiningShard(*serve, *joinFrom,
-			durableOptions(*dataDir, *fsyncPolicy, *checkpointEvery),
-			*threads, *compactFraction,
-			shardServeOptions(*idBase, *idStride, segs, *maxBody, *cacheEntries, *noCache, tracing),
-			!idFlagsSet, *pprofFlag, g)
-		return
-	}
-
-	if *shardMode && *dataDir != "" && flag.NArg() == 0 {
-		// Durable restart: no data file. Recovery rebuilds the state from
-		// the directory's newest checkpoint and WAL tail; a node that was
-		// bootstrapped with -join-from never had a partition file at all.
-		if *serve == "" {
-			fmt.Fprintln(os.Stderr, "skycubed: -shard requires -serve")
-			os.Exit(2)
-		}
-		segs, err := parseIDSegments(*idSegments)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "skycubed:", err)
-			os.Exit(2)
-		}
-		opt := skycube.Options{
-			Threads: *threads,
-			Metrics: skycube.NewMetrics(),
-			Delta: skycube.DeltaOptions{
-				AutoCompact:     true,
-				CompactFraction: *compactFraction,
-			},
-			Durable: durableOptions(*dataDir, *fsyncPolicy, *checkpointEvery),
-		}
-		for i := 0; i < *gpus; i++ {
-			opt.GPUs = append(opt.GPUs, skycube.GTX980)
-		}
-		g := maybeStartGated(*serve, *dataDir)
-		runRestartingShard(*serve, opt,
-			shardServeOptions(*idBase, *idStride, segs, *maxBody, *cacheEntries, *noCache, tracing),
-			*peerList, *pprofFlag, g)
-		return
-	}
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: skycubed [flags] data.txt")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
 	algo, ok := map[string]skycube.Algorithm{
 		"MDMC": skycube.MDMC, "STSC": skycube.STSC, "SDSC": skycube.SDSC,
 		"PQSkycube": skycube.PQSkycube, "QSkycube": skycube.QSkycube,
@@ -211,19 +144,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "skycubed: unknown algorithm %q\n", *algoName)
 		os.Exit(2)
 	}
-
-	f, err := os.Open(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "skycubed:", err)
-		os.Exit(1)
-	}
-	ds, err := skycube.ReadDataset(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "skycubed:", err)
-		os.Exit(1)
-	}
-
 	opt := skycube.Options{
 		Algorithm: algo,
 		Threads:   *threads,
@@ -242,10 +162,25 @@ func main() {
 	if *progress {
 		opt.Progress = stderrProgress()
 	}
+	// Maintained nodes (shards and -updates servers) compact in the
+	// background and persist to -data-dir when it is set.
+	opt.Delta = skycube.DeltaOptions{AutoCompact: true, CompactFraction: *compactFraction}
+	opt.Durable = durableOptions(*dataDir, *fsyncPolicy, *checkpointEvery)
 
 	if *shardMode {
-		if *serve == "" {
-			fmt.Fprintln(os.Stderr, "skycubed: -shard requires -serve")
+		usage := ""
+		switch {
+		case *serve == "":
+			usage = "-shard requires -serve"
+		case *joinFrom != "" && *dataDir == "":
+			usage = "-join-from requires -shard, -serve and -data-dir"
+		case *joinFrom != "" && flag.NArg() != 0:
+			usage = "-join-from takes no data file (state comes from the peer)"
+		case flag.NArg() > 1 || flag.NArg() == 0 && *dataDir == "":
+			usage = "usage: skycubed -shard -serve ADDR [flags] (part.txt | -data-dir DIR [-join-from URL])"
+		}
+		if usage != "" {
+			fmt.Fprintln(os.Stderr, "skycubed:", usage)
 			os.Exit(2)
 		}
 		segs, err := parseIDSegments(*idSegments)
@@ -253,32 +188,35 @@ func main() {
 			fmt.Fprintln(os.Stderr, "skycubed:", err)
 			os.Exit(2)
 		}
-		opt.Delta = skycube.DeltaOptions{
-			AutoCompact:     true,
-			CompactFraction: *compactFraction,
+		idFlagsSet := false
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "id-base", "id-stride", "id-segments":
+				idFlagsSet = true
+			}
+		})
+		var ds *skycube.Dataset
+		if flag.NArg() == 1 {
+			ds = readDataset(flag.Arg(0))
 		}
-		opt.Durable = durableOptions(*dataDir, *fsyncPolicy, *checkpointEvery)
-		// With a data directory, the listener starts before recovery: the
-		// gate answers 503 not-ready while the snapshot loads and the WAL
-		// tail replays, so probes and the coordinator see "recovering"
-		// rather than connection-refused.
-		g := maybeStartGated(*serve, *dataDir)
-		runShardMode(*serve, ds, opt,
+		runShard(*serve, ds, *joinFrom, *peerList, opt,
 			shardServeOptions(*idBase, *idStride, segs, *maxBody, *cacheEntries, *noCache, tracing),
-			*peerList, *pprofFlag, g)
+			!idFlagsSet, *pprofFlag)
 		return
 	}
+
+	if flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: skycubed [flags] data.txt")
+		flag.PrintDefaults()
+		os.Exit(2)
+	}
+	ds := readDataset(flag.Arg(0))
 
 	if *updates {
 		if *serve == "" {
 			fmt.Fprintln(os.Stderr, "skycubed: -updates requires -serve")
 			os.Exit(2)
 		}
-		opt.Delta = skycube.DeltaOptions{
-			AutoCompact:     true,
-			CompactFraction: *compactFraction,
-		}
-		opt.Durable = durableOptions(*dataDir, *fsyncPolicy, *checkpointEvery)
 		g := maybeStartGated(*serve, *dataDir)
 		up, err := skycube.NewUpdater(ds, opt) // recovery, when durable, happens here
 		if err != nil {
@@ -365,7 +303,7 @@ func runServer(addr string, cube skycube.Skycube, ds *skycube.Dataset,
 		SlowQuery:    tracing.slowQuery,
 	})
 	mountPprof(srv, withPprof)
-	serveAndDrain(addr, srv,
+	serveAndDrain(addr, nil, srv,
 		"GET /info, /skyline?dims=0,2, /membership?id=17, /buildinfo, /metrics, /trace")
 }
 
@@ -384,7 +322,7 @@ func durableOptions(dir, fsync string, checkpointEvery int) skycube.DurableOptio
 }
 
 // gatedServer is a listener started before the node's state exists: the
-// startup gate answers 503 not-ready until openAndDrain installs the real
+// startup gate answers 503 not-ready until serveAndDrain installs the real
 // handler after recovery.
 type gatedServer struct {
 	gate    *server.StartupGate
@@ -405,14 +343,6 @@ func maybeStartGated(addr, dataDir string) *gatedServer {
 	return g
 }
 
-// openAndDrain installs the recovered handler on the gate and runs the
-// ordinary signal/drain loop on the already-listening server.
-func (g *gatedServer) openAndDrain(handler http.Handler, endpoints string) {
-	g.gate.Open(handler)
-	fmt.Printf("serving on %s (%s)\n", g.httpSrv.Addr, endpoints)
-	drainOnSignal(g.httpSrv, g.errCh)
-}
-
 // runUpdaterServer serves a maintainable skycube: snapshot reads plus the
 // mutation endpoints.
 func runUpdaterServer(addr string, up *skycube.Updater, opt skycube.Options, withPprof bool,
@@ -430,12 +360,8 @@ func runUpdaterServer(addr string, up *skycube.Updater, opt skycube.Options, wit
 		SlowQuery:    tracing.slowQuery,
 	})
 	mountPprof(srv, withPprof)
-	endpoints := "GET /info, /skyline?dims=0,2[&epoch=N], /membership?id=17, /updates; POST /insert, /delete, /flush, /compact"
-	if g != nil {
-		g.openAndDrain(srv, endpoints)
-		return
-	}
-	serveAndDrain(addr, srv, endpoints)
+	serveAndDrain(addr, g, srv,
+		"GET /info, /skyline?dims=0,2[&epoch=N], /membership?id=17, /updates; POST /insert, /delete, /flush, /compact")
 }
 
 func mountPprof(srv *server.Server, withPprof bool) {
@@ -457,14 +383,19 @@ func mountPprofMux(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// serveAndDrain runs the HTTP server until SIGINT/SIGTERM, then drains
-// in-flight requests for up to ten seconds.
-func serveAndDrain(addr string, handler http.Handler, endpoints string) {
-	httpSrv := &http.Server{Addr: addr, Handler: handler}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+// serveAndDrain serves handler until SIGINT/SIGTERM, then drains in-flight
+// requests for up to ten seconds. g is the gated listener a data directory
+// put up before recovery — it now opens onto handler — or nil, and then a
+// listener binds here.
+func serveAndDrain(addr string, g *gatedServer, handler http.Handler, endpoints string) {
+	if g == nil {
+		g = &gatedServer{httpSrv: &http.Server{Addr: addr, Handler: handler}, errCh: make(chan error, 1)}
+		go func() { g.errCh <- g.httpSrv.ListenAndServe() }()
+	} else {
+		g.gate.Open(handler)
+	}
 	fmt.Printf("serving on %s (%s)\n", addr, endpoints)
-	drainOnSignal(httpSrv, errCh)
+	drainOnSignal(g.httpSrv, g.errCh)
 }
 
 // drainOnSignal blocks until SIGINT/SIGTERM (or a listener error), then
@@ -490,6 +421,22 @@ func drainOnSignal(httpSrv *http.Server, errCh chan error) {
 		fmt.Fprintln(os.Stderr, "skycubed: shutdown:", err)
 		os.Exit(1)
 	}
+}
+
+// readDataset loads a dataset file, exiting on any error.
+func readDataset(path string) *skycube.Dataset {
+	f, err := os.Open(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "skycubed:", err)
+		os.Exit(1)
+	}
+	defer f.Close()
+	ds, err := skycube.ReadDataset(f)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "skycubed:", err)
+		os.Exit(1)
+	}
+	return ds
 }
 
 // stderrProgress returns a ProgressFunc that overwrites one stderr line,

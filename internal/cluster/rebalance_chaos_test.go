@@ -18,12 +18,10 @@ import (
 	"time"
 
 	"skycube"
-	"skycube/internal/delta"
 	"skycube/internal/mask"
 	"skycube/internal/obs"
 	"skycube/internal/rebalance"
 	"skycube/internal/server"
-	"skycube/internal/wal"
 )
 
 // durableShard builds a shard whose updater journals to dir. Auto-checkpoint
@@ -47,18 +45,22 @@ func durableShard(t *testing.T, ds *skycube.Dataset, dir string, sopt ShardOptio
 // pull the remaining tail). Closing the shard closes the node's store too.
 func bootstrapChild(t *testing.T, peer, dir string, sopt ShardOptions) *Shard {
 	t.Helper()
-	node, err := rebalance.Bootstrap(context.Background(), rebalance.Options{
-		Dir:   dir,
-		Peer:  peer,
-		Delta: delta.Options{Threads: 2},
-		WAL:   wal.Options{Fsync: "never", CheckpointEvery: -1},
+	node, err := rebalance.Bootstrap(context.Background(), peer, skycube.Options{
+		Threads: 2,
+		Durable: skycube.DurableOptions{Dir: dir, Fsync: "never", CheckpointEvery: -1},
 	})
 	if err != nil {
 		t.Fatalf("bootstrap from %s: %v", peer, err)
 	}
-	up := skycube.AdoptUpdater(node.Updater, node.Store, node.Replayed)
+	return shardFromNode(t, node, sopt)
+}
+
+// shardFromNode serves a bootstrapped node as a shard with its source
+// attached.
+func shardFromNode(t *testing.T, node *rebalance.Node, sopt ShardOptions) *Shard {
+	t.Helper()
 	sopt.Source = node
-	sh, err := NewShardFrom(up, sopt)
+	sh, err := NewShardFrom(node.Updater, sopt)
 	if err != nil {
 		t.Fatalf("shard from bootstrap: %v", err)
 	}
@@ -154,6 +156,58 @@ func TestShardSnapshotTailJoin(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "truncated") {
 		t.Fatalf("sync error %q does not carry the truncation signal", rec.Body.String())
+	}
+}
+
+// TestJoinCompactsOnlyOnceDetached: a joiner asked for background
+// compaction keeps its compactor off for as long as its source can feed it
+// — so when the parent compacts mid catch-up, replaying that compaction
+// still lands on the parent's epoch — and compacts on its own once the
+// split's seal detaches it.
+func TestJoinCompactsOnlyOnceDetached(t *testing.T) {
+	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 77)
+	parent := durableShard(t, ds, t.TempDir(), ShardOptions{IDBase: 0, IDStride: 1})
+	psrv := httptest.NewServer(parent)
+	defer psrv.Close()
+	ctx := context.Background()
+	node, err := rebalance.Bootstrap(ctx, psrv.URL, skycube.Options{
+		Threads: 2,
+		Delta:   skycube.DeltaOptions{AutoCompact: true, CompactFraction: 0.05},
+		Durable: skycube.DurableOptions{Dir: t.TempDir(), Fsync: "never", CheckpointEvery: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := shardFromNode(t, node, ShardOptions{IDBase: 0, IDStride: 1})
+
+	// The replayed flush grows the joiner's overlay far past its trigger.
+	mutateShard(t, parent, 100, 0, 771)
+	if _, err := node.CatchUp(ctx); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond) // room for a wrongly started compactor
+	if c := node.Updater.Stats().Compactions; c != 0 {
+		t.Fatalf("joiner compacted %d times while attached to its source", c)
+	}
+	parent.Updater().Compact()
+	if _, err := node.CatchUp(ctx); err != nil {
+		t.Fatalf("catch-up over the parent's compaction: %v", err)
+	}
+	if pe, ce := parent.Updater().Current().Epoch(), node.Updater.Current().Epoch(); pe != ce {
+		t.Fatalf("joiner at epoch %d after catch-up, parent at %d", ce, pe)
+	}
+	assertShardsEqual(t, parent, child, "after catch-up")
+
+	// Cutover: the seal detaches the source, and the child's own writes
+	// now trigger its compactor.
+	postJSON(t, child, "/shard/seal", sealRequest{Base: SplitBlockBase}, http.StatusOK)
+	compacted := node.Updater.Stats().Compactions
+	mutateShard(t, child, 100, 0, 772)
+	for deadline := time.Now().Add(10 * time.Second); node.Updater.Stats().Compactions == compacted; {
+		if time.Now().After(deadline) {
+			t.Fatal("sealed child never compacted: its compactor was not started")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -510,33 +564,13 @@ func TestChaosRestartedReplicaCatchesUpBeforeReady(t *testing.T) {
 
 	// Restart B: recover its directory the way a restarted node does. The
 	// recovered frontier is the pre-kill state — behind A.
-	store, recovered, err := wal.Open(wal.Options{Dir: dirB, Fsync: "never", CheckpointEvery: -1})
+	optB := skycube.Options{
+		Threads: 2,
+		Durable: skycube.DurableOptions{Dir: dirB, Fsync: "never", CheckpointEvery: -1},
+	}
+	recovered, err := skycube.OpenUpdater(optB)
 	if err != nil {
 		t.Fatalf("recover B: %v", err)
-	}
-	if recovered == nil {
-		t.Fatal("B's directory recovered no state")
-	}
-	du, err := delta.NewUpdaterFrom(recovered.State, delta.Options{Threads: 2})
-	if err != nil {
-		t.Fatalf("rebuild B: %v", err)
-	}
-	if _, err := store.Replay(du); err != nil {
-		t.Fatalf("replay B: %v", err)
-	}
-	recSnap := du.Current()
-	local := rebalance.Freshness{Epoch: recSnap.Epoch(), Live: recSnap.Live()}
-
-	// Anti-entropy: compare against the peer and find ourselves behind.
-	rc := &rebalance.Client{}
-	peerFresh, err := rc.Freshness(context.Background(), srvA.URL)
-	if err != nil {
-		t.Fatalf("peer freshness: %v", err)
-	}
-	behind, freshest := rebalance.Behind(local, []rebalance.Freshness{peerFresh})
-	if !behind || freshest != 0 {
-		t.Fatalf("restarted replica at epoch %d vs peer %d not detected as behind",
-			local.Epoch, peerFresh.Epoch)
 	}
 	// The gate must still be closed — B has not reported ready while stale.
 	if resp, err := http.Get(srvB.URL + "/healthz"); err != nil {
@@ -548,13 +582,17 @@ func TestChaosRestartedReplicaCatchesUpBeforeReady(t *testing.T) {
 		}
 	}
 
-	// Wipe and re-bootstrap from the freshest peer, then open the gate.
-	du.Close()
-	store.Close()
-	if err := wal.WipeForRejoin(dirB); err != nil {
-		t.Fatalf("wipe B: %v", err)
+	// Anti-entropy: compare against the peer, find B behind, wipe it and
+	// re-bootstrap from the freshest peer; then open the gate.
+	node, _, err := rebalance.AntiEntropy(context.Background(), recovered, []string{srvA.URL}, optB)
+	if err != nil {
+		t.Fatalf("anti-entropy: %v", err)
 	}
-	repB2 := bootstrapChild(t, srvA.URL, dirB, ShardOptions{IDBase: 0, IDStride: 1})
+	if node == nil {
+		t.Fatalf("restarted replica at epoch %d vs peer %d not detected as behind",
+			recovered.Current().Epoch(), repA.Updater().Current().Epoch())
+	}
+	repB2 := shardFromNode(t, node, ShardOptions{IDBase: 0, IDStride: 1})
 	assertShardsEqual(t, repA, repB2, "after re-bootstrap")
 	gate.Open(repB2)
 

@@ -81,7 +81,8 @@ type ShardOptions struct {
 	IDSegments []IDSegment
 	// Source, when non-nil, is the rebalance node this shard was
 	// bootstrapped from; it enables POST /shard/sync (pull the source
-	// peer's remaining WAL tail — the split cutover's final catch-up).
+	// peer's remaining WAL tail — the split cutover's final catch-up), and
+	// POST /shard/seal detaches it (rebalance.Node.Detach).
 	Source *rebalance.Node
 }
 
@@ -139,6 +140,8 @@ func schemeFor(sopt ShardOptions) (*idScheme, error) {
 // NewShard builds the shard's skycube over its partition (via
 // skycube.NewUpdater, so coordinator-routed inserts and deletes work) and
 // returns the node. Close releases the updater's background goroutines.
+// skycubed builds its updater first and calls NewShardFrom; this
+// shorthand stays for benchmark/ and the tests.
 func NewShard(ds *skycube.Dataset, opt skycube.Options, sopt ShardOptions) (*Shard, error) {
 	scheme, err := schemeFor(sopt)
 	if err != nil {
@@ -154,8 +157,9 @@ func NewShard(ds *skycube.Dataset, opt skycube.Options, sopt ShardOptions) (*Sha
 	return finishShard(up, ds.Dims(), scheme, sopt), nil
 }
 
-// NewShardFrom wraps an already-built updater — typically one adopted from a
-// rebalance bootstrap (skycube.AdoptUpdater) — as a serving shard node. The
+// NewShardFrom wraps an already-built updater — from a partition file
+// (skycube.NewUpdater), the node's data directory (skycube.OpenUpdater) or
+// a peer (rebalance.Bootstrap) — as a serving shard node. The
 // dimensionality comes from the updater's current snapshot.
 func NewShardFrom(up *skycube.Updater, sopt ShardOptions) (*Shard, error) {
 	scheme, err := schemeFor(sopt)

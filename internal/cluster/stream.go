@@ -159,8 +159,10 @@ type sealResponse struct {
 // handleSeal serves POST /shard/seal: extend the id scheme with a fresh
 // stride-1 block covering every row inserted from now on. The coordinator
 // calls this write-quiesced at a split cutover — with no insert in flight,
-// the next-local-row boundary captured here is exact. Repeating a seal with
-// the same base is a no-op (cutover retries are idempotent).
+// the next-local-row boundary captured here is exact. The seal also
+// detaches the bootstrap source: the child's own writes advance its epoch
+// from here on, so its background compactor may start. Repeating a seal
+// with the same base is a no-op (cutover retries are idempotent).
 func (s *Shard) handleSeal(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -189,6 +191,11 @@ func (s *Shard) handleSeal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.scheme.Store(sealed)
+	if s.source != nil {
+		s.sourceMu.Lock()
+		s.source.Detach()
+		s.sourceMu.Unlock()
+	}
 	server.WriteJSON(w, sealResponse{IDSegments: sealed.segments(), Sealed: true})
 }
 

@@ -450,11 +450,17 @@ func NewUpdaterFrom(st RestoreState, opt Options) (*Updater, error) {
 // any WAL replay — replayed mutations must not be re-journaled.
 func (u *Updater) AttachJournal(j Journal) { u.journal = j }
 
-// StartAutoCompact starts the background compactor goroutine (idempotent
-// callers beware: call at most once). NewUpdater calls it itself when
-// Options.AutoCompact is set; NewUpdaterFrom defers it to the caller so
-// WAL replay is the only writer during recovery.
+// StartAutoCompact arms the compaction trigger and starts the background
+// compactor goroutine (callers beware: call at most once). NewUpdater calls
+// it itself when Options.AutoCompact is set; NewUpdaterFrom defers it to
+// the caller so WAL replay is the only writer during recovery. An updater
+// built without AutoCompact gains it here: a replica joining from a peer
+// turns compaction on only once it stops replaying the peer's own
+// compactions, possibly while it already serves.
 func (u *Updater) StartAutoCompact() {
+	u.mu.Lock()
+	u.opt.AutoCompact = true
+	u.mu.Unlock()
 	u.wg.Add(1)
 	go u.compactLoop()
 }

@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
+	"skycube"
 	"skycube/internal/wal"
 )
 
@@ -181,4 +183,45 @@ func Behind(local Freshness, peers []Freshness) (behind bool, freshest int) {
 		}
 	}
 	return freshest >= 0 && best > local.Epoch, freshest
+}
+
+// AntiEntropy compares a recovered updater's frontier against its peers'
+// and returns the decision as one line for the node's start-up banner. If
+// any peer is ahead, this node missed writes while it was down: up is
+// closed, opt.Durable.Dir wiped, and the state re-bootstrapped from the
+// freshest peer — the returned node then replaces up. A nil node means up
+// is current and stays. Unreachable peers are skipped (and logged to
+// opt.Durable.Logger): with every peer down there is nothing to compare
+// against, and serving the recovered state is strictly better than
+// refusing to start.
+func AntiEntropy(ctx context.Context, up *skycube.Updater, peers []string, opt skycube.Options) (*Node, string, error) {
+	snap := up.Current()
+	local := Freshness{Epoch: snap.Epoch(), Live: snap.Live()}
+	var fresh []Freshness
+	var urls []string
+	for _, p := range peers {
+		p = strings.TrimRight(p, "/")
+		f, err := (&Client{}).Freshness(ctx, p)
+		if err != nil {
+			if opt.Durable.Logger != nil {
+				opt.Durable.Logger.Printf("anti-entropy: peer %s unreachable: %v", p, err)
+			}
+			continue
+		}
+		fresh = append(fresh, f)
+		urls = append(urls, p)
+	}
+	behind, freshest := Behind(local, fresh)
+	if !behind {
+		return nil, fmt.Sprintf("anti-entropy: local epoch %d is current across %d reachable peer(s)",
+			local.Epoch, len(fresh)), nil
+	}
+	verdict := fmt.Sprintf("anti-entropy: local epoch %d is behind peer %s (epoch %d): re-bootstrapped",
+		local.Epoch, urls[freshest], fresh[freshest].Epoch)
+	up.Close()
+	if err := wal.WipeForRejoin(opt.Durable.Dir); err != nil {
+		return nil, verdict, err
+	}
+	n, err := Bootstrap(ctx, urls[freshest], opt)
+	return n, verdict, err
 }

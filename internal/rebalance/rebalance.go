@@ -6,51 +6,31 @@
 // newest checkpoint verbatim (GET /shard/snapshot) and the CRC-framed
 // records of the WAL segments after it (GET /shard/tail?from=&skip=); a
 // joining node materializes a local data directory from the snapshot
-// (wal.WriteBootstrap), boots it through the ordinary crash-recovery path,
-// and then replays the peer's tail through its own journaled updater — so
-// the catch-up itself is durable locally, and a crash mid-join recovers to
-// a consistent prefix. The (from, skip) cursor makes the tail feed exactly
-// once and resumable; a peer checkpoint that truncates the chain surfaces
-// as wal.ErrTailTruncated and the join restarts from a fresh snapshot.
+// (wal.WriteBootstrap), boots it through the ordinary crash-recovery path
+// (skycube.OpenUpdater), and then replays the peer's tail through its own
+// journaled updater — so the catch-up itself is durable locally, and a
+// crash mid-join recovers to a consistent prefix. The (from, skip) cursor
+// makes the tail feed exactly once and resumable; a peer checkpoint that
+// truncates the chain surfaces as wal.ErrTailTruncated and the join
+// restarts from a fresh snapshot.
 //
-// The same primitives serve anti-entropy: a restarted replica compares its
-// recovered epoch against its peers' /shard/info freshness (Behind) and, if
-// it missed writes while down, wipes its stale directory and re-bootstraps
-// from the freshest peer before it ever reports ready.
+// The same primitives serve anti-entropy (AntiEntropy): a restarted replica
+// compares its recovered epoch against its peers' /shard/info freshness
+// (Behind) and, if it missed writes while down, wipes its stale directory
+// and re-bootstraps from the freshest peer before it ever reports ready.
 package rebalance
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
+	"sync"
 	"time"
 
-	"skycube/internal/delta"
+	"skycube"
 	"skycube/internal/obs"
 	"skycube/internal/wal"
 )
-
-// Options configure one Join/Bootstrap.
-type Options struct {
-	// Dir is the joining node's data directory; it must hold no WAL state
-	// (use wal.WipeForRejoin to discard a stale one first).
-	Dir string
-	// Peer is the source shard's base URL ("http://host:port").
-	Peer string
-	// Client fetches the streams; nil uses a default client.
-	Client *Client
-	// Delta configures the rebuilt updater (threads, compaction, history) —
-	// the same options the node would pass to a fresh build.
-	Delta delta.Options
-	// WAL configures the local store (fsync policy, checkpoint cadence);
-	// Dir is overridden with Options.Dir.
-	WAL wal.Options
-	// Metrics, if non-nil, receives skycube_rebalance_* observations.
-	Metrics *obs.RebalanceMetrics
-	// Logger, if non-nil, logs join progress.
-	Logger *log.Logger
-}
 
 // Cursor is the resumable position in a peer's tail chain: records of
 // segments >= From, skipping the first Skip already applied.
@@ -59,77 +39,69 @@ type Cursor struct {
 	Skip int
 }
 
-// Node is a joined (or joining) replica: a recovered updater and store plus
-// the catch-up cursor against its source peer. The caller wraps Updater and
-// Store into a serving node (skycube.AdoptUpdater) once caught up — and
-// only starts background compaction then, so replayed records stay the only
-// driver of epoch advances during catch-up.
+// Node is a joined (or joining) replica: the updater its data directory
+// booted into, plus the catch-up cursor against its source peer. The caller
+// serves Updater once caught up (cluster.NewShardFrom).
 type Node struct {
-	Updater  *delta.Updater
-	Store    *wal.Store
-	Replayed int
-	Cursor   Cursor
+	Updater *skycube.Updater
+	Cursor  Cursor
 
-	opt Options
+	peer    string
+	metrics *obs.RebalanceMetrics
+	// compact is opt.Delta.AutoCompact, held back until Detach.
+	compact bool
+	detach  sync.Once
 }
 
-// Join bootstraps a node from the peer's snapshot stream: fetch and verify
-// the snapshot, materialize the data directory, and boot it through the
-// ordinary recovery path (Open, NewUpdaterFrom, Replay, AttachJournal,
-// AttachUpdater). The returned node is a consistent copy of the peer at the
-// snapshot's pinned epoch; CatchUp replays what the peer accepted since.
-func Join(ctx context.Context, opt Options) (*Node, error) {
-	if opt.Dir == "" || opt.Peer == "" {
+// Detach ends the node's catch-up from its source: from now on its own
+// writes alone advance its epoch, so the background compactor starts if
+// opt.Delta.AutoCompact asked for one. Until then CatchUp may still replay
+// the source's journaled compactions, and a compaction of the node's own
+// would give it an epoch the source never had — the next replayed
+// compaction would then fail its epoch check. A split detaches its child
+// at cutover (POST /shard/seal). Later calls do nothing.
+func (n *Node) Detach() {
+	n.detach.Do(func() {
+		if n.compact {
+			n.Updater.Delta().StartAutoCompact()
+		}
+	})
+}
+
+// Join bootstraps a node from peer's snapshot stream: fetch and verify the
+// snapshot, materialize opt.Durable.Dir from it, and boot the directory
+// through skycube.OpenUpdater — the crash recovery every durable node runs,
+// with the node's own devices, delta and WAL settings and metrics registry.
+// The background compactor stays off until Detach, so replayed records
+// alone advance the epoch. The returned node is a
+// consistent copy of the peer at the snapshot's pinned epoch; CatchUp
+// replays what the peer accepted since.
+func Join(ctx context.Context, peer string, opt skycube.Options) (*Node, error) {
+	if opt.Durable.Dir == "" || peer == "" {
 		return nil, fmt.Errorf("rebalance: join needs a data directory and a peer")
 	}
 	start := time.Now()
-	raw, seq, err := opt.Client.Snapshot(ctx, opt.Peer)
+	raw, seq, err := (&Client{}).Snapshot(ctx, peer)
 	if err != nil {
 		return nil, err
 	}
-	if err := wal.WriteBootstrap(opt.Dir, raw, nil); err != nil {
+	if err := wal.WriteBootstrap(opt.Durable.Dir, raw, nil); err != nil {
 		return nil, err
 	}
-	wopt := opt.WAL
-	wopt.Dir = opt.Dir
-	if wopt.Logger == nil {
-		wopt.Logger = opt.Logger
-	}
-	store, rec, err := wal.Open(wopt)
+	compact := opt.Delta.AutoCompact
+	opt.Delta.AutoCompact = false
+	up, err := skycube.OpenUpdater(opt)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rebalance: boot %s snapshot: %w", peer, err)
 	}
-	if rec == nil {
-		store.Close()
-		return nil, fmt.Errorf("rebalance: bootstrap directory %s recovered no state", opt.Dir)
+	n := &Node{Updater: up, Cursor: Cursor{From: seq}, peer: peer,
+		metrics: obs.NewRebalanceMetrics(opt.Metrics), compact: compact}
+	n.metrics.Bootstrap(time.Since(start), len(raw), up.Replayed())
+	if opt.Durable.Logger != nil {
+		opt.Durable.Logger.Printf("rebalance: joined from %s at epoch %d (%d snapshot bytes, segment %d) in %v",
+			peer, up.Current().Epoch(), len(raw), seq, time.Since(start))
 	}
-	fail := func(err error) (*Node, error) {
-		store.Close()
-		return nil, err
-	}
-	du, err := delta.NewUpdaterFrom(rec.State, opt.Delta)
-	if err != nil {
-		return fail(fmt.Errorf("rebalance: rebuild from %s snapshot: %w", opt.Peer, err))
-	}
-	replayed, err := store.Replay(du)
-	if err != nil {
-		du.Close()
-		return fail(fmt.Errorf("rebalance: replay: %w", err))
-	}
-	du.AttachJournal(store)
-	store.AttachUpdater(du)
-	opt.Metrics.Bootstrap(time.Since(start), len(raw), replayed)
-	if opt.Logger != nil {
-		opt.Logger.Printf("rebalance: joined from %s at epoch %d (%d snapshot bytes, segment %d) in %v",
-			opt.Peer, du.Current().Epoch(), len(raw), seq, time.Since(start))
-	}
-	return &Node{
-		Updater:  du,
-		Store:    store,
-		Replayed: replayed,
-		Cursor:   Cursor{From: seq, Skip: 0},
-		opt:      opt,
-	}, nil
+	return n, nil
 }
 
 // CatchUpOnce pulls one tail round from the peer and applies it through the
@@ -138,18 +110,16 @@ func Join(ctx context.Context, opt Options) (*Node, error) {
 // how many records were applied and whether the round found the peer's
 // frontier already reached (an empty round).
 func (n *Node) CatchUpOnce(ctx context.Context) (applied int, caughtUp bool, err error) {
-	recs, total, err := n.opt.Client.Tail(ctx, n.opt.Peer, n.Cursor.From, n.Cursor.Skip)
+	recs, total, err := (&Client{}).Tail(ctx, n.peer, n.Cursor.From, n.Cursor.Skip)
 	if err != nil {
 		return 0, false, err
 	}
-	applied, err = wal.Apply(n.Updater, recs, func(id string, status int, body []byte) error {
-		return n.Store.LogBatch(id, status, body)
-	})
+	applied, err = wal.Apply(n.Updater.Delta(), recs, n.Updater.Store().LogBatch)
 	n.Cursor.Skip += applied
 	caughtUp = len(recs) == 0
-	n.opt.Metrics.CatchUp(applied, caughtUp)
+	n.metrics.CatchUp(applied, caughtUp)
 	if err != nil {
-		return applied, false, fmt.Errorf("rebalance: catch-up from %s: %w", n.opt.Peer, err)
+		return applied, false, fmt.Errorf("rebalance: catch-up from %s: %w", n.peer, err)
 	}
 	if n.Cursor.Skip != total {
 		return applied, false, fmt.Errorf("rebalance: catch-up cursor %d does not match chain total %d",
@@ -179,29 +149,23 @@ func (n *Node) CatchUp(ctx context.Context) (int, error) {
 	}
 }
 
-// Close releases the node without serving: background loops stop and the
-// store syncs and closes. The data directory remains bootable.
-func (n *Node) Close() {
-	n.Updater.Close()
-	n.Store.Close()
-}
-
 // bootstrapAttempts bounds how often Bootstrap restarts after the peer's
 // checkpoint truncates the tail chain mid-join.
 const bootstrapAttempts = 3
 
 // Bootstrap is Join plus CatchUp, restarting from a fresh snapshot when the
 // peer's checkpointing truncates the tail chain mid-join (rare: it requires
-// a full checkpoint interval of writes to land during the join).
-func Bootstrap(ctx context.Context, opt Options) (*Node, error) {
+// a full checkpoint interval of writes to land during the join). The
+// node's compactor stays off until Detach.
+func Bootstrap(ctx context.Context, peer string, opt skycube.Options) (*Node, error) {
 	var lastErr error
 	for attempt := 0; attempt < bootstrapAttempts; attempt++ {
 		if attempt > 0 {
-			if err := wal.WipeForRejoin(opt.Dir); err != nil {
+			if err := wal.WipeForRejoin(opt.Durable.Dir); err != nil {
 				return nil, err
 			}
 		}
-		n, err := Join(ctx, opt)
+		n, err := Join(ctx, peer, opt)
 		if err != nil {
 			lastErr = err
 			if ctx.Err() != nil {
@@ -210,7 +174,7 @@ func Bootstrap(ctx context.Context, opt Options) (*Node, error) {
 			continue
 		}
 		if _, err := n.CatchUp(ctx); err != nil {
-			n.Close()
+			n.Updater.Close()
 			lastErr = err
 			if errors.Is(err, wal.ErrTailTruncated) {
 				continue
@@ -220,5 +184,5 @@ func Bootstrap(ctx context.Context, opt Options) (*Node, error) {
 		return n, nil
 	}
 	return nil, fmt.Errorf("rebalance: bootstrap from %s failed after %d attempts: %w",
-		opt.Peer, bootstrapAttempts, lastErr)
+		peer, bootstrapAttempts, lastErr)
 }

@@ -219,18 +219,19 @@ func newDurableUpdater(ds *Dataset, opt Options, dopt delta.Options) (*Updater, 
 }
 
 // AdoptUpdater wraps an already-recovered delta updater and its store as a
-// serving Updater. State-transfer tooling (internal/rebalance) builds nodes
-// this way: it materializes a data directory from a peer's snapshot stream,
-// runs the ordinary wal.Open/Replay recovery itself, and hands the result
-// here so the serving layers see exactly what NewUpdater would have built.
-// store may be nil for an in-memory adoption.
+// serving Updater. Nodes boot through NewUpdater or OpenUpdater — a replica
+// joining from a peer included (rebalance.Join opens the directory it
+// materialized with OpenUpdater). This stays for benchmark/, which runs
+// the wal.Open/Replay recovery by hand to time its phases apart. store may
+// be nil for an in-memory adoption.
 func AdoptUpdater(du *delta.Updater, store *wal.Store, replayed int) *Updater {
 	return &Updater{u: du, store: store, replayed: replayed}
 }
 
 // Delta exposes the underlying incremental updater. State-transfer tooling
-// needs it to checkpoint (wal.Store.Checkpoint) and to replay peer records
-// (wal.Apply) through the exact engine the node serves from.
+// needs it to checkpoint (wal.Store.Checkpoint), to replay peer records
+// (wal.Apply) through the exact engine the node serves from, and to start
+// a joined replica's compactor once it has caught up.
 func (up *Updater) Delta() *delta.Updater { return up.u }
 
 // Insert buffers one point for the next batch and returns its assigned id.
