@@ -210,7 +210,7 @@ func runCoordinatorMode(addr, shardList string, replicas int,
 	if withPprof {
 		mux := http.NewServeMux()
 		mux.Handle("/", coord)
-		mountPprofMux(mux)
+		mountPprof(mux, true)
 		handler = mux
 	}
 	endpoints := "GET /skyline?dims=0,2[&explain=1], /info, /healthz, /metrics; POST /insert, /delete, /flush"

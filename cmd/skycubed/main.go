@@ -364,23 +364,17 @@ func runUpdaterServer(addr string, up *skycube.Updater, opt skycube.Options, wit
 		"GET /info, /skyline?dims=0,2[&epoch=N], /membership?id=17, /updates; POST /insert, /delete, /flush, /compact")
 }
 
-func mountPprof(srv *server.Server, withPprof bool) {
-	if !withPprof {
+// mountPprof mounts net/http/pprof on a server.Server or an http.ServeMux
+// when on is set.
+func mountPprof(m interface{ Handle(string, http.Handler) }, on bool) {
+	if !on {
 		return
 	}
-	srv.Handle("/debug/pprof/", http.HandlerFunc(pprof.Index))
-	srv.Handle("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
-	srv.Handle("/debug/pprof/profile", http.HandlerFunc(pprof.Profile))
-	srv.Handle("/debug/pprof/symbol", http.HandlerFunc(pprof.Symbol))
-	srv.Handle("/debug/pprof/trace", http.HandlerFunc(pprof.Trace))
-}
-
-func mountPprofMux(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	m.Handle("/debug/pprof/", http.HandlerFunc(pprof.Index))
+	m.Handle("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
+	m.Handle("/debug/pprof/profile", http.HandlerFunc(pprof.Profile))
+	m.Handle("/debug/pprof/symbol", http.HandlerFunc(pprof.Symbol))
+	m.Handle("/debug/pprof/trace", http.HandlerFunc(pprof.Trace))
 }
 
 // serveAndDrain serves handler until SIGINT/SIGTERM, then drains in-flight

@@ -161,8 +161,9 @@ func TestPartialResponseNeverCachedAndNoStore(t *testing.T) {
 	}
 }
 
-// TestShardCuboidCacheWarms checks the shard-level cuboid cache: the
-// second identical fan-out request is a hit and byte-identical.
+// TestShardCuboidCacheWarms checks the shard's cache on /shard/cuboid: the
+// second identical fan-out request is a hit, counted under layer "shard",
+// and byte-identical.
 func TestShardCuboidCacheWarms(t *testing.T) {
 	ds := skycube.GenerateSynthetic(skycube.Correlated, 150, 3, 79)
 	parts, err := ds.Partition(2, skycube.RoundRobinPartition)
@@ -199,8 +200,8 @@ func TestShardCuboidCacheWarms(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	if sh.cm.Hits() < 1 {
-		t.Fatalf("no shard cache hit recorded; hits=%v", sh.cm.Hits())
+	if hits := reg.CounterM("skycube_cache_hits_total", "", "layer", "shard").Value(); hits < 1 {
+		t.Fatalf("no shard cache hit recorded; hits=%v", hits)
 	}
 	// The cuboid response revalidates too.
 	req := httptest.NewRequest(http.MethodGet, "/shard/cuboid?subspace=3", nil)

@@ -15,6 +15,7 @@ import (
 
 	"skycube"
 	"skycube/internal/data"
+	"skycube/internal/delta"
 	"skycube/internal/dom"
 	"skycube/internal/mask"
 	"skycube/internal/obs"
@@ -657,6 +658,41 @@ func TestCoordinatorInsertRetryIsIdempotent(t *testing.T) {
 	postJSON(t, coord, "/flush", struct{}{}, http.StatusOK)
 	if live := sh.Updater().Current().Live(); live != 62 {
 		t.Fatalf("live points after retried insert = %d, want 62 (retry double-inserted)", live)
+	}
+}
+
+// TestCoordinatorRefusesOversizedBatchID: a client batch id that fits shard
+// "a"'s per-shard id but not shard "bb"'s is refused with 400 before either
+// shard applies its part of the batch.
+func TestCoordinatorRefusesOversizedBatchID(t *testing.T) {
+	ds := skycube.GenerateSynthetic(skycube.Independent, 60, 3, 12)
+	tc := newTestCluster(t, ds, 2, 1, skycube.RoundRobinPartition, CoordinatorOptions{})
+	specs := append([]ShardSpec(nil), tc.specs...)
+	specs[0].Name, specs[1].Name = "a", "bb"
+	coord, err := NewCoordinator(specs, CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pts [][]float32
+	owners := map[int]bool{}
+	for i := 0; i < 16; i++ {
+		p := []float32{float32(i) + 0.5, 0.25, 0.75}
+		pts = append(pts, p)
+		owners[coord.curMap().ring.owner(hashPoint(p))] = true
+	}
+	if len(owners) != 2 {
+		t.Fatalf("the points route to %d shards, want both", len(owners))
+	}
+	req := insertRequest{Points: pts, Batch: strings.Repeat("x", delta.MaxBatchID-len("/a"))}
+	// The refusal must be the coordinator's: a shard's own refusal of its
+	// id could come after the other shard applied its part.
+	if body := postJSON(t, coord, "/insert", req, http.StatusBadRequest); !strings.Contains(string(body), "shard bb's batch id") {
+		t.Fatalf("refusal %q does not come from the coordinator", body)
+	}
+	for s, reps := range tc.shards {
+		if ins, _ := reps[0].Updater().Pending(); ins != 0 {
+			t.Fatalf("shard %d buffered %d inserts of a refused batch", s, ins)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"sort"
 	"strings"
@@ -141,12 +140,12 @@ type skylineResponse struct {
 	Epochs       map[string]uint64 `json:"epochs,omitempty"`
 }
 
-// Key-variant prefixes namespace the coordinator cache's two key families
-// (the Epoch field carries a write generation in one and an epoch-vector
-// hash in the other, and the two value spaces must never collide).
+// Key paths namespace the coordinator cache's two key families (the Epoch
+// field carries a write generation in one and an epoch-vector hash in the
+// other, and the two value spaces must never collide).
 const (
-	genKeyPrefix   = "q|"
-	epochKeyPrefix = "v|"
+	genKeyPath   = "/skyline@generation"
+	epochKeyPath = "/skyline@epochs"
 )
 
 // partialError carries an explicitly partial (206) response out of the
@@ -193,7 +192,7 @@ func (c *Coordinator) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	}
 	rec.Finish(status)
 	if dur := time.Since(start); c.opt.SlowQuery > 0 && dur >= c.opt.SlowQuery {
-		c.logSlow(r, status, dur, rec.TraceID())
+		server.LogSlow(c.opt.Logger, r, status, dur, c.opt.SlowQuery, rec.TraceID())
 	}
 }
 
@@ -208,7 +207,7 @@ func (c *Coordinator) serveSkyline(w http.ResponseWriter, r *http.Request, rec *
 	// breaker traffic, no merge. Explain always bypasses it: its purpose is
 	// to observe the real fan-out.
 	if c.cache != nil && !explain {
-		if e, ok := c.cache.Get(rcache.Key{Epoch: c.writeGen.Load(), Variant: genKeyPrefix + r.URL.RawQuery}); ok {
+		if e, ok := c.cache.Get(rcache.Key{Epoch: c.writeGen.Load(), Path: genKeyPath, Variant: r.URL.RawQuery}); ok {
 			rec.Event(obs.Event{Kind: obs.EvCache, Detail: "hit-generation", Start: rec.Since()})
 			rcache.Serve(w, r, e, c.cacheCM)
 			return http.StatusOK, true
@@ -239,7 +238,7 @@ func (c *Coordinator) serveSkyline(w http.ResponseWriter, r *http.Request, rec *
 		// bumps it when it completes, so whatever mix of old and new shard
 		// state this query observed is stored under an already-dead key.
 		gen := c.writeGen.Load()
-		entry, err = c.cache.Fill(rcache.Key{Epoch: gen, Variant: genKeyPrefix + r.URL.RawQuery},
+		entry, err = c.cache.Fill(rcache.Key{Epoch: gen, Path: genKeyPath, Variant: r.URL.RawQuery},
 			func() (*rcache.Entry, error) {
 				return c.computeSkyline(r.Context(), m, r.URL.RawQuery, dims, delta)
 			})
@@ -275,20 +274,6 @@ func (c *Coordinator) serveSkyline(w http.ResponseWriter, r *http.Request, rec *
 	return http.StatusOK, true
 }
 
-// logSlow emits the coordinator's slow-query log line.
-func (c *Coordinator) logSlow(r *http.Request, status int, dur time.Duration, traceID string) {
-	if traceID == "" {
-		traceID = "-"
-	}
-	line := fmt.Sprintf("slow-query method=%s path=%s query=%q status=%d dur=%s threshold=%s trace=%s",
-		r.Method, r.URL.Path, r.URL.RawQuery, status, dur, c.opt.SlowQuery, traceID)
-	if c.opt.Logger != nil {
-		c.opt.Logger.Print(line)
-		return
-	}
-	log.Print(line)
-}
-
 // errStaleMap reports that a shard rejected the pinned map's generation: a
 // cutover swapped the map mid-query, and the whole query must rerun on the
 // current map.
@@ -313,7 +298,7 @@ func (c *Coordinator) computeSkyline(ctx context.Context, m *shardMap, rawQuery 
 		// Complete answer: the shard-epoch vector fully determines the
 		// response bytes. If an identical vector was merged before — under
 		// any write generation — reuse it and skip the merge and encode.
-		evKey = rcache.Key{Epoch: c.epochVectorHash(m, epochs), Variant: epochKeyPrefix + rawQuery}
+		evKey = rcache.Key{Epoch: c.epochVectorHash(m, epochs), Path: epochKeyPath, Variant: rawQuery}
 		if e, ok := c.cache.Get(evKey); ok {
 			rec.Event(obs.Event{Kind: obs.EvCache, Detail: "hit-epoch-vector", Start: rec.Since()})
 			return e, nil

@@ -159,6 +159,40 @@ func TestShardSnapshotTailJoin(t *testing.T) {
 	}
 }
 
+// TestShardSyncCarriesBatchReplies: a batch reply the source remembered
+// reaches a serving replica through POST /shard/sync, so the batch retried
+// against the replica replays with the same ids and adds no point.
+func TestShardSyncCarriesBatchReplies(t *testing.T) {
+	ds := skycube.GenerateSynthetic(skycube.Independent, 60, 3, 81)
+	parent := durableShard(t, ds, t.TempDir(), ShardOptions{IDBase: 0, IDStride: 1})
+	psrv := httptest.NewServer(parent)
+	defer psrv.Close()
+	child := bootstrapChild(t, psrv.URL, t.TempDir(), ShardOptions{IDBase: 0, IDStride: 1})
+
+	batch := []byte(`{"points":[[0.5,0.25,0.75]],"batch":"sync-me"}`)
+	first := postRaw(parent, "/insert", batch)
+	if first.Code != http.StatusOK {
+		t.Fatalf("insert on the source: status %d: %s", first.Code, first.Body.String())
+	}
+	var sr syncResponse
+	mustUnmarshal(t, postJSON(t, child, "/shard/sync", struct{}{}, http.StatusOK), &sr)
+	if sr.Applied == 0 {
+		t.Fatal("sync applied no records")
+	}
+	before, _ := child.Updater().Pending()
+	retry := postRaw(child, "/insert", batch)
+	if retry.Code != http.StatusOK || retry.Body.String() != first.Body.String() {
+		t.Fatalf("retry on the replica: status %d, body %q, want 200 %q",
+			retry.Code, retry.Body.String(), first.Body.String())
+	}
+	if after, _ := child.Updater().Pending(); after != before {
+		t.Fatalf("retried batch applied again on the replica: pending %d -> %d", before, after)
+	}
+	if live := child.Updater().Flush().Live(); live != ds.Len()+1 {
+		t.Fatalf("replica live %d after flush, want %d", live, ds.Len()+1)
+	}
+}
+
 // TestJoinCompactsOnlyOnceDetached: a joiner asked for background
 // compaction keeps its compactor off for as long as its source can feed it
 // — so when the parent compacts mid catch-up, replaying that compaction

@@ -57,11 +57,11 @@ type ShardOptions struct {
 	Logger *log.Logger
 	// MaxBodyBytes caps mutation bodies (0 = server default, 1 MiB).
 	MaxBodyBytes int64
-	// CacheEntries bounds the shard's /shard/cuboid response cache and the
-	// embedded server's read cache (0 = rcache.DefaultEntries).
+	// CacheEntries bounds the shard's response cache, which /shard/cuboid
+	// shares with the embedded server's reads (0 = rcache.DefaultEntries).
 	CacheEntries int
-	// DisableCache turns response memoization off on both surfaces
-	// (the ETag/304 contract remains).
+	// DisableCache turns response memoization off (the ETag/304 contract
+	// remains).
 	DisableCache bool
 	// Requests, if non-nil, enables distributed request tracing on the
 	// shard: requests carrying a coordinator-propagated traceparent header
@@ -118,12 +118,6 @@ type Shard struct {
 	adminMu sync.Mutex
 
 	rbm *obs.RebalanceMetrics
-
-	// cache memoizes encoded /shard/cuboid responses per (epoch, query):
-	// a coordinator fan-out of a warm subspace is a map probe and a byte
-	// copy, not an extraction plus an encode. Nil when disabled.
-	cache *rcache.Cache
-	cm    *obs.CacheMetrics
 }
 
 // schemeFor builds a shard's initial id scheme from its options.
@@ -169,8 +163,8 @@ func NewShardFrom(up *skycube.Updater, sopt ShardOptions) (*Shard, error) {
 	return finishShard(up, up.Current().Dims(), scheme, sopt), nil
 }
 
-// finishShard wires the shard node around a ready updater: response cache,
-// embedded server, and the cluster + rebalance endpoint set.
+// finishShard wires the shard node around a ready updater: the embedded
+// server, and the cluster + rebalance endpoint set.
 func finishShard(up *skycube.Updater, dims int, scheme *idScheme, sopt ShardOptions) *Shard {
 	sh := &Shard{
 		up:     up,
@@ -179,10 +173,6 @@ func finishShard(up *skycube.Updater, dims int, scheme *idScheme, sopt ShardOpti
 	}
 	sh.scheme.Store(scheme)
 	sh.rbm = obs.NewRebalanceMetrics(sopt.Metrics)
-	sh.cm = obs.NewCacheMetrics(sopt.Metrics, "shard")
-	if !sopt.DisableCache {
-		sh.cache = rcache.New(sopt.CacheEntries, sh.cm)
-	}
 	sh.srv = server.NewWith(nil, nil, server.Options{
 		Updater:      up,
 		Metrics:      sopt.Metrics,
@@ -257,13 +247,14 @@ func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
 	if !server.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
+	// A warm subspace's fan-out is a map probe and a byte copy in the
+	// embedded server's cache, not an extraction plus an encode.
+	cache, cm := s.srv.Cache()
 	rec := obs.RecordFrom(r.Context())
-	if s.cache != nil {
-		if e, ok := s.cache.Get(rcache.Key{Epoch: s.up.Current().Epoch(), Variant: r.URL.RawQuery}); ok {
-			rec.Event(obs.Event{Kind: obs.EvCache, Detail: "hit", Start: rec.Since()})
-			rcache.Serve(w, r, e, s.cm)
-			return
-		}
+	if e, ok := cache.Get(rcache.Key{Epoch: s.up.Current().Epoch(), Path: r.URL.Path, Variant: r.URL.RawQuery}); ok {
+		rec.Event(obs.Event{Kind: obs.EvCache, Detail: "hit", Start: rec.Since()})
+		rcache.Serve(w, r, e, cm)
+		return
 	}
 	rec.Event(obs.Event{Kind: obs.EvCache, Detail: "miss", Start: rec.Since()})
 	delta, ok := s.parseSubspace(w, r)
@@ -276,7 +267,7 @@ func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
 	// payload disagrees with their validator. The singleflight gate means R
 	// replicas' worth of concurrent cold fan-outs cost one extraction here.
 	snap := s.up.Current()
-	e, err := s.cache.Fill(rcache.Key{Epoch: snap.Epoch(), Variant: r.URL.RawQuery},
+	e, err := cache.Fill(rcache.Key{Epoch: snap.Epoch(), Path: r.URL.Path, Variant: r.URL.RawQuery},
 		func() (*rcache.Entry, error) {
 			extractStart := rec.Since()
 			local := snap.Skyline(delta)
@@ -295,7 +286,7 @@ func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	rcache.Serve(w, r, e, s.cm)
+	rcache.Serve(w, r, e, cm)
 }
 
 // parseSubspace reads the subspace parameter of /shard/cuboid, answering 400

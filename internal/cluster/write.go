@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sync"
 
+	"skycube/internal/delta"
 	"skycube/internal/server"
 )
 
@@ -119,6 +120,14 @@ func (c *Coordinator) insertOnce(w http.ResponseWriter, r *http.Request, req *in
 	for i, p := range req.Points {
 		s := m.ring.owner(hashPoint(p))
 		perShard[s] = append(perShard[s], i)
+	}
+	// Refuse a batch id some shard could not remember before any shard
+	// applies the batch.
+	for s := range perShard {
+		if id := batch + "/" + m.shards[s].name; len(id) > delta.MaxBatchID {
+			return http.StatusBadRequest, fmt.Sprintf("batch id of %d bytes is too long: shard %s's batch id would be %d bytes (at most %d)",
+				len(batch), m.shards[s].name, len(id), delta.MaxBatchID)
+		}
 	}
 	resp := insertResponse{IDs: make([]int32, len(req.Points)), Routed: map[string]int{}}
 	for s, idxs := range perShard {

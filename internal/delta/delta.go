@@ -102,6 +102,7 @@ package delta
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -128,7 +129,15 @@ const (
 	// minCompactOverlay is the overlay size below which auto-compaction
 	// never fires: it avoids rebuild churn on tiny bases.
 	minCompactOverlay = 64
+	// maxBatchReplies caps the remembered batch replies; the oldest is
+	// evicted first. Retries arrive within seconds, so thousands of batches
+	// of slack is plenty.
+	maxBatchReplies = 4096
 )
+
+// MaxBatchID is the longest batch id, in bytes, an updater remembers: the
+// journal and the checkpoint store an id's length in 16 bits.
+const MaxBatchID = math.MaxUint16
 
 // Options configure an Updater.
 type Options struct {
@@ -172,6 +181,9 @@ type Journal interface {
 	// every mutation logged so far, or a compaction (compact=true) folding
 	// the overlay — with the produced epoch and its live-point count.
 	LogEpoch(compact bool, epoch uint64, live int) error
+	// LogBatch records a remembered batch reply (RememberBatch), under the
+	// buffer lock like LogInsert, so it follows the inserts it answers.
+	LogBatch(id string, status int, body []byte) error
 	// Commit blocks until all previously appended records are durable per
 	// the journal's configured fsync policy.
 	Commit() error
@@ -224,6 +236,10 @@ type Updater struct {
 	pendInserts []pendingInsert
 	pendDeleted map[int32]struct{}
 	nextID      int32
+	// replies are the remembered batch replies (RememberBatch), also
+	// guarded by pendMu; replyOrder is their FIFO eviction order.
+	replies    map[string]BatchReply
+	replyOrder []string
 
 	compactCh   chan struct{}
 	closed      chan struct{}
@@ -252,6 +268,15 @@ type pendingInsert struct {
 	id        int32
 	point     []float32
 	cancelled bool
+}
+
+// BatchReply is the remembered outcome of an idempotent (batch-tagged)
+// insert, replayed verbatim — status included — when the same batch id
+// arrives again. Body is never mutated once remembered.
+type BatchReply struct {
+	ID     string
+	Status int
+	Body   []byte
 }
 
 // NewUpdater builds the initial skycube over ds (epoch 1) and returns an
@@ -320,6 +345,8 @@ type RestoreState struct {
 	// buffer order.
 	PendingInserts []PendingOp
 	PendingDeletes []int32
+	// Replies are the remembered batch replies, oldest first.
+	Replies []BatchReply
 }
 
 // CaptureState returns a consistent RestoreState of the updater and, at
@@ -359,6 +386,12 @@ func (u *Updater) CaptureState(rotate func(epoch uint64) error) (RestoreState, e
 		}
 		slices.Sort(st.PendingDeletes)
 	}
+	if len(u.replyOrder) > 0 {
+		st.Replies = make([]BatchReply, len(u.replyOrder))
+		for i, id := range u.replyOrder {
+			st.Replies[i] = u.replies[id]
+		}
+	}
 	if rotate != nil {
 		if err := rotate(st.Epoch); err != nil {
 			return RestoreState{}, err
@@ -370,11 +403,12 @@ func (u *Updater) CaptureState(rotate func(epoch uint64) error) (RestoreState, e
 // NewUpdaterFrom reconstructs an updater from a RestoreState: a full build
 // over the state's live points published at the state's epoch (exactly a
 // compaction of the pre-crash updater, which serves identical query
-// results), with the pending batch re-buffered. It verifies the rebuilt
-// live count against the state and fails rather than serve a diverged
-// cube. The background compactor is NOT started even when opt.AutoCompact
-// is set — WAL replay must drive every epoch advance itself — call
-// StartAutoCompact once replay is complete.
+// results), with the pending batch re-buffered and the batch replies
+// remembered. It verifies the rebuilt live count against the state and
+// fails rather than serve a diverged cube. The background compactor is
+// NOT started even when opt.AutoCompact is set — WAL replay must drive
+// every epoch advance itself — call StartAutoCompact once replay is
+// complete.
 func NewUpdaterFrom(st RestoreState, opt Options) (*Updater, error) {
 	if st.Dims <= 0 {
 		return nil, fmt.Errorf("delta: restore state has %d dims", st.Dims)
@@ -431,6 +465,9 @@ func NewUpdaterFrom(st RestoreState, opt Options) (*Updater, error) {
 			return nil, fmt.Errorf("delta: restore state pending delete %d out of range [0,%d)", id, n)
 		}
 		u.pendDeleted[id] = struct{}{}
+	}
+	for _, rep := range st.Replies {
+		u.rememberLocked(rep)
 	}
 	u.mu.Lock()
 	snap := u.buildBaseLocked(st.Epoch)
@@ -577,14 +614,50 @@ func (u *Updater) Pending() (inserts, deletes int) {
 	return inserts, len(u.pendDeleted)
 }
 
-// NextID returns the id the next Insert will assign. State-transfer code
-// uses it as the exact boundary between rows that came from a peer's
-// replicated stream and rows inserted directly afterwards (a split's
-// piecewise id mapping is sealed at this value).
-func (u *Updater) NextID() int32 {
+// LookupBatch returns the reply remembered for batch id, if any.
+func (u *Updater) LookupBatch(id string) (BatchReply, bool) {
 	u.pendMu.Lock()
 	defer u.pendMu.Unlock()
-	return u.nextID
+	rep, ok := u.replies[id]
+	return rep, ok
+}
+
+// RememberBatch remembers the reply to batch id, journaling it under the
+// buffer lock so it is sequenced after the inserts it answers and is
+// captured by the same checkpoint as they are. The reply is remembered
+// even when journaling fails — a retry must still replay it rather than
+// re-apply the batch — and the error reports that it will not survive a
+// restart. Beyond maxBatchReplies the oldest reply is forgotten. An empty
+// id, or one longer than MaxBatchID, is refused and not remembered.
+func (u *Updater) RememberBatch(id string, status int, body []byte) error {
+	if id == "" || len(id) > MaxBatchID {
+		return fmt.Errorf("delta: batch id of %d bytes (want 1..%d)", len(id), MaxBatchID)
+	}
+	u.pendMu.Lock()
+	defer u.pendMu.Unlock()
+	u.rememberLocked(BatchReply{ID: id, Status: status, Body: body})
+	if u.journal != nil {
+		if err := u.journal.LogBatch(id, status, body); err != nil {
+			return fmt.Errorf("delta: journal batch reply: %w", err)
+		}
+	}
+	return nil
+}
+
+// rememberLocked records rep, replacing an earlier reply to the same batch
+// in place. Caller holds pendMu (or owns the updater still).
+func (u *Updater) rememberLocked(rep BatchReply) {
+	if u.replies == nil {
+		u.replies = make(map[string]BatchReply)
+	}
+	if _, known := u.replies[rep.ID]; !known {
+		u.replyOrder = append(u.replyOrder, rep.ID)
+	}
+	u.replies[rep.ID] = rep
+	for len(u.replyOrder) > maxBatchReplies {
+		delete(u.replies, u.replyOrder[0])
+		u.replyOrder = u.replyOrder[1:]
+	}
 }
 
 // Flush applies the buffered batch and returns the snapshot serving it

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -391,6 +392,61 @@ func TestAliveOfBasePointDoesNotAllocate(t *testing.T) {
 		})
 		if allocs != 0 || alive != snap.Live() {
 			t.Fatalf("Alive over 300 base ids: %v allocations, %d alive of %d live", allocs, alive, snap.Live())
+		}
+	}
+}
+
+// TestBatchRepliesEvictOldestAndRestore: the updater remembers the last
+// maxBatchReplies replies, forgets the oldest first, keeps a re-remembered
+// id in its original place, and carries the replies through CaptureState
+// and NewUpdaterFrom in that order.
+func TestBatchRepliesEvictOldestAndRestore(t *testing.T) {
+	ds := gen.Synthetic(gen.Independent, 20, 3, 5)
+	u := NewUpdater(ds, Options{Threads: 1})
+	defer u.Close()
+	for i := 0; i <= maxBatchReplies; i++ {
+		if err := u.RememberBatch(fmt.Sprintf("b%d", i), 200, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := u.LookupBatch("b0"); ok {
+		t.Fatal("the oldest reply survived the cap")
+	}
+	if err := u.RememberBatch("b1", 500, []byte("again")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := u.CaptureState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u2, err := NewUpdaterFrom(st, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u2.Close()
+	st2, _ := u2.CaptureState(nil)
+	if len(st2.Replies) != maxBatchReplies {
+		t.Fatalf("restored %d replies, want %d", len(st2.Replies), maxBatchReplies)
+	}
+	if first := st2.Replies[0]; first.ID != "b1" || first.Status != 500 {
+		t.Fatalf("oldest restored reply %s/%d, want b1/500", first.ID, first.Status)
+	}
+	if last := st2.Replies[maxBatchReplies-1]; last.ID != fmt.Sprintf("b%d", maxBatchReplies) {
+		t.Fatalf("newest restored reply %s", last.ID)
+	}
+}
+
+// TestRememberBatchRefusesUnjournalableID: an empty id or one longer than
+// MaxBatchID is refused and not remembered, so no checkpoint can hold it.
+func TestRememberBatchRefusesUnjournalableID(t *testing.T) {
+	u := NewUpdater(gen.Synthetic(gen.Independent, 20, 3, 5), Options{Threads: 1})
+	defer u.Close()
+	for _, id := range []string{"", strings.Repeat("x", MaxBatchID+1)} {
+		if err := u.RememberBatch(id, 200, nil); err == nil {
+			t.Fatalf("RememberBatch accepted a %d-byte id", len(id))
+		}
+		if _, ok := u.LookupBatch(id); ok {
+			t.Fatalf("a refused %d-byte id was remembered", len(id))
 		}
 	}
 }

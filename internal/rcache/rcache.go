@@ -1,7 +1,7 @@
 // Package rcache is the materialized read path's response cache: a small,
-// LRU-bounded map from (epoch, request variant) to a fully-encoded response
-// body, with a singleflight gate so N concurrent readers of a cold key
-// trigger exactly one computation.
+// LRU-bounded map from (epoch, endpoint, request variant) to a
+// fully-encoded response body, with a singleflight gate so N concurrent
+// readers of a cold key trigger exactly one computation.
 //
 // The design leans entirely on MVCC epochs for correctness. A key embeds
 // the epoch the response was computed at, and epochs only ever advance
@@ -26,12 +26,15 @@ import (
 )
 
 // Key identifies one cached response exactly. Epoch is the MVCC epoch (or
-// any monotone generation) the response was computed at; Variant is the
+// any monotone generation) the response was computed at; Path is the
+// endpoint that answers it (or another namespace for a family of keys), so
+// endpoints sharing a cache never serve each other's bodies; Variant is the
 // normalized request variant — typically the raw query string, which pins
 // dimension order, points/extended flags, and pinned-epoch parameters
 // without parsing them.
 type Key struct {
 	Epoch   uint64
+	Path    string
 	Variant string
 }
 

@@ -105,8 +105,8 @@ func Join(ctx context.Context, peer string, opt skycube.Options) (*Node, error) 
 }
 
 // CatchUpOnce pulls one tail round from the peer and applies it through the
-// node's journaled updater (batch-reply records mirror into the local
-// store, so idempotent-retry dedup survives on the copy too). It returns
+// node's journaled updater (batch replies included, so a retried batch
+// replays on the copy too). It returns
 // how many records were applied and whether the round found the peer's
 // frontier already reached (an empty round).
 func (n *Node) CatchUpOnce(ctx context.Context) (applied int, caughtUp bool, err error) {
@@ -114,7 +114,7 @@ func (n *Node) CatchUpOnce(ctx context.Context) (applied int, caughtUp bool, err
 	if err != nil {
 		return 0, false, err
 	}
-	applied, err = wal.Apply(n.Updater.Delta(), recs, n.Updater.Store().LogBatch)
+	applied, err = wal.Apply(n.Updater.Delta(), recs)
 	n.Cursor.Skip += applied
 	caughtUp = len(recs) == 0
 	n.metrics.CatchUp(applied, caughtUp)

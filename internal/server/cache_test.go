@@ -79,6 +79,21 @@ func TestCachedBytesIdentical(t *testing.T) {
 	}
 }
 
+// TestCacheKeyedByEndpoint: /skyline and /membership share one cache, so
+// the same query string sent to both must still get each endpoint's own
+// answer, not the body the other one cached first.
+func TestCacheKeyedByEndpoint(t *testing.T) {
+	s, _, _ := newTestServer(t, 0)
+	uncached := NewWith(s.cube, s.ds, Options{DisableCache: true})
+	const query = "?dims=0&id=1"
+	for _, path := range []string{"/skyline", "/membership"} {
+		got, want := get(t, s, path+query), get(t, uncached, path+query)
+		if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+			t.Fatalf("GET %s%s: status %d, body %q; want %q", path, query, got.Code, got.Body.String(), want.Body.String())
+		}
+	}
+}
+
 // TestFlushAndCompactAdvanceCacheKey checks that a mutation + flush (and a
 // compact) invalidate by epoch advance: the same URL serves new bytes and a
 // new validator, with no explicit invalidation anywhere.

@@ -35,7 +35,7 @@
 // # Materialized read path
 //
 // /skyline and /membership responses are cached as fully-encoded JSON,
-// keyed on (epoch, request variant) and bounded by an LRU
+// keyed on (epoch, endpoint, request variant) and bounded by an LRU
 // (Options.CacheEntries). Invalidation is epoch-advance only — a flush or
 // compaction publishes a new epoch and thereby new keys — never TTL, so a
 // cached response is provably the bytes the uncached path would produce.
@@ -63,6 +63,7 @@ import (
 	"time"
 
 	"skycube"
+	"skycube/internal/delta"
 	"skycube/internal/obs"
 	"skycube/internal/rcache"
 	"skycube/internal/wal"
@@ -108,10 +109,6 @@ type Options struct {
 	// carry ETags and honour If-None-Match — only the server-side reuse of
 	// encoded bytes is disabled.
 	DisableCache bool
-	// CacheLayer labels the cache's metrics ("" means "node"); the cluster
-	// shard overrides it so node and shard caches are distinguishable on
-	// one metrics page.
-	CacheLayer string
 	// Requests, if non-nil, enables distributed request tracing: requests
 	// carrying a traceparent header (propagated by the cluster coordinator)
 	// and one in SampleEvery locally-initiated requests are recorded — with
@@ -126,8 +123,8 @@ type Options struct {
 	// SlowQuery, when > 0, logs one structured line (with the trace id when
 	// sampled) for every request at least this slow.
 	SlowQuery time.Duration
-	// TraceKind labels this server's hop records ("" means "node"); the
-	// cluster shard overrides it.
+	// TraceKind labels this server's hop records and its cache metrics'
+	// layer ("" means "node"); the cluster shard sets "shard".
 	TraceKind string
 }
 
@@ -163,31 +160,16 @@ type Server struct {
 	notReady atomic.Bool
 	busy     atomic.Int32
 
-	// batchMu serialises batch-tagged (idempotent) inserts and guards the
-	// replay cache: a duplicate arriving while the original is still
-	// applying waits and then replays instead of racing it to a double
+	// batchMu serialises batch-tagged (idempotent) inserts: a duplicate
+	// arriving while the original is still applying waits and then replays
+	// the reply the updater remembered, instead of racing it to a double
 	// insert.
-	batchMu    sync.Mutex
-	batchResp  map[string]batchReply
-	batchOrder []string
+	batchMu sync.Mutex
 
 	// wal is the updater's durability subsystem (nil when in-memory):
-	// mutation acks block on wal.Commit, and remembered batch replies are
-	// journaled so idempotent-retry dedup survives restarts.
+	// mutation acks block on wal.Commit.
 	wal *wal.Store
 }
-
-// batchReply is a remembered /insert outcome, replayed verbatim (status
-// included) when the same batch id arrives again.
-type batchReply struct {
-	status int
-	body   []byte
-}
-
-// maxRememberedBatches caps the replay cache; the oldest entries are
-// evicted first. Retries arrive within seconds, so thousands of batches of
-// slack is plenty.
-const maxRememberedBatches = 4096
 
 // New builds a handler for a materialised skycube with no observability
 // extras — the original three endpoints only.
@@ -198,20 +180,16 @@ func New(cube skycube.Skycube, ds *skycube.Dataset) *Server {
 // NewWith builds a handler with the requested observability surface.
 func NewWith(cube skycube.Skycube, ds *skycube.Dataset, opt Options) *Server {
 	s := &Server{cube: cube, ds: ds, mux: http.NewServeMux(), opt: opt}
-	layer := opt.CacheLayer
-	if layer == "" {
-		layer = "node"
+	s.traceKind = opt.TraceKind
+	if s.traceKind == "" {
+		s.traceKind = "node"
 	}
-	s.cm = obs.NewCacheMetrics(opt.Metrics, layer)
+	s.cm = obs.NewCacheMetrics(opt.Metrics, s.traceKind)
 	s.km = obs.NewKernelMetrics(opt.Metrics)
 	if !opt.DisableCache {
 		s.cache = rcache.New(opt.CacheEntries, s.cm)
 	}
 	s.sampler = obs.NewSampler(opt.SampleEvery)
-	s.traceKind = opt.TraceKind
-	if s.traceKind == "" {
-		s.traceKind = "node"
-	}
 	if opt.Requests != nil {
 		s.mux.Handle("/debug/requests", opt.Requests.Handler())
 	}
@@ -234,16 +212,7 @@ func NewWith(cube skycube.Skycube, ds *skycube.Dataset, opt Options) *Server {
 		s.mux.HandleFunc("/flush", s.handleFlush)
 		s.mux.HandleFunc("/compact", s.handleCompact)
 		s.mux.HandleFunc("/updates", s.handleUpdates)
-		if st := opt.Updater.Store(); st != nil {
-			// Durable updater: acks commit the WAL, and the batch replay
-			// cache is seeded with the replies recovery carried over — a
-			// client retrying a pre-crash batch replays instead of
-			// double-applying.
-			s.wal = st
-			for id, rep := range st.RememberedBatches() {
-				s.rememberBatch(id, batchReply{status: rep.Status, body: rep.Body})
-			}
-		}
+		s.wal = opt.Updater.Store()
 	}
 	return s
 }
@@ -263,6 +232,12 @@ func (s *Server) durableCommit() error {
 func (s *Server) Handle(pattern string, h http.Handler) {
 	s.mux.Handle(pattern, h)
 }
+
+// Cache returns the read cache (nil when disabled) and its metrics, so a
+// handler mounted with Handle memoizes in the same LRU: one bound, one
+// layer label. Its keys carry the request path, so endpoints never serve
+// each other's bodies.
+func (s *Server) Cache() (*rcache.Cache, *obs.CacheMetrics) { return s.cache, s.cm }
 
 // SetReady flips the caller-controlled half of the readiness probe — e.g. a
 // shard node rebuilding its cube marks itself unready so load balancers and
@@ -399,25 +374,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			"HTTP response body bytes written.", "path", path).Add(float64(sw.bytes))
 	}
 	if s.opt.SlowQuery > 0 && dur >= s.opt.SlowQuery {
-		s.logSlow(r, sw.status, dur, rec.TraceID())
+		LogSlow(s.opt.Logger, r, sw.status, dur, s.opt.SlowQuery, rec.TraceID())
 	}
 	if s.opt.Logger != nil {
 		s.opt.Logger.Printf("%s %s %d %s", r.Method, r.URL.RequestURI(), sw.status, dur)
 	}
 }
 
-// logSlow emits the slow-query log line: one structured line per offending
-// request, carrying the trace id when the request was sampled so the
-// corresponding /debug/requests record (and /trace/query timeline) is one
-// lookup away.
-func (s *Server) logSlow(r *http.Request, status int, dur time.Duration, traceID string) {
+// LogSlow emits the slow-query log line to logger (the standard logger when
+// nil): one structured line per offending request, carrying the trace id
+// when the request was sampled so the corresponding /debug/requests record
+// (and /trace/query timeline) is one lookup away.
+func LogSlow(logger *log.Logger, r *http.Request, status int, dur, threshold time.Duration, traceID string) {
 	if traceID == "" {
 		traceID = "-"
 	}
 	line := fmt.Sprintf("slow-query method=%s path=%s query=%q status=%d dur=%s threshold=%s trace=%s",
-		r.Method, r.URL.Path, r.URL.RawQuery, status, dur, s.opt.SlowQuery, traceID)
-	if s.opt.Logger != nil {
-		s.opt.Logger.Print(line)
+		r.Method, r.URL.Path, r.URL.RawQuery, status, dur, threshold, traceID)
+	if logger != nil {
+		logger.Print(line)
 		return
 	}
 	log.Print(line)
@@ -668,7 +643,7 @@ func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cache != nil && cacheable(r) {
-		if e, ok := s.cache.Get(rcache.Key{Epoch: s.currentEpoch(), Variant: r.URL.RawQuery}); ok {
+		if e, ok := s.cache.Get(rcache.Key{Epoch: s.currentEpoch(), Path: r.URL.Path, Variant: r.URL.RawQuery}); ok {
 			traceCache(r, "hit")
 			serveEntry(w, r, e, s.cm)
 			return
@@ -693,7 +668,7 @@ func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	// Fill under the view's epoch — the epoch of the body — so the entry,
 	// its ETag, and its payload can never disagree. Concurrent cold readers
 	// of the same key coalesce into one extraction and one encode.
-	e, err := s.cache.Fill(rcache.Key{Epoch: v.epoch, Variant: r.URL.RawQuery},
+	e, err := s.cache.Fill(rcache.Key{Epoch: v.epoch, Path: r.URL.Path, Variant: r.URL.RawQuery},
 		func() (*rcache.Entry, error) {
 			ids := v.cube.Skyline(delta)
 			resp := skylineResponse{Dims: dims, Subspace: delta, Count: len(ids), IDs: ids, Epoch: v.epoch}
@@ -726,7 +701,7 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cache != nil && cacheable(r) {
-		if e, ok := s.cache.Get(rcache.Key{Epoch: s.currentEpoch(), Variant: r.URL.RawQuery}); ok {
+		if e, ok := s.cache.Get(rcache.Key{Epoch: s.currentEpoch(), Path: r.URL.Path, Variant: r.URL.RawQuery}); ok {
 			traceCache(r, "hit")
 			serveEntry(w, r, e, s.cm)
 			return
@@ -744,7 +719,7 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 			http.StatusBadRequest)
 		return
 	}
-	e, err := s.cache.Fill(rcache.Key{Epoch: v.epoch, Variant: r.URL.RawQuery},
+	e, err := s.cache.Fill(rcache.Key{Epoch: v.epoch, Path: r.URL.Path, Variant: r.URL.RawQuery},
 		func() (*rcache.Entry, error) {
 			subspaces := v.cube.Membership(int32(id))
 			resp := membershipResponse{ID: int32(id), Subspaces: subspaces, DimLists: make([][]int, len(subspaces)), Epoch: v.epoch}
@@ -772,7 +747,9 @@ type insertRequest struct {
 	// before replays the original response (status included) without
 	// applying anything. The cluster coordinator tags every replica write
 	// with one, so a retry after a timeout — where the first attempt may or
-	// may not have been applied — cannot double-insert.
+	// may not have been applied — cannot double-insert. The updater
+	// remembers the replies (the last 4096) with its state, so they survive
+	// restarts and reach replicas that catch up from this node's log.
 	Batch string `json:"batch,omitempty"`
 }
 
@@ -794,11 +771,16 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `missing points (e.g. {"points": [[1,2,3]]})`, http.StatusBadRequest)
 		return
 	}
+	if len(req.Batch) > delta.MaxBatchID {
+		http.Error(w, fmt.Sprintf("batch id of %d bytes (at most %d)", len(req.Batch), delta.MaxBatchID), http.StatusBadRequest)
+		return
+	}
+	replies := s.opt.Updater.Delta()
 	if req.Batch != "" {
 		s.batchMu.Lock()
 		defer s.batchMu.Unlock()
-		if rep, ok := s.batchResp[req.Batch]; ok {
-			s.replayBatch(w, rep)
+		if rep, ok := replies.LookupBatch(req.Batch); ok {
+			replayBatch(w, rep.Status, rep.Body)
 			return
 		}
 	}
@@ -813,7 +795,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			msg := fmt.Sprintf("point %d: %v (%d of %d points buffered)",
 				i, err, len(ids), len(req.Points))
 			if req.Batch != "" {
-				s.rememberBatch(req.Batch, batchReply{status: http.StatusBadRequest, body: []byte(msg)})
+				// A journal failure only keeps this 400 from outliving a
+				// restart; the reply is remembered either way.
+				_ = replies.RememberBatch(req.Batch, http.StatusBadRequest, []byte(msg))
 			}
 			http.Error(w, msg, http.StatusBadRequest)
 			return
@@ -828,16 +812,20 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		rep := batchReply{status: http.StatusOK, body: buf.Bytes()}
-		if err := s.persistBatch(req.Batch, rep); err != nil {
+		status, body := http.StatusOK, buf.Bytes()
+		err := replies.RememberBatch(req.Batch, status, body)
+		if err == nil {
+			err = s.durableCommit()
+		}
+		if err != nil {
 			// The inserts are buffered but not durably acknowledged.
 			// Remember the failure under the batch id so a retry replays
-			// this 500 instead of double-applying the points.
-			rep = batchReply{status: http.StatusInternalServerError,
-				body: []byte("durability failure: " + err.Error())}
+			// this 500 instead of double-applying the points; the 500
+			// already reports the journal's failure.
+			status, body = http.StatusInternalServerError, []byte("durability failure: "+err.Error())
+			_ = replies.RememberBatch(req.Batch, status, body)
 		}
-		s.rememberBatch(req.Batch, rep)
-		s.replayBatch(w, rep)
+		replayBatch(w, status, body)
 		return
 	}
 	if err := s.durableCommit(); err != nil {
@@ -847,46 +835,14 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, resp)
 }
 
-// rememberBatch stores a batch outcome for replay, evicting the oldest
-// entries beyond the cap. The caller holds batchMu (or is still inside
-// single-threaded construction). In-memory only: journaling a new outcome
-// is the insert handler's job, so recovery-seeded replies are not
-// re-journaled.
-func (s *Server) rememberBatch(id string, rep batchReply) {
-	if s.batchResp == nil {
-		s.batchResp = make(map[string]batchReply)
-	}
-	if _, known := s.batchResp[id]; !known {
-		s.batchOrder = append(s.batchOrder, id)
-	}
-	s.batchResp[id] = rep
-	for len(s.batchOrder) > maxRememberedBatches {
-		delete(s.batchResp, s.batchOrder[0])
-		s.batchOrder = s.batchOrder[1:]
-	}
-}
-
-// persistBatch journals a fresh batch outcome and commits the WAL — the
-// durability point of an acknowledged idempotent insert. No-op when
-// in-memory.
-func (s *Server) persistBatch(id string, rep batchReply) error {
-	if s.wal == nil {
-		return nil
-	}
-	if err := s.wal.LogBatch(id, rep.status, rep.body); err != nil {
-		return err
-	}
-	return s.wal.Commit()
-}
-
-// replayBatch writes a remembered batch outcome.
-func (s *Server) replayBatch(w http.ResponseWriter, rep batchReply) {
-	if rep.status != http.StatusOK {
-		http.Error(w, string(rep.body), rep.status)
+// replayBatch writes a batch outcome, fresh or remembered.
+func replayBatch(w http.ResponseWriter, status int, body []byte) {
+	if status != http.StatusOK {
+		http.Error(w, string(body), status)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(rep.body)
+	_, _ = w.Write(body)
 }
 
 // deleteRequest is the POST /delete body; deleteResponse its payload.

@@ -12,17 +12,11 @@ import (
 )
 
 // Recovered is what Open found on disk: the checkpoint state to rebuild
-// the updater from, and the remembered idempotent-batch replies. The
-// decoded WAL tail stays inside the store until Replay drives it through
-// the rebuilt updater.
+// the updater from. The decoded WAL tail stays inside the store until
+// Replay drives it through the rebuilt updater.
 type Recovered struct {
 	// State reconstructs the updater via delta.NewUpdaterFrom.
 	State delta.RestoreState
-	// Batches seeds the serving layer's idempotent-insert replay cache
-	// (checkpoint batches merged with tail batch records).
-	Batches map[string]BatchReply
-	// TailRecords is how many records Replay will apply.
-	TailRecords int
 }
 
 // Open opens (or initialises) the data directory. A nil Recovered means a
@@ -55,7 +49,7 @@ func Open(opt Options) (*Store, *Recovered, error) {
 	// Newest snapshot whose CRC verifies wins; corrupt ones are skipped
 	// with a warning (the paired tail segments still exist, and an older
 	// (snapshot, longer tail) pair replays to the same state).
-	var sd *snapshotData
+	var sd *SnapshotStream
 	for i := len(snaps) - 1; i >= 0; i-- {
 		cand, err := readSnapshotFile(filepath.Join(opt.Dir, snapName(snaps[i])))
 		if err != nil {
@@ -74,12 +68,12 @@ func Open(opt Options) (*Store, *Recovered, error) {
 	// The tail is the contiguous run of segments from the snapshot's seq.
 	var tail []uint64
 	for _, seq := range segs {
-		if seq >= sd.tailSeq {
+		if seq >= sd.TailSeq {
 			tail = append(tail, seq)
 		}
 	}
-	if len(tail) == 0 || tail[0] != sd.tailSeq {
-		return nil, nil, fmt.Errorf("wal: %s: snapshot %d's tail segment is missing", opt.Dir, sd.tailSeq)
+	if len(tail) == 0 || tail[0] != sd.TailSeq {
+		return nil, nil, fmt.Errorf("wal: %s: snapshot %d's tail segment is missing", opt.Dir, sd.TailSeq)
 	}
 	for i := 1; i < len(tail); i++ {
 		if tail[i] != tail[i-1]+1 {
@@ -96,7 +90,7 @@ func Open(opt Options) (*Store, *Recovered, error) {
 	last := filepath.Join(opt.Dir, segName(tail[len(tail)-1]))
 	if fi, err := os.Stat(last); err == nil && fi.Size() < segHeaderLen {
 		if len(tail) == 1 {
-			return nil, nil, fmt.Errorf("wal: %s: snapshot %d's tail segment is truncated", opt.Dir, sd.tailSeq)
+			return nil, nil, fmt.Errorf("wal: %s: snapshot %d's tail segment is truncated", opt.Dir, sd.TailSeq)
 		}
 		if err := os.Remove(last); err != nil {
 			return nil, nil, err
@@ -124,18 +118,9 @@ func Open(opt Options) (*Store, *Recovered, error) {
 		return nil, nil, err
 	}
 	s := newStore(opt, f, active, off)
-	s.snapSeq = sd.tailSeq
-	for _, id := range sd.batchOrder {
-		s.rememberLocked(id, sd.batches[id])
-	}
-	for _, r := range records {
-		if r.Type == recBatch {
-			s.rememberLocked(r.BatchID, BatchReply{Status: r.Status, Body: r.Body})
-		}
-	}
+	s.snapSeq = sd.TailSeq
 	s.tailRecords = records
-	rec := &Recovered{State: sd.state, Batches: s.RememberedBatches(), TailRecords: len(records)}
-	return s, rec, nil
+	return s, &Recovered{State: sd.State}, nil
 }
 
 // openFresh initialises an empty (or never-checkpointed) directory. Any
@@ -327,9 +312,7 @@ func (s *Store) Replay(u *delta.Updater) (int, error) {
 	start := time.Now()
 	records := s.tailRecords
 	s.tailRecords = nil
-	// Batch records were already folded into the mirror at Open, so no
-	// batch sink is needed here.
-	n, err := Apply(u, records, nil)
+	n, err := Apply(u, records)
 	if err != nil {
 		return n, err
 	}
@@ -344,15 +327,14 @@ func (s *Store) Replay(u *delta.Updater) (int, error) {
 // Apply drives decoded WAL records through the updater's ordinary mutation
 // path, verifying each record's effect exactly as crash recovery does:
 // inserts must be assigned the recorded id, epoch markers must produce the
-// recorded epoch and live count. Batch-reply records are handed to the
-// batch sink when one is given (a replica catching up from a peer's tail
-// mirrors them into its own store) and skipped otherwise. It returns how
-// many records were applied before the first failure.
+// recorded epoch and live count. Batch-reply records are remembered by
+// the updater. It returns how many records were applied before the first
+// failure.
 //
 // Unlike Replay, Apply may run with a journal attached: a joining replica
 // applies a peer's tail through its own journaled updater, making the
 // catch-up itself durable.
-func Apply(u *delta.Updater, records []Record, batch func(id string, status int, body []byte) error) (int, error) {
+func Apply(u *delta.Updater, records []Record) (int, error) {
 	for i, r := range records {
 		switch r.Type {
 		case recInsert:
@@ -379,10 +361,8 @@ func Apply(u *delta.Updater, records []Record, batch func(id string, status int,
 					i, r.Epoch, r.Live, snap.Epoch(), snap.Live())
 			}
 		case recBatch:
-			if batch != nil {
-				if err := batch(r.BatchID, r.Status, r.Body); err != nil {
-					return i, fmt.Errorf("wal: replay record %d: batch %q: %w", i, r.BatchID, err)
-				}
+			if err := u.RememberBatch(r.BatchID, r.Status, r.Body); err != nil {
+				return i, fmt.Errorf("wal: replay record %d: batch %q: %w", i, r.BatchID, err)
 			}
 		default:
 			return i, fmt.Errorf("wal: replay record %d: unknown type %d", i, r.Type)

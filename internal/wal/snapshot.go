@@ -11,24 +11,23 @@ import (
 	"skycube/internal/delta"
 )
 
-// writeSnapshotFile serializes a checkpoint — the captured updater state
-// plus the batch-reply mirror — to path, fsyncs it, and returns its size.
+// writeSnapshotFile serializes a checkpoint — the captured updater state,
+// batch replies included — to path, fsyncs it, and returns its size.
 // The whole file is covered by a trailing CRC32C; a snapshot that fails
 // that check is ignored by recovery in favour of an older one.
 //
 // Layout (little-endian): magic "SKYSNP01", u64 tail segment seq, u64
 // epoch, u32 dims, u64 live, u64 len(vals) + vals, u32 dead count + ids,
 // u32 pending-insert count + (id, cancelled, point) each, u32
-// pending-delete count + ids, u32 batch count + (id, status, body) each,
-// u32 CRC.
-func writeSnapshotFile(path string, tailSeq uint64, st delta.RestoreState,
-	batches map[string]BatchReply, batchOrder []string) (int64, error) {
+// pending-delete count + ids, u32 batch count + (u16 id length, id, u32
+// status, u32 body length, body) each in remembered order, u32 CRC.
+func writeSnapshotFile(path string, tailSeq uint64, st delta.RestoreState) (int64, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return 0, err
 	}
 	w := &crcWriter{w: bufio.NewWriterSize(f, 1<<16)}
-	encodeSnapshotBody(w, tailSeq, st, batches, batchOrder)
+	encodeSnapshotBody(w, tailSeq, st)
 	if w.err != nil {
 		f.Close()
 		return 0, w.err
@@ -51,8 +50,7 @@ func writeSnapshotFile(path string, tailSeq uint64, st delta.RestoreState,
 // trailing whole-stream CRC — through w. It is shared by the on-disk
 // checkpoint writer and the snapshot-stream encoder, so a served snapshot
 // is byte-compatible with a checkpoint file.
-func encodeSnapshotBody(w *crcWriter, tailSeq uint64, st delta.RestoreState,
-	batches map[string]BatchReply, batchOrder []string) {
+func encodeSnapshotBody(w *crcWriter, tailSeq uint64, st delta.RestoreState) {
 	w.bytes([]byte(snapMagic))
 	w.u64(tailSeq)
 	w.u64(st.Epoch)
@@ -82,12 +80,14 @@ func encodeSnapshotBody(w *crcWriter, tailSeq uint64, st delta.RestoreState,
 	for _, id := range st.PendingDeletes {
 		w.u32(uint32(id))
 	}
-	// Batches in remembered order, so eviction order survives restarts.
-	w.u32(uint32(len(batchOrder)))
-	for _, id := range batchOrder {
-		rep := batches[id]
-		w.u16(uint16(len(id)))
-		w.bytes([]byte(id))
+	// Replies in remembered order, so eviction order survives restarts.
+	w.u32(uint32(len(st.Replies)))
+	for _, rep := range st.Replies {
+		if len(rep.ID) > math.MaxUint16 && w.err == nil {
+			w.err = fmt.Errorf("wal: batch id of %d bytes does not fit a snapshot", len(rep.ID))
+		}
+		w.u16(uint16(len(rep.ID)))
+		w.bytes([]byte(rep.ID))
 		w.u32(uint32(rep.Status))
 		w.u32(uint32(len(rep.Body)))
 		w.bytes(rep.Body)
@@ -133,18 +133,10 @@ func (c *crcWriter) u64(v uint64) {
 	c.bytes(b[:])
 }
 
-// snapshotData is a decoded checkpoint file.
-type snapshotData struct {
-	tailSeq    uint64
-	state      delta.RestoreState
-	batches    map[string]BatchReply
-	batchOrder []string
-}
-
 // readSnapshotFile loads and verifies one checkpoint file. Any framing,
 // bounds or CRC problem is an error — the caller falls back to an older
 // snapshot or fails recovery.
-func readSnapshotFile(path string) (*snapshotData, error) {
+func readSnapshotFile(path string) (*SnapshotStream, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -155,7 +147,7 @@ func readSnapshotFile(path string) (*snapshotData, error) {
 // decodeSnapshot verifies and decodes one snapshot encoding (a checkpoint
 // file's bytes, or the same bytes received over a snapshot stream). path
 // only labels errors.
-func decodeSnapshot(raw []byte, path string) (*snapshotData, error) {
+func decodeSnapshot(raw []byte, path string) (*SnapshotStream, error) {
 	if len(raw) < len(snapMagic)+4 || string(raw[:len(snapMagic)]) != snapMagic {
 		return nil, fmt.Errorf("wal: %s: not a snapshot file", path)
 	}
@@ -164,54 +156,65 @@ func decodeSnapshot(raw []byte, path string) (*snapshotData, error) {
 		return nil, fmt.Errorf("wal: %s: snapshot CRC mismatch", path)
 	}
 	r := &byteReader{b: body[len(snapMagic):]}
-	sd := &snapshotData{batches: make(map[string]BatchReply)}
-	sd.tailSeq = r.u64()
-	sd.state.Epoch = r.u64()
-	sd.state.Dims = int(r.u32())
-	sd.state.Live = int(r.u64())
-	if r.err == nil && (sd.state.Dims <= 0 || sd.state.Dims > math.MaxUint16) {
-		return nil, fmt.Errorf("wal: %s: snapshot has %d dims", path, sd.state.Dims)
+	sd := &SnapshotStream{}
+	sd.TailSeq = r.u64()
+	sd.State.Epoch = r.u64()
+	sd.State.Dims = int(r.u32())
+	sd.State.Live = int(r.u64())
+	if r.err == nil && (sd.State.Dims <= 0 || sd.State.Dims > math.MaxUint16) {
+		return nil, fmt.Errorf("wal: %s: snapshot has %d dims", path, sd.State.Dims)
 	}
 	nVals := int(r.u64())
 	if r.err == nil && (nVals < 0 || nVals > len(r.b)/4+1) {
 		return nil, fmt.Errorf("wal: %s: snapshot declares %d values", path, nVals)
 	}
 	if r.err == nil {
-		sd.state.Vals = make([]float32, nVals)
-		for i := range sd.state.Vals {
-			sd.state.Vals[i] = math.Float32frombits(r.u32())
+		sd.State.Vals = make([]float32, nVals)
+		for i := range sd.State.Vals {
+			sd.State.Vals[i] = math.Float32frombits(r.u32())
 		}
 	}
 	nDead := int(r.u32())
-	if r.err == nil && nDead >= 0 && nDead <= len(r.b)/4+1 {
-		sd.state.Dead = make([]int32, nDead)
-		for i := range sd.state.Dead {
-			sd.state.Dead[i] = int32(r.u32())
+	if r.err == nil && nDead > len(r.b)/4 {
+		return nil, fmt.Errorf("wal: %s: snapshot declares %d dead ids", path, nDead)
+	}
+	if r.err == nil {
+		sd.State.Dead = make([]int32, nDead)
+		for i := range sd.State.Dead {
+			sd.State.Dead[i] = int32(r.u32())
 		}
 	}
 	nPI := int(r.u32())
 	for i := 0; i < nPI && r.err == nil; i++ {
 		op := delta.PendingOp{ID: int32(r.u32())}
-		op.Cancelled = r.u8() != 0
-		op.Point = make([]float32, sd.state.Dims)
+		switch r.u8() {
+		case 0:
+		case 1:
+			op.Cancelled = true
+		default:
+			return nil, fmt.Errorf("wal: %s: pending insert %d has a bad cancel flag", path, op.ID)
+		}
+		op.Point = make([]float32, sd.State.Dims)
 		for j := range op.Point {
 			op.Point[j] = math.Float32frombits(r.u32())
 		}
-		sd.state.PendingInserts = append(sd.state.PendingInserts, op)
+		sd.State.PendingInserts = append(sd.State.PendingInserts, op)
 	}
 	nPD := int(r.u32())
 	for i := 0; i < nPD && r.err == nil; i++ {
-		sd.state.PendingDeletes = append(sd.state.PendingDeletes, int32(r.u32()))
+		sd.State.PendingDeletes = append(sd.State.PendingDeletes, int32(r.u32()))
 	}
 	nB := int(r.u32())
+	seen := make(map[string]bool)
 	for i := 0; i < nB && r.err == nil; i++ {
-		id := string(r.take(int(r.u16())))
-		status := int(r.u32())
-		rbody := append([]byte(nil), r.take(int(r.u32()))...)
-		if r.err == nil {
-			sd.batches[id] = BatchReply{Status: status, Body: rbody}
-			sd.batchOrder = append(sd.batchOrder, id)
+		rep := delta.BatchReply{ID: string(r.take(int(r.u16())))}
+		rep.Status = int(r.u32())
+		rep.Body = append([]byte(nil), r.take(int(r.u32()))...)
+		if r.err == nil && seen[rep.ID] {
+			return nil, fmt.Errorf("wal: %s: batch %q remembered twice", path, rep.ID)
 		}
+		seen[rep.ID] = true
+		sd.State.Replies = append(sd.State.Replies, rep)
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("wal: %s: %v", path, r.err)

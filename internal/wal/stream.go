@@ -18,27 +18,22 @@ import (
 	"skycube/internal/delta"
 )
 
-// SnapshotStream is a decoded snapshot received (or about to be served)
-// over the wire — the same content as a checkpoint file.
+// SnapshotStream is a decoded snapshot: a checkpoint file's content, or the
+// same bytes received over the wire.
 type SnapshotStream struct {
 	// TailSeq is the WAL segment seq the snapshot pairs with: records in
 	// segments >= TailSeq postdate the captured state.
 	TailSeq uint64
 	// State rebuilds an updater via delta.NewUpdaterFrom.
 	State delta.RestoreState
-	// Batches and BatchOrder carry the idempotent-insert reply mirror in
-	// remembered (eviction) order.
-	Batches    map[string]BatchReply
-	BatchOrder []string
 }
 
 // EncodeSnapshot serializes a snapshot in the checkpoint wire format (the
 // bytes are valid checkpoint-file contents, trailing CRC included).
-func EncodeSnapshot(tailSeq uint64, st delta.RestoreState,
-	batches map[string]BatchReply, batchOrder []string) ([]byte, error) {
+func EncodeSnapshot(tailSeq uint64, st delta.RestoreState) ([]byte, error) {
 	var buf bytes.Buffer
 	w := &crcWriter{w: &buf}
-	encodeSnapshotBody(w, tailSeq, st, batches, batchOrder)
+	encodeSnapshotBody(w, tailSeq, st)
 	if w.err != nil {
 		return nil, w.err
 	}
@@ -48,16 +43,7 @@ func EncodeSnapshot(tailSeq uint64, st delta.RestoreState,
 // DecodeSnapshot verifies (whole-stream CRC, field bounds) and decodes
 // snapshot bytes received over the wire.
 func DecodeSnapshot(raw []byte) (*SnapshotStream, error) {
-	sd, err := decodeSnapshot(raw, "snapshot stream")
-	if err != nil {
-		return nil, err
-	}
-	return &SnapshotStream{
-		TailSeq:    sd.tailSeq,
-		State:      sd.state,
-		Batches:    sd.batches,
-		BatchOrder: sd.batchOrder,
-	}, nil
+	return decodeSnapshot(raw, "snapshot stream")
 }
 
 // EncodeRecords serializes records as a run of CRC-framed WAL frames — the
@@ -216,7 +202,7 @@ func WriteBootstrap(dir string, rawSnapshot []byte, tail []Record) error {
 	if err != nil {
 		return err
 	}
-	if sd.tailSeq == 0 {
+	if sd.TailSeq == 0 {
 		return errors.New("wal: bootstrap snapshot names segment 0")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -233,7 +219,7 @@ func WriteBootstrap(dir string, rawSnapshot []byte, tail []Record) error {
 	// Segment first, snapshot last: recovery requires the tail segment
 	// named by a snapshot to exist, so the reverse order has a crash window
 	// that leaves an unrecoverable directory.
-	f, err := createSegment(dir, sd.tailSeq)
+	f, err := createSegment(dir, sd.TailSeq)
 	if err != nil {
 		return err
 	}
@@ -256,7 +242,7 @@ func WriteBootstrap(dir string, rawSnapshot []byte, tail []Record) error {
 		return err
 	}
 
-	final := filepath.Join(dir, snapName(sd.tailSeq))
+	final := filepath.Join(dir, snapName(sd.TailSeq))
 	tmp := final + ".tmp"
 	if err := os.WriteFile(tmp, rawSnapshot, 0o644); err != nil {
 		return err

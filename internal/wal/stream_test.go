@@ -1,7 +1,11 @@
 package wal_test
 
 import (
+	"bytes"
 	"errors"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -17,13 +21,12 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 40, 3, 21)
 	st := delta.RestoreState{
 		Dims: ds.Dims, Epoch: 7, Live: ds.N, Vals: ds.Vals[:ds.N*ds.Dims],
+		Replies: []delta.BatchReply{
+			{ID: "req-a", Status: 200, Body: []byte(`{"ids":[3]}`)},
+			{ID: "req-b", Status: 400, Body: []byte(`bad`)},
+		},
 	}
-	batches := map[string]wal.BatchReply{
-		"req-a": {Status: 200, Body: []byte(`{"ids":[3]}`)},
-		"req-b": {Status: 400, Body: []byte(`bad`)},
-	}
-	order := []string{"req-a", "req-b"}
-	raw, err := wal.EncodeSnapshot(5, st, batches, order)
+	raw, err := wal.EncodeSnapshot(5, st)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -45,10 +48,10 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 			t.Fatalf("vals[%d] = %v, want %v", i, ss.State.Vals[i], st.Vals[i])
 		}
 	}
-	if len(ss.BatchOrder) != 2 || ss.BatchOrder[0] != "req-a" || ss.BatchOrder[1] != "req-b" {
-		t.Fatalf("batch order mangled: %v", ss.BatchOrder)
+	if got := ss.State.Replies; len(got) != 2 || got[0].ID != "req-a" || got[1].ID != "req-b" {
+		t.Fatalf("batch order mangled: %v", got)
 	}
-	if rep := ss.Batches["req-a"]; rep.Status != 200 || string(rep.Body) != `{"ids":[3]}` {
+	if rep := ss.State.Replies[0]; rep.Status != 200 || string(rep.Body) != `{"ids":[3]}` {
 		t.Fatalf("batch reply mangled: %+v", rep)
 	}
 
@@ -57,6 +60,85 @@ func TestSnapshotWireRoundTrip(t *testing.T) {
 		bad[off] ^= 0xff
 		if _, err := wal.DecodeSnapshot(bad); err == nil {
 			t.Fatalf("flipped byte at %d decoded silently", off)
+		}
+	}
+}
+
+// TestSnapshotRefusesOversizedBatchID: a reply whose id does not fit the
+// snapshot's 16-bit length field fails the encoding instead of writing a
+// wrapped length under a valid CRC.
+func TestSnapshotRefusesOversizedBatchID(t *testing.T) {
+	ds := gen.Synthetic(gen.Independent, 10, 3, 21)
+	st := delta.RestoreState{
+		Dims: ds.Dims, Live: ds.N, Vals: ds.Vals[:ds.N*ds.Dims],
+		Replies: []delta.BatchReply{{ID: strings.Repeat("x", math.MaxUint16+1), Status: 200}},
+	}
+	if _, err := wal.EncodeSnapshot(1, st); err == nil {
+		t.Fatal("a snapshot with a 65 536-byte batch id encoded")
+	}
+}
+
+// TestGoldenCheckpointOpens: testdata/golden-checkpoint is a data directory
+// written when a node's batch replies still lived in the store: a
+// checkpoint holding two pending inserts (one cancelled), a pending delete
+// and replies golden-a..c, and a log tail with one more insert and reply
+// golden-d. It recovers with every reply in its original order, and its
+// snapshot re-encodes to the same bytes.
+func TestGoldenCheckpointOpens(t *testing.T) {
+	src := filepath.Join("testdata", "golden-checkpoint")
+	dir := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw []byte
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasSuffix(e.Name(), ".ck") {
+			raw = b
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ss, err := wal.DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	again, err := wal.EncodeSnapshot(ss.TailSeq, ss.State)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if !bytes.Equal(again, raw) {
+		t.Fatal("the golden snapshot does not re-encode byte-identically")
+	}
+
+	u, s, replayed := openDurable(t, nil, wal.Options{Dir: dir, CheckpointEvery: -1})
+	defer s.Close()
+	defer u.Close()
+	if replayed != 2 {
+		t.Fatalf("replayed %d tail records, want 2", replayed)
+	}
+	if ins, del := u.Pending(); ins != 2 || del != 1 {
+		t.Fatalf("pending %d inserts, %d deletes; want 2 and 1", ins, del)
+	}
+	st, err := u.CaptureState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		id     string
+		status int
+	}{{"golden-a", 200}, {"golden-b", 400}, {"golden-c", 200}, {"golden-d", 200}}
+	if len(st.Replies) != len(want) {
+		t.Fatalf("recovered %d replies, want %d", len(st.Replies), len(want))
+	}
+	for i, w := range want {
+		if got := st.Replies[i]; got.ID != w.id || got.Status != w.status {
+			t.Fatalf("reply %d is %s/%d, want %s/%d", i, got.ID, got.Status, w.id, w.status)
 		}
 	}
 }

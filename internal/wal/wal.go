@@ -37,10 +37,6 @@ const DefaultSyncInterval = 100 * time.Millisecond
 // Options.CheckpointEvery is 0.
 const DefaultCheckpointEvery = 4096
 
-// maxRememberedBatches caps the batch-reply mirror, matching the serving
-// layer's replay-cache cap; oldest entries evict first.
-const maxRememberedBatches = 4096
-
 // Options configure Open.
 type Options struct {
 	// Dir is the node's data directory; created if absent.
@@ -61,13 +57,6 @@ type Options struct {
 	Logger *log.Logger
 }
 
-// BatchReply is a remembered idempotent-insert outcome, persisted so a
-// client retry after a restart still replays instead of re-applying.
-type BatchReply struct {
-	Status int
-	Body   []byte
-}
-
 // Store is the open write-ahead log of one node. It implements
 // delta.Journal: the updater appends records through it, and the serving
 // layer's ack path calls Commit. All methods are safe for concurrent use.
@@ -76,7 +65,7 @@ type Store struct {
 	opt Options
 
 	// mu guards the append state: the active segment, its buffered writer,
-	// byte/record counters and the batch mirror.
+	// byte/record counters.
 	mu      sync.Mutex
 	f       *os.File
 	buf     *bufio.Writer
@@ -88,9 +77,6 @@ type Store struct {
 	sinceCk uint64 // records appended since the last checkpoint
 	snapSeq uint64 // seq of the newest on-disk snapshot (0 before the first)
 	closed  bool
-
-	batches    map[string]BatchReply
-	batchOrder []string
 
 	// Group commit: the first committer past the durable high-water mark
 	// becomes the leader and fsyncs once for everyone waiting.
@@ -184,7 +170,6 @@ func newStore(opt Options, f *os.File, seq uint64, off int64) *Store {
 		written: off,
 		flushed: off,
 		synced:  off,
-		batches: make(map[string]BatchReply),
 		ckCh:    make(chan struct{}, 1),
 		stopCh:  make(chan struct{}),
 	}
@@ -232,40 +217,9 @@ func (s *Store) LogEpoch(compact bool, epoch uint64, live int) error {
 	return s.append(&Record{Type: typ, Epoch: epoch, Live: uint64(live)})
 }
 
-// LogBatch persists one remembered idempotent-insert reply, both to the
-// log (so it replays into the post-crash mirror) and to the in-store
-// mirror (so checkpoints carry replies whose records were truncated away).
+// LogBatch implements delta.Journal.
 func (s *Store) LogBatch(id string, status int, body []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendLocked(&Record{Type: recBatch, BatchID: id, Status: status, Body: body}); err != nil {
-		return err
-	}
-	s.rememberLocked(id, BatchReply{Status: status, Body: body})
-	return nil
-}
-
-// RememberedBatches returns a copy of the batch-reply mirror (recovery
-// hands it to the serving layer to seed its replay cache).
-func (s *Store) RememberedBatches() map[string]BatchReply {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]BatchReply, len(s.batches))
-	for id, rep := range s.batches {
-		out[id] = rep
-	}
-	return out
-}
-
-func (s *Store) rememberLocked(id string, rep BatchReply) {
-	if _, known := s.batches[id]; !known {
-		s.batchOrder = append(s.batchOrder, id)
-	}
-	s.batches[id] = rep
-	for len(s.batchOrder) > maxRememberedBatches {
-		delete(s.batches, s.batchOrder[0])
-		s.batchOrder = s.batchOrder[1:]
-	}
+	return s.append(&Record{Type: recBatch, BatchID: id, Status: status, Body: body})
 }
 
 func (s *Store) append(r *Record) error {
@@ -467,8 +421,6 @@ func (s *Store) Checkpoint(u *delta.Updater) error {
 		return fmt.Errorf("wal: checkpoint segment: %w", err)
 	}
 
-	var batches map[string]BatchReply
-	var batchOrder []string
 	var old *os.File
 	st, err := u.CaptureState(func(epoch uint64) error {
 		// Called under the updater's apply and buffer locks: no journal
@@ -490,11 +442,6 @@ func (s *Store) Checkpoint(u *delta.Updater) error {
 		s.flushed = segHeaderLen
 		s.synced = segHeaderLen
 		s.sinceCk = 0
-		batches = make(map[string]BatchReply, len(s.batches))
-		for id, rep := range s.batches {
-			batches[id] = rep
-		}
-		batchOrder = append([]string(nil), s.batchOrder...)
 		return nil
 	})
 	if err != nil {
@@ -507,7 +454,7 @@ func (s *Store) Checkpoint(u *delta.Updater) error {
 	old.Close()
 
 	tmp := filepath.Join(s.dir, snapName(newSeq)+".tmp")
-	size, err := writeSnapshotFile(tmp, newSeq, st, batches, batchOrder)
+	size, err := writeSnapshotFile(tmp, newSeq, st)
 	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("wal: checkpoint write: %w", err)

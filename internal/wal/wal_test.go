@@ -438,14 +438,15 @@ func TestAutoCheckpoint(t *testing.T) {
 	}
 }
 
-// TestBatchMirrorSurvives: remembered idempotent-batch replies survive
-// both paths — folded into a checkpoint, and replayed from the tail.
+// TestBatchMirrorSurvives: the updater's remembered idempotent-batch
+// replies survive both paths — captured by a checkpoint, and replayed from
+// the tail.
 func TestBatchMirrorSurvives(t *testing.T) {
 	dir := t.TempDir()
 	ds := gen.Synthetic(gen.Independent, 30, 3, 16)
 	wopt := wal.Options{Dir: dir, Fsync: wal.FsyncAlways, CheckpointEvery: -1}
 	u, s, _ := openDurable(t, ds, wopt)
-	if err := s.LogBatch("req-ck", 200, []byte(`{"ids":[1,2]}`)); err != nil {
+	if err := u.RememberBatch("req-ck", 200, []byte(`{"ids":[1,2]}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Commit(); err != nil {
@@ -454,7 +455,7 @@ func TestBatchMirrorSurvives(t *testing.T) {
 	if err := s.Checkpoint(u); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LogBatch("req-tail", 400, []byte(`bad request`)); err != nil {
+	if err := u.RememberBatch("req-tail", 400, []byte(`bad request`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Commit(); err != nil {
@@ -465,17 +466,14 @@ func TestBatchMirrorSurvives(t *testing.T) {
 	}
 	u.Close()
 
-	s2, rec, err := wal.Open(wopt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u2, s2, _ := openDurable(t, nil, wopt)
 	defer s2.Close()
-	got := rec.Batches
-	if rep, ok := got["req-ck"]; !ok || rep.Status != 200 || string(rep.Body) != `{"ids":[1,2]}` {
-		t.Fatalf("checkpointed batch reply lost or mangled: %+v", got["req-ck"])
+	defer u2.Close()
+	if rep, ok := u2.LookupBatch("req-ck"); !ok || rep.Status != 200 || string(rep.Body) != `{"ids":[1,2]}` {
+		t.Fatalf("checkpointed batch reply lost or mangled: %+v", rep)
 	}
-	if rep, ok := got["req-tail"]; !ok || rep.Status != 400 || string(rep.Body) != `bad request` {
-		t.Fatalf("tail batch reply lost or mangled: %+v", got["req-tail"])
+	if rep, ok := u2.LookupBatch("req-tail"); !ok || rep.Status != 400 || string(rep.Body) != `bad request` {
+		t.Fatalf("tail batch reply lost or mangled: %+v", rep)
 	}
 }
 

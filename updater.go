@@ -231,7 +231,8 @@ func AdoptUpdater(du *delta.Updater, store *wal.Store, replayed int) *Updater {
 // Delta exposes the underlying incremental updater. State-transfer tooling
 // needs it to checkpoint (wal.Store.Checkpoint), to replay peer records
 // (wal.Apply) through the exact engine the node serves from, and to start
-// a joined replica's compactor once it has caught up.
+// a joined replica's compactor once it has caught up; the serving layer
+// looks up and remembers idempotent-insert replies through it.
 func (up *Updater) Delta() *delta.Updater { return up.u }
 
 // Insert buffers one point for the next batch and returns its assigned id.
@@ -272,7 +273,7 @@ func (up *Updater) Stats() UpdaterStats { return up.u.Stats() }
 
 // Store exposes the durability subsystem backing this updater — nil for
 // in-memory updaters. The serving layer uses it to commit the WAL at
-// acknowledgement points and to persist idempotent-batch replies.
+// acknowledgement points.
 func (up *Updater) Store() *wal.Store { return up.store }
 
 // Replayed reports how many WAL records crash recovery replayed when this
