@@ -164,7 +164,7 @@ func writeJoinStub(ds *skycube.Dataset, k int, prefix string, posBase int) error
 	fmt.Fprintf(w, "# then cut it into the ring while the cluster keeps serving:\n")
 	fmt.Fprintf(w, "#   skycubectl -coordinator http://localhost:8080 split -shard 0 -child s%d -replicas http://localhost:%d\n",
 		k, 9001+k)
-	fmt.Fprintf(w, "# (the split seals the child's own insert id block; restarts reinstate it via -id-segments)\n")
+	fmt.Fprintf(w, "# (the split seals the child's own insert id block; its checkpoints keep it across restarts)\n")
 	if err := w.Flush(); err != nil {
 		f.Close()
 		return err

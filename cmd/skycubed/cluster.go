@@ -6,7 +6,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -15,41 +14,13 @@ import (
 	"skycube/internal/rebalance"
 )
 
-// parseIDSegments parses the -id-segments flag: a comma-separated list of
-// start:base:stride triples (e.g. "0:1:2,500:268435456:1").
-func parseIDSegments(spec string) ([]cluster.IDSegment, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var segs []cluster.IDSegment
-	for _, part := range strings.Split(spec, ",") {
-		fields := strings.Split(strings.TrimSpace(part), ":")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("bad id segment %q (need start:base:stride)", part)
-		}
-		var vals [3]int64
-		for i, f := range fields {
-			v, err := strconv.ParseInt(strings.TrimSpace(f), 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("bad id segment %q: %v", part, err)
-			}
-			vals[i] = v
-		}
-		segs = append(segs, cluster.IDSegment{
-			Start: int32(vals[0]), Base: int32(vals[1]), Stride: int32(vals[2]),
-		})
-	}
-	return segs, nil
-}
-
 // shardServeOptions assembles a shard node's ShardOptions from the
 // relevant flags.
-func shardServeOptions(idBase, idStride int, segs []cluster.IDSegment,
+func shardServeOptions(idBase, idStride int,
 	maxBody int64, cacheEntries int, noCache bool, tracing traceOptions) cluster.ShardOptions {
 	return cluster.ShardOptions{
 		IDBase:       idBase,
 		IDStride:     idStride,
-		IDSegments:   segs,
 		Logger:       log.New(os.Stderr, "skycubed: ", log.LstdFlags),
 		MaxBodyBytes: maxBody,
 		CacheEntries: cacheEntries,
@@ -62,9 +33,10 @@ func shardServeOptions(idBase, idStride int, segs []cluster.IDSegment,
 
 // runShard serves one horizontal partition as a cluster shard node: the
 // full single-node endpoint set plus the /shard/* cluster protocol, with
-// local rows mapped to global ids via -id-base/-id-stride (or a full
-// -id-segments scheme). The node's state has three sources, and only
-// where its updater comes from depends on which:
+// local rows mapped to global ids by the scheme its state carries (set
+// from -id-base/-id-stride on its first start, extended by a split's
+// seal). The node's state has three sources, and only where its updater
+// comes from depends on which:
 //
 //   - a partition file (ds): a fresh build, checkpointed into -data-dir
 //     when one is set;
@@ -76,12 +48,14 @@ func shardServeOptions(idBase, idStride int, segs []cluster.IDSegment,
 //     WAL tail. The bootstrap source stays attached, so a split cutover
 //     can POST /shard/sync for the final write-quiesced catch-up.
 //
+// Each of the three restores the id scheme with the rest of the state.
+//
 // With -peers, a node that recovered locally runs anti-entropy before it
 // reports ready: if a peer's epoch is ahead — this node missed writes while
 // it was down — the stale directory is wiped and the state re-bootstrapped
 // from the freshest peer.
 func runShard(addr string, ds *skycube.Dataset, joinFrom, peerList string,
-	opt skycube.Options, sopt cluster.ShardOptions, inheritIDs, withPprof bool) {
+	opt skycube.Options, sopt cluster.ShardOptions, withPprof bool) {
 	// With a data directory, the listener starts before the state exists:
 	// the gate answers 503 not-ready while the snapshot loads and the WAL
 	// tail replays, so probes and the coordinator see "recovering" rather
@@ -97,9 +71,6 @@ func runShard(addr string, ds *skycube.Dataset, joinFrom, peerList string,
 	switch {
 	case joinFrom != "":
 		peer := strings.TrimRight(joinFrom, "/")
-		if inheritIDs {
-			sopt = inheritIDScheme(peer, sopt)
-		}
 		if source, err = rebalance.Bootstrap(ctx, peer, opt); err == nil {
 			up = source.Updater
 			origin = fmt.Sprintf("joined from %s, %d tail records", peer, source.Cursor.Skip)
@@ -141,28 +112,6 @@ func runShard(addr string, ds *skycube.Dataset, joinFrom, peerList string,
 		origin, snap.Live(), snap.Epoch(), up.Replayed())
 	mountPprof(sh.Server(), withPprof)
 	serveAndDrain(addr, g, sh, "GET /shard/cuboid?subspace=N (binary frame), /shard/info, /shard/snapshot, /shard/tail, /skyline, /healthz, /metrics; POST /insert, /delete, /flush")
-}
-
-// inheritIDScheme adopts the peer's id scheme from /shard/info. A joiner's
-// copied rows carry the peer's global ids, so interpreting them with the
-// stride-1 default would mis-assign ownership — a later split prune would
-// then drop rows both sides believe the other owns. An operator who pinned
-// a scheme (-id-base/-id-stride/-id-segments) keeps it.
-func inheritIDScheme(peer string, sopt cluster.ShardOptions) cluster.ShardOptions {
-	f, err := (&rebalance.Client{}).Freshness(context.Background(), peer)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "skycubed: -join-from peer id scheme:", err)
-		os.Exit(1)
-	}
-	if len(f.IDSegments) > 0 {
-		segs := make([]cluster.IDSegment, len(f.IDSegments))
-		for i, s := range f.IDSegments {
-			segs[i] = cluster.IDSegment{Start: s.Start, Base: s.Base, Stride: s.Stride}
-		}
-		sopt.IDBase, sopt.IDStride, sopt.IDSegments = 0, 0, segs
-		fmt.Printf("inherited id scheme from %s (%d segment(s))\n", peer, len(segs))
-	}
-	return sopt
 }
 
 // runCoordinatorMode serves the cluster's public surface over a shard map

@@ -524,8 +524,9 @@ func assertSameSkylines(t *testing.T, a, b *node, d int, stage string) {
 // from a durable shard seeded by a partition file and mutated since (so the
 // join replays a WAL tail on top of the snapshot). It must answer every
 // subspace byte-identically to its peer, and interpret its copied rows with
-// the peer's id scheme. After a SIGTERM it restarts from its data directory
-// alone, and every answer and ETag comes back unchanged.
+// the peer's id scheme, which the peer's snapshot stream carries. After a
+// SIGTERM it restarts from its data directory alone: every answer and ETag
+// comes back unchanged, and so does its full-space frame.
 func TestJoinFromPeerThenRestart(t *testing.T) {
 	bin := skycubedBinary(t)
 	const d = 4
@@ -556,7 +557,44 @@ func TestJoinFromPeerThenRestart(t *testing.T) {
 				i+1, gotETags[i], wantETags[i], gotBodies[i], wantBodies[i], re.out.String())
 		}
 	}
+	if _, got, _ := httpGetBody(t, re.url+full); !bytes.Equal(got, wantFrame) {
+		t.Fatal("restarted replica's full-space frame differs from its peer's: id scheme lost on restart")
+	}
 	re.stop(t)
+}
+
+// TestShardRefusesDisagreeingIDScheme: a shard's id scheme is fixed at its
+// first start. Restarting its directory with -id-base/-id-stride that
+// disagree must exit non-zero and name both schemes, and negative values
+// are a usage error.
+func TestShardRefusesDisagreeingIDScheme(t *testing.T) {
+	bin := skycubedBinary(t)
+	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 77)
+	dir := filepath.Join(t.TempDir(), "shard")
+	startShard(t, bin, "-id-base", "1", "-id-stride", "2", "-data-dir", dir, writeDataset(t, ds)).stop(t)
+
+	for _, tc := range []struct {
+		args []string
+		code int
+		say  []string
+	}{
+		{[]string{"-id-base", "0", "-id-stride", "3"}, 1, []string{"Base:0 Stride:3", "Base:1 Stride:2"}},
+		{[]string{"-id-stride", "-1"}, 2, []string{"must not be negative"}},
+	} {
+		n := startNode(t, bin, append([]string{"-serve", freeAddr(t), "-shard", "-data-dir", dir}, tc.args...)...)
+		n.waitExit(t)
+		if code := n.cmd.ProcessState.ExitCode(); code != tc.code {
+			t.Fatalf("%v: exit code %d, want %d; output:\n%s", tc.args, code, tc.code, n.out.String())
+		}
+		for _, want := range tc.say {
+			if !strings.Contains(n.out.String(), want) {
+				t.Fatalf("%v: output does not name %q:\n%s", tc.args, want, n.out.String())
+			}
+		}
+	}
+	// Agreeing flags, or none, start the directory as before.
+	startShard(t, bin, "-id-base", "1", "-id-stride", "2", "-data-dir", dir).stop(t)
+	startShard(t, bin, "-data-dir", dir).stop(t)
 }
 
 // TestJoinedReplicaExportsItsMetrics: a joiner's own /metrics must carry

@@ -26,7 +26,8 @@
 //
 // -shard serves one horizontal partition as a cluster shard node (the
 // maintainable-server endpoints plus /shard/cuboid and /shard/info, with
-// -id-base/-id-stride mapping local rows to global ids); -coordinator
+// -id-base/-id-stride mapping local rows to global ids from the node's
+// first start on); -coordinator
 // serves the cluster's public surface over a shard map given via -shards
 // (consecutive URLs grouped into replica sets of -replicas), with hedged
 // reads, retries and per-replica circuit breakers. See README "Cluster
@@ -96,9 +97,8 @@ func main() {
 	progress := flag.Bool("progress", false, "report build progress on stderr")
 	pprofFlag := flag.Bool("pprof", false, "with -serve: mount net/http/pprof under /debug/pprof/")
 	shardMode := flag.Bool("shard", false, "with -serve: run as a cluster shard node over this partition file")
-	idBase := flag.Int("id-base", 0, "with -shard: global id of local row 0")
-	idStride := flag.Int("id-stride", 1, "with -shard: global id step between consecutive local rows (shard count for round-robin partitions)")
-	idSegments := flag.String("id-segments", "", "with -shard: piecewise id scheme as start:base:stride[,start:base:stride...] — reinstates a split child's sealed insert block on restart (overrides -id-base/-id-stride)")
+	idBase := flag.Int("id-base", 0, "with -shard: global id of local row 0; takes effect on a shard's first start only (its state keeps the scheme)")
+	idStride := flag.Int("id-stride", 0, "with -shard: global id step between consecutive local rows (shard count for round-robin partitions); 0 = not given (stride 1 on a first start); takes effect on a shard's first start only")
 	joinFrom := flag.String("join-from", "", "with -shard -data-dir: bootstrap this node's state from a peer shard's snapshot stream instead of a data file")
 	peerList := flag.String("peers", "", "with -shard -data-dir: comma-separated peer replica URLs for anti-entropy — a restart that recovered behind a peer wipes and re-bootstraps before reporting ready")
 	coordinator := flag.Bool("coordinator", false, "with -serve: run as a cluster coordinator (no data file)")
@@ -176,6 +176,8 @@ func main() {
 			usage = "-join-from requires -shard, -serve and -data-dir"
 		case *joinFrom != "" && flag.NArg() != 0:
 			usage = "-join-from takes no data file (state comes from the peer)"
+		case *idBase < 0 || *idStride < 0:
+			usage = "-id-base and -id-stride must not be negative"
 		case flag.NArg() > 1 || flag.NArg() == 0 && *dataDir == "":
 			usage = "usage: skycubed -shard -serve ADDR [flags] (part.txt | -data-dir DIR [-join-from URL])"
 		}
@@ -183,25 +185,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "skycubed:", usage)
 			os.Exit(2)
 		}
-		segs, err := parseIDSegments(*idSegments)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "skycubed:", err)
-			os.Exit(2)
-		}
-		idFlagsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "id-base", "id-stride", "id-segments":
-				idFlagsSet = true
-			}
-		})
 		var ds *skycube.Dataset
 		if flag.NArg() == 1 {
 			ds = readDataset(flag.Arg(0))
 		}
 		runShard(*serve, ds, *joinFrom, *peerList, opt,
-			shardServeOptions(*idBase, *idStride, segs, *maxBody, *cacheEntries, *noCache, tracing),
-			!idFlagsSet, *pprofFlag)
+			shardServeOptions(*idBase, *idStride, *maxBody, *cacheEntries, *noCache, tracing),
+			*pprofFlag)
 		return
 	}
 

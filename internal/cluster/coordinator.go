@@ -368,7 +368,7 @@ func (c *Coordinator) Refresh(ctx context.Context) error {
 		}
 		c.mu.Unlock()
 		if g.scheme.Load() == nil {
-			if scheme, err := schemeFromShardInfo(info); err == nil {
+			if scheme, err := schemeFromSegments(info.IDSegments); err == nil {
 				g.scheme.Store(scheme)
 			} else if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: shard %s id scheme: %w", g.name, err)
@@ -388,18 +388,6 @@ func (c *Coordinator) Refresh(ctx context.Context) error {
 		return fmt.Errorf("cluster: no shard reported its dimensionality")
 	}
 	return nil
-}
-
-// schemeFromShardInfo adopts the scheme a shard reports: the full segment
-// list when present, the base/stride pair otherwise.
-func schemeFromShardInfo(info shardInfo) (*idScheme, error) {
-	if len(info.IDSegments) > 0 {
-		return schemeFromSegments(info.IDSegments)
-	}
-	if info.IDStride <= 0 {
-		return nil, fmt.Errorf("shard reported stride %d", info.IDStride)
-	}
-	return newIDScheme(info.IDBase, info.IDStride), nil
 }
 
 // replicasAgree fetches /shard/info from every replica of the group

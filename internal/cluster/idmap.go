@@ -4,20 +4,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"skycube/internal/delta"
 )
 
-// IDSegment maps one contiguous run of a shard's local rows to global point
-// ids: local rows r >= Start (up to the next segment's Start) carry global
-// id Base + (r-Start)*Stride. A shard born into a K-way round-robin
-// partition has the single segment {0, s, K}; a split seals its child with
-// an extra segment so rows copied from the parent keep their original
-// global ids while rows inserted after the cutover mint from a fresh,
-// collision-free block.
-type IDSegment struct {
-	Start  int32 `json:"start"`
-	Base   int32 `json:"base"`
-	Stride int32 `json:"stride"`
-}
+// IDSegment is one piece of a shard's id scheme; the updater's checkpointed
+// state holds the list.
+type IDSegment = delta.IDSegment
 
 // SplitBlockBase is the first global id of the region reserved for
 // split-minted insert blocks. Ids below it belong to the original partition
@@ -46,7 +39,7 @@ func newIDScheme(base, stride int) *idScheme {
 }
 
 // schemeFromSegments validates and adopts an explicit segment list (from
-// /shard/info or an admin request).
+// the updater's restored state, /shard/info or a seal response).
 func schemeFromSegments(segs []IDSegment) (*idScheme, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("cluster: empty id-segment list")

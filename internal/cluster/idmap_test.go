@@ -94,8 +94,8 @@ func TestIDSchemeSeal(t *testing.T) {
 }
 
 // TestIDSchemeSegmentsRoundTrip: segments() → schemeFromSegments rebuilds
-// an equivalent scheme (the /shard/info → coordinator learn path, and the
-// -id-segments restart path).
+// an equivalent scheme (the /shard/info → coordinator learn path, and a
+// shard restoring the scheme its checkpoint holds).
 func TestIDSchemeSegmentsRoundTrip(t *testing.T) {
 	s := newIDScheme(1, 2)
 	sealed, err := s.seal(30, SplitBlockBase+splitBlockSize)

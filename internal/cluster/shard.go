@@ -48,7 +48,9 @@ type ShardOptions struct {
 	// IDBase + r*IDStride. Round-robin partitions of K shards use base s,
 	// stride K (Dataset.Partition / datagen -shards); range partitions use
 	// their start offset and stride 1. The zero value (0, 0) means stride 1
-	// from 0 — a single-shard cluster.
+	// from 0 — a single-shard cluster. They take effect on the shard's first
+	// start only: the scheme then lives in the updater's checkpointed state,
+	// and a later start whose non-zero values disagree with it is refused.
 	IDBase, IDStride int
 	// Metrics, if non-nil, receives the embedded server's request metrics
 	// and enables GET /metrics.
@@ -75,10 +77,6 @@ type ShardOptions struct {
 	// SlowQuery, when > 0, logs one structured line per request at least
 	// this slow.
 	SlowQuery time.Duration
-	// IDSegments, when non-empty, replaces the IDBase/IDStride single
-	// mapping with an explicit piecewise scheme — how a restarted split
-	// child reinstates its sealed insert block.
-	IDSegments []IDSegment
 	// Source, when non-nil, is the rebalance node this shard was
 	// bootstrapped from; it enables POST /shard/sync (pull the source
 	// peer's remaining WAL tail — the split cutover's final catch-up), and
@@ -120,27 +118,12 @@ type Shard struct {
 	rbm *obs.RebalanceMetrics
 }
 
-// schemeFor builds a shard's initial id scheme from its options.
-func schemeFor(sopt ShardOptions) (*idScheme, error) {
-	if len(sopt.IDSegments) > 0 {
-		return schemeFromSegments(sopt.IDSegments)
-	}
-	if sopt.IDBase < 0 || sopt.IDStride < 0 {
-		return nil, fmt.Errorf("cluster: negative id mapping (base %d, stride %d)", sopt.IDBase, sopt.IDStride)
-	}
-	return newIDScheme(sopt.IDBase, sopt.IDStride), nil
-}
-
 // NewShard builds the shard's skycube over its partition (via
 // skycube.NewUpdater, so coordinator-routed inserts and deletes work) and
 // returns the node. Close releases the updater's background goroutines.
 // skycubed builds its updater first and calls NewShardFrom; this
 // shorthand stays for benchmark/ and the tests.
 func NewShard(ds *skycube.Dataset, opt skycube.Options, sopt ShardOptions) (*Shard, error) {
-	scheme, err := schemeFor(sopt)
-	if err != nil {
-		return nil, err
-	}
 	if sopt.Metrics != nil {
 		opt.Metrics = sopt.Metrics // skycube.Metrics is an alias of obs.Registry
 	}
@@ -148,27 +131,27 @@ func NewShard(ds *skycube.Dataset, opt skycube.Options, sopt ShardOptions) (*Sha
 	if err != nil {
 		return nil, err
 	}
-	return finishShard(up, ds.Dims(), scheme, sopt), nil
+	sh, err := NewShardFrom(up, sopt)
+	if err != nil {
+		up.Close()
+		return nil, err
+	}
+	return sh, nil
 }
 
 // NewShardFrom wraps an already-built updater — from a partition file
 // (skycube.NewUpdater), the node's data directory (skycube.OpenUpdater) or
 // a peer (rebalance.Bootstrap) — as a serving shard node. The
-// dimensionality comes from the updater's current snapshot.
+// dimensionality comes from the updater's current snapshot, the id scheme
+// from adoptScheme.
 func NewShardFrom(up *skycube.Updater, sopt ShardOptions) (*Shard, error) {
-	scheme, err := schemeFor(sopt)
+	scheme, err := adoptScheme(up, sopt)
 	if err != nil {
 		return nil, err
 	}
-	return finishShard(up, up.Current().Dims(), scheme, sopt), nil
-}
-
-// finishShard wires the shard node around a ready updater: the embedded
-// server, and the cluster + rebalance endpoint set.
-func finishShard(up *skycube.Updater, dims int, scheme *idScheme, sopt ShardOptions) *Shard {
 	sh := &Shard{
 		up:     up,
-		dims:   dims,
+		dims:   up.Current().Dims(),
 		source: sopt.Source,
 	}
 	sh.scheme.Store(scheme)
@@ -192,7 +175,45 @@ func finishShard(up *skycube.Updater, dims int, scheme *idScheme, sopt ShardOpti
 	sh.srv.Handle("/shard/sync", http.HandlerFunc(sh.handleSync))
 	sh.srv.Handle("/shard/seal", http.HandlerFunc(sh.handleSeal))
 	sh.srv.Handle("/shard/prune", http.HandlerFunc(sh.handlePrune))
-	return sh
+	return sh, nil
+}
+
+// adoptScheme settles a starting shard's id scheme. One the updater
+// restored — from its checkpoint, or from the peer snapshot it joined
+// from — wins, and non-zero IDBase/IDStride must match its first segment.
+// Without one, the shard adopts IDBase/IDStride and persists them.
+func adoptScheme(up *skycube.Updater, sopt ShardOptions) (*idScheme, error) {
+	if sopt.IDBase < 0 || sopt.IDStride < 0 {
+		return nil, fmt.Errorf("cluster: negative id mapping (base %d, stride %d)", sopt.IDBase, sopt.IDStride)
+	}
+	given := newIDScheme(sopt.IDBase, sopt.IDStride)
+	segs := up.Delta().IDSegments()
+	if len(segs) == 0 {
+		return given, persistScheme(up, given)
+	}
+	restored, err := schemeFromSegments(segs)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: restored id scheme: %w", err)
+	}
+	if (sopt.IDBase != 0 || sopt.IDStride != 0) && given.segs[0] != restored.segs[0] {
+		return nil, fmt.Errorf("cluster: id scheme %+v given, but the shard's state holds %+v",
+			given.segs, restored.segs)
+	}
+	return restored, nil
+}
+
+// persistScheme hands scheme to the updater and, on a durable shard,
+// checkpoints, so a restart from the data directory alone and every
+// snapshot stream a joiner boots from carry it. Schemes change once per
+// shard start or split, so a checkpoint stands in for a WAL record type.
+func persistScheme(up *skycube.Updater, scheme *idScheme) error {
+	up.Delta().SetIDSegments(scheme.segs)
+	if st := up.Store(); st != nil {
+		if err := st.Checkpoint(up.Delta()); err != nil {
+			return fmt.Errorf("cluster: checkpoint id scheme: %w", err)
+		}
+	}
+	return nil
 }
 
 // mapGenHeader carries the coordinator's shard-map generation on every

@@ -158,11 +158,13 @@ type sealResponse struct {
 
 // handleSeal serves POST /shard/seal: extend the id scheme with a fresh
 // stride-1 block covering every row inserted from now on. The coordinator
-// calls this write-quiesced at a split cutover — with no insert in flight,
-// the next-local-row boundary captured here is exact. The seal also
-// detaches the bootstrap source: the child's own writes advance its epoch
-// from here on, so its background compactor may start. Repeating a seal
-// with the same base is a no-op (cutover retries are idempotent).
+// calls this write-quiesced at a split cutover; the boundary is the id the
+// updater's next Insert gets, so pending inserts, cancelled ones included,
+// keep their ids. The extended scheme is checkpointed before it serves or
+// is answered. The seal also detaches the bootstrap source: the child's own
+// writes advance its epoch from here on, so its background compactor may
+// start. Repeating a seal with the same base is a no-op (cutover retries
+// are idempotent).
 func (s *Shard) handleSeal(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -182,12 +184,14 @@ func (s *Shard) handleSeal(w http.ResponseWriter, r *http.Request) {
 		server.WriteJSON(w, sealResponse{IDSegments: cur.segments(), Sealed: true})
 		return
 	}
-	snap := s.up.Current()
-	pendingInserts, _ := s.up.Pending()
-	nextLocal := int32(snap.Len() + pendingInserts)
-	sealed, err := cur.seal(nextLocal, req.Base)
+	sealed, err := cur.seal(s.up.Delta().NextID(), req.Base)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
+		return
+	}
+	if err := persistScheme(s.up, sealed); err != nil {
+		s.up.Delta().SetIDSegments(cur.segs)
+		http.Error(w, fmt.Sprintf("seal: %v", err), http.StatusInternalServerError)
 		return
 	}
 	s.scheme.Store(sealed)

@@ -240,6 +240,9 @@ type Updater struct {
 	// guarded by pendMu; replyOrder is their FIFO eviction order.
 	replies    map[string]BatchReply
 	replyOrder []string
+	// idSegs is the serving layer's id scheme (SetIDSegments), also guarded
+	// by pendMu. The updater only checkpoints it.
+	idSegs []IDSegment
 
 	compactCh   chan struct{}
 	closed      chan struct{}
@@ -347,6 +350,18 @@ type RestoreState struct {
 	PendingDeletes []int32
 	// Replies are the remembered batch replies, oldest first.
 	Replies []BatchReply
+	// IDSegments is the id scheme set by SetIDSegments, if any.
+	IDSegments []IDSegment
+}
+
+// IDSegment maps one contiguous run of a cluster shard's local rows to
+// global point ids: local rows r >= Start (up to the next segment's Start)
+// carry global id Base + (r-Start)*Stride. A split seals its child with an
+// extra segment, so rows inserted after the cutover mint from a fresh block.
+type IDSegment struct {
+	Start  int32 `json:"start"`
+	Base   int32 `json:"base"`
+	Stride int32 `json:"stride"`
 }
 
 // CaptureState returns a consistent RestoreState of the updater and, at
@@ -392,6 +407,7 @@ func (u *Updater) CaptureState(rotate func(epoch uint64) error) (RestoreState, e
 			st.Replies[i] = u.replies[id]
 		}
 	}
+	st.IDSegments = u.idSegs
 	if rotate != nil {
 		if err := rotate(st.Epoch); err != nil {
 			return RestoreState{}, err
@@ -435,6 +451,7 @@ func NewUpdaterFrom(st RestoreState, opt Options) (*Updater, error) {
 		dead:        make(map[int32]struct{}, len(st.Dead)),
 		pendDeleted: make(map[int32]struct{}, len(st.PendingDeletes)),
 		nextID:      int32(n),
+		idSegs:      slices.Clone(st.IDSegments),
 		compactCh:   make(chan struct{}, 1),
 		closed:      make(chan struct{}),
 	}
@@ -612,6 +629,30 @@ func (u *Updater) Pending() (inserts, deletes int) {
 		}
 	}
 	return inserts, len(u.pendDeleted)
+}
+
+// NextID returns the id the next Insert will get. Cancelled pending
+// inserts count: ids are positional.
+func (u *Updater) NextID() int32 {
+	u.pendMu.Lock()
+	defer u.pendMu.Unlock()
+	return u.nextID
+}
+
+// IDSegments returns the id scheme last set by SetIDSegments or restored
+// from a RestoreState (nil when there is none).
+func (u *Updater) IDSegments() []IDSegment {
+	u.pendMu.Lock()
+	defer u.pendMu.Unlock()
+	return slices.Clone(u.idSegs)
+}
+
+// SetIDSegments replaces the carried id scheme. The updater never reads
+// it; the next checkpoint (CaptureState) persists it.
+func (u *Updater) SetIDSegments(segs []IDSegment) {
+	u.pendMu.Lock()
+	defer u.pendMu.Unlock()
+	u.idSegs = slices.Clone(segs)
 }
 
 // LookupBatch returns the reply remembered for batch id, if any.

@@ -132,29 +132,17 @@ func (c *Client) Tail(ctx context.Context, peer string, from uint64, skip int) (
 	return recs, total, nil
 }
 
-// IDSegment mirrors the cluster package's piecewise id-scheme segment as
-// /shard/info reports it. The shape is duplicated here because cluster
-// imports rebalance, so rebalance cannot import cluster; a joiner is a
-// byte-copy of its peer and must interpret local row numbers with the
-// peer's arithmetic, not a default of its own.
-type IDSegment struct {
-	Start  int32 `json:"start"`
-	Base   int32 `json:"base"`
-	Stride int32 `json:"stride"`
-}
-
 // Freshness is a node's durable frontier, read from /shard/info (or
 // /healthz on a plain node). Epoch is the authoritative comparison key:
 // write-all replicas apply identical batches, so equal epochs mean
 // identical state and a lower epoch means missed writes.
 type Freshness struct {
-	Epoch       uint64      `json:"epoch"`
-	Live        int         `json:"live"`
-	WALSeq      uint64      `json:"wal_seq,omitempty"`
-	SnapshotSeq uint64      `json:"snapshot_seq,omitempty"`
-	Replayed    int         `json:"replayed,omitempty"`
-	Records     uint64      `json:"records,omitempty"`
-	IDSegments  []IDSegment `json:"id_segments,omitempty"`
+	Epoch       uint64 `json:"epoch"`
+	Live        int    `json:"live"`
+	WALSeq      uint64 `json:"wal_seq,omitempty"`
+	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
+	Replayed    int    `json:"replayed,omitempty"`
+	Records     uint64 `json:"records,omitempty"`
 }
 
 // Freshness fetches a peer's durable frontier from GET /shard/info.

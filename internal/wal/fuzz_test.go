@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"slices"
 	"testing"
 
 	"skycube/internal/delta"
@@ -106,8 +107,9 @@ func FuzzWALDecode(f *testing.F) {
 }
 
 // fuzzSeedSnapshots encodes snapshots carrying every optional section —
-// pending inserts (one cancelled), pending deletes and batch replies — plus
-// a bare one: the seeds FuzzSnapshotDecode starts from.
+// pending inserts (one cancelled), pending deletes, batch replies and a
+// two-segment id scheme — plus a bare one: the seeds FuzzSnapshotDecode
+// starts from.
 func fuzzSeedSnapshots() [][]byte {
 	states := []delta.RestoreState{
 		{Dims: 2, Epoch: 1, Live: 2, Vals: []float32{1, 2, 3, 4}},
@@ -124,6 +126,7 @@ func fuzzSeedSnapshots() [][]byte {
 				{ID: "req-b", Status: 400, Body: []byte("bad")},
 				{ID: "req-c", Status: 500},
 			},
+			IDSegments: []delta.IDSegment{{Start: 0, Base: 1, Stride: 2}, {Start: 3, Base: 1 << 28, Stride: 1}},
 		},
 	}
 	var out [][]byte
@@ -155,6 +158,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	bad := append([]byte(nil), seeds[1]...)
 	bad[36+8+6*4+4+4+4+4] = 2
 	f.Add(bad)
+	for _, raw := range badIDSchemeSnapshots(seeds) {
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		check := func(raw []byte) {
 			ss, err := DecodeSnapshot(raw)
@@ -171,10 +177,43 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		check(b)
 		if len(b) >= 4 {
-			body := append([]byte(nil), b[:len(b)-4]...)
-			check(binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli)))
+			check(withCRC(append([]byte(nil), b[:len(b)-4]...)))
 		}
 	})
+}
+
+// badIDSchemeSnapshots derives two snapshots the decoder must refuse from
+// the fuzz seeds: the bare seed with an id-scheme section that is present
+// but empty (no encoder writes one), and the full seed cut mid-segment.
+func badIDSchemeSnapshots(seeds [][]byte) [][]byte {
+	bare, full := seeds[0], seeds[1]
+	return [][]byte{
+		withCRC(binary.LittleEndian.AppendUint32(append([]byte(nil), bare[:len(bare)-4]...), 0)),
+		withCRC(append([]byte(nil), full[:len(full)-4-6]...)),
+	}
+}
+
+// TestSnapshotIDSchemeSection: the id-scheme section round-trips, and an
+// empty or truncated one is refused.
+func TestSnapshotIDSchemeSection(t *testing.T) {
+	seeds := fuzzSeedSnapshots()
+	ss, err := DecodeSnapshot(seeds[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []delta.IDSegment{{Start: 0, Base: 1, Stride: 2}, {Start: 3, Base: 1 << 28, Stride: 1}}; !slices.Equal(ss.State.IDSegments, want) {
+		t.Fatalf("decoded id scheme %+v, want %+v", ss.State.IDSegments, want)
+	}
+	for i, raw := range badIDSchemeSnapshots(seeds) {
+		if _, err := DecodeSnapshot(raw); err == nil {
+			t.Fatalf("bad id-scheme snapshot %d decoded", i)
+		}
+	}
+}
+
+// withCRC appends body's trailing snapshot CRC.
+func withCRC(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
 }
 
 // TestSnapshotRejectsDuplicateBatch: a snapshot naming one batch id twice

@@ -20,7 +20,10 @@ import (
 // epoch, u32 dims, u64 live, u64 len(vals) + vals, u32 dead count + ids,
 // u32 pending-insert count + (id, cancelled, point) each, u32
 // pending-delete count + ids, u32 batch count + (u16 id length, id, u32
-// status, u32 body length, body) each in remembered order, u32 CRC.
+// status, u32 body length, body) each in remembered order, then — only
+// when the state carries an id scheme — u32 segment count n > 0 + n ×
+// (i32 start, i32 base, i32 stride), and last a u32 CRC. A state without a
+// scheme encodes exactly as before the section existed.
 func writeSnapshotFile(path string, tailSeq uint64, st delta.RestoreState) (int64, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -91,6 +94,14 @@ func encodeSnapshotBody(w *crcWriter, tailSeq uint64, st delta.RestoreState) {
 		w.u32(uint32(rep.Status))
 		w.u32(uint32(len(rep.Body)))
 		w.bytes(rep.Body)
+	}
+	if n := len(st.IDSegments); n > 0 {
+		w.u32(uint32(n))
+		for _, seg := range st.IDSegments {
+			w.u32(uint32(seg.Start))
+			w.u32(uint32(seg.Base))
+			w.u32(uint32(seg.Stride))
+		}
 	}
 	sum := w.crc
 	w.u32(sum)
@@ -215,6 +226,19 @@ func decodeSnapshot(raw []byte, path string) (*SnapshotStream, error) {
 		}
 		seen[rep.ID] = true
 		sd.State.Replies = append(sd.State.Replies, rep)
+	}
+	if r.err == nil && len(r.b) > 0 {
+		// The optional id-scheme section: an encoder never writes it empty,
+		// so a zero count is corruption, not a missing scheme.
+		nSeg := int(r.u32())
+		if r.err == nil && (nSeg == 0 || nSeg > len(r.b)/12) {
+			return nil, fmt.Errorf("wal: %s: snapshot declares %d id segments", path, nSeg)
+		}
+		for i := 0; i < nSeg && r.err == nil; i++ {
+			sd.State.IDSegments = append(sd.State.IDSegments, delta.IDSegment{
+				Start: int32(r.u32()), Base: int32(r.u32()), Stride: int32(r.u32()),
+			})
+		}
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("wal: %s: %v", path, r.err)
