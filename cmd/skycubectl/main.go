@@ -15,8 +15,9 @@
 // pre-bootstrapped child shard into the ring — the coordinator quiesces
 // writes, converges the child against its source, seals the child's insert
 // id block, swaps the map, and prunes both sides. freshness prints a shard
-// node's durable frontier (epoch, WAL seq, snapshot seq) — the comparison
-// anti-entropy makes.
+// node's /shard/info: its epoch — the one value anti-entropy compares — and
+// its durable frontier (WAL seq, snapshot seq, replayed and journaled
+// records).
 package main
 
 import (

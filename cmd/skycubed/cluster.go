@@ -17,12 +17,11 @@ import (
 // shardServeOptions assembles a shard node's ShardOptions from the
 // relevant flags.
 func shardServeOptions(idBase, idStride int,
-	maxBody int64, cacheEntries int, noCache bool, tracing traceOptions) cluster.ShardOptions {
+	cacheEntries int, noCache bool, tracing traceOptions) cluster.ShardOptions {
 	return cluster.ShardOptions{
 		IDBase:       idBase,
 		IDStride:     idStride,
 		Logger:       log.New(os.Stderr, "skycubed: ", log.LstdFlags),
-		MaxBodyBytes: maxBody,
 		CacheEntries: cacheEntries,
 		DisableCache: noCache,
 		Requests:     tracing.ring,
@@ -31,12 +30,12 @@ func shardServeOptions(idBase, idStride int,
 	}
 }
 
-// runShard serves one horizontal partition as a cluster shard node: the
-// full single-node endpoint set plus the /shard/* cluster protocol, with
-// local rows mapped to global ids by the scheme its state carries (set
-// from -id-base/-id-stride on its first start, extended by a split's
-// seal). The node's state has three sources, and only where its updater
-// comes from depends on which:
+// runShard serves a maintained node: snapshot reads, the mutation
+// endpoints and the /shard/* cluster protocol, with local rows mapped to
+// global ids by the scheme its state carries (set from -id-base/-id-stride
+// on its first start, extended by a split's seal; without them row i is id
+// i, so a lone node is the one-shard cluster). The node's state has three
+// sources, and only where its updater comes from depends on which:
 //
 //   - a partition file (ds): a fresh build, checkpointed into -data-dir
 //     when one is set;
@@ -111,7 +110,7 @@ func runShard(addr string, ds *skycube.Dataset, joinFrom, peerList string,
 	fmt.Printf("shard node %s (%d live, epoch %d, %d WAL records replayed)\n",
 		origin, snap.Live(), snap.Epoch(), up.Replayed())
 	mountPprof(sh.Server(), withPprof)
-	serveAndDrain(addr, g, sh, "GET /shard/cuboid?subspace=N (binary frame), /shard/info, /shard/snapshot, /shard/tail, /skyline, /healthz, /metrics; POST /insert, /delete, /flush")
+	serveAndDrain(addr, g, sh, "GET /info, /skyline?dims=0,2[&epoch=N], /membership?id=17, /updates, /healthz, /metrics, /shard/cuboid?subspace=N (binary frame), /shard/info, /shard/snapshot, /shard/tail; POST /insert, /delete, /flush, /compact")
 }
 
 // runCoordinatorMode serves the cluster's public surface over a shard map

@@ -165,10 +165,11 @@ func httpGetBody(t *testing.T, url string) (int, []byte, http.Header) {
 	return resp.StatusCode, b, resp.Header
 }
 
-// TestSIGTERMRestartByteIdentical: write, stop with SIGTERM (the clean
-// path: drain, sync, close the WAL), restart from the same directory —
-// /skyline must come back byte-identical, ETag included, under every
-// fsync policy (a clean shutdown loses nothing even with -fsync never).
+// TestSIGTERMRestartByteIdentical: write to a maintained node, stop it with
+// SIGTERM (the clean path: drain, sync, close the WAL), restart it from its
+// directory alone, without the data file — /skyline must come back
+// byte-identical, ETag included, under every fsync policy (a clean shutdown
+// loses nothing even with -fsync never).
 func TestSIGTERMRestartByteIdentical(t *testing.T) {
 	bin := skycubedBinary(t)
 	for _, policy := range []string{"always", "never"} {
@@ -177,9 +178,9 @@ func TestSIGTERMRestartByteIdentical(t *testing.T) {
 			dataFile := writeDataset(t, ds)
 			dataDir := filepath.Join(t.TempDir(), "wal")
 			addr := freeAddr(t)
-			args := []string{"-serve", addr, "-updates", "-data-dir", dataDir, "-fsync", policy, dataFile}
+			args := []string{"-serve", addr, "-shard", "-data-dir", dataDir, "-fsync", policy}
 
-			n := startNode(t, bin, args...)
+			n := startNode(t, bin, append(args, dataFile)...)
 			n.url = "http://" + addr
 			n.waitReady(t)
 

@@ -6,6 +6,7 @@
 //	skycubed -algo MDMC -threads 8 [-gpus 1] [-cpu-also] [-max-level 4] \
 //	         [-trace build.json] [-progress] [-query 0,2 -query 1] data.txt
 //	skycubed -serve :8080 [-pprof] data.txt
+//	skycubed -serve :8080 -shard [-data-dir DIR] data.txt
 //	skycubed -serve :9001 -shard -id-base 0 -id-stride 2 part-0-of-2.txt
 //	skycubed -serve :8080 -coordinator -shards http://a:9001,http://b:9002 -replicas 1
 //
@@ -14,24 +15,23 @@
 // With -serve, the built skycube is exposed over HTTP (GET /info,
 // /skyline?dims=0,2, /membership?id=17, plus /buildinfo, /metrics and
 // /trace); the server drains in-flight requests and exits cleanly on
-// SIGINT/SIGTERM. -updates (with -serve) runs the server in maintenance
-// mode: reads serve MVCC snapshots (pin one with ?epoch=N) and POST
-// /insert, /delete, /flush, /compact mutate the cube incrementally;
-// -compact-fraction tunes when the background compactor folds the
-// accumulated overlay into a fresh base. -trace writes the build's span
-// timeline as Chrome
+// SIGINT/SIGTERM. -trace writes the build's span timeline as Chrome
 // trace_event JSON (open in about://tracing or ui.perfetto.dev); -progress
 // reports build progress on stderr; -pprof additionally mounts
 // net/http/pprof under /debug/pprof/ on the serving mux.
 //
-// -shard serves one horizontal partition as a cluster shard node (the
-// maintainable-server endpoints plus /shard/cuboid and /shard/info, with
-// -id-base/-id-stride mapping local rows to global ids from the node's
-// first start on); -coordinator
-// serves the cluster's public surface over a shard map given via -shards
-// (consecutive URLs grouped into replica sets of -replicas), with hedged
-// reads, retries and per-replica circuit breakers. See README "Cluster
-// mode".
+// -shard serves a maintained node: reads serve MVCC snapshots (pin one with
+// ?epoch=N), POST /insert, /delete, /flush, /compact mutate the cube
+// incrementally, and -compact-fraction tunes when the background compactor
+// folds the accumulated overlay into a fresh base. -data-dir makes it
+// durable, and a durable node restarts from its directory alone. The same
+// node is a cluster shard: it also serves /shard/cuboid and /shard/info,
+// with -id-base/-id-stride mapping local rows to global ids from the node's
+// first start on (without them, row i is id i — a one-node cluster);
+// -coordinator serves the cluster's public surface over a shard map given
+// via -shards (consecutive URLs grouped into replica sets of -replicas),
+// with hedged reads, retries and per-replica circuit breakers. See README
+// "Cluster mode".
 package main
 
 import (
@@ -90,13 +90,11 @@ func main() {
 	var queries queryList
 	flag.Var(&queries, "query", "subspace to print, as comma-separated dimension indices (repeatable)")
 	serve := flag.String("serve", "", "address to serve the skycube over HTTP (e.g. :8080)")
-	updates := flag.Bool("updates", false, "with -serve: accept incremental inserts/deletes (MDMC, full skycube only)")
-	compactFraction := flag.Float64("compact-fraction", 0, "with -updates: background-compact when the overlay exceeds this fraction of the base (0 = default 0.25)")
-	maxBody := flag.Int64("max-body", 0, "with -updates: mutation request body cap in bytes (0 = default 1 MiB)")
+	compactFraction := flag.Float64("compact-fraction", 0, "with -shard: background-compact when the overlay exceeds this fraction of the base (0 = default 0.25)")
 	traceFile := flag.String("trace", "", "write the build trace as Chrome trace_event JSON to this file")
 	progress := flag.Bool("progress", false, "report build progress on stderr")
 	pprofFlag := flag.Bool("pprof", false, "with -serve: mount net/http/pprof under /debug/pprof/")
-	shardMode := flag.Bool("shard", false, "with -serve: run as a cluster shard node over this partition file")
+	shardMode := flag.Bool("shard", false, "with -serve: run a maintained node (inserts, deletes, and the cluster shard protocol) over this data file")
 	idBase := flag.Int("id-base", 0, "with -shard: global id of local row 0; takes effect on a shard's first start only (its state keeps the scheme)")
 	idStride := flag.Int("id-stride", 0, "with -shard: global id step between consecutive local rows (shard count for round-robin partitions); 0 = not given (stride 1 on a first start); takes effect on a shard's first start only")
 	joinFrom := flag.String("join-from", "", "with -shard -data-dir: bootstrap this node's state from a peer shard's snapshot stream instead of a data file")
@@ -108,7 +106,7 @@ func main() {
 	hedgeDelay := flag.Duration("hedge-delay", 0, "with -coordinator: delay before hedging a slow read to a second replica (0 = default 50ms, negative disables)")
 	cacheEntries := flag.Int("cache-entries", 0, "with -serve: LRU bound of the epoch-keyed response cache (0 = default 4096)")
 	noCache := flag.Bool("no-cache", false, "with -serve: disable response caching (the ETag/304 contract remains)")
-	dataDir := flag.String("data-dir", "", "with -updates/-shard: persist mutations to a write-ahead log and epoch snapshots in this directory, recovering from it on startup (empty = in-memory)")
+	dataDir := flag.String("data-dir", "", "with -shard: persist mutations to a write-ahead log and epoch snapshots in this directory, recovering from it on startup (empty = in-memory)")
 	fsyncPolicy := flag.String("fsync", "always", "with -data-dir: WAL fsync policy — always (group-committed per ack), interval (timer), never")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "with -data-dir: WAL records between background checkpoints (0 = default 4096, negative disables)")
 	traceSample := flag.Int("trace-sample", 0, "with -serve: trace one in N requests into /debug/requests (0 = only requests carrying a traceparent header)")
@@ -162,8 +160,8 @@ func main() {
 	if *progress {
 		opt.Progress = stderrProgress()
 	}
-	// Maintained nodes (shards and -updates servers) compact in the
-	// background and persist to -data-dir when it is set.
+	// Maintained nodes (-shard) compact in the background and persist to
+	// -data-dir when it is set.
 	opt.Delta = skycube.DeltaOptions{AutoCompact: true, CompactFraction: *compactFraction}
 	opt.Durable = durableOptions(*dataDir, *fsyncPolicy, *checkpointEvery)
 
@@ -190,7 +188,7 @@ func main() {
 			ds = readDataset(flag.Arg(0))
 		}
 		runShard(*serve, ds, *joinFrom, *peerList, opt,
-			shardServeOptions(*idBase, *idStride, *maxBody, *cacheEntries, *noCache, tracing),
+			shardServeOptions(*idBase, *idStride, *cacheEntries, *noCache, tracing),
 			*pprofFlag)
 		return
 	}
@@ -201,25 +199,6 @@ func main() {
 		os.Exit(2)
 	}
 	ds := readDataset(flag.Arg(0))
-
-	if *updates {
-		if *serve == "" {
-			fmt.Fprintln(os.Stderr, "skycubed: -updates requires -serve")
-			os.Exit(2)
-		}
-		g := maybeStartGated(*serve, *dataDir)
-		up, err := skycube.NewUpdater(ds, opt) // recovery, when durable, happens here
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "skycubed:", err)
-			os.Exit(1)
-		}
-		defer up.Close()
-		snap := up.Current()
-		fmt.Printf("built maintainable %s skycube of %d×%d (%d stored ids, epoch %d, %d WAL records replayed)\n",
-			algo, ds.Len(), ds.Dims(), snap.IDCount(), snap.Epoch(), up.Replayed())
-		runUpdaterServer(*serve, up, opt, *pprofFlag, *maxBody, *cacheEntries, *noCache, tracing, g)
-		return
-	}
 
 	cube, stats, err := skycube.Build(ds, opt)
 	if err != nil {
@@ -331,27 +310,6 @@ func maybeStartGated(addr, dataDir string) *gatedServer {
 	go func() { g.errCh <- g.httpSrv.ListenAndServe() }()
 	fmt.Printf("listening on %s (503 not-ready until recovery completes)\n", addr)
 	return g
-}
-
-// runUpdaterServer serves a maintainable skycube: snapshot reads plus the
-// mutation endpoints.
-func runUpdaterServer(addr string, up *skycube.Updater, opt skycube.Options, withPprof bool,
-	maxBody int64, cacheEntries int, noCache bool, tracing traceOptions, g *gatedServer) {
-	srv := server.NewWith(nil, nil, server.Options{
-		Updater:      up,
-		MaxBodyBytes: maxBody,
-		Metrics:      opt.Metrics,
-		Trace:        opt.Trace,
-		Logger:       log.New(os.Stderr, "skycubed: ", log.LstdFlags),
-		CacheEntries: cacheEntries,
-		DisableCache: noCache,
-		Requests:     tracing.ring,
-		SampleEvery:  tracing.sampleEvery,
-		SlowQuery:    tracing.slowQuery,
-	})
-	mountPprof(srv, withPprof)
-	serveAndDrain(addr, g, srv,
-		"GET /info, /skyline?dims=0,2[&epoch=N], /membership?id=17, /updates; POST /insert, /delete, /flush, /compact")
 }
 
 // mountPprof mounts net/http/pprof on a server.Server or an http.ServeMux

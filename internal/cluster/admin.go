@@ -221,7 +221,7 @@ func (c *Coordinator) handleAdminJoin(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("shard %s frontier: %v", g.name, err), http.StatusBadGateway)
 		return
 	}
-	repEpoch, repLive, err := c.replicaFrontier(r, rep.url)
+	repEpoch, repLive, err := c.replicaFrontier(r.Context(), rep.url)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("joining replica %s: %v", rep.url, err), http.StatusBadGateway)
 		return
@@ -491,20 +491,6 @@ func (c *Coordinator) groupFrontier(r *http.Request, g *shardGroup, gen uint64) 
 		c.adoptMapGenLocked(staleGenOf(err))
 		body, err = c.client.get(r.Context(), g, "/shard/info", c.curMap().gen)
 	}
-	if err != nil {
-		return 0, 0, err
-	}
-	var info shardInfo
-	if err := json.Unmarshal(body, &info); err != nil {
-		return 0, 0, err
-	}
-	return info.Epoch, info.Live, nil
-}
-
-// replicaFrontier reads one replica's (epoch, live) directly — no hedging,
-// no fallback: the point is to observe this exact replica.
-func (c *Coordinator) replicaFrontier(r *http.Request, url string) (uint64, int, error) {
-	body, err := c.client.do(r.Context(), http.MethodGet, trimURL(url)+"/shard/info", nil, "", 0)
 	if err != nil {
 		return 0, 0, err
 	}

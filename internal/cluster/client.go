@@ -105,16 +105,6 @@ type shardGroup struct {
 	rr atomic.Uint64
 }
 
-// idMap returns the shard's original partition arithmetic (the first
-// segment), (0, 0) while the scheme is unknown.
-func (g *shardGroup) idMap() (base, stride int) {
-	s := g.scheme.Load()
-	if s == nil {
-		return 0, 0
-	}
-	return s.primary()
-}
-
 // clone returns a copy of the group sharing the replica objects (and thus
 // their breaker state) — the copy-on-write step of a map swap that changes
 // the group's replica list.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 	"skycube/internal/dom"
 	"skycube/internal/mask"
 	"skycube/internal/obs"
+	"skycube/internal/server"
 )
 
 // testCluster is a K-shard, R-replica cluster wired over httptest servers.
@@ -322,8 +324,9 @@ func TestShardInfoEndpoint(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.Dims != 4 || info.Live != 120 || info.IDBase != 2 || info.IDStride != 3 {
-		t.Fatalf("info = %+v", info)
+	want := []IDSegment{{Start: 0, Base: 2, Stride: 3}}
+	if info.Dims != 4 || info.Live != 120 || !reflect.DeepEqual(info.IDSegments, want) {
+		t.Fatalf("info = %+v, want id_segments %+v", info, want)
 	}
 }
 
@@ -447,8 +450,8 @@ func TestCoordinatorInfoAndHealth(t *testing.T) {
 	if info.Dims != 3 || len(info.Shards) != 2 || len(info.Shards[0].Replicas) != 2 {
 		t.Fatalf("info = %+v", info)
 	}
-	if info.Shards[1].IDBase != 1 || info.Shards[1].IDStride != 2 {
-		t.Fatalf("shard 1 id mapping = %+v", info.Shards[1])
+	if want := []IDSegment{{Start: 0, Base: 1, Stride: 2}}; !reflect.DeepEqual(info.Shards[1].IDSegments, want) {
+		t.Fatalf("shard 1 id segments = %+v, want %+v", info.Shards[1].IDSegments, want)
 	}
 
 	req = httptest.NewRequest(http.MethodGet, "/healthz", nil)
@@ -692,6 +695,49 @@ func TestCoordinatorRefusesOversizedBatchID(t *testing.T) {
 	for s, reps := range tc.shards {
 		if ins, _ := reps[0].Updater().Pending(); ins != 0 {
 			t.Fatalf("shard %d buffered %d inserts of a refused batch", s, ins)
+		}
+	}
+}
+
+// TestCoordinatorRefusesOverCapShardBody: the coordinator re-encodes each
+// shard's part of an insert, and re-encoding can outgrow the client's text
+// ("1e20" becomes 21 digits). A part over server.MaxBodyBytes must be
+// refused with 413 naming its shard before any shard applies anything —
+// otherwise a shard posted first keeps its part, and every retry replays
+// that part into the same refusal. Shards are posted in map order, so ten
+// fresh batch ids cover both orders.
+func TestCoordinatorRefusesOverCapShardBody(t *testing.T) {
+	ds := skycube.GenerateSynthetic(skycube.Independent, 60, 3, 13)
+	tc := newTestCluster(t, ds, 2, 1, skycube.RoundRobinPartition, CoordinatorOptions{})
+	ring := tc.coord.curMap().ring
+	var text []string
+	for k, encoded := 0, 0; encoded <= server.MaxBodyBytes; k++ {
+		p := []float32{1e20, 1e20, float32(k)}
+		if ring.owner(hashPoint(p)) == 0 {
+			b, _ := json.Marshal(p)
+			encoded += len(b) + 1
+			text = append(text, fmt.Sprintf("[1e20,1e20,%d]", k))
+		}
+	}
+	for k, small := 0, 0; small < 3; k++ {
+		if ring.owner(hashPoint([]float32{0.25, 0.5, float32(k)})) == 1 {
+			text = append(text, fmt.Sprintf("[0.25,0.5,%d]", k))
+			small++
+		}
+	}
+	for i := 0; i < 10; i++ {
+		body := fmt.Sprintf(`{"points":[%s],"batch":"cap-%d"}`, strings.Join(text, ","), i)
+		if len(body) > server.MaxBodyBytes {
+			t.Fatalf("client body of %d bytes is itself over the cap", len(body))
+		}
+		reply := string(postJSON(t, tc.coord, "/insert", json.RawMessage(body), http.StatusRequestEntityTooLarge))
+		if !strings.Contains(reply, "shard 0's part") || !strings.Contains(reply, strconv.Itoa(server.MaxBodyBytes)) {
+			t.Fatalf("refusal %q does not name shard 0 and the cap", reply)
+		}
+		for s, reps := range tc.shards {
+			if ins, _ := reps[0].Updater().Pending(); ins != 0 {
+				t.Fatalf("batch cap-%d: shard %d buffered %d inserts of a refused batch", i, s, ins)
+			}
 		}
 	}
 }

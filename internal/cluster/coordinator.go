@@ -407,17 +407,7 @@ func (c *Coordinator) replicasAgree(ctx context.Context, g *shardGroup) bool {
 		wg.Add(1)
 		go func(i int, url string) {
 			defer wg.Done()
-			body, err := c.client.do(ctx, http.MethodGet, url+"/shard/info", nil, "", 0)
-			if err != nil {
-				fs[i].err = err
-				return
-			}
-			var info shardInfo
-			if err := json.Unmarshal(body, &info); err != nil {
-				fs[i].err = err
-				return
-			}
-			fs[i].epoch, fs[i].live = info.Epoch, info.Live
+			fs[i].epoch, fs[i].live, fs[i].err = c.replicaFrontier(ctx, url)
 		}(i, rep.url)
 	}
 	wg.Wait()
@@ -427,6 +417,21 @@ func (c *Coordinator) replicasAgree(ctx context.Context, g *shardGroup) bool {
 		}
 	}
 	return len(fs) > 0
+}
+
+// replicaFrontier reads one replica's (epoch, live) from its /shard/info
+// directly — no hedging, no fallback: the point is to observe this exact
+// replica.
+func (c *Coordinator) replicaFrontier(ctx context.Context, url string) (uint64, int, error) {
+	body, err := c.client.do(ctx, http.MethodGet, trimURL(url)+"/shard/info", nil, "", 0)
+	if err != nil {
+		return 0, 0, err
+	}
+	var info shardInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		return 0, 0, err
+	}
+	return info.Epoch, info.Live, nil
 }
 
 // dimsOrRefresh returns the cluster dimensionality, refreshing lazily.
@@ -454,8 +459,6 @@ type infoResponse struct {
 
 type shardStatus struct {
 	Name       string          `json:"name"`
-	IDBase     int             `json:"id_base"`
-	IDStride   int             `json:"id_stride"`
 	IDSegments []IDSegment     `json:"id_segments,omitempty"`
 	Replicas   []replicaStatus `json:"replicas"`
 	// WritesDiverged reports that a write-all POST partially succeeded on
@@ -489,8 +492,7 @@ func (c *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
 	m := c.curMap()
 	resp := infoResponse{Dims: d, MapGen: m.gen}
 	for _, g := range m.shards {
-		base, stride := g.idMap()
-		st := shardStatus{Name: g.name, IDBase: base, IDStride: stride, WritesDiverged: g.diverged.Load()}
+		st := shardStatus{Name: g.name, WritesDiverged: g.diverged.Load()}
 		if s := g.scheme.Load(); s != nil {
 			st.IDSegments = s.segments()
 		}

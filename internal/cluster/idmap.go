@@ -98,17 +98,6 @@ func (s *idScheme) localOf(global int32) (int32, bool) {
 	return 0, false
 }
 
-// primary returns the first segment's arithmetic — the shard's original
-// partition mapping, reported for backward compatibility in /shard/info.
-func (s *idScheme) primary() (base, stride int) {
-	return int(s.segs[0].Base), int(s.segs[0].Stride)
-}
-
-// sealed reports whether the scheme carries a split-minted block.
-func (s *idScheme) sealed() bool {
-	return s.segs[len(s.segs)-1].Base >= SplitBlockBase
-}
-
 // seal returns a copy of the scheme extended with a fresh stride-1 block
 // for rows inserted from nextLocal on.
 func (s *idScheme) seal(nextLocal, freshBase int32) (*idScheme, error) {

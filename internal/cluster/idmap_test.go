@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestIDSchemeSingleSegment: the plain-partition scheme reproduces the
 // -id-base/-id-stride arithmetic and inverts exactly the ids it mints.
@@ -22,11 +25,8 @@ func TestIDSchemeSingleSegment(t *testing.T) {
 			t.Fatalf("localOf(%d) claimed an id off this shard's grid", g)
 		}
 	}
-	if base, stride := s.primary(); base != 1 || stride != 3 {
-		t.Fatalf("primary = %d/%d, want 1/3", base, stride)
-	}
-	if s.sealed() {
-		t.Fatal("plain scheme reports sealed")
+	if want := []IDSegment{{Start: 0, Base: 1, Stride: 3}}; !reflect.DeepEqual(s.segments(), want) {
+		t.Fatalf("segments = %+v, want %+v", s.segments(), want)
 	}
 	if s.rangePartitioned() {
 		t.Fatal("stride-3 scheme reports range-partitioned")
@@ -49,10 +49,11 @@ func TestIDSchemeSeal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seal: %v", err)
 	}
-	if !sealed.sealed() {
-		t.Fatal("sealed scheme reports unsealed")
+	want := []IDSegment{{Start: 0, Base: 0, Stride: 2}, {Start: 50, Base: SplitBlockBase, Stride: 1}}
+	if !reflect.DeepEqual(sealed.segments(), want) {
+		t.Fatalf("sealed segments = %+v, want %+v", sealed.segments(), want)
 	}
-	if s.sealed() {
+	if len(s.segments()) != 1 {
 		t.Fatal("seal mutated the original scheme")
 	}
 	// Copied region: original arithmetic.

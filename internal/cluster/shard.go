@@ -57,8 +57,6 @@ type ShardOptions struct {
 	Metrics *obs.Registry
 	// Logger, if non-nil, logs one line per request.
 	Logger *log.Logger
-	// MaxBodyBytes caps mutation bodies (0 = server default, 1 MiB).
-	MaxBodyBytes int64
 	// CacheEntries bounds the shard's response cache, which /shard/cuboid
 	// shares with the embedded server's reads (0 = rcache.DefaultEntries).
 	CacheEntries int
@@ -160,7 +158,6 @@ func NewShardFrom(up *skycube.Updater, sopt ShardOptions) (*Shard, error) {
 		Updater:      up,
 		Metrics:      sopt.Metrics,
 		Logger:       sopt.Logger,
-		MaxBodyBytes: sopt.MaxBodyBytes,
 		CacheEntries: sopt.CacheEntries,
 		DisableCache: sopt.DisableCache,
 		Requests:     sopt.Requests,
@@ -332,16 +329,14 @@ func (s *Shard) parseSubspace(w http.ResponseWriter, r *http.Request) (mask.Mask
 	return mask.Mask(v), true
 }
 
-// shardInfo is the /shard/info payload. IDBase/IDStride echo the first
-// segment's arithmetic for backward compatibility; IDSegments is the full
-// piecewise scheme. The wal_* freshness keys (present only on durable
-// shards) are what rebalance.Freshness and anti-entropy catch-up read.
+// shardInfo is the /shard/info payload: the node's state. IDSegments is
+// its piecewise id scheme; epoch is what anti-entropy and the coordinator's
+// replica checks compare; the durable frontier (wal_seq, snapshot_seq,
+// replayed, records) is present only on durable shards.
 type shardInfo struct {
 	Dims        int         `json:"dims"`
 	Live        int         `json:"live"`
 	Epoch       uint64      `json:"epoch"`
-	IDBase      int         `json:"id_base"`
-	IDStride    int         `json:"id_stride"`
 	IDSegments  []IDSegment `json:"id_segments"`
 	MapGen      uint64      `json:"map_gen"`
 	WALSeq      uint64      `json:"wal_seq,omitempty"`
@@ -357,15 +352,11 @@ func (s *Shard) handleInfo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.up.Current()
-	scheme := s.scheme.Load()
-	base, stride := scheme.primary()
 	info := shardInfo{
 		Dims:       s.dims,
 		Live:       snap.Live(),
 		Epoch:      snap.Epoch(),
-		IDBase:     base,
-		IDStride:   stride,
-		IDSegments: scheme.segments(),
+		IDSegments: s.scheme.Load().segments(),
 		MapGen:     s.maxGen.Load(),
 	}
 	if st := s.up.Store(); st != nil {

@@ -56,8 +56,7 @@ func (c *Coordinator) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req insertRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResponseBytes)).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Points) == 0 {
@@ -121,17 +120,25 @@ func (c *Coordinator) insertOnce(w http.ResponseWriter, r *http.Request, req *in
 		s := m.ring.owner(hashPoint(p))
 		perShard[s] = append(perShard[s], i)
 	}
-	// Refuse a batch id some shard could not remember before any shard
-	// applies the batch.
-	for s := range perShard {
-		if id := batch + "/" + m.shards[s].name; len(id) > delta.MaxBatchID {
-			return http.StatusBadRequest, fmt.Sprintf("batch id of %d bytes is too long: shard %s's batch id would be %d bytes (at most %d)",
-				len(batch), m.shards[s].name, len(id), delta.MaxBatchID)
-		}
+	// Encode every shard's slice before any shard applies one: a batch id
+	// some shard could not remember, an unknown id scheme, or a slice over
+	// the shards' body cap refuses the whole batch while nothing is written.
+	// Re-encoding can outgrow the client's text ("1e20" becomes 21 digits),
+	// so the decoded request fitting the cap proves nothing about a slice.
+	type shardBatch struct {
+		g      *shardGroup
+		scheme *idScheme
+		idxs   []int
+		body   []byte
 	}
-	resp := insertResponse{IDs: make([]int32, len(req.Points)), Routed: map[string]int{}}
+	batches := make([]shardBatch, 0, len(perShard))
 	for s, idxs := range perShard {
 		g := m.shards[s]
+		id := batch + "/" + g.name
+		if len(id) > delta.MaxBatchID {
+			return http.StatusBadRequest, fmt.Sprintf("batch id of %d bytes is too long: shard %s's batch id would be %d bytes (at most %d)",
+				len(batch), g.name, len(id), delta.MaxBatchID)
+		}
 		scheme := g.scheme.Load()
 		if scheme == nil {
 			// The shard never reported its id scheme (spec left it zero and
@@ -144,13 +151,22 @@ func (c *Coordinator) insertOnce(w http.ResponseWriter, r *http.Request, req *in
 		for k, i := range idxs {
 			pts[k] = req.Points[i]
 		}
-		body, err := json.Marshal(insertRequest{Points: pts, Batch: batch + "/" + g.name})
+		body, err := json.Marshal(insertRequest{Points: pts, Batch: id})
 		if err != nil {
 			return http.StatusInternalServerError, err.Error()
 		}
+		if len(body) > server.MaxBodyBytes {
+			return http.StatusRequestEntityTooLarge, fmt.Sprintf("shard %s's part of the batch encodes to %d bytes, over the %d-byte mutation body cap: split the batch",
+				g.name, len(body), server.MaxBodyBytes)
+		}
+		batches = append(batches, shardBatch{g: g, scheme: scheme, idxs: idxs, body: body})
+	}
+	resp := insertResponse{IDs: make([]int32, len(req.Points)), Routed: map[string]int{}}
+	for _, sb := range batches {
+		g, idxs := sb.g, sb.idxs
 		// Write-all replication: every replica must accept the batch so the
 		// replica set stays byte-identical (and agrees on assigned ids).
-		bodies, err := c.client.post(r.Context(), g, "/insert", body, m.gen)
+		bodies, err := c.client.post(r.Context(), g, "/insert", sb.body, m.gen)
 		if err != nil {
 			if staleMapGen(err) {
 				c.adoptMapGen(staleGenOf(err))
@@ -193,7 +209,7 @@ func (c *Coordinator) insertOnce(w http.ResponseWriter, r *http.Request, req *in
 			}
 		}
 		for k, i := range idxs {
-			resp.IDs[i] = scheme.global(localIDs[k])
+			resp.IDs[i] = sb.scheme.global(localIDs[k])
 		}
 		resp.Routed[g.name] += len(idxs)
 	}
@@ -221,8 +237,7 @@ func (c *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req deleteRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResponseBytes)).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {

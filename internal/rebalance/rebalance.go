@@ -15,9 +15,10 @@
 // restarts from a fresh snapshot.
 //
 // The same primitives serve anti-entropy (AntiEntropy): a restarted replica
-// compares its recovered epoch against its peers' /shard/info freshness
-// (Behind) and, if it missed writes while down, wipes its stale directory
-// and re-bootstraps from the freshest peer before it ever reports ready.
+// compares its recovered epoch against the epochs its peers report on
+// /shard/info and, if it missed writes while down, wipes its stale
+// directory and re-bootstraps from the freshest peer before it ever
+// reports ready.
 package rebalance
 
 import (
@@ -81,7 +82,7 @@ func Join(ctx context.Context, peer string, opt skycube.Options) (*Node, error) 
 		return nil, fmt.Errorf("rebalance: join needs a data directory and a peer")
 	}
 	start := time.Now()
-	raw, seq, err := (&Client{}).Snapshot(ctx, peer)
+	raw, seq, err := Snapshot(ctx, peer)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +111,7 @@ func Join(ctx context.Context, peer string, opt skycube.Options) (*Node, error) 
 // how many records were applied and whether the round found the peer's
 // frontier already reached (an empty round).
 func (n *Node) CatchUpOnce(ctx context.Context) (applied int, caughtUp bool, err error) {
-	recs, total, err := (&Client{}).Tail(ctx, n.peer, n.Cursor.From, n.Cursor.Skip)
+	recs, total, err := Tail(ctx, n.peer, n.Cursor.From, n.Cursor.Skip)
 	if err != nil {
 		return 0, false, err
 	}

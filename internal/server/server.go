@@ -12,7 +12,7 @@
 //	GET /buildinfo                how the cube was built (algorithm, timings, shares)
 //	GET /metrics                  Prometheus text exposition of the registry
 //	GET /trace                    Chrome trace_event JSON of the build trace
-//	GET /healthz                  liveness + readiness probe (503 while unready)
+//	GET /healthz                  readiness probe (503 while unready) and serving epoch
 //
 // /metrics and /trace only exist when the Server is constructed with
 // NewWith and the corresponding Options field is set. Every request flows
@@ -30,7 +30,7 @@
 //	POST /compact                 fold the overlay into a fresh base
 //	GET  /updates                 maintenance counters (delta.Stats)
 //
-// Mutation bodies are capped with http.MaxBytesReader (Options.MaxBodyBytes).
+// Mutation bodies are capped at MaxBodyBytes with http.MaxBytesReader.
 //
 // # Materialized read path
 //
@@ -99,9 +99,6 @@ type Options struct {
 	// cube and dataset passed to NewWith are ignored (and may be nil), reads
 	// serve the updater's snapshots, and the mutation endpoints are mounted.
 	Updater *skycube.Updater
-	// MaxBodyBytes caps mutation request bodies via http.MaxBytesReader;
-	// 0 means 1 MiB.
-	MaxBodyBytes int64
 	// CacheEntries bounds the materialized read-path cache (LRU);
 	// 0 means rcache.DefaultEntries.
 	CacheEntries int
@@ -128,9 +125,10 @@ type Options struct {
 	TraceKind string
 }
 
-// DefaultMaxBodyBytes is the mutation body cap when Options.MaxBodyBytes
-// is zero.
-const DefaultMaxBodyBytes = 1 << 20
+// MaxBodyBytes caps every mutation request body. The cluster coordinator
+// checks each shard's re-encoded slice of an insert against it before it
+// posts any, so a batch never fails half-applied on one shard's cap.
+const MaxBodyBytes = 1 << 20
 
 // Server wraps a built skycube and its dataset.
 type Server struct {
@@ -251,20 +249,12 @@ func (s *Server) Ready() bool { return !s.notReady.Load() && s.busy.Load() == 0 
 
 // healthResponse is the /healthz payload. Liveness is implied by any
 // response at all; Ready distinguishes "up" from "able to serve correctly".
+// A shard's durable frontier is on /shard/info, not here.
 type healthResponse struct {
 	Status string `json:"status"` // "ok" or "unavailable"
 	Ready  bool   `json:"ready"`
 	Mode   string `json:"mode"`            // "static" or "maintenance"
 	Epoch  uint64 `json:"epoch,omitempty"` // serving epoch in maintenance mode
-
-	// Durability freshness (present only for WAL-backed updaters): where
-	// this node's recovered state sits relative to its log. Anti-entropy
-	// compares these against peers to decide whether a restarted replica
-	// missed writes while it was down.
-	WALSeq      uint64 `json:"wal_seq,omitempty"`      // active segment seq
-	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"` // newest checkpoint's seq
-	Replayed    int    `json:"replayed,omitempty"`     // records replayed at boot
-	Records     uint64 `json:"records,omitempty"`      // records journaled since boot
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -275,12 +265,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.opt.Updater != nil {
 		resp.Mode = "maintenance"
 		resp.Epoch = s.opt.Updater.Current().Epoch()
-	}
-	if s.wal != nil {
-		resp.WALSeq = s.wal.Seq()
-		resp.SnapshotSeq = s.wal.SnapshotSeq()
-		resp.Replayed = s.opt.Updater.Replayed()
-		resp.Records = s.wal.Records()
 	}
 	if !resp.Ready {
 		resp.Status = "unavailable"
@@ -478,14 +462,12 @@ func (s *Server) resolveView(w http.ResponseWriter, r *http.Request) (view, bool
 	return view{cube: snap, snap: snap, epoch: snap.Epoch()}, true
 }
 
-// decodeBody decodes a JSON request body into v under the configured size
-// cap. A false return means the response has already been written.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	limit := s.opt.MaxBodyBytes
-	if limit <= 0 {
-		limit = DefaultMaxBodyBytes
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
+// DecodeBody decodes a JSON mutation body into v under the MaxBodyBytes
+// cap, answering 413 past the cap and 400 for a malformed body or an
+// unknown field. A false return means the response has already been
+// written.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -764,7 +746,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req insertRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Points) == 0 {
@@ -861,7 +843,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req deleteRequest
-	if !s.decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {

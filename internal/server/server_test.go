@@ -463,8 +463,8 @@ func TestEpochEviction(t *testing.T) {
 
 // TestBodyCap checks the MaxBytesReader guard and malformed-body errors.
 func TestBodyCap(t *testing.T) {
-	s, _ := newUpdaterServer(t, Options{MaxBodyBytes: 64})
-	big := `{"points": [[` + strings.Repeat("1,", 200) + `1]]}`
+	s, _ := newUpdaterServer(t, Options{})
+	big := `{"points": [[` + strings.Repeat("1,", MaxBodyBytes/2) + `1]]}`
 	if rec := post(t, s, "/insert", big); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: status %d, want 413", rec.Code)
 	}
