@@ -75,7 +75,9 @@ func runShard(addr string, ds *skycube.Dataset, joinFrom, peerList string,
 			origin = fmt.Sprintf("joined from %s, %d tail records", peer, source.Cursor.Skip)
 		}
 	case ds != nil:
-		up, err = skycube.NewUpdater(ds, opt)
+		if opt.Delta.IDSegments, err = sopt.IDSegments(); err == nil {
+			up, err = skycube.NewUpdater(ds, opt)
+		}
 		origin = fmt.Sprintf("over %d×%d", ds.Len(), ds.Dims())
 	default:
 		up, err = skycube.OpenUpdater(opt)

@@ -598,6 +598,22 @@ func TestShardRefusesDisagreeingIDScheme(t *testing.T) {
 	startShard(t, bin, "-data-dir", dir).stop(t)
 }
 
+// TestShardRefusesTraceFile: -trace writes a build's trace, which a -shard
+// node never makes; the combination is a usage error, not a silent no-op.
+func TestShardRefusesTraceFile(t *testing.T) {
+	bin := skycubedBinary(t)
+	trace := filepath.Join(t.TempDir(), "t.json")
+	ds := skycube.GenerateSynthetic(skycube.Independent, 50, 3, 78)
+	n := startNode(t, bin, "-serve", freeAddr(t), "-shard", "-trace", trace, writeDataset(t, ds))
+	n.waitExit(t)
+	if code := n.cmd.ProcessState.ExitCode(); code != 2 || !strings.Contains(n.out.String(), "-trace") {
+		t.Fatalf("exit code %d, want 2 and a message naming -trace; output:\n%s", code, n.out.String())
+	}
+	if _, err := os.Stat(trace); !os.IsNotExist(err) {
+		t.Fatalf("trace file: %v, want none", err)
+	}
+}
+
 // TestJoinedReplicaExportsItsMetrics: a joiner's own /metrics must carry
 // its WAL series and the bootstrap it ran, exactly as a shard built from a
 // file carries its WAL series.

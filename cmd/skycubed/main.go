@@ -91,7 +91,7 @@ func main() {
 	flag.Var(&queries, "query", "subspace to print, as comma-separated dimension indices (repeatable)")
 	serve := flag.String("serve", "", "address to serve the skycube over HTTP (e.g. :8080)")
 	compactFraction := flag.Float64("compact-fraction", 0, "with -shard: background-compact when the overlay exceeds this fraction of the base (0 = default 0.25)")
-	traceFile := flag.String("trace", "", "write the build trace as Chrome trace_event JSON to this file")
+	traceFile := flag.String("trace", "", "write the build trace as Chrome trace_event JSON to this file (not with -shard)")
 	progress := flag.Bool("progress", false, "report build progress on stderr")
 	pprofFlag := flag.Bool("pprof", false, "with -serve: mount net/http/pprof under /debug/pprof/")
 	shardMode := flag.Bool("shard", false, "with -serve: run a maintained node (inserts, deletes, and the cluster shard protocol) over this data file")
@@ -151,7 +151,7 @@ func main() {
 	for i := 0; i < *gpus; i++ {
 		opt.GPUs = append(opt.GPUs, skycube.GTX980)
 	}
-	if *traceFile != "" || *serve != "" {
+	if !*shardMode && (*traceFile != "" || *serve != "") {
 		opt.Trace = skycube.NewTrace()
 	}
 	if *serve != "" {
@@ -176,6 +176,8 @@ func main() {
 			usage = "-join-from takes no data file (state comes from the peer)"
 		case *idBase < 0 || *idStride < 0:
 			usage = "-id-base and -id-stride must not be negative"
+		case *traceFile != "":
+			usage = "-trace writes a build's trace, and a -shard node writes none"
 		case flag.NArg() > 1 || flag.NArg() == 0 && *dataDir == "":
 			usage = "usage: skycubed -shard -serve ADDR [flags] (part.txt | -data-dir DIR [-join-from URL])"
 		}

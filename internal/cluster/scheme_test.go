@@ -106,3 +106,42 @@ func TestSealedChildRestartsWithItsScheme(t *testing.T) {
 		t.Fatalf("reopened child's next insert got global id %d, below the sealed block at %d", g, SplitBlockBase)
 	}
 }
+
+// TestFreshDurableShardCheckpointsOnce: a fresh durable shard's first
+// checkpoint carries its id scheme, so its first start writes one
+// checkpoint, and a restart from the directory alone, with zero id options,
+// maps ids as before.
+func TestFreshDurableShardCheckpointsOnce(t *testing.T) {
+	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 83)
+	dir := t.TempDir()
+	reg := skycube.NewMetrics()
+	sh, err := NewShard(ds, skycube.Options{
+		Threads: 2,
+		Durable: skycube.DurableOptions{Dir: dir, Fsync: "never", CheckpointEvery: -1},
+	}, ShardOptions{IDBase: 1, IDStride: 3, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.CounterM("skycube_wal_checkpoints_total", "").Value(); n != 1 {
+		t.Fatalf("first start wrote %v checkpoints, want 1", n)
+	}
+	want := sh.GlobalID(7)
+	sh.Close()
+
+	up, err := skycube.OpenUpdater(skycube.Options{
+		Threads: 2,
+		Durable: skycube.DurableOptions{Dir: dir, Fsync: "never", CheckpointEvery: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewShardFrom(up, ShardOptions{})
+	if err != nil {
+		up.Close()
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.GlobalID(7); got != want || want != 1+7*3 {
+		t.Fatalf("local row 7 maps to %d after the restart, %d before, want %d", got, want, 1+7*3)
+	}
+}

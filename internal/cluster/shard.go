@@ -125,6 +125,11 @@ func NewShard(ds *skycube.Dataset, opt skycube.Options, sopt ShardOptions) (*Sha
 	if sopt.Metrics != nil {
 		opt.Metrics = sopt.Metrics // skycube.Metrics is an alias of obs.Registry
 	}
+	segs, err := sopt.IDSegments()
+	if err != nil {
+		return nil, err
+	}
+	opt.Delta.IDSegments = segs
 	up, err := skycube.NewUpdater(ds, opt)
 	if err != nil {
 		return nil, err
@@ -175,15 +180,27 @@ func NewShardFrom(up *skycube.Updater, sopt ShardOptions) (*Shard, error) {
 	return sh, nil
 }
 
-// adoptScheme settles a starting shard's id scheme. One the updater
-// restored — from its checkpoint, or from the peer snapshot it joined
-// from — wins, and non-zero IDBase/IDStride must match its first segment.
-// Without one, the shard adopts IDBase/IDStride and persists them.
-func adoptScheme(up *skycube.Updater, sopt ShardOptions) (*idScheme, error) {
-	if sopt.IDBase < 0 || sopt.IDStride < 0 {
-		return nil, fmt.Errorf("cluster: negative id mapping (base %d, stride %d)", sopt.IDBase, sopt.IDStride)
+// IDSegments returns the id scheme IDBase and IDStride give a shard's first
+// build (skycube.DeltaOptions.IDSegments), so its first checkpoint carries
+// it.
+func (o ShardOptions) IDSegments() ([]IDSegment, error) {
+	if o.IDBase < 0 || o.IDStride < 0 {
+		return nil, fmt.Errorf("cluster: negative id mapping (base %d, stride %d)", o.IDBase, o.IDStride)
 	}
-	given := newIDScheme(sopt.IDBase, sopt.IDStride)
+	return newIDScheme(o.IDBase, o.IDStride).segs, nil
+}
+
+// adoptScheme settles a starting shard's id scheme. One the updater
+// started with or restored — from its checkpoint, or from the peer snapshot
+// it joined from — wins, and non-zero IDBase/IDStride must match its first
+// segment. An updater built without one adopts IDBase/IDStride and
+// persists them.
+func adoptScheme(up *skycube.Updater, sopt ShardOptions) (*idScheme, error) {
+	givenSegs, err := sopt.IDSegments()
+	if err != nil {
+		return nil, err
+	}
+	given := &idScheme{segs: givenSegs}
 	segs := up.Delta().IDSegments()
 	if len(segs) == 0 {
 		return given, persistScheme(up, given)

@@ -161,8 +161,8 @@ func TestDeleteVictimKinds(t *testing.T) {
 		if got := r.recomputed(); got != 0 {
 			t.Fatalf("%d cuboids re-derived for a victim that was no member", got)
 		}
-		if !slices.Contains(outsiderIDs(r.u), 2) || len(r.u.loose) != 0 {
-			t.Fatalf("o must stay an outsider while a lives: outsiders %v, loose %v", outsiderIDs(r.u), r.u.loose)
+		if !slices.Contains(outsiderIDs(r.u), 2) || len(looseOf(r.u)) != 0 {
+			t.Fatalf("o must stay an outsider while a lives: outsiders %v, loose %v", outsiderIDs(r.u), looseOf(r.u))
 		}
 	})
 	t.Run("an outsider and its voucher at once", func(t *testing.T) {
@@ -170,7 +170,7 @@ func TestDeleteVictimKinds(t *testing.T) {
 		r.delete(0)
 		r.delete(1)
 		snap := r.flush()
-		if _, loose := r.u.loose[2]; !loose {
+		if _, loose := looseOf(r.u)[2]; !loose {
 			t.Fatal("o was not promoted though every point above it died")
 		}
 		if m := snap.Membership(2); len(m) == 0 {
@@ -196,8 +196,8 @@ func TestDeleteVictimKinds(t *testing.T) {
 		r := newLemmaRig(t, ds)
 		r.insert(0.5, 0.5, 0.5)
 		r.flush()
-		if ids := outsiderIDs(r.u); len(ids) != 2 || len(r.u.loose) != 0 {
-			t.Fatalf("an insert-only flush moved outsiders: %v, loose %v", ids, r.u.loose)
+		if ids := outsiderIDs(r.u); len(ids) != 2 || len(looseOf(r.u)) != 0 {
+			t.Fatalf("an insert-only flush moved outsiders: %v, loose %v", ids, looseOf(r.u))
 		}
 	})
 }
@@ -214,8 +214,8 @@ func (r *lemmaRig) promoted() int {
 func TestPromotionLemma(t *testing.T) {
 	wantLoose := func(t *testing.T, r *lemmaRig, promoted int, loose ...int32) {
 		t.Helper()
-		got := make([]int32, 0, len(r.u.loose))
-		for id := range r.u.loose {
+		got := make([]int32, 0, len(looseOf(r.u)))
+		for id := range looseOf(r.u) {
 			got = append(got, id)
 		}
 		slices.Sort(got)
@@ -462,8 +462,9 @@ func TestDeleteAgainstQSkycube(t *testing.T) {
 // points for a value under 192, 64 to 253 points above, where the outsiders
 // of a d = 2 base fill more than one 64-lane word — and each byte after it is
 // an op — insert (the next d bytes are the point), delete a live id (the next
-// byte picks it) or flush. Every flush is held against the naive oracle, and
-// the outsiders it leaves against assertOutsidersVouched.
+// byte picks it) or flush. Every flush is held against the naive oracle, the
+// outsiders it leaves against assertOutsidersVouched and the lists it keeps
+// against assertListsKept.
 func FuzzDeleteBatch(f *testing.F) {
 	f.Add([]byte{1, 12, 2, 0, 2, 1, 2, 2, 3, 2, 0, 3})                      // two delete batches
 	f.Add([]byte{0, 8, 0, 1, 1, 2, 7, 2, 0, 3, 2, 1, 0, 0, 0, 3})           // insert, cancel it, delete, flush
@@ -481,6 +482,10 @@ func FuzzDeleteBatch(f *testing.F) {
 	f.Add([]byte("01011720002"))
 	// A 235-point d = 2 base: its outsiders span two words of the walk.
 	f.Add([]byte{0, 249, 2, 0, 2, 7, 2, 40, 2, 99, 2, 150, 3, 2, 3, 2, 5, 3})
+	// A 190-point d = 2 base: one batch deletes ids 127 and 128, on both sides
+	// of the overlay's first chunk boundary, and inserts (0, 1) past the base;
+	// the next deletes 126 and the insert.
+	f.Add([]byte{0, 234, 2, 127, 2, 127, 0, 0, 1, 3, 2, 126, 2, 187, 3})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 2 || len(raw) > 96 {
 			return
@@ -524,9 +529,11 @@ func FuzzDeleteBatch(f *testing.F) {
 			case op%4 == 3:
 				verifySnapshot(t, u.Flush(), sortedIDs(live))
 				assertOutsidersVouched(t, u, live)
+				assertListsKept(t, u)
 			}
 		}
 		verifySnapshot(t, u.Flush(), sortedIDs(live))
 		assertOutsidersVouched(t, u, live)
+		assertListsKept(t, u)
 	})
 }

@@ -31,8 +31,11 @@
 //     Snapshot layering a copy-on-write overlay over a shared immutable base
 //     cube — tombstones, and the exact current B_{p∉S} of every point whose
 //     mask is not the base's (the paper's HashCube shape, one mask per
-//     point). Readers pin an epoch by loading a pointer and are never
-//     blocked; a bounded history ring keeps recent epochs addressable.
+//     point). The overlay is indexed by id in fixed-size chunks that epochs
+//     share: a batch clones only the chunks it writes, so publishing an
+//     epoch costs what the batch touched, not what the overlay holds.
+//     Readers pin an epoch by loading a pointer and are never blocked; a
+//     bounded history ring keeps recent epochs addressable.
 //   - When the overlay exceeds a configurable fraction of the base, a
 //     compaction rebuilds the base over the live points (scheduled across
 //     the configured devices) and resets the overlay.
@@ -67,6 +70,17 @@
 // against the kept members. Nothing is copied per batch: a victim's lane and a
 // promoted point's lane are killed in place, and the next compaction rebuilds
 // the store.
+//
+// The kept members are the front: the full-space skyline as a column store in
+// (coordinate sum, id) order, built with each base and kept across epochs. A
+// batch drops its vouchers before the walk, and afterwards the points that
+// left the skyline, merging the ones that joined in order; the lanes stay
+// packed, so a verdict reads exactly the members. The same order seeds the
+// delete pass's survivors, strongest first. The other lists a batch reads are
+// kept the same way, never rebuilt from the overlay: the live points beyond
+// the tree (inserted since the base, or loose), those of them whose mask is
+// open, and the ties — the members somewhere outside the full-space skyline,
+// which a tie on a subspace's dimensions lets in.
 //
 // The lemma the insert path rests on is transitivity: if a live point r
 // dominates the insert p in δ and p dominates q in δ, then r dominates q in
@@ -106,6 +120,7 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -205,15 +220,18 @@ type Updater struct {
 	vals []float32
 	ids  []int32
 	n    int
-	// dead holds every id ever deleted (and cancelled pending inserts).
-	dead map[int32]struct{}
+	// dead has bit id set for every id ever deleted (and every cancelled
+	// pending insert); deadCount counts them.
+	dead      []uint64
+	deadCount int
 
 	// Base-build artefacts, replaced wholesale by each compaction.
 	mctx *templates.MDMCContext
 	// treeID maps a tree sorted position to its logical id; treePos is the
-	// inverse; posLeaf maps a sorted position to its leaf index.
+	// inverse over the base's ids, -1 for an id not in the tree (and ids past
+	// its end are not); posLeaf maps a sorted position to its leaf index.
 	treeID  []int32
-	treePos map[int32]int
+	treePos []int32
 	posLeaf []int32
 	// leafDead counts deleted points per tree leaf, for filter liveness.
 	leafDead []int
@@ -221,10 +239,24 @@ type Updater struct {
 	// base: one block, one lane per point in ascending id order (Rows[lane] is
 	// the id), holding negated full-space coordinates. An alive lane still has
 	// a live full-space strict dominator; a victim's or a promoted point's lane
-	// is killed. loose are the promoted ones, which future inserts must test
-	// against directly.
+	// is killed. The promoted ones turn loose: future inserts must test against
+	// them directly.
 	outsiders *data.BlockSet
-	loose     map[int32]struct{}
+
+	// The live points beyond the tree, kept by every batch in ascending id
+	// order: extras are all of them — the points inserted since the base and
+	// the loose ones; offTree those with an overlay mask that is not closed
+	// (every bit set), the reverse pass's targets beyond the tree; bare the
+	// loose ones with no overlay mask yet. Phase A's sources are extras, or
+	// offTree and bare when no victim was a member anywhere.
+	extras, offTree, bare []int32
+	// front is the full-space skyline, the promotion walk's kept members and
+	// the seed of the delete pass's survivors; ties are the live points,
+	// ascending, that are skyline members somewhere but not in the full space
+	// (a tie on a subspace's dimensions lets a full-space dominator leave them
+	// in). Both are built with the base and kept by every batch.
+	front front
+	ties  []int32
 
 	cur atomic.Pointer[Snapshot]
 
@@ -299,7 +331,6 @@ func NewUpdater(ds *data.Dataset, opt Options) *Updater {
 		vals:        append([]float32(nil), ds.Vals[:ds.N*d]...),
 		ids:         make([]int32, ds.N),
 		n:           ds.N,
-		dead:        make(map[int32]struct{}),
 		pendDeleted: make(map[int32]struct{}),
 		nextID:      int32(ds.N),
 		compactCh:   make(chan struct{}, 1),
@@ -382,12 +413,13 @@ func (u *Updater) CaptureState(rotate func(epoch uint64) error) (RestoreState, e
 		Epoch: snap.epoch,
 		Live:  snap.live,
 		Vals:  u.vals[:nv:nv],
-		Dead:  make([]int32, 0, len(u.dead)),
+		Dead:  make([]int32, 0, u.deadCount),
 	}
-	for id := range u.dead {
-		st.Dead = append(st.Dead, id)
+	for w, m := range u.dead {
+		for ; m != 0; m &= m - 1 {
+			st.Dead = append(st.Dead, int32(w<<6+bits.TrailingZeros64(m)))
+		}
 	}
-	slices.Sort(st.Dead)
 	if len(u.pendInserts) > 0 {
 		st.PendingInserts = make([]PendingOp, len(u.pendInserts))
 		for i, pi := range u.pendInserts {
@@ -448,7 +480,6 @@ func NewUpdaterFrom(st RestoreState, opt Options) (*Updater, error) {
 		vals:        append([]float32(nil), st.Vals...),
 		ids:         make([]int32, n),
 		n:           n,
-		dead:        make(map[int32]struct{}, len(st.Dead)),
 		pendDeleted: make(map[int32]struct{}, len(st.PendingDeletes)),
 		nextID:      int32(n),
 		idSegs:      slices.Clone(st.IDSegments),
@@ -462,7 +493,7 @@ func NewUpdaterFrom(st RestoreState, opt Options) (*Updater, error) {
 		if id < 0 || int(id) >= n {
 			return nil, fmt.Errorf("delta: restore state dead id %d out of range [0,%d)", id, n)
 		}
-		u.dead[id] = struct{}{}
+		u.markDead(id)
 	}
 	for _, op := range st.PendingInserts {
 		if len(op.Point) != st.Dims {
@@ -577,7 +608,7 @@ func (u *Updater) Delete(id int32) error {
 	if id < 0 || id >= u.nextID {
 		return fmt.Errorf("delta: unknown id %d", id)
 	}
-	if _, dead := u.dead[id]; dead {
+	if u.isDead(id) {
 		return fmt.Errorf("delta: id %d already deleted", id)
 	}
 	if _, dup := u.pendDeleted[id]; dup {
@@ -777,13 +808,40 @@ func (u *Updater) point(id int32) []float32 {
 }
 
 func (u *Updater) liveRows() []int32 {
-	out := make([]int32, 0, u.n-len(u.dead))
-	for i := 0; i < u.n; i++ {
-		if _, dead := u.dead[int32(i)]; !dead {
-			out = append(out, int32(i))
+	out := make([]int32, 0, u.n-u.deadCount)
+	for i := int32(0); i < int32(u.n); i++ {
+		if !u.isDead(i) {
+			out = append(out, i)
 		}
 	}
 	return out
+}
+
+// isDead reports whether id was deleted (or cancelled while pending).
+func (u *Updater) isDead(id int32) bool {
+	w := int(id) >> 6
+	return w < len(u.dead) && u.dead[w]&(1<<uint(id&63)) != 0
+}
+
+// markDead records id as deleted.
+func (u *Updater) markDead(id int32) {
+	w := int(id) >> 6
+	for len(u.dead) <= w {
+		u.dead = append(u.dead, 0)
+	}
+	if u.dead[w]&(1<<uint(id&63)) == 0 {
+		u.dead[w] |= 1 << uint(id&63)
+		u.deadCount++
+	}
+}
+
+// posOf returns id's sorted position in the static tree, -1 if the tree
+// does not hold it.
+func (u *Updater) posOf(id int32) int {
+	if int(id) >= len(u.treePos) {
+		return -1
+	}
+	return int(u.treePos[id])
 }
 
 func (u *Updater) devices() []hetero.Device {
@@ -795,14 +853,17 @@ func (u *Updater) devices() []hetero.Device {
 
 // buildBaseLocked runs a full build over the live points and resets all
 // base-generation state (tree routing tables, liveness counters, the
-// loose/outsider split). Caller holds u.mu.
+// outsiders, the lists beyond the tree, the front and the ties). Caller
+// holds u.mu.
 func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 	header := u.datasetHeader()
 	live := u.liveRows()
+	u.extras, u.offTree, u.bare, u.ties = nil, nil, nil, nil
+	u.front = front{cols: data.NewBlockSet(u.d, data.DefaultBlockSize)}
 	if len(live) == 0 {
 		u.mctx = &templates.MDMCContext{D: u.d, MaxLevel: u.d, Cube: hashcube.New(u.d)}
-		u.treeID, u.treePos, u.posLeaf, u.leafDead = nil, map[int32]int{}, nil, nil
-		u.outsiders, u.loose = data.NewBlockSet(u.d, 0), map[int32]struct{}{}
+		u.treeID, u.treePos, u.posLeaf, u.leafDead = nil, nil, nil, nil
+		u.outsiders = data.NewBlockSet(u.d, 0)
 		return &Snapshot{
 			epoch: epoch, d: u.d, ds: header,
 			base: &baseCube{h: u.mctx.Cube, ids: []int32{}},
@@ -836,9 +897,12 @@ func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 	tree := ctx.Tree
 	u.mctx = ctx
 	u.treeID = tree.Data.IDs
-	u.treePos = make(map[int32]int, len(u.treeID))
+	u.treePos = make([]int32, u.n)
+	for id := range u.treePos {
+		u.treePos[id] = -1
+	}
 	for pos, id := range u.treeID {
-		u.treePos[id] = pos
+		u.treePos[id] = int32(pos)
 	}
 	u.posLeaf = make([]int32, tree.Data.N)
 	for li, lf := range tree.Leaves {
@@ -862,7 +926,19 @@ func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 		}
 		u.outsiders.Append(neg, id, 0)
 	}
-	u.loose = map[int32]struct{}{}
+
+	// The front and the ties, read off the base's masks.
+	var front []int32
+	for r, id := range sub.IDs {
+		switch u.classOf(base.mask(int32(r))) {
+		case inFront:
+			front = append(front, id)
+		case tied:
+			u.ties = append(u.ties, id)
+		}
+	}
+	u.mergeFront(nil, front)
+	u.kept()
 
 	return &Snapshot{epoch: epoch, d: u.d, ds: header, base: base, live: len(live)}
 }
@@ -931,17 +1007,30 @@ func (u *Updater) applyLocked() *Snapshot {
 		}
 	}
 
+	// The new epoch starts from prev's overlay, every chunk shared; a pass
+	// that changes a point's mask puts a changed clone in its slot. Victims
+	// get a tombstone: it says all there is to say about one.
+	snap := &Snapshot{
+		epoch: prev.epoch + 1, d: u.d, base: prev.base, ov: prev.ov.next(),
+	}
 	// Tombstone victims in writer state, then promote the outsiders they
 	// orphaned.
 	for _, v := range victims {
-		u.dead[v] = struct{}{}
-		if pos, ok := u.treePos[v]; ok {
+		u.markDead(v)
+		if pos := u.posOf(v); pos >= 0 {
 			u.leafDead[u.posLeaf[pos]]++
 		}
-		delete(u.loose, v)
 		u.killOutsider(v)
+		snap.ov.put(snap.epoch, v, tombstone)
 	}
-	promoted := u.promoteOrphans(prev, vouchers)
+	u.extras = without(u.extras, victims)
+	u.offTree = without(u.offTree, victims)
+	u.bare = without(u.bare, victims)
+	u.ties = without(u.ties, victims)
+	u.mergeFront(vouchers, nil)
+	promoted := u.promoteOrphans(vouchers)
+	u.extras = with(u.extras, promoted)
+	u.bare = with(u.bare, promoted)
 
 	// Append all insert rows (cancelled ones too — ids are positional) and
 	// collect the live ones.
@@ -951,107 +1040,76 @@ func (u *Updater) applyLocked() *Snapshot {
 		u.ids = append(u.ids, pi.id)
 		u.n++
 		if pi.cancelled {
-			u.dead[pi.id] = struct{}{}
+			u.markDead(pi.id)
 			continue
 		}
 		lives = append(lives, pi)
 	}
-
-	// Copy-on-write overlay clones. Individual bitsets stay shared with
-	// prev; a pass replaces a point's set by a changed clone. Victims leave
-	// masks: a tombstone says all there is to say about one.
-	tomb := make(map[int32]struct{}, len(prev.tomb)+len(victims))
-	for id := range prev.tomb {
-		tomb[id] = struct{}{}
-	}
-	for _, v := range victims {
-		tomb[v] = struct{}{}
-	}
-	// Live points beyond the tree: earlier inserted points and loose
-	// outsiders. The ones that are still members somewhere — an inserted
-	// point, or a loose one a delete resurfaced — are also reverse-pass
-	// targets, and all of those have an entry in masks. sources are the ones
-	// phase A tests an insert against: all of them when a member victim
-	// leaves, otherwise only those not closed (the closed-source lemma).
-	masks := make(map[int32]*bitset.Set, len(prev.masks)+len(lives))
-	var extras, offTree, sources []int32
-	for id, m := range prev.masks {
-		if _, victim := deleted[id]; victim {
-			continue
-		}
-		masks[id] = m
-		if _, inBase := prev.base.rowOf(id); !inBase {
-			extras = append(extras, id)
-		}
-	}
-	for id := range u.loose {
-		extras = append(extras, id)
-	}
-	slices.Sort(extras)
-	for _, id := range extras {
-		m := masks[id]
-		if m != nil && m.All() {
-			continue
-		}
-		sources = append(sources, id)
-		if m != nil {
-			offTree = append(offTree, id)
-		}
-	}
-	if len(shields) > 0 {
-		sources = extras
-	}
-	snap := &Snapshot{
-		epoch: prev.epoch + 1, d: u.d, ds: u.datasetHeader(),
-		base: prev.base, tomb: tomb, masks: masks,
-		live: prev.live + len(lives) - len(victims),
-	}
+	snap.ds = u.datasetHeader()
+	snap.live = prev.live + len(lives) - len(victims)
 
 	// Phase A: each live insert's B_{p∉S} against the pre-existing live
-	// points. Phase B: the batch's own inserts against each other. What is
-	// left open is a skyline member somewhere, and only those — and only in
-	// those subspaces — can teach an existing point anything (the package
-	// comment's insert lemma).
+	// points — the live tree points and the live points beyond the tree:
+	// all of those when a member victim leaves, otherwise only the ones not
+	// closed (the closed-source lemma). Phase B: the batch's own inserts
+	// against each other. What is left open is a skyline member somewhere,
+	// and only those — and only in those subspaces — can teach an existing
+	// point anything (the package comment's insert lemma).
+	sources := u.extras
+	if len(shields) == 0 {
+		sources = mergeIDs(u.offTree, u.bare)
+	}
 	results := u.solveInserts(lives, sources)
 	if len(lives) > 0 {
 		u.srcs += int64(len(sources))
 	}
 	members := u.crossTest(lives, results)
 	for i, pi := range lives {
-		masks[pi.id] = results[i]
+		snap.ov.put(snap.epoch, pi.id, results[i])
 	}
-	// The live tree points are targets of both passes below; a batch with
+	// The live tree points are targets of both passes below (the delete
+	// pass's also the extras, which the spare capacity is for); a batch with
 	// neither member inserts nor member victims runs neither.
 	var liveTree []int32
 	if len(members) > 0 || len(shields) > 0 {
-		liveTree = make([]int32, 0, len(u.treeID))
+		liveTree = make([]int32, 0, len(u.treeID)+len(u.extras))
 		for _, id := range u.treeID {
-			if _, dead := u.dead[id]; !dead {
+			if !u.isDead(id) {
 				liveTree = append(liveTree, id)
 			}
 		}
 	}
-	u.reversePass(snap, lives, results, members, liveTree, offTree)
+	grown := u.reversePass(snap, lives, results, members, liveTree)
 
 	// With tombstones, insert masks and the reverse pass in it, snap's masks
 	// name the surviving members of an affected cuboid. What is missing is
 	// the pre-existing points the victims shielded (the delete lemma): each
 	// clears its bit δ.
-	cleared := make(map[int32]*bitset.Set)
-	inserted := make([]int32, len(members))
-	for i, m := range members {
-		inserted[i] = lives[m].id
-	}
-	for delta, ids := range u.resolveDeletes(snap, shields, affected, liveTree, extras, inserted) {
-		for _, id := range ids {
-			m := cleared[id]
-			if m == nil {
-				m = bitset.View(snap.mask(id), affected.Len()).Clone()
-				cleared[id], masks[id] = m, m
+	var cleared []int32
+	if len(shields) > 0 {
+		inserted := make([]int32, len(members))
+		for i, m := range members {
+			inserted[i] = lives[m].id
+		}
+		leavers := slices.DeleteFunc(slices.Clone(grown), func(id int32) bool {
+			return u.classOf(prev.mask(id)) != inFront || u.classOf(snap.mask(id)) == inFront
+		})
+		survivors := u.survivors(snap, affected, leavers, inserted)
+		fresh := make(map[int32]*bitset.Set)
+		for delta, ids := range u.resolveDeletes(shields, append(liveTree, u.extras...), survivors) {
+			for _, id := range ids {
+				m := fresh[id]
+				if m == nil {
+					m = bitset.View(snap.mask(id), affected.Len()).Clone()
+					fresh[id] = m
+					snap.ov.put(snap.epoch, id, m)
+					cleared = append(cleared, id)
+				}
+				m.Clear(int(delta) - 1)
 			}
-			m.Clear(int(delta) - 1)
 		}
 	}
+	u.settle(prev, snap, append(grown, cleared...), lives)
 
 	// Commit the epoch marker before publishing: once an epoch is served it
 	// must survive a crash, or recovery could reuse the number for different
@@ -1062,35 +1120,220 @@ func (u *Updater) applyLocked() *Snapshot {
 		_ = u.journal.Commit()
 	}
 	u.publish(snap)
-	u.opt.Metrics.Batch(len(lives), len(members), len(victims), affected.Count(), promoted, time.Since(start))
+	u.opt.Metrics.Batch(len(lives), len(members), len(victims), affected.Count(), len(promoted), time.Since(start))
 	u.opt.Metrics.Epoch(snap.epoch, snap.live, snap.OverlaySize())
 	u.maybeCompact(snap)
 	return snap
 }
 
-// promoteOrphans turns loose the outsiders the batch orphaned (the package
-// comment's promotion lemma): those a voucher strictly dominates and no other
-// member of prev's full-space skyline does. It returns how many turned loose.
-func (u *Updater) promoteOrphans(prev *Snapshot, vouchers []int32) int {
-	if len(vouchers) == 0 || len(u.outsiders.Blocks) == 0 {
-		return 0
+// class is where a live point's mask puts it among the lists a batch keeps.
+type class uint8
+
+const (
+	// closed: every bit set, or not a live point at all.
+	closed class = iota
+	// tied: a member somewhere, but not of the full-space skyline.
+	tied
+	// inFront: a member of the full-space skyline.
+	inFront
+)
+
+// classOf classifies the mask words of a point (nil for none).
+func (u *Updater) classOf(words []uint64) class {
+	if words == nil {
+		return closed
 	}
-	kept := data.NewBlockSet(u.d, data.DefaultBlockSize)
-	for _, id := range u.strongestFirst(slices.DeleteFunc(prev.Skyline(mask.Full(u.d)),
-		func(id int32) bool { return slices.Contains(vouchers, id) })) {
-		kept.Append(u.point(id), id, 0)
+	full := mask.NumSubspaces(u.d) - 1
+	if words[full>>6]&(1<<uint(full&63)) == 0 {
+		return inFront
+	}
+	if bitset.View(words, full+1).All() {
+		return closed
+	}
+	return tied
+}
+
+// settle brings the lists beyond the tree, the ties and the front up to
+// snap: changed are the pre-existing points whose masks the batch changed
+// (duplicates allowed), lives the batch's live inserts, which go at the end
+// of every list kept in id order.
+func (u *Updater) settle(prev, snap *Snapshot, changed []int32, lives []pendingInsert) {
+	slices.Sort(changed)
+	changed = slices.Compact(changed)
+	var left, joined []int32
+	for _, id := range changed {
+		was, now := u.classOf(prev.mask(id)), u.classOf(snap.mask(id))
+		if was != now {
+			switch was {
+			case inFront:
+				left = append(left, id)
+			case tied:
+				u.ties = without(u.ties, []int32{id})
+			}
+			switch now {
+			case inFront:
+				joined = append(joined, id)
+			case tied:
+				u.ties = with(u.ties, []int32{id})
+			}
+		}
+		if u.posOf(id) >= 0 {
+			continue
+		}
+		// A point beyond the tree now has a mask; open is offTree's test.
+		wasOpen := prev.ov.slot(id) != nil && was != closed
+		if open := now != closed; open != wasOpen {
+			if open {
+				u.offTree = with(u.offTree, []int32{id})
+			} else {
+				u.offTree = without(u.offTree, []int32{id})
+			}
+		}
+		u.bare = without(u.bare, []int32{id})
+	}
+	for _, pi := range lives {
+		u.extras = append(u.extras, pi.id)
+		switch u.classOf(snap.mask(pi.id)) {
+		case inFront:
+			joined = append(joined, pi.id)
+			u.offTree = append(u.offTree, pi.id)
+		case tied:
+			u.ties = append(u.ties, pi.id)
+			u.offTree = append(u.offTree, pi.id)
+		}
+	}
+	u.mergeFront(left, joined)
+}
+
+// front is the full-space skyline in (coordinate sum, id) order, kept
+// across epochs: ids and sums are its columns, and cols is the column store
+// of the members' coordinates the promotion walk sweeps — packed, so a
+// verdict reads exactly the members — rebuilt from them only when a walk
+// runs after the front changed.
+type front struct {
+	ids   []int32
+	sums  []float32
+	cols  *data.BlockSet
+	stale bool
+}
+
+// mergeFront drops the ids of gone from the front and merges join in, in
+// place: each is found by binary search on (sum, id), and the runs between
+// them move in one copy.
+func (u *Updater) mergeFront(gone, join []int32) {
+	if len(gone) == 0 && len(join) == 0 {
+		return
+	}
+	f := &u.front
+	var at []int
+	for _, id := range gone {
+		if i := f.search(len(f.ids), u.sum(id), id); i < len(f.ids) && f.ids[i] == id {
+			at = append(at, i)
+		}
+	}
+	if len(at) > 0 {
+		slices.Sort(at)
+		n, w := len(f.ids), at[0]
+		for k, i := range at {
+			end := n
+			if k+1 < len(at) {
+				end = at[k+1]
+			}
+			copy(f.ids[w:], f.ids[i+1:end])
+			copy(f.sums[w:], f.sums[i+1:end])
+			w += end - i - 1
+		}
+		f.ids, f.sums = f.ids[:w], f.sums[:w]
+	}
+	join = u.strongestFirst(join)
+	hi := len(f.ids)
+	f.ids = slices.Grow(f.ids, len(join))[:hi+len(join)]
+	f.sums = slices.Grow(f.sums, len(join))[:hi+len(join)]
+	for j := len(join) - 1; j >= 0; j-- {
+		sum := u.sum(join[j])
+		i := f.search(hi, sum, join[j])
+		copy(f.ids[i+j+1:], f.ids[i:hi])
+		copy(f.sums[i+j+1:], f.sums[i:hi])
+		f.ids[i+j], f.sums[i+j] = join[j], sum
+		hi = i
+	}
+	f.stale = true
+}
+
+// search returns the first of the front's first n lanes at or after (sum,
+// id) in the front's order.
+func (f *front) search(n int, sum float32, id int32) int {
+	return sort.Search(n, func(i int) bool { return !sumLess(f.sums[i], f.ids[i], sum, id) })
+}
+
+// kept returns the front's column store, rebuilt if the front changed since
+// it was last read.
+func (u *Updater) kept() *data.BlockSet {
+	f := &u.front
+	if f.stale {
+		f.cols.Reset()
+		for i, id := range f.ids {
+			f.cols.Append(u.point(id), id, f.sums[i])
+		}
+		f.stale = false
+	}
+	return f.cols
+}
+
+// survivors lists, strongest first, the points whose masks in snap — the
+// epoch in the making before the delete pass — have an affected bit clear:
+// the front's members still in it, merged with the ties, the front's
+// leavers and the member inserts that qualify.
+func (u *Updater) survivors(snap *Snapshot, affected *bitset.Set, leavers, inserted []int32) []int32 {
+	aff := affected.Words64()
+	open := func(words []uint64) bool {
+		for i, w := range aff {
+			if w&^words[i] != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	var rest []int32
+	for _, ids := range [][]int32{u.ties, leavers, inserted} {
+		for _, id := range ids {
+			if open(snap.mask(id)) {
+				rest = append(rest, id)
+			}
+		}
+	}
+	rest = u.strongestFirst(rest)
+	out := make([]int32, 0, len(u.front.ids)+len(rest))
+	for i, id := range u.front.ids {
+		if words := snap.mask(id); u.classOf(words) != inFront || !open(words) {
+			continue
+		}
+		for len(rest) > 0 && sumLess(u.sum(rest[0]), rest[0], u.front.sums[i], id) {
+			out, rest = append(out, rest[0]), rest[1:]
+		}
+		out = append(out, id)
+	}
+	return append(out, rest...)
+}
+
+// promoteOrphans turns loose the outsiders the batch orphaned (the package
+// comment's promotion lemma): those a voucher strictly dominates and no
+// surviving member of the full-space skyline does. It returns them in id
+// order.
+func (u *Updater) promoteOrphans(vouchers []int32) []int32 {
+	if len(vouchers) == 0 || len(u.outsiders.Blocks) == 0 {
+		return nil
 	}
 	b := u.outsiders.Blocks[0]
-	orphan := u.orphans(b, vouchers, kept)
-	before := len(u.loose)
-	for w, m := range orphan {
+	var promoted []int32
+	for w, m := range u.orphans(b, vouchers, u.kept()) {
 		for ; m != 0; m &= m - 1 {
 			lane := w<<6 + bits.TrailingZeros64(m)
 			b.Kill(lane)
-			u.loose[b.Rows[lane]] = struct{}{}
+			promoted = append(promoted, b.Rows[lane])
 		}
 	}
-	return len(u.loose) - before
+	return promoted
 }
 
 // orphans is the promotion walk over the outsider block b, one bit per lane:
@@ -1155,12 +1398,9 @@ func (u *Updater) solveInserts(lives []pendingInsert, sources []int32) []*bitset
 	tree := u.mctx.Tree
 	var leafAlive func(li int) bool
 	var alive func(pos int) bool
-	if tree != nil && len(u.dead) > 0 {
+	if tree != nil && u.deadCount > 0 {
 		leafAlive = func(li int) bool { return u.leafDead[li] < tree.Leaves[li].Len() }
-		alive = func(pos int) bool {
-			_, dead := u.dead[u.treeID[pos]]
-			return !dead
-		}
+		alive = func(pos int) bool { return !u.isDead(u.treeID[pos]) }
 	}
 	full := mask.Full(u.d)
 	var next int64
@@ -1256,16 +1496,16 @@ func (u *Updater) eachChunk(n, chunk int, work func(claim func() (lo, hi int))) 
 // reversePass sets, in the masks of existing points, the bits the batch's
 // member inserts dominate them in: per target — live tree points, then
 // offTree — it collects what the members teach it into a per-worker scratch
-// set and puts a grown clone of the target's mask into snap.masks only when
-// that adds a bit. Workers only read the map; the grown masks are stored
-// afterwards.
+// set and puts a grown clone of the target's mask into snap only when that
+// adds a bit. Workers only read snap; the grown masks are stored afterwards,
+// and their ids returned.
 func (u *Updater) reversePass(snap *Snapshot, lives []pendingInsert, results []*bitset.Set,
-	members []int, liveTree, offTree []int32) {
+	members []int, liveTree []int32) []int32 {
 	if len(members) == 0 {
-		return
+		return nil
 	}
 	nTree := len(liveTree)
-	targets := append(liveTree[:nTree:nTree], offTree...)
+	targets := append(liveTree[:nTree:nTree], u.offTree...)
 	grown := make([]*bitset.Set, len(targets))
 	u.eachChunk(len(targets), passChunk, func(claim func() (int, int)) {
 		scratch := bitset.New(mask.NumSubspaces(u.d))
@@ -1290,11 +1530,14 @@ func (u *Updater) reversePass(snap *Snapshot, lives []pendingInsert, results []*
 		}
 	})
 	u.cmps += int64(len(members)) * int64(len(targets))
+	var ids []int32
 	for t, m := range grown {
 		if m != nil {
-			snap.masks[targets[t]] = m
+			snap.ov.put(snap.epoch, targets[t], m)
+			ids = append(ids, targets[t])
 		}
 	}
+	return ids
 }
 
 // shield is a victim that was a skyline member somewhere: its point and the
@@ -1306,38 +1549,20 @@ type shield struct {
 
 // resolveDeletes finds the pre-existing points that enter an affected
 // cuboid because the batch deleted every member that dominated them there
-// (the package comment's delete lemma). snap is the epoch in the making: a
-// mask of it with an affected bit clear is a surviving member's — a kept old
-// member or, among inserted, one of the batch's member inserts.
+// (the package comment's delete lemma). survivors (Updater.survivors) are
+// the points of the epoch in the making with an affected bit clear — kept
+// old members and the batch's member inserts — strongest first.
 //
-// One pass, parallel over the points that can be members at all — live tree
-// points and extras; an outsider still has a live full-space strict
-// dominator and is in no skyline. Per point q, one comparison per shield
-// yields q's open set: the affected δ in which a member victim dominated it.
-// q then meets the survivors — the union of those skylines, strongest first —
+// One pass, parallel over the points that can be members at all, targets —
+// live tree points and extras; an outsider still has a live full-space
+// strict dominator and is in no skyline. Per point q, one comparison per
+// shield yields q's open set: the affected δ in which a member victim
+// dominated it. q then meets the survivors — the union of those skylines —
 // and each comparison closes every open δ it decides, until none is left.
 // The (q, δ) still open were dominated in δ by victims alone among the old
 // members, so only each other can keep them out: they are cross-tested per
 // δ, and what remains is returned.
-func (u *Updater) resolveDeletes(snap *Snapshot, shields []shield, affected *bitset.Set,
-	liveTree, extras, inserted []int32) map[mask.Mask][]int32 {
-	if len(shields) == 0 {
-		return nil
-	}
-	nTree := len(liveTree)
-	targets := append(liveTree[:nTree:nTree], extras...)
-	var survivors []int32
-	member := bitset.New(affected.Len())
-	for _, ids := range [][]int32{targets, inserted} {
-		for _, id := range ids {
-			member.CopyFrom(affected)
-			if member.AndNot(bitset.View(snap.mask(id), member.Len())); member.Count() != 0 {
-				survivors = append(survivors, id)
-			}
-		}
-	}
-	survivors = u.strongestFirst(survivors)
-
+func (u *Updater) resolveDeletes(shields []shield, targets, survivors []int32) map[mask.Mask][]int32 {
 	var mu sync.Mutex
 	open := make(map[mask.Mask][]int32)
 	var cmps int64
@@ -1485,13 +1710,68 @@ func teach(dst, src *bitset.Set, lt, eq mask.Mask) {
 func (u *Updater) strongestFirst(ids []int32) []int32 {
 	sums := make([]float32, len(ids))
 	for i, id := range ids {
-		for _, x := range u.point(id) {
-			sums[i] += x
-		}
+		sums[i] = u.sum(id)
 	}
 	out := make([]int32, len(ids))
 	for i, k := range data.SumOrder(sums, ids) {
 		out[i] = ids[k]
 	}
 	return out
+}
+
+// sum is the coordinate sum strongestFirst orders by.
+func (u *Updater) sum(id int32) float32 {
+	var s float32
+	for _, x := range u.point(id) {
+		s += x
+	}
+	return s
+}
+
+// sumLess is strongestFirst's order: (coordinate sum, id) ascending.
+func sumLess(sa float32, a int32, sb float32, b int32) bool {
+	if sa != sb {
+		return sa < sb
+	}
+	return a < b
+}
+
+// with inserts ids (ascending) into the ascending list, skipping those it
+// holds already.
+func with(list, ids []int32) []int32 {
+	for _, id := range ids {
+		if i, ok := slices.BinarySearch(list, id); !ok {
+			list = slices.Insert(list, i, id)
+		}
+	}
+	return list
+}
+
+// without removes ids from the ascending list in place.
+func without(list, ids []int32) []int32 {
+	for _, id := range ids {
+		if i, ok := slices.BinarySearch(list, id); ok {
+			list = slices.Delete(list, i, i+1)
+		}
+	}
+	return list
+}
+
+// mergeIDs returns the union of two disjoint ascending lists, ascending.
+func mergeIDs(a, b []int32) []int32 {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]int32, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }

@@ -79,6 +79,7 @@ func (r *lemmaRig) flush() *Snapshot {
 	verifySnapshot(r.t, snap, sortedIDs(r.live))
 	assertOverlayExact(r.t, prev, snap, r.live)
 	assertOutsidersVouched(r.t, r.u, r.live)
+	assertListsKept(r.t, r.u)
 	return snap
 }
 
@@ -102,10 +103,10 @@ func assertOutsidersVouched(t *testing.T, u *Updater, live []int32) {
 		}
 	}
 	for _, q := range ids {
-		if _, loose := u.loose[q]; loose {
+		if _, loose := looseOf(u)[q]; loose {
 			t.Fatalf("%d is both an outsider and loose", q)
 		}
-		if _, dead := u.dead[q]; dead {
+		if u.isDead(q) {
 			t.Fatalf("outsider %d is dead but its lane is alive", q)
 		}
 		if !slices.ContainsFunc(live, func(p int32) bool { return strictlyDominatesFull(u.point(p), u.point(q)) }) {
@@ -125,6 +126,97 @@ func outsiderIDs(u *Updater) []int32 {
 		}
 	}
 	return ids
+}
+
+// looseOf lists u's loose points: the base points beyond the tree that are
+// not outsiders.
+func looseOf(u *Updater) map[int32]struct{} {
+	base := u.Current().base
+	loose := map[int32]struct{}{}
+	for _, id := range u.extras {
+		if _, inBase := base.rowOf(id); inBase {
+			loose[id] = struct{}{}
+		}
+	}
+	return loose
+}
+
+// masksOf lists the overlay masks of s by id.
+func masksOf(s *Snapshot) map[int32]*bitset.Set {
+	masks := map[int32]*bitset.Set{}
+	for c, ch := range s.ov.chunks {
+		if ch == nil {
+			continue
+		}
+		for i, m := range ch.slot {
+			if m != nil && m != tombstone {
+				masks[int32(c<<chunkBits+i)] = m
+			}
+		}
+	}
+	return masks
+}
+
+// assertListsKept rebuilds from the current snapshot what every batch keeps
+// up to date, and checks u's copy: extras, offTree and bare — the live points
+// beyond the tree and outsiders, those of them with an overlay mask not
+// closed, those with none — and ties, in id order; the front, the full-space
+// skyline strongest first, with each lane's coordinate sum.
+func assertListsKept(t *testing.T, u *Updater) {
+	t.Helper()
+	snap := u.Current()
+	outside := map[int32]bool{}
+	for _, id := range outsiderIDs(u) {
+		outside[id] = true
+	}
+	var extras, offTree, bare, ties []int32
+	for id := int32(0); id < int32(snap.Len()); id++ {
+		words := snap.mask(id)
+		if words == nil {
+			continue
+		}
+		if u.classOf(words) == tied {
+			ties = append(ties, id)
+		}
+		if u.posOf(id) >= 0 || outside[id] {
+			continue
+		}
+		extras = append(extras, id)
+		switch {
+		case snap.ov.slot(id) == nil:
+			bare = append(bare, id)
+		case u.classOf(words) != closed:
+			offTree = append(offTree, id)
+		}
+	}
+	for _, l := range []struct {
+		name      string
+		got, want []int32
+	}{{"extras", u.extras, extras}, {"offTree", u.offTree, offTree}, {"bare", u.bare, bare}, {"ties", u.ties, ties}} {
+		if !slices.Equal(l.got, l.want) {
+			t.Fatalf("epoch %d: %s %v, rebuilt %v", snap.epoch, l.name, l.got, l.want)
+		}
+	}
+	for i, id := range u.front.ids {
+		if u.front.sums[i] != u.sum(id) {
+			t.Fatalf("epoch %d: front holds sum %v for %d, its point %v", snap.epoch, u.front.sums[i], id, u.sum(id))
+		}
+	}
+	if want := u.strongestFirst(snap.Skyline(mask.Full(snap.d))); !slices.Equal(u.front.ids, want) {
+		t.Fatalf("epoch %d: front %v, full-space skyline strongest first %v", snap.epoch, u.front.ids, want)
+	}
+	var lanes []int32
+	for _, b := range u.kept().Blocks {
+		for i := 0; i < b.N; i++ {
+			if !b.IsAlive(i) || b.Sums[i] != u.front.sums[len(lanes)] {
+				t.Fatalf("epoch %d: kept lane %d of %d is dead or holds another sum", snap.epoch, len(lanes), b.Rows[i])
+			}
+			lanes = append(lanes, b.Rows[i])
+		}
+	}
+	if !slices.Equal(lanes, u.front.ids) {
+		t.Fatalf("epoch %d: kept lanes %v, front %v", snap.epoch, lanes, u.front.ids)
+	}
 }
 
 // strictlyDominatesFull reports a < b on every dimension: the scalar oracle
@@ -152,7 +244,7 @@ func assertOverlayExact(t *testing.T, prev, cur *Snapshot, live []int32) {
 		t.Fatalf("epochs %d and %d are over different bases", prev.epoch, cur.epoch)
 	}
 	total := mask.NumSubspaces(cur.d)
-	for id, m := range cur.masks {
+	for id, m := range masksOf(cur) {
 		if !cur.Alive(id) {
 			t.Fatalf("epoch %d: overlay mask for %d, which is not alive", cur.epoch, id)
 		}
@@ -167,16 +259,16 @@ func assertOverlayExact(t *testing.T, prev, cur *Snapshot, live []int32) {
 		if !slices.Equal(m.Words64(), want.Words64()) {
 			t.Fatalf("epoch %d: overlay mask of %d is %b, brute force %b", cur.epoch, id, m.Words64(), want.Words64())
 		}
-		if row, inBase := cur.base.rowOf(id); inBase && len(cur.tomb) == 0 &&
+		if row, inBase := cur.base.rowOf(id); inBase && cur.ov.tombs == 0 &&
 			slices.Equal(cur.base.mask(row), m.Words64()) {
 			t.Fatalf("epoch %d: overlay entry for %d repeats its base mask", cur.epoch, id)
 		}
 	}
-	if len(cur.tomb) != len(prev.tomb) {
+	if cur.ov.tombs != prev.ov.tombs {
 		return
 	}
-	for id, was := range prev.masks {
-		now, ok := cur.masks[id]
+	for id, was := range masksOf(prev) {
+		now, ok := masksOf(cur)[id]
 		if !ok {
 			t.Fatalf("epoch %d: overlay mask of %d vanished", cur.epoch, id)
 		}
@@ -361,7 +453,7 @@ func TestLemmaLooseOutsiderThenDominated(t *testing.T) {
 	}
 	r.delete(0)
 	snap := r.flush()
-	if _, loose := r.u.loose[1]; !loose {
+	if _, loose := looseOf(r.u)[1]; !loose {
 		t.Fatal("o was not promoted to loose")
 	}
 	if m := snap.Membership(1); len(m) == 0 {
@@ -459,9 +551,9 @@ func TestPromotionFollowsOrphans(t *testing.T) {
 
 	promoted := reg.CounterM("skycube_delta_promoted_outsiders_total", "").Value()
 	t.Logf("%d deletes over %d outsiders: %v promoted, %d words swept", batch, outsiders, promoted, u.vouches.Load())
-	if promoted >= 64 || int(promoted) != len(u.loose) {
+	if promoted >= 64 || int(promoted) != len(looseOf(u)) {
 		t.Errorf("skycube_delta_promoted_outsiders_total = %v with %d loose points, want the same and < 64",
-			promoted, len(u.loose))
+			promoted, len(looseOf(u)))
 	}
 	if words := int64(fromSkyline * ((outsiders + 63) / 64)); u.vouches.Load() < words {
 		t.Errorf("%d words swept, %d vouchers over %d outsiders: the walk did not run", u.vouches.Load(), fromSkyline, outsiders)
@@ -526,8 +618,8 @@ func TestPromotionWalkMatchesScalar(t *testing.T) {
 				}
 				live = slices.DeleteFunc(live, func(id int32) bool { return slices.Contains(victims, id) })
 				u.Flush()
-				got := make([]int32, 0, len(u.loose))
-				for id := range u.loose {
+				got := make([]int32, 0, len(looseOf(u)))
+				for id := range looseOf(u) {
 					got = append(got, id)
 				}
 				slices.Sort(got)
@@ -610,7 +702,7 @@ func TestOverlayEntriesFollowChangedMasks(t *testing.T) {
 // see them, were ids its victims: all of them, and the ones not closed.
 func overlaySources(u *Updater, victims ...int32) (all, open []int32) {
 	snap := u.Current()
-	for id, m := range snap.masks {
+	for id, m := range masksOf(snap) {
 		if _, inBase := snap.base.rowOf(id); !inBase && !slices.Contains(victims, id) {
 			all = append(all, id)
 			if !m.All() {
@@ -618,12 +710,12 @@ func overlaySources(u *Updater, victims ...int32) (all, open []int32) {
 			}
 		}
 	}
-	for id := range u.loose {
+	for id := range looseOf(u) {
 		if slices.Contains(victims, id) {
 			continue
 		}
 		all = append(all, id)
-		if snap.masks[id] == nil {
+		if masksOf(snap)[id] == nil {
 			open = append(open, id)
 		}
 	}
@@ -722,7 +814,7 @@ func TestClosedSourceWhoseOnlyMemberDies(t *testing.T) {
 	}))
 	e := r.insert(2, 2)
 	snap := r.flush()
-	if m := snap.masks[e]; m == nil || !m.All() {
+	if m := masksOf(snap)[e]; m == nil || !m.All() {
 		t.Fatalf("e is not a closed overlay point: mask %v", m)
 	}
 	before := r.u.srcs

@@ -54,28 +54,102 @@ func (b *baseCube) rowOf(id int32) (int32, bool) {
 	return b.row[id], true
 }
 
+// The overlay is indexed by id in chunks of chunkSize consecutive ids. A
+// chunk is shared by every epoch that did not write into it: a flush clones
+// a chunk the first time it writes one of its slots, and copies only the
+// chunk directory besides, so publishing an epoch costs what its batch
+// touched, not the size of the overlay.
+const (
+	chunkBits = 7
+	chunkSize = 1 << chunkBits
+)
+
+// tombstone fills the overlay slot of an id deleted since the base.
+var tombstone = new(bitset.Set)
+
+// chunk holds the overlay slots of chunkSize consecutive ids: nil for an id
+// the base describes (or that does not exist), tombstone, or the id's exact
+// B_{p∉S}. epoch is the epoch the chunk was written for; a later epoch
+// clones it before writing.
+type chunk struct {
+	epoch uint64
+	slot  [chunkSize]*bitset.Set
+}
+
+// overlay is what the delta batches since the base changed, indexed by id.
+type overlay struct {
+	chunks []*chunk
+	// tombs and masks count the tombstone and mask slots.
+	tombs, masks int
+}
+
+// slot returns id's overlay slot: nil, tombstone or a mask.
+func (o *overlay) slot(id int32) *bitset.Set {
+	c := uint(uint32(id)) >> chunkBits
+	if c >= uint(len(o.chunks)) || o.chunks[c] == nil {
+		return nil
+	}
+	return o.chunks[c].slot[id&(chunkSize-1)]
+}
+
+// next returns the overlay an epoch after o starts from: o's slots, every
+// chunk still shared.
+func (o *overlay) next() overlay {
+	return overlay{chunks: slices.Clone(o.chunks), tombs: o.tombs, masks: o.masks}
+}
+
+// put sets id's slot to m (tombstone or a mask) in the overlay of the epoch
+// being built, cloning the chunk if an earlier epoch shares it. Writer only,
+// before the epoch is published.
+func (o *overlay) put(epoch uint64, id int32, m *bitset.Set) {
+	c := int(id) >> chunkBits
+	if c >= len(o.chunks) {
+		o.chunks = append(o.chunks, make([]*chunk, c+1-len(o.chunks))...)
+	}
+	ch := o.chunks[c]
+	switch {
+	case ch == nil:
+		ch = &chunk{epoch: epoch}
+		o.chunks[c] = ch
+	case ch.epoch != epoch:
+		cp := *ch
+		cp.epoch = epoch
+		ch = &cp
+		o.chunks[c] = ch
+	}
+	s := &ch.slot[id&(chunkSize-1)]
+	if *s != nil {
+		o.masks-- // a changed mask, or a victim's: tombstones are final
+	}
+	if m == tombstone {
+		o.tombs++
+	} else {
+		o.masks++
+	}
+	*s = m
+}
+
 // Snapshot is one immutable MVCC epoch of the maintained skycube: the base
 // cube plus what the delta batches since the base changed — tombstones, and
 // the exact current B_{p∉S} of every point whose mask is not the base's.
 // Readers pin an epoch by holding the pointer; every query method is safe
 // for unlimited concurrent use and never blocks a writer.
 //
-// A live point is described in one place: by its entry in masks if it has
+// A live point is described in one place: by its overlay mask if it has
 // one, by the base otherwise. The invariant is that either is exact at this
 // epoch.
 type Snapshot struct {
 	epoch uint64
 	d     int
 	// ds is the logical dataset at this epoch: row i holds point id i,
-	// dead rows included (they are masked by tomb / absence from base).
+	// dead rows included (they are masked by tombstones / absence from base).
 	ds   *data.Dataset
 	base *baseCube
-	// tomb holds ids deleted since the base was built.
-	tomb map[int32]struct{}
-	// masks holds every live point inserted since the base, and every live
-	// base point whose mask differs from the one the base was built with.
-	masks map[int32]*bitset.Set
-	live  int
+	// ov holds a tombstone for every id deleted since the base was built, and
+	// a mask for every live point inserted since the base and every live base
+	// point whose mask differs from the one the base was built with.
+	ov   overlay
+	live int
 }
 
 // Epoch returns the snapshot's MVCC epoch (1 is the initial build).
@@ -99,10 +173,11 @@ func (s *Snapshot) Len() int { return s.ds.N }
 // only; bitset.View wraps them), nil for an id that is not alive: tombstoned,
 // or neither overlaid nor in the base.
 func (s *Snapshot) mask(id int32) []uint64 {
-	if _, dead := s.tomb[id]; dead {
+	switch m := s.ov.slot(id); m {
+	case nil:
+	case tombstone:
 		return nil
-	}
-	if m, ok := s.masks[id]; ok {
+	default:
 		return m.Words64()
 	}
 	if row, ok := s.base.rowOf(id); ok {
@@ -120,30 +195,47 @@ func (s *Snapshot) Point(id int32) []float32 { return s.ds.Point(int(id)) }
 
 // OverlaySize is the number of overlay entries above the base — the
 // compaction trigger's numerator and a serving-cost proxy.
-func (s *Snapshot) OverlaySize() int { return len(s.tomb) + len(s.masks) }
+func (s *Snapshot) OverlaySize() int { return s.ov.tombs + s.ov.masks }
 
-// Skyline returns the ids of the points in S_δ at this epoch, ascending.
+// Skyline returns the ids of the points in S_δ at this epoch, ascending: the
+// base's members the overlay leaves alone, merged with the overlay's.
 func (s *Snapshot) Skyline(delta mask.Mask) []int32 {
 	if delta == 0 || int(delta) > mask.NumSubspaces(s.d) {
 		return nil
 	}
-	var out []int32
+	var base []int32
 	for _, row := range s.base.h.Skyline(delta) {
-		id := s.base.id(row)
-		if _, dead := s.tomb[id]; dead {
+		if id := s.base.id(row); s.ov.slot(id) == nil {
+			base = append(base, id)
+		}
+	}
+	bit := int(delta) - 1
+	var over []int32
+	for c, ch := range s.ov.chunks {
+		if ch == nil {
 			continue
 		}
-		if _, overlaid := s.masks[id]; !overlaid {
-			out = append(out, id)
+		for i, m := range &ch.slot {
+			if m != nil && m != tombstone && !m.Test(bit) {
+				over = append(over, int32(c<<chunkBits+i))
+			}
 		}
 	}
-	for id, m := range s.masks {
-		if !m.Test(int(delta) - 1) {
-			out = append(out, id)
+	if len(over) == 0 {
+		return base
+	}
+	if len(base) == 0 {
+		return over
+	}
+	out := make([]int32, 0, len(base)+len(over))
+	for len(base) > 0 && len(over) > 0 {
+		if base[0] < over[0] {
+			out, base = append(out, base[0]), base[1:]
+		} else {
+			out, over = append(out, over[0]), over[1:]
 		}
 	}
-	slices.Sort(out)
-	return out
+	return append(append(out, base...), over...)
 }
 
 // Membership returns the subspaces in which id is a skyline member at this
@@ -164,4 +256,4 @@ func (s *Snapshot) Membership(id int32) []mask.Mask {
 
 // IDCount returns a space measure of the snapshot: the base cube's stored
 // ids plus the overlay masks layered on top.
-func (s *Snapshot) IDCount() int { return s.base.h.IDCount() + len(s.masks) }
+func (s *Snapshot) IDCount() int { return s.base.h.IDCount() + s.ov.masks }

@@ -46,7 +46,15 @@ type DeltaOptions struct {
 	// AutoCompact runs triggered compactions in a background goroutine.
 	// Without it, compaction happens only through Updater.Compact.
 	AutoCompact bool
+	// IDSegments is the id scheme a first build starts with (the cluster
+	// layer's mapping of local rows to global ids). The updater only carries
+	// it; a durable updater's first checkpoint persists it, and a restart
+	// restores the checkpointed scheme instead.
+	IDSegments []IDSegment
 }
+
+// IDSegment is one piece of an id scheme (DeltaOptions.IDSegments).
+type IDSegment = delta.IDSegment
 
 // Snapshot is one immutable MVCC epoch of a maintained skycube. It extends
 // Skycube with liveness and epoch queries. Snapshots are safe for
@@ -107,7 +115,9 @@ func NewUpdater(ds *Dataset, opt Options) (*Updater, error) {
 		return nil, err
 	}
 	if opt.Durable.Dir == "" {
-		return &Updater{u: delta.NewUpdater(ds.ds, dopt)}, nil
+		du := delta.NewUpdater(ds.ds, dopt)
+		du.SetIDSegments(opt.Delta.IDSegments)
+		return &Updater{u: du}, nil
 	}
 	return newDurableUpdater(ds, opt, dopt)
 }
@@ -184,10 +194,11 @@ func newDurableUpdater(ds *Dataset, opt Options, dopt delta.Options) (*Updater, 
 		}
 		d := ds.ds.Dims
 		du, err = delta.NewUpdaterFrom(delta.RestoreState{
-			Dims:  d,
-			Epoch: 1,
-			Live:  ds.ds.N,
-			Vals:  ds.ds.Vals[:ds.ds.N*d],
+			Dims:       d,
+			Epoch:      1,
+			Live:       ds.ds.N,
+			Vals:       ds.ds.Vals[:ds.ds.N*d],
+			IDSegments: opt.Delta.IDSegments,
 		}, dopt)
 		if err != nil {
 			return fail(fmt.Errorf("skycube: initial build: %w", err))
