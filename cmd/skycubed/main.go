@@ -32,6 +32,10 @@
 // via -shards (consecutive URLs grouped into replica sets of -replicas),
 // with hedged reads, retries and per-replica circuit breakers. See README
 // "Cluster mode".
+//
+// The four modes — a build, a static -serve node, -shard and -coordinator —
+// each read their own flags; a flag the chosen mode does not read is a
+// usage error (exit 2) naming the flag and the mode it needs.
 package main
 
 import (
@@ -81,48 +85,167 @@ func (q *queryList) Set(v string) error {
 	return nil
 }
 
+// cliFlags holds the parsed command line; defineFlags declares it on a
+// FlagSet so tests can parse argument lists without running main.
+type cliFlags struct {
+	algoName        *string
+	threads         *int
+	gpus            *int
+	cpuAlso         *bool
+	maxLevel        *int
+	queries         queryList
+	serve           *string
+	compactFraction *float64
+	traceFile       *string
+	progress        *bool
+	pprofFlag       *bool
+	shardMode       *bool
+	idBase          *int
+	idStride        *int
+	joinFrom        *string
+	peerList        *string
+	coordinator     *bool
+	shardURLs       *string
+	replicas        *int
+	clusterTimeout  *time.Duration
+	hedgeDelay      *time.Duration
+	cacheEntries    *int
+	noCache         *bool
+	dataDir         *string
+	fsyncPolicy     *string
+	checkpointEvery *int
+	traceSample     *int
+	slowQuery       *time.Duration
+	debugRequests   *int
+}
+
+func defineFlags(fs *flag.FlagSet) *cliFlags {
+	f := &cliFlags{
+		algoName:        fs.String("algo", "MDMC", "algorithm: MDMC, STSC, SDSC, PQSkycube, QSkycube"),
+		threads:         fs.Int("threads", runtime.NumCPU(), "CPU worker threads"),
+		gpus:            fs.Int("gpus", 0, "number of modelled GTX 980 devices to use (SDSC/MDMC)"),
+		cpuAlso:         fs.Bool("cpu-also", false, "use the CPU alongside the GPUs (cross-device)"),
+		maxLevel:        fs.Int("max-level", 0, "materialise only subspaces with ≤ this many dimensions (0 = all)"),
+		serve:           fs.String("serve", "", "address to serve the skycube over HTTP (e.g. :8080)"),
+		compactFraction: fs.Float64("compact-fraction", 0, "with -shard: background-compact when the overlay exceeds this fraction of the base (0 = default 0.25)"),
+		traceFile:       fs.String("trace", "", "write the build trace as Chrome trace_event JSON to this file (not with -shard)"),
+		progress:        fs.Bool("progress", false, "report build progress on stderr"),
+		pprofFlag:       fs.Bool("pprof", false, "with -serve: mount net/http/pprof under /debug/pprof/"),
+		shardMode:       fs.Bool("shard", false, "with -serve: run a maintained node (inserts, deletes, and the cluster shard protocol) over this data file"),
+		idBase:          fs.Int("id-base", 0, "with -shard: global id of local row 0; takes effect on a shard's first start only (its state keeps the scheme)"),
+		idStride:        fs.Int("id-stride", 0, "with -shard: global id step between consecutive local rows (shard count for round-robin partitions); 0 = not given (stride 1 on a first start); takes effect on a shard's first start only"),
+		joinFrom:        fs.String("join-from", "", "with -shard -data-dir: bootstrap this node's state from a peer shard's snapshot stream instead of a data file"),
+		peerList:        fs.String("peers", "", "with -shard -data-dir: comma-separated peer replica URLs for anti-entropy — a restart that recovered behind a peer wipes and re-bootstraps before reporting ready"),
+		coordinator:     fs.Bool("coordinator", false, "with -serve: run as a cluster coordinator (no data file)"),
+		shardURLs:       fs.String("shards", "", "with -coordinator: comma-separated shard replica URLs"),
+		replicas:        fs.Int("replicas", 1, "with -coordinator: replicas per shard (consecutive -shards URLs are grouped)"),
+		clusterTimeout:  fs.Duration("cluster-timeout", 0, "with -coordinator: per-attempt shard request timeout (0 = default 2s)"),
+		hedgeDelay:      fs.Duration("hedge-delay", 0, "with -coordinator: delay before hedging a slow read to a second replica (0 = default 50ms, negative disables)"),
+		cacheEntries:    fs.Int("cache-entries", 0, "with -serve: LRU bound of the epoch-keyed response cache (0 = default 4096)"),
+		noCache:         fs.Bool("no-cache", false, "with -serve: disable response caching (the ETag/304 contract remains)"),
+		dataDir:         fs.String("data-dir", "", "with -shard: persist mutations to a write-ahead log and epoch snapshots in this directory, recovering from it on startup (empty = in-memory)"),
+		fsyncPolicy:     fs.String("fsync", "always", "with -data-dir: WAL fsync policy — always (group-committed per ack), interval (timer), never"),
+		checkpointEvery: fs.Int("checkpoint-every", 0, "with -data-dir: WAL records between background checkpoints (0 = default 4096, negative disables)"),
+		traceSample:     fs.Int("trace-sample", 0, "with -serve: trace one in N requests into /debug/requests (0 = only requests carrying a traceparent header)"),
+		slowQuery:       fs.Duration("slow-query", 0, "with -serve: log one structured line (with trace id) per request at least this slow (0 = off)"),
+		debugRequests:   fs.Int("debug-requests", 0, "with -serve: request-ring size behind GET /debug/requests (0 = off unless -trace-sample is set, then 256)"),
+	}
+	fs.Var(&f.queries, "query", "subspace to print, as comma-separated dimension indices (repeatable)")
+	return f
+}
+
+// mode is the role one skycubed invocation runs in, as modeOf reads it off
+// the mode flags; a set of modes is their union.
+type mode uint8
+
+const (
+	modeBuild       mode = 1 << iota // no -serve: build, print, exit
+	modeStatic                       // -serve alone: a built cube over HTTP
+	modeShard                        // -serve -shard: a maintained node
+	modeCoordinator                  // -serve -coordinator: the cluster's front
+)
+
+// modeNames name the modes in bit order, as usage errors print them.
+var modeNames = [...]string{"a build (no -serve)", "a static -serve node", "-shard", "-coordinator"}
+
+func (m mode) String() string {
+	var names []string
+	for i, name := range modeNames {
+		if m&(1<<i) != 0 {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, " or ")
+}
+
+// flagModes maps every flag to the modes that read it. A flag given in any
+// other mode would be a silent no-op — a static -serve node persists
+// nothing, a server prints no -query — so ignoredFlag refuses it.
+var flagModes = func() map[string]mode {
+	const (
+		built  = modeBuild | modeStatic | modeShard // a shard builds its updater
+		served = modeStatic | modeShard | modeCoordinator
+	)
+	byMode := map[mode]string{
+		built:                  "algo threads gpus cpu-also max-level",
+		modeBuild:              "query",
+		modeBuild | modeStatic: "trace progress",
+		served:                 "serve pprof cache-entries no-cache trace-sample slow-query debug-requests",
+		modeShard:              "shard compact-fraction id-base id-stride join-from peers data-dir fsync checkpoint-every",
+		modeCoordinator:        "coordinator shards replicas cluster-timeout hedge-delay",
+	}
+	out := map[string]mode{}
+	for m, names := range byMode {
+		for _, name := range strings.Fields(names) {
+			out[name] = m
+		}
+	}
+	return out
+}()
+
+// modeOf reads the invocation's mode off the parsed mode flags.
+func modeOf(f *cliFlags) mode {
+	switch {
+	case *f.coordinator:
+		return modeCoordinator
+	case *f.shardMode:
+		return modeShard
+	case *f.serve != "":
+		return modeStatic
+	}
+	return modeBuild
+}
+
+// ignoredFlag returns the usage error for the first flag set on fs that
+// mode m does not read, naming the flag and the mode it needs, or "" when
+// m reads every flag given.
+func ignoredFlag(fs *flag.FlagSet, m mode) string {
+	msg := ""
+	fs.Visit(func(fl *flag.Flag) {
+		if needs := flagModes[fl.Name]; msg == "" && needs&m == 0 {
+			msg = fmt.Sprintf("-%s is ignored by %s; it needs %s", fl.Name, m, needs)
+		}
+	})
+	return msg
+}
+
 func main() {
-	algoName := flag.String("algo", "MDMC", "algorithm: MDMC, STSC, SDSC, PQSkycube, QSkycube")
-	threads := flag.Int("threads", runtime.NumCPU(), "CPU worker threads")
-	gpus := flag.Int("gpus", 0, "number of modelled GTX 980 devices to use (SDSC/MDMC)")
-	cpuAlso := flag.Bool("cpu-also", false, "use the CPU alongside the GPUs (cross-device)")
-	maxLevel := flag.Int("max-level", 0, "materialise only subspaces with ≤ this many dimensions (0 = all)")
-	var queries queryList
-	flag.Var(&queries, "query", "subspace to print, as comma-separated dimension indices (repeatable)")
-	serve := flag.String("serve", "", "address to serve the skycube over HTTP (e.g. :8080)")
-	compactFraction := flag.Float64("compact-fraction", 0, "with -shard: background-compact when the overlay exceeds this fraction of the base (0 = default 0.25)")
-	traceFile := flag.String("trace", "", "write the build trace as Chrome trace_event JSON to this file (not with -shard)")
-	progress := flag.Bool("progress", false, "report build progress on stderr")
-	pprofFlag := flag.Bool("pprof", false, "with -serve: mount net/http/pprof under /debug/pprof/")
-	shardMode := flag.Bool("shard", false, "with -serve: run a maintained node (inserts, deletes, and the cluster shard protocol) over this data file")
-	idBase := flag.Int("id-base", 0, "with -shard: global id of local row 0; takes effect on a shard's first start only (its state keeps the scheme)")
-	idStride := flag.Int("id-stride", 0, "with -shard: global id step between consecutive local rows (shard count for round-robin partitions); 0 = not given (stride 1 on a first start); takes effect on a shard's first start only")
-	joinFrom := flag.String("join-from", "", "with -shard -data-dir: bootstrap this node's state from a peer shard's snapshot stream instead of a data file")
-	peerList := flag.String("peers", "", "with -shard -data-dir: comma-separated peer replica URLs for anti-entropy — a restart that recovered behind a peer wipes and re-bootstraps before reporting ready")
-	coordinator := flag.Bool("coordinator", false, "with -serve: run as a cluster coordinator (no data file)")
-	shardURLs := flag.String("shards", "", "with -coordinator: comma-separated shard replica URLs")
-	replicas := flag.Int("replicas", 1, "with -coordinator: replicas per shard (consecutive -shards URLs are grouped)")
-	clusterTimeout := flag.Duration("cluster-timeout", 0, "with -coordinator: per-attempt shard request timeout (0 = default 2s)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "with -coordinator: delay before hedging a slow read to a second replica (0 = default 50ms, negative disables)")
-	cacheEntries := flag.Int("cache-entries", 0, "with -serve: LRU bound of the epoch-keyed response cache (0 = default 4096)")
-	noCache := flag.Bool("no-cache", false, "with -serve: disable response caching (the ETag/304 contract remains)")
-	dataDir := flag.String("data-dir", "", "with -shard: persist mutations to a write-ahead log and epoch snapshots in this directory, recovering from it on startup (empty = in-memory)")
-	fsyncPolicy := flag.String("fsync", "always", "with -data-dir: WAL fsync policy — always (group-committed per ack), interval (timer), never")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "with -data-dir: WAL records between background checkpoints (0 = default 4096, negative disables)")
-	traceSample := flag.Int("trace-sample", 0, "with -serve: trace one in N requests into /debug/requests (0 = only requests carrying a traceparent header)")
-	slowQuery := flag.Duration("slow-query", 0, "with -serve: log one structured line (with trace id) per request at least this slow (0 = off)")
-	debugRequests := flag.Int("debug-requests", 0, "with -serve: request-ring size behind GET /debug/requests (0 = off unless -trace-sample is set, then 256)")
+	f := defineFlags(flag.CommandLine)
 	flag.Parse()
+	if msg := ignoredFlag(flag.CommandLine, modeOf(f)); msg != "" {
+		fmt.Fprintln(os.Stderr, "skycubed:", msg)
+		os.Exit(2)
+	}
 	fmt.Fprintf(os.Stderr, "skycubed: dominance kernel: %s\n", skycube.KernelStats().Impl)
 
 	tracing := traceOptions{
-		ring:        requestRing(*traceSample, *debugRequests),
-		sampleEvery: *traceSample,
-		slowQuery:   *slowQuery,
+		ring:        requestRing(*f.traceSample, *f.debugRequests),
+		sampleEvery: *f.traceSample,
+		slowQuery:   *f.slowQuery,
 	}
 
-	if *coordinator {
-		if *serve == "" {
+	if *f.coordinator {
+		if *f.serve == "" {
 			fmt.Fprintln(os.Stderr, "skycubed: -coordinator requires -serve")
 			os.Exit(2)
 		}
@@ -130,55 +253,53 @@ func main() {
 			fmt.Fprintln(os.Stderr, "skycubed: -coordinator takes no data file")
 			os.Exit(2)
 		}
-		runCoordinatorMode(*serve, *shardURLs, *replicas, *clusterTimeout, *hedgeDelay, *pprofFlag, *cacheEntries, *noCache, tracing)
+		runCoordinatorMode(*f.serve, *f.shardURLs, *f.replicas, *f.clusterTimeout, *f.hedgeDelay, *f.pprofFlag, *f.cacheEntries, *f.noCache, tracing)
 		return
 	}
 
 	algo, ok := map[string]skycube.Algorithm{
 		"MDMC": skycube.MDMC, "STSC": skycube.STSC, "SDSC": skycube.SDSC,
 		"PQSkycube": skycube.PQSkycube, "QSkycube": skycube.QSkycube,
-	}[*algoName]
+	}[*f.algoName]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "skycubed: unknown algorithm %q\n", *algoName)
+		fmt.Fprintf(os.Stderr, "skycubed: unknown algorithm %q\n", *f.algoName)
 		os.Exit(2)
 	}
 	opt := skycube.Options{
 		Algorithm: algo,
-		Threads:   *threads,
-		MaxLevel:  *maxLevel,
-		CPUAlso:   *cpuAlso,
+		Threads:   *f.threads,
+		MaxLevel:  *f.maxLevel,
+		CPUAlso:   *f.cpuAlso,
 	}
-	for i := 0; i < *gpus; i++ {
+	for i := 0; i < *f.gpus; i++ {
 		opt.GPUs = append(opt.GPUs, skycube.GTX980)
 	}
-	if !*shardMode && (*traceFile != "" || *serve != "") {
+	if !*f.shardMode && (*f.traceFile != "" || *f.serve != "") {
 		opt.Trace = skycube.NewTrace()
 	}
-	if *serve != "" {
+	if *f.serve != "" {
 		opt.Metrics = skycube.NewMetrics()
 	}
-	if *progress {
+	if *f.progress {
 		opt.Progress = stderrProgress()
 	}
 	// Maintained nodes (-shard) compact in the background and persist to
 	// -data-dir when it is set.
-	opt.Delta = skycube.DeltaOptions{AutoCompact: true, CompactFraction: *compactFraction}
-	opt.Durable = durableOptions(*dataDir, *fsyncPolicy, *checkpointEvery)
+	opt.Delta = skycube.DeltaOptions{AutoCompact: true, CompactFraction: *f.compactFraction}
+	opt.Durable = durableOptions(*f.dataDir, *f.fsyncPolicy, *f.checkpointEvery)
 
-	if *shardMode {
+	if *f.shardMode {
 		usage := ""
 		switch {
-		case *serve == "":
+		case *f.serve == "":
 			usage = "-shard requires -serve"
-		case *joinFrom != "" && *dataDir == "":
+		case *f.joinFrom != "" && *f.dataDir == "":
 			usage = "-join-from requires -shard, -serve and -data-dir"
-		case *joinFrom != "" && flag.NArg() != 0:
+		case *f.joinFrom != "" && flag.NArg() != 0:
 			usage = "-join-from takes no data file (state comes from the peer)"
-		case *idBase < 0 || *idStride < 0:
+		case *f.idBase < 0 || *f.idStride < 0:
 			usage = "-id-base and -id-stride must not be negative"
-		case *traceFile != "":
-			usage = "-trace writes a build's trace, and a -shard node writes none"
-		case flag.NArg() > 1 || flag.NArg() == 0 && *dataDir == "":
+		case flag.NArg() > 1 || flag.NArg() == 0 && *f.dataDir == "":
 			usage = "usage: skycubed -shard -serve ADDR [flags] (part.txt | -data-dir DIR [-join-from URL])"
 		}
 		if usage != "" {
@@ -189,9 +310,9 @@ func main() {
 		if flag.NArg() == 1 {
 			ds = readDataset(flag.Arg(0))
 		}
-		runShard(*serve, ds, *joinFrom, *peerList, opt,
-			shardServeOptions(*idBase, *idStride, *cacheEntries, *noCache, tracing),
-			*pprofFlag)
+		runShard(*f.serve, ds, *f.joinFrom, *f.peerList, opt,
+			shardServeOptions(*f.idBase, *f.idStride, *f.cacheEntries, *f.noCache, tracing),
+			*f.pprofFlag)
 		return
 	}
 
@@ -221,24 +342,24 @@ func main() {
 		fmt.Printf("  scheduler: %d chunk retunes\n", r)
 	}
 
-	if *traceFile != "" {
-		if err := writeTrace(*traceFile, opt.Trace); err != nil {
+	if *f.traceFile != "" {
+		if err := writeTrace(*f.traceFile, opt.Trace); err != nil {
 			fmt.Fprintln(os.Stderr, "skycubed:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote build trace (%d spans) to %s\n", opt.Trace.Len(), *traceFile)
+		fmt.Printf("wrote build trace (%d spans) to %s\n", opt.Trace.Len(), *f.traceFile)
 	}
 
-	if *serve != "" {
-		runServer(*serve, cube, ds, opt, stats, algo, *pprofFlag, *cacheEntries, *noCache, tracing)
+	if *f.serve != "" {
+		runServer(*f.serve, cube, ds, opt, stats, algo, *f.pprofFlag, *f.cacheEntries, *f.noCache, tracing)
 		return
 	}
-	if len(queries) == 0 {
+	if len(f.queries) == 0 {
 		full := skycube.FullSpace(ds.Dims())
 		fmt.Printf("full-space skyline: %d points\n", len(cube.Skyline(full)))
 		return
 	}
-	for _, q := range queries {
+	for _, q := range f.queries {
 		delta, err := parseSubspace(q, ds.Dims())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "skycubed:", err)

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"flag"
+	"io"
+	"strings"
+	"testing"
+)
 
 func TestParseSubspace(t *testing.T) {
 	cases := []struct {
@@ -27,5 +32,58 @@ func TestParseSubspace(t *testing.T) {
 		if !c.ok && err == nil {
 			t.Errorf("parseSubspace(%q, %d) should fail", c.spec, c.d)
 		}
+	}
+}
+
+// TestIgnoredFlagRefused parses argument lists the way main does and checks
+// that a flag the invocation's mode does not read is refused, naming the
+// flag and the mode it needs, while every flag its mode reads passes.
+func TestIgnoredFlagRefused(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string // substring of the refusal; "" means accepted
+	}{
+		{[]string{"-algo", "STSC", "-threads", "2", "-max-level", "2", "-query", "0,1", "-trace", "t.json", "-progress"}, ""},
+		{[]string{"-serve", ":0", "-pprof", "-trace", "t.json", "-no-cache", "-trace-sample", "4"}, ""},
+		{[]string{"-serve", ":0", "-shard", "-data-dir", "d", "-fsync", "never", "-id-base", "1", "-id-stride", "2", "-compact-fraction", "0.5"}, ""},
+		{[]string{"-serve", ":0", "-coordinator", "-shards", "a,b", "-replicas", "2", "-hedge-delay", "1ms", "-cache-entries", "8"}, ""},
+		{[]string{"-serve", ":0", "-data-dir", "d"}, "-data-dir is ignored by a static -serve node; it needs -shard"},
+		{[]string{"-serve", ":0", "-query", "0,1"}, "-query is ignored by a static -serve node; it needs a build (no -serve)"},
+		{[]string{"-serve", ":0", "-shard", "-trace", "t.json"}, "-trace is ignored by -shard; it needs a build (no -serve) or a static -serve node"},
+		{[]string{"-serve", ":0", "-shard", "-progress"}, "-progress is ignored by -shard"},
+		{[]string{"-serve", ":0", "-coordinator", "-threads", "4"}, "-threads is ignored by -coordinator"},
+		{[]string{"-serve", ":0", "-coordinator", "-shard"}, "-shard is ignored by -coordinator; it needs -shard"},
+		{[]string{"-pprof"}, "-pprof is ignored by a build (no -serve); it needs a static -serve node or -shard or -coordinator"},
+		{[]string{"-replicas", "2"}, "-replicas is ignored by a build (no -serve); it needs -coordinator"},
+		{[]string{"-serve", ":0", "-shard", "-shards", "a"}, "-shards is ignored by -shard; it needs -coordinator"},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet("skycubed", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		f := defineFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		got := ignoredFlag(fs, modeOf(f))
+		if c.want == "" && got != "" || c.want != "" && !strings.Contains(got, c.want) {
+			t.Errorf("%v: refusal %q, want %q", c.args, got, c.want)
+		}
+	}
+}
+
+// TestEveryFlagHasModes: a flag missing from flagModes would be refused in
+// every mode, so each declared flag must name at least one.
+func TestEveryFlagHasModes(t *testing.T) {
+	fs := flag.NewFlagSet("skycubed", flag.ContinueOnError)
+	defineFlags(fs)
+	n := 0
+	fs.VisitAll(func(fl *flag.Flag) {
+		n++
+		if flagModes[fl.Name] == 0 {
+			t.Errorf("-%s is read by no mode", fl.Name)
+		}
+	})
+	if n != len(flagModes) {
+		t.Errorf("%d flags declared, %d in flagModes", n, len(flagModes))
 	}
 }

@@ -9,10 +9,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"skycube"
+	"skycube/internal/data"
+	"skycube/internal/skyline"
 )
 
 // diffCase is one algorithm path of the differential grid.
@@ -419,5 +422,99 @@ func TestDifferentialMembership(t *testing.T) {
 		if got, want := cube.Membership(id), oracle.Membership(id); !reflect.DeepEqual(got, want) {
 			t.Fatalf("membership of point %d: %v, want %v", id, got, want)
 		}
+	}
+}
+
+// TestDifferentialHighDim carries the differential wall above d = 8, where
+// no other tier-1 test builds: STSC, SDSC, MDMC and a cross-device MDMC
+// agree cuboid for cuboid on every case, a MaxLevel-3 build equals the full
+// cube restricted to |δ| ≤ 3, and BNL checks a seeded sample of cuboids that
+// includes the full space and every singleton. PQSkycube, whose per-cuboid
+// recursion is the slowest path here, runs on the smallest case only. Under
+// -short only the d = 10 case runs. The cases run in parallel: no build
+// keeps two cores busy on its own.
+func TestDifferentialHighDim(t *testing.T) {
+	for i, c := range []struct {
+		dist skycube.Distribution
+		name string
+		n, d int
+	}{
+		{skycube.Independent, "independent", 2000, 10},
+		{skycube.Anticorrelated, "anticorrelated", 500, 12},
+		{skycube.Independent, "independent", 1000, 14},
+		{skycube.Correlated, "correlated", 3000, 16},
+	} {
+		if testing.Short() && c.d != 10 {
+			continue
+		}
+		t.Run(fmt.Sprintf("%s/d=%d/n=%d", c.name, c.d, c.n), func(t *testing.T) {
+			t.Parallel()
+			ds := skycube.GenerateSynthetic(c.dist, c.n, c.d, int64(97*c.d)+3)
+			subspaces := skycube.AllSubspaces(c.d)
+			ref, _, err := skycube.Build(ds, skycube.Options{Algorithm: skycube.MDMC, Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make(map[skycube.Subspace][]int32, len(subspaces))
+			for _, delta := range subspaces {
+				want[delta] = ref.Skyline(delta)
+			}
+			paths := []diffCase{
+				{"STSC", skycube.Options{Algorithm: skycube.STSC, Threads: 2}},
+				{"SDSC", skycube.Options{Algorithm: skycube.SDSC, Threads: 2}},
+				{"MDMC-hetero", skycube.Options{Algorithm: skycube.MDMC, Threads: 2,
+					GPUs: []skycube.GPUModel{skycube.GTX980}, CPUAlso: true}},
+			}
+			if i == 0 {
+				paths = append(paths, diffCase{"PQSkycube", skycube.Options{Algorithm: skycube.PQSkycube, Threads: 2}})
+			}
+			for _, p := range paths {
+				cube, _, err := skycube.Build(ds, p.opt)
+				if err != nil {
+					t.Fatalf("%s: %v", p.name, err)
+				}
+				for _, delta := range subspaces {
+					if got := cube.Skyline(delta); !slices.Equal(got, want[delta]) {
+						t.Fatalf("%s: cuboid δ=%0*b has %d skyline points, MDMC has %d",
+							p.name, c.d, delta, len(got), len(want[delta]))
+					}
+				}
+			}
+
+			partial, _, err := skycube.Build(ds, skycube.Options{Algorithm: skycube.MDMC, Threads: 2, MaxLevel: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, delta := range subspaces {
+				if skycube.SubspaceSize(delta) > 3 {
+					continue
+				}
+				if got := partial.Skyline(delta); !slices.Equal(got, want[delta]) {
+					t.Fatalf("MaxLevel 3: cuboid δ=%0*b has %d skyline points, the full cube %d",
+						c.d, delta, len(got), len(want[delta]))
+				}
+			}
+
+			rows := make([][]float32, ds.Len())
+			for r := range rows {
+				rows[r] = ds.Point(r)
+			}
+			bnlData := data.FromRows(rows)
+			sample := []skycube.Subspace{skycube.FullSpace(c.d)}
+			for j := 0; j < c.d; j++ {
+				sample = append(sample, skycube.SubspaceOf(j))
+			}
+			rng := rand.New(rand.NewSource(int64(c.d)))
+			for j := 0; j < 24; j++ {
+				sample = append(sample, subspaces[rng.Intn(len(subspaces))])
+			}
+			for _, delta := range sample {
+				bnl := skyline.Compute(bnlData, nil, delta, skyline.AlgoBNL, 1).Skyline
+				if !slices.Equal(want[delta], bnl) {
+					t.Fatalf("BNL: cuboid δ=%0*b has %d skyline points in the cube, %d by BNL",
+						c.d, delta, len(want[delta]), len(bnl))
+				}
+			}
+		})
 	}
 }

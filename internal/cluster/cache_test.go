@@ -1,13 +1,18 @@
 // Tests of the cluster tier's materialized read path: the coordinator's
 // write-generation memo (short-circuiting the fan-out entirely), its
-// invalidation by routed writes, the never-cache-partial rule with
-// Cache-Control: no-store, and the shard-level cuboid cache.
+// invalidation by routed flushes and only by them, the never-cache-partial
+// rule with Cache-Control: no-store, and the shard-level cuboid cache.
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,6 +82,128 @@ func TestCoordinatorCacheInvalidatedByWrite(t *testing.T) {
 	}
 	if len(after.IDs) != 1 {
 		t.Fatalf("dominating point: skyline %v, want a single id", after.IDs)
+	}
+}
+
+// TestCoordinatorCacheSurvivesUnflushedWrites: a routed insert or delete is
+// buffered on the shards, invisible until a flush, so it must not cost the
+// next read a fan-out. The repeat read is served from the cache — zero
+// shard requests, the same bytes, the same ETag — and only the flush rolls
+// the generation.
+func TestCoordinatorCacheSurvivesUnflushedWrites(t *testing.T) {
+	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 67)
+	ct := &countingTransport{}
+	opts := fastOpts(obs.NewRegistry())
+	opts.Client = &http.Client{Transport: ct}
+	tc := newTestCluster(t, ds, 2, 1, skycube.RoundRobinPartition, opts)
+
+	get := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		tc.coord.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/skyline?dims=0,1,2", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	warm := get()
+	var ins insertResponse
+	mustUnmarshal(t, postJSON(t, tc.coord, "/insert", insertRequest{Points: [][]float32{{-1, -1, -1}}}, http.StatusOK), &ins)
+	postJSON(t, tc.coord, "/delete", deleteRequest{IDs: []int32{5}}, http.StatusOK)
+
+	before := ct.trips.Load()
+	repeat := get()
+	if trips := ct.trips.Load() - before; trips != 0 {
+		t.Fatalf("read after unflushed writes made %d shard requests, want 0", trips)
+	}
+	if !bytes.Equal(repeat.Body.Bytes(), warm.Body.Bytes()) {
+		t.Fatalf("read after unflushed writes changed bytes:\n%s\nwant\n%s", repeat.Body, warm.Body)
+	}
+	if a, b := repeat.Header().Get("Etag"), warm.Header().Get("Etag"); a == "" || a != b {
+		t.Fatalf("ETag %q after unflushed writes, want %q", a, b)
+	}
+
+	postJSON(t, tc.coord, "/flush", struct{}{}, http.StatusOK)
+	before = ct.trips.Load()
+	var after skylineResponse
+	mustUnmarshal(t, get().Body.Bytes(), &after)
+	if ct.trips.Load() == before {
+		t.Fatal("read after /flush made no shard request")
+	}
+	if len(after.IDs) != 1 || after.IDs[0] != ins.IDs[0] {
+		t.Fatalf("skyline after flush %v, want the inserted id %v", after.IDs, ins.IDs)
+	}
+}
+
+// TestCoordinatorReadAfterFlushUnderLoad: readers hammer one subspace over
+// HTTP while a writer runs rounds of "insert a point dominating everything,
+// then flush". Every read issued after a round's flush returned must show
+// that round's point or a later one — never a body cached before the flush.
+func TestCoordinatorReadAfterFlushUnderLoad(t *testing.T) {
+	const rounds, readers = 12, 4
+	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 83)
+	tc := newTestCluster(t, ds, 2, 1, skycube.RoundRobinPartition, fastOpts(obs.NewRegistry()))
+	srv := httptest.NewServer(tc.coord)
+	t.Cleanup(srv.Close)
+
+	var roundOf sync.Map     // inserted id -> its round, stored before the flush
+	var flushed atomic.Int64 // last round whose flush has returned
+	stop := make(chan struct{})
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				floor := flushed.Load()
+				resp, err := srv.Client().Get(srv.URL + "/skyline?dims=0,1,2")
+				if err != nil {
+					errs <- err
+					return
+				}
+				var got skylineResponse
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("status %d, decode: %v", resp.StatusCode, err)
+					return
+				}
+				if floor == 0 {
+					continue
+				}
+				r, ok := int64(0), len(got.IDs) == 1
+				if ok {
+					v, known := roundOf.Load(got.IDs[0])
+					if ok = known; ok {
+						r = v.(int64)
+					}
+				}
+				if !ok || r < floor {
+					errs <- fmt.Errorf("read issued after round %d's flush returned %v (round %d)", floor, got.IDs, r)
+					return
+				}
+			}
+		}()
+	}
+	for r := int64(1); r <= rounds; r++ {
+		v := float32(-r)
+		var ins insertResponse
+		mustUnmarshal(t, postJSON(t, tc.coord, "/insert", insertRequest{Points: [][]float32{{v, v, v}}}, http.StatusOK), &ins)
+		roundOf.Store(ins.IDs[0], r)
+		postJSON(t, tc.coord, "/flush", struct{}{}, http.StatusOK)
+		flushed.Store(r)
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

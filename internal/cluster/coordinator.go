@@ -59,10 +59,12 @@ type CoordinatorOptions struct {
 	CacheEntries int
 	// DisableCache turns merged-response memoization off. With it set every
 	// query scatter-gathers; without it a query whose answer cannot have
-	// changed — no write was routed through this coordinator since it was
+	// changed — no flush was routed through this coordinator since it was
 	// cached — is served as pre-encoded bytes with no shard traffic at all.
-	// Writes applied directly to shards (bypassing this coordinator) are
-	// invisible to the memo; run multi-writer topologies with DisableCache.
+	// Inserts and deletes stay buffered on the shards until a flush, so
+	// they never invalidate it; flushes applied directly to shards
+	// (bypassing this coordinator) are invisible to it. Run topologies where
+	// anything else flushes the shards with DisableCache.
 	DisableCache bool
 	// Metrics, if non-nil, receives skycube_cluster_* families and enables
 	// GET /metrics.
@@ -210,19 +212,19 @@ type Coordinator struct {
 	// adminMu serialises membership operations with each other.
 	adminMu sync.Mutex
 
-	// cache memoizes merged /skyline responses under two key families: the
-	// write-generation key ("q|" + query, epoch = writeGen) that lets a
-	// repeat query skip the fan-out — hedges, retries, breakers and merge —
-	// entirely, and the shard-epoch-vector key ("v|" + query, epoch = FNV
-	// of the gathered epochs) that skips the merge and encode when a
-	// re-gather proves the shards unchanged. nil when disabled.
+	// cache memoizes merged /skyline responses under (writeGen, path, raw
+	// query), so a repeat query skips the fan-out — hedges, retries,
+	// breakers and merge — entirely. nil when disabled.
 	cache   *rcache.Cache
 	cacheCM *obs.CacheMetrics
-	// writeGen counts mutations routed through this coordinator; it
-	// advances when a write finishes (successfully or not), so any response
-	// gathered concurrently with the write is cached under an already-dead
-	// generation. Shard epochs only advance through writes, which makes
-	// generation-keyed reuse exact for single-writer topologies.
+	// writeGen rolls whenever a shard's served answer can change: when a
+	// routed /flush finishes (successfully or not) and at every map swap and
+	// ownership prune. A routed insert or delete only buffers on the shards,
+	// invisible until the next flush, so it leaves writeGen alone. Rolling
+	// at completion means a response gathered concurrently with the flush
+	// is cached under an already-dead generation; this makes
+	// generation-keyed reuse exact while this coordinator is the only one
+	// flushing the shards.
 	writeGen atomic.Uint64
 
 	// sampler admits queries into the request ring; nil (never sampling)

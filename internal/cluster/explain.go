@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"sort"
@@ -16,16 +15,13 @@ import (
 // JSON timing breakdown of the fan-out instead of the skyline payload —
 // per-replica attempt latencies, which attempt was the hedge and whether it
 // won, retries, breaker rejections, per-shard candidate counts and response
-// bytes, merge and encode durations, and the cache disposition. The
-// breakdown is an interpretation of the same typed events the trace ring
+// bytes, merge and encode durations. The breakdown is an interpretation of the same typed events the trace ring
 // records (one recording mechanism, two renderings), so explain output and
 // /debug/requests never disagree.
 //
-// Explain always bypasses the coordinator's generation-keyed fast path and
-// is itself never memoized: its purpose is to observe the real scatter —
-// hedges, retries, breakers — not a cache probe. The epoch-vector merge
-// memo stays active and is reported honestly as "hit-epoch-vector" (the
-// merge and encode stages are then absent).
+// Explain always bypasses the coordinator's cache and is itself never
+// memoized: it always gathers, merges and encodes, since its purpose is to
+// observe the real scatter — hedges, retries, breakers — not a cache probe.
 
 // explainResponse is the ?explain=1 payload.
 type explainResponse struct {
@@ -34,11 +30,7 @@ type explainResponse struct {
 	Dims    []int  `json:"dims"`
 	// DurNS is the end-to-end latency of this query as measured around the
 	// whole fan-out; every stage below nests inside it.
-	DurNS int64 `json:"dur_ns"`
-	// Cache is the coordinator-cache disposition: "bypass" (explain skips
-	// the generation fast path), or "hit-epoch-vector" when the merge memo
-	// proved the shards unchanged and merge/encode were skipped.
-	Cache        string           `json:"cache"`
+	DurNS        int64            `json:"dur_ns"`
 	Count        int              `json:"count"`
 	Candidates   int64            `json:"candidates"`
 	Partial      bool             `json:"partial,omitempty"`
@@ -93,9 +85,9 @@ type explainStage struct {
 // breakdown. rec is never nil here — handleSkyline forces a record for
 // explain requests.
 func (c *Coordinator) serveExplain(w http.ResponseWriter, r *http.Request, rec *obs.ReqRecord, dims []int, delta mask.Mask, start time.Time) int {
-	entry, err := c.computeSkyline(r.Context(), c.curMap(), r.URL.RawQuery, dims, delta)
+	_, err := c.computeSkyline(r.Context(), c.curMap(), dims, delta)
 	status := http.StatusOK
-	resp := explainResponse{TraceID: rec.TraceID(), Dims: dims, Cache: "bypass"}
+	resp := explainResponse{TraceID: rec.TraceID(), Dims: dims}
 	if err != nil {
 		var pe *partialError
 		var ge *gatewayError
@@ -118,15 +110,6 @@ func (c *Coordinator) serveExplain(w http.ResponseWriter, r *http.Request, rec *
 	}
 	resp.Status = status
 	buildExplain(&resp, rec.Snapshot(), time.Since(start))
-	if entry != nil && resp.Count == 0 {
-		// Epoch-vector hit: merge and encode were skipped, so the count is
-		// not in the event stream — read it off the memoized body.
-		var body skylineResponse
-		if json.Unmarshal(entry.Body, &body) == nil {
-			resp.Count = body.Count
-			resp.Candidates = int64(body.Candidates)
-		}
-	}
 	w.Header().Set("Cache-Control", "no-store")
 	server.WriteJSONStatus(w, status, resp)
 	return status
@@ -180,10 +163,6 @@ func buildExplain(resp *explainResponse, snap obs.RecordSnapshot, total time.Dur
 				resp.Candidates += e.N
 			} else {
 				resp.FailedShards = append(resp.FailedShards, e.Shard)
-			}
-		case obs.EvCache:
-			if e.Detail != "" && e.Detail != "miss" {
-				resp.Cache = e.Detail
 			}
 		case obs.EvMerge:
 			resp.Merge = &explainStage{StartNS: e.Start.Nanoseconds(),

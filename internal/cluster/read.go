@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"sort"
 	"strings"
@@ -92,38 +93,6 @@ func (c *Coordinator) gather(ctx context.Context, m *shardMap, delta mask.Mask) 
 	return frames, epochs, failed, stale
 }
 
-// epochVectorHash folds the gathered per-shard epochs — in the fixed shard
-// order, seeded with the map generation — into one 64-bit key: FNV-1a with
-// a splitmix64 finalizer (see hashBytes). Two gathers with identical epoch
-// vectors under the same map are byte-identical responses, so the hash
-// memoizes the merge across unrelated writes; seeding with the generation
-// keeps vectors from different topologies (same epochs, different shard
-// sets) apart.
-func (c *Coordinator) epochVectorHash(m *shardMap, epochs map[string]uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for b := 0; b < 8; b++ {
-		h ^= (m.gen >> (8 * b)) & 0xff
-		h *= prime64
-	}
-	for _, g := range m.shards {
-		e := epochs[g.name]
-		for b := 0; b < 8; b++ {
-			h ^= (e >> (8 * b)) & 0xff
-			h *= prime64
-		}
-	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // skylineResponse is the coordinator's /skyline payload. Partial is set —
 // and the HTTP status is 206 — when a shard had no live replica: the ids
 // are then a correct skyline of the reachable partitions only, never a
@@ -139,14 +108,6 @@ type skylineResponse struct {
 	FailedShards []string          `json:"failed_shards,omitempty"`
 	Epochs       map[string]uint64 `json:"epochs,omitempty"`
 }
-
-// Key paths namespace the coordinator cache's two key families (the Epoch
-// field carries a write generation in one and an epoch-vector hash in the
-// other, and the two value spaces must never collide).
-const (
-	genKeyPath   = "/skyline@generation"
-	epochKeyPath = "/skyline@epochs"
-)
 
 // partialError carries an explicitly partial (206) response out of the
 // cache fill: partial answers are served but never memoized, and marked
@@ -202,12 +163,12 @@ func (c *Coordinator) handleSkyline(w http.ResponseWriter, r *http.Request) {
 // dimensionality is unknown, or the dims parameter does not parse.
 func (c *Coordinator) serveSkyline(w http.ResponseWriter, r *http.Request, rec *obs.ReqRecord, explain bool, start time.Time) (status int, counted bool) {
 	// Fast path: a query already answered at this write generation cannot
-	// have changed (shard epochs advance only through routed writes), so
-	// serve the memoized bytes with no fan-out — no hedges, no retries, no
-	// breaker traffic, no merge. Explain always bypasses it: its purpose is
-	// to observe the real fan-out.
+	// have changed (a shard's served answer moves only at a flush, and a
+	// routed flush rolls the generation), so serve the memoized bytes with
+	// no fan-out — no hedges, no retries, no breaker traffic, no merge.
+	// Explain always bypasses it: its purpose is to observe the real fan-out.
 	if c.cache != nil && !explain {
-		if e, ok := c.cache.Get(rcache.Key{Epoch: c.writeGen.Load(), Path: genKeyPath, Variant: r.URL.RawQuery}); ok {
+		if e, ok := c.cache.Get(rcache.Key{Epoch: c.writeGen.Load(), Path: r.URL.Path, Variant: r.URL.RawQuery}); ok {
 			rec.Event(obs.Event{Kind: obs.EvCache, Detail: "hit-generation", Start: rec.Since()})
 			rcache.Serve(w, r, e, c.cacheCM)
 			return http.StatusOK, true
@@ -234,13 +195,13 @@ func (c *Coordinator) serveSkyline(w http.ResponseWriter, r *http.Request, rec *
 	var entry *rcache.Entry
 	for attempt := 0; ; attempt++ {
 		m := c.curMap()
-		// Read the generation before gathering: a write landing mid-gather
-		// bumps it when it completes, so whatever mix of old and new shard
+		// Read the generation before gathering: a flush landing mid-gather
+		// rolls it when it completes, so whatever mix of old and new shard
 		// state this query observed is stored under an already-dead key.
 		gen := c.writeGen.Load()
-		entry, err = c.cache.Fill(rcache.Key{Epoch: gen, Path: genKeyPath, Variant: r.URL.RawQuery},
+		entry, err = c.cache.Fill(rcache.Key{Epoch: gen, Path: r.URL.Path, Variant: r.URL.RawQuery},
 			func() (*rcache.Entry, error) {
-				return c.computeSkyline(r.Context(), m, r.URL.RawQuery, dims, delta)
+				return c.computeSkyline(r.Context(), m, dims, delta)
 			})
 		if errors.Is(err, errStaleMap) && attempt < 2 {
 			rec.Event(obs.Event{Kind: obs.EvRetry, Detail: "stale-map", Start: rec.Since()})
@@ -283,7 +244,7 @@ var errStaleMap = errors.New("cluster: shard map generation went stale mid-query
 // returns the encoded response entry, or a partialError/gatewayError for
 // degraded outcomes. Runs under the cache's singleflight gate, so
 // concurrent identical cold queries share one fan-out.
-func (c *Coordinator) computeSkyline(ctx context.Context, m *shardMap, rawQuery string, dims []int, delta mask.Mask) (*rcache.Entry, error) {
+func (c *Coordinator) computeSkyline(ctx context.Context, m *shardMap, dims []int, delta mask.Mask) (*rcache.Entry, error) {
 	rec := obs.RecordFrom(ctx)
 	frames, epochs, failed, stale := c.gather(ctx, m, delta)
 	if stale {
@@ -293,17 +254,6 @@ func (c *Coordinator) computeSkyline(ctx context.Context, m *shardMap, rawQuery 
 		return nil, &gatewayError{msg: fmt.Sprintf("all %d shards unreachable", len(m.shards))}
 	}
 	partial := len(failed) > 0
-	var evKey rcache.Key
-	if !partial {
-		// Complete answer: the shard-epoch vector fully determines the
-		// response bytes. If an identical vector was merged before — under
-		// any write generation — reuse it and skip the merge and encode.
-		evKey = rcache.Key{Epoch: c.epochVectorHash(m, epochs), Path: epochKeyPath, Variant: rawQuery}
-		if e, ok := c.cache.Get(evKey); ok {
-			rec.Event(obs.Event{Kind: obs.EvCache, Detail: "hit-epoch-vector", Start: rec.Since()})
-			return e, nil
-		}
-	}
 	mergeStart := rec.Since()
 	ids, st := mergeFrames(frames, delta)
 	c.cm.Merge(st.cands, len(ids))
@@ -329,7 +279,10 @@ func (c *Coordinator) computeSkyline(ctx context.Context, m *shardMap, rawQuery 
 	if partial {
 		return nil, &partialError{body: buf.Bytes()}
 	}
-	e := rcache.NewEntry(fmt.Sprintf(`"v%x-s%d"`, evKey.Epoch, uint32(delta)), buf.Bytes())
-	c.cache.Put(evKey, e)
-	return e, nil
+	// The ETag hashes the body, not the generation: the generation restarts
+	// at 0 with the coordinator, and a client's old If-None-Match must not
+	// match a different body.
+	h := fnv.New64a()
+	_, _ = h.Write(buf.Bytes())
+	return rcache.NewEntry(fmt.Sprintf(`"%016x"`, h.Sum64()), buf.Bytes()), nil
 }

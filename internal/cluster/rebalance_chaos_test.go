@@ -481,12 +481,13 @@ func TestChaosLiveSplitUnderLoad(t *testing.T) {
 	// Phase D, injected replica kill: the child dies; its shard has R=1, so
 	// reads must degrade to the explicit 206 partial contract — the ONLY
 	// acceptable non-200 — and recover to exact 200s once revived. A delete
-	// routed to shard 1 (id 15 is odd: single claimant, child untouched)
-	// first advances the write generation, so the read below fans out
-	// instead of replaying the memoized pre-kill answer.
-	childFault.dead.Store(true)
+	// routed to shard 1 (id 15 is odd: single claimant, child untouched) and
+	// a flush, both before the kill, roll the write generation, so the read
+	// below fans out instead of replaying the memoized pre-kill answer.
 	postJSON(t, coord, "/delete", deleteRequest{IDs: []int32{15}}, http.StatusOK)
 	delete(points, 15)
+	postJSON(t, coord, "/flush", struct{}{}, http.StatusOK)
+	childFault.dead.Store(true)
 	got := querySkyline(t, coord, 3, http.StatusPartialContent)
 	if !got.Partial || len(got.FailedShards) != 1 || got.FailedShards[0] != "2" {
 		t.Fatalf("kill window: partial=%v failed=%v, want explicit child failure", got.Partial, got.FailedShards)

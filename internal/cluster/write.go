@@ -109,11 +109,6 @@ func (c *Coordinator) insertOnce(w http.ResponseWriter, r *http.Request, req *in
 			}
 		}
 	}
-	// Invalidate the read memo when the write finishes — success or not,
-	// since a failed write-all may have partially applied. Bumping at
-	// completion (not start) matters: a read that gathered pre-write shard
-	// state must not be cached under the post-write generation.
-	defer c.writeGen.Add(1)
 	// Group the batch per owning shard, remembering request order.
 	perShard := make(map[int][]int, len(m.shards)) // shard index -> request indices
 	for i, p := range req.Points {
@@ -271,9 +266,6 @@ func (c *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
 // written) fails the request. Returns like insertOnce.
 func (c *Coordinator) deleteOnce(w http.ResponseWriter, r *http.Request, req *deleteRequest) (int, string) {
 	m := c.curMap()
-	// Bump the read-memo generation when the delete finishes (see
-	// handleInsert for why completion, not start).
-	defer c.writeGen.Add(1)
 
 	// Bucket ids by their full claimant signature: ids claimed by exactly
 	// one group batch per group as before; ids claimed by several groups go
@@ -376,8 +368,6 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 	c.writeMu.RLock()
 	defer c.writeMu.RUnlock()
 	m := c.curMap()
-	// Flush advances shard epochs, so the read memo must roll over with it.
-	defer c.writeGen.Add(1)
 	resp := flushResponse{Epochs: map[string]uint64{}}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -402,6 +392,12 @@ func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 		}(g)
 	}
 	wg.Wait()
+	// The flush published new epochs, so roll the read cache — success or
+	// not, since a failed flush may have applied on some shards. Rolling at
+	// completion, not start, keeps a read that gathered pre-flush state from
+	// being cached under the post-flush generation; rolling before the reply
+	// is written keeps a client that saw the reply from reading the old body.
+	c.writeGen.Add(1)
 	close(errCh)
 	if err := <-errCh; err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
