@@ -119,7 +119,7 @@ func runShard(addr string, ds *skycube.Dataset, joinFrom, peerList string,
 // given as a flat URL list: with -replicas R, each consecutive run of R
 // URLs is one shard's replica set.
 func runCoordinatorMode(addr, shardList string, replicas int,
-	timeout, hedgeDelay time.Duration, withPprof bool, cacheEntries int, noCache bool,
+	timeout time.Duration, withPprof bool, cacheEntries int, noCache bool,
 	tracing traceOptions) {
 	urls := splitNonEmpty(shardList)
 	if len(urls) == 0 {
@@ -141,7 +141,6 @@ func runCoordinatorMode(addr, shardList string, replicas int,
 	metrics := skycube.NewMetrics()
 	coord, err := cluster.NewCoordinator(specs, cluster.CoordinatorOptions{
 		Timeout:      timeout,
-		HedgeDelay:   hedgeDelay,
 		Metrics:      metrics,
 		Logger:       log.New(os.Stderr, "skycubed: ", log.LstdFlags),
 		CacheEntries: cacheEntries,

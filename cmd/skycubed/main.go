@@ -108,7 +108,6 @@ type cliFlags struct {
 	shardURLs       *string
 	replicas        *int
 	clusterTimeout  *time.Duration
-	hedgeDelay      *time.Duration
 	cacheEntries    *int
 	noCache         *bool
 	dataDir         *string
@@ -140,7 +139,6 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 		shardURLs:       fs.String("shards", "", "with -coordinator: comma-separated shard replica URLs"),
 		replicas:        fs.Int("replicas", 1, "with -coordinator: replicas per shard (consecutive -shards URLs are grouped)"),
 		clusterTimeout:  fs.Duration("cluster-timeout", 0, "with -coordinator: per-attempt shard request timeout (0 = default 2s)"),
-		hedgeDelay:      fs.Duration("hedge-delay", 0, "with -coordinator: delay before hedging a slow read to a second replica (0 = default 50ms, negative disables)"),
 		cacheEntries:    fs.Int("cache-entries", 0, "with -serve: LRU bound of the epoch-keyed response cache (0 = default 4096)"),
 		noCache:         fs.Bool("no-cache", false, "with -serve: disable response caching (the ETag/304 contract remains)"),
 		dataDir:         fs.String("data-dir", "", "with -shard: persist mutations to a write-ahead log and epoch snapshots in this directory, recovering from it on startup (empty = in-memory)"),
@@ -192,7 +190,7 @@ var flagModes = func() map[string]mode {
 		modeBuild | modeStatic: "trace progress",
 		served:                 "serve pprof cache-entries no-cache trace-sample slow-query debug-requests",
 		modeShard:              "shard compact-fraction id-base id-stride join-from peers data-dir fsync checkpoint-every",
-		modeCoordinator:        "coordinator shards replicas cluster-timeout hedge-delay",
+		modeCoordinator:        "coordinator shards replicas cluster-timeout",
 	}
 	out := map[string]mode{}
 	for m, names := range byMode {
@@ -229,6 +227,35 @@ func ignoredFlag(fs *flag.FlagSet, m mode) string {
 	return msg
 }
 
+// shardUsage returns the usage error of a -shard invocation parsed on fs, or
+// "" when it is well formed. The flags that only a data directory reads are
+// refused without one; they count when given at all, since -fsync has a
+// non-empty default.
+func shardUsage(fs *flag.FlagSet, f *cliFlags) string {
+	durableOnly := ""
+	fs.Visit(func(fl *flag.Flag) {
+		switch fl.Name {
+		case "join-from", "peers", "fsync", "checkpoint-every":
+			if durableOnly == "" {
+				durableOnly = fl.Name
+			}
+		}
+	})
+	switch {
+	case *f.serve == "":
+		return "-shard requires -serve"
+	case durableOnly != "" && *f.dataDir == "":
+		return "-" + durableOnly + " requires -data-dir"
+	case *f.joinFrom != "" && fs.NArg() != 0:
+		return "-join-from takes no data file (state comes from the peer)"
+	case *f.idBase < 0 || *f.idStride < 0:
+		return "-id-base and -id-stride must not be negative"
+	case fs.NArg() > 1 || fs.NArg() == 0 && *f.dataDir == "":
+		return "usage: skycubed -shard -serve ADDR [flags] (part.txt | -data-dir DIR [-join-from URL])"
+	}
+	return ""
+}
+
 func main() {
 	f := defineFlags(flag.CommandLine)
 	flag.Parse()
@@ -253,7 +280,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "skycubed: -coordinator takes no data file")
 			os.Exit(2)
 		}
-		runCoordinatorMode(*f.serve, *f.shardURLs, *f.replicas, *f.clusterTimeout, *f.hedgeDelay, *f.pprofFlag, *f.cacheEntries, *f.noCache, tracing)
+		runCoordinatorMode(*f.serve, *f.shardURLs, *f.replicas, *f.clusterTimeout, *f.pprofFlag, *f.cacheEntries, *f.noCache, tracing)
 		return
 	}
 
@@ -289,20 +316,7 @@ func main() {
 	opt.Durable = durableOptions(*f.dataDir, *f.fsyncPolicy, *f.checkpointEvery)
 
 	if *f.shardMode {
-		usage := ""
-		switch {
-		case *f.serve == "":
-			usage = "-shard requires -serve"
-		case *f.joinFrom != "" && *f.dataDir == "":
-			usage = "-join-from requires -shard, -serve and -data-dir"
-		case *f.joinFrom != "" && flag.NArg() != 0:
-			usage = "-join-from takes no data file (state comes from the peer)"
-		case *f.idBase < 0 || *f.idStride < 0:
-			usage = "-id-base and -id-stride must not be negative"
-		case flag.NArg() > 1 || flag.NArg() == 0 && *f.dataDir == "":
-			usage = "usage: skycubed -shard -serve ADDR [flags] (part.txt | -data-dir DIR [-join-from URL])"
-		}
-		if usage != "" {
+		if usage := shardUsage(flag.CommandLine, f); usage != "" {
 			fmt.Fprintln(os.Stderr, "skycubed:", usage)
 			os.Exit(2)
 		}

@@ -46,7 +46,7 @@ func TestIgnoredFlagRefused(t *testing.T) {
 		{[]string{"-algo", "STSC", "-threads", "2", "-max-level", "2", "-query", "0,1", "-trace", "t.json", "-progress"}, ""},
 		{[]string{"-serve", ":0", "-pprof", "-trace", "t.json", "-no-cache", "-trace-sample", "4"}, ""},
 		{[]string{"-serve", ":0", "-shard", "-data-dir", "d", "-fsync", "never", "-id-base", "1", "-id-stride", "2", "-compact-fraction", "0.5"}, ""},
-		{[]string{"-serve", ":0", "-coordinator", "-shards", "a,b", "-replicas", "2", "-hedge-delay", "1ms", "-cache-entries", "8"}, ""},
+		{[]string{"-serve", ":0", "-coordinator", "-shards", "a,b", "-replicas", "2", "-cluster-timeout", "1s", "-cache-entries", "8"}, ""},
 		{[]string{"-serve", ":0", "-data-dir", "d"}, "-data-dir is ignored by a static -serve node; it needs -shard"},
 		{[]string{"-serve", ":0", "-query", "0,1"}, "-query is ignored by a static -serve node; it needs a build (no -serve)"},
 		{[]string{"-serve", ":0", "-shard", "-trace", "t.json"}, "-trace is ignored by -shard; it needs a build (no -serve) or a static -serve node"},
@@ -85,5 +85,39 @@ func TestEveryFlagHasModes(t *testing.T) {
 	})
 	if n != len(flagModes) {
 		t.Errorf("%d flags declared, %d in flagModes", n, len(flagModes))
+	}
+}
+
+// TestShardUsage: the flags only a data directory reads are refused by a
+// -shard node without one (an in-memory node would ignore them), and
+// accepted with one.
+func TestShardUsage(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string // substring of the refusal; "" means accepted
+	}{
+		{[]string{"-serve", ":0", "-shard", "part.txt"}, ""},
+		{[]string{"-serve", ":0", "-shard", "-data-dir", "d", "-peers", "http://a", "-fsync", "never", "-checkpoint-every", "8"}, ""},
+		{[]string{"-serve", ":0", "-shard", "-data-dir", "d", "-join-from", "http://a"}, ""},
+		{[]string{"-shard", "part.txt"}, "-shard requires -serve"},
+		{[]string{"-serve", ":0", "-shard", "-join-from", "http://a"}, "-join-from requires -data-dir"},
+		{[]string{"-serve", ":0", "-shard", "-peers", "http://a", "part.txt"}, "-peers requires -data-dir"},
+		{[]string{"-serve", ":0", "-shard", "-fsync", "always", "part.txt"}, "-fsync requires -data-dir"},
+		{[]string{"-serve", ":0", "-shard", "-checkpoint-every", "8", "part.txt"}, "-checkpoint-every requires -data-dir"},
+		{[]string{"-serve", ":0", "-shard", "-data-dir", "d", "-join-from", "http://a", "part.txt"}, "-join-from takes no data file"},
+		{[]string{"-serve", ":0", "-shard", "-id-base", "-1", "part.txt"}, "must not be negative"},
+		{[]string{"-serve", ":0", "-shard"}, "usage: skycubed -shard"},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet("skycubed", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		f := defineFlags(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatalf("%v: %v", c.args, err)
+		}
+		got := shardUsage(fs, f)
+		if c.want == "" && got != "" || c.want != "" && !strings.Contains(got, c.want) {
+			t.Errorf("%v: refusal %q, want %q", c.args, got, c.want)
+		}
 	}
 }

@@ -45,7 +45,8 @@ func (b *breaker) setState(s int) {
 // Allow reports whether a request may be sent to the replica right now.
 // When the cooldown of an open breaker has elapsed it admits exactly one
 // half-open probe; concurrent callers keep being refused until that probe
-// resolves.
+// resolves. Every admitted request must end in Success or Failure — the
+// client runs each attempt to a verdict — or a probe would never resolve.
 func (b *breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -90,25 +91,6 @@ func (b *breaker) Failure() {
 		b.setState(breakerOpen)
 		b.openedAt = b.now()
 		b.failures = 0
-	}
-}
-
-// AbortProbe releases a half-open probe whose request was abandoned before
-// producing a verdict — e.g. cancelled after losing a hedge race, or the
-// caller's context expired mid-flight. The replica is neither credited nor
-// blamed: the breaker returns to open with its original deadline, so the
-// next Allow may admit a fresh probe immediately. Without this, an
-// abandoned probe would leave probing latched and the replica would be
-// refused forever.
-func (b *breaker) AbortProbe() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.probing {
-		return
-	}
-	b.probing = false
-	if b.state == breakerHalfOpen {
-		b.setState(breakerOpen)
 	}
 }
 

@@ -94,37 +94,6 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	}
 }
 
-func TestBreakerAbortProbeReleasesProbe(t *testing.T) {
-	b, clk := newTestBreaker(1, time.Second)
-	b.Failure()
-	clk.advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("no probe admitted after cooldown")
-	}
-	// The probe's request is abandoned (e.g. cancelled after losing a hedge
-	// race) — without AbortProbe the breaker would stay latched in probing
-	// and refuse every future request.
-	b.AbortProbe()
-	if b.State() != breakerOpen {
-		t.Fatalf("state after aborted probe = %d, want open", b.State())
-	}
-	if !b.Allow() {
-		t.Fatal("breaker wedged: no fresh probe admitted after an aborted one")
-	}
-	b.Success()
-	if b.State() != breakerClosed {
-		t.Fatal("probe success after an aborted probe did not close the breaker")
-	}
-}
-
-func TestBreakerAbortProbeNoopWhenClosed(t *testing.T) {
-	b, _ := newTestBreaker(3, time.Second)
-	b.AbortProbe()
-	if b.State() != breakerClosed || !b.Allow() {
-		t.Fatal("AbortProbe on a closed breaker changed its state")
-	}
-}
-
 func TestBreakerStateCallback(t *testing.T) {
 	var states []int
 	b := newBreaker(1, time.Second, func(s int) { states = append(states, s) })

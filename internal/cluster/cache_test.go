@@ -25,10 +25,8 @@ import (
 // attached so cache counters are observable).
 func fastOpts(reg *obs.Registry) CoordinatorOptions {
 	return CoordinatorOptions{
-		Timeout:     2 * time.Second,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-		Metrics:     reg,
+		Timeout: 2 * time.Second,
+		Metrics: reg,
 	}
 }
 
@@ -239,9 +237,8 @@ func TestCoordinatorETagRoundTrip(t *testing.T) {
 func TestPartialResponseNeverCachedAndNoStore(t *testing.T) {
 	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 73)
 	reg := obs.NewRegistry()
-	opts := fastOpts(reg)
-	opts.BreakerThreshold = 1000 // keep probing the dead shard, no breaker latch
-	tc := newTestCluster(t, ds, 2, 1, skycube.RoundRobinPartition, opts)
+	tc := newTestCluster(t, ds, 2, 1, skycube.RoundRobinPartition, fastOpts(reg))
+	setBreakers(tc.coord, 1000, breakerCooldown) // keep probing the dead shard, no breaker latch
 	if err := tc.coord.Refresh(t.Context()); err != nil {
 		t.Fatal(err)
 	}

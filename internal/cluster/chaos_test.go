@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -20,16 +21,22 @@ import (
 	"skycube/internal/obs"
 )
 
-// faultyHandler wraps a shard with injectable latency and a kill switch.
+// faultyHandler wraps a shard with injectable latency, a kill switch and a
+// hang.
 type faultyHandler struct {
 	inner http.Handler
 	delay atomic.Int64 // nanoseconds added to every request
 	dead  atomic.Bool  // refuse all requests with a 500
+	hung  atomic.Bool  // answer nothing until the client gives up
 }
 
 func (f *faultyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if f.dead.Load() {
 		http.Error(w, "injected fault: replica dead", http.StatusInternalServerError)
+		return
+	}
+	if f.hung.Load() {
+		<-r.Context().Done()
 		return
 	}
 	if d := f.delay.Load(); d > 0 {
@@ -125,11 +132,8 @@ func metricsText(t *testing.T, reg *obs.Registry) string {
 
 func TestChaosSlowReplicaHedgedReads(t *testing.T) {
 	ds := skycube.GenerateSynthetic(skycube.Anticorrelated, 300, 4, 41)
-	cc := newChaosCluster(t, ds, CoordinatorOptions{
-		Timeout:     5 * time.Second,
-		HedgeDelay:  10 * time.Millisecond,
-		BackoffBase: time.Millisecond,
-	})
+	cc := newChaosCluster(t, ds, CoordinatorOptions{Timeout: 5 * time.Second})
+	tuneClient(cc.coord, 10*time.Millisecond)
 	cube, _, err := skycube.Build(ds, skycube.Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -161,15 +165,13 @@ func TestChaosSlowReplicaHedgedReads(t *testing.T) {
 func TestChaosKilledReplicaFailover(t *testing.T) {
 	ds := skycube.GenerateSynthetic(skycube.Independent, 300, 4, 43)
 	cc := newChaosCluster(t, ds, CoordinatorOptions{
-		Timeout:     time.Second,
-		HedgeDelay:  5 * time.Millisecond,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
+		Timeout: time.Second,
 		// This test exercises the fan-out failover machinery; with the
 		// read memo on, the post-kill repeats of an already-answered query
 		// would be served from cache and never touch a replica.
 		DisableCache: true,
 	})
+	tuneClient(cc.coord, 5*time.Millisecond)
 	cube, _, err := skycube.Build(ds, skycube.Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -202,14 +204,9 @@ func TestChaosKilledReplicaFailover(t *testing.T) {
 
 func TestChaosWholeShardDownIsExplicitlyPartial(t *testing.T) {
 	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 47)
-	cc := newChaosCluster(t, ds, CoordinatorOptions{
-		Timeout:          time.Second,
-		HedgeDelay:       5 * time.Millisecond,
-		BackoffBase:      time.Millisecond,
-		BackoffMax:       2 * time.Millisecond,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Hour,
-	})
+	cc := newChaosCluster(t, ds, CoordinatorOptions{Timeout: time.Second})
+	tuneClient(cc.coord, 5*time.Millisecond)
+	setBreakers(cc.coord, 1, time.Hour)
 	// Both replicas of shard 1 die.
 	cc.faults[1][0].dead.Store(true)
 	cc.faults[1][1].dead.Store(true)
@@ -262,11 +259,8 @@ func TestChaosWholeShardDownIsExplicitlyPartial(t *testing.T) {
 
 func TestChaosAllShardsDown(t *testing.T) {
 	ds := skycube.GenerateSynthetic(skycube.Independent, 100, 3, 53)
-	cc := newChaosCluster(t, ds, CoordinatorOptions{
-		Timeout:     500 * time.Millisecond,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-	})
+	cc := newChaosCluster(t, ds, CoordinatorOptions{Timeout: 500 * time.Millisecond})
+	tuneClient(cc.coord, defaultHedgeDelay)
 	// Learn dims while healthy, then lose everything.
 	if err := cc.coord.Refresh(t.Context()); err != nil {
 		t.Fatal(err)
@@ -289,12 +283,8 @@ func TestChaosConcurrentQueriesUnderFaults(t *testing.T) {
 	// run under -race this doubles as a data-race probe for the client's
 	// hedge/retry machinery.
 	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 59)
-	cc := newChaosCluster(t, ds, CoordinatorOptions{
-		Timeout:     time.Second,
-		HedgeDelay:  2 * time.Millisecond,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-	})
+	cc := newChaosCluster(t, ds, CoordinatorOptions{Timeout: time.Second})
+	tuneClient(cc.coord, 2*time.Millisecond)
 	cube, _, err := skycube.Build(ds, skycube.Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -340,6 +330,144 @@ func TestChaosConcurrentQueriesUnderFaults(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestChaosHungReplicaIsBenchedUnderHedging: a replica that never answers is
+// raced by a hedge on every query that starts on it, and the hedge wins. The
+// abandoned attempt still runs to its timeout and counts as a failure, so
+// the replica's breaker opens and later queries stop paying the hedge delay.
+func TestChaosHungReplicaIsBenchedUnderHedging(t *testing.T) {
+	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 83)
+	cc := newChaosCluster(t, ds, CoordinatorOptions{Timeout: 200 * time.Millisecond, DisableCache: true})
+	cube, _, err := skycube.Build(ds, skycube.Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(i int) {
+		delta := mask.Mask(1 + i%7)
+		status, got, err := rawQuerySkyline(cc.coord, delta)
+		if err != nil || status != http.StatusOK || got.Partial {
+			t.Fatalf("query %d: status %d partial=%v err %v", i, status, got.Partial, err)
+		}
+		if want := cube.Skyline(skycube.Subspace(delta)); !equalIDs(got.IDs, want) {
+			t.Fatalf("query %d: subspace %d ids %v, want %v", i, delta, got.IDs, want)
+		}
+	}
+	cc.faults[0][0].hung.Store(true)
+	brk := cc.coord.curMap().shards[0].replicas[0].brk
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; brk.State() != breakerOpen; i++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("hung replica's breaker is still in state %d after %d hedged queries", brk.State(), i)
+		}
+		query(i)
+		if brk.State() == breakerOpen {
+			t.Logf("hung replica benched after %d queries", i+1)
+		}
+	}
+
+	hedges := cc.reg.CounterM("skycube_cluster_hedges_total", "", "shard", "0")
+	before := hedges.Value()
+	const n = 20
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		query(i)
+	}
+	if h := hedges.Value() - before; h != 0 {
+		t.Fatalf("%v hedges on shard 0 with its hung replica benched", h)
+	}
+	if d := time.Since(start); d >= n*defaultHedgeDelay {
+		t.Fatalf("%d queries took %v with the hung replica benched: they still wait out hedge delays", n, d)
+	}
+}
+
+// TestChaosHedgeKeepsRotationFair: with one of a shard's two replicas slower
+// than the hedge delay, the rotation still starts every other request on the
+// fast replica, so about half the queries hedge. A hedge that advanced the
+// rotation would start the next request on the slow replica again.
+func TestChaosHedgeKeepsRotationFair(t *testing.T) {
+	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 89)
+	cc := newChaosCluster(t, ds, CoordinatorOptions{Timeout: 5 * time.Second, DisableCache: true})
+	if err := cc.coord.Refresh(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	cc.faults[0][1].delay.Store(int64(3 * defaultHedgeDelay))
+	const n = 40
+	for i := 0; i < n; i++ {
+		delta := mask.Mask(1 + i%7)
+		if status, got, err := rawQuerySkyline(cc.coord, delta); err != nil || status != http.StatusOK || got.Partial {
+			t.Fatalf("query %d: status %d partial=%v err %v", i, status, got.Partial, err)
+		}
+	}
+	h := cc.reg.CounterM("skycube_cluster_hedges_total", "", "shard", "0").Value()
+	t.Logf("%v of %d queries hedged on shard 0", h, n)
+	if h > n/2+1 {
+		t.Fatalf("%v of %d queries hedged on shard 0; a fair rotation hedges about half", h, n)
+	}
+}
+
+// TestChaosCallerCancelDoesNotLatchDivergence: a caller that leaves mid-insert
+// does not abandon the write. Every replica it reached applies the batch, so
+// the replica sets stay equal and no shard reports diverged writes.
+func TestChaosCallerCancelDoesNotLatchDivergence(t *testing.T) {
+	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 97)
+	cc := newChaosCluster(t, ds, CoordinatorOptions{Timeout: 5 * time.Second})
+	if err := cc.coord.Refresh(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	for _, shard := range cc.faults {
+		shard[1].delay.Store(int64(200 * time.Millisecond))
+	}
+	shardOf := func(f *faultyHandler) *Shard { return f.inner.(*Shard) }
+	pending := func(rep int) int {
+		n := 0
+		for _, shard := range cc.faults {
+			ins, _ := shardOf(shard[rep]).Updater().Pending()
+			n += ins
+		}
+		return n
+	}
+
+	ctx, cancel := context.WithCancel(t.Context())
+	body, err := json.Marshal(insertRequest{Points: [][]float32{{0.05, 0.05, 0.05}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/insert", bytes.NewReader(body)).WithContext(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		cc.coord.ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	// The caller leaves once the fast replica has the point and the slow one
+	// is still at work.
+	deadline := time.Now().Add(5 * time.Second)
+	for pending(0) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the fast replica never received the insert")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-done
+
+	postJSON(t, cc.coord, "/flush", struct{}{}, http.StatusOK)
+	for s, shard := range cc.faults {
+		if a, b := shardOf(shard[0]).Updater().Current().Live(), shardOf(shard[1]).Updater().Current().Live(); a != b {
+			t.Fatalf("shard %d: replicas hold %d and %d live points", s, a, b)
+		}
+	}
+	rec := httptest.NewRecorder()
+	cc.coord.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/info", nil))
+	var info infoResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range info.Shards {
+		if sh.WritesDiverged {
+			t.Fatalf("shard %s reports diverged writes after a cancelled insert", sh.Name)
 		}
 	}
 }
@@ -391,7 +519,7 @@ func TestChaosEpochAdvanceMidGather(t *testing.T) {
 		}
 		specs = append(specs, ShardSpec{Replicas: []string{srv.URL}, IDBase: s, IDStride: k})
 	}
-	coord, err := NewCoordinator(specs, CoordinatorOptions{Timeout: time.Second, HedgeDelay: -1, DisableCache: true})
+	coord, err := NewCoordinator(specs, CoordinatorOptions{Timeout: time.Second, DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}

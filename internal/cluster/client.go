@@ -15,15 +15,25 @@ import (
 	"skycube/internal/obs"
 )
 
-// Client-side defaults (CoordinatorOptions fields left zero).
+// The replica client's constants. Timeout is the one deployment bound
+// (CoordinatorOptions.Timeout); everything else is fixed.
 const (
-	DefaultTimeout          = 2 * time.Second
-	DefaultHedgeDelay       = 50 * time.Millisecond
-	DefaultMaxAttempts      = 3
-	DefaultBackoffBase      = 25 * time.Millisecond
-	DefaultBackoffMax       = 500 * time.Millisecond
-	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = 5 * time.Second
+	DefaultTimeout = 2 * time.Second
+
+	// defaultHedgeDelay is how long a primary may stay silent before a hedge
+	// races the next replica of the walk.
+	defaultHedgeDelay = 50 * time.Millisecond
+	// maxAttempts caps a read's primary plus failovers (a hedge is extra)
+	// and a write's tries per replica.
+	maxAttempts = 3
+	// defaultBackoffBase doubles per retry up to backoffMax, with ±50 %
+	// jitter.
+	defaultBackoffBase = 25 * time.Millisecond
+	backoffMax         = 500 * time.Millisecond
+	// breakerThreshold consecutive failures open a replica's breaker for
+	// breakerCooldown, during which the replica is skipped outright.
+	breakerThreshold = 5
+	breakerCooldown  = 5 * time.Second
 
 	// maxResponseBytes caps how much of a replica response is read (a
 	// skyline of every point of a large shard, with coordinates, stays far
@@ -115,32 +125,16 @@ func (g *shardGroup) clone() *shardGroup {
 	return ng
 }
 
-// pick returns the next replica whose breaker admits a request, nil if none.
-// Replicas already tried this request (in `used`) are skipped.
-func (g *shardGroup) pick(used map[*replica]bool) *replica {
-	n := len(g.replicas)
-	start := int(g.rr.Add(1))
-	for i := 0; i < n; i++ {
-		rep := g.replicas[(start+i)%n]
-		if used[rep] || !rep.brk.Allow() {
-			continue
-		}
-		used[rep] = true
-		return rep
-	}
-	return nil
-}
-
 // fanoutClient issues requests to shard replicas with per-attempt timeouts,
 // capped exponential backoff + jitter retries, hedged reads and circuit
 // breakers.
 type fanoutClient struct {
-	hc          *http.Client
-	timeout     time.Duration
-	hedgeDelay  time.Duration // 0 disables hedging
-	maxAttempts int
+	hc      *http.Client
+	timeout time.Duration
+	// hedgeDelay (0 disables hedging) and backoffBase are
+	// defaultHedgeDelay and defaultBackoffBase; tests shorten them.
+	hedgeDelay  time.Duration
 	backoffBase time.Duration
-	backoffMax  time.Duration
 	metrics     *obs.ClusterMetrics
 }
 
@@ -149,8 +143,8 @@ type fanoutClient struct {
 // decorrelate.
 func (c *fanoutClient) backoff(n int) time.Duration {
 	d := c.backoffBase << uint(n-1)
-	if d > c.backoffMax || d <= 0 {
-		d = c.backoffMax
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	return time.Duration(float64(d) * (0.5 + rand.Float64()))
 }
@@ -159,8 +153,13 @@ func (c *fanoutClient) backoff(n int) time.Duration {
 // trace context when the request is traced and the shard-map generation
 // when the caller pinned one. Non-2xx statuses are errors carrying a body
 // snippet; a stale-generation 409 carries the shard's current generation.
+//
+// The attempt does not end with ctx: a hedge loser, or an attempt whose
+// caller left, still runs to a success or a failure that its replica's
+// breaker can count — and a write the caller abandoned still lands on every
+// replica it reached.
 func (c *fanoutClient) do(ctx context.Context, method, url string, body []byte, traceparent string, gen uint64) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.timeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -205,19 +204,30 @@ func (c *fanoutClient) do(ctx context.Context, method, url string, body []byte, 
 	return b, nil
 }
 
-// get fetches path from one of the shard's replicas: the rotation-chosen
-// primary first, a hedge against a second replica if the primary is slow,
-// and backoff retries on failure until maxAttempts is exhausted or no
-// breaker admits another try. The attempt that loses the race is cancelled
-// via context.
+// verdict credits an attempt's outcome to its replica's breaker. A 4xx
+// means the replica is up and answering; only the request was bad.
+func verdict(rep *replica, err error) {
+	if err == nil || isCallerError(err) {
+		rep.brk.Success()
+	} else {
+		rep.brk.Failure()
+	}
+}
+
+// get fetches path from one of the shard's replicas. Each request takes one
+// rotation step and walks the replicas from there: the primary, the hedge
+// (launched when the primary is still silent after hedgeDelay) and each
+// failover take the next replica in the walk whose breaker admits a request.
+// A failover to an untried replica starts at once; a revisit, once the walk
+// has wrapped, waits a backoff. get returns at the first success, at a 4xx,
+// when maxAttempts have failed, or when ctx ends — attempts still running
+// then go on to their verdicts.
 //
 // When the request is traced (ctx carries a ReqRecord) every attempt sends
 // the traceparent header — so the shard's hop record joins the trace — and
 // the record receives one event per attempt, hedge, retry and breaker
 // rejection. Untraced requests pay a context lookup and nil tests.
 func (c *fanoutClient) get(ctx context.Context, g *shardGroup, path string, gen uint64) ([]byte, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	rec := obs.RecordFrom(ctx)
 	tp := rec.Traceparent()
 
@@ -226,67 +236,66 @@ func (c *fanoutClient) get(ctx context.Context, g *shardGroup, path string, gen 
 		err   error
 		hedge bool
 	}
-	results := make(chan attemptResult, c.maxAttempts+1)
-	used := map[*replica]bool{}
-	launch := func(hedge bool) bool {
-		rep := g.pick(used)
-		if rep == nil && !hedge {
-			// Every replica has been tried once; a retry may revisit them
-			// (the failure could have been transient), but a hedge must
-			// not duplicate a request already in flight.
-			for k := range used {
-				delete(used, k)
+	// Room for every attempt get may launch, so those still running when it
+	// returns deliver their results without a reader.
+	results := make(chan attemptResult, maxAttempts+1)
+	n := len(g.replicas)
+	start := int(g.rr.Add(1) % uint64(n))
+	pos := 0 // walk positions below n are untried replicas
+	// launch starts an attempt on the next admitting replica of the walk
+	// before position limit.
+	launch := func(limit int, hedge bool) bool {
+		for ; pos < limit; pos++ {
+			rep := g.replicas[(start+pos)%n]
+			if !rep.brk.Allow() {
+				continue
 			}
-			rep = g.pick(used)
-		}
-		if rep == nil {
-			if rec != nil {
-				rec.Event(obs.Event{Kind: obs.EvBreakerReject, Shard: g.name,
-					Hedge: hedge, Start: rec.Since()})
-			}
-			return false
-		}
-		go func() {
-			began := rec.Since()
-			body, err := c.do(ctx, http.MethodGet, rep.url+path, nil, tp, gen)
-			switch {
-			case err == nil, isCallerError(err):
-				// A 4xx means the replica is up and answering; only the
-				// request was bad. Either way the replica made contact.
-				rep.brk.Success()
-			case ctx.Err() != nil:
-				// A cancelled loser is not a replica failure — and if this
-				// attempt held the breaker's single half-open probe,
-				// release it so the replica is not wedged out of rotation
-				// until the next verdict-producing attempt.
-				rep.brk.AbortProbe()
-			default:
-				rep.brk.Failure()
-			}
-			if rec != nil {
-				ev := obs.Event{Kind: obs.EvAttempt, Shard: g.name, Replica: rep.url,
-					Hedge: hedge, Start: began, Dur: rec.Since() - began}
-				if err != nil {
-					ev.Err = err.Error()
+			pos++
+			go func() {
+				began := rec.Since()
+				body, err := c.do(ctx, http.MethodGet, rep.url+path, nil, tp, gen)
+				verdict(rep, err)
+				if rec != nil {
+					ev := obs.Event{Kind: obs.EvAttempt, Shard: g.name, Replica: rep.url,
+						Hedge: hedge, Start: began, Dur: rec.Since() - began}
+					if err != nil {
+						ev.Err = err.Error()
+					}
+					rec.Event(ev)
 				}
-				rec.Event(ev)
-			}
-			results <- attemptResult{body, err, hedge}
-		}()
-		return true
+				results <- attemptResult{body, err, hedge}
+			}()
+			return true
+		}
+		if rec != nil {
+			rec.Event(obs.Event{Kind: obs.EvBreakerReject, Shard: g.name,
+				Hedge: hedge, Start: rec.Since()})
+		}
+		return false
 	}
 
-	if !launch(false) {
+	if !launch(n, false) {
 		return nil, errAllReplicasDown
 	}
-	inflight := 1
-	attempts := 1
+	inflight, attempts := 1, 1
+	failover := func(limit int) bool {
+		if !launch(limit, false) {
+			return false
+		}
+		c.metrics.Retry(g.name)
+		inflight++
+		attempts++
+		if rec != nil {
+			rec.Event(obs.Event{Kind: obs.EvRetry, Shard: g.name, Start: rec.Since(),
+				N: int64(attempts)})
+		}
+		return true
+	}
 	hedged := false
-	var hedgeTimer <-chan time.Time
-	if c.hedgeDelay > 0 && len(g.replicas) > 1 {
+	var hedgeTimer, retryTimer <-chan time.Time
+	if c.hedgeDelay > 0 && n > 1 {
 		hedgeTimer = time.After(c.hedgeDelay)
 	}
-	var retryTimer <-chan time.Time
 	var lastErr error
 
 	for {
@@ -295,9 +304,9 @@ func (c *fanoutClient) get(ctx context.Context, g *shardGroup, path string, gen 
 			return nil, ctx.Err()
 		case <-hedgeTimer:
 			hedgeTimer = nil
-			// The primary is slower than the hedge delay: race a second
-			// replica and take whichever answers first.
-			if launch(true) {
+			// The primary is slower than the hedge delay: race the next
+			// untried replica and take whichever answers first.
+			if launch(n, true) {
 				hedged = true
 				inflight++
 				if rec != nil {
@@ -306,15 +315,9 @@ func (c *fanoutClient) get(ctx context.Context, g *shardGroup, path string, gen 
 			}
 		case <-retryTimer:
 			retryTimer = nil
-			if launch(false) {
-				c.metrics.Retry(g.name)
-				inflight++
-				attempts++
-				if rec != nil {
-					rec.Event(obs.Event{Kind: obs.EvRetry, Shard: g.name, Start: rec.Since(),
-						N: int64(attempts)})
-				}
-			} else if inflight == 0 {
+			// The walk has wrapped: revisit the replicas, whose failures
+			// may have been transient.
+			if !failover(pos + n) {
 				return nil, lastErr
 			}
 		case r := <-results:
@@ -331,10 +334,13 @@ func (c *fanoutClient) get(ctx context.Context, g *shardGroup, path string, gen 
 				return nil, r.err
 			}
 			lastErr = r.err
+			if attempts < maxAttempts && pos < n && failover(n) {
+				continue
+			}
 			if inflight > 0 || retryTimer != nil {
 				continue // the race partner may still win
 			}
-			if attempts >= c.maxAttempts {
+			if attempts >= maxAttempts {
 				return nil, lastErr
 			}
 			retryTimer = time.After(c.backoff(attempts))
@@ -342,10 +348,22 @@ func (c *fanoutClient) get(ctx context.Context, g *shardGroup, path string, gen 
 	}
 }
 
+// sleep waits d and reports whether ctx was still live at its end.
+func sleep(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
 // post writes body to every replica of the shard in parallel (replication
 // is write-all so replicas stay byte-identical), retrying each replica
-// with backoff. It returns one response body per replica, or an error if
-// any replica could not be written.
+// with backoff while the caller waits. It returns one response body per
+// replica, or an error if any replica could not be written.
 func (c *fanoutClient) post(ctx context.Context, g *shardGroup, path string, body []byte, gen uint64) ([][]byte, error) {
 	type repResult struct {
 		i    int
@@ -362,6 +380,7 @@ func (c *fanoutClient) post(ctx context.Context, g *shardGroup, path string, bod
 			for n := 1; ; n++ {
 				began := rec.Since()
 				b, err = c.do(ctx, http.MethodPost, rep.url+path, body, tp, gen)
+				verdict(rep, err)
 				if rec != nil {
 					ev := obs.Event{Kind: obs.EvAttempt, Shard: g.name, Replica: rep.url,
 						Start: began, Dur: rec.Since() - began}
@@ -370,26 +389,11 @@ func (c *fanoutClient) post(ctx context.Context, g *shardGroup, path string, bod
 					}
 					rec.Event(ev)
 				}
-				if err == nil || isCallerError(err) {
-					// A 4xx is the caller's fault: the replica answered, so
-					// it is healthy for the breaker's purposes, and a retry
-					// would deterministically fail the same way.
-					rep.brk.Success()
-					break
-				}
-				if ctx.Err() != nil {
-					rep.brk.AbortProbe()
-					break
-				}
-				rep.brk.Failure()
-				if n >= c.maxAttempts {
+				// A 4xx would fail the same way again.
+				if err == nil || isCallerError(err) || n >= maxAttempts || !sleep(ctx, c.backoff(n)) {
 					break
 				}
 				c.metrics.Retry(g.name)
-				select {
-				case <-time.After(c.backoff(n)):
-				case <-ctx.Done():
-				}
 			}
 			ch <- repResult{i, b, err}
 		}(i, rep)

@@ -529,14 +529,30 @@ func TestCoordinatorLearnsIDMappingFromShards(t *testing.T) {
 	}
 }
 
+// tuneClient sets the coordinator's hedge delay (0 turns hedging off) and
+// shortens its retry backoff to 1 ms, for tests that provoke failovers. Call
+// it before the coordinator serves anything.
+func tuneClient(c *Coordinator, hedgeDelay time.Duration) {
+	c.client.hedgeDelay = hedgeDelay
+	c.client.backoffBase = time.Millisecond
+}
+
+// setBreakers re-tunes the breaker of every replica in the coordinator's
+// current map.
+func setBreakers(c *Coordinator, threshold int, cooldown time.Duration) {
+	for _, g := range c.curMap().shards {
+		for _, rep := range g.replicas {
+			rep.brk.mu.Lock()
+			rep.brk.threshold, rep.brk.cooldown = threshold, cooldown
+			rep.brk.mu.Unlock()
+		}
+	}
+}
+
 func TestCoordinatorOptionsDefaults(t *testing.T) {
 	o := CoordinatorOptions{}.withDefaults()
-	if o.Timeout != DefaultTimeout || o.HedgeDelay != DefaultHedgeDelay ||
-		o.MaxAttempts != DefaultMaxAttempts || o.BreakerThreshold != DefaultBreakerThreshold {
+	if o.Timeout != DefaultTimeout || o.Client == nil {
 		t.Fatalf("withDefaults = %+v", o)
-	}
-	if d := (CoordinatorOptions{HedgeDelay: -1}).withDefaults().HedgeDelay; d != 0 {
-		t.Fatalf("negative HedgeDelay should disable hedging, got %v", d)
 	}
 	if _, err := NewCoordinator(nil, CoordinatorOptions{}); err == nil {
 		t.Fatal("NewCoordinator accepted an empty shard map")
@@ -640,15 +656,12 @@ func TestCoordinatorInsertRetryIsIdempotent(t *testing.T) {
 	}))
 	defer srv.Close()
 	coord, err := NewCoordinator([]ShardSpec{{Replicas: []string{srv.URL}}}, CoordinatorOptions{
-		Timeout:     100 * time.Millisecond,
-		HedgeDelay:  -1,
-		MaxAttempts: 3,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
+		Timeout: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuneClient(coord, 0)
 
 	ins := [][]float32{{0.1, 0.2, 0.3}, {0.9, 0.8, 0.7}}
 	var resp insertResponse
@@ -757,9 +770,7 @@ func TestClient4xxNotRetriedAndNoBreakerTrip(t *testing.T) {
 	c := &fanoutClient{
 		hc:          srv.Client(),
 		timeout:     time.Second,
-		maxAttempts: 3,
 		backoffBase: time.Millisecond,
-		backoffMax:  time.Millisecond,
 		metrics:     obs.NewClusterMetrics(nil),
 	}
 	if _, err := c.get(context.Background(), g, "/shard/cuboid?subspace=1", 0); err == nil || !isCallerError(err) {
@@ -810,16 +821,11 @@ func TestCoordinatorSurfacesWriteDivergence(t *testing.T) {
 	}))
 	defer srvB.Close()
 	coord, err := NewCoordinator([]ShardSpec{{Name: "s0", Replicas: []string{srvA.URL, srvB.URL}}},
-		CoordinatorOptions{
-			Timeout:     time.Second,
-			HedgeDelay:  -1,
-			MaxAttempts: 2,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  time.Millisecond,
-		})
+		CoordinatorOptions{Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuneClient(coord, 0)
 
 	postJSON(t, coord, "/insert",
 		insertRequest{Points: [][]float32{{0.5, 0.5, 0.5}}}, http.StatusBadGateway)

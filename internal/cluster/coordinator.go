@@ -32,22 +32,11 @@ type ShardSpec struct {
 }
 
 // CoordinatorOptions tune the scatter-gather serving path. The zero value
-// uses the Default* constants.
+// is a working coordinator.
 type CoordinatorOptions struct {
-	// Timeout bounds each HTTP attempt against a replica.
+	// Timeout bounds each HTTP attempt against a replica (0 means
+	// DefaultTimeout).
 	Timeout time.Duration
-	// HedgeDelay is how long the primary replica may stay silent before a
-	// hedge request races a second replica; negative disables hedging.
-	HedgeDelay time.Duration
-	// MaxAttempts caps tries per shard per request (1 = no retries).
-	MaxAttempts int
-	// BackoffBase/BackoffMax shape the capped exponential retry backoff
-	// (jitter of ±50% is always applied).
-	BackoffBase, BackoffMax time.Duration
-	// BreakerThreshold consecutive failures open a replica's breaker for
-	// BreakerCooldown, during which the replica is skipped outright.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Prune is read by nothing in this package: there is one gather. The
 	// field stays only because benchmark/serve.go sets it and benchmark/ is
 	// frozen while a PR is measured against it; the benchmark PR that drops
@@ -93,26 +82,6 @@ type CoordinatorOptions struct {
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.Timeout <= 0 {
 		o.Timeout = DefaultTimeout
-	}
-	if o.HedgeDelay == 0 {
-		o.HedgeDelay = DefaultHedgeDelay
-	} else if o.HedgeDelay < 0 {
-		o.HedgeDelay = 0
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = DefaultMaxAttempts
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = DefaultBackoffBase
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = DefaultBackoffMax
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = DefaultBreakerCooldown
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{}
@@ -251,10 +220,8 @@ func NewCoordinator(specs []ShardSpec, opt CoordinatorOptions) (*Coordinator, er
 		client: &fanoutClient{
 			hc:          opt.Client,
 			timeout:     opt.Timeout,
-			hedgeDelay:  opt.HedgeDelay,
-			maxAttempts: opt.MaxAttempts,
-			backoffBase: opt.BackoffBase,
-			backoffMax:  opt.BackoffMax,
+			hedgeDelay:  defaultHedgeDelay,
+			backoffBase: defaultBackoffBase,
 			metrics:     cm,
 		},
 	}
@@ -318,7 +285,7 @@ func (c *Coordinator) curMap() *shardMap { return c.smap.Load() }
 func (c *Coordinator) newReplica(u string) *replica {
 	u = strings.TrimRight(u, "/")
 	rep := &replica{url: u}
-	rep.brk = newBreaker(c.opt.BreakerThreshold, c.opt.BreakerCooldown,
+	rep.brk = newBreaker(breakerThreshold, breakerCooldown,
 		func(state int) { c.cm.Breaker(u, state) })
 	return rep
 }

@@ -254,7 +254,7 @@ func TestCorruptFrameFailsItsShard(t *testing.T) {
 	reg := obs.NewRegistry()
 	ring := obs.NewRequestRing(16)
 	coord, err := NewCoordinator(specs, CoordinatorOptions{
-		Timeout: 5 * time.Second, HedgeDelay: -1,
+		Timeout: 5 * time.Second,
 		Metrics: reg, Logger: log.New(&logged, "", 0), Requests: ring,
 	})
 	if err != nil {

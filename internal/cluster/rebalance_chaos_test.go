@@ -271,14 +271,13 @@ func TestChaosLiveSplitUnderLoad(t *testing.T) {
 		specs = append(specs, ShardSpec{Replicas: []string{srv.URL}, IDBase: s, IDStride: k})
 	}
 	coord, err := NewCoordinator(specs, CoordinatorOptions{
-		Timeout:     5 * time.Second,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
-		Metrics:     reg,
+		Timeout: 5 * time.Second,
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuneClient(coord, defaultHedgeDelay)
 
 	// The oracle: every id the cluster has accepted, with its point. The
 	// cluster's answers must equal this map's brute-force skyline regardless
@@ -542,16 +541,11 @@ func TestChaosRestartedReplicaCatchesUpBeforeReady(t *testing.T) {
 
 	coord, err := NewCoordinator([]ShardSpec{
 		{Replicas: []string{srvA.URL, srvB.URL}, IDBase: 0, IDStride: 1},
-	}, CoordinatorOptions{
-		Timeout:     2 * time.Second,
-		HedgeDelay:  -1,
-		MaxAttempts: 2,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-	})
+	}, CoordinatorOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuneClient(coord, 0)
 	points := map[int32][]float32{}
 	for i := 0; i < ds.Len(); i++ {
 		points[int32(i)] = ds.Point(i)
@@ -695,14 +689,11 @@ func TestCoordinatorRefreshRacesMapChanges(t *testing.T) {
 		specs = append(specs, ShardSpec{Replicas: []string{srv.URL}, IDBase: s, IDStride: 2})
 		extras = append(extras, srv2.URL)
 	}
-	coord, err := NewCoordinator(specs, CoordinatorOptions{
-		Timeout:     2 * time.Second,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-	})
+	coord, err := NewCoordinator(specs, CoordinatorOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuneClient(coord, defaultHedgeDelay)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -856,14 +847,11 @@ func TestCoordinatorAdoptsShardMapGeneration(t *testing.T) {
 		}
 	}
 
-	coord, err := NewCoordinator(specs, CoordinatorOptions{
-		Timeout:     2 * time.Second,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-	})
+	coord, err := NewCoordinator(specs, CoordinatorOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuneClient(coord, defaultHedgeDelay)
 
 	// First read: attempt 1 carries gen 1 and collects 409s; the retry must
 	// run on the adopted generation and succeed completely.
@@ -929,10 +917,11 @@ func TestCoordinatorAdoptsOnFirstMembershipOp(t *testing.T) {
 
 	coord, err := NewCoordinator(
 		[]ShardSpec{{Replicas: []string{srv.URL}, IDBase: 0, IDStride: 1}},
-		CoordinatorOptions{Timeout: 2 * time.Second, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
+		CoordinatorOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tuneClient(coord, defaultHedgeDelay)
 
 	done := make(chan struct{})
 	var joined adminSwapResponse

@@ -41,11 +41,6 @@ func newTracedCluster(t *testing.T, copt CoordinatorOptions) *tracedCluster {
 	if copt.Timeout == 0 {
 		copt.Timeout = 5 * time.Second
 	}
-	if copt.HedgeDelay == 0 {
-		// A hedge firing under CI load would add attempts nondeterministically
-		// (the golden shape test pins the attempt list).
-		copt.HedgeDelay = time.Minute
-	}
 	tc.testCluster = newTestClusterOpts(t, ds, 2, 1, skycube.RoundRobinPartition, copt,
 		func(shard, replica int, so *ShardOptions) {
 			ring := obs.NewRequestRing(64)
