@@ -297,8 +297,9 @@ func (s *Shard) handlePrune(w http.ResponseWriter, r *http.Request) {
 		deleted++
 	}
 	after := s.up.Flush()
+	// The flush committed its marker, and the deletes before it, itself.
 	if st := s.up.Store(); st != nil {
-		if err := st.Commit(); err != nil {
+		if err := st.Err(); err != nil {
 			http.Error(w, fmt.Sprintf("prune commit: %v", err), http.StatusInternalServerError)
 			return
 		}

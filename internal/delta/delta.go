@@ -184,7 +184,9 @@ type Options struct {
 // that same lock is held — so a mutation record sequenced before an epoch
 // marker is exactly a mutation that epoch applied, and one sequenced after
 // it is pending on the new epoch. Epoch markers are committed before the
-// snapshot is published, so a served epoch can never be lost to a crash.
+// snapshot is published, so a served epoch can never be lost to a crash;
+// the commit runs on its own goroutine while the epoch is computed, so
+// Commit must be safe to call concurrently with the Log* methods.
 type Journal interface {
 	// LogInsert records an accepted insert: the id the updater assigned and
 	// the point, stamped with the epoch current when it was buffered.
@@ -746,15 +748,19 @@ func (u *Updater) Compact() *Snapshot {
 	u.mu.Lock()
 	start := time.Now()
 	prev := u.cur.Load()
-	snap := u.buildBaseLocked(prev.epoch + 1)
-	// As in applyLocked: the marker is journaled and committed before the
-	// epoch is published. Compaction does not drain the pending buffer, so
-	// mutation records racing past this marker correctly stay pending.
+	// As in applyLocked, the marker is journaled first and committed while
+	// the base is rebuilt, and the epoch is published only once it is
+	// durable. Its fields are known up front: a compaction kills no point.
+	// It drains nothing either, so mutation records on either side of the
+	// marker stay pending, and replay rebuilds wherever the marker sits.
+	var c commit
 	if u.journal != nil {
-		if err := u.journal.LogEpoch(true, snap.epoch, snap.live); err == nil {
-			_ = u.journal.Commit()
+		if err := u.journal.LogEpoch(true, prev.epoch+1, prev.live); err == nil {
+			c = u.startCommit()
 		}
 	}
+	snap := u.buildBaseLocked(prev.epoch + 1)
+	c.wait()
 	u.publish(snap)
 	u.mu.Unlock()
 	atomic.AddInt64(&u.compactions, 1)
@@ -961,8 +967,10 @@ func (u *Updater) applyLocked() *Snapshot {
 	// held: the records sequenced before this marker are exactly the
 	// mutations this epoch applies (an insert racing this flush lands after
 	// the marker and stays pending on replay). On journal failure the batch
-	// is left buffered and the flush is a no-op — the durable-commit at the
-	// serving layer's ack point surfaces the same error to the client.
+	// is left buffered and the flush is a no-op — the journal's sticky error
+	// reaches the client at the serving layer's ack. The marker's commit
+	// starts here and runs while the epoch is computed.
+	var c commit
 	if u.journal != nil {
 		liveIns := 0
 		for _, pi := range inserts {
@@ -974,6 +982,7 @@ func (u *Updater) applyLocked() *Snapshot {
 			u.pendMu.Unlock()
 			return prev
 		}
+		c = u.startCommit()
 	}
 	u.pendInserts = nil
 	u.pendDeleted = make(map[int32]struct{})
@@ -1111,19 +1120,45 @@ func (u *Updater) applyLocked() *Snapshot {
 	}
 	u.settle(prev, snap, append(grown, cleared...), lives)
 
-	// Commit the epoch marker before publishing: once an epoch is served it
-	// must survive a crash, or recovery could reuse the number for different
-	// content and poison epoch-keyed caches. A commit failure still
-	// publishes (writer state is already mutated); the serving layer's ack
-	// commit reports the durability loss to the client.
-	if u.journal != nil {
-		_ = u.journal.Commit()
-	}
+	// The epoch marker is durable before the epoch is published: once an
+	// epoch is served it must survive a crash, or recovery could reuse the
+	// number for different content and poison epoch-keyed caches.
+	c.wait()
 	u.publish(snap)
 	u.opt.Metrics.Batch(len(lives), len(members), len(victims), affected.Count(), len(promoted), time.Since(start))
 	u.opt.Metrics.Epoch(snap.epoch, snap.live, snap.OverlaySize())
 	u.maybeCompact(snap)
 	return snap
+}
+
+// commit is an epoch marker's durable commit in flight: closed once the
+// journal's Commit returns. The nil commit is the one an updater without a
+// journal never started, and waits for nothing.
+type commit chan struct{}
+
+// startCommit commits every record journaled so far on its own goroutine,
+// so that a flush or compaction computes its epoch while the marker it
+// journaled syncs. Without a journal (an in-memory updater, or WAL replay
+// before AttachJournal) it starts nothing. Caller holds u.mu. A commit
+// failure still publishes (writer state is already mutated); the journal's
+// sticky error reaches the client at the serving layer's ack.
+func (u *Updater) startCommit() commit {
+	if u.journal == nil {
+		return nil
+	}
+	c := make(commit)
+	go func() {
+		defer close(c)
+		_ = u.journal.Commit()
+	}()
+	return c
+}
+
+// wait blocks until the commit has returned.
+func (c commit) wait() {
+	if c != nil {
+		<-c
+	}
 }
 
 // class is where a live point's mask puts it among the lists a batch keeps.

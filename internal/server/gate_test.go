@@ -66,14 +66,44 @@ func newDurableServer(t *testing.T, dir string) (*Server, *skycube.Updater) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := skycube.NewMetrics()
 	up, err := skycube.NewUpdater(ds, skycube.Options{
-		Threads: 2,
+		Threads: 2, Metrics: reg,
 		Durable: skycube.DurableOptions{Dir: dir, CheckpointEvery: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewWith(nil, nil, Options{Updater: up}), up
+	return NewWith(nil, nil, Options{Updater: up, Metrics: reg}), up
+}
+
+// TestDurableFlushAckPaysOneFsync: the updater commits an epoch marker
+// itself while it computes the epoch, so with no other writer an
+// acknowledged /flush or /compact moves skycube_wal_fsyncs_total by exactly
+// one; the ack reads the log's sticky error instead of committing again.
+func TestDurableFlushAckPaysOneFsync(t *testing.T) {
+	s, up := newDurableServer(t, t.TempDir())
+	defer up.Close()
+	fsyncs := func() float64 { return s.opt.Metrics.CounterM("skycube_wal_fsyncs_total", "").Value() }
+
+	if rec := post(t, s, "/insert", `{"points":[[1,2,3]]}`); rec.Code != http.StatusOK {
+		t.Fatalf("insert: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec := post(t, s, "/delete", `{"ids":[2]}`); rec.Code != http.StatusOK {
+		t.Fatalf("delete: status %d: %s", rec.Code, rec.Body.String())
+	}
+	for _, path := range []string{"/flush", "/compact"} {
+		before := fsyncs()
+		if rec := post(t, s, path, ""); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body.String())
+		}
+		if got := fsyncs() - before; got != 1 {
+			t.Fatalf("%s paid %v fsyncs, want 1", path, got)
+		}
+	}
+	if got := up.Current(); got.Epoch() != 3 || got.Live() != 5 {
+		t.Fatalf("epoch %d with %d live, want 3 with 5", got.Epoch(), got.Live())
+	}
 }
 
 // TestDurableBatchDedupAcrossRestart: an acknowledged idempotent batch

@@ -84,7 +84,7 @@ type Store struct {
 	sCond     *sync.Cond
 	syncing   bool
 	syncedCnt uint64 // records known durable
-	syncErr   error  // sticky: a failed fsync poisons the store
+	syncErr   error  // sticky: a failed write or fsync poisons the store
 
 	// ckMu serialises checkpoints; updater is the replay/capture target,
 	// set once by AttachUpdater before serving.
@@ -238,6 +238,7 @@ func (s *Store) appendLocked(r *Record) error {
 	}
 	frame := AppendFrame(nil, payload)
 	if _, err := s.buf.Write(frame); err != nil {
+		s.poison(err)
 		return err
 	}
 	s.written += int64(len(frame))
@@ -267,6 +268,9 @@ func (s *Store) Commit() error {
 	if s.opt.Fsync != FsyncAlways {
 		err := s.flushLocked()
 		s.mu.Unlock()
+		if err != nil {
+			s.poison(err)
+		}
 		return err
 	}
 	s.mu.Unlock()
@@ -299,6 +303,34 @@ func (s *Store) Commit() error {
 	s.sCond.Broadcast()
 	s.sMu.Unlock()
 	return err
+}
+
+// Err reports, without any I/O, what every later Commit fails with: a
+// closed store, or the first failed write or fsync, which poisons the store
+// (the buffered writer keeps its error, and an fsync failure may have lost
+// pages). An updater commits its epoch marker itself and swallows the
+// error, so a flush's acknowledgement reads it here rather than committing
+// again and paying an fsync for records that other requests' acks commit.
+func (s *Store) Err() error {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return errors.New("wal: store closed")
+	}
+	s.sMu.Lock()
+	defer s.sMu.Unlock()
+	return s.syncErr
+}
+
+// poison records err as the store's sticky failure unless one is recorded
+// already.
+func (s *Store) poison(err error) {
+	s.sMu.Lock()
+	if s.syncErr == nil {
+		s.syncErr = err
+	}
+	s.sMu.Unlock()
 }
 
 // flushLocked pushes the buffered frames to the OS. Caller holds s.mu.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"skycube/internal/delta"
 	"skycube/internal/gen"
 	"skycube/internal/mask"
+	"skycube/internal/qskycube"
 	"skycube/internal/wal"
 )
 
@@ -222,6 +224,106 @@ func TestCrashBeforeFsync(t *testing.T) {
 	}
 	if ins, dels := u2.Pending(); ins != 0 || dels != 0 {
 		t.Fatalf("uncommitted mutations resurrected: %d inserts, %d deletes pending", ins, dels)
+	}
+}
+
+// TestCrashAfterCompact: a compaction journals its marker before the
+// rebuild and commits it while the base is rebuilt. A power cut right after
+// it returns recovers its epoch and live count, keeps the inserts buffered
+// on either side of the marker pending, and serves every skyline of a
+// one-shot QSkycube build over the survivors.
+func TestCrashAfterCompact(t *testing.T) {
+	const d = 3
+	dir := t.TempDir()
+	ds := gen.Synthetic(gen.Anticorrelated, 120, d, 17)
+	wopt := wal.Options{Dir: dir, Fsync: wal.FsyncAlways, CheckpointEvery: -1}
+	u, s, _ := openDurable(t, ds, wopt)
+	mutate(t, u, 30, 12, 501)
+	extra := gen.Synthetic(gen.Anticorrelated, 4, d, 502)
+	if _, err := u.Insert(extra.Point(0)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *delta.Snapshot)
+	go func() { done <- u.Compact() }()
+	for i := 1; i < extra.N; i++ { // racing the rebuild: before or after the marker
+		if _, err := u.Insert(extra.Point(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compacted := <-done
+	if err := s.Commit(); err != nil { // the racing inserts' own ack
+		t.Fatal(err)
+	}
+	if err := s.CrashForTest(); err != nil {
+		t.Fatalf("crash: %v", err)
+	}
+	u.Close()
+
+	u2, s2, _ := openDurable(t, nil, wopt)
+	defer func() { u2.Close(); s2.Close() }()
+	got := u2.Current()
+	if got.Epoch() != compacted.Epoch() || got.Live() != compacted.Live() {
+		t.Fatalf("recovered epoch %d with %d live, compaction published epoch %d with %d",
+			got.Epoch(), got.Live(), compacted.Epoch(), compacted.Live())
+	}
+	if ins, dels := u2.Pending(); ins != extra.N || dels != 0 {
+		t.Fatalf("recovered %d pending inserts and %d deletes, want %d and 0", ins, dels, extra.N)
+	}
+	var live []int32
+	var vals []float32
+	for id := int32(0); id < int32(got.Len()); id++ {
+		if got.Alive(id) {
+			live = append(live, id)
+			vals = append(vals, got.Point(id)...)
+		}
+	}
+	oracle := qskycube.Build(data.New(d, vals), qskycube.Options{Threads: 1})
+	for delta := mask.Mask(1); int(delta) <= mask.NumSubspaces(d); delta++ {
+		var want []int32
+		for _, row := range oracle.Skyline(delta) {
+			want = append(want, live[row])
+		}
+		slices.Sort(want)
+		if sky := got.Skyline(delta); !slices.Equal(sky, want) {
+			t.Fatalf("δ=%b: recovered skyline %v, one-shot QSkycube %v", delta, sky, want)
+		}
+	}
+}
+
+// TestFailedWritePoisonsStore: Err reports nothing on a healthy store and,
+// without any I/O of its own, the failure every later Commit returns.
+func TestFailedWritePoisonsStore(t *testing.T) {
+	for _, policy := range []string{wal.FsyncAlways, wal.FsyncNever} {
+		t.Run(policy, func(t *testing.T) {
+			s, _, err := wal.Open(wal.Options{Dir: t.TempDir(), Fsync: policy, CheckpointEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.LogDelete(1, 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Err(); err != nil {
+				t.Fatalf("healthy store reports %v", err)
+			}
+			s.BreakForTest()
+			if err := s.LogDelete(1, 4); err != nil {
+				t.Fatal(err) // buffered: the write fails at the commit
+			}
+			cerr := s.Commit()
+			if cerr == nil {
+				t.Fatal("commit to a closed file succeeded")
+			}
+			if err := s.Err(); err == nil || err.Error() != cerr.Error() {
+				t.Fatalf("Err() = %v after the commit failed with %v", err, cerr)
+			}
+			if err := s.Commit(); err == nil {
+				t.Fatal("a commit after a failed one succeeded")
+			}
+		})
 	}
 }
 
