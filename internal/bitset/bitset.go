@@ -8,7 +8,10 @@
 // (OrDownset).
 package bitset
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 const wordBits = 64
 
@@ -91,6 +94,17 @@ func (s *Set) AndNot(t *Set) {
 	}
 }
 
+// OrNot sets s to s ∪ ¬t: every addressable bit clear in t is set in s.
+// Both sets must have the same length.
+func (s *Set) OrNot(t *Set) {
+	for i, w := range t.words {
+		s.words[i] |= ^w
+	}
+	if rem := s.n % wordBits; rem != 0 && len(s.words) > 0 {
+		s.words[len(s.words)-1] &= 1<<uint(rem) - 1
+	}
+}
+
 // CopyFrom overwrites s with the contents of t (same length required).
 func (s *Set) CopyFrom(t *Set) {
 	copy(s.words, t.words)
@@ -131,3 +145,58 @@ func (s *Set) NextClear(from int) int {
 
 // Words64 exposes the backing words (read-only by convention).
 func (s *Set) Words64() []uint64 { return s.words }
+
+const hexDigits = "0123456789abcdef"
+
+// Hex renders s as a hexadecimal number in which bit i is worth 2^i, without
+// leading zeros: "0" for the empty set, at most ⌈n/4⌉ digits otherwise.
+// ParseHex reads it back.
+func (s *Set) Hex() string {
+	top := len(s.words) - 1
+	for top >= 0 && s.words[top] == 0 {
+		top--
+	}
+	if top < 0 {
+		return "0"
+	}
+	out := make([]byte, 0, (top+1)*16)
+	for i := top; i >= 0; i-- {
+		for sh := 60; sh >= 0; sh -= 4 {
+			if d := s.words[i] >> uint(sh) & 15; d != 0 || len(out) > 0 {
+				out = append(out, hexDigits[d])
+			}
+		}
+	}
+	return string(out)
+}
+
+// ParseHex returns the n-bit set that Hex rendered as h. It fails on an empty
+// string, a byte that is not a hex digit, and a set bit at n or above.
+func ParseHex(h string, n int) (*Set, error) {
+	if h == "" {
+		return nil, fmt.Errorf("bitset: empty hex set")
+	}
+	s := New(n)
+	for k := 0; k < len(h); k++ {
+		c := h[len(h)-1-k]
+		var d uint64
+		switch {
+		case '0' <= c && c <= '9':
+			d = uint64(c - '0')
+		case 'a' <= c && c <= 'f':
+			d = uint64(c-'a') + 10
+		case 'A' <= c && c <= 'F':
+			d = uint64(c-'A') + 10
+		default:
+			return nil, fmt.Errorf("bitset: %q is not a hex number", h)
+		}
+		if d == 0 {
+			continue
+		}
+		if i := 4*k + bits.Len64(d) - 1; i >= n {
+			return nil, fmt.Errorf("bitset: hex set %q has bit %d, beyond its %d bits", h, i, n)
+		}
+		s.words[4*k/wordBits] |= d << uint(4*k%wordBits)
+	}
+	return s, nil
+}

@@ -142,3 +142,67 @@ func TestCopyFrom(t *testing.T) {
 		t.Error("CopyFrom did not overwrite")
 	}
 }
+
+func TestOrNotStaysInRange(t *testing.T) {
+	for _, n := range []int{1, 7, 63, 64, 65, 255} {
+		s, u := New(n), New(n)
+		u.Fill()
+		u.Clear(0)
+		s.OrNot(u)
+		if s.Count() != 1 || !s.Test(0) {
+			t.Errorf("n=%d: s ∪ ¬t has %d bits, want bit 0 alone", n, s.Count())
+		}
+		s.OrNot(New(n))
+		if !s.All() || s.Count() != n {
+			t.Errorf("n=%d: s ∪ ¬∅ has %d of %d bits", n, s.Count(), n)
+		}
+	}
+}
+
+func TestHexRoundTrip(t *testing.T) {
+	for _, n := range []int{1, 3, 15, 63, 64, 65, 255, 1023} {
+		s := New(n)
+		if h := s.Hex(); h != "0" {
+			t.Errorf("n=%d: empty set renders %q, want 0", n, h)
+		}
+		for _, i := range []int{0, 3, 4, 62, 63, 64, 200, 1022} {
+			if i < n {
+				s.Set(i)
+			}
+		}
+		h := s.Hex()
+		if len(h) > (n+3)/4 {
+			t.Errorf("n=%d: %q is longer than %d digits", n, h, (n+3)/4)
+		}
+		back, err := ParseHex(h, n)
+		if err != nil {
+			t.Fatalf("n=%d: ParseHex(%q): %v", n, h, err)
+		}
+		if back.Hex() != h || back.Count() != s.Count() {
+			t.Errorf("n=%d: %q reads back as %q", n, h, back.Hex())
+		}
+		for i := 0; i < n; i++ {
+			if back.Test(i) != s.Test(i) {
+				t.Fatalf("n=%d: bit %d differs after a round trip", n, i)
+			}
+		}
+	}
+	if h := New(15).Hex(); h != "0" {
+		t.Errorf("empty: %q", h)
+	}
+	s := New(15)
+	s.Set(0)
+	s.Set(2)
+	s.Set(14)
+	if h := s.Hex(); h != "4005" {
+		t.Errorf("bits {0,2,14} render %q, want 4005", h)
+	}
+	for _, bad := range []string{"", "x", "1g", "8000", "-1"} {
+		if _, err := ParseHex(bad, 15); err == nil {
+			t.Errorf("ParseHex(%q, 15) accepted", bad)
+		}
+	}
+	if s, err := ParseHex("0007FFF", 15); err != nil || s.Count() != 15 {
+		t.Errorf("ParseHex with leading zeros and upper case: %v, %v", s, err)
+	}
+}

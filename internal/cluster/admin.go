@@ -97,7 +97,7 @@ func (c *Coordinator) handleAdminMapBody(w http.ResponseWriter) {
 }
 
 // swapMap publishes a new topology: generation+1, a ring over the new label
-// set, and a write-generation bump so memoized reads roll over. Callers hold
+// set, and a roll of every subspace so memoized reads roll over. Callers hold
 // adminMu (serialising swaps) and writeMu exclusively (no write in flight
 // across the swap).
 func (c *Coordinator) swapMap(shards []*shardGroup) *shardMap {
@@ -106,7 +106,7 @@ func (c *Coordinator) swapMap(shards []*shardGroup) *shardMap {
 	m.ring = newRing(m.labels())
 	c.smap.Store(m)
 	c.rbm.MapSwap(m.gen, len(shards))
-	c.writeGen.Add(1)
+	c.rollAll()
 	if c.opt.Logger != nil {
 		c.opt.Logger.Printf("cluster: shard map generation %d (%d shards: %v)",
 			m.gen, len(shards), m.labels())
@@ -466,7 +466,7 @@ func (c *Coordinator) handleAdminSplit(w http.ResponseWriter, r *http.Request) {
 	prune(nm.find(child.name), childDrop)
 	// The prunes advanced shard epochs outside a coordinator write; roll the
 	// read memo so no pre-prune body outlives them.
-	c.writeGen.Add(1)
+	c.rollAll()
 
 	server.WriteJSON(w, adminSplitResponse{
 		Gen:         nm.gen,

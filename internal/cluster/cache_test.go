@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +21,7 @@ import (
 	"skycube"
 	"skycube/internal/mask"
 	"skycube/internal/obs"
+	"skycube/internal/server"
 )
 
 // fastOpts are coordinator options tuned for tests (short timeouts, metrics
@@ -334,5 +337,395 @@ func TestShardCuboidCacheWarms(t *testing.T) {
 	sh.ServeHTTP(rec, req)
 	if rec.Code != http.StatusNotModified {
 		t.Fatalf("cuboid If-None-Match: status %d, want 304", rec.Code)
+	}
+}
+
+// refNode is one in-memory node over the whole dataset, the answer every
+// cluster read is held against. It applies the writes the cluster
+// acknowledged and maps its own ids to the cluster's global ids.
+type refNode struct {
+	up       *skycube.Updater
+	toGlobal map[int32]int32
+}
+
+func newRefNode(t *testing.T, ds *skycube.Dataset) *refNode {
+	t.Helper()
+	up, err := skycube.NewUpdater(ds, skycube.Options{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(up.Close)
+	n := &refNode{up: up, toGlobal: make(map[int32]int32, ds.Len())}
+	for i := 0; i < ds.Len(); i++ {
+		n.toGlobal[int32(i)] = int32(i) // round-robin global ids are the rows
+	}
+	return n
+}
+
+// insert buffers points the cluster acknowledged under the global ids ids.
+func (n *refNode) insert(t *testing.T, points [][]float32, ids []int32) {
+	t.Helper()
+	for i, p := range points {
+		id, err := n.up.Insert(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.toGlobal[id] = ids[i]
+	}
+}
+
+// check holds a cluster answer for delta against the node's.
+func (n *refNode) check(t *testing.T, delta mask.Mask, got []int32) {
+	t.Helper()
+	var want []int32
+	for _, id := range n.up.Current().Skyline(delta) {
+		want = append(want, n.toGlobal[id])
+	}
+	slices.Sort(want)
+	got = slices.Clone(got)
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("δ=%b: cluster answers %v, one node %v", delta, got, want)
+	}
+}
+
+// pointPerShard returns one point per shard of tc's map, made by mk from
+// increasing indices until every shard owns one.
+func pointPerShard(tc *testCluster, mk func(i int) []float32) [][]float32 {
+	m := tc.coord.curMap()
+	out := make([][]float32, len(m.shards))
+	for i, left := 0, len(out); left > 0; i++ {
+		p := mk(i)
+		if s := m.ring.owner(hashPoint(p)); out[s] == nil {
+			out[s] = p
+			left--
+		}
+	}
+	return out
+}
+
+// insertBoth routes points through the coordinator and buffers them on ref.
+func insertBoth(t *testing.T, tc *testCluster, ref *refNode, points [][]float32) []int32 {
+	t.Helper()
+	var ins insertResponse
+	mustUnmarshal(t, postJSON(t, tc.coord, "/insert", insertRequest{Points: points}, http.StatusOK), &ins)
+	ref.insert(t, points, ins.IDs)
+	return ins.IDs
+}
+
+// countedRead is GET /skyline for delta through h, with the shard requests
+// ct saw it make.
+func countedRead(t *testing.T, h http.Handler, ct *countingTransport, delta mask.Mask) (*httptest.ResponseRecorder, int64) {
+	t.Helper()
+	before := ct.trips.Load()
+	var dims []string
+	for d := 0; d < mask.MaxDims; d++ {
+		if delta&mask.Bit(d) != 0 {
+			dims = append(dims, fmt.Sprint(d))
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/skyline?dims="+strings.Join(dims, ","), nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("δ=%b: status %d: %s", delta, rec.Code, rec.Body)
+	}
+	return rec, ct.trips.Load() - before
+}
+
+func skylineIDs(t *testing.T, rec *httptest.ResponseRecorder) []int32 {
+	t.Helper()
+	var resp skylineResponse
+	mustUnmarshal(t, rec.Body.Bytes(), &resp)
+	return resp.IDs
+}
+
+// TestCoordinatorFlushKeepsUntouchedCuboids: a flush rolls only the
+// subspaces it changed. Each shard gets a point below everything on
+// dimension 0 and above everything elsewhere — a member of exactly the
+// subspaces holding dimension 0 — so after the flush a repeat read of any
+// other subspace makes no shard request and returns the same bytes and ETag,
+// while a read of a changed one gathers and shows the points.
+func TestCoordinatorFlushKeepsUntouchedCuboids(t *testing.T) {
+	const d = 4
+	ds := skycube.GenerateSynthetic(skycube.Anticorrelated, 300, d, 89)
+	ct := &countingTransport{}
+	opts := fastOpts(obs.NewRegistry())
+	opts.Client = &http.Client{Transport: ct}
+	tc := newTestCluster(t, ds, 2, 1, skycube.RoundRobinPartition, opts)
+	ref := newRefNode(t, ds)
+	// The first routed flush has no epoch to follow on, and rolls everything.
+	postJSON(t, tc.coord, "/flush", struct{}{}, http.StatusOK)
+
+	warm := map[mask.Mask]*httptest.ResponseRecorder{}
+	for delta := mask.Mask(1); delta <= mask.Full(d); delta++ {
+		rec, trips := countedRead(t, tc.coord, ct, delta)
+		if trips == 0 {
+			t.Fatalf("δ=%b: a cold read made no shard request", delta)
+		}
+		ref.check(t, delta, skylineIDs(t, rec))
+		warm[delta] = rec
+	}
+	ids := insertBoth(t, tc, ref, pointPerShard(tc, func(i int) []float32 {
+		return []float32{-1 - float32(i), 10, 10, 10 + float32(i)}
+	}))
+	postJSON(t, tc.coord, "/flush", struct{}{}, http.StatusOK)
+	ref.up.Flush()
+
+	for delta := mask.Mask(1); delta <= mask.Full(d); delta++ {
+		rec, trips := countedRead(t, tc.coord, ct, delta)
+		got := skylineIDs(t, rec)
+		ref.check(t, delta, got)
+		if delta&mask.Bit(0) != 0 {
+			if trips == 0 {
+				t.Fatalf("δ=%b changed, but its read after the flush made no shard request", delta)
+			}
+			if !slices.ContainsFunc(ids, func(id int32) bool { return slices.Contains(got, id) }) {
+				t.Fatalf("δ=%b: %v shows none of the inserted %v", delta, got, ids)
+			}
+			continue
+		}
+		if trips != 0 {
+			t.Fatalf("δ=%b is untouched, but its read after the flush made %d shard requests", delta, trips)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), warm[delta].Body.Bytes()) {
+			t.Fatalf("δ=%b: bytes changed:\n%s\nwant\n%s", delta, rec.Body, warm[delta].Body)
+		}
+		if a, b := rec.Header().Get("Etag"), warm[delta].Header().Get("Etag"); a == "" || a != b {
+			t.Fatalf("δ=%b: ETag %q, want %q", delta, a, b)
+		}
+	}
+}
+
+// TestCoordinatorRacingFlushesNeverServeStale: two writers each insert a
+// point dominating everything before it and flush, concurrently, so that one
+// flush often drains the other's point and comes back empty with the other's
+// epoch. After each writer's own acknowledgement its reads must show its
+// point or a later one, and once both stop every subspace matches one node.
+func TestCoordinatorRacingFlushesNeverServeStale(t *testing.T) {
+	const writers, rounds = 2, 10
+	ds := skycube.GenerateSynthetic(skycube.Independent, 200, 3, 91)
+	tc := newTestCluster(t, ds, 2, 1, skycube.RoundRobinPartition, fastOpts(obs.NewRegistry()))
+	ref := newRefNode(t, ds)
+
+	do := func(method, path string, body, out any) error {
+		var b []byte
+		if body != nil {
+			var err error
+			if b, err = json.Marshal(body); err != nil {
+				return err
+			}
+		}
+		rec := httptest.NewRecorder()
+		tc.coord.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(b)))
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+		}
+		if out == nil {
+			return nil
+		}
+		return json.Unmarshal(rec.Body.Bytes(), out)
+	}
+	var next atomic.Int64
+	var mu sync.Mutex
+	rankOf := map[int32]int64{} // global id -> its rank; higher dominates lower
+	var points [][]float32
+	var ids []int32
+	errs := make(chan error, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				k := next.Add(1)
+				p := []float32{-float32(k), -float32(k), -float32(k)}
+				// The other writer's flush may drain this point as soon as the
+				// shard buffers it, so its rank is recorded under the lock a
+				// reader takes to look it up.
+				var ins insertResponse
+				mu.Lock()
+				err := do(http.MethodPost, "/insert", insertRequest{Points: [][]float32{p}}, &ins)
+				if err == nil {
+					rankOf[ins.IDs[0]] = k
+					points, ids = append(points, p), append(ids, ins.IDs[0])
+				}
+				mu.Unlock()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if err := do(http.MethodPost, "/flush", struct{}{}, nil); err != nil {
+					errs <- err
+					return
+				}
+				for _, dims := range []string{"0,1,2", "0", "1,2"} {
+					var got skylineResponse
+					if err := do(http.MethodGet, "/skyline?dims="+dims, nil, &got); err != nil {
+						errs <- err
+						return
+					}
+					mu.Lock()
+					rank, known := int64(0), len(got.IDs) == 1
+					if known {
+						rank, known = rankOf[got.IDs[0]]
+					}
+					mu.Unlock()
+					if !known || rank < k {
+						errs <- fmt.Errorf("dims=%s after the flush of point %d acked: %v (rank %d)", dims, k, got.IDs, rank)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	ref.insert(t, points, ids)
+	ref.up.Flush()
+	for delta := mask.Mask(1); delta <= mask.Full(3); delta++ {
+		ref.check(t, delta, querySkyline(t, tc.coord, delta, http.StatusOK).IDs)
+	}
+}
+
+// TestCoordinatorUnprovenFlushRollsEverything: a routed flush rolls only the
+// subspaces it changed when it can prove that set, and every subspace
+// otherwise. Each case's routed flush carries points above everything, one
+// per shard — alone, such a flush changes no subspace and every read after
+// it is a hit, as the control rounds show. It rolls everything when a shard
+// compacted or flushed on its own before it (an epoch gap), when a shard's
+// flush fails, and when a shard's reply lacks the transition fields.
+func TestCoordinatorUnprovenFlushRollsEverything(t *testing.T) {
+	const d = 3
+	ds := skycube.GenerateSynthetic(skycube.Anticorrelated, 200, d, 97)
+	ct := &countingTransport{}
+	opts := fastOpts(obs.NewRegistry())
+	opts.Client = &http.Client{Transport: ct}
+	tc := newTestCluster(t, ds, 2, 1, skycube.RoundRobinPartition, opts)
+	setBreakers(tc.coord, 1000, breakerCooldown) // a failed flush must not bench shard 1
+	ref := newRefNode(t, ds)
+
+	// Shard 1 answers the coordinator through a wrapper the cases switch.
+	var dead, strip atomic.Bool
+	wrap := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if dead.Load() {
+			http.Error(w, "injected fault: replica dead", http.StatusInternalServerError)
+			return
+		}
+		if !strip.Load() || r.URL.Path != "/flush" {
+			tc.shards[1][0].ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		tc.shards[1][0].ServeHTTP(rec, r)
+		var body map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		delete(body, "from")
+		delete(body, "changed")
+		server.WriteJSON(w, body)
+	}))
+	t.Cleanup(wrap.Close)
+	tc.coord.curMap().shards[1].replicas[0].url = wrap.URL
+
+	readAll := func(wantGather bool, after string) {
+		t.Helper()
+		for delta := mask.Mask(1); delta <= mask.Full(d); delta++ {
+			rec, trips := countedRead(t, tc.coord, ct, delta)
+			ref.check(t, delta, skylineIDs(t, rec))
+			if gathered := trips > 0; gathered != wantGather {
+				t.Fatalf("after %s: δ=%b gathered=%v, want %v", after, delta, gathered, wantGather)
+			}
+		}
+	}
+	round := 0
+	quietInsert := func() {
+		t.Helper()
+		round++
+		insertBoth(t, tc, ref, pointPerShard(tc, func(i int) []float32 {
+			v := float32(10 + round)
+			return []float32{v, v, v + float32(i)/64}
+		}))
+	}
+	flush := func(status int) {
+		t.Helper()
+		postJSON(t, tc.coord, "/flush", struct{}{}, status)
+		ref.up.Flush()
+	}
+	direct := func(s int, path string) {
+		t.Helper()
+		resp, err := http.Post(tc.servers[s][0].URL+path, "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s to shard %d: status %d", path, s, resp.StatusCode)
+		}
+	}
+
+	readAll(true, "the start")
+	quietInsert()
+	flush(http.StatusOK) // the first routed flush has no epoch to follow on
+	readAll(true, "the first flush")
+	quietInsert()
+	flush(http.StatusOK)
+	readAll(false, "a flush that changed nothing")
+
+	for _, c := range []struct {
+		name   string
+		before func()
+		status int
+	}{
+		{"a shard compacted directly", func() { direct(0, "/compact") }, http.StatusOK},
+		{"a shard flushed directly", func() {
+			// A point dominating everything, flushed behind the coordinator's
+			// back: the cache is stale until the next routed flush.
+			insertBoth(t, tc, ref, [][]float32{{-1, -1, -1}})
+			direct(tc.coord.curMap().ring.owner(hashPoint([]float32{-1, -1, -1})), "/flush")
+		}, http.StatusOK},
+		{"a shard failed the flush", func() { dead.Store(true) }, http.StatusBadGateway},
+		{"a reply without the fields", func() { strip.Store(true) }, http.StatusOK},
+	} {
+		quietInsert()
+		c.before()
+		flush(c.status)
+		dead.Store(false)
+		strip.Store(false)
+		readAll(true, c.name)
+		quietInsert()
+		flush(http.StatusOK)
+		readAll(false, "the flush after "+c.name)
+	}
+}
+
+// TestQuerySubspaceReadsWhatParseQueryReads: the cache key's subspace is read
+// off the raw query in place, so wherever that read succeeds it must name the
+// subspace the query is answered for — the one url.ParseQuery and
+// server.ParseDims read.
+func TestQuerySubspaceReadsWhatParseQueryReads(t *testing.T) {
+	for _, raw := range []string{
+		"dims=0,1,3", "explain=0&dims=2", "dims=1&dims=2", "dims=019", "a=b&&dims=4,0",
+		"dims=0%2C1", "dim%73=0&dims=1", "x=1;dims=2&dims=3", "dims=0,+1", "dims", "dims=",
+		"dims=0,", "dims=,1", "dims=a", "dims=20", "dims=99999999999999999999", "",
+	} {
+		delta, ok := querySubspace(raw)
+		if !ok {
+			continue
+		}
+		q, _ := url.ParseQuery(raw)
+		_, want, msg := server.ParseDims(q.Get("dims"), mask.MaxDims)
+		if msg == "" && delta != want {
+			t.Errorf("%q: subspace %b, but the query is answered for %b", raw, delta, want)
+		}
+	}
+	for raw, want := range map[string]mask.Mask{"dims=0,1,3": 0b1011, "explain=0&dims=2": 0b100, "dims=1&dims=2": 0b10} {
+		if delta, ok := querySubspace(raw); !ok || delta != want {
+			t.Errorf("%q: (%b, %v), want (%b, true)", raw, delta, ok, want)
+		}
 	}
 }

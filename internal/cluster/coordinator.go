@@ -51,9 +51,11 @@ type CoordinatorOptions struct {
 	// changed — no flush was routed through this coordinator since it was
 	// cached — is served as pre-encoded bytes with no shard traffic at all.
 	// Inserts and deletes stay buffered on the shards until a flush, so
-	// they never invalidate it; flushes applied directly to shards
-	// (bypassing this coordinator) are invisible to it. Run topologies where
-	// anything else flushes the shards with DisableCache.
+	// they never invalidate it, and a routed flush invalidates only the
+	// subspaces it changed. A flush applied directly to a shard (bypassing
+	// this coordinator) stays invisible until the next routed flush, which
+	// detects the gap. Run topologies where anything else flushes the
+	// shards with DisableCache.
 	DisableCache bool
 	// Metrics, if non-nil, receives skycube_cluster_* families and enables
 	// GET /metrics.
@@ -181,20 +183,32 @@ type Coordinator struct {
 	// adminMu serialises membership operations with each other.
 	adminMu sync.Mutex
 
-	// cache memoizes merged /skyline responses under (writeGen, path, raw
+	// cache memoizes merged /skyline responses under (generation, path, raw
 	// query), so a repeat query skips the fan-out — hedges, retries,
 	// breakers and merge — entirely. nil when disabled.
 	cache   *rcache.Cache
 	cacheCM *obs.CacheMetrics
-	// writeGen rolls whenever a shard's served answer can change: when a
-	// routed /flush finishes (successfully or not) and at every map swap and
-	// ownership prune. A routed insert or delete only buffers on the shards,
-	// invisible until the next flush, so it leaves writeGen alone. Rolling
-	// at completion means a response gathered concurrently with the flush
-	// is cached under an already-dead generation; this makes
-	// generation-keyed reuse exact while this coordinator is the only one
-	// flushing the shards.
+	// A read of subspace δ is cached under δ's generation (readGen): the later
+	// of δ's last roll, rolled[δ−1], and the last roll of every subspace,
+	// allAt. writeGen is the last generation a roll took; each takes the next.
+	// A routed /flush rolls the subspaces its shards report it changed, or all
+	// of them when it cannot prove that set (rollFlush); a map swap and an
+	// ownership prune roll all. A routed insert or delete only buffers on the
+	// shards, invisible until the next flush, so it rolls nothing. A roll
+	// completes before the write's reply, and a miss reads its generation
+	// before it gathers, so a response gathered concurrently with a flush that
+	// changed its subspace is cached under an already-dead generation. This
+	// makes reuse exact while this coordinator is the only one flushing the
+	// shards; a flush posted to a shard directly is caught by the next routed
+	// one, whose epochs no longer follow on (an epoch gap rolls all).
 	writeGen atomic.Uint64
+	allAt    atomic.Uint64
+	rolled   atomic.Pointer[[]atomic.Uint64] // nil until the first subspace roll
+	// rollMu serialises rolls, so that generations only grow, and guards seen:
+	// per shard group, the epoch up to which every transition of the group
+	// has been rolled.
+	rollMu sync.Mutex
+	seen   map[string]uint64
 
 	// sampler admits queries into the request ring; nil (never sampling)
 	// unless SampleEvery is positive.
@@ -214,9 +228,10 @@ func NewCoordinator(specs []ShardSpec, opt CoordinatorOptions) (*Coordinator, er
 	opt = opt.withDefaults()
 	cm := obs.NewClusterMetrics(opt.Metrics)
 	c := &Coordinator{
-		cm:  cm,
-		km:  obs.NewKernelMetrics(opt.Metrics),
-		opt: opt,
+		cm:   cm,
+		km:   obs.NewKernelMetrics(opt.Metrics),
+		opt:  opt,
+		seen: make(map[string]uint64),
 		client: &fanoutClient{
 			hc:          opt.Client,
 			timeout:     opt.Timeout,

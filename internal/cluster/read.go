@@ -132,21 +132,7 @@ func (c *Coordinator) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	// ?explain=1 forces a record: the explain response is built from it.
 	explain := strings.Contains(r.URL.RawQuery, "explain=") &&
 		r.URL.Query().Get("explain") == "1"
-	var rec *obs.ReqRecord
-	if c.opt.Requests != nil || explain {
-		if tp := r.Header.Get(obs.TraceparentHeader); tp != "" {
-			if trace, _, ok := obs.ParseTraceparent(tp); ok {
-				rec = obs.NewRecord("coordinator", trace, r.Method, r.URL.Path, r.URL.RawQuery)
-			}
-		}
-		if rec == nil && (explain || c.sampler.Sample()) {
-			rec = obs.NewRecord("coordinator", obs.NewTraceID(), r.Method, r.URL.Path, r.URL.RawQuery)
-		}
-		if rec != nil {
-			c.opt.Requests.Add(rec)
-			r = r.WithContext(obs.WithRecord(r.Context(), rec))
-		}
-	}
+	r, rec := c.traced(r, explain)
 	status, counted := c.serveSkyline(w, r, rec, explain, start)
 	if counted {
 		c.cm.QueryTraced(time.Since(start), status == http.StatusPartialContent, rec.TraceID())
@@ -157,18 +143,103 @@ func (c *Coordinator) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// traced starts r's trace record when the request is to be traced — it
+// carries a traceparent, force is set, or the sampler admits it — and
+// returns r with the record in its context. An untraced request comes back
+// as it was, with a nil record, at the cost of a header lookup and a
+// nil-sampler test.
+func (c *Coordinator) traced(r *http.Request, force bool) (*http.Request, *obs.ReqRecord) {
+	if c.opt.Requests == nil && !force {
+		return r, nil
+	}
+	var rec *obs.ReqRecord
+	if tp := r.Header.Get(obs.TraceparentHeader); tp != "" {
+		if trace, _, ok := obs.ParseTraceparent(tp); ok {
+			rec = obs.NewRecord("coordinator", trace, r.Method, r.URL.Path, r.URL.RawQuery)
+		}
+	}
+	if rec == nil && (force || c.sampler.Sample()) {
+		rec = obs.NewRecord("coordinator", obs.NewTraceID(), r.Method, r.URL.Path, r.URL.RawQuery)
+	}
+	if rec == nil {
+		return r, nil
+	}
+	c.opt.Requests.Add(rec)
+	return r.WithContext(obs.WithRecord(r.Context(), rec)), rec
+}
+
+// readGen returns the generation a /skyline query is cached under: the later
+// of its subspace's last roll and the last roll of every subspace. A query
+// whose subspace querySubspace cannot read takes the last generation any
+// roll took, which no roll leaves behind; so does one naming a dimension the
+// cluster lacks, which is refused before anything is cached.
+func (c *Coordinator) readGen(rawQuery string) uint64 {
+	delta, ok := querySubspace(rawQuery)
+	if !ok {
+		return c.writeGen.Load()
+	}
+	gen := c.allAt.Load()
+	if rolled := c.rolled.Load(); rolled != nil {
+		if int(delta) > len(*rolled) {
+			return c.writeGen.Load()
+		}
+		gen = max(gen, (*rolled)[delta-1].Load())
+	}
+	return gen
+}
+
+// querySubspace reads the subspace of a raw /skyline query's first dims
+// parameter in place, in one pass and without allocating. The dims must be
+// decimals joined by commas, and the query free of '%', '+' and ';' up to
+// them, so that they are the value url.ParseQuery reads; ok is false
+// otherwise.
+func querySubspace(raw string) (delta mask.Mask, ok bool) {
+	for start := 0; start < len(raw); {
+		end := start
+		for ; end < len(raw) && raw[end] != '&'; end++ {
+			if c := raw[end]; c == '%' || c == '+' || c == ';' {
+				return 0, false
+			}
+		}
+		if v, found := strings.CutPrefix(raw[start:end], "dims="); found {
+			dim, digits := 0, 0
+			for i := 0; i <= len(v); i++ {
+				if i == len(v) || v[i] == ',' {
+					if digits == 0 {
+						return 0, false
+					}
+					delta |= mask.Bit(dim)
+					dim, digits = 0, 0
+					continue
+				}
+				if v[i] < '0' || v[i] > '9' {
+					return 0, false
+				}
+				if dim = dim*10 + int(v[i]-'0'); dim >= mask.MaxDims {
+					return 0, false
+				}
+				digits++
+			}
+			return delta, true
+		}
+		start = end + 1
+	}
+	return 0, false
+}
+
 // serveSkyline answers one /skyline query and returns the HTTP status it
 // wrote (for the query metrics, the trace record and the slow-query log).
 // counted is false for a request that never became a query: the cluster's
 // dimensionality is unknown, or the dims parameter does not parse.
 func (c *Coordinator) serveSkyline(w http.ResponseWriter, r *http.Request, rec *obs.ReqRecord, explain bool, start time.Time) (status int, counted bool) {
-	// Fast path: a query already answered at this write generation cannot
-	// have changed (a shard's served answer moves only at a flush, and a
-	// routed flush rolls the generation), so serve the memoized bytes with
-	// no fan-out — no hedges, no retries, no breaker traffic, no merge.
-	// Explain always bypasses it: its purpose is to observe the real fan-out.
+	// Fast path: a query already answered at its subspace's generation
+	// cannot have changed (a shard's served answer moves only at a flush, and
+	// a routed flush rolls the generation of every subspace it changed), so
+	// serve the memoized bytes with no fan-out — no hedges, no retries, no
+	// breaker traffic, no merge. Explain always bypasses it: its purpose is
+	// to observe the real fan-out.
 	if c.cache != nil && !explain {
-		if e, ok := c.cache.Get(rcache.Key{Epoch: c.writeGen.Load(), Path: r.URL.Path, Variant: r.URL.RawQuery}); ok {
+		if e, ok := c.cache.Get(rcache.Key{Epoch: c.readGen(r.URL.RawQuery), Path: r.URL.Path, Variant: r.URL.RawQuery}); ok {
 			rec.Event(obs.Event{Kind: obs.EvCache, Detail: "hit-generation", Start: rec.Since()})
 			rcache.Serve(w, r, e, c.cacheCM)
 			return http.StatusOK, true
@@ -196,9 +267,10 @@ func (c *Coordinator) serveSkyline(w http.ResponseWriter, r *http.Request, rec *
 	for attempt := 0; ; attempt++ {
 		m := c.curMap()
 		// Read the generation before gathering: a flush landing mid-gather
-		// rolls it when it completes, so whatever mix of old and new shard
-		// state this query observed is stored under an already-dead key.
-		gen := c.writeGen.Load()
+		// rolls it when it completes, if it changed the subspace, so whatever
+		// mix of old and new shard state this query observed is stored under
+		// an already-dead key.
+		gen := c.readGen(r.URL.RawQuery)
 		entry, err = c.cache.Fill(rcache.Key{Epoch: gen, Path: r.URL.Path, Variant: r.URL.RawQuery},
 			func() (*rcache.Entry, error) {
 				return c.computeSkyline(r.Context(), m, dims, delta)

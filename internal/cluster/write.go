@@ -5,11 +5,17 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"net/http"
 	"sync"
+	"sync/atomic"
+	"time"
 
+	"skycube/internal/bitset"
 	"skycube/internal/delta"
+	"skycube/internal/mask"
+	"skycube/internal/obs"
 	"skycube/internal/server"
 )
 
@@ -355,53 +361,160 @@ type flushResponse struct {
 	Epochs map[string]uint64 `json:"epochs"`
 }
 
-// shardEpochResponse is the subset of the shard's /flush payload used here.
+// shardEpochResponse is the subset of the shard's /flush payload used here:
+// the epoch it serves and the transition that made it — the epoch before it
+// and the subspaces whose skyline changed, as a hex number over bits δ−1.
 type shardEpochResponse struct {
-	Epoch uint64 `json:"epoch"`
+	Epoch   uint64 `json:"epoch"`
+	From    uint64 `json:"from"`
+	Changed string `json:"changed"`
 }
 
 func (c *Coordinator) handleFlush(w http.ResponseWriter, r *http.Request) {
 	if !server.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
+	r, rec := c.traced(r, false)
+	rec.Finish(c.flush(w, r, rec))
+}
+
+// flush broadcasts a flush to every shard of the pinned map, rolls the read
+// cache, and returns the HTTP status it wrote.
+func (c *Coordinator) flush(w http.ResponseWriter, r *http.Request, rec *obs.ReqRecord) int {
 	// Flush is a write: it holds the gate shared and pins one map.
 	c.writeMu.RLock()
 	defer c.writeMu.RUnlock()
 	m := c.curMap()
-	resp := flushResponse{Epochs: map[string]uint64{}}
-	var mu sync.Mutex
+	replies := make([][]shardEpochResponse, len(m.shards))
+	errs := make([]error, len(m.shards))
 	var wg sync.WaitGroup
-	errCh := make(chan error, len(m.shards))
-	for _, g := range m.shards {
+	for i, g := range m.shards {
 		wg.Add(1)
-		go func(g *shardGroup) {
+		go func(i int, g *shardGroup) {
 			defer wg.Done()
 			bodies, err := c.client.post(r.Context(), g, "/flush", []byte("{}"), m.gen)
 			if err != nil {
-				errCh <- fmt.Errorf("flush failed on shard %s: %w", g.name, err)
+				errs[i] = fmt.Errorf("flush failed on shard %s: %w", g.name, err)
 				return
 			}
-			var er shardEpochResponse
-			if err := json.Unmarshal(bodies[0], &er); err != nil {
-				errCh <- fmt.Errorf("shard %s flush response: %w", g.name, err)
-				return
+			reps := make([]shardEpochResponse, len(bodies))
+			for k, b := range bodies {
+				if err := json.Unmarshal(b, &reps[k]); err != nil {
+					errs[i] = fmt.Errorf("shard %s flush response: %w", g.name, err)
+					return
+				}
 			}
-			mu.Lock()
-			resp.Epochs[g.name] = er.Epoch
-			mu.Unlock()
-		}(g)
+			replies[i] = reps
+		}(i, g)
 	}
 	wg.Wait()
 	// The flush published new epochs, so roll the read cache — success or
 	// not, since a failed flush may have applied on some shards. Rolling at
 	// completion, not start, keeps a read that gathered pre-flush state from
-	// being cached under the post-flush generation; rolling before the reply
-	// is written keeps a client that saw the reply from reading the old body.
-	c.writeGen.Add(1)
-	close(errCh)
-	if err := <-errCh; err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
+	// being cached under a live generation; rolling before the reply is
+	// written keeps a client that saw the reply from reading the old body.
+	rec.Event(c.rollFlush(m, replies, rec.Since()))
+	for _, err := range errs {
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return http.StatusBadGateway
+		}
+	}
+	resp := flushResponse{Epochs: make(map[string]uint64, len(m.shards))}
+	for i, g := range m.shards {
+		resp.Epochs[g.name] = replies[i][0].Epoch
 	}
 	server.WriteJSON(w, resp)
+	return http.StatusOK
+}
+
+// rollFlush rolls the read cache after a routed flush and returns the trace
+// event naming the roll: "roll-subspaces n", or "roll-all: " and its reason.
+// replies holds every group's replica replies, nil for a group whose flush
+// failed or did not decode. Only the subspaces the flush changed roll when every group's part
+// is proven (advance); anything else rolls every subspace.
+func (c *Coordinator) rollFlush(m *shardMap, replies [][]shardEpochResponse, at time.Duration) obs.Event {
+	c.mu.Lock()
+	n := mask.NumSubspaces(c.dims)
+	c.mu.Unlock()
+	c.rollMu.Lock()
+	defer c.rollMu.Unlock()
+	changed := bitset.New(n)
+	var why string
+	if n == 0 {
+		why = "dimensionality unknown"
+	}
+	for i, g := range m.shards {
+		// Every group advances, whatever an earlier one proved.
+		if w := c.advance(g.name, replies[i], changed); why == "" {
+			why = w
+		}
+	}
+	ev := obs.Event{Kind: obs.EvCache, Start: at}
+	if why != "" {
+		c.allAt.Store(c.writeGen.Add(1))
+		ev.Detail = "roll-all: " + why
+		return ev
+	}
+	ev.N = int64(changed.Count())
+	ev.Detail = fmt.Sprintf("roll-subspaces %d", ev.N)
+	if ev.N == 0 {
+		return ev
+	}
+	rolled := c.rolled.Load()
+	if rolled == nil {
+		gens := make([]atomic.Uint64, n)
+		rolled = &gens
+		c.rolled.Store(rolled)
+	}
+	gen := c.writeGen.Add(1)
+	for w, word := range changed.Words64() {
+		for ; word != 0; word &= word - 1 {
+			(*rolled)[w<<6+bits.TrailingZeros64(word)].Store(gen)
+		}
+	}
+	return ev
+}
+
+// rollAll rolls every subspace.
+func (c *Coordinator) rollAll() {
+	c.rollMu.Lock()
+	defer c.rollMu.Unlock()
+	c.allAt.Store(c.writeGen.Add(1))
+}
+
+// advance moves the seen epoch of group name to the one its replicas report
+// after a flush, and folds the subspaces the flush changed into changed. It
+// returns "" when the group's part is proven — its replicas report one
+// transition, and it starts at the seen epoch — and otherwise why only a
+// roll of every subspace is safe: an empty flush too, whose reply repeats
+// the transition of an epoch already seen. Caller holds rollMu; whichever
+// roll follows covers every transition up to the epoch seen afterwards.
+func (c *Coordinator) advance(name string, reps []shardEpochResponse, changed *bitset.Set) string {
+	if len(reps) == 0 {
+		return "failed shard " + name
+	}
+	now := reps[0]
+	for _, rp := range reps[1:] {
+		if rp.Epoch != now.Epoch || rp.From != now.From {
+			delete(c.seen, name)
+			return "replica disagreement on shard " + name
+		}
+	}
+	seen := c.seen[name]
+	c.seen[name] = now.Epoch
+	switch {
+	case now.From == 0:
+		return "no transition from shard " + name
+	case now.From != seen:
+		return fmt.Sprintf("epoch gap on shard %s (seen %d, flushed %d to %d)", name, seen, now.From, now.Epoch)
+	}
+	for _, rp := range reps {
+		set, err := bitset.ParseHex(rp.Changed, changed.Len())
+		if err != nil {
+			return "no transition from shard " + name
+		}
+		changed.Or(set)
+	}
+	return ""
 }

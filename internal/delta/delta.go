@@ -760,6 +760,8 @@ func (u *Updater) Compact() *Snapshot {
 		}
 	}
 	snap := u.buildBaseLocked(prev.epoch + 1)
+	// A rebuild over the same live points changes no answer.
+	snap.from, snap.changed = prev.epoch, bitset.New(mask.NumSubspaces(u.d))
 	c.wait()
 	u.publish(snap)
 	u.mu.Unlock()
@@ -1075,6 +1077,14 @@ func (u *Updater) applyLocked() *Snapshot {
 	members := u.crossTest(lives, results)
 	for i, pi := range lives {
 		snap.ov.put(snap.epoch, pi.id, results[i])
+	}
+	// The subspaces whose skyline the epoch changes are exactly those a
+	// member victim leaves and those a member insert enters: the reverse pass
+	// evicts a point only where a member insert is a member itself, the delete
+	// pass clears bits only in affected, and a promotion changes no skyline.
+	snap.from, snap.changed = prev.epoch, affected.Clone()
+	for _, m := range members {
+		snap.changed.OrNot(results[m])
 	}
 	// The live tree points are targets of both passes below (the delete
 	// pass's also the extras, which the spare capacity is for); a batch with

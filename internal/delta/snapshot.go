@@ -150,10 +150,23 @@ type Snapshot struct {
 	// point whose mask differs from the one the base was built with.
 	ov   overlay
 	live int
+	// from is the epoch this one was made from, 0 when there was none (the
+	// initial build, a restore); changed has bit δ−1 set for exactly the
+	// subspaces whose skyline differs between the two (nil when from is 0).
+	from    uint64
+	changed *bitset.Set
 }
 
 // Epoch returns the snapshot's MVCC epoch (1 is the initial build).
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
+
+// Transition reports how the snapshot was made: from is the epoch it was
+// made from, and changed (read-only) has bit δ−1 set for exactly the
+// subspaces δ whose Skyline differs between the two. A flush's set is the
+// memberships of its member victims and of its member inserts; a
+// compaction's is empty. from is 0, and changed nil, for a snapshot made
+// from no earlier epoch: the initial build and a restore.
+func (s *Snapshot) Transition() (from uint64, changed *bitset.Set) { return s.from, s.changed }
 
 // Dims returns the data dimensionality.
 func (s *Snapshot) Dims() int { return s.d }

@@ -878,11 +878,28 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // epochResponse is the /flush and /compact payload: the snapshot that now
-// serves reads.
+// serves reads and, when it was made from an earlier epoch, how (its
+// delta.Snapshot.Transition): From is that epoch and Changed the subspaces
+// whose skyline differs between the two, as the hex number with bit δ−1 set
+// for subspace δ ("0" for none). An empty flush answers with the current
+// snapshot, so with the transition that made it.
 type epochResponse struct {
 	Epoch   uint64 `json:"epoch"`
 	Live    int    `json:"live"`
 	Overlay int    `json:"overlay"`
+	From    uint64 `json:"from,omitempty"`
+	Changed string `json:"changed,omitempty"`
+}
+
+// newEpochResponse describes snap, the snapshot a flush or compaction returned.
+func (s *Server) newEpochResponse(snap skycube.Snapshot) epochResponse {
+	resp := epochResponse{Epoch: snap.Epoch(), Live: snap.Live(), Overlay: s.opt.Updater.Stats().Overlay}
+	if ds, ok := snap.(*delta.Snapshot); ok {
+		if from, changed := ds.Transition(); from != 0 {
+			resp.From, resp.Changed = from, changed.Hex()
+		}
+	}
+	return resp
 }
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
@@ -894,7 +911,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "durability failure: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	WriteJSON(w, epochResponse{Epoch: snap.Epoch(), Live: snap.Live(), Overlay: s.opt.Updater.Stats().Overlay})
+	WriteJSON(w, s.newEpochResponse(snap))
 }
 
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
@@ -911,7 +928,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "durability failure: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	WriteJSON(w, epochResponse{Epoch: snap.Epoch(), Live: snap.Live(), Overlay: s.opt.Updater.Stats().Overlay})
+	WriteJSON(w, s.newEpochResponse(snap))
 }
 
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {

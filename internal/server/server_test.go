@@ -512,3 +512,46 @@ func TestRequestLogging(t *testing.T) {
 		t.Errorf("log line %q", lines[1])
 	}
 }
+
+// TestFlushReplyCarriesTransition: /flush and /compact report how the
+// snapshot they return was made — the epoch before it and the subspaces
+// whose skyline moved, as a hex number over bits δ−1 — and an empty flush
+// repeats the transition of the snapshot it returns. The initial build was
+// made from no epoch, so its reply carries neither field.
+func TestFlushReplyCarriesTransition(t *testing.T) {
+	s, _ := newUpdaterServer(t, Options{})
+	reply := func(path string) epochResponse {
+		t.Helper()
+		rec := post(t, s, path, "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+		var ep epochResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &ep); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(rec.Body.String(), `"from"`) != (ep.From != 0) ||
+			strings.Contains(rec.Body.String(), `"changed"`) != (ep.From != 0) {
+			t.Fatalf("%s: from and changed must come together: %s", path, rec.Body)
+		}
+		return ep
+	}
+	want := func(path string, epoch, from uint64, changed string) {
+		t.Helper()
+		if ep := reply(path); ep.Epoch != epoch || ep.From != from || ep.Changed != changed {
+			t.Fatalf("%s: %+v, want epoch %d from %d changed %q", path, ep, epoch, from, changed)
+		}
+	}
+	want("/flush", 1, 0, "")
+	// Below everything on every dimension: a member of all seven subspaces.
+	post(t, s, "/insert", `{"points": [[1, 1, 100]]}`)
+	want("/flush", 2, 1, "7f")
+	want("/flush", 2, 1, "7f")
+	// Above everything: a member nowhere, so no skyline moves.
+	post(t, s, "/insert", `{"points": [[50, 50, 500]]}`)
+	want("/flush", 3, 2, "0")
+	want("/compact", 4, 3, "0")
+	// Deleting the member of everything hands every skyline back.
+	post(t, s, "/delete", `{"ids": [5]}`)
+	want("/flush", 5, 4, "7f")
+}
