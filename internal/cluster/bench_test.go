@@ -107,7 +107,8 @@ func BenchmarkClusterServeHotTraced(b *testing.B) {
 }
 
 // BenchmarkClusterServeCold scatter-gathers and merges on every request
-// (two HTTP round trips per query on loopback).
+// (two HTTP round trips per query on loopback), and each shard extracts and
+// encodes its frame for each of them.
 func BenchmarkClusterServeCold(b *testing.B) {
 	coord, done := benchCluster(b, true, false)
 	defer done()

@@ -1,7 +1,7 @@
 // Tests of the cluster tier's materialized read path: the coordinator's
 // write-generation memo (short-circuiting the fan-out entirely), its
 // invalidation by routed flushes and only by them, the never-cache-partial
-// rule with Cache-Control: no-store, and the shard-level cuboid cache.
+// rule with Cache-Control: no-store, and the shard's uncached /shard/cuboid.
 package cluster
 
 import (
@@ -288,10 +288,12 @@ func TestPartialResponseNeverCachedAndNoStore(t *testing.T) {
 	}
 }
 
-// TestShardCuboidCacheWarms checks the shard's cache on /shard/cuboid: the
-// second identical fan-out request is a hit, counted under layer "shard",
-// and byte-identical.
-func TestShardCuboidCacheWarms(t *testing.T) {
+// TestShardCuboidExtractsEveryRequest: /shard/cuboid answers from the
+// current snapshot and memoizes nothing. Two fetches at one epoch return
+// byte-identical, decodable frames; a fetch after a flush returns the new
+// epoch's frame; and only the shard's own /skyline reads move its cache
+// counters.
+func TestShardCuboidExtractsEveryRequest(t *testing.T) {
 	ds := skycube.GenerateSynthetic(skycube.Correlated, 150, 3, 79)
 	parts, err := ds.Partition(2, skycube.RoundRobinPartition)
 	if err != nil {
@@ -304,39 +306,109 @@ func TestShardCuboidCacheWarms(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(sh.Close)
-
-	do := func() *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodGet, "/shard/cuboid?subspace=3", nil)
+	counters := func() (hits, misses float64) {
+		return reg.CounterM("skycube_cache_hits_total", "", "layer", "shard").Value(),
+			reg.CounterM("skycube_cache_misses_total", "", "layer", "shard").Value()
+	}
+	fetch := func() (*httptest.ResponseRecorder, *cuboidFrame) {
+		t.Helper()
 		rec := httptest.NewRecorder()
-		sh.ServeHTTP(rec, req)
-		return rec
-	}
-	first, second := do(), do()
-	if first.Code != http.StatusOK || second.Code != http.StatusOK {
-		t.Fatalf("statuses %d, %d", first.Code, second.Code)
-	}
-	if first.Body.String() != second.Body.String() {
-		t.Fatal("shard cuboid bytes changed between cold and warm")
-	}
-	// The cached entry carries its content type: a hit is a frame too.
-	for i, rec := range []*httptest.ResponseRecorder{first, second} {
+		sh.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/shard/cuboid?subspace=3", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
 		if ct := rec.Header().Get("Content-Type"); ct != "application/octet-stream" {
-			t.Fatalf("request %d: Content-Type %q", i, ct)
+			t.Fatalf("Content-Type %q", ct)
 		}
-		if _, err := decodeCuboidFrame(rec.Body.Bytes(), 3); err != nil {
-			t.Fatalf("request %d: %v", i, err)
+		f, err := decodeCuboidFrame(rec.Body.Bytes(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec, f
+	}
+
+	first, f1 := fetch()
+	second, _ := fetch()
+	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+		t.Fatal("two fetches at one epoch returned different bytes")
+	}
+	if f1.epoch != sh.Updater().Current().Epoch() {
+		t.Fatalf("frame epoch %d, shard at %d", f1.epoch, sh.Updater().Current().Epoch())
+	}
+
+	// A point below everything becomes the whole of S_3 at the next epoch.
+	var ins insertResponse
+	mustUnmarshal(t, postJSON(t, sh, "/insert", insertRequest{Points: [][]float32{{-1, -1, -1}}}, http.StatusOK), &ins)
+	postJSON(t, sh, "/flush", struct{}{}, http.StatusOK)
+	_, f2 := fetch()
+	if f2.epoch != sh.Updater().Current().Epoch() || f2.epoch == f1.epoch {
+		t.Fatalf("frame after the flush at epoch %d (before %d, shard at %d)",
+			f2.epoch, f1.epoch, sh.Updater().Current().Epoch())
+	}
+	if want := []int32{sh.GlobalID(ins.IDs[0])}; !slices.Equal(f2.ids, want) {
+		t.Fatalf("frame after the flush holds %v, want %v", f2.ids, want)
+	}
+
+	if hits, misses := counters(); hits != 0 || misses != 0 {
+		t.Fatalf("/shard/cuboid moved the shard cache: hits %v, misses %v", hits, misses)
+	}
+	for i := 0; i < 2; i++ {
+		rec := httptest.NewRecorder()
+		sh.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/skyline?dims=0,1", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("shard /skyline: status %d: %s", rec.Code, rec.Body)
 		}
 	}
-	if hits := reg.CounterM("skycube_cache_hits_total", "", "layer", "shard").Value(); hits < 1 {
-		t.Fatalf("no shard cache hit recorded; hits=%v", hits)
+	if hits, misses := counters(); hits != 1 || misses != 1 {
+		t.Fatalf("two shard /skyline reads: hits %v, misses %v, want 1 and 1", hits, misses)
 	}
-	// The cuboid response revalidates too.
-	req := httptest.NewRequest(http.MethodGet, "/shard/cuboid?subspace=3", nil)
-	req.Header.Set("If-None-Match", first.Header().Get("Etag"))
-	rec := httptest.NewRecorder()
-	sh.ServeHTTP(rec, req)
-	if rec.Code != http.StatusNotModified {
-		t.Fatalf("cuboid If-None-Match: status %d, want 304", rec.Code)
+}
+
+// TestCoordinatorOneShardFlushKeepsTheRest: a routed flush that applies
+// something on one shard only rolls the subspaces that shard changed. The
+// other shard's flush finds nothing and answers with the epoch the last roll
+// covered, which proves it changed nothing — rolling every subspace instead
+// would make every shard re-extract. A cuboid the point did not change is
+// then still served from the cache.
+func TestCoordinatorOneShardFlushKeepsTheRest(t *testing.T) {
+	ct := &countingTransport{}
+	tc := newTracedCluster(t, CoordinatorOptions{Client: &http.Client{Transport: ct}})
+	if err := tc.coord.Refresh(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	tracedFlush(t, tc) // the first routed flush has no epoch to follow on
+	untouched := mask.Mask(0b0110)
+	warm, trips := countedRead(t, tc.coord, ct, untouched)
+	if trips == 0 {
+		t.Fatal("a cold read made no shard request")
+	}
+
+	// One point on shard 0, below everything on dimension 0 and above
+	// everything elsewhere: a member of the 8 subspaces holding dimension 0.
+	p := pointPerShard(tc.testCluster, func(i int) []float32 {
+		return []float32{-1 - float32(i), 10, 10, 10 + float32(i)}
+	})[0]
+	var ins insertResponse
+	mustUnmarshal(t, postJSON(t, tc.coord, "/insert", insertRequest{Points: [][]float32{p}}, http.StatusOK), &ins)
+	if ins.Routed["0"] != 1 || len(ins.Routed) != 1 {
+		t.Fatalf("point routed %v, want to shard 0 alone", ins.Routed)
+	}
+	if ev := tracedFlush(t, tc); ev.Detail != "roll-subspaces 8" || ev.N != 8 {
+		t.Fatalf("flush of one shard's dimension-0 member: %q (n %d)", ev.Detail, ev.N)
+	}
+
+	rec, trips := countedRead(t, tc.coord, ct, untouched)
+	if trips != 0 {
+		t.Fatalf("δ=%b is untouched, but its read after the flush made %d shard requests", untouched, trips)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), warm.Body.Bytes()) {
+		t.Fatalf("δ=%b: bytes changed:\n%s\nwant\n%s", untouched, rec.Body, warm.Body)
+	}
+	changed := mask.Mask(0b0011)
+	rec, trips = countedRead(t, tc.coord, ct, changed)
+	if trips == 0 || !slices.Contains(skylineIDs(t, rec), ins.IDs[0]) {
+		t.Fatalf("δ=%b after the flush: %d shard requests, ids %v, want a gather showing %d",
+			changed, trips, skylineIDs(t, rec), ins.IDs[0])
 	}
 }
 

@@ -479,25 +479,41 @@ func TestChaosLiveSplitUnderLoad(t *testing.T) {
 
 	// Phase D, injected replica kill: the child dies; its shard has R=1, so
 	// reads must degrade to the explicit 206 partial contract — the ONLY
-	// acceptable non-200 — and recover to exact 200s once revived. A delete
-	// routed to shard 1 (id 15 is odd: single claimant, child untouched) and
-	// a flush, both before the kill, roll the write generation, so the read
-	// below fans out instead of replaying the memoized pre-kill answer.
-	postJSON(t, coord, "/delete", deleteRequest{IDs: []int32{15}}, http.StatusOK)
-	delete(points, 15)
+	// acceptable non-200 — and recover to exact 200s once revived. Before the
+	// kill, a delete of a member of the read subspace routed to shard 1 (an
+	// odd id below the split block: single claimant, child untouched) and a
+	// flush roll that subspace, so the read below fans out instead of
+	// replaying the memoized pre-kill answer.
+	sub, victim := mask.Mask(0), int32(-1)
+	for _, try := range []mask.Mask{3, 1, 2, 4, 5, 6, 7} {
+		for _, id := range bruteSkyline(points, try) {
+			if id%2 == 1 && id < SplitBlockBase {
+				sub, victim = try, id
+				break
+			}
+		}
+		if victim >= 0 {
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no subspace has a member on shard 1 to delete")
+	}
+	postJSON(t, coord, "/delete", deleteRequest{IDs: []int32{victim}}, http.StatusOK)
+	delete(points, victim)
 	postJSON(t, coord, "/flush", struct{}{}, http.StatusOK)
 	childFault.dead.Store(true)
-	got := querySkyline(t, coord, 3, http.StatusPartialContent)
+	got := querySkyline(t, coord, sub, http.StatusPartialContent)
 	if !got.Partial || len(got.FailedShards) != 1 || got.FailedShards[0] != "2" {
 		t.Fatalf("kill window: partial=%v failed=%v, want explicit child failure", got.Partial, got.FailedShards)
 	}
 	childFault.dead.Store(false)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		status, got, err := rawQuerySkyline(coord, 3)
+		status, got, err := rawQuerySkyline(coord, sub)
 		if err == nil && status == http.StatusOK && !got.Partial {
-			if want := bruteSkyline(points, 3); !equalIDs(got.IDs, want) {
-				t.Fatalf("post-revival subspace 3: ids %v, want %v", got.IDs, want)
+			if want := bruteSkyline(points, sub); !equalIDs(got.IDs, want) {
+				t.Fatalf("post-revival subspace %d: ids %v, want %v", sub, got.IDs, want)
 			}
 			break
 		}

@@ -37,7 +37,6 @@ import (
 	"skycube"
 	"skycube/internal/mask"
 	"skycube/internal/obs"
-	"skycube/internal/rcache"
 	"skycube/internal/rebalance"
 	"skycube/internal/server"
 )
@@ -57,8 +56,9 @@ type ShardOptions struct {
 	Metrics *obs.Registry
 	// Logger, if non-nil, logs one line per request.
 	Logger *log.Logger
-	// CacheEntries bounds the shard's response cache, which /shard/cuboid
-	// shares with the embedded server's reads (0 = rcache.DefaultEntries).
+	// CacheEntries bounds the embedded server's response cache of /skyline
+	// and /membership bodies (0 = rcache.DefaultEntries); /shard/cuboid
+	// caches nothing.
 	CacheEntries int
 	// DisableCache turns response memoization off (the ETag/304 contract
 	// remains).
@@ -282,46 +282,28 @@ func (s *Shard) handleCuboid(w http.ResponseWriter, r *http.Request) {
 	if !server.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
-	// A warm subspace's fan-out is a map probe and a byte copy in the
-	// embedded server's cache, not an extraction plus an encode.
-	cache, cm := s.srv.Cache()
-	rec := obs.RecordFrom(r.Context())
-	if e, ok := cache.Get(rcache.Key{Epoch: s.up.Current().Epoch(), Path: r.URL.Path, Variant: r.URL.RawQuery}); ok {
-		rec.Event(obs.Event{Kind: obs.EvCache, Detail: "hit", Start: rec.Since()})
-		rcache.Serve(w, r, e, cm)
-		return
-	}
-	rec.Event(obs.Event{Kind: obs.EvCache, Detail: "miss", Start: rec.Since()})
 	delta, ok := s.parseSubspace(w, r)
 	if !ok {
 		return
 	}
-
-	// Key and fill under the snapshot's epoch — the epoch echoed in the
-	// body — so a fan-out racing a flush can never receive bytes whose
-	// payload disagrees with their validator. The singleflight gate means R
-	// replicas' worth of concurrent cold fan-outs cost one extraction here.
+	// One snapshot answers the whole request, so the epoch in the frame is
+	// the epoch its ids and points were read at. Nothing is memoized here:
+	// the coordinator caches the merged body, and a fan-out reaches a shard
+	// only when that cache missed.
 	snap := s.up.Current()
-	e, err := cache.Fill(rcache.Key{Epoch: snap.Epoch(), Path: r.URL.Path, Variant: r.URL.RawQuery},
-		func() (*rcache.Entry, error) {
-			extractStart := rec.Since()
-			local := snap.Skyline(delta)
-			rec.Event(obs.Event{Kind: obs.EvCuboid, Start: extractStart,
-				Dur: rec.Since() - extractStart, N: int64(len(local)), Epoch: snap.Epoch()})
-			ids := make([]int32, len(local))
-			for i, row := range local {
-				ids[i] = s.GlobalID(row)
-			}
-			body := encodeCuboidFrame(delta, snap.Epoch(), ids,
-				func(i int) []float32 { return snap.Point(local[i]) })
-			tag := fmt.Sprintf(`"e%d-s%d"`, snap.Epoch(), uint32(delta))
-			return rcache.NewBinaryEntry(tag, body), nil
-		})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+	rec := obs.RecordFrom(r.Context())
+	extractStart := rec.Since()
+	local := snap.Skyline(delta)
+	rec.Event(obs.Event{Kind: obs.EvCuboid, Start: extractStart,
+		Dur: rec.Since() - extractStart, N: int64(len(local)), Epoch: snap.Epoch()})
+	ids := make([]int32, len(local))
+	for i, row := range local {
+		ids[i] = s.GlobalID(row)
 	}
-	rcache.Serve(w, r, e, cm)
+	body := encodeCuboidFrame(delta, snap.Epoch(), ids,
+		func(i int) []float32 { return snap.Point(local[i]) })
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(body)
 }
 
 // parseSubspace reads the subspace parameter of /shard/cuboid, answering 400
@@ -363,9 +345,7 @@ type shardInfo struct {
 }
 
 func (s *Shard) handleInfo(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed (use GET)", http.StatusMethodNotAllowed)
+	if !server.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	snap := s.up.Current()

@@ -32,9 +32,7 @@ import (
 // and stream the checkpoint file verbatim. Requires a durable shard; an
 // in-memory shard has no checkpoint format to serve.
 func (s *Shard) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed (use GET)", http.StatusMethodNotAllowed)
+	if !server.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	st := s.up.Store()
@@ -64,9 +62,7 @@ func (s *Shard) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // minus the first `skip` already delivered. 410 Gone means a checkpoint
 // truncated the chain — the caller restarts from a fresh snapshot.
 func (s *Shard) handleTail(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed (use GET)", http.StatusMethodNotAllowed)
+	if !server.AllowMethod(w, r, http.MethodGet) {
 		return
 	}
 	st := s.up.Store()
@@ -123,9 +119,7 @@ type syncResponse struct {
 // write-quiesced as a split's final catch-up; the response's epoch matching
 // the source's proves the copy converged.
 func (s *Shard) handleSync(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed (use POST)", http.StatusMethodNotAllowed)
+	if !server.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	s.sourceMu.Lock()
@@ -166,9 +160,7 @@ type sealResponse struct {
 // start. Repeating a seal with the same base is a no-op (cutover retries
 // are idempotent).
 func (s *Shard) handleSeal(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed (use POST)", http.StatusMethodNotAllowed)
+	if !server.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req sealRequest
@@ -230,9 +222,7 @@ type pruneResponse struct {
 // journaled Delete path, so the sweep is durable, crash-recoverable, and
 // (applied to each replica of a group) deterministic.
 func (s *Shard) handlePrune(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed (use POST)", http.StatusMethodNotAllowed)
+	if !server.AllowMethod(w, r, http.MethodPost) {
 		return
 	}
 	var req pruneRequest

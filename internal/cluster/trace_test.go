@@ -375,45 +375,48 @@ func TestCoordinatorSlowQueryLog(t *testing.T) {
 	}
 }
 
+// tracedFlush posts a traced routed /flush to tc's coordinator and returns
+// the one cache event its record holds: the roll it fired.
+func tracedFlush(t *testing.T, tc *tracedCluster) obs.Event {
+	t.Helper()
+	trace := obs.NewTraceID()
+	req := httptest.NewRequest(http.MethodPost, "/flush", strings.NewReader("{}"))
+	req.Header.Set(obs.TraceparentHeader, obs.Traceparent(trace, obs.NewSpanID()))
+	rec := httptest.NewRecorder()
+	tc.coord.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("traced flush: status %d: %s", rec.Code, rec.Body)
+	}
+	hop := tc.coordRing.Find(trace.String())
+	if hop == nil {
+		t.Fatal("coordinator ring has no record of the traced flush")
+	}
+	snap := hop.Snapshot()
+	if snap.Kind != "coordinator" || snap.Path != "/flush" || snap.Status != http.StatusOK {
+		t.Fatalf("flush hop = kind %q path %q status %d", snap.Kind, snap.Path, snap.Status)
+	}
+	var rolls []obs.Event
+	for _, e := range snap.Events {
+		if e.Kind == obs.EvCache {
+			rolls = append(rolls, e)
+		}
+	}
+	if len(rolls) != 1 || !strings.HasPrefix(rolls[0].Detail, "roll-") {
+		t.Fatalf("flush hop events %+v, want one roll", snap.Events)
+	}
+	return rolls[0]
+}
+
 // TestTraceFlushNamesItsRoll: a traced routed /flush records one cache event
 // naming the roll it fired — "roll-all: " and its reason when it could not
 // prove which subspaces changed, "roll-subspaces n" when it could.
 func TestTraceFlushNamesItsRoll(t *testing.T) {
 	tc := newTracedCluster(t, CoordinatorOptions{})
-	roll := func() obs.Event {
-		t.Helper()
-		trace := obs.NewTraceID()
-		req := httptest.NewRequest(http.MethodPost, "/flush", strings.NewReader("{}"))
-		req.Header.Set(obs.TraceparentHeader, obs.Traceparent(trace, obs.NewSpanID()))
-		rec := httptest.NewRecorder()
-		tc.coord.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("traced flush: status %d: %s", rec.Code, rec.Body)
-		}
-		hop := tc.coordRing.Find(trace.String())
-		if hop == nil {
-			t.Fatal("coordinator ring has no record of the traced flush")
-		}
-		snap := hop.Snapshot()
-		if snap.Kind != "coordinator" || snap.Path != "/flush" || snap.Status != http.StatusOK {
-			t.Fatalf("flush hop = kind %q path %q status %d", snap.Kind, snap.Path, snap.Status)
-		}
-		var rolls []obs.Event
-		for _, e := range snap.Events {
-			if e.Kind == obs.EvCache {
-				rolls = append(rolls, e)
-			}
-		}
-		if len(rolls) != 1 || !strings.HasPrefix(rolls[0].Detail, "roll-") {
-			t.Fatalf("flush hop events %+v, want one roll", snap.Events)
-		}
-		return rolls[0]
-	}
 	if err := tc.coord.Refresh(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 	// The initial builds were made from no epoch: nothing to follow on.
-	if ev := roll(); ev.Detail != "roll-all: no transition from shard 0" {
+	if ev := tracedFlush(t, tc); ev.Detail != "roll-all: no transition from shard 0" {
 		t.Fatalf("first flush: %q", ev.Detail)
 	}
 	// One point per shard, below everything on dimension 0 and above
@@ -421,11 +424,12 @@ func TestTraceFlushNamesItsRoll(t *testing.T) {
 	postJSON(t, tc.coord, "/insert", insertRequest{Points: pointPerShard(tc.testCluster, func(i int) []float32 {
 		return []float32{-1 - float32(i), 10, 10, 10 + float32(i)}
 	})}, http.StatusOK)
-	if ev := roll(); ev.Detail != "roll-subspaces 8" || ev.N != 8 {
+	if ev := tracedFlush(t, tc); ev.Detail != "roll-subspaces 8" || ev.N != 8 {
 		t.Fatalf("flush of two dimension-0 members: %q (n %d)", ev.Detail, ev.N)
 	}
-	// Nothing pending: each shard repeats the epoch the last roll covered.
-	if ev := roll(); !strings.HasPrefix(ev.Detail, "roll-all: epoch gap on shard 0") {
-		t.Fatalf("empty flush: %q", ev.Detail)
+	// Nothing pending: each shard repeats the epoch the last roll covered,
+	// which proves it changed nothing.
+	if ev := tracedFlush(t, tc); ev.Detail != "roll-subspaces 0" || ev.N != 0 {
+		t.Fatalf("empty flush: %q (n %d)", ev.Detail, ev.N)
 	}
 }

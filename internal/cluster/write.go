@@ -486,10 +486,11 @@ func (c *Coordinator) rollAll() {
 // advance moves the seen epoch of group name to the one its replicas report
 // after a flush, and folds the subspaces the flush changed into changed. It
 // returns "" when the group's part is proven — its replicas report one
-// transition, and it starts at the seen epoch — and otherwise why only a
-// roll of every subspace is safe: an empty flush too, whose reply repeats
-// the transition of an epoch already seen. Caller holds rollMu; whichever
-// roll follows covers every transition up to the epoch seen afterwards.
+// transition, and it starts at the seen epoch, or they all report the seen
+// epoch itself, which an earlier roll covered, so the group contributes
+// nothing — and otherwise why only a roll of every subspace is safe. Caller
+// holds rollMu; whichever roll follows covers every transition up to the
+// epoch seen afterwards.
 func (c *Coordinator) advance(name string, reps []shardEpochResponse, changed *bitset.Set) string {
 	if len(reps) == 0 {
 		return "failed shard " + name
@@ -501,9 +502,11 @@ func (c *Coordinator) advance(name string, reps []shardEpochResponse, changed *b
 			return "replica disagreement on shard " + name
 		}
 	}
-	seen := c.seen[name]
+	seen, known := c.seen[name]
 	c.seen[name] = now.Epoch
 	switch {
+	case known && now.Epoch == seen:
+		return "" // the flush applied nothing on this group
 	case now.From == 0:
 		return "no transition from shard " + name
 	case now.From != seen:

@@ -216,8 +216,11 @@ func (s *Snapshot) Skyline(delta mask.Mask) []int32 {
 	if delta == 0 || int(delta) > mask.NumSubspaces(s.d) {
 		return nil
 	}
-	var base []int32
-	for _, row := range s.base.h.Skyline(delta) {
+	// Filter in place: HashCube.Skyline's slice is fresh, and the write
+	// index never passes the read index.
+	rows := s.base.h.Skyline(delta)
+	base := rows[:0]
+	for _, row := range rows {
 		if id := s.base.id(row); s.ov.slot(id) == nil {
 			base = append(base, id)
 		}
@@ -234,11 +237,11 @@ func (s *Snapshot) Skyline(delta mask.Mask) []int32 {
 			}
 		}
 	}
+	if len(base) == 0 {
+		return over // nil when neither holds a member
+	}
 	if len(over) == 0 {
 		return base
-	}
-	if len(base) == 0 {
-		return over
 	}
 	out := make([]int32, 0, len(base)+len(over))
 	for len(base) > 0 && len(over) > 0 {

@@ -82,7 +82,8 @@ func (h *HashCube) fullWordMask(w int) uint32 {
 
 // Skyline reconstructs S_δ: the concatenation of the id lists of every key
 // of word (δ−1)/32 whose bit (δ−1)%32 is *unset* (the point is not
-// dominated in δ). Ids are returned sorted ascending.
+// dominated in δ). Ids are returned sorted ascending, in a fresh slice the
+// caller owns: it is counted before it is filled, so it is allocated once.
 func (h *HashCube) Skyline(delta mask.Mask) []int32 {
 	if delta == 0 || int(delta) > mask.NumSubspaces(h.D) {
 		return nil
@@ -91,7 +92,17 @@ func (h *HashCube) Skyline(delta mask.Mask) []int32 {
 	bit := uint32(1) << uint(int(delta-1)%WordBits)
 	t := &h.words[w]
 	t.mu.Lock()
-	var out []int32
+	n := 0
+	for key, ids := range t.m {
+		if key&bit == 0 {
+			n += len(ids)
+		}
+	}
+	if n == 0 {
+		t.mu.Unlock()
+		return nil
+	}
+	out := make([]int32, 0, n)
 	for key, ids := range t.m {
 		if key&bit == 0 {
 			out = append(out, ids...)

@@ -4,12 +4,13 @@
 // readers of a cold key trigger exactly one computation.
 //
 // The design leans entirely on MVCC epochs for correctness. A key embeds
-// the epoch the response was computed at, and epochs only ever advance
-// (delta flush, compaction, or — at the coordinator — a routed write), so a
-// cached entry is bit-exact for as long as anything can look it up under
-// its key. There is no TTL, no heuristic invalidation, and nothing to
-// invalidate explicitly: an epoch advance simply makes readers derive new
-// keys, and stale entries age out of the LRU.
+// the epoch the response was computed at, and epochs only ever advance (a
+// node's delta flush or compaction; at the coordinator, a subspace's
+// generation, which a routed flush that changed it, a map swap or a prune
+// rolls), so a cached entry is bit-exact for as long as anything can look
+// it up under its key. There is no TTL, no heuristic invalidation, and
+// nothing to invalidate explicitly: an epoch advance simply makes readers
+// derive new keys, and stale entries age out of the LRU.
 //
 // Get is engineered to be allocation-free: the key is a comparable struct
 // (map lookup does not escape), the LRU list is intrusive, and metrics
@@ -38,38 +39,27 @@ type Key struct {
 	Variant string
 }
 
-// Entry is one immutable cached response: the encoded body, its content
-// type and its strong validator. Entries are shared between concurrent
-// readers and must never be mutated after publication.
+// Entry is one immutable cached JSON response: the encoded body and its
+// strong validator. Entries are shared between concurrent readers and must
+// never be mutated after publication.
 type Entry struct {
-	// ETag is the strong validator of the body, derived from the epoch and
-	// subspace that produced it (quoted, per RFC 9110).
+	// ETag is the strong validator of the body (quoted, per RFC 9110).
 	ETag string
 	// ETagHeader is ETag pre-boxed as a header value slice, so serving a
 	// hit can assign it into the header map without allocating.
 	ETagHeader []string
-	// ContentType is the pre-boxed Content-Type header value, assigned into
-	// the header map directly so serving a hit does not allocate.
-	ContentType []string
-	// Body is the fully-encoded response (for JSON: trailing newline
-	// included, exactly as the uncached path would have written).
+	// Body is the fully-encoded response, trailing newline included,
+	// exactly as the uncached path would have written it.
 	Body []byte
 }
 
-var (
-	contentTypeJSON   = []string{"application/json"}
-	contentTypeBinary = []string{"application/octet-stream"}
-)
+// contentTypeJSON is the pre-boxed Content-Type header value, assigned into
+// the header map directly so serving a hit does not allocate.
+var contentTypeJSON = []string{"application/json"}
 
 // NewEntry builds an immutable JSON entry, pre-boxing the header value.
 func NewEntry(etag string, body []byte) *Entry {
-	return &Entry{ETag: etag, ETagHeader: []string{etag}, ContentType: contentTypeJSON, Body: body}
-}
-
-// NewBinaryEntry is NewEntry for a body that is a binary frame
-// (application/octet-stream) — the shard's /shard/cuboid replies.
-func NewBinaryEntry(etag string, body []byte) *Entry {
-	return &Entry{ETag: etag, ETagHeader: []string{etag}, ContentType: contentTypeBinary, Body: body}
+	return &Entry{ETag: etag, ETagHeader: []string{etag}, Body: body}
 }
 
 // Serve writes a materialized response: strong ETag always, 304 Not
@@ -83,7 +73,7 @@ func Serve(w http.ResponseWriter, r *http.Request, e *Entry, cm *obs.CacheMetric
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	h["Content-Type"] = e.ContentType
+	h["Content-Type"] = contentTypeJSON
 	_, _ = w.Write(e.Body)
 }
 
@@ -217,18 +207,6 @@ func (c *Cache) Fill(key Key, fn func() (*Entry, error)) (*Entry, error) {
 	c.mu.Unlock()
 	close(cl.done)
 	return cl.entry, cl.err
-}
-
-// Put stores entry under key unconditionally (no singleflight). The
-// coordinator uses it to index one merged response under a second key —
-// the shard-epoch vector — alongside its write-generation key.
-func (c *Cache) Put(key Key, e *Entry) {
-	if c == nil || e == nil {
-		return
-	}
-	c.mu.Lock()
-	c.insert(key, e)
-	c.mu.Unlock()
 }
 
 // Len returns the resident entry count.

@@ -171,15 +171,14 @@ func TestCacheGetZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestServeEntryContentType: an entry is served under its own content type —
-// JSON for NewEntry, octet-stream for a binary frame — and a 304 carries none.
+// TestServeEntryContentType: an entry is served as JSON, and a 304 carries no
+// content type.
 func TestServeEntryContentType(t *testing.T) {
 	for _, c := range []struct {
 		e    *Entry
 		want string
 	}{
 		{NewEntry(`"j"`, []byte("{}\n")), "application/json"},
-		{NewBinaryEntry(`"b"`, []byte{1, 2, 3}), "application/octet-stream"},
 	} {
 		rec := httptest.NewRecorder()
 		Serve(rec, httptest.NewRequest(http.MethodGet, "/", nil), c.e, nil)

@@ -243,12 +243,6 @@ func (s *Server) Handle(pattern string, h http.Handler) {
 	s.mux.Handle(pattern, h)
 }
 
-// Cache returns the read cache (nil when disabled) and its metrics, so a
-// handler mounted with Handle memoizes in the same LRU: one bound, one
-// layer label. Its keys carry the request path, so endpoints never serve
-// each other's bodies.
-func (s *Server) Cache() (*rcache.Cache, *obs.CacheMetrics) { return s.cache, s.cm }
-
 // SetReady flips the caller-controlled half of the readiness probe — e.g. a
 // shard node rebuilding its cube marks itself unready so load balancers and
 // the cluster coordinator route around it. Servers start ready (NewWith is
@@ -586,12 +580,6 @@ func cacheable(r *http.Request) bool {
 	return r.Method == http.MethodGet && !strings.Contains(r.URL.RawQuery, "epoch=")
 }
 
-// serveEntry writes a materialized response through rcache.Serve (strong
-// ETag, If-None-Match → 304, pre-encoded bytes).
-func serveEntry(w http.ResponseWriter, r *http.Request, e *rcache.Entry, cm *obs.CacheMetrics) {
-	rcache.Serve(w, r, e, cm)
-}
-
 // traceCache records the cache disposition of a read on the request's trace
 // record, if it carries one. Untraced requests pay a single context lookup.
 func traceCache(r *http.Request, detail string) {
@@ -639,7 +627,7 @@ func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil && cacheable(r) {
 		if e, ok := s.cache.Get(rcache.Key{Epoch: s.currentEpoch(), Path: r.URL.Path, Variant: r.URL.RawQuery}); ok {
 			traceCache(r, "hit")
-			serveEntry(w, r, e, s.cm)
+			rcache.Serve(w, r, e, s.cm)
 			return
 		}
 	}
@@ -678,7 +666,7 @@ func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	serveEntry(w, r, e, s.cm)
+	rcache.Serve(w, r, e, s.cm)
 }
 
 // membershipResponse is the /membership payload.
@@ -697,7 +685,7 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil && cacheable(r) {
 		if e, ok := s.cache.Get(rcache.Key{Epoch: s.currentEpoch(), Path: r.URL.Path, Variant: r.URL.RawQuery}); ok {
 			traceCache(r, "hit")
-			serveEntry(w, r, e, s.cm)
+			rcache.Serve(w, r, e, s.cm)
 			return
 		}
 	}
@@ -730,7 +718,7 @@ func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	serveEntry(w, r, e, s.cm)
+	rcache.Serve(w, r, e, s.cm)
 }
 
 // insertRequest is the POST /insert body; insertResponse its payload. The
