@@ -190,3 +190,88 @@ func TestDurableUpdaterBadPolicy(t *testing.T) {
 		t.Fatal("unknown fsync policy accepted")
 	}
 }
+
+// TestRecoveryAcrossFoldedCompaction: a compaction between a checkpoint and a
+// power cut is replayed from its marker as a fold of the replayed epoch. The
+// log after the checkpoint holds insert flushes, a delete batch whose victims
+// include full-space skyline members (so outsiders turn loose before the
+// fold), the compaction, and one more such delete batch over the folded base.
+// The reopened updater must serve the pre-crash epoch and live count, and
+// every skyline and membership of a one-shot QSkycube build over the
+// survivors.
+func TestRecoveryAcrossFoldedCompaction(t *testing.T) {
+	const d, n = 5, 1500
+	dir := t.TempDir()
+	ds := skycube.GenerateSynthetic(skycube.Independent, n, d, 61)
+	opt := skycube.Options{
+		Threads: 2,
+		Durable: skycube.DurableOptions{Dir: dir, Fsync: "always", CheckpointEvery: -1},
+	}
+	up, err := skycube.NewUpdater(ds, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make([]int32, n)
+	for i := range live {
+		live[i] = int32(i)
+	}
+	if err := up.Store().Checkpoint(up.Delta()); err != nil {
+		t.Fatal(err)
+	}
+	tail := skycube.GenerateSynthetic(skycube.Independent, 400, d, 62)
+	for b := 0; b < 2; b++ {
+		for i := b * 200; i < (b+1)*200; i++ {
+			id, err := up.Insert(tail.Point(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, id)
+		}
+		up.Flush()
+	}
+	rng := rand.New(rand.NewSource(63))
+	deleteBatch := func() {
+		sky := up.Current().Skyline(skycube.FullSpace(d))
+		rng.Shuffle(len(sky), func(i, j int) { sky[i], sky[j] = sky[j], sky[i] })
+		for k := 0; k < 25; k++ {
+			id := live[rng.Intn(len(live))]
+			if k < 5 {
+				id = sky[k]
+			}
+			if err := up.Delete(id); err != nil {
+				k-- // already a victim: draw again
+				continue
+			}
+			for i, v := range live {
+				if v == id {
+					live = append(live[:i], live[i+1:]...)
+					break
+				}
+			}
+		}
+		up.Flush()
+	}
+	deleteBatch()
+	up.Compact()
+	deleteBatch()
+	before := up.Current()
+	if err := up.Store().CrashForTest(); err != nil {
+		t.Fatal(err)
+	}
+	up.Close()
+
+	re, err := skycube.OpenUpdater(opt)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer re.Close()
+	if got := re.Stats().Compactions; re.Replayed() == 0 || got != 1 {
+		t.Fatalf("replayed %d records and %d compactions, want the log since the checkpoint", re.Replayed(), got)
+	}
+	snap := re.Current()
+	if snap.Epoch() != before.Epoch() || snap.Live() != before.Live() || snap.Live() != len(live) {
+		t.Fatalf("recovered epoch %d with %d live, want epoch %d with %d live (%d acknowledged)",
+			snap.Epoch(), snap.Live(), before.Epoch(), before.Live(), len(live))
+	}
+	checkAgainstFreshBuild(t, snap, live)
+}

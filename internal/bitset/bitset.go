@@ -75,9 +75,28 @@ func (s *Set) Fill() {
 	}
 }
 
-// All reports whether every addressable bit is set.
+// All reports whether every addressable bit is set. It reads the words only
+// up to the first one with a clear bit.
 func (s *Set) All() bool {
-	return s.Count() == s.n
+	full := s.n / wordBits
+	for _, w := range s.words[:full] {
+		if w != ^uint64(0) {
+			return false
+		}
+	}
+	rem := s.n % wordBits
+	return rem == 0 || s.words[full] == 1<<uint(rem)-1
+}
+
+// Empty reports whether no bit is set. It reads the words only up to the
+// first one with a set bit.
+func (s *Set) Empty() bool {
+	for _, w := range s.words {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Or sets s to s ∪ t. Both sets must have the same length.

@@ -45,6 +45,41 @@ func TestFillAllReset(t *testing.T) {
 	}
 }
 
+// TestAllAndEmptyDecideByWord holds All and Empty, which stop at the first
+// word that decides, to the popcount at lengths around a word's edge and at
+// 2^d − 1 for d = 6…14, with one bit missing (or present) in each word
+// position, the last word's highest addressable bit included.
+func TestAllAndEmptyDecideByWord(t *testing.T) {
+	lengths := []int{1, 63, 64, 65}
+	for d := 6; d <= 14; d++ {
+		lengths = append(lengths, 1<<d-1)
+	}
+	for _, n := range lengths {
+		s, e := New(n), New(n)
+		s.Fill()
+		if !s.All() || s.Empty() || !e.Empty() || e.All() {
+			t.Fatalf("n=%d: full All=%v Empty=%v, empty All=%v Empty=%v", n, s.All(), s.Empty(), e.All(), e.Empty())
+		}
+		for wi := 0; wi*wordBits < n; wi++ {
+			for _, i := range []int{wi * wordBits, min((wi+1)*wordBits, n) - 1} {
+				s.Clear(i)
+				if s.All() || s.All() != (s.Count() == n) {
+					t.Fatalf("n=%d: All() with bit %d clear", n, i)
+				}
+				s.Set(i)
+				e.Set(i)
+				if e.Empty() || e.Empty() != (e.Count() == 0) {
+					t.Fatalf("n=%d: Empty() with bit %d set", n, i)
+				}
+				e.Clear(i)
+			}
+		}
+		if !s.All() || !e.Empty() {
+			t.Fatalf("n=%d: sets not restored", n)
+		}
+	}
+}
+
 func TestOrAndNot(t *testing.T) {
 	a, b := New(100), New(100)
 	a.Set(3)

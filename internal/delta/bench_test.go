@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"skycube/internal/dom"
 	"skycube/internal/gen"
 	"skycube/internal/mask"
 )
@@ -156,4 +157,53 @@ func BenchmarkFlushDeletes(b *testing.B) {
 			b.ReportMetric(float64(vouches)/float64(b.N*batch), "vouch/delete")
 		})
 	}
+}
+
+// BenchmarkCompact measures one Compact on the benchmark's wide update shape:
+// an Independent d=6 base of 12 000 points, then three flushes of 1 000
+// inserts and one of 25 deletes, 5 of them full-space skyline members, all
+// on a fresh updater built with the clock stopped, so every iteration folds
+// the same epoch. sweeps/compaction is the hardware-independent twin: the
+// 64-lane kernel words the compaction sweeps — the extended skyline's
+// blocks, and at a rebuild MDMC's label columns too. Every iteration draws
+// the same victims, so it repeats exactly.
+func BenchmarkCompact(b *testing.B) {
+	const d, n, batches, batch = 6, 12000, 3, 1000
+	ds := gen.Synthetic(gen.Independent, n, d, 20170514)
+	pool := gen.Synthetic(gen.Independent, batches*batch, d, 20170515)
+	var sweeps uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		u := NewUpdater(ds, Options{Threads: runtime.NumCPU()})
+		for k := 0; k < batches*batch; k++ {
+			if _, err := u.Insert(pool.Point(k)); err != nil {
+				b.Fatal(err)
+			}
+			if (k+1)%batch == 0 {
+				u.Flush()
+			}
+		}
+		rng := rand.New(rand.NewSource(5))
+		sky := u.Current().Skyline(mask.Full(d))
+		rng.Shuffle(len(sky), func(i, j int) { sky[i], sky[j] = sky[j], sky[i] })
+		for k := 0; k < 25; k++ {
+			id := int32(rng.Intn(n + batches*batch))
+			if k < 5 {
+				id = sky[k]
+			}
+			if err := u.Delete(id); err != nil {
+				k-- // already a victim: draw again
+			}
+		}
+		u.Flush()
+		before := dom.KernelStats().BlockSweeps
+		b.StartTimer()
+		u.Compact()
+		b.StopTimer()
+		sweeps += dom.KernelStats().BlockSweeps - before
+		u.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(sweeps)/float64(b.N), "sweeps/compaction")
 }

@@ -1,7 +1,6 @@
 // Package delta maintains a built skycube under batched point inserts and
 // deletes, serving lock-free MVCC snapshots while a writer applies batches
-// and a background compactor folds the accumulated overlay into fresh full
-// builds.
+// and a background compactor folds the accumulated overlay into fresh bases.
 //
 // The paper's templates compute a skycube once; this package keeps that
 // result alive as the dataset changes, by reusing the same machinery
@@ -37,8 +36,10 @@
 //     Readers pin an epoch by loading a pointer and are never blocked; a
 //     bounded history ring keeps recent epochs addressable.
 //   - When the overlay exceeds a configurable fraction of the base, a
-//     compaction rebuilds the base over the live points (scheduled across
-//     the configured devices) and resets the overlay.
+//     compaction folds the epoch into a new base over the live points and
+//     resets the overlay. It runs no MDMC point task: the new base takes
+//     every live point's mask as the epoch has it (exact, below), and only
+//     S⁺ and the static tree over it are computed afresh.
 //
 // The one invariant every pass keeps and relies on: at a published epoch
 // every live point's mask — its overlay entry if it has one, the base's row
@@ -68,8 +69,8 @@
 // negated voucher as its probe. The strict check then runs only on the lanes
 // that sweep leaves, and the candidates are judged by one block verdict
 // against the kept members. Nothing is copied per batch: a victim's lane and a
-// promoted point's lane are killed in place, and the next compaction rebuilds
-// the store.
+// promoted point's lane are killed in place, and the next compaction builds a
+// fresh store from the new base.
 //
 // The kept members are the front: the full-space skyline as a column store in
 // (coordinate sum, id) order, built with each base and kept across epochs. A
@@ -142,7 +143,7 @@ const (
 	// history is how many recent snapshots stay addressable by epoch (At).
 	history = 8
 	// minCompactOverlay is the overlay size below which auto-compaction
-	// never fires: it avoids rebuild churn on tiny bases.
+	// never fires: it avoids compaction churn on tiny bases.
 	minCompactOverlay = 64
 	// maxBatchReplies caps the remembered batch replies; the oldest is
 	// evicted first. Retries arrive within seconds, so thousands of batches
@@ -159,8 +160,9 @@ type Options struct {
 	// Threads is the CPU worker count for builds and batch application; 0
 	// means all cores.
 	Threads int
-	// Devices is the pool base builds and compactions are scheduled on;
-	// empty means one CPU device over Threads cores.
+	// Devices is the pool the first base and a restored one are built on (a
+	// compaction folds the epoch's masks and runs no point task); empty
+	// means one CPU device over Threads cores.
 	Devices []hetero.Device
 	// CompactFraction triggers auto-compaction when the overlay entry count
 	// (Snapshot.OverlaySize) reaches this fraction of the base's point count.
@@ -342,7 +344,7 @@ func NewUpdater(ds *data.Dataset, opt Options) *Updater {
 		u.ids[i] = int32(i)
 	}
 	u.mu.Lock()
-	snap := u.buildBaseLocked(1)
+	snap := u.buildBaseLocked(1, nil)
 	u.publish(snap)
 	u.mu.Unlock()
 	opt.Metrics.Epoch(snap.epoch, snap.live, snap.OverlaySize())
@@ -366,7 +368,7 @@ type PendingOp struct {
 // were pending when it was captured. CaptureState produces it and
 // NewUpdaterFrom reconstructs an equivalent updater from it — the skycube
 // itself is not serialized; it is rebuilt deterministically over the live
-// points, exactly like a compaction at the captured epoch.
+// points, into the base a compaction at the captured epoch would fold to.
 type RestoreState struct {
 	Dims  int
 	Epoch uint64
@@ -451,9 +453,9 @@ func (u *Updater) CaptureState(rotate func(epoch uint64) error) (RestoreState, e
 }
 
 // NewUpdaterFrom reconstructs an updater from a RestoreState: a full build
-// over the state's live points published at the state's epoch (exactly a
-// compaction of the pre-crash updater, which serves identical query
-// results), with the pending batch re-buffered and the batch replies
+// over the state's live points published at the state's epoch (the base a
+// compaction of the pre-crash updater folds to, which serves identical
+// query results), with the pending batch re-buffered and the batch replies
 // remembered. It verifies the rebuilt live count against the state and
 // fails rather than serve a diverged cube. The background compactor is
 // NOT started even when opt.AutoCompact is set — WAL replay must drive
@@ -520,7 +522,7 @@ func NewUpdaterFrom(st RestoreState, opt Options) (*Updater, error) {
 		u.rememberLocked(rep)
 	}
 	u.mu.Lock()
-	snap := u.buildBaseLocked(st.Epoch)
+	snap := u.buildBaseLocked(st.Epoch, nil)
 	if snap.live != st.Live {
 		u.mu.Unlock()
 		return nil, fmt.Errorf("delta: restored build has %d live points at epoch %d, checkpoint recorded %d",
@@ -742,25 +744,26 @@ func (u *Updater) Flush() *Snapshot {
 	return u.applyLocked()
 }
 
-// Compact forces a full rebuild over the live points, folding the overlay
-// into a new base, and returns the fresh snapshot.
+// Compact folds the current epoch into a new base over the live points
+// (buildBaseLocked) and returns the fresh snapshot. The new base is the one a
+// full build over the same points would make.
 func (u *Updater) Compact() *Snapshot {
 	u.mu.Lock()
 	start := time.Now()
 	prev := u.cur.Load()
 	// As in applyLocked, the marker is journaled first and committed while
-	// the base is rebuilt, and the epoch is published only once it is
+	// the base is folded, and the epoch is published only once it is
 	// durable. Its fields are known up front: a compaction kills no point.
 	// It drains nothing either, so mutation records on either side of the
-	// marker stay pending, and replay rebuilds wherever the marker sits.
+	// marker stay pending, and replay folds wherever the marker sits.
 	var c commit
 	if u.journal != nil {
 		if err := u.journal.LogEpoch(true, prev.epoch+1, prev.live); err == nil {
 			c = u.startCommit()
 		}
 	}
-	snap := u.buildBaseLocked(prev.epoch + 1)
-	// A rebuild over the same live points changes no answer.
+	snap := u.buildBaseLocked(prev.epoch+1, prev)
+	// A fold over the same live points changes no answer.
 	snap.from, snap.changed = prev.epoch, bitset.New(mask.NumSubspaces(u.d))
 	c.wait()
 	u.publish(snap)
@@ -859,13 +862,23 @@ func (u *Updater) devices() []hetero.Device {
 	return []hetero.Device{&hetero.CPUDevice{Threads: u.threads}}
 }
 
-// buildBaseLocked runs a full build over the live points and resets all
+// buildBaseLocked makes a new base over the live points and resets all
 // base-generation state (tree routing tables, liveness counters, the
-// outsiders, the lists beyond the tree, the front and the ties). Caller
-// holds u.mu.
-func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
+// outsiders, the lists beyond the tree, the front and the ties). With prev
+// nil — the first base, a restore — it runs the MDMC build across the
+// configured devices. A compaction passes the epoch it folds instead, whose
+// every live mask is exact: the new base takes those masks, and S⁺ is the
+// extended skyline of the live tree points and the extras alone, since every
+// other live point is an alive outsider lane, which the promotion lemma
+// gives a live strict full-space dominator among them. Caller holds u.mu.
+func (u *Updater) buildBaseLocked(epoch uint64, prev *Snapshot) *Snapshot {
 	header := u.datasetHeader()
 	live := u.liveRows()
+	// The fold's candidates are read before the lists beyond the tree reset.
+	var cand []int32
+	if prev != nil {
+		cand = u.foldRows(live)
+	}
 	u.extras, u.offTree, u.bare, u.ties = nil, nil, nil, nil
 	u.front = front{cols: data.NewBlockSet(u.d, data.DefaultBlockSize)}
 	if len(live) == 0 {
@@ -886,11 +899,17 @@ func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 		}
 		sub = header.Subset(intRows)
 	}
-	ctx := templates.PrepareMDMC(sub, u.threads, 3, 0)
-	hetero.MDMCPrepared(ctx, u.devices(), hetero.Options{})
-
-	base := &baseCube{h: ctx.Cube, points: sub.N}
-	base.masks, base.stride = ctx.Cube.RowMasks(sub.N)
+	var ctx *templates.MDMCContext
+	base := &baseCube{points: sub.N}
+	if prev == nil {
+		ctx = templates.PrepareMDMC(sub, u.threads, 3, 0)
+		hetero.MDMCPrepared(ctx, u.devices(), hetero.Options{})
+		base.masks, base.stride = ctx.Cube.RowMasks(sub.N)
+	} else {
+		ctx = templates.PrepareMDMCTraced(sub, cand, u.threads, 3, 0, nil)
+		base.masks, base.stride = fold(prev, sub.IDs, ctx)
+	}
+	base.h = ctx.Cube
 	if !identity {
 		base.ids = sub.IDs
 		base.row = make([]int32, u.n)
@@ -949,6 +968,41 @@ func (u *Updater) buildBaseLocked(epoch uint64) *Snapshot {
 	u.kept()
 
 	return &Snapshot{epoch: epoch, d: u.d, ds: header, base: base, live: len(live)}
+}
+
+// foldRows returns the rows of live (the live ids, ascending) that a
+// compaction's extended skyline runs over: the live tree points and the
+// extras — the points inserted since the base and the loose ones.
+func (u *Updater) foldRows(live []int32) []int32 {
+	rows := make([]int32, 0, len(u.treeID)+len(u.extras))
+	extras := u.extras
+	for r, id := range live {
+		if len(extras) > 0 && extras[0] == id {
+			extras = extras[1:]
+		} else if u.posOf(id) < 0 {
+			continue
+		}
+		rows = append(rows, int32(r))
+	}
+	return rows
+}
+
+// fold returns the masks of the points ids, by row, as prev has them — as
+// HashCube.RowMasks lays them out — and inserts those of ctx's S⁺ rows into
+// ctx's cube, which is then the cube an MDMC run over ctx would fill: a
+// point's mask at a published epoch is exact.
+func fold(prev *Snapshot, ids []int32, ctx *templates.MDMCContext) (masks []uint64, stride int) {
+	stride = ctx.Cube.Stride()
+	masks = make([]uint64, len(ids)*stride)
+	for r, id := range ids {
+		copy(masks[r*stride:], prev.mask(id))
+	}
+	ext := make([]uint64, len(ctx.ExtRows)*stride)
+	for i, r := range ctx.ExtRows {
+		copy(ext[i*stride:], masks[int(r)*stride:][:stride])
+	}
+	ctx.Cube.Insert(ctx.ExtRows, ext)
+	return masks, stride
 }
 
 // applyLocked applies the buffered batch: tombstone deletes first, then
@@ -1562,11 +1616,11 @@ func (u *Updater) reversePass(snap *Snapshot, lives []pendingInsert, results []*
 					r := dom.Compare(lives[i].point, q)
 					teach(scratch, results[i], r.Lt, r.Eq)
 				}
-				if scratch.Count() == 0 {
+				if scratch.Empty() {
 					continue
 				}
 				cur := bitset.View(snap.mask(targets[t]), scratch.Len())
-				if scratch.AndNot(cur); scratch.Count() == 0 {
+				if scratch.AndNot(cur); scratch.Empty() {
 					continue
 				}
 				grown[t] = scratch.Clone()

@@ -10,13 +10,13 @@ import (
 )
 
 // baseCube is one immutable generation of the materialised skycube: the
-// HashCube a full build produced, the same masks by row, plus the
-// row↔logical-id mapping. The initial build's rows are the logical ids
-// themselves; a compaction builds over the live subset, so its cube rows
-// need translating.
+// HashCube a full build produced or a compaction folded, the same masks by
+// row, plus the row↔logical-id mapping. The initial build's rows are the
+// logical ids themselves; a compaction folds the live subset, so its cube
+// rows need translating.
 type baseCube struct {
 	h *hashcube.HashCube
-	// masks is h.RowMasks: row r's B_{p∉S} as the base was built, stride
+	// masks is h.RowMasks: row r's B_{p∉S} as the base was made, stride
 	// words from r*stride — what makes a point's first change O(words).
 	masks  []uint64
 	stride int
@@ -29,7 +29,7 @@ type baseCube struct {
 	points int
 }
 
-// mask returns the words of row's B_{p∉S} as the base was built (read-only).
+// mask returns the words of row's B_{p∉S} as the base was made (read-only).
 func (b *baseCube) mask(row int32) []uint64 {
 	return b.masks[int(row)*b.stride:][:b.stride]
 }

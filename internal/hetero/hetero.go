@@ -256,7 +256,7 @@ func SDSC(ds *data.Dataset, devices []Device, opt Options) (*lattice.Lattice, *S
 // are built once on the CPU (the prologue's phases are spans on the
 // "prepare" track), then MDMCPrepared drains the point tasks.
 func MDMC(ds *data.Dataset, devices []Device, opt Options) (*templates.MDMCResult, *Shares, SchedCounters) {
-	ctx := templates.PrepareMDMCTraced(ds, opt.Threads, 3, opt.MaxLevel, opt.Trace)
+	ctx := templates.PrepareMDMCTraced(ds, nil, opt.Threads, 3, opt.MaxLevel, opt.Trace)
 	shares, counters := MDMCPrepared(ctx, devices, opt)
 	return &templates.MDMCResult{Cube: ctx.Cube, ExtRows: ctx.ExtRows}, shares, counters
 }

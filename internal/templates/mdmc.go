@@ -62,13 +62,16 @@ type PointKernel func(ctx *MDMCContext, lo, hi int)
 // PrepareMDMC performs the template's shared prologue (Algorithm 3 line 2):
 // compute S⁺(P) in parallel, then build the static global tree over it.
 func PrepareMDMC(ds *data.Dataset, threads, treeDepth, maxLevel int) *MDMCContext {
-	return PrepareMDMCTraced(ds, threads, treeDepth, maxLevel, nil)
+	return PrepareMDMCTraced(ds, nil, threads, treeDepth, maxLevel, nil)
 }
 
 // PrepareMDMCTraced is PrepareMDMC recording the prologue's two phases —
 // the parallel extended-skyline computation and the static tree build — as
-// spans on the "prepare" track.
-func PrepareMDMCTraced(ds *data.Dataset, threads, treeDepth, maxLevel int, tr *obs.Trace) *MDMCContext {
+// spans on the "prepare" track. rows, if non-nil, are the ascending rows of
+// ds the extended skyline runs over, for a caller that knows every other row
+// is strictly dominated in the full space by one of them: S⁺(P) is the same
+// set then, and ExtRows still name rows of ds.
+func PrepareMDMCTraced(ds *data.Dataset, rows []int32, threads, treeDepth, maxLevel int, tr *obs.Trace) *MDMCContext {
 	if treeDepth == 0 {
 		treeDepth = 3
 	}
@@ -77,8 +80,12 @@ func PrepareMDMCTraced(ds *data.Dataset, threads, treeDepth, maxLevel int, tr *o
 	}
 	full := mask.Full(ds.Dims)
 	h := tr.Begin("prepare", obs.CatPrepare, "extended-skyline")
-	h.SetN(int64(ds.N))
-	ext := skyline.ExtendedSkyline(ds, nil, full, skyline.AlgoHybrid, threads)
+	n := ds.N
+	if rows != nil {
+		n = len(rows)
+	}
+	h.SetN(int64(n))
+	ext := skyline.ExtendedSkyline(ds, rows, full, skyline.AlgoHybrid, threads)
 	h.End()
 	intRows := make([]int, len(ext))
 	for i, r := range ext {
@@ -201,7 +208,7 @@ type MDMCResult struct {
 
 // MDMC is the multicore CPU specialisation of the MDMC template.
 func MDMC(ds *data.Dataset, opt MDMCOptions) *MDMCResult {
-	ctx := PrepareMDMCTraced(ds, opt.threads(), opt.TreeDepth, opt.MaxLevel, opt.Trace)
+	ctx := PrepareMDMCTraced(ds, nil, opt.threads(), opt.TreeDepth, opt.MaxLevel, opt.Trace)
 	RunMDMC(ctx, CPUPointKernel(opt), opt.threads(), opt.Trace)
 	return &MDMCResult{Cube: ctx.Cube, ExtRows: ctx.ExtRows}
 }

@@ -262,8 +262,8 @@ func (up *Updater) Pending() (inserts, deletes int) { return up.u.Pending() }
 // (the current snapshot if the batch was empty).
 func (up *Updater) Flush() Snapshot { return up.u.Flush() }
 
-// Compact forces a full rebuild over the live points, folding the overlay
-// into a fresh base, and returns the new snapshot.
+// Compact folds the overlay into a fresh base over the live points, the one
+// a full build over them would make, and returns the new snapshot.
 func (up *Updater) Compact() Snapshot { return up.u.Compact() }
 
 // Current returns the latest published snapshot.
