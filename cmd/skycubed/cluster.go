@@ -16,13 +16,11 @@ import (
 
 // shardServeOptions assembles a shard node's ShardOptions from the
 // relevant flags.
-func shardServeOptions(idBase, idStride int,
-	cacheEntries int, noCache bool, tracing traceOptions) cluster.ShardOptions {
+func shardServeOptions(idBase, idStride int, noCache bool, tracing traceOptions) cluster.ShardOptions {
 	return cluster.ShardOptions{
 		IDBase:       idBase,
 		IDStride:     idStride,
 		Logger:       log.New(os.Stderr, "skycubed: ", log.LstdFlags),
-		CacheEntries: cacheEntries,
 		DisableCache: noCache,
 		Requests:     tracing.ring,
 		SampleEvery:  tracing.sampleEvery,
@@ -112,15 +110,14 @@ func runShard(addr string, ds *skycube.Dataset, joinFrom, peerList string,
 	fmt.Printf("shard node %s (%d live, epoch %d, %d WAL records replayed)\n",
 		origin, snap.Live(), snap.Epoch(), up.Replayed())
 	mountPprof(sh.Server(), withPprof)
-	serveAndDrain(addr, g, sh, "GET /info, /skyline?dims=0,2[&epoch=N], /membership?id=17, /updates, /healthz, /metrics, /shard/cuboid?subspace=N (binary frame), /shard/info, /shard/snapshot, /shard/tail; POST /insert, /delete, /flush, /compact")
+	serveAndDrain(addr, g, sh, "GET /info, /skyline?dims=0,2[&epoch=N], /membership?id=17, /updates, /healthz, /metrics, /debug/requests, /shard/cuboid?subspace=N (binary frame), /shard/info, /shard/snapshot, /shard/tail; POST /insert, /delete, /flush, /compact")
 }
 
 // runCoordinatorMode serves the cluster's public surface over a shard map
 // given as a flat URL list: with -replicas R, each consecutive run of R
 // URLs is one shard's replica set.
 func runCoordinatorMode(addr, shardList string, replicas int,
-	timeout time.Duration, withPprof bool, cacheEntries int, noCache bool,
-	tracing traceOptions) {
+	timeout time.Duration, withPprof bool, noCache bool, tracing traceOptions) {
 	urls := splitNonEmpty(shardList)
 	if len(urls) == 0 {
 		fmt.Fprintln(os.Stderr, "skycubed: -coordinator requires -shards url,url,...")
@@ -143,7 +140,6 @@ func runCoordinatorMode(addr, shardList string, replicas int,
 		Timeout:      timeout,
 		Metrics:      metrics,
 		Logger:       log.New(os.Stderr, "skycubed: ", log.LstdFlags),
-		CacheEntries: cacheEntries,
 		DisableCache: noCache,
 		Requests:     tracing.ring,
 		SampleEvery:  tracing.sampleEvery,
@@ -162,11 +158,8 @@ func runCoordinatorMode(addr, shardList string, replicas int,
 		mountPprof(mux, true)
 		handler = mux
 	}
-	endpoints := "GET /skyline?dims=0,2[&explain=1], /info, /healthz, /metrics; POST /insert, /delete, /flush"
-	if tracing.ring != nil {
-		endpoints += "; GET /debug/requests, /trace/query?id=..."
-	}
-	serveAndDrain(addr, nil, handler, endpoints)
+	serveAndDrain(addr, nil, handler,
+		"GET /skyline?dims=0,2[&explain=1], /info, /healthz, /metrics, /debug/requests, /trace/query?id=...; POST /insert, /delete, /flush")
 }
 
 func splitNonEmpty(s string) []string {

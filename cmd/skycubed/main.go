@@ -22,8 +22,8 @@
 //
 // -shard serves a maintained node: reads serve MVCC snapshots (pin one with
 // ?epoch=N), POST /insert, /delete, /flush, /compact mutate the cube
-// incrementally, and -compact-fraction tunes when the background compactor
-// folds the accumulated overlay into a fresh base. -data-dir makes it
+// incrementally, and a background compactor folds the accumulated overlay
+// into a fresh base once it reaches a quarter of the base. -data-dir makes it
 // durable, and a durable node restarts from its directory alone. The same
 // node is a cluster shard: it also serves /shard/cuboid and /shard/info,
 // with -id-base/-id-stride mapping local rows to global ids from the node's
@@ -35,7 +35,9 @@
 //
 // The four modes — a build, a static -serve node, -shard and -coordinator —
 // each read their own flags; a flag the chosen mode does not read is a
-// usage error (exit 2) naming the flag and the mode it needs.
+// usage error (exit 2) naming the flag and the mode it needs. Every served
+// role keeps a request ring behind GET /debug/requests, so a shard records
+// the hops of coordinator-propagated traces with no flag set.
 package main
 
 import (
@@ -59,22 +61,12 @@ import (
 	"skycube/internal/server"
 )
 
-// traceOptions bundles the serving-mode tracing flags (-trace-sample,
-// -slow-query, -debug-requests) for the run* helpers.
+// traceOptions bundles a served role's request ring with the tracing flags
+// (-trace-sample, -slow-query) for the run* helpers.
 type traceOptions struct {
 	ring        *obs.RequestRing
 	sampleEvery int
 	slowQuery   time.Duration
-}
-
-// requestRing builds the request ring the tracing flags ask for: nil (no
-// tracing surface) when both are zero; otherwise sized by -debug-requests
-// (obs.DefaultRingSize when only -trace-sample is set).
-func requestRing(sampleEvery, ringSize int) *obs.RequestRing {
-	if sampleEvery <= 0 && ringSize <= 0 {
-		return nil
-	}
-	return obs.NewRequestRing(ringSize)
 }
 
 type queryList []string
@@ -95,7 +87,6 @@ type cliFlags struct {
 	maxLevel        *int
 	queries         queryList
 	serve           *string
-	compactFraction *float64
 	traceFile       *string
 	progress        *bool
 	pprofFlag       *bool
@@ -108,14 +99,12 @@ type cliFlags struct {
 	shardURLs       *string
 	replicas        *int
 	clusterTimeout  *time.Duration
-	cacheEntries    *int
 	noCache         *bool
 	dataDir         *string
 	fsyncPolicy     *string
 	checkpointEvery *int
 	traceSample     *int
 	slowQuery       *time.Duration
-	debugRequests   *int
 }
 
 func defineFlags(fs *flag.FlagSet) *cliFlags {
@@ -126,7 +115,6 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 		cpuAlso:         fs.Bool("cpu-also", false, "use the CPU alongside the GPUs (cross-device)"),
 		maxLevel:        fs.Int("max-level", 0, "materialise only subspaces with ≤ this many dimensions (0 = all)"),
 		serve:           fs.String("serve", "", "address to serve the skycube over HTTP (e.g. :8080)"),
-		compactFraction: fs.Float64("compact-fraction", 0, "with -shard: background-compact when the overlay exceeds this fraction of the base (0 = default 0.25)"),
 		traceFile:       fs.String("trace", "", "write the build trace as Chrome trace_event JSON to this file (not with -shard)"),
 		progress:        fs.Bool("progress", false, "report build progress on stderr"),
 		pprofFlag:       fs.Bool("pprof", false, "with -serve: mount net/http/pprof under /debug/pprof/"),
@@ -139,14 +127,12 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 		shardURLs:       fs.String("shards", "", "with -coordinator: comma-separated shard replica URLs"),
 		replicas:        fs.Int("replicas", 1, "with -coordinator: replicas per shard (consecutive -shards URLs are grouped)"),
 		clusterTimeout:  fs.Duration("cluster-timeout", 0, "with -coordinator: per-attempt shard request timeout (0 = default 2s)"),
-		cacheEntries:    fs.Int("cache-entries", 0, "with -serve: LRU bound of the epoch-keyed response cache (0 = default 4096)"),
 		noCache:         fs.Bool("no-cache", false, "with -serve: disable response caching (the ETag/304 contract remains)"),
 		dataDir:         fs.String("data-dir", "", "with -shard: persist mutations to a write-ahead log and epoch snapshots in this directory, recovering from it on startup (empty = in-memory)"),
 		fsyncPolicy:     fs.String("fsync", "always", "with -data-dir: WAL fsync policy — always (group-committed per ack), interval (timer), never"),
 		checkpointEvery: fs.Int("checkpoint-every", 0, "with -data-dir: WAL records between background checkpoints (0 = default 4096, negative disables)"),
 		traceSample:     fs.Int("trace-sample", 0, "with -serve: trace one in N requests into /debug/requests (0 = only requests carrying a traceparent header)"),
 		slowQuery:       fs.Duration("slow-query", 0, "with -serve: log one structured line (with trace id) per request at least this slow (0 = off)"),
-		debugRequests:   fs.Int("debug-requests", 0, "with -serve: request-ring size behind GET /debug/requests (0 = off unless -trace-sample is set, then 256)"),
 	}
 	fs.Var(&f.queries, "query", "subspace to print, as comma-separated dimension indices (repeatable)")
 	return f
@@ -188,8 +174,8 @@ var flagModes = func() map[string]mode {
 		built:                  "algo threads gpus cpu-also max-level",
 		modeBuild:              "query",
 		modeBuild | modeStatic: "trace progress",
-		served:                 "serve pprof cache-entries no-cache trace-sample slow-query debug-requests",
-		modeShard:              "shard compact-fraction id-base id-stride join-from peers data-dir fsync checkpoint-every",
+		served:                 "serve pprof no-cache trace-sample slow-query",
+		modeShard:              "shard id-base id-stride join-from peers data-dir fsync checkpoint-every",
 		modeCoordinator:        "coordinator shards replicas cluster-timeout",
 	}
 	out := map[string]mode{}
@@ -266,7 +252,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "skycubed: dominance kernel: %s\n", skycube.KernelStats().Impl)
 
 	tracing := traceOptions{
-		ring:        requestRing(*f.traceSample, *f.debugRequests),
+		ring:        obs.NewRequestRing(0),
 		sampleEvery: *f.traceSample,
 		slowQuery:   *f.slowQuery,
 	}
@@ -280,7 +266,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "skycubed: -coordinator takes no data file")
 			os.Exit(2)
 		}
-		runCoordinatorMode(*f.serve, *f.shardURLs, *f.replicas, *f.clusterTimeout, *f.pprofFlag, *f.cacheEntries, *f.noCache, tracing)
+		runCoordinatorMode(*f.serve, *f.shardURLs, *f.replicas, *f.clusterTimeout, *f.pprofFlag, *f.noCache, tracing)
 		return
 	}
 
@@ -312,7 +298,7 @@ func main() {
 	}
 	// Maintained nodes (-shard) compact in the background and persist to
 	// -data-dir when it is set.
-	opt.Delta = skycube.DeltaOptions{AutoCompact: true, CompactFraction: *f.compactFraction}
+	opt.Delta = skycube.DeltaOptions{AutoCompact: true}
 	opt.Durable = durableOptions(*f.dataDir, *f.fsyncPolicy, *f.checkpointEvery)
 
 	if *f.shardMode {
@@ -325,7 +311,7 @@ func main() {
 			ds = readDataset(flag.Arg(0))
 		}
 		runShard(*f.serve, ds, *f.joinFrom, *f.peerList, opt,
-			shardServeOptions(*f.idBase, *f.idStride, *f.cacheEntries, *f.noCache, tracing),
+			shardServeOptions(*f.idBase, *f.idStride, *f.noCache, tracing),
 			*f.pprofFlag)
 		return
 	}
@@ -365,7 +351,7 @@ func main() {
 	}
 
 	if *f.serve != "" {
-		runServer(*f.serve, cube, ds, opt, stats, algo, *f.pprofFlag, *f.cacheEntries, *f.noCache, tracing)
+		runServer(*f.serve, cube, ds, opt, stats, algo, *f.pprofFlag, *f.noCache, tracing)
 		return
 	}
 	if len(f.queries) == 0 {
@@ -388,7 +374,7 @@ func main() {
 // requests for up to ten seconds before exiting.
 func runServer(addr string, cube skycube.Skycube, ds *skycube.Dataset,
 	opt skycube.Options, stats skycube.Stats, algo skycube.Algorithm, withPprof bool,
-	cacheEntries int, noCache bool, tracing traceOptions) {
+	noCache bool, tracing traceOptions) {
 	srv := server.NewWith(cube, ds, server.Options{
 		BuildInfo: &server.BuildInfo{
 			Algorithm:       algo.String(),
@@ -402,7 +388,6 @@ func runServer(addr string, cube skycube.Skycube, ds *skycube.Dataset,
 		Metrics:      opt.Metrics,
 		Trace:        opt.Trace,
 		Logger:       log.New(os.Stderr, "skycubed: ", log.LstdFlags),
-		CacheEntries: cacheEntries,
 		DisableCache: noCache,
 		Requests:     tracing.ring,
 		SampleEvery:  tracing.sampleEvery,
@@ -410,7 +395,7 @@ func runServer(addr string, cube skycube.Skycube, ds *skycube.Dataset,
 	})
 	mountPprof(srv, withPprof)
 	serveAndDrain(addr, nil, srv,
-		"GET /info, /skyline?dims=0,2, /membership?id=17, /buildinfo, /metrics, /trace")
+		"GET /info, /skyline?dims=0,2, /membership?id=17, /buildinfo, /metrics, /trace, /debug/requests")
 }
 
 // durableOptions builds the persistence options the -data-dir/-fsync/

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -45,8 +46,8 @@ func TestIgnoredFlagRefused(t *testing.T) {
 	}{
 		{[]string{"-algo", "STSC", "-threads", "2", "-max-level", "2", "-query", "0,1", "-trace", "t.json", "-progress"}, ""},
 		{[]string{"-serve", ":0", "-pprof", "-trace", "t.json", "-no-cache", "-trace-sample", "4"}, ""},
-		{[]string{"-serve", ":0", "-shard", "-data-dir", "d", "-fsync", "never", "-id-base", "1", "-id-stride", "2", "-compact-fraction", "0.5"}, ""},
-		{[]string{"-serve", ":0", "-coordinator", "-shards", "a,b", "-replicas", "2", "-cluster-timeout", "1s", "-cache-entries", "8"}, ""},
+		{[]string{"-serve", ":0", "-shard", "-data-dir", "d", "-fsync", "never", "-id-base", "1", "-id-stride", "2"}, ""},
+		{[]string{"-serve", ":0", "-coordinator", "-shards", "a,b", "-replicas", "2", "-cluster-timeout", "1s", "-no-cache", "-slow-query", "1s"}, ""},
 		{[]string{"-serve", ":0", "-data-dir", "d"}, "-data-dir is ignored by a static -serve node; it needs -shard"},
 		{[]string{"-serve", ":0", "-query", "0,1"}, "-query is ignored by a static -serve node; it needs a build (no -serve)"},
 		{[]string{"-serve", ":0", "-shard", "-trace", "t.json"}, "-trace is ignored by -shard; it needs a build (no -serve) or a static -serve node"},
@@ -118,6 +119,61 @@ func TestShardUsage(t *testing.T) {
 		got := shardUsage(fs, f)
 		if c.want == "" && got != "" || c.want != "" && !strings.Contains(got, c.want) {
 			t.Errorf("%v: refusal %q, want %q", c.args, got, c.want)
+		}
+	}
+}
+
+// TestDocumentedFlagsExist: every -flag on a skycubed command line in the
+// README or the verify recipe is one defineFlags declares, so a flag that
+// goes cannot linger in a documented command. Backslash-continued lines are
+// joined first; a command ends at a backtick, a shell separator or a
+// comment.
+func TestDocumentedFlagsExist(t *testing.T) {
+	fs := flag.NewFlagSet("skycubed", flag.ContinueOnError)
+	defineFlags(fs)
+	for _, path := range []string{"../../README.md", "../../.claude/skills/verify/SKILL.md"} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		commands := 0
+		for n := 0; n < len(lines); n++ {
+			start, line := n+1, lines[n]
+			for strings.HasSuffix(line, "\\") && n+1 < len(lines) {
+				n++
+				line = strings.TrimSuffix(line, "\\") + " " + lines[n]
+			}
+			for rest := line; ; {
+				i := strings.Index(rest, "skycubed ")
+				if i < 0 {
+					break
+				}
+				cmd := rest[i+len("skycubed "):]
+				if i > 0 && !strings.ContainsRune(" \t(/`", rune(rest[i-1])) {
+					rest = cmd
+					continue
+				}
+				if end := strings.IndexAny(cmd, "`|&;#)"); end >= 0 {
+					cmd = cmd[:end]
+				}
+				rest = rest[i+len("skycubed "):]
+				commands++
+				for _, tok := range strings.Fields(cmd) {
+					name := strings.TrimLeft(tok, "-")
+					if !strings.HasPrefix(tok, "-") || name == "" || name[0] < 'a' || name[0] > 'z' {
+						continue
+					}
+					name, _, _ = strings.Cut(name, "=")
+					if fs.Lookup(name) == nil {
+						t.Errorf("%s: command line %d passes -%s, which skycubed does not declare: %s",
+							path, start, name, strings.TrimSpace(line))
+					}
+				}
+			}
+		}
+		if commands == 0 {
+			t.Errorf("%s: no skycubed command line found", path)
 		}
 	}
 }

@@ -171,8 +171,6 @@ const (
 	// the same distribution, and the arithmetic mapping stays valid as
 	// shards grow.
 	RoundRobinPartition = data.RoundRobin
-	// RangePartition assigns balanced contiguous blocks (id stride 1).
-	RangePartition = data.Range
 	// AngularPartition cuts equal-count slices by the first hyperspherical
 	// angle around the dataset's min corner, which keeps per-slice skylines
 	// small on anticorrelated data. Positional id mapping, read-only.

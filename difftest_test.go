@@ -287,7 +287,7 @@ func TestDifferentialIncremental(t *testing.T) {
 // identity through the public API alone: for every partition mode, splitting
 // a dataset, building each part independently, and re-filtering the union of
 // the local cuboids yields exactly the full build's skycube, cuboid by
-// cuboid. Positional modes (range, angular) renumber points by
+// cuboid. The positional mode (angular) renumbers points by
 // concatenation order, so their oracle is a rebuild over the concatenated
 // rows; round-robin keeps the arithmetic id mapping s + r·k.
 func TestDifferentialPartitionMerge(t *testing.T) {
@@ -296,7 +296,6 @@ func TestDifferentialPartitionMerge(t *testing.T) {
 		mode skycube.PartitionMode
 	}{
 		{"roundrobin", skycube.RoundRobinPartition},
-		{"range", skycube.RangePartition},
 		{"angular", skycube.AngularPartition},
 	}
 	dominates := func(p, q []float32, delta skycube.Subspace) bool {

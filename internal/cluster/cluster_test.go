@@ -65,7 +65,7 @@ func newTestClusterOpts(t *testing.T, ds *skycube.Dataset, k, r int, mode skycub
 	for s, part := range parts {
 		base, stride := s, k
 		if mode.Positional() {
-			// Positional modes (range, angular) number global ids by
+			// The positional mode (angular) numbers global ids by
 			// concatenation order: this shard's base is the total size of
 			// the shards before it, which reproduces data.RangeOffsets.
 			base, stride = posBase, 1
@@ -611,23 +611,27 @@ func TestCoordinatorCountsQueriesItFailed(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsInsertOnRangePartition: in range mode (stride-1 id
-// blocks) an appended row's global id would collide with the next shard's
-// base, so the coordinator must refuse inserts outright — while deletes of
-// existing ids stay unambiguous and keep working.
-func TestCoordinatorRejectsInsertOnRangePartition(t *testing.T) {
+// TestCoordinatorRejectsInsertOnAngularPartition: in angular mode (stride-1
+// id blocks in concatenation order) an appended row's global id would
+// collide with the next shard's base, so the coordinator must refuse
+// inserts outright — while deletes of existing ids stay unambiguous and keep
+// working.
+func TestCoordinatorRejectsInsertOnAngularPartition(t *testing.T) {
 	ds := skycube.GenerateSynthetic(skycube.Independent, 40, 3, 3)
-	tc := newTestCluster(t, ds, 2, 1, skycube.RangePartition, CoordinatorOptions{})
+	tc := newTestCluster(t, ds, 2, 1, skycube.AngularPartition, CoordinatorOptions{})
 
-	postJSON(t, tc.coord, "/insert",
+	body := postJSON(t, tc.coord, "/insert",
 		insertRequest{Points: [][]float32{{0.1, 0.2, 0.3}}}, http.StatusConflict)
+	if !strings.Contains(string(body), "positional (angular) clusters are read-only") {
+		t.Fatalf("409 body %q does not name the positional partition", body)
+	}
 
 	var dresp deleteResponse
 	if err := json.Unmarshal(postJSON(t, tc.coord, "/delete", deleteRequest{IDs: []int32{0, 25}}, http.StatusOK), &dresp); err != nil {
 		t.Fatal(err)
 	}
 	if dresp.Deleted != 2 || dresp.Routed["0"] != 1 || dresp.Routed["1"] != 1 {
-		t.Fatalf("range-mode delete = %+v, want one id per shard", dresp)
+		t.Fatalf("angular-mode delete = %+v, want one id per shard", dresp)
 	}
 }
 

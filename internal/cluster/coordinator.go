@@ -43,9 +43,6 @@ type CoordinatorOptions struct {
 	// the probe's second (prune = true) loop and
 	// cluster.cold_gather_pruned_ms removes this field with them.
 	Prune bool
-	// CacheEntries bounds the coordinator's merged-response cache (LRU);
-	// 0 means rcache.DefaultEntries.
-	CacheEntries int
 	// DisableCache turns merged-response memoization off. With it set every
 	// query scatter-gathers; without it a query whose answer cannot have
 	// changed — no flush was routed through this coordinator since it was
@@ -264,7 +261,7 @@ func NewCoordinator(specs []ShardSpec, opt CoordinatorOptions) (*Coordinator, er
 	c.smap.Store(m)
 	c.cacheCM = obs.NewCacheMetrics(opt.Metrics, "coordinator")
 	if !opt.DisableCache {
-		c.cache = rcache.New(opt.CacheEntries, c.cacheCM)
+		c.cache = rcache.New(c.cacheCM)
 	}
 	c.sampler = obs.NewSampler(opt.SampleEvery)
 	c.mux = http.NewServeMux()

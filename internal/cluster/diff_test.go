@@ -72,18 +72,6 @@ func TestDifferentialClusterGrid(t *testing.T) {
 	}
 }
 
-func TestDifferentialClusterRangePartition(t *testing.T) {
-	for d := 2; d <= 4; d++ {
-		for _, k := range []int{2, 4} {
-			t.Run(fmt.Sprintf("d%d/k%d", d, k), func(t *testing.T) {
-				ds := skycube.GenerateSynthetic(skycube.Independent, 300, d, int64(d))
-				tc := newTestCluster(t, ds, k, 1, skycube.RangePartition, CoordinatorOptions{})
-				assertClusterMatchesSingleNode(t, tc, ds)
-			})
-		}
-	}
-}
-
 func TestDifferentialClusterWithReplication(t *testing.T) {
 	// R=2 with hedging enabled: replication must not perturb results.
 	ds := skycube.GenerateSynthetic(skycube.Anticorrelated, 300, 4, 23)
@@ -222,7 +210,6 @@ func TestDifferentialClusterPartitionModes(t *testing.T) {
 		mode skycube.PartitionMode
 	}{
 		{"roundrobin", skycube.RoundRobinPartition},
-		{"range", skycube.RangePartition},
 		{"angular", skycube.AngularPartition},
 	}
 	shardCounts := []int{1, 2, 4}

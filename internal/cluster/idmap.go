@@ -14,7 +14,7 @@ type IDSegment = delta.IDSegment
 
 // SplitBlockBase is the first global id of the region reserved for
 // split-minted insert blocks. Ids below it belong to the original partition
-// arithmetic (round-robin or range); each split cutover seals its child
+// arithmetic (round-robin or angular); each split cutover seals its child
 // with a stride-1 block of splitBlockSize ids starting at or above it, so
 // sealed blocks can never collide with the parent's continuing sequence in
 // any bounded deployment.
@@ -119,10 +119,12 @@ func (s *idScheme) segments() []IDSegment {
 	return append([]IDSegment(nil), s.segs...)
 }
 
-// rangePartitioned reports the read-only stride-1 range layout: the
-// ORIGINAL partition arithmetic has stride 1, meaning shard s's next local
-// row would mint exactly shard s+1's base id. Sealed split blocks are also
-// stride 1 but live in their own reserved region, so they do not count.
-func (s *idScheme) rangePartitioned() bool {
+// positional reports a stride-1 ORIGINAL partition arithmetic: the layout
+// of a positional (angular) partition, where shard s's next local row would
+// mint exactly shard s+1's base id, but also of a lone node's default
+// scheme and of its split children, which copy their parent's first
+// segment and so share its base. Sealed split blocks are also stride 1 but
+// live in their own reserved region, so they do not count.
+func (s *idScheme) positional() bool {
 	return s.segs[0].Stride == 1 && s.segs[0].Base < SplitBlockBase
 }

@@ -28,11 +28,11 @@ func TestIDSchemeSingleSegment(t *testing.T) {
 	if want := []IDSegment{{Start: 0, Base: 1, Stride: 3}}; !reflect.DeepEqual(s.segments(), want) {
 		t.Fatalf("segments = %+v, want %+v", s.segments(), want)
 	}
-	if s.rangePartitioned() {
-		t.Fatal("stride-3 scheme reports range-partitioned")
+	if s.positional() {
+		t.Fatal("stride-3 scheme reports positional")
 	}
-	if !newIDScheme(500, 1).rangePartitioned() {
-		t.Fatal("stride-1 low-base scheme not range-partitioned")
+	if !newIDScheme(500, 1).positional() {
+		t.Fatal("stride-1 low-base scheme not positional")
 	}
 	// Stride 0 (single-shard cluster) normalises to the identity mapping.
 	if g := newIDScheme(0, 0).global(7); g != 7 {
@@ -79,9 +79,9 @@ func TestIDSchemeSeal(t *testing.T) {
 	if _, ok := sealed.localOf(100); ok {
 		t.Fatal("localOf(100) still resolves through the superseded arithmetic")
 	}
-	// Sealing is still not range-partitioned (the primary stride-2 rules).
-	if sealed.rangePartitioned() {
-		t.Fatal("sealed stride-2 scheme reports range-partitioned")
+	// Sealing is still not positional (the primary stride-2 rules).
+	if sealed.positional() {
+		t.Fatal("sealed stride-2 scheme reports positional")
 	}
 
 	// Validation: a second seal must start after the last segment, and the

@@ -206,7 +206,7 @@ func TestJoinCompactsOnlyOnceDetached(t *testing.T) {
 	ctx := context.Background()
 	node, err := rebalance.Bootstrap(ctx, psrv.URL, skycube.Options{
 		Threads: 2,
-		Delta:   skycube.DeltaOptions{AutoCompact: true, CompactFraction: 0.05},
+		Delta:   skycube.DeltaOptions{AutoCompact: true},
 		Durable: skycube.DurableOptions{Dir: t.TempDir(), Fsync: "never", CheckpointEvery: -1},
 	})
 	if err != nil {
@@ -953,5 +953,68 @@ func TestCoordinatorAdoptsOnFirstMembershipOp(t *testing.T) {
 	}
 	if joined.Gen <= 5 {
 		t.Fatalf("join published generation %d, want > 5", joined.Gen)
+	}
+}
+
+// TestSplitOneShardClusterTakesInserts: a lone node's default id scheme
+// (base 0, stride 1) is stride 1 like an angular partition's, and its split
+// child copies that first segment. Parent and child share one base, so the
+// split cluster keeps taking inserts: the parent mints from its own
+// sequence, the child from its sealed block, and after a flush every
+// subspace matches a brute-force oracle of the accepted writes.
+func TestSplitOneShardClusterTakesInserts(t *testing.T) {
+	ds := skycube.GenerateSynthetic(skycube.Independent, 120, 3, 79)
+	parent := durableShard(t, ds, t.TempDir(), ShardOptions{})
+	psrv := httptest.NewServer(parent)
+	t.Cleanup(psrv.Close)
+	coord, err := NewCoordinator([]ShardSpec{{Replicas: []string{psrv.URL}}}, CoordinatorOptions{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := map[int32][]float32{}
+	for i := 0; i < ds.Len(); i++ {
+		points[int32(i)] = ds.Point(i)
+	}
+
+	child := bootstrapChild(t, psrv.URL, t.TempDir(), ShardOptions{})
+	csrv := httptest.NewServer(child)
+	t.Cleanup(csrv.Close)
+	var split adminSplitResponse
+	mustUnmarshal(t, postJSON(t, coord, "/admin/split", adminSplitRequest{
+		Shard: "0", Child: "1", Replicas: []string{csrv.URL},
+	}, http.StatusOK), &split)
+	if len(split.IDSegments) != 2 {
+		t.Fatalf("split response: %+v", split)
+	}
+
+	ins := skycube.GenerateSynthetic(skycube.Anticorrelated, 20, 3, 791)
+	var batch [][]float32
+	for i := 0; i < ins.Len(); i++ {
+		batch = append(batch, ins.Point(i))
+	}
+	var iresp insertResponse
+	mustUnmarshal(t, postJSON(t, coord, "/insert", insertRequest{Points: batch}, http.StatusOK), &iresp)
+	if iresp.Routed["0"] == 0 || iresp.Routed["1"] == 0 {
+		t.Fatalf("inserts routed %v, want some on each shard", iresp.Routed)
+	}
+	sealed := 0
+	for i, id := range iresp.IDs {
+		if _, dup := points[id]; dup {
+			t.Fatalf("insert minted id %d, which the cluster already holds", id)
+		}
+		points[id] = batch[i]
+		if id >= SplitBlockBase {
+			sealed++
+		}
+	}
+	if sealed != iresp.Routed["1"] {
+		t.Fatalf("%d ids from the sealed block, want the child's %d inserts", sealed, iresp.Routed["1"])
+	}
+	postJSON(t, coord, "/flush", struct{}{}, http.StatusOK)
+	for sub := mask.Mask(1); sub < 1<<3; sub++ {
+		got := querySkyline(t, coord, sub, http.StatusOK)
+		if want := bruteSkyline(points, sub); got.Partial || !equalIDs(got.IDs, want) {
+			t.Fatalf("subspace %d after split and inserts: ids %v (partial %v), want %v", sub, got.IDs, got.Partial, want)
+		}
 	}
 }

@@ -56,12 +56,9 @@ type ShardOptions struct {
 	Metrics *obs.Registry
 	// Logger, if non-nil, logs one line per request.
 	Logger *log.Logger
-	// CacheEntries bounds the embedded server's response cache of /skyline
-	// and /membership bodies (0 = rcache.DefaultEntries); /shard/cuboid
-	// caches nothing.
-	CacheEntries int
-	// DisableCache turns response memoization off (the ETag/304 contract
-	// remains).
+	// DisableCache turns the embedded server's response cache of /skyline
+	// and /membership bodies off (the ETag/304 contract remains);
+	// /shard/cuboid caches nothing either way.
 	DisableCache bool
 	// Requests, if non-nil, enables distributed request tracing on the
 	// shard: requests carrying a coordinator-propagated traceparent header
@@ -163,7 +160,6 @@ func NewShardFrom(up *skycube.Updater, sopt ShardOptions) (*Shard, error) {
 		Updater:      up,
 		Metrics:      sopt.Metrics,
 		Logger:       sopt.Logger,
-		CacheEntries: sopt.CacheEntries,
 		DisableCache: sopt.DisableCache,
 		Requests:     sopt.Requests,
 		SampleEvery:  sopt.SampleEvery,

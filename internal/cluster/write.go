@@ -99,21 +99,26 @@ func (c *Coordinator) handleInsert(w http.ResponseWriter, r *http.Request) {
 // retries.
 func (c *Coordinator) insertOnce(w http.ResponseWriter, r *http.Request, req *insertRequest, batch string) (int, string) {
 	m := c.curMap()
-	// Range-partitioned clusters (stride-1 id blocks) cannot accept
-	// inserts: shard s's next local row n_s maps to global id
-	// base_s + n_s, which is exactly shard s+1's base — two distinct
-	// points would share a global id, the merge would silently drop one,
-	// and deletes would route to the wrong shard. Range mode is read-only;
-	// refuse rather than corrupt. (Sealed split blocks live in their own
-	// reserved id region and do not trip this.)
-	if len(m.shards) > 1 {
-		for _, g := range m.shards {
-			if s := g.scheme.Load(); s != nil && s.rangePartitioned() {
-				return http.StatusConflict, fmt.Sprintf(
-					"shard %s is range-partitioned (id stride 1): inserted ids would collide with the next shard's id block; range-partitioned clusters are read-only (use round-robin partitions for writable clusters)",
-					g.name)
-			}
+	// Positional (angular) clusters cannot accept inserts: shard s's next
+	// local row n_s maps to global id base_s + n_s, which is exactly shard
+	// s+1's base — two distinct points would share a global id, the merge
+	// would silently drop one, and deletes would route to the wrong shard.
+	// Refuse rather than corrupt once two stride-1 shards start at
+	// different bases. A one-shard cluster and its split children share one
+	// base (a child copies its parent's first segment and mints from a
+	// sealed block), so they keep taking inserts.
+	var positional *idScheme
+	for _, g := range m.shards {
+		s := g.scheme.Load()
+		if s == nil || !s.positional() {
+			continue
 		}
+		if positional != nil && positional.segs[0].Base != s.segs[0].Base {
+			return http.StatusConflict, fmt.Sprintf(
+				"shard %s is positionally partitioned (id stride 1 from base %d, another shard's from base %d): inserted ids would collide with the next shard's id block; positional (angular) clusters are read-only (use round-robin partitions for writable clusters)",
+				g.name, s.segs[0].Base, positional.segs[0].Base)
+		}
+		positional = s
 	}
 	// Group the batch per owning shard, remembering request order.
 	perShard := make(map[int][]int, len(m.shards)) // shard index -> request indices

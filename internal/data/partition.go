@@ -16,10 +16,6 @@ const (
 	// distribution statistically identical to the whole, and the arithmetic
 	// id mapping stays valid as shards append new points.
 	RoundRobin PartitionMode = iota
-	// Range assigns contiguous row blocks: shard s holds the rows
-	// [RangeOffsets(n,k)[s], RangeOffsets(n,k)[s+1]) — local row r is global
-	// row offset+r (id base offset, id stride 1).
-	Range
 	// Angular sorts points by their first hyperspherical angle around the
 	// dataset's per-dimension minimum corner and cuts equal-count slices.
 	// Angular slices align with dominance rays from the origin, which keeps
@@ -27,7 +23,7 @@ const (
 	// 2501.03850). Angular is a positional mode: global ids follow the
 	// concatenation order of the returned shards (shard s's id base is the
 	// total size of shards 0..s-1, stride 1), so angular-partitioned
-	// clusters are read-only like Range.
+	// clusters refuse inserts.
 	Angular
 )
 
@@ -36,8 +32,6 @@ func (m PartitionMode) String() string {
 	switch m {
 	case RoundRobin:
 		return "round-robin"
-	case Range:
-		return "range"
 	case Angular:
 		return "angular"
 	}
@@ -48,11 +42,12 @@ func (m PartitionMode) String() string {
 // order (id stride 1, base = prefix size sum) rather than by arithmetic
 // over original row numbers. Positional partitions renumber points: global
 // id g is row g - base of shard owner(g), in the shard order Partition
-// returned.
-func (m PartitionMode) Positional() bool { return m == Range || m == Angular }
+// returned. Angular is the one positional mode.
+func (m PartitionMode) Positional() bool { return m == Angular }
 
 // RangeOffsets returns the k+1 boundaries of the balanced contiguous split
 // of n rows: shard s is [out[s], out[s+1]), sizes differing by at most one.
+// Angular cuts its sorted rows at these offsets.
 func RangeOffsets(n, k int) []int {
 	out := make([]int, k+1)
 	q, rem := n/k, n%k
@@ -82,15 +77,6 @@ func Partition(ds *Dataset, k int, mode PartitionMode) ([]*Dataset, error) {
 		for s := 0; s < k; s++ {
 			rows := make([]int, 0, (ds.N-s+k-1)/k)
 			for i := s; i < ds.N; i += k {
-				rows = append(rows, i)
-			}
-			shards[s] = ds.Subset(rows)
-		}
-	case Range:
-		off := RangeOffsets(ds.N, k)
-		for s := 0; s < k; s++ {
-			rows := make([]int, 0, off[s+1]-off[s])
-			for i := off[s]; i < off[s+1]; i++ {
 				rows = append(rows, i)
 			}
 			shards[s] = ds.Subset(rows)

@@ -42,7 +42,7 @@ func TestPartitionPropertySpatialModes(t *testing.T) {
 		}
 		dup := float64(trial%3) * 0.25
 		ds := randDataset(rng, n, d, dup)
-		for _, mode := range []PartitionMode{Angular, RoundRobin, Range} {
+		for _, mode := range []PartitionMode{Angular, RoundRobin} {
 			t.Run(fmt.Sprintf("t%d/%v/n%d/d%d/k%d", trial, mode, n, d, k), func(t *testing.T) {
 				parts, err := Partition(ds, k, mode)
 				if err != nil {
@@ -122,7 +122,7 @@ func TestPartitionAngularSlicesOrdered(t *testing.T) {
 func TestPartitionDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ds := randDataset(rng, 200, 4, 0.3)
-	for _, mode := range []PartitionMode{Angular, RoundRobin, Range} {
+	for _, mode := range []PartitionMode{Angular, RoundRobin} {
 		a, err := Partition(ds, 5, mode)
 		if err != nil {
 			t.Fatal(err)

@@ -38,31 +38,27 @@ func TestPartitionRoundRobin(t *testing.T) {
 	}
 }
 
-func TestPartitionRange(t *testing.T) {
-	ds := seqDataset(10, 2)
-	shards, err := Partition(ds, 3, Range)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestRangeOffsets pins the balanced contiguous split angular cuts its
+// sorted rows at, and that angular shards take exactly those sizes.
+func TestRangeOffsets(t *testing.T) {
 	off := RangeOffsets(10, 3)
 	if !reflect.DeepEqual(off, []int{0, 4, 7, 10}) {
 		t.Fatalf("offsets = %v", off)
 	}
+	shards, err := Partition(seqDataset(10, 2), 3, Angular)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for s, sh := range shards {
 		if sh.N != off[s+1]-off[s] {
 			t.Errorf("shard %d has %d rows, want %d", s, sh.N, off[s+1]-off[s])
-		}
-		for r := 0; r < sh.N; r++ {
-			if int(sh.IDs[r]) != off[s]+r {
-				t.Errorf("shard %d row %d id = %d, want %d", s, r, sh.IDs[r], off[s]+r)
-			}
 		}
 	}
 }
 
 func TestPartitionCoversEveryRowOnce(t *testing.T) {
 	ds := seqDataset(23, 3)
-	for _, mode := range []PartitionMode{RoundRobin, Range} {
+	for _, mode := range []PartitionMode{RoundRobin, Angular} {
 		for k := 1; k <= 5; k++ {
 			shards, err := Partition(ds, k, mode)
 			if err != nil {

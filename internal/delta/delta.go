@@ -136,7 +136,10 @@ import (
 	"skycube/internal/templates"
 )
 
-// DefaultCompactFraction is Options.CompactFraction left zero.
+// DefaultCompactFraction is the auto-compaction trigger: a snapshot whose
+// overlay entry count (Snapshot.OverlaySize) reaches this fraction of the
+// base's point count, and at least minCompactOverlay, gets compacted when
+// Options.AutoCompact is set.
 const DefaultCompactFraction = 0.25
 
 const (
@@ -164,12 +167,9 @@ type Options struct {
 	// compaction folds the epoch's masks and runs no point task); empty
 	// means one CPU device over Threads cores.
 	Devices []hetero.Device
-	// CompactFraction triggers auto-compaction when the overlay entry count
-	// (Snapshot.OverlaySize) reaches this fraction of the base's point count.
-	// 0 means DefaultCompactFraction; negative disables the trigger.
-	CompactFraction float64
 	// AutoCompact runs compactions in a background goroutine when the
-	// trigger fires. Without it, compaction only happens via Compact.
+	// overlay crosses DefaultCompactFraction of the base. Without it,
+	// compaction only happens via Compact.
 	AutoCompact bool
 	// Metrics, if non-nil, receives batch/epoch/compaction observations.
 	Metrics *obs.DeltaMetrics
@@ -1750,15 +1750,8 @@ func (u *Updater) needsCompact(snap *Snapshot) bool {
 	if !u.opt.AutoCompact {
 		return false
 	}
-	frac := u.opt.CompactFraction
-	if frac == 0 {
-		frac = DefaultCompactFraction
-	}
-	if frac < 0 {
-		return false
-	}
 	ov := snap.OverlaySize()
-	return ov >= minCompactOverlay && float64(ov) >= frac*float64(snap.base.points)
+	return ov >= minCompactOverlay && float64(ov) >= DefaultCompactFraction*float64(snap.base.points)
 }
 
 func (u *Updater) maybeCompact(snap *Snapshot) {

@@ -179,7 +179,7 @@ func TestEmptyStartAndDeleteAll(t *testing.T) {
 func TestInsertFilterReadsLeavesWithDeadLeaves(t *testing.T) {
 	const d = 5
 	ds := gen.Synthetic(gen.Independent, 600, d, 29)
-	u := NewUpdater(ds, Options{Threads: 2, CompactFraction: -1})
+	u := NewUpdater(ds, Options{Threads: 2})
 	defer u.Close()
 	tree := u.mctx.Tree
 	if u.mctx.FilterLevel != 3 {
@@ -305,12 +305,12 @@ func TestEpochPinnedHistory(t *testing.T) {
 	}
 }
 
-// TestAutoCompactTrigger drives the overlay past an aggressive threshold
-// (and past the minCompactOverlay floor: 5 × 15 entries at least) and waits
+// TestAutoCompactTrigger drives the overlay past the trigger (at n = 120 the
+// minCompactOverlay floor: 5 × 15 entries at least) and waits
 // for the background compactor to fold it into a new base.
 func TestAutoCompactTrigger(t *testing.T) {
 	ds := gen.Synthetic(gen.Independent, 120, 4, 9)
-	u := NewUpdater(ds, Options{Threads: 2, AutoCompact: true, CompactFraction: 0.01})
+	u := NewUpdater(ds, Options{Threads: 2, AutoCompact: true})
 	defer u.Close()
 	rng := rand.New(rand.NewSource(9))
 	live := make([]int32, ds.N)

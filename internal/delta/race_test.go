@@ -18,7 +18,7 @@ import (
 func TestConcurrentReadersWriter(t *testing.T) {
 	const d = 4
 	ds := gen.Synthetic(gen.Independent, 400, d, 7)
-	u := NewUpdater(ds, Options{Threads: 4, AutoCompact: true, CompactFraction: 0.05})
+	u := NewUpdater(ds, Options{Threads: 4, AutoCompact: true})
 	defer u.Close()
 
 	stop := make(chan struct{})

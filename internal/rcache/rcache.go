@@ -118,7 +118,8 @@ type call struct {
 	err   error
 }
 
-// DefaultEntries bounds the cache when the configured size is zero.
+// DefaultEntries bounds every cache: the least recently used entry goes
+// once a fill would hold more.
 const DefaultEntries = 4096
 
 // Cache is the LRU-bounded, singleflight-gated response cache. The zero
@@ -131,20 +132,15 @@ type Cache struct {
 	inflight map[Key]*call
 	head     *node // most recently used
 	tail     *node // least recently used
-	max      int
 	metrics  *obs.CacheMetrics
 }
 
-// New returns a cache bounded to max entries (DefaultEntries when max ≤ 0),
-// reporting to m (which may be nil).
-func New(max int, m *obs.CacheMetrics) *Cache {
-	if max <= 0 {
-		max = DefaultEntries
-	}
+// New returns a cache bounded to DefaultEntries entries, reporting to m
+// (which may be nil).
+func New(m *obs.CacheMetrics) *Cache {
 	return &Cache{
 		entries:  make(map[Key]*node),
 		inflight: make(map[Key]*call),
-		max:      max,
 		metrics:  m,
 	}
 }
@@ -230,7 +226,7 @@ func (c *Cache) insert(key Key, e *Entry) {
 	n := &node{key: key, entry: e}
 	c.entries[key] = n
 	c.pushFront(n)
-	for len(c.entries) > c.max {
+	for len(c.entries) > DefaultEntries {
 		lru := c.tail
 		c.unlink(lru)
 		delete(c.entries, lru.key)

@@ -17,7 +17,7 @@ func fillEntry(tag string) func() (*Entry, error) {
 }
 
 func TestCacheGetFill(t *testing.T) {
-	c := New(4, nil)
+	c := New(nil)
 	k := Key{Epoch: 1, Variant: "dims=0,2"}
 	if _, ok := c.Get(k); ok {
 		t.Fatal("empty cache reported a hit")
@@ -36,45 +36,52 @@ func TestCacheGetFill(t *testing.T) {
 	}
 }
 
+// TestCacheLRUEviction fills the cache past DefaultEntries: the least
+// recently used entry goes first, and a Get protects an entry from the next
+// eviction.
 func TestCacheLRUEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := obs.NewCacheMetrics(reg, "test")
-	c := New(2, m)
-	for i := 0; i < 3; i++ {
-		k := Key{Epoch: 1, Variant: fmt.Sprintf("v%d", i)}
-		if _, err := c.Fill(k, fillEntry(fmt.Sprint(i))); err != nil {
+	c := New(m)
+	key := func(i int) Key { return Key{Epoch: 1, Variant: fmt.Sprintf("v%d", i)} }
+	fill := func(i int) {
+		t.Helper()
+		if _, err := c.Fill(key(i), fillEntry(fmt.Sprint(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	for i := 0; i <= DefaultEntries; i++ {
+		fill(i)
 	}
-	// v0 was least recently used and must be gone; v1, v2 remain.
-	if _, ok := c.Get(Key{Epoch: 1, Variant: "v0"}); ok {
+	if c.Len() != DefaultEntries {
+		t.Fatalf("Len = %d, want the bound %d", c.Len(), DefaultEntries)
+	}
+	// v0 was least recently used and must be gone; v1 and the newest remain.
+	if _, ok := c.Get(key(0)); ok {
 		t.Fatal("LRU entry survived past the bound")
 	}
-	for _, v := range []string{"v1", "v2"} {
-		if _, ok := c.Get(Key{Epoch: 1, Variant: v}); !ok {
-			t.Fatalf("recent entry %s was evicted", v)
+	for _, i := range []int{1, DefaultEntries} {
+		if _, ok := c.Get(key(i)); !ok {
+			t.Fatalf("recent entry v%d was evicted", i)
 		}
 	}
-	// Touching v1 must protect it from the next eviction.
-	c.Get(Key{Epoch: 1, Variant: "v1"})
-	if _, err := c.Fill(Key{Epoch: 1, Variant: "v3"}, fillEntry("3")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(Key{Epoch: 1, Variant: "v1"}); !ok {
+	// The Get above touched v1, so the next fill evicts v2 instead.
+	fill(DefaultEntries + 1)
+	if _, ok := c.Get(key(1)); !ok {
 		t.Fatal("recently-used entry was evicted before the LRU one")
 	}
-	if _, ok := c.Get(Key{Epoch: 1, Variant: "v2"}); ok {
+	if _, ok := c.Get(key(2)); ok {
 		t.Fatal("least-recently-used entry survived")
+	}
+	if c.Len() != DefaultEntries {
+		t.Fatalf("Len = %d after a second eviction, want %d", c.Len(), DefaultEntries)
 	}
 }
 
 func TestCacheSingleflight(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := obs.NewCacheMetrics(reg, "test")
-	c := New(8, m)
+	c := New(m)
 	k := Key{Epoch: 7, Variant: "dims=1"}
 
 	var fills atomic.Int32
@@ -121,7 +128,7 @@ func TestCacheSingleflight(t *testing.T) {
 }
 
 func TestCacheFillErrorNotCached(t *testing.T) {
-	c := New(4, nil)
+	c := New(nil)
 	k := Key{Epoch: 1, Variant: "x"}
 	wantErr := errors.New("boom")
 	if _, err := c.Fill(k, func() (*Entry, error) { return nil, wantErr }); !errors.Is(err, wantErr) {
@@ -156,7 +163,7 @@ func TestNilCacheDisables(t *testing.T) {
 }
 
 func TestCacheGetZeroAlloc(t *testing.T) {
-	c := New(4, obs.NewCacheMetrics(obs.NewRegistry(), "test"))
+	c := New(obs.NewCacheMetrics(obs.NewRegistry(), "test"))
 	k := Key{Epoch: 3, Variant: "dims=0,1"}
 	if _, err := c.Fill(k, fillEntry(`"e"`)); err != nil {
 		t.Fatal(err)

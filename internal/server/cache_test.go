@@ -287,15 +287,3 @@ func TestConcurrentReadersWriterConsistency(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
-
-// TestCacheEntriesBound checks the LRU bound is honoured end to end.
-func TestCacheEntriesBound(t *testing.T) {
-	s, _, _ := newTestServer(t, 0)
-	srv := NewWith(s.cube, s.ds, Options{CacheEntries: 2})
-	for _, dims := range []string{"0", "1", "2", "0,1"} {
-		get(t, srv, "/skyline?dims="+dims)
-	}
-	if n := srv.cache.Len(); n != 2 {
-		t.Fatalf("cache holds %d entries, want bound 2", n)
-	}
-}

@@ -35,8 +35,8 @@
 // # Materialized read path
 //
 // /skyline and /membership responses are cached as fully-encoded JSON,
-// keyed on (epoch, endpoint, request variant) and bounded by an LRU
-// (Options.CacheEntries). Invalidation is epoch-advance only — a flush or
+// keyed on (epoch, endpoint, request variant) and bounded by an LRU of
+// rcache.DefaultEntries entries. Invalidation is epoch-advance only — a flush or
 // compaction publishes a new epoch and thereby new keys — never TTL, so a
 // cached response is provably the bytes the uncached path would produce.
 // Every read response carries a strong ETag derived from (epoch, subspace)
@@ -99,9 +99,6 @@ type Options struct {
 	// cube and dataset passed to NewWith are ignored (and may be nil), reads
 	// serve the updater's snapshots, and the mutation endpoints are mounted.
 	Updater *skycube.Updater
-	// CacheEntries bounds the materialized read-path cache (LRU);
-	// 0 means rcache.DefaultEntries.
-	CacheEntries int
 	// DisableCache turns response memoization off entirely. Responses still
 	// carry ETags and honour If-None-Match — only the server-side reuse of
 	// encoded bytes is disabled.
@@ -185,7 +182,7 @@ func NewWith(cube skycube.Skycube, ds *skycube.Dataset, opt Options) *Server {
 	s.cm = obs.NewCacheMetrics(opt.Metrics, s.traceKind)
 	s.km = obs.NewKernelMetrics(opt.Metrics)
 	if !opt.DisableCache {
-		s.cache = rcache.New(opt.CacheEntries, s.cm)
+		s.cache = rcache.New(s.cm)
 	}
 	s.sampler = obs.NewSampler(opt.SampleEvery)
 	if opt.Requests != nil {

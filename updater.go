@@ -35,16 +35,14 @@ type DurableOptions struct {
 }
 
 // DeltaOptions configure incremental skycube maintenance (Options.Delta).
-// The zero value is a sensible default: compaction at a 25% overlay
-// fraction, no background compactor, an 8-epoch history ring.
+// The zero value is a sensible default: no background compactor, an 8-epoch
+// history ring.
 type DeltaOptions struct {
-	// CompactFraction triggers compaction when the snapshot's overlay entry
-	// count — tombstones plus the masks of inserted and changed points, at
-	// least 64 — reaches this fraction of the base cube's point count. 0
-	// means 0.25; negative disables the automatic trigger entirely.
-	CompactFraction float64
-	// AutoCompact runs triggered compactions in a background goroutine.
-	// Without it, compaction happens only through Updater.Compact.
+	// AutoCompact compacts in a background goroutine once the snapshot's
+	// overlay entry count — tombstones plus the masks of inserted and
+	// changed points, at least 64 — reaches a quarter of the base cube's
+	// point count. Without it, compaction happens only through
+	// Updater.Compact.
 	AutoCompact bool
 	// IDSegments is the id scheme a first build starts with (the cluster
 	// layer's mapping of local rows to global ids). The updater only carries
@@ -153,11 +151,10 @@ func maintenanceOptions(opt Options) (delta.Options, error) {
 	}
 	threads := opt.threads()
 	return delta.Options{
-		Threads:         threads,
-		Devices:         opt.devices(threads),
-		CompactFraction: opt.Delta.CompactFraction,
-		AutoCompact:     opt.Delta.AutoCompact,
-		Metrics:         obs.NewDeltaMetrics(opt.Metrics),
+		Threads:     threads,
+		Devices:     opt.devices(threads),
+		AutoCompact: opt.Delta.AutoCompact,
+		Metrics:     obs.NewDeltaMetrics(opt.Metrics),
 	}, nil
 }
 
