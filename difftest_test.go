@@ -517,3 +517,73 @@ func TestDifferentialHighDim(t *testing.T) {
 		})
 	}
 }
+
+// TestDifferentialUpdaterHighDim holds the updater to a fresh build at the
+// paper's dimensionality, where a subspace set spans several words (d ≥ 7)
+// and a full-space skyline member is a member of thousands of subspaces.
+// Each case runs seeded rounds of inserts and deletes — every delete batch
+// takes full-space skyline members as well as random ids — flushes each
+// round and compacts every other one, and checks every epoch it makes on
+// every cuboid, and every live point's membership, against an MDMC build of
+// the live rows (TestDifferentialHighDim holds MDMC to the QSkycube oracle at
+// these d). d = 10 and 12 run under -short too, d = 14 only without it.
+func TestDifferentialUpdaterHighDim(t *testing.T) {
+	for _, c := range []struct {
+		dist skycube.Distribution
+		name string
+		n, d int
+	}{
+		{skycube.Independent, "independent", 1000, 12},
+		{skycube.Anticorrelated, "anticorrelated", 300, 10},
+		{skycube.Independent, "independent", 200, 14},
+	} {
+		if testing.Short() && c.d > 12 {
+			continue
+		}
+		t.Run(fmt.Sprintf("%s/d=%d/n=%d", c.name, c.d, c.n), func(t *testing.T) {
+			const rounds, inserts, deletes, members = 3, 40, 12, 4
+			oracle := skycube.Options{Algorithm: skycube.MDMC, Threads: 2}
+			seed := int64(131*c.d) + int64(c.n)
+			base := skycube.GenerateSynthetic(c.dist, c.n, c.d, seed)
+			pool := skycube.GenerateSynthetic(c.dist, rounds*inserts, c.d, seed+1)
+			up, err := skycube.NewUpdater(base, skycube.Options{Threads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer up.Close()
+			live := make([]int32, c.n)
+			for i := range live {
+				live[i] = int32(i)
+			}
+			rng := rand.New(rand.NewSource(seed + 2))
+			for round := 0; round < rounds; round++ {
+				for i := round * inserts; i < (round+1)*inserts; i++ {
+					id, err := up.Insert(pool.Point(i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					live = append(live, id)
+				}
+				// Full-space members first: a member victim is what opens
+				// subspaces in the points it dominated.
+				victims := up.Current().Skyline(skycube.FullSpace(c.d))
+				rng.Shuffle(len(victims), func(i, j int) { victims[i], victims[j] = victims[j], victims[i] })
+				victims = victims[:min(members, len(victims))]
+				for len(victims) < deletes {
+					victims = append(victims, live[rng.Intn(len(live))])
+				}
+				for _, id := range victims {
+					if err := up.Delete(id); err != nil {
+						continue // drawn twice
+					}
+					i := slices.Index(live, id)
+					live = append(live[:i], live[i+1:]...)
+				}
+				checkAgainstBuild(t, up.Flush(), live, oracle)
+				if round%2 == 1 {
+					checkAgainstBuild(t, up.Compact(), live, oracle)
+				}
+			}
+		})
+	}
+}

@@ -108,15 +108,18 @@ func BenchmarkCompactionFraction(b *testing.B) {
 // BenchmarkFlushDeletes measures one Flush of a batch of 25 deletes, 5 of
 // them members of the full-space skyline (a delete costs by the cuboids its
 // victim is a member of, so a batch drawn from all ids alone would cost by
-// how many members it happened to hit), on the benchmark's two update shapes.
-// Every iteration gets a fresh updater, built with the clock stopped, so the
-// flush meets the same base whatever -benchtime is. cmp/delete is the
-// hardware-independent twin: point pairs compared while resolving the
-// deletes, per victim; vouch/delete is the promotion walk's: strict
-// full-space tests of outsiders against vouchers and, for the ones a voucher
-// dominates, against surviving skyline members until one confirms them. Both
-// sum per-point counts, so they repeat exactly. The sub-benchmark names carry
-// no slash, which -bench would split its pattern on.
+// how many members it happened to hit), on the benchmark's two update shapes
+// and at the paper's d = 12, where a full-space member is a member of
+// thousands of subspaces. Every iteration gets a fresh updater, built with the
+// clock stopped, so the flush meets the same base whatever -benchtime is.
+// cmp/delete is the hardware-independent twin, per victim: the point pairs
+// the delete pass compares row by row (targets against shields, the
+// cross-test of what stays open), plus the live survivor lanes of every word
+// its survivor sweep reads; vouch/delete is the promotion walk's: the words
+// it sweeps, one per voucher and outsider word plus the kept-member words
+// each candidate's verdict reads. Both sum per-point and per-word counts, so
+// they repeat exactly. The sub-benchmark names carry no slash, which -bench
+// would split its pattern on.
 func BenchmarkFlushDeletes(b *testing.B) {
 	for _, c := range []struct {
 		dist gen.Distribution
@@ -124,6 +127,7 @@ func BenchmarkFlushDeletes(b *testing.B) {
 	}{
 		{gen.Independent, 6, 15000},
 		{gen.Anticorrelated, 4, 50000},
+		{gen.Independent, 12, 20000},
 	} {
 		b.Run(fmt.Sprintf("%v_d%d_n%d", c.dist, c.d, c.n), func(b *testing.B) {
 			const batch, fromSkyline = 25, 5

@@ -286,7 +286,8 @@ type Updater struct {
 	wg          sync.WaitGroup
 	compactions int64
 	// cmps counts the point-pair coordinate comparisons phase B, the
-	// reverse pass and the delete pass have made (guarded by mu) — what a
+	// reverse pass and the delete pass have made, a survivor word the delete
+	// pass sweeps counting one per live lane (guarded by mu) — what a
 	// flush costs beyond its forward solves; BenchmarkFlushInserts reports
 	// it per insert, BenchmarkFlushDeletes per delete — and vouches, the words
 	// the promotion walk sweeps (its workers add to it).
@@ -1656,25 +1657,38 @@ type shield struct {
 // live tree points and extras; an outsider still has a live full-space
 // strict dominator and is in no skyline. Per point q, one comparison per
 // shield yields q's open set: the affected δ in which a member victim
-// dominated it. q then meets the survivors — the union of those skylines —
-// and each comparison closes every open δ it decides, until none is left.
-// The (q, δ) still open were dominated in δ by victims alone among the old
-// members, so only each other can keep them out: they are cross-tested per
-// δ, and what remains is returned.
+// dominated it. q then sweeps the survivors — the union of those skylines,
+// one column store in their order — a word at a time: one RelWord gives, per
+// dimension, the survivors ≤ q and < q, and an open δ closes when some lane
+// is in the first on every dimension of δ and in the second on one. The sweep
+// ends after the word that closes the last. A δ closes exactly when some
+// survivor dominates q in it, whichever word holds that survivor, so the
+// order only decides how soon the sweep ends. The (q, δ) still open were
+// dominated in δ by victims alone among the old members, so only each other
+// can keep them out: they are cross-tested per δ, and what remains is
+// returned.
 func (u *Updater) resolveDeletes(shields []shield, targets, survivors []int32) map[mask.Mask][]int32 {
+	cols := data.GetBlockSet(u.d, data.DefaultBlockSize)
+	defer data.PutBlockSet(cols)
+	for _, s := range survivors {
+		cols.Append(u.point(s), s, u.sum(s))
+	}
 	var mu sync.Mutex
 	open := make(map[mask.Mask][]int32)
 	var cmps int64
 	u.eachChunk(len(targets), passChunk, func(claim func() (int, int)) {
 		// closed has a clear bit per open subspace of the point at hand: the
-		// shields clear them, the survivors set them again.
+		// shields clear them; deltas lists them for the survivor sweep.
 		closed := bitset.New(mask.NumSubspaces(u.d))
+		leq, lt := make([]uint64, u.d), make([]uint64, u.d)
+		var deltas []mask.Mask
 		type pair struct {
 			id    int32
 			delta mask.Mask
 		}
 		var left []pair
 		var n int64
+		var t dom.KernelTally
 		for lo, hi := claim(); lo < hi; lo, hi = claim() {
 			for _, id := range targets[lo:hi] {
 				q := u.point(id)
@@ -1688,21 +1702,26 @@ func (u *Updater) resolveDeletes(shields []shield, targets, survivors []int32) m
 					}
 				}
 				n += int64(len(shields))
-				if closed.All() {
-					continue
+				deltas = deltas[:0]
+				for b := closed.NextClear(0); b >= 0; b = closed.NextClear(b + 1) {
+					deltas = append(deltas, mask.Mask(b+1))
 				}
-				for _, s := range survivors {
-					r := dom.Compare(u.point(s), q)
-					n++
-					if teach(closed, closed, r.Lt, r.Eq); closed.All() {
-						break
+				for _, b := range cols.Blocks {
+					for w := 0; w < (b.N+63)>>6 && len(deltas) > 0; w++ {
+						dom.RelWord(b, w, q, leq, lt)
+						t.Sweeps++
+						n += int64(bits.OnesCount64(b.Alive[w]))
+						deltas = slices.DeleteFunc(deltas, func(delta mask.Mask) bool {
+							return dom.WordDominators(leq, lt, delta) != 0
+						})
 					}
 				}
-				for b := closed.NextClear(0); b >= 0; b = closed.NextClear(b + 1) {
-					left = append(left, pair{id, mask.Mask(b + 1)})
+				for _, delta := range deltas {
+					left = append(left, pair{id, delta})
 				}
 			}
 		}
+		t.Flush()
 		mu.Lock()
 		defer mu.Unlock()
 		cmps += n
@@ -1790,8 +1809,7 @@ func (u *Updater) compactLoop() {
 // clear in src that lie inside lt|eq and touch lt. Subspaces where src's
 // point is itself dominated are skipped — its dominator dominates dst's
 // point there too (transitivity), so that bit is somebody else's to set.
-// With src = dst it closes the subspaces still clear that the relation
-// decides (the delete pass).
+// Every caller is on the insert path, and none passes src = dst.
 func teach(dst, src *bitset.Set, lt, eq mask.Mask) {
 	dst.OrDownset(lt|eq, eq, src, nil)
 }

@@ -11,31 +11,36 @@
 // point: once the next block's minimum sum exceeds the query's, no later lane
 // can dominate it and the sweep terminates.
 //
-// There is one sweep, blockLeqWord: the live lanes ≤ the query on every
-// column, which are its dominators, strict or not, and its exact duplicates.
-// Every scan — AnyDominatorIn, BlocksVerdict, StrictWord — runs it once per
-// word and then reads only the lanes it left (lessCols) to tell the three
-// apart, because a word that has any is rare.
+// There are two sweeps. blockLeqWord gives the live lanes ≤ the query on
+// every column, which are its dominators, strict or not, and its exact
+// duplicates. Every scan — AnyDominatorIn, BlocksVerdict, StrictWord — runs
+// it once per word and then reads only the lanes it left (lessCols) to tell
+// the three apart, because a word that has any is rare. RelWord keeps the
+// columns apart instead: per column, the live lanes ≤ and < the query, from
+// which a caller reads dominance in any subspace of the columns with a few
+// word ANDs and ORs — the delete flush's survivor sweep, which decides many
+// subspaces per probe.
 //
 // Every word a kernel sweeps is a full word: block columns have backing store
 // for all 64 lanes of it (data.Block's layout rule), so the lane loop has one
 // constant trip count and the lanes past Block.N — zeros or stale values —
 // produce bits that Alive clears. Per-point early exit exists only at word
-// granularity: a column sweep stops when the whole word's verdict is zero.
+// granularity: a ≤ sweep stops when the whole word's verdict is zero (RelWord
+// has no verdict to stop on and sweeps every column).
 //
-// The sweep has two implementations. On amd64 with AVX2 (block_amd64.s,
-// leqWordAVX2; chosen once at package init from CPUID, never by a caller) a
-// column is eight 8-lane VCMPPS/VMOVMSKPS steps. Everywhere else — arm64,
-// older amd64, -tags purego — and as the oracle the fuzz target holds the
-// assembly to, it is the Go loop of blockLeqWord, which the compiler turns
-// into a rolled 64-trip loop of one UCOMISS, one BTSQ and one CMOV per lane
-// (no unrolling, no vector code; still faster than a SETcc accumulation or a
-// float-bits sign extraction).
+// Each sweep has two implementations. On amd64 with AVX2 (block_amd64.s,
+// leqWordAVX2 and relWordAVX2; chosen once at package init from CPUID, never
+// by a caller) a column is eight 8-lane VCMPPS/VMOVMSKPS steps per predicate.
+// Everywhere else — arm64, older amd64, -tags purego — and as the oracle the
+// fuzz targets hold the assembly to, it is the Go loop of blockLeqWord and
+// RelWord; blockLeqWord's compiles to a rolled 64-trip loop of one UCOMISS,
+// one BTSQ and one CMOV per lane (no unrolling, no vector code; still faster
+// than a SETcc accumulation or a float-bits sign extraction).
 //
 // Every kernel is bit-for-bit equivalent to the row compare
-// (FuzzBlockKernelEquivalence enforces this); dominance semantics are those
-// of Definition 1 with the projection already applied, i.e. the block's K
-// columns ARE the subspace δ.
+// (FuzzBlockKernelEquivalence and FuzzRelWordEquivalence enforce this);
+// dominance semantics are those of Definition 1 with the projection already
+// applied, i.e. the block's K columns ARE the subspace δ.
 package dom
 
 import (
@@ -190,6 +195,52 @@ func StrictWord(b *data.Block, w int, pq []float32) uint64 {
 	return le
 }
 
+// RelWord writes, for word w of b and every column j, the live lanes ≤ pq[j]
+// to leq[j] and the live lanes < pq[j] to lt[j]; leq and lt hold a word per
+// column. A lane dominates pq in a subspace δ of the columns iff it is in
+// leq[j] for every j ∈ δ and in lt[j] for some, so one call answers every δ
+// for 64 lanes (WordDominators). On amd64 with AVX2 this is relWordAVX2
+// (block_amd64.s); the Go loop is the portable build and the oracle
+// FuzzRelWordEquivalence holds the assembly to.
+func RelWord(b *data.Block, w int, pq []float32, leq, lt []uint64) {
+	k := len(b.Cols)
+	leq, lt = leq[:k:k], lt[:k:k]
+	alive := b.Alive[w]
+	if useAVX2 {
+		col0, stride, _ := wordArgs(b, w, pq)
+		relWordAVX2(col0, stride, k, &pq[0], alive, &leq[0], &lt[0])
+		return
+	}
+	base := w << 6
+	for j, col := range b.Cols {
+		pv := pq[j]
+		sub := col[base : base+64 : base+64]
+		var le, l uint64
+		for i := 0; i < 64; i++ {
+			if sub[i] <= pv {
+				le |= 1 << uint(i)
+			}
+			if sub[i] < pv {
+				l |= 1 << uint(i)
+			}
+		}
+		leq[j], lt[j] = le&alive, l&alive
+	}
+}
+
+// WordDominators reads RelWord's masks in the subspace δ of the columns: the
+// lanes ≤ the probe on every dimension of δ and < it on one, its dominators
+// in δ.
+func WordDominators(leq, lt []uint64, delta mask.Mask) uint64 {
+	all, any := ^uint64(0), uint64(0)
+	for m := delta; m != 0 && all != 0; m &= m - 1 {
+		j := bits.TrailingZeros32(m)
+		all &= leq[j]
+		any |= lt[j]
+	}
+	return all & any
+}
+
 // CompareBlock computes Compare(point q, pp) for every q in the half-open
 // leaf-sorted range [lo, hi) of the column-major view cols (cols[j][q] is
 // point q's coordinate on dimension j), writing the Rel masks into
@@ -197,10 +248,9 @@ func StrictWord(b *data.Block, w int, pq []float32) uint64 {
 // the two independent compares per lane mirror Compare's branch-free
 // accumulation exactly. No production code calls it. MDMC's leaf DT is a row
 // compare, because the tree's leaves hold one or two points and a sweep ran for
-// one lane. The delete flush's survivor loop reads about 26 (I d=6) or 60 (A
-// d=4) lanes per target in order and stops at the first that closes it; there,
-// 4-, 8- and 16-lane calls were no faster than one Compare per lane. It stays
-// for benchmark/probes.go's dom.compare_block_ns_per_row.
+// one lane. The delete flush's survivor sweep runs RelWord, whose masks are
+// per column rather than per lane. It stays for benchmark/probes.go's
+// dom.compare_block_ns_per_row.
 func CompareBlock(cols [][]float32, lo, hi int, pp []float32, out []Rel) {
 	n := hi - lo
 	for i := 0; i < n; i++ {

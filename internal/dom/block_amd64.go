@@ -15,6 +15,13 @@ var useAVX2 = detectAVX2()
 //go:noescape
 func leqWordAVX2(col0 *float32, stride uintptr, k int, pq *float32, alive uint64) uint64
 
+// relWordAVX2 is RelWord's sweep: for each of the k columns of one 64-lane
+// word (addressed as for leqWordAVX2) it stores the lanes of alive ≤ pq[j]
+// at leq[j] and those < pq[j] at lt[j]. k ≥ 1.
+//
+//go:noescape
+func relWordAVX2(col0 *float32, stride uintptr, k int, pq *float32, alive uint64, leq, lt *uint64)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

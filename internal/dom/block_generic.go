@@ -11,6 +11,10 @@ func leqWordAVX2(col0 *float32, stride uintptr, k int, pq *float32, alive uint64
 	panic("dom: no AVX2 kernel in this build")
 }
 
+func relWordAVX2(col0 *float32, stride uintptr, k int, pq *float32, alive uint64, leq, lt *uint64) {
+	panic("dom: no AVX2 kernel in this build")
+}
+
 func labelWordAVX2(med, quart, oct *uint32, s *LabelSel, seen *uint64, xs *[64]uint32) uint64 {
 	panic("dom: no AVX2 kernel in this build")
 }

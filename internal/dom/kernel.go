@@ -17,7 +17,8 @@ type KernelCounters struct {
 	// (the portable loops of block.go, label.go and dom.go).
 	Impl string
 	// BlockSweeps counts 64-lane word sweeps executed: dominance blocks
-	// (one per word a block kernel sweeps) and MDMC label columns (one per
+	// (one per word a block kernel sweeps, and one per RelWord call of the
+	// delete flush's survivor sweep) and MDMC label columns (one per
 	// LabelWord call of a filter or refine).
 	BlockSweeps uint64
 	// StopPointExits counts scans terminated early because the next block's

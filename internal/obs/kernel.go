@@ -43,7 +43,7 @@ func (m *KernelMetrics) Sync(impl string, sweeps, stops uint64) {
 	m.mu.Unlock()
 	if dSweeps > 0 {
 		m.reg.CounterM("skycube_kernel_block_sweeps_total",
-			"64-lane word sweeps executed: dominance blocks and MDMC label columns.").
+			"64-lane word sweeps executed: dominance blocks (a delete flush's per-column ≤/< survivor words among them) and MDMC label columns.").
 			Add(float64(dSweeps))
 	}
 	if dStops > 0 {

@@ -137,9 +137,17 @@ func TestUpdaterCrossDevice(t *testing.T) {
 
 // checkAgainstFreshBuild compares a snapshot with a one-shot QSkycube build
 // over the snapshot's live points, on every subspace and for every live
-// point's membership. Oracle rows are positions into the live slice, so
-// they are remapped to updater ids before comparison.
+// point's membership.
 func checkAgainstFreshBuild(t *testing.T, snap skycube.Snapshot, live []int32) {
+	t.Helper()
+	checkAgainstBuild(t, snap, live, skycube.Options{Algorithm: skycube.QSkycube, Threads: 1})
+}
+
+// checkAgainstBuild is checkAgainstFreshBuild with the build's options given.
+// Oracle rows are positions into the live slice, so they are remapped to
+// updater ids before comparison; a live point's membership must be the
+// subspaces whose oracle skyline holds it, in ascending order.
+func checkAgainstBuild(t *testing.T, snap skycube.Snapshot, live []int32, opt skycube.Options) {
 	t.Helper()
 	rows := make([][]float32, len(live))
 	for i, id := range live {
@@ -149,30 +157,29 @@ func checkAgainstFreshBuild(t *testing.T, snap skycube.Snapshot, live []int32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, _, err := skycube.Build(final, skycube.Options{Algorithm: skycube.QSkycube, Threads: 1})
+	oracle, _, err := skycube.Build(final, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	toID := func(positions []int32) []int32 {
-		if len(positions) == 0 {
-			return nil
-		}
-		out := make([]int32, len(positions))
-		for i, pos := range positions {
-			out[i] = live[pos]
-		}
-		sortInt32s(out)
-		return out
-	}
+	member := make([][]skycube.Subspace, len(live))
 	for _, delta := range skycube.AllSubspaces(snap.Dims()) {
-		want := toID(oracle.Skyline(delta))
+		positions := oracle.Skyline(delta)
+		var want []int32
+		if len(positions) > 0 {
+			want = make([]int32, len(positions))
+			for i, pos := range positions {
+				want[i] = live[pos]
+				member[pos] = append(member[pos], delta)
+			}
+			sortInt32s(want)
+		}
 		if got := snap.Skyline(delta); !reflect.DeepEqual(got, want) {
 			t.Fatalf("epoch %d δ=%b:\n got %v\nwant %v", snap.Epoch(), delta, got, want)
 		}
 	}
 	for pos, id := range live {
-		if got, want := snap.Membership(id), oracle.Membership(int32(pos)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("epoch %d membership of id %d: got %v, want %v", snap.Epoch(), id, got, want)
+		if got := snap.Membership(id); !reflect.DeepEqual(got, member[pos]) {
+			t.Fatalf("epoch %d membership of id %d: got %v, want %v", snap.Epoch(), id, got, member[pos])
 		}
 	}
 }
